@@ -20,6 +20,7 @@
 #include <bit>
 #include <cstdio>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
@@ -92,8 +93,7 @@ class PacedSource : public Component
         phit.vc = 0;
         phit.head = true;
         phit.tail = true;
-        phit.payload = data;
-        out_.data.send(now, phit);
+        out_.data.send(now, std::move(phit));
         ++flits_;
 
         // Stream statistics for the model regressors.

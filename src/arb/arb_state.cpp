@@ -20,7 +20,11 @@ void
 RoundRobinArbiter::loadState(CkptReader &r)
 {
     r.expect("arb.rr");
-    ptr_ = r.i32();
+    const std::int32_t ptr = r.i32();
+    if (ptr < 0 || ptr >= numInputs())
+        throw CheckpointError("checkpoint: round-robin pointer out of "
+                              "range");
+    ptr_ = ptr;
 }
 
 void

@@ -24,6 +24,24 @@ struct ReqInfo
     std::uint64_t age = 0;    ///< packet injection time (age-based)
 };
 
+/** Upper bound on one arbitration point's inputs (request masks are
+ * 32-bit words). */
+inline constexpr int kMaxArbInputs = 32;
+
+/**
+ * This thread's request-metadata scratch, kMaxArbInputs entries. Callers
+ * fill only the entries of requesting inputs and arbiters read only
+ * those, so it is never cleared. The engine ticks one component at a
+ * time on each thread, so one array per thread serves every arbitration
+ * point and no component carries its own.
+ */
+inline ReqInfo *
+reqInfoScratch()
+{
+    thread_local ReqInfo scratch[kMaxArbInputs];
+    return scratch;
+}
+
 /** Abstract K-input, single-grant arbiter. */
 class Arbiter
 {

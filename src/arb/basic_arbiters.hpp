@@ -31,32 +31,39 @@ class FixedPriorityArbiter : public Arbiter
  * after the rotating pointer, then advances the pointer past the grant.
  * This is the "simple, locally fair" arbiter of [9] whose accumulated
  * unfairness across a unified network Section 3 sets out to fix.
+ *
+ * The pick is two bit scans: the requests at or after the pointer, and
+ * failing those, the lowest request (the wrap-around).
  */
 class RoundRobinArbiter : public Arbiter
 {
   public:
-    using Arbiter::Arbiter;
+    explicit RoundRobinArbiter(int num_inputs)
+        : Arbiter(num_inputs),
+          valid_(num_inputs >= 32 ? ~0u : (1u << num_inputs) - 1)
+    {
+    }
 
     int
     pick(std::uint32_t req_mask, const ReqInfo *) override
     {
+        req_mask &= valid_;
         if (req_mask == 0)
             return -1;
-        const int k = numInputs();
-        for (int off = 0; off < k; ++off) {
-            const int i = (ptr_ + off) % k;
-            if (req_mask & (1u << i)) {
-                ptr_ = (i + 1) % k;
-                return i;
-            }
-        }
-        return -1;
+        const std::uint32_t ahead = req_mask & (~0u << ptr_);
+        const int i = std::countr_zero(ahead != 0 ? ahead : req_mask);
+        ptr_ = i + 1 == numInputs() ? 0 : i + 1;
+        return i;
     }
+
+    /** The input the next pick favors first. */
+    int pointer() const { return ptr_; }
 
     void saveState(CkptWriter &w) const override;
     void loadState(CkptReader &r) override;
 
   private:
+    std::uint32_t valid_; ///< bit i set iff input i exists
     int ptr_ = 0;
 };
 
@@ -77,10 +84,11 @@ class AgeBasedArbiter : public Arbiter
         if (req_mask == 0)
             return -1;
         assert(info != nullptr);
+        if (numInputs() < 32)
+            req_mask &= (1u << numInputs()) - 1;
         int best = -1;
-        for (int i = 0; i < numInputs(); ++i) {
-            if (!(req_mask & (1u << i)))
-                continue;
+        for (; req_mask != 0; req_mask &= req_mask - 1) {
+            const int i = std::countr_zero(req_mask);
             if (best < 0 || info[i].age < info[best].age)
                 best = i;
         }

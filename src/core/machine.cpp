@@ -4,11 +4,48 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "trace/chrome_trace.hpp"
 #include "trace/flight_record.hpp"
 
 namespace anton2 {
+
+namespace {
+
+/**
+ * Reject wire latencies the engine cannot honour, in every build. A
+ * zero-latency wire would make the evaluation order within a cycle
+ * observable. On-chip wires also ring their receivers' doorbells, whose
+ * ring covers latencies up to kMaxDoorbellLatency.
+ */
+void
+checkLatencies(const MachineConfig &cfg)
+{
+    const std::pair<const char *, Cycle> on_chip[] = {
+        { "mesh_latency", cfg.chip.mesh_latency },
+        { "skip_latency", cfg.chip.skip_latency },
+        { "attach_latency", cfg.chip.attach_latency },
+    };
+    for (const auto &[name, latency] : on_chip) {
+        if (latency < 1 || latency > kMaxDoorbellLatency)
+            throw std::invalid_argument(
+                std::string("MachineConfig: chip.") + name + " = "
+                + std::to_string(latency) + " is outside [1, "
+                + std::to_string(kMaxDoorbellLatency)
+                + "] (on-chip wires need latency >= 1 and ring a "
+                  "doorbell of "
+                + std::to_string(kDoorbellSlots) + " cycles)");
+    }
+    if (!cfg.use_packaging && cfg.fixed_torus_latency < 1)
+        throw std::invalid_argument(
+            "MachineConfig: fixed_torus_latency must be >= 1 (a "
+            "zero-latency torus link would make evaluation order "
+            "observable)");
+}
+
+} // namespace
 
 Machine::Machine(const MachineConfig &cfg)
     : cfg_(cfg),
@@ -19,6 +56,7 @@ Machine::Machine(const MachineConfig &cfg)
 {
     if (geom_.ndims() != 3)
         throw std::invalid_argument("Machine models a 3-D torus");
+    checkLatencies(cfg_);
 
     chips_.reserve(geom_.numNodes());
     for (NodeId n = 0; n < geom_.numNodes(); ++n) {
@@ -47,7 +85,7 @@ Machine::Machine(const MachineConfig &cfg)
             }
         }
     }
-    if (lookahead_cap_ == kNoCycle || lookahead_cap_ < 1)
+    if (lookahead_cap_ == kNoCycle)
         lookahead_cap_ = 1;
 
     // Size the endpoints' total-latency histogram bins with the machine

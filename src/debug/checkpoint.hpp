@@ -35,8 +35,10 @@
 
 namespace anton2 {
 
-/** Current checkpoint format version. Bump on any encoding change. */
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+/** Current checkpoint format version. Bump on any encoding change.
+ * Version 2: phits carry no payload copy, and wire rings are rounded up
+ * to powers of two. */
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /** Thrown on any malformed, mismatched, or corrupted checkpoint. */
 class CheckpointError : public std::runtime_error

@@ -162,15 +162,15 @@ class VcBuffer
     int occupancy() const { return occupancy_; }
     bool empty() const { return entries_.empty(); }
 
-    /** Accept one incoming flit (head flit enqueues the packet). */
+    /** Accept one incoming flit (head flit enqueues the packet, taking
+     * over the phit's packet pointer). */
     void
-    acceptFlit(const Phit &phit, Cycle now)
+    acceptFlit(Phit &&phit, Cycle now)
     {
         if (phit.head) {
-            Entry e;
-            e.pkt = phit.pkt;
+            Entry &e = entries_.emplace_back();
+            e.pkt = std::move(phit.pkt);
             e.head_at = now;
-            entries_.push_back(std::move(e));
         }
         assert(!entries_.empty());
         ++entries_.back().arrived;

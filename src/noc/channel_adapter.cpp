@@ -1,6 +1,8 @@
 #include "noc/channel_adapter.hpp"
 
+#include <bit>
 #include <cassert>
+#include <stdexcept>
 
 #include "arb/inverse_weighted.hpp"
 #include "debug/checkpoint.hpp"
@@ -19,9 +21,10 @@ ChannelAdapter::ChannelAdapter(std::string name,
       egress_arb_(makeArbiter(cfg.arb, cfg.num_vcs, cfg.weight_bits)),
       ingress_vcs_(static_cast<std::size_t>(cfg.num_vcs)),
       ingress_heads_(static_cast<std::size_t>(cfg.num_vcs)),
-      ingress_expanded_(static_cast<std::size_t>(cfg.num_vcs), false),
       ingress_arb_(makeArbiter(cfg.arb, cfg.num_vcs, cfg.weight_bits))
 {
+    if (cfg.num_vcs < 1 || cfg.num_vcs > 32)
+        throw std::invalid_argument("channel adapter supports 1-32 VCs");
     for (auto &vc : egress_vcs_)
         vc.init(cfg.buf_flits_per_vc);
     for (auto &vc : ingress_vcs_)
@@ -32,6 +35,7 @@ void
 ChannelAdapter::connectRouterIn(Channel &ch)
 {
     router_in_ = &ch;
+    ch.data.attachDoorbell(bell_, kEgressDataBell);
 }
 
 void
@@ -39,6 +43,7 @@ ChannelAdapter::connectRouterOut(Channel &ch, int router_buf_flits)
 {
     router_out_ = &ch;
     router_credits_.init(cfg_.num_vcs, router_buf_flits);
+    ch.credit.attachDoorbell(bell_, kIngressCreditBell);
 }
 
 void
@@ -96,7 +101,7 @@ ChannelAdapter::bindFlow(FlowProbe &probe, std::int32_t node,
 }
 
 void
-ChannelAdapter::tickEgress(Cycle now)
+ChannelAdapter::tickEgress(Cycle now, std::uint32_t rung)
 {
     if (router_in_ == nullptr || torus_out_ == nullptr)
         return;
@@ -110,10 +115,14 @@ ChannelAdapter::tickEgress(Cycle now)
         else
             torus_credits_.release(cr->vc);
     }
-    if (auto phit = router_in_->data.take(now)) {
-        if (phit->head)
-            ++egress_packets_;
-        egress_vcs_[phit->vc].acceptFlit(*phit, now);
+    if ((rung >> kEgressDataBell) & 1u) {
+        if (auto phit = router_in_->data.take(now)) {
+            if (phit->head) {
+                ++egress_packets_;
+                egress_nonempty_ |= 1u << phit->vc;
+            }
+            egress_vcs_[phit->vc].acceptFlit(std::move(*phit), now);
+        }
     }
 
     // Serialization tokens: 14 per cycle, 45 per flit (89.6/288 Gb/s).
@@ -131,12 +140,10 @@ ChannelAdapter::tickEgress(Cycle now)
     if (!egress_busy_) {
         std::uint32_t req = 0;
         bool credit_blocked = false;
-        ReqInfo info[32];
-        for (int v = 0; v < cfg_.num_vcs; ++v) {
-            auto &buf = egress_vcs_[static_cast<std::size_t>(v)];
-            if (buf.empty())
-                continue;
-            auto &head = buf.head();
+        ReqInfo *info = reqInfoScratch();
+        for (std::uint32_t m = egress_nonempty_; m != 0; m &= m - 1) {
+            const int v = std::countr_zero(m);
+            auto &head = egress_vcs_[static_cast<std::size_t>(v)].head();
             if (now <= head.head_at)
                 continue;
             const std::uint8_t link_vc =
@@ -168,15 +175,15 @@ ChannelAdapter::tickEgress(Cycle now)
         auto &head = buf.head();
         if (ser_tokens_ >= cfg_.ser_tokens_per_flit
             && head.sent < head.arrived) {
+            const bool tail = head.sent + 1 == head.pkt->size_flits;
             Phit phit;
             phit.pkt = head.pkt;
             phit.vc = egress_link_vc_;
             phit.index = head.sent;
             phit.head = (head.sent == 0);
-            phit.tail = (head.sent + 1 == head.pkt->size_flits);
-            phit.payload = head.pkt->payload[head.sent];
-            torus_out_->data.send(now, phit);
-            if (phit.head)
+            phit.tail = tail;
+            torus_out_->data.send(now, std::move(phit));
+            if (head.sent == 0)
                 tracePacketEvent(trace_, TraceUnitKind::ChannelAdapter,
                                  TraceEventType::LinkTraverse, now,
                                  head.pkt->id, -1, egress_link_vc_);
@@ -187,7 +194,7 @@ ChannelAdapter::tickEgress(Cycle now)
             ++flits_sent_;
             if (metrics_ != nullptr)
                 metrics_->flits_sent->inc();
-            if (phit.tail) {
+            if (tail) {
                 // Emit the link hop span while the entry is live (all
                 // cycles are existing state - no clock reads).
                 flowHopEvent(flow_, FlowUnitKind::Link, head.pkt->id,
@@ -195,6 +202,8 @@ ChannelAdapter::tickEgress(Cycle now)
                              head.head_at, egress_grant_at_, now, -1,
                              egress_link_vc_);
                 buf.popHead(now);
+                if (buf.empty())
+                    egress_nonempty_ &= ~(1u << egress_vc_);
                 --egress_packets_;
                 egress_busy_ = false;
                 egress_vc_ = -1;
@@ -208,17 +217,21 @@ ChannelAdapter::tickEgress(Cycle now)
 }
 
 void
-ChannelAdapter::tickIngress(Cycle now)
+ChannelAdapter::tickIngress(Cycle now, std::uint32_t rung)
 {
     if (torus_in_ == nullptr || router_out_ == nullptr)
         return;
 
-    if (auto cr = router_out_->credit.take(now))
-        router_credits_.release(cr->vc);
+    if ((rung >> kIngressCreditBell) & 1u) {
+        if (auto cr = router_out_->credit.take(now))
+            router_credits_.release(cr->vc);
+    }
     if (auto phit = torus_in_->data.take(now)) {
-        if (phit->head)
+        if (phit->head) {
             ++ingress_packets_;
-        ingress_vcs_[phit->vc].acceptFlit(*phit, now);
+            ingress_nonempty_ |= 1u << phit->vc;
+        }
+        ingress_vcs_[phit->vc].acceptFlit(std::move(*phit), now);
         ++flits_received_;
         if (metrics_ != nullptr)
             metrics_->flits_received->inc();
@@ -229,15 +242,15 @@ ChannelAdapter::tickIngress(Cycle now)
 
     // Expand new head packets: inter-node route decision (and multicast
     // fan-out) happens once per packet, at the adapter.
-    for (int v = 0; v < cfg_.num_vcs; ++v) {
-        auto &buf = ingress_vcs_[static_cast<std::size_t>(v)];
-        if (buf.empty() || ingress_expanded_[static_cast<std::size_t>(v)])
-            continue;
+    for (std::uint32_t m = ingress_nonempty_ & ~ingress_expanded_; m != 0;
+         m &= m - 1) {
+        const int v = std::countr_zero(m);
+        const auto &buf = ingress_vcs_[static_cast<std::size_t>(v)];
         auto &entry = ingress_heads_[static_cast<std::size_t>(v)];
         entry.copies = ingress_fn_(buf.head().pkt);
         entry.next_copy = 0;
         entry.copy_sent = 0;
-        ingress_expanded_[static_cast<std::size_t>(v)] = true;
+        ingress_expanded_ |= 1u << v;
     }
 
     auto finishEntry = [&](int v) {
@@ -253,19 +266,20 @@ ChannelAdapter::tickIngress(Cycle now)
             }
         }
         buf.popHead(now);
+        if (buf.empty())
+            ingress_nonempty_ &= ~(1u << v);
         --ingress_packets_;
-        ingress_expanded_[static_cast<std::size_t>(v)] = false;
+        ingress_expanded_ &= ~(1u << v);
         entry.copies.clear();
     };
 
     // Grant a packet copy for the adapter->router channel.
     if (!ingress_busy_) {
         std::uint32_t req = 0;
-        ReqInfo info[32];
-        for (int v = 0; v < cfg_.num_vcs; ++v) {
-            auto &buf = ingress_vcs_[static_cast<std::size_t>(v)];
-            if (buf.empty() || !ingress_expanded_[static_cast<std::size_t>(v)])
-                continue;
+        ReqInfo *info = reqInfoScratch();
+        for (std::uint32_t m = ingress_nonempty_ & ingress_expanded_;
+             m != 0; m &= m - 1) {
+            const int v = std::countr_zero(m);
             auto &entry = ingress_heads_[static_cast<std::size_t>(v)];
             if (entry.copies.empty()) {
                 finishEntry(v); // all copies done (or none): retire
@@ -273,7 +287,8 @@ ChannelAdapter::tickIngress(Cycle now)
             }
             if (entry.next_copy >= entry.copies.size())
                 continue;
-            auto &head = buf.head();
+            const auto &head =
+                ingress_vcs_[static_cast<std::size_t>(v)].head();
             if (now <= head.head_at)
                 continue;
             const auto &copy = entry.copies[entry.next_copy];
@@ -307,8 +322,7 @@ ChannelAdapter::tickIngress(Cycle now)
             phit.index = entry.copy_sent;
             phit.head = (entry.copy_sent == 0);
             phit.tail = (entry.copy_sent + 1 == copy.pkt->size_flits);
-            phit.payload = copy.pkt->payload[entry.copy_sent];
-            router_out_->data.send(now, phit);
+            router_out_->data.send(now, std::move(phit));
             ++entry.copy_sent;
             if (entry.copies.size() == 1) {
                 // Unicast: stream buffer slots / link credits per flit.
@@ -336,8 +350,11 @@ ChannelAdapter::tickIngress(Cycle now)
 void
 ChannelAdapter::tick(Cycle now)
 {
-    tickEgress(now);
-    tickIngress(now);
+    // One doorbell read covers both on-chip wires; the torus wires are
+    // polled inside each side.
+    const std::uint32_t rung = bell_.take(now);
+    tickEgress(now, rung);
+    tickIngress(now, rung);
 }
 
 void
@@ -440,7 +457,7 @@ ChannelAdapter::collectBlockedHeads(std::vector<BlockedHead> &out) const
         if (ingress_busy_ && ingress_vc_ == v)
             continue;
         const auto &buf = ingress_vcs_[static_cast<std::size_t>(v)];
-        if (buf.empty() || !ingress_expanded_[static_cast<std::size_t>(v)])
+        if (buf.empty() || ((ingress_expanded_ >> v) & 1u) == 0)
             continue;
         const auto &entry = ingress_heads_[static_cast<std::size_t>(v)];
         if (entry.next_copy >= entry.copies.size())
@@ -485,8 +502,8 @@ ChannelAdapter::saveState(CkptWriter &w) const
         w.u16(e.copy_sent);
         w.b(e.active_granted);
     }
-    for (const bool x : ingress_expanded_)
-        w.b(x);
+    for (int v = 0; v < cfg_.num_vcs; ++v)
+        w.b(((ingress_expanded_ >> v) & 1u) != 0);
     router_credits_.saveState(w);
     ingress_arb_->saveState(w);
     w.b(ingress_busy_);
@@ -531,8 +548,11 @@ ChannelAdapter::loadState(CkptReader &r)
         e.copy_sent = r.u16();
         e.active_granted = r.b();
     }
-    for (std::size_t i = 0; i < ingress_expanded_.size(); ++i)
-        ingress_expanded_[i] = r.b();
+    ingress_expanded_ = 0;
+    for (int v = 0; v < cfg_.num_vcs; ++v) {
+        if (r.b())
+            ingress_expanded_ |= 1u << v;
+    }
     router_credits_.loadState(r);
     ingress_arb_->loadState(r);
     ingress_busy_ = r.b();
@@ -546,20 +566,21 @@ ChannelAdapter::loadState(CkptReader &r)
     credits_withheld_ = r.u64();
     egress_packets_ = r.i32();
     ingress_packets_ = r.i32();
+    egress_nonempty_ = 0;
+    ingress_nonempty_ = 0;
+    for (int v = 0; v < cfg_.num_vcs; ++v) {
+        if (!egress_vcs_[static_cast<std::size_t>(v)].empty())
+            egress_nonempty_ |= 1u << v;
+        if (!ingress_vcs_[static_cast<std::size_t>(v)].empty())
+            ingress_nonempty_ |= 1u << v;
+    }
 }
 
 bool
 ChannelAdapter::busy() const
 {
-    for (const auto &vc : egress_vcs_) {
-        if (!vc.empty())
-            return true;
-    }
-    for (const auto &vc : ingress_vcs_) {
-        if (!vc.empty())
-            return true;
-    }
-    if (!pending_credits_.empty())
+    if (egress_nonempty_ != 0 || ingress_nonempty_ != 0
+        || !pending_credits_.empty())
         return true;
     for (const Channel *ch : { router_in_, router_out_, torus_in_,
                                torus_out_ }) {

@@ -221,8 +221,13 @@ class ChannelAdapter final : public Component
         bool active_granted = false;
     };
 
-    void tickEgress(Cycle now);
-    void tickIngress(Cycle now);
+    void tickEgress(Cycle now, std::uint32_t rung);
+    void tickIngress(Cycle now, std::uint32_t rung);
+
+    /** Doorbell bits of the two on-chip wires this adapter receives
+     * from; the torus wires cross shards and are polled. */
+    static constexpr unsigned kEgressDataBell = 0;
+    static constexpr unsigned kIngressCreditBell = 1;
 
     /** Queue one torus-link credit for VC @p vc (drained one per cycle). */
     void
@@ -239,6 +244,7 @@ class ChannelAdapter final : public Component
     Channel *router_in_ = nullptr;
     Channel *torus_out_ = nullptr;
     std::vector<VcBuffer> egress_vcs_;
+    std::uint32_t egress_nonempty_ = 0; ///< bit v: egress_vcs_[v] nonempty
     CreditCounter torus_credits_;
     std::unique_ptr<Arbiter> egress_arb_;
     int ser_tokens_ = 0;
@@ -251,13 +257,15 @@ class ChannelAdapter final : public Component
     Channel *torus_in_ = nullptr;
     Channel *router_out_ = nullptr;
     std::vector<VcBuffer> ingress_vcs_;
+    std::uint32_t ingress_nonempty_ = 0; ///< bit v: ingress_vcs_[v] nonempty
     std::vector<IngressEntry> ingress_heads_; ///< per VC, expansion state
-    std::vector<bool> ingress_expanded_;
+    std::uint32_t ingress_expanded_ = 0; ///< bit v: head of VC v expanded
     CreditCounter router_credits_;
     std::unique_ptr<Arbiter> ingress_arb_;
     bool ingress_busy_ = false;
     int ingress_vc_ = -1;
     std::vector<std::uint8_t> pending_credits_;
+    Doorbell bell_;
 
     std::uint64_t flits_sent_ = 0;
     std::uint64_t flits_received_ = 0;

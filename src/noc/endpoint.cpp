@@ -21,12 +21,14 @@ EndpointAdapter::connectRouterOut(Channel &ch, int router_buf_flits)
 {
     to_router_ = &ch;
     router_credits_.init(cfg_.num_vcs, router_buf_flits);
+    ch.credit.attachDoorbell(bell_, kCreditBell);
 }
 
 void
 EndpointAdapter::connectRouterIn(Channel &ch)
 {
     from_router_ = &ch;
+    ch.data.attachDoorbell(bell_, kEjectBell);
 }
 
 void
@@ -88,12 +90,14 @@ EndpointAdapter::bindFlow(FlowProbe &probe)
 }
 
 void
-EndpointAdapter::tickInject(Cycle now)
+EndpointAdapter::tickInject(Cycle now, std::uint32_t rung)
 {
     if (to_router_ == nullptr)
         return;
-    if (auto cr = to_router_->credit.take(now))
-        router_credits_.release(cr->vc);
+    if ((rung >> kCreditBell) & 1u) {
+        if (auto cr = to_router_->credit.take(now))
+            router_credits_.release(cr->vc);
+    }
 
     // Start a new packet: round-robin between the two traffic classes,
     // gated on full-packet credits (virtual cut-through).
@@ -131,17 +135,17 @@ EndpointAdapter::tickInject(Cycle now)
     if (inj_active_ != nullptr) {
         const int vc = fullVcIndex(inj_active_->tc, inj_active_->vc.meshVc(),
                                    cfg_.num_vcs / kNumTrafficClasses);
+        const bool tail = inj_sent_ + 1 == inj_active_->size_flits;
         Phit phit;
         phit.pkt = inj_active_;
         phit.vc = static_cast<std::uint8_t>(vc);
         phit.index = inj_sent_;
         phit.head = (inj_sent_ == 0);
-        phit.tail = (inj_sent_ + 1 == inj_active_->size_flits);
-        phit.payload = inj_active_->payload[inj_sent_];
-        to_router_->data.send(now, phit);
+        phit.tail = tail;
+        to_router_->data.send(now, std::move(phit));
         ++inj_sent_;
         ++flits_injected_;
-        if (phit.tail) {
+        if (tail) {
             inj_active_.reset();
             inj_sent_ = 0;
             ++injected_;
@@ -152,9 +156,9 @@ EndpointAdapter::tickInject(Cycle now)
 }
 
 void
-EndpointAdapter::tickEject(Cycle now)
+EndpointAdapter::tickEject(Cycle now, std::uint32_t rung)
 {
-    if (from_router_ == nullptr)
+    if (from_router_ == nullptr || ((rung >> kEjectBell) & 1u) == 0)
         return;
     auto phit = from_router_->data.take(now);
     if (!phit)
@@ -167,7 +171,7 @@ EndpointAdapter::tickEject(Cycle now)
     auto &slot = eject_[phit->vc];
     if (phit->head) {
         assert(slot.pkt == nullptr && "interleaved packets on one VC");
-        slot.pkt = phit->pkt;
+        slot.pkt = std::move(phit->pkt);
         slot.arrived = 0;
         slot.head_at = now;
     }
@@ -270,8 +274,9 @@ EndpointAdapter::flushDeliveries(Cycle up_to)
 void
 EndpointAdapter::tick(Cycle now)
 {
-    tickInject(now);
-    tickEject(now);
+    const std::uint32_t rung = bell_.take(now);
+    tickInject(now, rung);
+    tickEject(now, rung);
 }
 
 int

@@ -187,8 +187,13 @@ class EndpointAdapter final : public Component
     void loadState(CkptReader &r);
 
   private:
-    void tickInject(Cycle now);
-    void tickEject(Cycle now);
+    void tickInject(Cycle now, std::uint32_t rung);
+    void tickEject(Cycle now, std::uint32_t rung);
+
+    /** Doorbell bits of the two router-link wires this adapter
+     * receives from. */
+    static constexpr unsigned kCreditBell = 0;
+    static constexpr unsigned kEjectBell = 1;
     void deliverSideEffects(const PacketPtr &pkt, Cycle head_at, Cycle now);
 
     EndpointConfig cfg_;
@@ -197,6 +202,7 @@ class EndpointAdapter final : public Component
     Channel *to_router_ = nullptr;
     Channel *from_router_ = nullptr;
     CreditCounter router_credits_;
+    Doorbell bell_;
 
     /** Per-traffic-class software injection queues. */
     std::deque<PacketPtr> inject_q_[kNumTrafficClasses];

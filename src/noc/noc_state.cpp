@@ -3,7 +3,9 @@
  * Checkpoint codecs for the shared NoC building blocks: channels (with
  * their in-flight phits/credits), credit counters, and VC buffers.
  * Wires are restored at absolute delivery cycles, keeping ring indices
- * consistent with the restored engine clock.
+ * consistent with the restored engine clock, and re-ring their
+ * receivers' doorbells as they go. A phit's payload bits live in its
+ * packet, which the packet table already carries.
  */
 #include "debug/checkpoint.hpp"
 #include "noc/channel.hpp"
@@ -20,8 +22,6 @@ encodePhit(CkptWriter &w, const Phit &p)
     w.u16(p.index);
     w.b(p.head);
     w.b(p.tail);
-    for (std::uint64_t word : p.payload)
-        w.u64(word);
 }
 
 Phit
@@ -33,8 +33,6 @@ decodePhit(CkptReader &r)
     p.index = r.u16();
     p.head = r.b();
     p.tail = r.b();
-    for (std::uint64_t &word : p.payload)
-        word = r.u64();
     return p;
 }
 

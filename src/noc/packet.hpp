@@ -98,8 +98,11 @@ struct Packet
 using PacketPtr = std::shared_ptr<Packet>;
 
 /**
- * One phit on a channel wire: a single flit plus control. The head phit
- * carries the packet pointer.
+ * One phit on a channel wire: a single flit plus control. Every phit
+ * carries the packet pointer; the flit's 192 payload bits are
+ * `pkt->payload[index]`, so a phit does not copy them. Senders move a
+ * phit onto the wire and receivers move it into their buffers, so a hop
+ * copies the packet pointer once.
  */
 struct Phit
 {
@@ -108,7 +111,9 @@ struct Phit
     std::uint16_t index = 0;///< flit index within the packet
     bool head = false;
     bool tail = false;
-    FlitPayload payload{};
+
+    /** The flit's payload bits. */
+    const FlitPayload &payload() const { return pkt->payload[index]; }
 };
 
 /** A flow-control credit: one freed flit slot in the given VC. */

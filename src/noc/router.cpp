@@ -1,8 +1,9 @@
 #include "noc/router.hpp"
 
+#include <algorithm>
 #include <bit>
-
 #include <cassert>
+#include <stdexcept>
 
 #include "arb/basic_arbiters.hpp"
 #include "arb/inverse_weighted.hpp"
@@ -33,6 +34,12 @@ Router::Router(std::string name, const RouterConfig &cfg, RouteFn route_fn)
       out_(static_cast<std::size_t>(cfg.num_ports)),
       sa1_winner_(static_cast<std::size_t>(cfg.num_ports), -1)
 {
+    // Port masks and doorbell bits are 32-bit words: inputs ring bits
+    // [0, 16), returning credits bits [16, 32).
+    if (cfg.num_ports < 1 || cfg.num_ports > static_cast<int>(kCreditBell)
+        || cfg.num_vcs < 1 || cfg.num_vcs > 32)
+        throw std::invalid_argument("router supports 1-16 ports and "
+                                    "1-32 VCs");
     for (auto &ip : in_) {
         ip.vcs.resize(static_cast<std::size_t>(cfg.num_vcs));
         for (auto &vc : ip.vcs)
@@ -109,6 +116,7 @@ void
 Router::connectIn(int port, Channel &ch)
 {
     in_[static_cast<std::size_t>(port)].ch = &ch;
+    ch.data.attachDoorbell(bell_, static_cast<unsigned>(port));
 }
 
 void
@@ -117,6 +125,8 @@ Router::connectOut(int port, Channel &ch, int downstream_buf_flits)
     auto &op = out_[static_cast<std::size_t>(port)];
     op.ch = &ch;
     op.credits.init(cfg_.num_vcs, downstream_buf_flits);
+    ch.credit.attachDoorbell(bell_, kCreditBell
+                                        + static_cast<unsigned>(port));
 }
 
 InverseWeightedArbiter *
@@ -129,28 +139,34 @@ Router::outputArbiter(int port)
 void
 Router::receive(Cycle now)
 {
-    for (auto &op : out_) {
-        if (op.ch == nullptr)
-            continue;
+    // Only the wires that rang this cycle's doorbell delivered: inputs in
+    // the low bits (ascending port order, as the energy meter's running
+    // sum requires), returning credits in the high bits.
+    const std::uint32_t rung = bell_.take(now);
+    for (std::uint32_t m = rung >> kCreditBell; m != 0; m &= m - 1) {
+        auto &op = out_[static_cast<std::size_t>(std::countr_zero(m))];
         if (auto cr = op.ch->credit.take(now))
             op.credits.release(cr->vc);
     }
-    for (std::size_t p = 0; p < in_.size(); ++p) {
-        auto &ip = in_[p];
-        if (ip.ch == nullptr)
+    for (std::uint32_t m = rung & ((1u << kCreditBell) - 1); m != 0;
+         m &= m - 1) {
+        const int p = std::countr_zero(m);
+        auto &ip = in_[static_cast<std::size_t>(p)];
+        auto phit = ip.ch->data.take(now);
+        if (!phit)
             continue;
-        if (auto phit = ip.ch->data.take(now)) {
-            if (phit->head) {
-                ++buffered_packets_;
-                ip.nonempty |= 1u << phit->vc;
-            }
-            ip.vcs[phit->vc].acceptFlit(*phit, now);
-            if (energy_ != nullptr)
-                energy_->onFlit(static_cast<int>(p), phit->payload, now);
-            if (metrics_ != nullptr)
-                metrics_->in_flits[p]->inc();
-            ++flits_routed_;
+        if (phit->head) {
+            ++buffered_packets_;
+            ++unrouted_;
+            ip.nonempty |= 1u << phit->vc;
+            live_in_ |= 1u << p;
         }
+        if (energy_ != nullptr)
+            energy_->onFlit(p, phit->payload(), now);
+        if (metrics_ != nullptr)
+            metrics_->in_flits[static_cast<std::size_t>(p)]->inc();
+        ++flits_routed_;
+        ip.vcs[phit->vc].acceptFlit(std::move(*phit), now);
     }
 }
 
@@ -160,7 +176,10 @@ Router::stageRc(Cycle now)
     // Two-deep lookahead: the packet behind the head proceeds through RC
     // and VA while the head drains, so back-to-back packets on one VC do
     // not restart the pipeline.
-    for (auto &ip : in_) {
+    if (unrouted_ == 0)
+        return;
+    for (std::uint32_t ports = live_in_; ports != 0; ports &= ports - 1) {
+        auto &ip = in_[static_cast<std::size_t>(std::countr_zero(ports))];
         for (std::uint32_t mask = ip.nonempty; mask != 0;
              mask &= mask - 1) {
             auto &vc = ip.vcs[static_cast<std::size_t>(
@@ -178,6 +197,8 @@ Router::stageRc(Cycle now)
                     entry.out_vc = d.out_vc;
                     entry.routed = true;
                     entry.routed_at = now;
+                    --unrouted_;
+                    ++unallocated_;
                     tracePacketEvent(trace_, TraceUnitKind::Router,
                                      TraceEventType::RouteComputed, now,
                                      entry.pkt->id, d.out_port, d.out_vc);
@@ -190,7 +211,10 @@ Router::stageRc(Cycle now)
 void
 Router::stageVa(Cycle now)
 {
-    for (auto &ip : in_) {
+    if (unallocated_ == 0)
+        return;
+    for (std::uint32_t ports = live_in_; ports != 0; ports &= ports - 1) {
+        auto &ip = in_[static_cast<std::size_t>(std::countr_zero(ports))];
         for (std::uint32_t mask = ip.nonempty; mask != 0;
              mask &= mask - 1) {
             auto &vc = ip.vcs[static_cast<std::size_t>(
@@ -207,6 +231,7 @@ Router::stageVa(Cycle now)
                         >= entry.pkt->size_flits) {
                         entry.va_done = true;
                         entry.va_at = now;
+                        --unallocated_;
                         tracePacketEvent(trace_, TraceUnitKind::Router,
                                          TraceEventType::VcAllocated, now,
                                          entry.pkt->id, entry.out_port,
@@ -223,11 +248,13 @@ Router::stageVa(Cycle now)
 void
 Router::stageSa1(Cycle now)
 {
-    for (std::size_t p = 0; p < in_.size(); ++p) {
-        auto &ip = in_[p];
-        sa1_winner_[p] = -1;
-        if (ip.draining)
-            continue;
+    for (std::uint32_t m = sa1_mask_; m != 0; m &= m - 1)
+        sa1_winner_[static_cast<std::size_t>(std::countr_zero(m))] = -1;
+    sa1_mask_ = 0;
+    for (std::uint32_t ports = live_in_ & ~draining_; ports != 0;
+         ports &= ports - 1) {
+        const int p = std::countr_zero(ports);
+        const auto &ip = in_[static_cast<std::size_t>(p)];
         std::uint32_t req = 0;
         for (std::uint32_t mask = ip.nonempty; mask != 0;
              mask &= mask - 1) {
@@ -237,81 +264,91 @@ Router::stageSa1(Cycle now)
             if (head.va_done && !head.granted && now > head.va_at)
                 req |= 1u << v;
         }
-        if (req != 0)
-            sa1_winner_[p] = sa1_[p]->pick(req, nullptr);
+        if (req != 0) {
+            sa1_winner_[static_cast<std::size_t>(p)] =
+                sa1_[static_cast<std::size_t>(p)]->pick(req, nullptr);
+            sa1_mask_ |= 1u << p;
+        }
     }
 }
 
 void
 Router::stageSa2(Cycle now)
 {
-    for (std::size_t o = 0; o < out_.size(); ++o) {
-        auto &op = out_[o];
-        if (op.ch == nullptr || op.busy)
+    // One pass over the SA1 winners builds every output's request mask.
+    // Each input requests exactly one output (its head's out_port), so
+    // this equals scanning every input once per output, and a grant at
+    // one output cannot change another output's requests.
+    if (sa1_mask_ == 0)
+        return;
+    std::uint32_t wanted = 0;            // outputs with a request
+    std::uint32_t req[kCreditBell] = {}; // requesting inputs per output
+    ReqInfo *info = reqInfoScratch();    // per input, for requesters
+    for (std::uint32_t ports = sa1_mask_ & ~draining_; ports != 0;
+         ports &= ports - 1) {
+        const int p = std::countr_zero(ports);
+        const auto &vcbuf =
+            in_[static_cast<std::size_t>(p)]
+                .vcs[static_cast<std::size_t>(
+                    sa1_winner_[static_cast<std::size_t>(p)])];
+        // Re-validate: the SA1 pick is a cycle old and the head may
+        // have been popped or granted since.
+        if (vcbuf.empty())
             continue;
-
-        std::uint32_t req = 0;
-        ReqInfo info[kRouterPorts];
-        for (std::size_t p = 0; p < in_.size(); ++p) {
-            const int v = sa1_winner_[p];
-            if (v < 0 || in_[p].draining)
-                continue;
-            const auto &vcbuf = in_[p].vcs[static_cast<std::size_t>(v)];
-            // Re-validate: the SA1 pick is a cycle old and the head may
-            // have been popped or granted since.
-            if (vcbuf.empty())
-                continue;
-            const auto &head = vcbuf.head();
-            if (!head.va_done || head.granted)
-                continue;
-            if (head.out_port != static_cast<int>(o))
-                continue;
-            // Re-validate credits at grant time: VA eligibility may be
-            // stale if an earlier grant consumed the slots.
-            if (op.credits.available(head.out_vc) < head.pkt->size_flits)
-                continue;
-            req |= 1u << p;
-            info[p].pattern = head.pkt->pattern;
-            info[p].age = head.pkt->birth;
-        }
-        if (req == 0)
+        const auto &head = vcbuf.head();
+        if (!head.va_done || head.granted)
             continue;
+        const int o = head.out_port;
+        const auto &op = out_[static_cast<std::size_t>(o)];
+        if (op.ch == nullptr || ((busy_out_ >> o) & 1u) != 0)
+            continue;
+        // Re-validate credits at grant time: VA eligibility may be
+        // stale if an earlier grant consumed the slots.
+        if (op.credits.available(head.out_vc) < head.pkt->size_flits)
+            continue;
+        wanted |= 1u << o;
+        req[o] |= 1u << p;
+        info[p].pattern = head.pkt->pattern;
+        info[p].age = head.pkt->birth;
+    }
 
-        const int winner = sa2_[o]->pick(req, info);
+    for (; wanted != 0; wanted &= wanted - 1) {
+        const int o = std::countr_zero(wanted);
+        auto &op = out_[static_cast<std::size_t>(o)];
+        const int winner =
+            sa2_[static_cast<std::size_t>(o)]->pick(req[o], info);
         assert(winner >= 0);
         if (metrics_ != nullptr) {
             metrics_->sa2_grants->inc();
             metrics_->sa2_losses->inc(
-                static_cast<std::uint64_t>(std::popcount(req)) - 1);
+                static_cast<std::uint64_t>(std::popcount(req[o])) - 1);
         }
-        auto &ip = in_[static_cast<std::size_t>(winner)];
-        auto &head = ip.vcs[static_cast<std::size_t>(
-                                sa1_winner_[static_cast<std::size_t>(
-                                    winner)])]
+        auto &winner_vc = sa1_winner_[static_cast<std::size_t>(winner)];
+        auto &head = in_[static_cast<std::size_t>(winner)]
+                         .vcs[static_cast<std::size_t>(winner_vc)]
                          .head();
         head.granted = true;
         head.granted_at = now;
         tracePacketEvent(trace_, TraceUnitKind::Router,
                          TraceEventType::SwitchGrant, now, head.pkt->id,
-                         static_cast<int>(o), head.out_vc);
-        op.busy = true;
+                         o, head.out_vc);
+        busy_out_ |= 1u << o;
         op.src_port = winner;
-        op.src_vc = sa1_winner_[static_cast<std::size_t>(winner)];
+        op.src_vc = winner_vc;
         op.out_vc = head.out_vc;
         op.credits.consume(head.out_vc, head.pkt->size_flits);
-        ip.draining = true;
-        sa1_winner_[static_cast<std::size_t>(winner)] = -1;
-        (void)now;
+        draining_ |= 1u << winner;
+        winner_vc = -1;
+        sa1_mask_ &= ~(1u << winner);
     }
 }
 
 void
 Router::stageSt(Cycle now)
 {
-    for (std::size_t o = 0; o < out_.size(); ++o) {
-        auto &op = out_[o];
-        if (!op.busy)
-            continue;
+    for (std::uint32_t outs = busy_out_; outs != 0; outs &= outs - 1) {
+        const int o = std::countr_zero(outs);
+        auto &op = out_[static_cast<std::size_t>(o)];
         auto &ip = in_[static_cast<std::size_t>(op.src_port)];
         auto &vcbuf = ip.vcs[static_cast<std::size_t>(op.src_vc)];
         auto &head = vcbuf.head();
@@ -319,34 +356,37 @@ Router::stageSt(Cycle now)
             continue; // cut-through: tail not yet arrived
         st_sent_mask_ |= 1u << o;
 
+        const bool tail = head.sent + 1 == head.pkt->size_flits;
         Phit phit;
         phit.pkt = head.pkt;
         phit.vc = op.out_vc;
         phit.index = head.sent;
         phit.head = (head.sent == 0);
-        phit.tail = (head.sent + 1 == head.pkt->size_flits);
-        phit.payload = head.pkt->payload[head.sent];
-        op.ch->data.send(now, phit);
+        phit.tail = tail;
+        op.ch->data.send(now, std::move(phit));
 
         ip.ch->credit.send(now, Credit{ static_cast<std::uint8_t>(
                                     op.src_vc) });
         vcbuf.sendFlit();
 
-        if (phit.tail) {
+        if (tail) {
             // Emit the hop span while the entry's pipeline timestamps
             // are still live (every cycle below is existing state - no
             // clock is read for the probe).
             flowHopEvent(flow_, FlowUnitKind::Router, head.pkt->id,
                          head.pkt->mcast_group, head.pkt->size_flits,
-                         head.head_at, head.granted_at, now,
-                         static_cast<int>(o), op.out_vc);
+                         head.head_at, head.granted_at, now, o,
+                         op.out_vc);
             vcbuf.popHead(now);
-            if (vcbuf.empty())
+            if (vcbuf.empty()) {
                 ip.nonempty &= ~(1u << op.src_vc);
+                if (ip.nonempty == 0)
+                    live_in_ &= ~(1u << op.src_port);
+            }
             --buffered_packets_;
-            op.busy = false;
+            busy_out_ &= ~(1u << o);
+            draining_ &= ~(1u << op.src_port);
             op.src_port = -1;
-            ip.draining = false;
         }
     }
 }
@@ -368,7 +408,7 @@ Router::sampleStalls()
         StallClass cls;
         if ((st_sent_mask_ >> o) & 1u) {
             cls = StallClass::Busy;
-        } else if (op.busy) {
+        } else if ((busy_out_ >> o) & 1u) {
             // Granted but no flit this cycle: the cut-through gap.
             cls = StallClass::LinkBusy;
         } else {
@@ -440,16 +480,10 @@ Router::tick(Cycle now)
 bool
 Router::busy() const
 {
+    if (live_in_ != 0 || busy_out_ != 0)
+        return true;
     for (const auto &ip : in_) {
-        for (const auto &vc : ip.vcs) {
-            if (!vc.empty())
-                return true;
-        }
         if (ip.ch != nullptr && ip.ch->busy())
-            return true;
-    }
-    for (const auto &op : out_) {
-        if (op.busy)
             return true;
     }
     return false;
@@ -481,7 +515,8 @@ int
 Router::outReservedFlits(int port, int vc) const
 {
     const auto &op = out_[port];
-    if (!op.busy || static_cast<int>(op.out_vc) != vc)
+    if (((busy_out_ >> port) & 1u) == 0
+        || static_cast<int>(op.out_vc) != vc)
         return 0;
     const auto &entry =
         in_[op.src_port].vcs[static_cast<std::size_t>(op.src_vc)].head();
@@ -538,21 +573,23 @@ void
 Router::saveState(CkptWriter &w) const
 {
     w.tag("router");
-    for (const InPort &ip : in_) {
+    for (std::size_t p = 0; p < in_.size(); ++p) {
+        const InPort &ip = in_[p];
         w.b(ip.ch != nullptr);
         if (ip.ch == nullptr)
             continue;
         for (const VcBuffer &vc : ip.vcs)
             vc.saveState(w);
         w.u32(ip.nonempty);
-        w.b(ip.draining);
+        w.b(((draining_ >> p) & 1u) != 0);
     }
-    for (const OutPort &op : out_) {
+    for (std::size_t o = 0; o < out_.size(); ++o) {
+        const OutPort &op = out_[o];
         w.b(op.ch != nullptr);
         if (op.ch == nullptr)
             continue;
         op.credits.saveState(w);
-        w.b(op.busy);
+        w.b(((busy_out_ >> o) & 1u) != 0);
         w.i32(op.src_port);
         w.i32(op.src_vc);
         w.u8(op.out_vc);
@@ -572,7 +609,10 @@ void
 Router::loadState(CkptReader &r)
 {
     r.expect("router");
-    for (InPort &ip : in_) {
+    draining_ = 0;
+    busy_out_ = 0;
+    for (std::size_t p = 0; p < in_.size(); ++p) {
+        InPort &ip = in_[p];
         const bool connected = r.b();
         if (connected != (ip.ch != nullptr))
             throw CheckpointError("checkpoint: router input wiring "
@@ -582,9 +622,11 @@ Router::loadState(CkptReader &r)
         for (VcBuffer &vc : ip.vcs)
             vc.loadState(r);
         ip.nonempty = r.u32();
-        ip.draining = r.b();
+        if (r.b())
+            draining_ |= 1u << p;
     }
-    for (OutPort &op : out_) {
+    for (std::size_t o = 0; o < out_.size(); ++o) {
+        OutPort &op = out_[o];
         const bool connected = r.b();
         if (connected != (op.ch != nullptr))
             throw CheckpointError("checkpoint: router output wiring "
@@ -592,7 +634,8 @@ Router::loadState(CkptReader &r)
         if (op.ch == nullptr)
             continue;
         op.credits.loadState(r);
-        op.busy = r.b();
+        if (r.b())
+            busy_out_ |= 1u << o;
         op.src_port = r.i32();
         op.src_vc = r.i32();
         op.out_vc = r.u8();
@@ -606,6 +649,32 @@ Router::loadState(CkptReader &r)
     st_sent_mask_ = r.u32();
     flits_routed_ = r.u64();
     buffered_packets_ = r.i32();
+    rebuildLiveState();
+}
+
+void
+Router::rebuildLiveState()
+{
+    live_in_ = 0;
+    sa1_mask_ = 0;
+    unrouted_ = 0;
+    unallocated_ = 0;
+    for (std::size_t p = 0; p < in_.size(); ++p) {
+        const InPort &ip = in_[p];
+        if (ip.nonempty != 0)
+            live_in_ |= 1u << p;
+        if (sa1_winner_[p] >= 0)
+            sa1_mask_ |= 1u << p;
+        for (const VcBuffer &vc : ip.vcs) {
+            for (std::size_t i = 0; i < vc.packetCount(); ++i) {
+                const VcBuffer::Entry &e = vc.entry(i);
+                if (!e.routed)
+                    ++unrouted_;
+                else if (!e.va_done)
+                    ++unallocated_;
+            }
+        }
+    }
 }
 
 } // namespace anton2

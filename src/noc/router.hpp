@@ -182,18 +182,20 @@ class Router final : public Component
         Channel *ch = nullptr;
         std::vector<VcBuffer> vcs;
         std::uint32_t nonempty = 0; ///< bit v set iff vcs[v] holds packets
-        bool draining = false; ///< a granted packet is crossing the switch
     };
 
     struct OutPort
     {
         Channel *ch = nullptr;
         CreditCounter credits;
-        bool busy = false;
         int src_port = -1;
         int src_vc = -1;
         std::uint8_t out_vc = 0;
     };
+
+    /** Input p's data wire rings doorbell bit p; output o's returning
+     * credit wire rings bit kCreditBell + o. */
+    static constexpr unsigned kCreditBell = 16;
 
     void receive(Cycle now);
     void stageRc(Cycle now);
@@ -202,6 +204,9 @@ class Router final : public Component
     void stageSa2(Cycle now);
     void stageSt(Cycle now);
     void sampleStalls();
+    /** Recompute the live-state masks and counts from the buffers and
+     * grants (after a checkpoint restore). */
+    void rebuildLiveState();
 
     RouterConfig cfg_;
     RouteFn route_fn_;
@@ -210,11 +215,21 @@ class Router final : public Component
     std::vector<std::unique_ptr<Arbiter>> sa1_;      ///< per input port
     std::vector<std::unique_ptr<Arbiter>> sa2_;      ///< per output port
     std::vector<int> sa1_winner_;                    ///< vc per input, -1
+    Doorbell bell_;                 ///< arrivals on the in/credit wires
     RouterEnergyMeter *energy_ = nullptr;
     std::unique_ptr<RouterMetrics> metrics_;
     TraceBinding trace_;
     FlowBinding flow_;
     std::unique_ptr<RouterStallSampler> stalls_;
+
+    // --- live state: each stage visits only these -------------------
+    std::uint32_t live_in_ = 0;   ///< bit p: in_[p] holds packets
+    std::uint32_t draining_ = 0;  ///< bit p: in_[p] is crossing the switch
+    std::uint32_t busy_out_ = 0;  ///< bit o: out_[o] is granted
+    std::uint32_t sa1_mask_ = 0;  ///< bit p: sa1_winner_[p] >= 0
+    int unrouted_ = 0;    ///< buffered entries awaiting RC
+    int unallocated_ = 0; ///< routed entries awaiting VA
+
     std::uint32_t st_sent_mask_ = 0; ///< bit o: port o sent a flit this cycle
     std::uint64_t flits_routed_ = 0;
     int buffered_packets_ = 0;

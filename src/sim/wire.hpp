@@ -1,17 +1,35 @@
 /**
  * @file
- * Fixed-latency, single-value-per-cycle communication channels.
+ * Fixed-latency, single-value-per-cycle communication channels, and the
+ * arrival doorbells that let a receiver take only the wires that
+ * delivered.
  *
  * All inter-component communication in the simulator flows through Wire<T>
  * delay lines with latency >= 1 cycle. Because a value sent at cycle t is
  * visible no earlier than cycle t+1, components may be evaluated in any
  * order within a cycle and the simulation remains deterministic.
+ *
+ * Doorbells follow a same-shard rule. A wire may ring a Doorbell in its
+ * receiver only when sender and receiver tick on the same engine shard
+ * (one lane, strictly cycle by cycle), and only when its latency is below
+ * kDoorbellSlots. Then every send sets the wire's bit in the receiver's
+ * arrival mask for the delivery cycle, and the receiver reads one mask
+ * per tick instead of polling each wire. Inside a chip every wire
+ * qualifies. The torus wires cross shards: their senders tick on other
+ * threads, up to a lookahead window ahead, so they never ring and their
+ * receivers keep polling them.
  */
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -19,17 +37,75 @@
 namespace anton2 {
 
 /**
+ * Cycles one doorbell ring covers. A receiver reads the mask of cycle t
+ * after same-shard senders may already have rung t+latency for sends
+ * made at t; the two slots must differ, so a doorbell serves latencies
+ * up to kDoorbellSlots - 1. Sized as the smallest power of two above the
+ * largest on-chip latency (the 2-cycle skip channels).
+ */
+inline constexpr Cycle kDoorbellSlots = 4;
+
+/** Largest wire latency a doorbell can serve. */
+inline constexpr Cycle kMaxDoorbellLatency = kDoorbellSlots - 1;
+
+/**
+ * A receiver's per-cycle arrival masks. Bit b of the mask for cycle c is
+ * set iff the wire attached as bit b holds a value deliverable at c.
+ */
+class Doorbell
+{
+  public:
+    /** Record a delivery at cycle @p at on the wire attached as @p bit. */
+    void
+    ring(Cycle at, unsigned bit)
+    {
+        slots_[index(at)] |= 1u << bit;
+    }
+
+    /** Return and clear the arrival mask of cycle @p now. */
+    std::uint32_t
+    take(Cycle now)
+    {
+        std::uint32_t &slot = slots_[index(now)];
+        const std::uint32_t rung = slot;
+        slot = 0;
+        return rung;
+    }
+
+    /** Clear @p bit in every cycle's mask, leaving the other bits. */
+    void
+    clear(unsigned bit)
+    {
+        for (std::uint32_t &slot : slots_)
+            slot &= ~(1u << bit);
+    }
+
+  private:
+    static std::size_t
+    index(Cycle c)
+    {
+        return static_cast<std::size_t>(c & (kDoorbellSlots - 1));
+    }
+
+    std::array<std::uint32_t, kDoorbellSlots> slots_{};
+};
+
+/**
  * A unidirectional delay line carrying at most one value of type T per
  * cycle. Values sent at cycle t are receivable exactly at cycle t+latency.
  *
- * Implemented as a ring buffer of optional slots indexed by delivery cycle.
+ * Implemented as a power-of-two ring of {delivery cycle, value} slots
+ * indexed by the delivery cycle's low bits. The cycle tag keeps a value
+ * from being read at an aliasing cycle when its receiver skipped cycles.
  */
 template <typename T>
 class Wire
 {
   public:
     /**
-     * @param latency Delivery delay in cycles; must be >= 1.
+     * @param latency Delivery delay in cycles; must be >= 1 (checked in
+     *        every build: a zero-latency wire would make evaluation
+     *        order observable).
      * @param slack Extra ring slots beyond latency+1. A wire crossing
      *        engine shards that tick in lookahead windows of up to w
      *        cycles needs slack >= w-1: the sender may run w cycles ahead
@@ -38,15 +114,36 @@ class Wire
      *        cycle-by-cycle on one lane) keep the default 0.
      */
     explicit Wire(Cycle latency = 1, Cycle slack = 0)
-        : latency_(latency),
-          slots_(ringSize(latency, slack)),
-          deliver_at_(ringSize(latency, slack), kNoCycle)
+        : latency_(checkedLatency(latency)),
+          slots_(std::bit_ceil(static_cast<std::size_t>(latency + slack)
+                               + 1)),
+          mask_(slots_.size() - 1)
     {
-        assert(latency >= 1 && "zero-latency wires would make evaluation "
-                               "order-dependent");
     }
 
     Cycle latency() const { return latency_; }
+
+    /**
+     * Ring @p bell's bit @p bit on every delivery from now on (see the
+     * same-shard rule in the file comment). Values already in flight
+     * ring too.
+     */
+    void
+    attachDoorbell(Doorbell &bell, unsigned bit)
+    {
+        if (latency_ > kMaxDoorbellLatency)
+            throw std::invalid_argument(
+                "wire latency " + std::to_string(latency_)
+                + " exceeds the doorbell ring (max "
+                + std::to_string(kMaxDoorbellLatency) + ")");
+        assert(bit < 32);
+        bell_ = &bell;
+        bell_bit_ = bit;
+        for (const Slot &s : slots_) {
+            if (s.at != kNoCycle)
+                bell_->ring(s.at, bell_bit_);
+        }
+    }
 
     /**
      * Send a value at cycle @p now; it becomes visible at now+latency.
@@ -55,43 +152,42 @@ class Wire
     void
     send(Cycle now, T value)
     {
-        const std::size_t i = index(now + latency_);
-        assert(!slots_[i].has_value() && "wire driven twice in one cycle");
-        slots_[i] = std::move(value);
-        deliver_at_[i] = now + latency_;
+        const Cycle at = now + latency_;
+        Slot &s = slots_[index(at)];
+        assert(s.at == kNoCycle && "wire driven twice in one cycle");
+        s.at = at;
+        s.value = std::move(value);
+        if (bell_ != nullptr)
+            bell_->ring(at, bell_bit_);
     }
 
     /** True if a value is deliverable at cycle @p now. */
     bool
     pending(Cycle now) const
     {
-        const std::size_t i = index(now);
-        // The delivery-cycle tag prevents reading a value early when a
-        // receiver was not polling on earlier cycles (slot aliasing).
-        return slots_[i].has_value() && deliver_at_[i] == now;
+        return slots_[index(now)].at == now;
     }
 
     /** Consume and return the value deliverable at cycle @p now, if any. */
     std::optional<T>
     take(Cycle now)
     {
-        const std::size_t i = index(now);
-        if (!slots_[i].has_value() || deliver_at_[i] != now)
+        Slot &s = slots_[index(now)];
+        if (s.at != now)
             return std::nullopt;
-        std::optional<T> out = std::move(slots_[i]);
-        slots_[i].reset();
-        return out;
+        s.at = kNoCycle;
+        return std::optional<T>(std::move(s.value));
     }
 
     /**
      * True if any value is still in flight anywhere in the delay line.
-     * Used for quiescence detection; O(latency).
+     * Used for quiescence detection; O(ring size).
      */
     bool
     busy() const
     {
-        for (const auto &slot : slots_) {
-            if (slot.has_value())
+        for (const Slot &s : slots_) {
+            if (s.at != kNoCycle)
                 return true;
         }
         return false;
@@ -100,15 +196,15 @@ class Wire
     /**
      * Visit every value still in flight, in unspecified order. Read-only:
      * the runtime auditor uses this to count in-transit flits and credits
-     * for its conservation checks; O(latency).
+     * for its conservation checks; O(ring size).
      */
     template <typename Fn>
     void
     forEachInFlight(Fn &&fn) const
     {
-        for (const auto &slot : slots_) {
-            if (slot.has_value())
-                fn(*slot);
+        for (const Slot &s : slots_) {
+            if (s.at != kNoCycle)
+                fn(s.value);
         }
     }
 
@@ -122,57 +218,72 @@ class Wire
     void
     forEachSlot(Fn &&fn) const
     {
-        for (std::size_t i = 0; i < slots_.size(); ++i) {
-            if (slots_[i].has_value())
-                fn(deliver_at_[i], *slots_[i]);
+        for (const Slot &s : slots_) {
+            if (s.at != kNoCycle)
+                fn(s.at, s.value);
         }
     }
 
-    /** Number of ring slots (latency + slack + 1); checkpoint invariant. */
+    /** Number of ring slots (latency + slack + 1, rounded up to a power
+     * of two); checkpoint invariant. */
     std::size_t ringSlots() const { return slots_.size(); }
 
-    /** Drop every in-flight value (checkpoint restore starts clean). */
+    /** Drop every in-flight value and this wire's doorbell bits
+     * (checkpoint restore starts clean). */
     void
     clearAll()
     {
-        for (std::size_t i = 0; i < slots_.size(); ++i) {
-            slots_[i].reset();
-            deliver_at_[i] = kNoCycle;
-        }
+        for (Slot &s : slots_)
+            s = Slot{};
+        if (bell_ != nullptr)
+            bell_->clear(bell_bit_);
     }
 
     /**
      * Reinstate one in-flight value at its absolute delivery cycle, as
-     * recorded by forEachSlot. Keeping the absolute cycle keeps the ring
-     * index consistent with the restored engine clock.
+     * recorded by forEachSlot, and ring the doorbell for it. Keeping the
+     * absolute cycle keeps the ring index consistent with the restored
+     * engine clock.
      */
     void
     restoreSlot(Cycle deliver_at, T value)
     {
-        const std::size_t i = index(deliver_at);
-        assert(!slots_[i].has_value() && "restore into occupied slot");
-        slots_[i] = std::move(value);
-        deliver_at_[i] = deliver_at;
+        Slot &s = slots_[index(deliver_at)];
+        assert(s.at == kNoCycle && "restore into occupied slot");
+        s.at = deliver_at;
+        s.value = std::move(value);
+        if (bell_ != nullptr)
+            bell_->ring(deliver_at, bell_bit_);
     }
 
   private:
-    static std::size_t
-    ringSize(Cycle latency, Cycle slack)
+    struct Slot
     {
-        // One slot per in-flight cycle plus the current one, plus the
-        // window slack (see the constructor).
-        return static_cast<std::size_t>(latency + slack) + 1;
+        Cycle at = kNoCycle; ///< delivery cycle; kNoCycle when empty
+        T value{};
+    };
+
+    static Cycle
+    checkedLatency(Cycle latency)
+    {
+        if (latency < 1)
+            throw std::invalid_argument("wire latency must be >= 1 "
+                                        "(zero-latency wires would make "
+                                        "evaluation order-dependent)");
+        return latency;
     }
 
     std::size_t
     index(Cycle c) const
     {
-        return static_cast<std::size_t>(c % slots_.size());
+        return static_cast<std::size_t>(c) & mask_;
     }
 
     Cycle latency_;
-    std::vector<std::optional<T>> slots_;
-    std::vector<Cycle> deliver_at_;
+    std::vector<Slot> slots_;
+    std::size_t mask_;
+    Doorbell *bell_ = nullptr;
+    unsigned bell_bit_ = 0;
 };
 
 } // namespace anton2

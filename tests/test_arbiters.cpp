@@ -51,6 +51,46 @@ TEST(RoundRobin, EmptyRequestReturnsMinusOne)
     EXPECT_EQ(arb.pick(0, nullptr), -1);
 }
 
+/** The modulo-loop round-robin pick, kept as the reference model for
+ * the bit-scan implementation. Returns the grant and updates @p ptr. */
+int
+referenceRoundRobinPick(int k, int &ptr, std::uint32_t req_mask)
+{
+    if (req_mask == 0)
+        return -1;
+    for (int off = 0; off < k; ++off) {
+        const int i = (ptr + off) % k;
+        if (req_mask & (1u << i)) {
+            ptr = (i + 1) % k;
+            return i;
+        }
+    }
+    return -1;
+}
+
+TEST(RoundRobin, BitScanMatchesModuloReferenceExhaustively)
+{
+    for (int k = 1; k <= 12; ++k) {
+        for (int start = 0; start < k; ++start) {
+            for (std::uint32_t req = 0; req < (1u << k); ++req) {
+                // Reach pointer position `start` by granting the input
+                // just before it alone.
+                RoundRobinArbiter arb(k);
+                const int before = (start + k - 1) % k;
+                ASSERT_EQ(arb.pick(1u << before, nullptr), before);
+                ASSERT_EQ(arb.pointer(), start);
+
+                int ref_ptr = start;
+                const int want = referenceRoundRobinPick(k, ref_ptr, req);
+                ASSERT_EQ(arb.pick(req, nullptr), want)
+                    << "k=" << k << " ptr=" << start << " req=" << req;
+                ASSERT_EQ(arb.pointer(), ref_ptr)
+                    << "k=" << k << " ptr=" << start << " req=" << req;
+            }
+        }
+    }
+}
+
 TEST(AgeBased, GrantsOldest)
 {
     AgeBasedArbiter arb(3);

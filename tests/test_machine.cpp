@@ -9,6 +9,7 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
 
 #include "core/machine.hpp"
 
@@ -297,6 +298,49 @@ TEST(Machine, PackagingLatenciesVaryByDistance)
     const Cycle near = pkg.linkLatency(g, g.id({ 0, 0, 0 }), 0, Dir::Pos);
     const Cycle wrap = pkg.linkLatency(g, g.id({ 7, 0, 0 }), 0, Dir::Pos);
     EXPECT_LT(near, wrap);
+}
+
+// Wire latencies the engine cannot honour are refused when the machine
+// is built, in every build type (not by assertions that Release drops).
+
+TEST(MachineLatency, ZeroTorusLatencyIsRejected)
+{
+    MachineConfig cfg = smallConfig();
+    cfg.radix = { 2, 2, 2 };
+    cfg.fixed_torus_latency = 0;
+    EXPECT_THROW(Machine m(cfg), std::invalid_argument);
+    cfg.fixed_torus_latency = 1;
+    EXPECT_NO_THROW(Machine m(cfg));
+}
+
+TEST(MachineLatency, ZeroOnChipLatencyIsRejected)
+{
+    for (Cycle ChipConfig::*field :
+         { &ChipConfig::mesh_latency, &ChipConfig::skip_latency,
+           &ChipConfig::attach_latency }) {
+        MachineConfig cfg = smallConfig();
+        cfg.radix = { 2, 2, 2 };
+        cfg.chip.*field = 0;
+        EXPECT_THROW(Machine m(cfg), std::invalid_argument);
+    }
+}
+
+TEST(MachineLatency, OnChipLatencyBeyondTheDoorbellRingIsRejected)
+{
+    for (Cycle ChipConfig::*field :
+         { &ChipConfig::mesh_latency, &ChipConfig::skip_latency,
+           &ChipConfig::attach_latency }) {
+        MachineConfig cfg = smallConfig();
+        cfg.radix = { 2, 2, 2 };
+        cfg.chip.*field = kMaxDoorbellLatency + 1;
+        EXPECT_THROW(Machine m(cfg), std::invalid_argument);
+        // The largest latency the ring covers still builds and delivers.
+        cfg.chip.*field = kMaxDoorbellLatency;
+        Machine m(cfg);
+        m.send(m.makeWrite({ 0, 0 }, { 7, 1 }));
+        EXPECT_EQ(m.run(RunSpec::untilDelivered(1, 5000)).reason,
+                  StopReason::Delivered);
+    }
 }
 
 } // namespace

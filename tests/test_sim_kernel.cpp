@@ -1,8 +1,11 @@
 /**
  * @file
- * Unit tests for the simulation kernel: wires, engine, RNG, statistics.
+ * Unit tests for the simulation kernel: wires and their doorbells, engine,
+ * RNG, statistics.
  */
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
@@ -60,6 +63,109 @@ TEST(Wire, LongLatencyRoundTrip)
     EXPECT_FALSE(w.pending(61));
     ASSERT_TRUE(w.pending(62));
     EXPECT_EQ(w.take(62).value(), 99);
+}
+
+TEST(Wire, RingIsAPowerOfTwoCoveringLatencyAndSlack)
+{
+    EXPECT_EQ(Wire<int>(1).ringSlots(), 2u);
+    EXPECT_EQ(Wire<int>(2).ringSlots(), 4u);
+    EXPECT_EQ(Wire<int>(3).ringSlots(), 4u);
+    EXPECT_EQ(Wire<int>(20, 20).ringSlots(), 64u);
+    EXPECT_EQ(Wire<int>(57).ringSlots(), 64u);
+}
+
+TEST(Wire, ZeroLatencyIsRejectedInEveryBuild)
+{
+    EXPECT_THROW(Wire<int>(0), std::invalid_argument);
+}
+
+TEST(Wire, NeverTakenEarlyOrLateAtAnAliasingCycle)
+{
+    // Ring of 4: cycles 9, 13 and 17 share a slot. A receiver that
+    // skipped cycles must see the value at 13 only - neither at 9
+    // (early) nor at 17 (late, after missing 13).
+    Wire<int> w(3);
+    ASSERT_EQ(w.ringSlots(), 4u);
+    w.send(10, 5);
+    EXPECT_FALSE(w.pending(9));
+    EXPECT_FALSE(w.take(9).has_value());
+    EXPECT_FALSE(w.take(17).has_value());
+    EXPECT_EQ(w.take(13).value(), 5);
+
+    // Missed delivery: the value stays unreadable at every later
+    // aliasing cycle.
+    w.send(20, 6); // deliverable at 23 only
+    for (Cycle c = 24; c < 24 + 4 * w.ringSlots(); ++c)
+        EXPECT_FALSE(w.take(c).has_value()) << "cycle " << c;
+    EXPECT_TRUE(w.busy());
+}
+
+TEST(Doorbell, BitLandsOnExactlyTheDeliveryCycle)
+{
+    for (Cycle latency = 1; latency <= kMaxDoorbellLatency; ++latency) {
+        for (Cycle t = 0; t < 2 * kDoorbellSlots; ++t) {
+            Wire<int> w(latency);
+            Doorbell bell;
+            w.attachDoorbell(bell, 5);
+            // A receiver ticking every cycle from the send onwards (the
+            // same-shard schedule) reads each cycle's mask once.
+            w.send(t, 7);
+            for (Cycle c = t; c <= t + 2 * kDoorbellSlots; ++c) {
+                const std::uint32_t rung = bell.take(c);
+                if (c == t + latency) {
+                    EXPECT_EQ(rung, 1u << 5)
+                        << "latency " << latency << " sent " << t;
+                    EXPECT_EQ(w.take(c).value(), 7);
+                } else {
+                    EXPECT_EQ(rung, 0u) << "latency " << latency
+                                        << " sent " << t << " cycle " << c;
+                }
+            }
+        }
+    }
+}
+
+TEST(Doorbell, LatencyBeyondTheRingIsRejected)
+{
+    Doorbell bell;
+    Wire<int> ok(kMaxDoorbellLatency);
+    EXPECT_NO_THROW(ok.attachDoorbell(bell, 0));
+    Wire<int> too_slow(kMaxDoorbellLatency + 1);
+    EXPECT_THROW(too_slow.attachDoorbell(bell, 1), std::invalid_argument);
+}
+
+TEST(Doorbell, RestoreSlotRingsAgain)
+{
+    Wire<int> w(2);
+    Doorbell bell;
+    w.attachDoorbell(bell, 3);
+    w.send(40, 9); // deliverable at 42
+    w.clearAll();
+    EXPECT_EQ(bell.take(42), 0u);
+    EXPECT_FALSE(w.busy());
+
+    w.restoreSlot(42, 9);
+    EXPECT_EQ(bell.take(41), 0u);
+    EXPECT_EQ(bell.take(42), 1u << 3);
+    EXPECT_EQ(w.take(42).value(), 9);
+}
+
+TEST(Doorbell, ClearAllClearsOnlyItsOwnBit)
+{
+    Wire<int> a(1), b(1), c(2);
+    Doorbell bell;
+    a.attachDoorbell(bell, 0);
+    b.attachDoorbell(bell, 4);
+    c.attachDoorbell(bell, 9);
+    a.send(10, 1); // at 11
+    b.send(10, 2); // at 11
+    c.send(10, 3); // at 12
+    a.clearAll();
+    EXPECT_EQ(bell.take(11), 1u << 4);
+    EXPECT_FALSE(a.take(11).has_value());
+    EXPECT_EQ(b.take(11).value(), 2);
+    EXPECT_EQ(bell.take(12), 1u << 9);
+    EXPECT_EQ(c.take(12).value(), 3);
 }
 
 /** A component that counts its ticks and relays values between two wires. */
