@@ -87,6 +87,7 @@ class PacedSource : public Component
         pkt->id = ++count_;
         pkt->size_flits = 1;
         pkt->payload = { data };
+        pkt->chip_exit = AttachPoint::forEndpoint(0); // the chain's sink
 
         Phit phit;
         phit.pkt = pkt;
@@ -155,10 +156,15 @@ class Sink : public Component
     Channel &in_;
 };
 
-/** A contention-free chain of @p hops routers with energy meters. */
+/**
+ * A contention-free chain of @p hops routers with energy meters. Each
+ * router is one row of a route table that sends the sink's exit slot out
+ * of port 1.
+ */
 struct Chain
 {
     Chain(int hops, int rate_num, int rate_den, Payload payload)
+        : routes(hops, 1, 0)
     {
         RouterConfig rcfg;
         rcfg.num_ports = 2;
@@ -167,10 +173,9 @@ struct Chain
 
         channels.push_back(std::make_unique<Channel>(1, 1));
         for (int i = 0; i < hops; ++i) {
+            routes.set(i, 0, { 1, VcGroup::Mesh });
             routers.push_back(std::make_unique<Router>(
-                "r" + std::to_string(i), rcfg, [](Packet &) {
-                    return RouteDecision{ 1, 0 };
-                }));
+                "r" + std::to_string(i), rcfg, routes, i));
             meters.push_back(std::make_unique<RouterEnergyMeter>(2));
             routers.back()->setEnergyMeter(meters.back().get());
             channels.push_back(std::make_unique<Channel>(1, 1));
@@ -197,6 +202,7 @@ struct Chain
     }
 
     Engine engine;
+    RouteTable routes;
     std::vector<std::unique_ptr<Router>> routers;
     std::vector<std::unique_ptr<RouterEnergyMeter>> meters;
     std::vector<std::unique_ptr<Channel>> channels;

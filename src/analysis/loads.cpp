@@ -151,8 +151,7 @@ LoadModel::tracePacket(EndpointAddr src, EndpointAddr dst,
         ca_eg[caIdx(here, ca, fullVc(vc.torusVc()))] += weight;
         torus[torusIdx(here, next, dir, spec.slice)] += weight;
 
-        const Coords c = geom_.coords(here);
-        const int from = c[static_cast<std::size_t>(next)];
+        const int from = geom_.coord(here, next);
         const int to = geom_.neighborCoord(from, next, dir);
         vc.onTorusHop(geom_.crossesDateline(from, to, next));
 

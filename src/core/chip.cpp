@@ -4,12 +4,11 @@
 #include <cassert>
 
 #include "debug/checkpoint.hpp"
-#include "routing/mesh_route.hpp"
 
 namespace anton2 {
 
 Chip::Chip(NodeId node, const ChipConfig &cfg, const ChipLayout &layout,
-           const TorusGeom &geom)
+           const TorusGeom &geom, const RouteTable &routes)
     : node_(node), cfg_(cfg), layout_(layout), geom_(geom)
 {
     std::string prefix = "n";
@@ -25,8 +24,7 @@ Chip::Chip(NodeId node, const ChipConfig &cfg, const ChipLayout &layout,
 
     for (RouterId r = 0; r < layout_.numRouters(); ++r) {
         routers_.push_back(std::make_unique<Router>(
-            prefix + layout_.mesh().routerName(r), rcfg,
-            [this, r](Packet &pkt) { return routeAt(r, pkt); }));
+            prefix + layout_.mesh().routerName(r), rcfg, routes, r));
         if (cfg_.enable_energy) {
             energy_.push_back(
                 std::make_unique<RouterEnergyMeter>(rcfg.num_ports));
@@ -46,11 +44,13 @@ Chip::Chip(NodeId node, const ChipConfig &cfg, const ChipLayout &layout,
         layout_.channelAdapterParams(ca, dim, dir, slice);
         const std::string name = prefix + "C" + std::string(1, kDimNames[dim])
                                  + std::to_string(slice) + dirName(dir);
+        const int from = geom_.coord(node_, dim);
+        const int to = geom_.neighborCoord(from, dim, dir);
         channel_adapters_.push_back(std::make_unique<ChannelAdapter>(
-            name, ccfg,
-            [this, ca](const PacketPtr &pkt) { return ingressAt(ca, pkt); },
-            [this, ca](Packet &pkt, bool commit) {
-                return egressVcAt(ca, pkt, commit);
+            name, ccfg, geom_.crossesDateline(from, to, dim),
+            [this, ca](const PacketPtr &pkt,
+                       std::vector<IngressCopy> &copies) {
+                ingressAt(ca, pkt, copies);
             }));
     }
 
@@ -272,58 +272,15 @@ Chip::setExit(Packet &pkt, int next_dim) const
     }
 }
 
-RouteDecision
-Chip::routeAt(RouterId r, Packet &pkt) const
-{
-    const RouterId r_out = layout_.attachRouter(pkt.chip_exit);
-    RouteDecision d;
-
-    if (pkt.x_through && r != r_out) {
-        // X through-route: cross the chip on the skip channel (T-group).
-        d.out_port = layout_.skipPort(r);
-        d.out_vc = static_cast<std::uint8_t>(
-            fullVc(pkt.tc, pkt.vc.torusVc()));
-        return d;
-    }
-
-    if (r == r_out) {
-        // Exit the mesh here.
-        if (pkt.chip_exit.kind == AttachPoint::Kind::Endpoint) {
-            d.out_port = layout_.endpointPort(r, pkt.chip_exit.endpoint);
-            d.out_vc = static_cast<std::uint8_t>(
-                fullVc(pkt.tc, pkt.vc.meshVc()));
-        } else {
-            d.out_port = layout_.channelPort(
-                r, layout_.channelAdapterIndex(pkt.chip_exit.dim,
-                                               pkt.chip_exit.dir,
-                                               pkt.chip_exit.slice));
-            d.out_vc = static_cast<std::uint8_t>(
-                fullVc(pkt.tc, pkt.vc.torusVc()));
-        }
-        return d;
-    }
-
-    // Local route: next mesh hop under direction-order routing (M-group).
-    MeshDir dir;
-    const bool more = meshNextDir(layout_.mesh(), r, r_out, cfg_.dir_order,
-                                  dir);
-    assert(more);
-    (void)more;
-    d.out_port = layout_.meshPort(r, dir);
-    d.out_vc = static_cast<std::uint8_t>(fullVc(pkt.tc, pkt.vc.meshVc()));
-    return d;
-}
-
-std::vector<IngressCopy>
-Chip::ingressAt(int ca, const PacketPtr &pkt)
+void
+Chip::ingressAt(int ca, const PacketPtr &pkt,
+                std::vector<IngressCopy> &copies)
 {
     int dim, slice;
     Dir dir;
     layout_.channelAdapterParams(ca, dim, dir, slice);
     // Arriving packets travel opposite to the adapter's label.
     const Dir travel = opposite(dir);
-
-    std::vector<IngressCopy> copies;
 
     if (pkt->mcast_group >= 0) {
         const McastNodeEntry *entry = mcastEntry(pkt->mcast_group);
@@ -350,7 +307,7 @@ Chip::ingressAt(int ca, const PacketPtr &pkt)
             copies.push_back({ copy, static_cast<std::uint8_t>(
                                          fullVc(copy->tc, arrival_vc)) });
         }
-        return copies;
+        return;
     }
 
     // Unicast: continue in the same dimension, turn, or eject.
@@ -365,35 +322,6 @@ Chip::ingressAt(int ca, const PacketPtr &pkt)
     }
     copies.push_back({ pkt, static_cast<std::uint8_t>(
                                 fullVc(pkt->tc, arrival_vc)) });
-    return copies;
-}
-
-std::uint8_t
-Chip::egressVcAt(int ca, Packet &pkt, bool commit) const
-{
-    int dim, slice;
-    Dir dir;
-    layout_.channelAdapterParams(ca, dim, dir, slice);
-    (void)slice;
-
-    const Coords c = geom_.coords(node_);
-    const int from = c[static_cast<std::size_t>(dim)];
-    const int to = geom_.neighborCoord(from, dim, dir);
-    bool crossing = geom_.crossesDateline(from, to, dim);
-    // Negative-control fault: this adapter "forgets" the dateline, so the
-    // packet keeps its unpromoted VC across the wrap - the runtime twin of
-    // the NoDateline static counterexample.
-    if (!fault_no_promo_.empty() && fault_no_promo_[static_cast<std::size_t>(ca)])
-        crossing = false;
-
-    std::uint8_t vc;
-    if (commit) {
-        vc = pkt.vc.onTorusHop(crossing);
-        ++pkt.hops;
-    } else {
-        vc = pkt.vc.peekTorusHop(crossing);
-    }
-    return static_cast<std::uint8_t>(fullVc(pkt.tc, vc));
 }
 
 void

@@ -56,9 +56,12 @@ class Chip
     /**
      * @param layout Shared placement (identical for every chip).
      * @param geom The machine's torus geometry (for dateline decisions).
+     * @param routes The machine's on-chip route table (built from
+     * @p layout and cfg.dir_order); layout, geom and routes must
+     * outlive the chip.
      */
     Chip(NodeId node, const ChipConfig &cfg, const ChipLayout &layout,
-         const TorusGeom &geom);
+         const TorusGeom &geom, const RouteTable &routes);
 
     /**
      * Register every component of this chip with the engine as one
@@ -178,13 +181,6 @@ class Chip
     std::string ingressLinkName(int ca, int full_vc) const;
 
     /**
-     * Test-only negative-control fault: adapter @p ca stops applying
-     * dateline VC promotion on egress (the runtime twin of the
-     * NoDateline static counterexample).
-     */
-    void faultNoPromotion(int ca);
-
-    /**
      * Checkpoint this chip: every router, channel adapter, and endpoint
      * in registration order, every on-chip channel in wiring order, and
      * the multicast table. Torus channels belong to the Machine.
@@ -193,9 +189,8 @@ class Chip
     void loadState(CkptReader &r);
 
   private:
-    RouteDecision routeAt(RouterId r, Packet &pkt) const;
-    std::vector<IngressCopy> ingressAt(int ca, const PacketPtr &pkt);
-    std::uint8_t egressVcAt(int ca, Packet &pkt, bool commit) const;
+    void ingressAt(int ca, const PacketPtr &pkt,
+                   std::vector<IngressCopy> &copies);
 
     NodeId node_;
     ChipConfig cfg_;
@@ -208,7 +203,6 @@ class Chip
     std::vector<std::unique_ptr<Channel>> channels_;
     std::vector<std::unique_ptr<RouterEnergyMeter>> energy_;
     std::unordered_map<std::int32_t, McastNodeEntry> mcast_;
-    std::vector<char> fault_no_promo_; ///< sized only when a fault is set
 };
 
 } // namespace anton2

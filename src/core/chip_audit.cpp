@@ -22,15 +22,6 @@ kindInt(ChipChannel::Kind k)
 
 } // namespace
 
-void
-Chip::faultNoPromotion(int ca)
-{
-    if (fault_no_promo_.empty())
-        fault_no_promo_.assign(
-            static_cast<std::size_t>(layout_.numChannelAdapters()), 0);
-    fault_no_promo_[static_cast<std::size_t>(ca)] = 1;
-}
-
 std::string
 Chip::egressLinkName(int ca, int full_vc) const
 {

@@ -135,8 +135,8 @@ class ChipLayout
     int numRouters() const { return mesh_.numRouters(); }
 
     /** Dense index for a channel adapter. */
-    int
-    channelAdapterIndex(int dim, Dir dir, int slice) const
+    static constexpr int
+    channelAdapterIndex(int dim, Dir dir, int slice)
     {
         return (dim * kNumSlices + slice) * 2 + dirIndex(dir);
     }

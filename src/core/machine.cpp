@@ -52,6 +52,7 @@ Machine::Machine(const MachineConfig &cfg)
       geom_(cfg.radix),
       layout_(cfg.chip.endpoints_per_node, static_cast<int>(
                                                cfg.radix.size())),
+      routes_(RouteTable::build(layout_, cfg.chip.dir_order)),
       rng_(cfg.seed)
 {
     if (geom_.ndims() != 3)
@@ -61,7 +62,7 @@ Machine::Machine(const MachineConfig &cfg)
     chips_.reserve(geom_.numNodes());
     for (NodeId n = 0; n < geom_.numNodes(); ++n) {
         chips_.push_back(
-            std::make_unique<Chip>(n, cfg_.chip, layout_, geom_));
+            std::make_unique<Chip>(n, cfg_.chip, layout_, geom_, routes_));
     }
 
     // The lookahead bound: shards may tick up to k cycles between

@@ -597,6 +597,7 @@ class Machine
     MachineConfig cfg_;
     TorusGeom geom_;
     ChipLayout layout_;
+    RouteTable routes_; ///< one on-chip route table for every chip
     Engine engine_;
     Rng rng_;
     Cycle lookahead_cap_ = 1;

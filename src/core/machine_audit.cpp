@@ -84,8 +84,7 @@ Machine::applyFault(const NetworkFault &f)
             .faultWithholdTorusCredits(f.vc);
         break;
       case NetworkFault::Kind::NoDatelinePromotion:
-        chip(f.node).faultNoPromotion(
-            layout_.channelAdapterIndex(f.dim, f.dir, f.slice));
+        chip(f.node).channelAdapter(f.dim, f.dir, f.slice).faultNoPromotion();
         break;
     }
 }

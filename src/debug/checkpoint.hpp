@@ -37,8 +37,9 @@ namespace anton2 {
 
 /** Current checkpoint format version. Bump on any encoding change.
  * Version 2: phits carry no payload copy, and wire rings are rounded up
- * to powers of two. */
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+ * to powers of two. Version 3: adapter ingress entries drop the unused
+ * active-grant flag. */
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /** Thrown on any malformed, mismatched, or corrupted checkpoint. */
 class CheckpointError : public std::runtime_error

@@ -1,5 +1,6 @@
 #include "noc/channel_adapter.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <stdexcept>
@@ -12,11 +13,12 @@ namespace anton2 {
 
 ChannelAdapter::ChannelAdapter(std::string name,
                                const ChannelAdapterConfig &cfg,
-                               IngressFn ingress_fn, EgressVcFn egress_fn)
+                               bool crosses_dateline, IngressFn ingress_fn)
     : Component(std::move(name)),
       cfg_(cfg),
+      vcs_per_class_(std::max(1, cfg.num_vcs / kNumTrafficClasses)),
+      crosses_dateline_(crosses_dateline),
       ingress_fn_(std::move(ingress_fn)),
-      egress_fn_(std::move(egress_fn)),
       egress_vcs_(static_cast<std::size_t>(cfg.num_vcs)),
       egress_arb_(makeArbiter(cfg.arb, cfg.num_vcs, cfg.weight_bits)),
       ingress_vcs_(static_cast<std::size_t>(cfg.num_vcs)),
@@ -146,9 +148,8 @@ ChannelAdapter::tickEgress(Cycle now, std::uint32_t rung)
             auto &head = egress_vcs_[static_cast<std::size_t>(v)].head();
             if (now <= head.head_at)
                 continue;
-            const std::uint8_t link_vc =
-                egress_fn_(*head.pkt, /*commit=*/false);
-            if (torus_credits_.available(link_vc) < head.pkt->size_flits) {
+            if (torus_credits_.available(linkVc(*head.pkt))
+                < head.pkt->size_flits) {
                 credit_blocked = true;
                 continue;
             }
@@ -161,7 +162,9 @@ ChannelAdapter::tickEgress(Cycle now, std::uint32_t rung)
         if (req != 0) {
             const int v = egress_arb_->pick(req, info);
             auto &head = egress_vcs_[static_cast<std::size_t>(v)].head();
-            egress_link_vc_ = egress_fn_(*head.pkt, /*commit=*/true);
+            egress_link_vc_ = linkVc(*head.pkt);
+            head.pkt->vc.onTorusHop(crosses_dateline_);
+            ++head.pkt->hops;
             torus_credits_.consume(egress_link_vc_, head.pkt->size_flits);
             egress_busy_ = true;
             egress_vc_ = v;
@@ -247,7 +250,7 @@ ChannelAdapter::tickIngress(Cycle now, std::uint32_t rung)
         const int v = std::countr_zero(m);
         const auto &buf = ingress_vcs_[static_cast<std::size_t>(v)];
         auto &entry = ingress_heads_[static_cast<std::size_t>(v)];
-        entry.copies = ingress_fn_(buf.head().pkt);
+        ingress_fn_(buf.head().pkt, entry.copies);
         entry.next_copy = 0;
         entry.copy_sent = 0;
         ingress_expanded_ |= 1u << v;
@@ -440,8 +443,7 @@ ChannelAdapter::collectBlockedHeads(std::vector<BlockedHead> &out) const
             if (buf.empty())
                 continue;
             const auto &head = buf.head();
-            const std::uint8_t link_vc =
-                egress_fn_(*head.pkt, /*commit=*/false);
+            const std::uint8_t link_vc = linkVc(*head.pkt);
             if (torus_credits_.available(link_vc) >= head.pkt->size_flits)
                 continue;
             BlockedHead b;
@@ -500,7 +502,6 @@ ChannelAdapter::saveState(CkptWriter &w) const
         }
         w.u64(e.next_copy);
         w.u16(e.copy_sent);
-        w.b(e.active_granted);
     }
     for (int v = 0; v < cfg_.num_vcs; ++v)
         w.b(((ingress_expanded_ >> v) & 1u) != 0);
@@ -546,7 +547,6 @@ ChannelAdapter::loadState(CkptReader &r)
         }
         e.next_copy = static_cast<std::size_t>(r.u64());
         e.copy_sent = r.u16();
-        e.active_granted = r.b();
     }
     ingress_expanded_ = 0;
     for (int v = 0; v < cfg_.num_vcs; ++v) {

@@ -69,24 +69,23 @@ struct IngressCopy
 /**
  * Ingress routing callback, bound by the chip assembly. Called once when a
  * packet becomes head of an ingress VC buffer; it applies VC promotion /
- * dimension-completion updates and computes the packet's exit attach point
- * on this chip. For multicast it may return several copies.
+ * dimension-completion updates, computes the packet's exit attach point
+ * on this chip, and appends the resulting copies (several for multicast)
+ * to @p out, which arrives empty and keeps its capacity across packets.
  */
-using IngressFn = std::function<std::vector<IngressCopy>(const PacketPtr &)>;
-
-/**
- * Egress VC callback: returns the VC the packet occupies on the torus link
- * (applying the dateline-crossing promotion of Section 2.5).
- * If @p commit is false, the packet state must not be mutated (credit
- * probing); the grant path calls it again with commit = true.
- */
-using EgressVcFn = std::function<std::uint8_t(Packet &, bool commit)>;
+using IngressFn =
+    std::function<void(const PacketPtr &, std::vector<IngressCopy> &out)>;
 
 class ChannelAdapter final : public Component
 {
   public:
+    /**
+     * @param crosses_dateline Whether this adapter's outgoing torus link
+     * crosses the dateline (Section 2.5): egress then applies the
+     * dateline VC promotion.
+     */
     ChannelAdapter(std::string name, const ChannelAdapterConfig &cfg,
-                   IngressFn ingress_fn, EgressVcFn egress_fn);
+                   bool crosses_dateline, IngressFn ingress_fn);
 
     /** Channel from the attached router (egress data in, credits out). */
     void connectRouterIn(Channel &ch);
@@ -204,6 +203,16 @@ class ChannelAdapter final : public Component
     std::uint64_t creditsWithheld() const { return credits_withheld_; }
 
     /**
+     * Negative-control fault: this adapter "forgets" the dateline, so
+     * packets keep their unpromoted VC across the wrap - the runtime
+     * twin of the NoDateline static counterexample.
+     */
+    void faultNoPromotion() { crosses_dateline_ = false; }
+
+    /** Whether egress applies the dateline promotion (audit probe). */
+    bool crossesDateline() const { return crosses_dateline_; }
+
+    /**
      * Checkpoint both sides: VC buffers, credit counters, arbitration
      * state, serialization tokens, active grants, ingress expansion
      * state, and the queued torus credits. (The four attached channels
@@ -218,8 +227,17 @@ class ChannelAdapter final : public Component
         std::vector<IngressCopy> copies;
         std::size_t next_copy = 0;
         std::uint16_t copy_sent = 0; ///< flits of the active copy sent
-        bool active_granted = false;
     };
+
+    /** Torus-link VC of @p pkt's next hop (peeks; the grant commits
+     * the promotion via Packet::vc). */
+    std::uint8_t
+    linkVc(const Packet &pkt) const
+    {
+        return static_cast<std::uint8_t>(
+            fullVcIndex(pkt.tc, pkt.vc.peekTorusHop(crosses_dateline_),
+                        vcs_per_class_));
+    }
 
     void tickEgress(Cycle now, std::uint32_t rung);
     void tickIngress(Cycle now, std::uint32_t rung);
@@ -237,8 +255,9 @@ class ChannelAdapter final : public Component
     }
 
     ChannelAdapterConfig cfg_;
+    int vcs_per_class_;       ///< VCs per traffic class (full VC index)
+    bool crosses_dateline_;   ///< egress link wraps from k-1 to 0 (or back)
     IngressFn ingress_fn_;
-    EgressVcFn egress_fn_;
 
     // Egress side: router -> torus.
     Channel *router_in_ = nullptr;

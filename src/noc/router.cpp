@@ -26,10 +26,13 @@ makeArbiter(ArbPolicy policy, int num_inputs, int weight_bits)
     return nullptr;
 }
 
-Router::Router(std::string name, const RouterConfig &cfg, RouteFn route_fn)
+Router::Router(std::string name, const RouterConfig &cfg,
+               const RouteTable &routes, int id)
     : Component(std::move(name)),
       cfg_(cfg),
-      route_fn_(std::move(route_fn)),
+      routes_(routes),
+      id_(id),
+      vcs_per_class_(std::max(1, cfg.num_vcs / kNumTrafficClasses)),
       in_(static_cast<std::size_t>(cfg.num_ports)),
       out_(static_cast<std::size_t>(cfg.num_ports)),
       sa1_winner_(static_cast<std::size_t>(cfg.num_ports), -1)
@@ -40,6 +43,13 @@ Router::Router(std::string name, const RouterConfig &cfg, RouteFn route_fn)
         || cfg.num_vcs < 1 || cfg.num_vcs > 32)
         throw std::invalid_argument("router supports 1-16 ports and "
                                     "1-32 VCs");
+    if (id < 0 || id >= routes.numRouters())
+        throw std::invalid_argument("router id has no route-table row");
+    for (int slot = 0; slot < routes.numSlots(); ++slot) {
+        if (routes.step(id, slot).out_port >= cfg.num_ports)
+            throw std::invalid_argument("route table names a port the "
+                                        "router does not have");
+    }
     for (auto &ip : in_) {
         ip.vcs.resize(static_cast<std::size_t>(cfg.num_vcs));
         for (auto &vc : ip.vcs)
@@ -155,93 +165,123 @@ Router::receive(Cycle now)
         auto phit = ip.ch->data.take(now);
         if (!phit)
             continue;
+        const std::uint8_t v = phit->vc;
         if (phit->head) {
             ++buffered_packets_;
-            ++unrouted_;
-            ip.nonempty |= 1u << phit->vc;
+            ip.nonempty |= 1u << v;
             live_in_ |= 1u << p;
+            // A new packet inside the lookahead window awaits RC.
+            if (ip.vcs[v].packetCount() < kLookahead) {
+                ip.rc_pending |= 1u << v;
+                rc_ports_ |= 1u << p;
+            }
         }
         if (energy_ != nullptr)
             energy_->onFlit(p, phit->payload(), now);
         if (metrics_ != nullptr)
             metrics_->in_flits[static_cast<std::size_t>(p)]->inc();
         ++flits_routed_;
-        ip.vcs[phit->vc].acceptFlit(std::move(*phit), now);
+        ip.vcs[v].acceptFlit(std::move(*phit), now);
     }
 }
 
 void
 Router::stageRc(Cycle now)
 {
-    // Two-deep lookahead: the packet behind the head proceeds through RC
-    // and VA while the head drains, so back-to-back packets on one VC do
-    // not restart the pipeline.
-    if (unrouted_ == 0)
-        return;
-    for (std::uint32_t ports = live_in_; ports != 0; ports &= ports - 1) {
-        auto &ip = in_[static_cast<std::size_t>(std::countr_zero(ports))];
-        for (std::uint32_t mask = ip.nonempty; mask != 0;
+    // RC is one table lookup per packet. Entries that arrived this cycle
+    // wait until the next one and keep their VC's pending bit set.
+    for (std::uint32_t ports = rc_ports_; ports != 0; ports &= ports - 1) {
+        const int p = std::countr_zero(ports);
+        auto &ip = in_[static_cast<std::size_t>(p)];
+        for (std::uint32_t mask = ip.rc_pending; mask != 0;
              mask &= mask - 1) {
-            auto &vc = ip.vcs[static_cast<std::size_t>(
-                std::countr_zero(mask))];
-            const std::size_t depth = std::min<std::size_t>(
-                vc.packetCount(), 4);
+            const int v = std::countr_zero(mask);
+            auto &vc = ip.vcs[static_cast<std::size_t>(v)];
+            const std::size_t depth =
+                std::min(vc.packetCount(), kLookahead);
+            bool waiting = false;
+            bool routed = false;
             for (std::size_t i = 0; i < depth; ++i) {
                 auto &entry = vc.entry(i);
-                if (!entry.routed && now > entry.head_at) {
-                    const RouteDecision d = route_fn_(*entry.pkt);
-                    assert(d.out_port >= 0 && d.out_port < cfg_.num_ports);
-                    assert(out_[static_cast<std::size_t>(d.out_port)].ch
-                           != nullptr);
-                    entry.out_port = d.out_port;
-                    entry.out_vc = d.out_vc;
-                    entry.routed = true;
-                    entry.routed_at = now;
-                    --unrouted_;
-                    ++unallocated_;
-                    tracePacketEvent(trace_, TraceUnitKind::Router,
-                                     TraceEventType::RouteComputed, now,
-                                     entry.pkt->id, d.out_port, d.out_vc);
+                if (entry.routed)
+                    continue;
+                if (now <= entry.head_at) {
+                    waiting = true;
+                    continue;
                 }
+                const Packet &pkt = *entry.pkt;
+                const RouteStep &step =
+                    routes_.step(id_, routes_.slot(pkt));
+                assert(step.out_port >= 0
+                       && out_[static_cast<std::size_t>(step.out_port)].ch
+                              != nullptr);
+                entry.out_port = step.out_port;
+                entry.out_vc = static_cast<std::uint8_t>(fullVcIndex(
+                    pkt.tc,
+                    step.group == VcGroup::Torus ? pkt.vc.torusVc()
+                                                 : pkt.vc.meshVc(),
+                    vcs_per_class_));
+                entry.routed = true;
+                entry.routed_at = now;
+                routed = true;
+                tracePacketEvent(trace_, TraceUnitKind::Router,
+                                 TraceEventType::RouteComputed, now, pkt.id,
+                                 entry.out_port, entry.out_vc);
             }
+            if (routed) {
+                ip.va_pending |= 1u << v;
+                va_ports_ |= 1u << p;
+            }
+            if (!waiting)
+                ip.rc_pending &= ~(1u << v);
         }
+        if (ip.rc_pending == 0)
+            rc_ports_ &= ~(1u << p);
     }
 }
 
 void
 Router::stageVa(Cycle now)
 {
-    if (unallocated_ == 0)
-        return;
-    for (std::uint32_t ports = live_in_; ports != 0; ports &= ports - 1) {
-        auto &ip = in_[static_cast<std::size_t>(std::countr_zero(ports))];
-        for (std::uint32_t mask = ip.nonempty; mask != 0;
+    // Heads blocked on credits stay pending and are re-examined every
+    // cycle (each such cycle counts one credit stall).
+    for (std::uint32_t ports = va_ports_; ports != 0; ports &= ports - 1) {
+        const int p = std::countr_zero(ports);
+        auto &ip = in_[static_cast<std::size_t>(p)];
+        for (std::uint32_t mask = ip.va_pending; mask != 0;
              mask &= mask - 1) {
-            auto &vc = ip.vcs[static_cast<std::size_t>(
-                std::countr_zero(mask))];
-            const std::size_t depth = std::min<std::size_t>(
-                vc.packetCount(), 4);
+            const int v = std::countr_zero(mask);
+            auto &vc = ip.vcs[static_cast<std::size_t>(v)];
+            const std::size_t depth =
+                std::min(vc.packetCount(), kLookahead);
+            bool waiting = false;
             for (std::size_t i = 0; i < depth; ++i) {
                 auto &entry = vc.entry(i);
-                if (entry.routed && !entry.va_done
-                    && now > entry.routed_at) {
-                    const auto &op =
-                        out_[static_cast<std::size_t>(entry.out_port)];
-                    if (op.credits.available(entry.out_vc)
-                        >= entry.pkt->size_flits) {
-                        entry.va_done = true;
-                        entry.va_at = now;
-                        --unallocated_;
-                        tracePacketEvent(trace_, TraceUnitKind::Router,
-                                         TraceEventType::VcAllocated, now,
-                                         entry.pkt->id, entry.out_port,
-                                         entry.out_vc);
-                    } else if (metrics_ != nullptr && i == 0) {
+                if (!entry.routed || entry.va_done)
+                    continue;
+                const auto &op =
+                    out_[static_cast<std::size_t>(entry.out_port)];
+                if (now <= entry.routed_at) {
+                    waiting = true;
+                } else if (op.credits.available(entry.out_vc)
+                           >= entry.pkt->size_flits) {
+                    entry.va_done = true;
+                    entry.va_at = now;
+                    tracePacketEvent(trace_, TraceUnitKind::Router,
+                                     TraceEventType::VcAllocated, now,
+                                     entry.pkt->id, entry.out_port,
+                                     entry.out_vc);
+                } else {
+                    waiting = true;
+                    if (metrics_ != nullptr && i == 0)
                         metrics_->va_credit_stalls->inc();
-                    }
                 }
             }
+            if (!waiting)
+                ip.va_pending &= ~(1u << v);
         }
+        if (ip.va_pending == 0)
+            va_ports_ &= ~(1u << p);
     }
 }
 
@@ -382,6 +422,9 @@ Router::stageSt(Cycle now)
                 ip.nonempty &= ~(1u << op.src_vc);
                 if (ip.nonempty == 0)
                     live_in_ &= ~(1u << op.src_port);
+            } else if (vcbuf.packetCount() >= kLookahead) {
+                // The window slid onto one more entry.
+                refreshPending(op.src_port, op.src_vc);
             }
             --buffered_packets_;
             busy_out_ &= ~(1u << o);
@@ -653,27 +696,44 @@ Router::loadState(CkptReader &r)
 }
 
 void
+Router::refreshPending(int p, int v)
+{
+    auto &ip = in_[static_cast<std::size_t>(p)];
+    const auto &vc = ip.vcs[static_cast<std::size_t>(v)];
+    const std::uint32_t bit = 1u << v;
+    ip.rc_pending &= ~bit;
+    ip.va_pending &= ~bit;
+    const std::size_t depth = std::min(vc.packetCount(), kLookahead);
+    for (std::size_t i = 0; i < depth; ++i) {
+        const VcBuffer::Entry &e = vc.entry(i);
+        if (!e.routed)
+            ip.rc_pending |= bit;
+        else if (!e.va_done)
+            ip.va_pending |= bit;
+    }
+    if (ip.rc_pending != 0)
+        rc_ports_ |= 1u << p;
+    if (ip.va_pending != 0)
+        va_ports_ |= 1u << p;
+}
+
+void
 Router::rebuildLiveState()
 {
     live_in_ = 0;
     sa1_mask_ = 0;
-    unrouted_ = 0;
-    unallocated_ = 0;
+    rc_ports_ = 0;
+    va_ports_ = 0;
     for (std::size_t p = 0; p < in_.size(); ++p) {
-        const InPort &ip = in_[p];
+        InPort &ip = in_[p];
         if (ip.nonempty != 0)
             live_in_ |= 1u << p;
         if (sa1_winner_[p] >= 0)
             sa1_mask_ |= 1u << p;
-        for (const VcBuffer &vc : ip.vcs) {
-            for (std::size_t i = 0; i < vc.packetCount(); ++i) {
-                const VcBuffer::Entry &e = vc.entry(i);
-                if (!e.routed)
-                    ++unrouted_;
-                else if (!e.va_done)
-                    ++unallocated_;
-            }
-        }
+        ip.rc_pending = 0;
+        ip.va_pending = 0;
+        for (int v = 0; v < cfg_.num_vcs; ++v)
+            refreshPending(static_cast<int>(p), v);
     }
 }
 

@@ -11,13 +11,13 @@
  */
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "arb/arbiter.hpp"
 #include "noc/channel.hpp"
 #include "noc/packet.hpp"
+#include "noc/route_table.hpp"
 #include "power/energy.hpp"
 #include "sim/component.hpp"
 #include "sim/flow.hpp"
@@ -52,24 +52,17 @@ struct RouterConfig
     int weight_bits = 5;
 };
 
-/** Result of route computation for one packet at one router. */
-struct RouteDecision
-{
-    int out_port = -1;
-    std::uint8_t out_vc = 0;
-};
-
-/**
- * Routing callback bound by the chip assembly: decides the output port and
- * VC for a packet at this router (using the chip layout and the packet's
- * exit attach point).
- */
-using RouteFn = std::function<RouteDecision(Packet &)>;
-
 class Router final : public Component
 {
   public:
-    Router(std::string name, const RouterConfig &cfg, RouteFn route_fn);
+    /**
+     * @param routes The route table RC reads (not owned; must outlive
+     * the router), and @p id this router's row in it.
+     * @throws std::invalid_argument if @p routes has no row @p id or a
+     * route in it names a port at or above cfg.num_ports.
+     */
+    Router(std::string name, const RouterConfig &cfg,
+           const RouteTable &routes, int id);
 
     /** Attach the channel arriving at input @p port (data in, credits out). */
     void connectIn(int port, Channel &ch);
@@ -182,6 +175,11 @@ class Router final : public Component
         Channel *ch = nullptr;
         std::vector<VcBuffer> vcs;
         std::uint32_t nonempty = 0; ///< bit v set iff vcs[v] holds packets
+        // RC/VA work inside the lookahead window (the first kLookahead
+        // entries of each VC), so those stages visit only VCs that have
+        // some. Bit v set iff the window of vcs[v] holds an entry that
+        std::uint32_t rc_pending = 0; ///< is unrouted
+        std::uint32_t va_pending = 0; ///< is routed but not VC-allocated
     };
 
     struct OutPort
@@ -197,6 +195,11 @@ class Router final : public Component
      * credit wire rings bit kCreditBell + o. */
     static constexpr unsigned kCreditBell = 16;
 
+    /** Entries per VC that RC and VA look at: the packets behind the
+     * head proceed through RC and VA while the head drains, so
+     * back-to-back packets on one VC do not restart the pipeline. */
+    static constexpr std::size_t kLookahead = 4;
+
     void receive(Cycle now);
     void stageRc(Cycle now);
     void stageVa(Cycle now);
@@ -204,12 +207,17 @@ class Router final : public Component
     void stageSa2(Cycle now);
     void stageSt(Cycle now);
     void sampleStalls();
-    /** Recompute the live-state masks and counts from the buffers and
-     * grants (after a checkpoint restore). */
+    /** Recompute VC @p v of input @p p's RC/VA pending bits (and the
+     * port masks) from the entries in its lookahead window. */
+    void refreshPending(int p, int v);
+    /** Recompute the live-state masks from the buffers and grants
+     * (after a checkpoint restore). */
     void rebuildLiveState();
 
     RouterConfig cfg_;
-    RouteFn route_fn_;
+    const RouteTable &routes_;
+    int id_;              ///< this router's row in routes_
+    int vcs_per_class_;   ///< VCs per traffic class (full VC index)
     std::vector<InPort> in_;
     std::vector<OutPort> out_;
     std::vector<std::unique_ptr<Arbiter>> sa1_;      ///< per input port
@@ -227,8 +235,8 @@ class Router final : public Component
     std::uint32_t draining_ = 0;  ///< bit p: in_[p] is crossing the switch
     std::uint32_t busy_out_ = 0;  ///< bit o: out_[o] is granted
     std::uint32_t sa1_mask_ = 0;  ///< bit p: sa1_winner_[p] >= 0
-    int unrouted_ = 0;    ///< buffered entries awaiting RC
-    int unallocated_ = 0; ///< routed entries awaiting VA
+    std::uint32_t rc_ports_ = 0;  ///< bit p: in_[p].rc_pending != 0
+    std::uint32_t va_ports_ = 0;  ///< bit p: in_[p].va_pending != 0
 
     std::uint32_t st_sent_mask_ = 0; ///< bit o: port o sent a flit this cycle
     std::uint64_t flits_routed_ = 0;

@@ -13,16 +13,17 @@ makeRoute(const TorusGeom &geom, NodeId src, NodeId dst, DimOrder order,
     spec.slice = slice;
     spec.dirs.assign(static_cast<std::size_t>(geom.ndims()), Dir::Pos);
 
-    const Coords cs = geom.coords(src);
-    const Coords cd = geom.coords(dst);
     for (int d = 0; d < geom.ndims(); ++d) {
-        const auto dims = geom.minimalDirs(cs[static_cast<std::size_t>(d)],
-                                           cd[static_cast<std::size_t>(d)], d);
-        if (dims.empty())
+        const int k = geom.radix(d);
+        const int fwd =
+            ((geom.coord(dst, d) - geom.coord(src, d)) % k + k) % k;
+        if (fwd == 0)
             continue;
-        const std::size_t pick =
-            dims.size() > 1 ? static_cast<std::size_t>(rng.bit()) : 0;
-        spec.dirs[static_cast<std::size_t>(d)] = dims[pick];
+        // A tie (offset exactly k/2 on an even ring) draws one bit to
+        // pick between TorusGeom::minimalDirs' {Pos, Neg}.
+        const int bwd = k - fwd;
+        const bool neg = fwd == bwd ? rng.bit() : bwd < fwd;
+        spec.dirs[static_cast<std::size_t>(d)] = neg ? Dir::Neg : Dir::Pos;
     }
     return spec;
 }
@@ -65,11 +66,8 @@ int
 nextRouteDim(const TorusGeom &geom, NodeId here, NodeId dst,
              const RouteSpec &spec)
 {
-    const Coords ch = geom.coords(here);
-    const Coords cd = geom.coords(dst);
     for (int d : spec.order) {
-        const auto dd = static_cast<std::size_t>(d);
-        if (ch[dd] != cd[dd])
+        if (geom.coord(here, d) != geom.coord(dst, d))
             return d;
     }
     return -1;

@@ -10,6 +10,9 @@
 
 #include <cassert>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace anton2 {
@@ -77,14 +80,28 @@ std::vector<DimOrder> allDimOrders(int ndims);
 class TorusGeom
 {
   public:
-    /** @param radix Number of nodes along each dimension (each >= 1). */
+    /**
+     * @param radix Number of nodes along each dimension.
+     * @throws std::invalid_argument if any radix is below 1 or the node
+     * count does not fit in NodeId.
+     */
     explicit TorusGeom(std::vector<int> radix) : radix_(std::move(radix))
     {
-        num_nodes_ = 1;
-        for (int k : radix_) {
-            assert(k >= 1);
-            num_nodes_ *= static_cast<NodeId>(k);
+        std::uint64_t nodes = 1;
+        strides_.reserve(radix_.size());
+        for (std::size_t d = 0; d < radix_.size(); ++d) {
+            const int k = radix_[d];
+            if (k < 1)
+                throw std::invalid_argument(
+                    "TorusGeom: radix of dimension " + std::to_string(d)
+                    + " is " + std::to_string(k) + " (must be >= 1)");
+            strides_.push_back(static_cast<NodeId>(nodes));
+            nodes *= static_cast<std::uint64_t>(k);
+            if (nodes > std::numeric_limits<NodeId>::max())
+                throw std::invalid_argument(
+                    "TorusGeom: node count overflows NodeId");
         }
+        num_nodes_ = static_cast<NodeId>(nodes);
     }
 
     /** Convenience constructor for the common 3-D case. */
@@ -101,11 +118,18 @@ class TorusGeom
     coords(NodeId id) const
     {
         Coords c(radix_.size());
-        for (std::size_t d = 0; d < radix_.size(); ++d) {
-            c[d] = static_cast<int>(id % static_cast<NodeId>(radix_[d]));
-            id /= static_cast<NodeId>(radix_[d]);
-        }
+        for (std::size_t d = 0; d < radix_.size(); ++d)
+            c[d] = coord(id, static_cast<int>(d));
         return c;
+    }
+
+    /** Coordinate of node @p id along @p dim (no Coords allocation). */
+    int
+    coord(NodeId id, int dim) const
+    {
+        const auto d = static_cast<std::size_t>(dim);
+        return static_cast<int>((id / strides_[d])
+                                % static_cast<NodeId>(radix_[d]));
     }
 
     /** Coordinates -> node id. */
@@ -133,10 +157,10 @@ class TorusGeom
     NodeId
     neighbor(NodeId node, int dim, Dir dir) const
     {
-        Coords c = coords(node);
-        c[static_cast<std::size_t>(dim)] =
-            neighborCoord(c[static_cast<std::size_t>(dim)], dim, dir);
-        return id(c);
+        const int c = coord(node, dim);
+        const NodeId stride = strides_[static_cast<std::size_t>(dim)];
+        return node - static_cast<NodeId>(c) * stride
+             + static_cast<NodeId>(neighborCoord(c, dim, dir)) * stride;
     }
 
     /**
@@ -200,6 +224,7 @@ class TorusGeom
 
   private:
     std::vector<int> radix_;
+    std::vector<NodeId> strides_; ///< node-id step of one hop per dim
     NodeId num_nodes_;
 };
 

@@ -24,24 +24,23 @@ makePkt(int flits = 1)
     return pkt;
 }
 
-/** Egress test bench: router-side channel -> adapter -> torus channel. */
+/**
+ * Egress test bench: router-side channel -> adapter -> torus channel. The
+ * adapter's torus link crosses the dateline, so a packet on its first
+ * dimension leaves on promotion VC 1 of its traffic class.
+ */
 struct EgressBench
 {
     EgressBench()
         : from_router(1, 1), torus(1, 1)
     {
         ChannelAdapterConfig cfg;
-        cfg.num_vcs = 4;
+        cfg.num_vcs = 4; // 2 traffic classes x 2 promotion VCs
         cfg.buf_flits_per_vc = 8;
         adapter = std::make_unique<ChannelAdapter>(
-            "ca", cfg,
-            [](const PacketPtr &pkt) {
-                return std::vector<IngressCopy>{ { pkt, 0 } };
-            },
-            [this](Packet &, bool commit) {
-                if (commit)
-                    ++commits;
-                return link_vc;
+            "ca", cfg, /*crosses_dateline=*/true,
+            [](const PacketPtr &pkt, std::vector<IngressCopy> &copies) {
+                copies.push_back({ pkt, 0 });
             });
         adapter->connectRouterIn(from_router);
         adapter->connectTorusOut(torus, 8);
@@ -62,8 +61,6 @@ struct EgressBench
     Channel from_router;
     Channel torus;
     std::unique_ptr<ChannelAdapter> adapter;
-    std::uint8_t link_vc = 2;
-    int commits = 0;
 };
 
 TEST(ChannelAdapterUnit, SerializesAtExactly14Over45)
@@ -91,14 +88,38 @@ TEST(ChannelAdapterUnit, SerializesAtExactly14Over45)
 TEST(ChannelAdapterUnit, TorusFlitsCarryTheCommittedLinkVc)
 {
     EgressBench b;
-    b.link_vc = 3;
-    b.offer(makePkt(), 1);
+    // A Reply packet crossing the dateline: promotion VC 1 of class 1,
+    // full link VC 1 * 2 + 1 = 3.
+    auto pkt = makePkt();
+    pkt->tc = TrafficClass::Reply;
+    b.offer(pkt, 1);
     for (int t = 0; t < 30; ++t) {
         b.engine.step();
         (void)b.from_router.credit.take(b.engine.now());
         if (auto phit = b.torus.data.take(b.engine.now())) {
             EXPECT_EQ(phit->vc, 3);
-            EXPECT_EQ(b.commits, 1);
+            EXPECT_TRUE(pkt->vc.crossedInCurrentDim());
+            EXPECT_EQ(pkt->hops, 1);
+            return;
+        }
+    }
+    FAIL() << "flit never emerged";
+}
+
+TEST(ChannelAdapterUnit, NoPromotionFaultKeepsTheUnpromotedVc)
+{
+    EgressBench b;
+    EXPECT_TRUE(b.adapter->crossesDateline());
+    b.adapter->faultNoPromotion();
+    EXPECT_FALSE(b.adapter->crossesDateline());
+    auto pkt = makePkt();
+    b.offer(pkt, 0);
+    for (int t = 0; t < 30; ++t) {
+        b.engine.step();
+        (void)b.from_router.credit.take(b.engine.now());
+        if (auto phit = b.torus.data.take(b.engine.now())) {
+            EXPECT_EQ(phit->vc, 0);
+            EXPECT_FALSE(pkt->vc.crossedInCurrentDim());
             return;
         }
     }
@@ -108,10 +129,10 @@ TEST(ChannelAdapterUnit, TorusFlitsCarryTheCommittedLinkVc)
 TEST(ChannelAdapterUnit, EgressBlocksWithoutPeerCredits)
 {
     EgressBench b;
-    // Peer buffer = 8 flits on VC 2: at most 8 single-flit packets cross
-    // if credits are never returned. Offers are credit-gated the way the
-    // upstream router's output stage would be, so the adapter's ingress
-    // buffer is never overrun.
+    // Peer buffer = 8 flits on link VC 1: at most 8 single-flit packets
+    // cross if credits are never returned. Offers are credit-gated the
+    // way the upstream router's output stage would be, so the adapter's
+    // ingress buffer is never overrun.
     int got = 0, offered = 0, credits = 8;
     for (int t = 0; t < 600; ++t) {
         if (offered < 20 && credits > 0) {
@@ -129,14 +150,16 @@ TEST(ChannelAdapterUnit, EgressBlocksWithoutPeerCredits)
 
 TEST(ChannelAdapterUnit, CommitHappensOncePerPacket)
 {
-    // The egress VC callback must mutate packet state (dateline
-    // promotion) exactly once per granted packet, however often the
+    // Egress must commit the torus hop (dateline promotion and the hop
+    // count) exactly once per granted packet, however often the
     // credit-probe path peeks.
     EgressBench b;
+    std::vector<PacketPtr> pkts;
     int offered = 0, got = 0;
     for (int t = 0; t < 400; ++t) {
         if (offered < 6 && t % 2 == 0) {
-            b.offer(makePkt(), offered % 4);
+            pkts.push_back(makePkt());
+            b.offer(pkts.back(), offered % 4);
             ++offered;
         }
         b.engine.step();
@@ -147,7 +170,8 @@ TEST(ChannelAdapterUnit, CommitHappensOncePerPacket)
         }
     }
     EXPECT_EQ(got, 6);
-    EXPECT_EQ(b.commits, 6);
+    for (const PacketPtr &pkt : pkts)
+        EXPECT_EQ(pkt->hops, 1);
 }
 
 TEST(EndpointUnit, InjectsOneFlitPerCycle)

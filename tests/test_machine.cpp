@@ -313,6 +313,15 @@ TEST(MachineLatency, ZeroTorusLatencyIsRejected)
     EXPECT_NO_THROW(Machine m(cfg));
 }
 
+TEST(MachineShape, RadixBelowOneIsRejected)
+{
+    MachineConfig cfg = smallConfig();
+    cfg.radix = { 4, 0, 4 };
+    EXPECT_THROW(Machine m(cfg), std::invalid_argument);
+    cfg.radix = { 4, -1, 4 };
+    EXPECT_THROW(Machine m(cfg), std::invalid_argument);
+}
+
 TEST(MachineLatency, ZeroOnChipLatencyIsRejected)
 {
     for (Cycle ChipConfig::*field :

@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
 #include <memory>
 
 #include "noc/router.hpp"
@@ -20,10 +22,15 @@ makeTestPacket(int flits)
     auto pkt = std::make_shared<Packet>();
     pkt->size_flits = static_cast<std::uint16_t>(flits);
     pkt->payload.resize(static_cast<std::size_t>(flits));
+    pkt->chip_exit = AttachPoint::forEndpoint(0);
     return pkt;
 }
 
-/** A 2-port router test bench: injector channel -> router -> sink channel. */
+/**
+ * A 2-port router test bench: injector channel -> router -> sink channel.
+ * Its one-router route table sends every packet (all leave at endpoint
+ * slot 0) out of port 1 on the packet's M-group VC, which is 0.
+ */
 struct RouterBench
 {
     explicit RouterBench(int num_vcs = 2, int buf = 4,
@@ -34,8 +41,8 @@ struct RouterBench
         cfg.num_ports = 2;
         cfg.num_vcs = num_vcs;
         cfg.buf_flits_per_vc = buf;
-        router = std::make_unique<Router>(
-            "r", cfg, [this](Packet &) { return decision; });
+        routes.set(0, 0, { 1, VcGroup::Mesh });
+        router = std::make_unique<Router>("r", cfg, routes, 0);
         router->connectIn(0, in);
         router->connectOut(1, out, downstream_buf);
         engine.add(*router);
@@ -81,7 +88,7 @@ struct RouterBench
     Engine engine;
     Channel in;
     Channel out;
-    RouteDecision decision{ 1, 0 };
+    RouteTable routes{ 1, 1, 0 };
     std::unique_ptr<Router> router;
 };
 
@@ -109,7 +116,7 @@ TEST(RouterUnit, TwoFlitPacketStaysContiguous)
             ASSERT_LT(n, 2);
             times[n++] = b.engine.now();
             b.out.credit.send(b.engine.now(), Credit{ phit->vc });
-            EXPECT_EQ(phit->vc, 0); // out_vc from the route decision
+            EXPECT_EQ(phit->vc, 0); // out_vc from the route table
         }
     }
     ASSERT_EQ(n, 2);
@@ -212,7 +219,7 @@ TEST(RouterUnit, VcsArbitrateFairlyAtSa1)
             b.out.credit.send(b.engine.now(), Credit{ out->vc });
         }
     }
-    // Both VCs served. (The route decision maps out_vc = 0 for all in the
+    // Both VCs served. (The route table maps out_vc = 0 for all in the
     // default bench; use input vc labels via modulo instead.)
     EXPECT_GT(got[0] + got[1], 40);
 }
@@ -264,6 +271,112 @@ TEST(RouterUnit, StallAttributionSumsExactlyToSampledCycles)
     EXPECT_GT(cy[static_cast<std::size_t>(StallClass::NoInput)], 0u);
     // aggregate() mirrors the per-port sums.
     EXPECT_EQ(s->aggregate().total(), s->sampled_cycles);
+}
+
+TEST(RouterUnit, LookaheadWindowRoutesAndAllocatesAtPinnedCycles)
+{
+    // Six one-flit packets on one VC against a one-flit downstream
+    // buffer pile up deeper than the 4-entry RC/VA lookahead window:
+    // packets 5 and 6 reach RC only as departures slide the window.
+    // The pinned cycles are those of a router that rescans every
+    // buffered entry each cycle: visiting only pending VCs must not
+    // move them.
+    RouterBench b(2, 8, /*downstream_buf=*/1);
+    RingTraceSink sink(256);
+    b.router->bindTrace(sink, 0, 0);
+    std::vector<Cycle> out_at;
+    for (Cycle t = 0; t < 60; ++t) {
+        if (t < 6) {
+            auto pkt = makeTestPacket(1);
+            pkt->id = t + 1;
+            Phit phit;
+            phit.pkt = pkt;
+            phit.vc = 0;
+            phit.head = phit.tail = true;
+            b.in.data.send(b.engine.now(), phit);
+        }
+        b.engine.step();
+        (void)b.in.credit.take(b.engine.now());
+        if (auto phit = b.out.data.take(b.engine.now())) {
+            out_at.push_back(b.engine.now());
+            b.out.credit.send(b.engine.now(), Credit{ phit->vc });
+        }
+    }
+    // packet id -> {RC, VA, SA2 grant} cycle
+    std::map<std::uint64_t, std::array<Cycle, 3>> at;
+    for (const TraceEvent &ev : sink.drain()) {
+        if (ev.type == TraceEventType::RouteComputed)
+            at[ev.packet][0] = ev.cycle;
+        else if (ev.type == TraceEventType::VcAllocated)
+            at[ev.packet][1] = ev.cycle;
+        else if (ev.type == TraceEventType::SwitchGrant)
+            at[ev.packet][2] = ev.cycle;
+    }
+    const std::map<std::uint64_t, std::array<Cycle, 3>> pinned = {
+        { 1, { 2, 3, 5 } },  { 2, { 3, 4, 7 } },   { 3, { 4, 5, 9 } },
+        { 4, { 5, 7, 11 } }, { 5, { 6, 7, 13 } },  { 6, { 8, 9, 15 } },
+    };
+    EXPECT_EQ(at, pinned);
+    EXPECT_EQ(out_at, (std::vector<Cycle>{ 6, 8, 10, 12, 14, 16 }));
+    EXPECT_FALSE(b.router->busy());
+}
+
+TEST(RouterUnit, VaCreditStallsCountEveryWithheldCycle)
+{
+    // A one-flit downstream buffer whose credit is withheld: the first
+    // packet takes the credit, the second becomes head and is examined
+    // (and counted as a VA credit stall) on every cycle until it comes
+    // back. Counts and cycles are pinned from a router that rescans
+    // every buffered entry each cycle.
+    RouterBench b(2, 8, /*downstream_buf=*/1);
+    MetricsRegistry reg;
+    b.router->bindMetrics(reg, "r");
+    const Counter &stalls = reg.counter("r.va.credit_stalls");
+    int got = 0;
+    Cycle second_out = 0;
+    auto step = [&](bool return_credits) {
+        b.engine.step();
+        (void)b.in.credit.take(b.engine.now());
+        if (auto phit = b.out.data.take(b.engine.now())) {
+            if (++got == 2)
+                second_out = b.engine.now();
+            if (return_credits)
+                b.out.credit.send(b.engine.now(), Credit{ phit->vc });
+        }
+    };
+    for (std::uint64_t id = 1; id <= 2; ++id) {
+        auto pkt = makeTestPacket(1);
+        pkt->id = id;
+        Phit phit;
+        phit.pkt = pkt;
+        phit.vc = 0;
+        phit.head = phit.tail = true;
+        b.in.data.send(b.engine.now(), phit);
+        for (int i = 0; i < 8; ++i)
+            step(false);
+    }
+    for (int i = 0; i < 10; ++i)
+        step(false);
+    EXPECT_EQ(got, 1);
+    EXPECT_EQ(b.engine.now(), 26u);
+    EXPECT_EQ(stalls.value(), 15u);
+
+    const std::uint64_t before = stalls.value();
+    constexpr int kWithheld = 7;
+    for (int i = 0; i < kWithheld; ++i)
+        step(false);
+    EXPECT_EQ(stalls.value(), before + kWithheld);
+    EXPECT_EQ(got, 1);
+
+    // The credit returns: one last stall while it is on the wire, then
+    // the head allocates and the packet leaves.
+    b.out.credit.send(b.engine.now(), Credit{ 0 });
+    for (int i = 0; i < 20; ++i)
+        step(true);
+    EXPECT_EQ(got, 2);
+    EXPECT_EQ(second_out, 37u);
+    EXPECT_EQ(stalls.value(), before + kWithheld + 1);
+    EXPECT_FALSE(b.router->busy());
 }
 
 TEST(RouterUnit, StallSamplerIdleRouterChargesNoInput)

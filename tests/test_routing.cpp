@@ -100,6 +100,77 @@ TEST(Route, NextRouteDimFollowsOrder)
     EXPECT_EQ(nextRouteDim(g, dst, dst, spec), -1);
 }
 
+/** Reference makeRoute: the formulation over Coords and
+ * TorusGeom::minimalDirs that the coordinate-free one must match. */
+RouteSpec
+referenceMakeRoute(const TorusGeom &geom, NodeId src, NodeId dst,
+                   DimOrder order, std::uint8_t slice, Rng &rng)
+{
+    RouteSpec spec;
+    spec.order = std::move(order);
+    spec.slice = slice;
+    spec.dirs.assign(static_cast<std::size_t>(geom.ndims()), Dir::Pos);
+    const Coords cs = geom.coords(src);
+    const Coords cd = geom.coords(dst);
+    for (int d = 0; d < geom.ndims(); ++d) {
+        const auto dims = geom.minimalDirs(cs[static_cast<std::size_t>(d)],
+                                           cd[static_cast<std::size_t>(d)], d);
+        if (dims.empty())
+            continue;
+        const std::size_t pick =
+            dims.size() > 1 ? static_cast<std::size_t>(rng.bit()) : 0;
+        spec.dirs[static_cast<std::size_t>(d)] = dims[pick];
+    }
+    return spec;
+}
+
+/** Reference nextRouteDim over Coords. */
+int
+referenceNextRouteDim(const TorusGeom &geom, NodeId here, NodeId dst,
+                      const RouteSpec &spec)
+{
+    const Coords ch = geom.coords(here);
+    const Coords cd = geom.coords(dst);
+    for (int d : spec.order) {
+        const auto dd = static_cast<std::size_t>(d);
+        if (ch[dd] != cd[dd])
+            return d;
+    }
+    return -1;
+}
+
+TEST(Route, CoordFreeRoutingMatchesCoordsReference)
+{
+    // Every (src, dst) pair, rotating through every dimension order and
+    // both slices; 8x8x8 has k/2 ties in every dimension, so the
+    // tie-break draws must line up exactly.
+    for (const std::vector<int> &radix :
+         { std::vector<int>{ 4, 4, 4 }, { 8, 8, 8 }, { 5, 3, 3 }, { 5 },
+           { 4, 4, 3, 3 } }) {
+        const TorusGeom g(radix);
+        const std::vector<DimOrder> orders = allDimOrders(g.ndims());
+        Rng ref_rng(17);
+        Rng rng(17);
+        std::size_t i = 0;
+        for (NodeId src = 0; src < g.numNodes(); ++src) {
+            for (NodeId dst = 0; dst < g.numNodes(); ++dst, ++i) {
+                const DimOrder &order = orders[i % orders.size()];
+                const auto slice = static_cast<std::uint8_t>(i % kNumSlices);
+                const RouteSpec want =
+                    referenceMakeRoute(g, src, dst, order, slice, ref_rng);
+                const RouteSpec got = makeRoute(g, src, dst, order, slice, rng);
+                ASSERT_EQ(got.order, want.order);
+                ASSERT_EQ(got.slice, want.slice);
+                ASSERT_EQ(got.dirs, want.dirs)
+                    << "src " << src << " dst " << dst;
+                ASSERT_EQ(rng.state(), ref_rng.state());
+                ASSERT_EQ(nextRouteDim(g, src, dst, got),
+                          referenceNextRouteDim(g, src, dst, want));
+            }
+        }
+    }
+}
+
 TEST(MeshRoute, Anton2OrderProducesExpectedHops)
 {
     const MeshGeom m(4, 4);

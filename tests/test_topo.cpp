@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "topo/mesh.hpp"
 #include "topo/torus.hpp"
@@ -26,6 +27,40 @@ TEST(TorusGeom, CoordsDimensionZeroVariesFastest)
     EXPECT_EQ(g.coords(1), (Coords{ 1, 0, 0 }));
     EXPECT_EQ(g.coords(4), (Coords{ 0, 1, 0 }));
     EXPECT_EQ(g.coords(16), (Coords{ 0, 0, 1 }));
+}
+
+TEST(TorusGeom, CoordMatchesCoords)
+{
+    for (const std::vector<int> &radix :
+         { std::vector<int>{ 4, 3, 5 }, { 5 }, { 4, 4, 3, 3 }, { 1, 2, 1 } }) {
+        const TorusGeom g(radix);
+        for (NodeId n = 0; n < g.numNodes(); ++n) {
+            const Coords c = g.coords(n);
+            for (int d = 0; d < g.ndims(); ++d)
+                EXPECT_EQ(g.coord(n, d), c[static_cast<std::size_t>(d)]);
+        }
+    }
+}
+
+TEST(TorusGeom, RejectsRadixBelowOne)
+{
+    using Radix = std::vector<int>;
+    EXPECT_THROW(TorusGeom(Radix{ 0, 4, 4 }), std::invalid_argument);
+    EXPECT_THROW(TorusGeom(Radix{ -1, 4, 4 }), std::invalid_argument);
+    EXPECT_THROW(TorusGeom(Radix{ 4, 4, 0 }), std::invalid_argument);
+    EXPECT_NO_THROW(TorusGeom(Radix{ 1, 1, 1 }));
+}
+
+TEST(TorusGeom, RejectsNodeCountOverflowingNodeId)
+{
+    using Radix = std::vector<int>;
+    // 2^16 x 2^16 = 2^32 nodes: one past the largest NodeId.
+    EXPECT_THROW(TorusGeom(Radix{ 65536, 65536, 1 }), std::invalid_argument);
+    EXPECT_THROW(TorusGeom(Radix{ 1 << 20, 1 << 20, 1 << 20 }),
+                 std::invalid_argument);
+    const TorusGeom widest(Radix{ 65535, 65537, 1 }); // 2^32 - 1 nodes
+    EXPECT_EQ(widest.numNodes(), 0xffffffffu);
+    EXPECT_EQ(widest.coord(widest.numNodes() - 1, 1), 65536);
 }
 
 TEST(TorusGeom, NeighborWrapsAround)
