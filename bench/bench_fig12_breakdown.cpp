@@ -72,7 +72,7 @@ main(int argc, char **argv)
 
     auto pkt = m.makeWrite({ a, ep }, { b, ep });
     Rng tie(1);
-    pkt->route = makeRoute(m.geom(), a, b, DimOrder{ 1, 0, 2 }, 0, tie);
+    makeRoute(m.geom(), a, b, DimOrder{ 1, 0, 2 }, 0, tie, pkt->route);
     pkt->vc = VcState(cfg.chip.vc_policy);
     m.chip(a).setExit(*pkt, 1);
     m.send(pkt);

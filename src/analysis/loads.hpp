@@ -5,19 +5,26 @@
  * Equality of service requires knowing, for every arbiter input, the
  * expected load contributed by each pre-computed traffic pattern. This
  * model traces the route distribution of a pattern (Monte-Carlo over
- * sources, dimension orders, slices, and tie-breaks) through the same
- * ChipLayout::route() geometry the cycle simulator uses, accumulating:
+ * sources, dimension orders, slices, and tie-breaks), accumulating:
  *
  *  - router output-arbiter loads per (router, out port, in port),
  *  - channel-adapter egress/ingress arbiter loads per VC,
  *  - torus and mesh channel loads (for throughput normalization and the
  *    Figure 4 style analysis).
  *
+ * On-chip paths come from the RouteTable the routers' RC stage reads:
+ * the constructor walks it once into a charge table, one list of router
+ * arbiters and mesh channels per (entry attach point, exit slot), so a
+ * traced packet walks the torus dimension by dimension and charges each
+ * chip it crosses from one list.
+ *
  * applyWeights() then programs every inverse-weighted arbiter in a Machine
  * from these loads (Section 3.3).
  */
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <vector>
 
 #include "arb/inverse_weighted.hpp"
@@ -30,6 +37,12 @@ namespace anton2 {
 class LoadModel
 {
   public:
+    /**
+     * @throws std::invalid_argument unless @p geom is a 3-D torus (the
+     * chip layout's placement) and @p num_patterns is at least 1, or if
+     * the route table of @p layout under `chip.dir_order` fails
+     * RouteTable::check().
+     */
     LoadModel(const TorusGeom &geom, const ChipLayout &layout,
               const ChipConfig &chip, int num_patterns = kNumPatterns);
 
@@ -37,12 +50,21 @@ class LoadModel
      * Accumulate pattern @p slot's loads: every core (node x endpoint in
      * @p cores) injects at rate 1 packet/cycle, destinations drawn from
      * @p pattern, destination endpoint uniform over @p cores.
+     * @throws std::invalid_argument if @p slot is not a pattern slot or a
+     * core is not an endpoint of the layout.
      */
     void addPattern(int slot, const TrafficPattern &pattern,
                     const std::vector<EndpointId> &cores,
                     int samples_per_core, Rng &rng);
 
-    /** Trace one concrete unicast route, adding @p weight to slot's loads. */
+    /**
+     * Trace one concrete unicast route, adding @p weight to slot's loads.
+     * @throws std::invalid_argument if @p slot is not a pattern slot, an
+     * address is outside the machine, or @p spec is not a route of this
+     * torus: its order must be a permutation of the dimensions, its
+     * dirs hold one Pos or Neg per dimension, and its slice be a torus
+     * slice.
+     */
     void tracePacket(EndpointAddr src, EndpointAddr dst,
                      const RouteSpec &spec, double weight, int slot);
 
@@ -67,12 +89,37 @@ class LoadModel
     /**
      * Program every inverse-weighted arbiter in @p machine from these
      * loads (no-op for other arbiter policies).
+     * @throws std::invalid_argument if @p machine has another node,
+     * router or channel-adapter count than this model.
      */
     void applyWeights(Machine &machine) const;
 
     int numPatterns() const { return num_patterns_; }
 
   private:
+    /**
+     * One arbiter charge of a chip crossing, as offsets within one
+     * node's block of the router and mesh arrays: the (router, out port,
+     * in port) output-arbiter load, and for a mesh hop the (router, mesh
+     * direction) channel load (-1 for other hops).
+     */
+    struct Charge
+    {
+        std::uint32_t router;
+        std::int32_t mesh;
+    };
+
+    /** tracePacket() on checked arguments. */
+    void trace(EndpointAddr src, EndpointAddr dst, const RouteSpec &spec,
+               double weight, int slot);
+
+    /** Charge @p w for crossing chip @p n from @p entry to @p exit_slot. */
+    void chargeChip(NodeId n, int entry, int exit_slot, double w,
+                    std::vector<double> &router,
+                    std::vector<double> &mesh) const;
+
+    void checkSlot(int slot) const;
+
     std::size_t
     routerIdx(NodeId n, RouterId r, int out_port, int in_port) const
     {
@@ -114,6 +161,19 @@ class LoadModel
     ChipConfig chip_;
     int num_patterns_;
     std::size_t nr_, np_, nca_, nvc_;
+    int num_eps_;   ///< endpoints per chip (charge-table entries 0..E-1)
+    int num_slots_; ///< RouteTable exit slots per entry
+    std::array<std::int64_t, 3> strides_; ///< node-id step per dimension
+    std::vector<int> coords_; ///< coordinate d of node n at [3n + d]
+
+    /**
+     * The charge table: the charges of entry `a` (endpoint `e` is entry
+     * `e`, channel adapter `ca` is entry `E + ca`) to exit slot `s` are
+     * charges_[first_[a * num_slots_ + s] .. first_[a * num_slots_ + s
+     * + 1]). Pairs no route takes have no charges.
+     */
+    std::vector<Charge> charges_;
+    std::vector<std::uint32_t> first_;
 
     /** One flat array per slot for each arbitration-point family. */
     std::vector<std::vector<double>> router_;

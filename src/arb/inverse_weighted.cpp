@@ -1,5 +1,6 @@
 #include "arb/inverse_weighted.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -101,8 +102,6 @@ std::vector<std::vector<std::uint32_t>>
 inverseWeightsFromLoads(const std::vector<std::vector<double>> &loads,
                         int weight_bits)
 {
-    const std::uint32_t max_w = (1u << weight_bits) - 1;
-
     // beta scales the smallest inverse weight to 1 while keeping the
     // largest representable: beta = max_w * min(positive load) keeps
     // m = beta/gamma <= max_w for the heaviest-loaded... note the LARGEST
@@ -117,24 +116,23 @@ inverseWeightsFromLoads(const std::vector<std::vector<double>> &loads,
     }
 
     std::vector<std::vector<std::uint32_t>> out(loads.size());
-    const double beta = max_w * min_load;
     for (std::size_t i = 0; i < loads.size(); ++i) {
         out[i].resize(loads[i].size());
-        for (std::size_t n = 0; n < loads[i].size(); ++n) {
-            const double g = loads[i][n];
-            std::uint32_t m = max_w;
-            if (g > 0.0) {
-                const double exact = beta / g;
-                m = static_cast<std::uint32_t>(std::lround(exact));
-                if (m < 1)
-                    m = 1;
-                if (m > max_w)
-                    m = max_w;
-            }
-            out[i][n] = m;
-        }
+        for (std::size_t n = 0; n < loads[i].size(); ++n)
+            out[i][n] = inverseWeight(loads[i][n], min_load, weight_bits);
     }
     return out;
+}
+
+std::uint32_t
+inverseWeight(double load, double min_load, int weight_bits)
+{
+    const std::uint32_t max_w = (1u << weight_bits) - 1;
+    if (!(load > 0.0))
+        return max_w;
+    const double beta = max_w * min_load;
+    const auto m = static_cast<std::uint32_t>(std::lround(beta / load));
+    return std::clamp(m, 1u, max_w);
 }
 
 } // namespace anton2

@@ -112,4 +112,11 @@ std::vector<std::vector<std::uint32_t>>
 inverseWeightsFromLoads(const std::vector<std::vector<double>> &loads,
                         int weight_bits = kDefaultWeightBits);
 
+/**
+ * One entry of inverseWeightsFromLoads(): the inverse weight of @p load
+ * in a matrix whose smallest positive load is @p min_load (0 if none).
+ */
+std::uint32_t inverseWeight(double load, double min_load,
+                            int weight_bits = kDefaultWeightBits);
+
 } // namespace anton2

@@ -6,9 +6,10 @@
  * on-chip endpoints, and switching the 12 external torus channels (2 slices
  * x 3 dimensions x 2 directions). This class is pure geometry - placement
  * of adapters, skip channels, port assignment, and on-chip route
- * computation - shared by the cycle simulator, the analytic route tracer,
- * the worst-case load search, and the deadlock checker, so that all agree
- * on routes by construction.
+ * computation. The cycle simulator and the analytic load model route
+ * through the RouteTable built from it; the worst-case load search and
+ * the deadlock checker walk route(), against which the table is tested,
+ * so that all agree on routes.
  *
  * Placement (reconstructed from the paper's textual constraints):
  *  - X channels are split across the two I/O edges (U=0 and U=3): slice 1

@@ -200,12 +200,19 @@ Machine::allocPacket()
     if (p == nullptr) {
         p = new Packet();
     } else {
-        // Reset to factory state but keep the payload vector's heap
-        // capacity - skipping that per-packet allocation is the win.
+        // Reset to factory state but keep the heap capacity of the
+        // payload and route vectors - skipping those per-packet
+        // allocations is the win.
         auto payload = std::move(p->payload);
+        auto order = std::move(p->route.order);
+        auto dirs = std::move(p->route.dirs);
         payload.clear();
+        order.clear();
+        dirs.clear();
         *p = Packet{};
         p->payload = std::move(payload);
+        p->route.order = std::move(order);
+        p->route.dirs = std::move(dirs);
     }
     return PacketPtr(p, [pool = pool_](Packet *q) {
         std::lock_guard<std::mutex> lock(pool->mu);
@@ -997,7 +1004,7 @@ Machine::traceFlightCsv()
 void
 Machine::prepareUnicast(Packet &pkt)
 {
-    pkt.route = randomRoute(geom_, pkt.src.node, pkt.dst.node, rng_);
+    randomRoute(geom_, pkt.src.node, pkt.dst.node, rng_, pkt.route);
     pkt.vc = VcState(cfg_.chip.vc_policy);
     const int next = nextRouteDim(geom_, pkt.src.node, pkt.dst.node,
                                   pkt.route);
@@ -1054,7 +1061,10 @@ Machine::sendMulticast(EndpointAddr src, std::int32_t group,
                        std::int32_t counter)
 {
     const McastNodeEntry *entry = chip(src.node).mcastEntry(group);
-    assert(entry != nullptr && "multicast group not installed at source");
+    if (entry == nullptr)
+        throw std::invalid_argument(
+            "sendMulticast: group " + std::to_string(group)
+            + " has no entry at source node " + std::to_string(src.node));
     ++mcast_sends_;
 
     // The source node's table entry is expanded at injection: one packet
@@ -1076,24 +1086,26 @@ Machine::sendMulticast(EndpointAddr src, std::int32_t group,
     };
 
     // The multicast slice comes from the tree's installed entries; the
-    // RouteSpec slice field is what setExit/chip routing consult.
+    // RouteSpec slice field is what setExit/chip routing consult. The
+    // route vectors are written in place, into the pooled capacity.
+    const std::uint8_t slice = group_slices_[static_cast<std::size_t>(group)];
+    auto setRoute = [slice](Packet &pkt) {
+        pkt.route.slice = slice;
+        pkt.route.order.assign({ 0, 1, 2 });
+        pkt.route.dirs.assign(3, Dir::Pos);
+    };
     for (const auto &hop : entry->forward) {
         auto pkt = makeCopy();
         pkt->dst = src; // updated at delivery branches
-        pkt->route.slice = group_slices_[static_cast<std::size_t>(group)];
-        pkt->route.order = DimOrder{ 0, 1, 2 };
-        pkt->route.dirs = { Dir::Pos, Dir::Pos, Dir::Pos };
-        pkt->chip_exit = AttachPoint::forChannel(hop.dim, hop.dir,
-                                                 pkt->route.slice);
+        setRoute(*pkt);
+        pkt->chip_exit = AttachPoint::forChannel(hop.dim, hop.dir, slice);
         pkt->x_through = false;
         send(pkt);
     }
     for (int ep : entry->local) {
         auto pkt = makeCopy();
         pkt->dst = EndpointAddr{ src.node, ep };
-        pkt->route.slice = group_slices_[static_cast<std::size_t>(group)];
-        pkt->route.order = DimOrder{ 0, 1, 2 };
-        pkt->route.dirs = { Dir::Pos, Dir::Pos, Dir::Pos };
+        setRoute(*pkt);
         pkt->mcast_group = -1; // plain local delivery
         pkt->chip_exit = AttachPoint::forEndpoint(ep);
         pkt->x_through = false;

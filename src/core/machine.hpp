@@ -280,6 +280,8 @@ class Machine
     /**
      * Send one packet down an installed tree. The source node's table
      * entry is expanded at injection (one packet per source branch).
+     * @throws std::invalid_argument if @p group has no entry at the
+     * source node: never installed, negative, or a tree without it.
      */
     void sendMulticast(EndpointAddr src, std::int32_t group,
                        std::uint8_t pattern = 0, int size_flits = 1,

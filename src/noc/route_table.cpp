@@ -90,65 +90,77 @@ RouteTable::build(const ChipLayout &layout, const MeshDirOrder &order)
 }
 
 void
-RouteTable::check(const ChipLayout &layout) const
+RouteTable::checkShape(const ChipLayout &layout) const
 {
-    const MeshGeom &mesh = layout.mesh();
-    const int routers = layout.numRouters();
-    if (routers != num_routers_ || layout.numEndpoints() != num_endpoints_
+    if (layout.numRouters() != num_routers_
+        || layout.numEndpoints() != num_endpoints_
         || layout.numChannelAdapters() != num_channels_)
         throw std::invalid_argument("RouteTable: shape differs from the "
                                     "chip layout");
-    // A route that has not left after visiting every router loops.
+}
+
+void
+RouteTable::check(const ChipLayout &layout) const
+{
+    checkShape(layout);
+    std::vector<RouteHop> hops;
     for (int slot = 0; slot < numSlots(); ++slot) {
-        const bool to_endpoint = slot < num_endpoints_;
         const bool through = slot >= num_endpoints_ + num_channels_;
-        const int exit =
-            to_endpoint ? slot : (slot - num_endpoints_) % num_channels_;
-        for (RouterId start = 0; start < routers; ++start) {
+        for (RouterId start = 0; start < num_routers_; ++start) {
             if (step(start, slot).out_port < 0) {
                 if (!through)
                     fail(start, slot, "no route");
                 continue;
             }
-            RouterId here = start;
-            bool left = false;
-            for (int hop = 0; hop <= routers && !left; ++hop) {
-                const RouteStep &s = step(here, slot);
-                if (s.out_port < 0 || s.out_port >= kRouterPorts)
-                    fail(here, slot, "route dead-ends");
-                const RouterPort &port =
-                    layout.routerPorts(here)[static_cast<std::size_t>(
-                        s.out_port)];
-                const bool t_group = port.kind == RouterPort::Kind::Skip
-                                     || port.kind
-                                            == RouterPort::Kind::Channel;
-                if (port.kind == RouterPort::Kind::Unused)
-                    fail(here, slot, "route uses an unwired port");
-                if (t_group != (s.group == VcGroup::Torus))
-                    fail(here, slot, "VC group disagrees with the port");
-                switch (port.kind) {
-                  case RouterPort::Kind::Mesh:
-                    here = mesh.move(here, port.mesh_dir);
-                    break;
-                  case RouterPort::Kind::Skip:
-                    here = port.skip_peer;
-                    break;
-                  case RouterPort::Kind::Channel:
-                  case RouterPort::Kind::Endpoint:
-                    if (to_endpoint
-                            != (port.kind == RouterPort::Kind::Endpoint)
-                        || port.adapter != exit)
-                        fail(here, slot, "route leaves at the wrong exit");
-                    left = true;
-                    break;
-                  case RouterPort::Kind::Unused:
-                    break;
-                }
-            }
-            if (!left)
-                fail(start, slot, "route does not reach its exit");
+            walk(layout, start, slot, hops);
         }
     }
+}
+
+void
+RouteTable::walk(const ChipLayout &layout, RouterId start, int slot,
+                 std::vector<RouteHop> &hops) const
+{
+    checkShape(layout);
+    if (start >= num_routers_ || slot < 0 || slot >= numSlots())
+        fail(static_cast<int>(start), slot, "no such table entry");
+    const bool to_endpoint = slot < num_endpoints_;
+    const int exit =
+        to_endpoint ? slot : (slot - num_endpoints_) % num_channels_;
+    hops.clear();
+    RouterId here = start;
+    // A route that has not left after visiting every router loops.
+    for (int hop = 0; hop <= num_routers_; ++hop) {
+        const RouteStep &s = step(here, slot);
+        if (s.out_port < 0 || s.out_port >= kRouterPorts)
+            fail(here, slot, "route dead-ends");
+        const RouterPort &port =
+            layout.routerPorts(here)[static_cast<std::size_t>(s.out_port)];
+        const bool t_group = port.kind == RouterPort::Kind::Skip
+                             || port.kind == RouterPort::Kind::Channel;
+        if (port.kind == RouterPort::Kind::Unused)
+            fail(here, slot, "route uses an unwired port");
+        if (t_group != (s.group == VcGroup::Torus))
+            fail(here, slot, "VC group disagrees with the port");
+        hops.push_back({ here, s.out_port });
+        switch (port.kind) {
+          case RouterPort::Kind::Mesh:
+            here = layout.mesh().move(here, port.mesh_dir);
+            break;
+          case RouterPort::Kind::Skip:
+            here = port.skip_peer;
+            break;
+          case RouterPort::Kind::Channel:
+          case RouterPort::Kind::Endpoint:
+            if (to_endpoint != (port.kind == RouterPort::Kind::Endpoint)
+                || port.adapter != exit)
+                fail(here, slot, "route leaves at the wrong exit");
+            return;
+          case RouterPort::Kind::Unused:
+            break;
+        }
+    }
+    fail(start, slot, "route does not reach its exit");
 }
 
 } // namespace anton2

@@ -33,6 +33,13 @@ struct RouteStep
     VcGroup group = VcGroup::Mesh;
 };
 
+/** One router on a walked route and the port the route leaves it by. */
+struct RouteHop
+{
+    RouterId router = 0;
+    int out_port = -1;
+};
+
 /**
  * Rows are routers; columns are exit slots. Slot `e` is endpoint `e`,
  * slot `E + ca` is channel adapter `ca` (E = endpoints), and slot
@@ -65,6 +72,20 @@ class RouteTable
      */
     void check(const ChipLayout &layout) const;
 
+    /**
+     * Follow the table from router @p start toward exit slot @p slot,
+     * replacing @p hops with every router the route passes and the port
+     * it leaves that router by; the last hop leaves the chip. This is
+     * the walk check() runs from every router, and the one the load
+     * model charges its on-chip arbiters from.
+     * @throws std::invalid_argument if @p layout differs in shape, if
+     * @p start or @p slot is out of range, or if the route dead-ends,
+     * takes an unwired port or one outside its VC group, leaves at the
+     * wrong exit, or passes every router without leaving.
+     */
+    void walk(const ChipLayout &layout, RouterId start, int slot,
+              std::vector<RouteHop> &hops) const;
+
     int numRouters() const { return num_routers_; }
     int numSlots() const { return num_endpoints_ + 2 * num_channels_; }
 
@@ -92,6 +113,8 @@ class RouteTable
     }
 
   private:
+    void checkShape(const ChipLayout &layout) const;
+
     int num_routers_;
     int num_endpoints_;
     int num_channels_;

@@ -4,6 +4,31 @@
 
 namespace anton2 {
 
+namespace {
+
+/** The travel direction of every dimension, ties drawn from @p rng. */
+void
+drawDirs(const TorusGeom &geom, NodeId src, NodeId dst, Rng &rng,
+         std::vector<Dir> &dirs)
+{
+    dirs.assign(static_cast<std::size_t>(geom.ndims()), Dir::Pos);
+    for (int d = 0; d < geom.ndims(); ++d) {
+        const int k = geom.radix(d);
+        int fwd = geom.coord(dst, d) - geom.coord(src, d);
+        if (fwd < 0)
+            fwd += k;
+        if (fwd == 0)
+            continue;
+        // A tie (offset exactly k/2 on an even ring) draws one bit to
+        // pick between TorusGeom::minimalDirs' {Pos, Neg}.
+        const int bwd = k - fwd;
+        const bool neg = fwd == bwd ? rng.bit() : bwd < fwd;
+        dirs[static_cast<std::size_t>(d)] = neg ? Dir::Neg : Dir::Pos;
+    }
+}
+
+} // namespace
+
 RouteSpec
 makeRoute(const TorusGeom &geom, NodeId src, NodeId dst, DimOrder order,
           std::uint8_t slice, Rng &rng)
@@ -11,36 +36,43 @@ makeRoute(const TorusGeom &geom, NodeId src, NodeId dst, DimOrder order,
     RouteSpec spec;
     spec.order = std::move(order);
     spec.slice = slice;
-    spec.dirs.assign(static_cast<std::size_t>(geom.ndims()), Dir::Pos);
-
-    for (int d = 0; d < geom.ndims(); ++d) {
-        const int k = geom.radix(d);
-        const int fwd =
-            ((geom.coord(dst, d) - geom.coord(src, d)) % k + k) % k;
-        if (fwd == 0)
-            continue;
-        // A tie (offset exactly k/2 on an even ring) draws one bit to
-        // pick between TorusGeom::minimalDirs' {Pos, Neg}.
-        const int bwd = k - fwd;
-        const bool neg = fwd == bwd ? rng.bit() : bwd < fwd;
-        spec.dirs[static_cast<std::size_t>(d)] = neg ? Dir::Neg : Dir::Pos;
-    }
+    drawDirs(geom, src, dst, rng, spec.dirs);
     return spec;
+}
+
+void
+makeRoute(const TorusGeom &geom, NodeId src, NodeId dst,
+          const DimOrder &order, std::uint8_t slice, Rng &rng,
+          RouteSpec &out)
+{
+    out.order = order; // vector self-assignment is a no-op
+    out.slice = slice;
+    drawDirs(geom, src, dst, rng, out.dirs);
 }
 
 RouteSpec
 randomRoute(const TorusGeom &geom, NodeId src, NodeId dst, Rng &rng)
 {
+    RouteSpec spec;
+    randomRoute(geom, src, dst, rng, spec);
+    return spec;
+}
+
+void
+randomRoute(const TorusGeom &geom, NodeId src, NodeId dst, Rng &rng,
+            RouteSpec &out)
+{
     // Draw a uniformly random permutation of the dimensions (Fisher-Yates).
-    DimOrder order(static_cast<std::size_t>(geom.ndims()));
+    DimOrder &order = out.order;
+    order.resize(static_cast<std::size_t>(geom.ndims()));
     for (std::size_t i = 0; i < order.size(); ++i)
         order[i] = static_cast<int>(i);
     for (std::size_t i = order.size(); i > 1; --i) {
         const auto j = static_cast<std::size_t>(rng.below(i));
         std::swap(order[i - 1], order[j]);
     }
-    const auto slice = static_cast<std::uint8_t>(rng.below(kNumSlices));
-    return makeRoute(geom, src, dst, std::move(order), slice, rng);
+    out.slice = static_cast<std::uint8_t>(rng.below(kNumSlices));
+    drawDirs(geom, src, dst, rng, out.dirs);
 }
 
 std::vector<TorusHop>

@@ -46,8 +46,24 @@ struct RouteSpec
 RouteSpec makeRoute(const TorusGeom &geom, NodeId src, NodeId dst,
                     DimOrder order, std::uint8_t slice, Rng &rng);
 
+/**
+ * makeRoute() into @p out, reusing the storage of its vectors: the same
+ * spec from the same RNG draws. @p order may be `out.order` itself.
+ */
+void makeRoute(const TorusGeom &geom, NodeId src, NodeId dst,
+               const DimOrder &order, std::uint8_t slice, Rng &rng,
+               RouteSpec &out);
+
 /** Fully randomized route: random dimension order, slice, and tie-breaks. */
 RouteSpec randomRoute(const TorusGeom &geom, NodeId src, NodeId dst, Rng &rng);
+
+/**
+ * randomRoute() into @p out, reusing the storage of its vectors: the same
+ * spec from the same RNG draws, with no allocation once @p out has held a
+ * route of this torus.
+ */
+void randomRoute(const TorusGeom &geom, NodeId src, NodeId dst, Rng &rng,
+                 RouteSpec &out);
 
 /**
  * Expand a RouteSpec into the exact sequence of inter-node hops from @p src

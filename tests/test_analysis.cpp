@@ -6,6 +6,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <stdexcept>
+#include <string>
+
 #include "analysis/deadlock.hpp"
 #include "analysis/loads.hpp"
 #include "analysis/worst_case.hpp"
@@ -350,6 +355,490 @@ TEST_F(LoadModelTest, TraceAgreesWithSimulatorDeliveryPath)
             static_cast<std::uint64_t>(trial) + 1, 20000)).reason == StopReason::Delivered);
         EXPECT_EQ(static_cast<int>(traced_hops), pkt->hops);
     }
+}
+
+// ---------------------------------------------------------------------
+// Load model against the ChipLayout::route reference tracer
+// ---------------------------------------------------------------------
+
+/**
+ * The load tracer as it was before the charge table: every chip crossing
+ * re-derives its on-chip path through ChipLayout::route, finds each mesh
+ * hop's direction by search, and picks the next torus dimension with
+ * nextRouteDim at every node. Same index layout as LoadModel's arrays,
+ * so every element can be compared with ==.
+ */
+class ReferenceLoads
+{
+  public:
+    ReferenceLoads(const TorusGeom &geom, const ChipLayout &layout,
+                   const ChipConfig &chip, int num_patterns)
+        : geom_(geom),
+          layout_(layout),
+          chip_(chip),
+          nr_(static_cast<std::size_t>(layout.numRouters())),
+          np_(static_cast<std::size_t>(kRouterPorts)),
+          nca_(static_cast<std::size_t>(layout.numChannelAdapters())),
+          nvc_(static_cast<std::size_t>(chip.numVcs()))
+    {
+        const auto nodes = static_cast<std::size_t>(geom.numNodes());
+        const auto slots = static_cast<std::size_t>(num_patterns);
+        router.assign(slots, std::vector<double>(nodes * nr_ * np_ * np_));
+        ca_egress.assign(slots, std::vector<double>(nodes * nca_ * nvc_));
+        ca_ingress.assign(slots, std::vector<double>(nodes * nca_ * nvc_));
+        torus.assign(slots, std::vector<double>(nodes * 3 * 2 * kNumSlices));
+        mesh.assign(slots, std::vector<double>(nodes * nr_ * kNumMeshDirs));
+    }
+
+    void
+    addPattern(int slot, const TrafficPattern &pattern,
+               const std::vector<EndpointId> &cores, int samples_per_core,
+               Rng &rng)
+    {
+        const double w = 1.0 / static_cast<double>(samples_per_core);
+        for (NodeId n = 0; n < geom_.numNodes(); ++n) {
+            for (EndpointId e : cores) {
+                for (int s = 0; s < samples_per_core; ++s) {
+                    const NodeId dst_node = pattern.dest(n, rng);
+                    const EndpointId dst_ep =
+                        cores[rng.below(cores.size())];
+                    const RouteSpec spec =
+                        randomRoute(geom_, n, dst_node, rng);
+                    tracePacket({ n, e }, { dst_node, dst_ep }, spec, w,
+                                slot);
+                }
+            }
+        }
+    }
+
+    void
+    tracePacket(EndpointAddr src, EndpointAddr dst, const RouteSpec &spec,
+                double weight, int slot)
+    {
+        auto &rt = router[static_cast<std::size_t>(slot)];
+        auto &eg = ca_egress[static_cast<std::size_t>(slot)];
+        auto &in = ca_ingress[static_cast<std::size_t>(slot)];
+        auto &tor = torus[static_cast<std::size_t>(slot)];
+        auto &msh = mesh[static_cast<std::size_t>(slot)];
+        const int vpc = chip_.vcsPerClass();
+        auto fullVc = [&](int promo) {
+            return fullVcIndex(TrafficClass::Request, promo, vpc);
+        };
+
+        VcState vc(chip_.vc_policy);
+        NodeId here = src.node;
+        AttachPoint entry = AttachPoint::forEndpoint(src.ep);
+        for (int guard = 0; guard < 1024; ++guard) {
+            const int next = nextRouteDim(geom_, here, dst.node, spec);
+            if (entry.kind == AttachPoint::Kind::Channel) {
+                const int ca = ChipLayout::channelAdapterIndex(
+                    entry.dim, entry.dir, entry.slice);
+                in[caIdx(here, ca, fullVc(vc.torusVc()))] += weight;
+                if (next != entry.dim)
+                    vc.onDimComplete();
+            }
+            const AttachPoint exit =
+                next < 0 ? AttachPoint::forEndpoint(dst.ep)
+                         : AttachPoint::forChannel(
+                               next,
+                               spec.dirs[static_cast<std::size_t>(next)],
+                               spec.slice);
+            int in_port = -1;
+            for (const auto &c :
+                 layout_.route(entry, exit, chip_.dir_order)) {
+                switch (c.kind) {
+                  case ChipChannel::Kind::EndpointToRouter:
+                    in_port = layout_.endpointPort(c.to_router, c.adapter);
+                    break;
+                  case ChipChannel::Kind::AdapterToRouter:
+                    in_port = layout_.channelPort(c.to_router, c.adapter);
+                    break;
+                  case ChipChannel::Kind::Mesh: {
+                      MeshDir d = MeshDir::UPos;
+                      for (MeshDir cand : kMeshDirs) {
+                          if (layout_.mesh().canMove(c.from_router, cand)
+                              && layout_.mesh().move(c.from_router, cand)
+                                     == c.to_router) {
+                              d = cand;
+                              break;
+                          }
+                      }
+                      rt[routerIdx(here, c.from_router,
+                                   layout_.meshPort(c.from_router, d),
+                                   in_port)] += weight;
+                      msh[(static_cast<std::size_t>(here) * nr_
+                           + c.from_router)
+                              * kNumMeshDirs
+                          + static_cast<std::size_t>(meshDirIdx(d))] +=
+                          weight;
+                      in_port =
+                          layout_.meshPort(c.to_router, meshOpposite(d));
+                      break;
+                  }
+                  case ChipChannel::Kind::Skip:
+                    rt[routerIdx(here, c.from_router,
+                                 layout_.skipPort(c.from_router), in_port)] +=
+                        weight;
+                    in_port = layout_.skipPort(c.to_router);
+                    break;
+                  case ChipChannel::Kind::RouterToAdapter:
+                    rt[routerIdx(here, c.from_router,
+                                 layout_.channelPort(c.from_router,
+                                                     c.adapter),
+                                 in_port)] += weight;
+                    break;
+                  case ChipChannel::Kind::RouterToEndpoint:
+                    rt[routerIdx(here, c.from_router,
+                                 layout_.endpointPort(c.from_router,
+                                                      c.adapter),
+                                 in_port)] += weight;
+                    break;
+                }
+            }
+            if (next < 0)
+                return;
+            const Dir dir = spec.dirs[static_cast<std::size_t>(next)];
+            const int ca =
+                ChipLayout::channelAdapterIndex(next, dir, spec.slice);
+            eg[caIdx(here, ca, fullVc(vc.torusVc()))] += weight;
+            tor[((static_cast<std::size_t>(here) * 3
+                  + static_cast<std::size_t>(next))
+                     * 2
+                 + static_cast<std::size_t>(dirIndex(dir)))
+                    * kNumSlices
+                + spec.slice] += weight;
+            const int from = geom_.coord(here, next);
+            const int to = geom_.neighborCoord(from, next, dir);
+            vc.onTorusHop(geom_.crossesDateline(from, to, next));
+            here = geom_.neighbor(here, next, dir);
+            entry = AttachPoint::forChannel(next, opposite(dir), spec.slice);
+        }
+        FAIL() << "reference route failed to terminate";
+    }
+
+    /** Every array element of @p lm equals this reference's. */
+    void
+    expectEqual(const LoadModel &lm) const
+    {
+        const int slots = static_cast<int>(router.size());
+        ASSERT_EQ(lm.numPatterns(), slots);
+        std::size_t mismatches = 0;
+        auto same = [&](double got, double want) {
+            mismatches += got == want ? 0 : 1;
+        };
+        for (int p = 0; p < slots; ++p) {
+            const auto ps = static_cast<std::size_t>(p);
+            for (NodeId n = 0; n < geom_.numNodes(); ++n) {
+                for (RouterId r = 0; r < layout_.numRouters(); ++r) {
+                    for (int o = 0; o < kRouterPorts; ++o)
+                        for (int i = 0; i < kRouterPorts; ++i)
+                            same(lm.routerLoad(n, r, o, i, p),
+                                 router[ps][routerIdx(n, r, o, i)]);
+                    for (MeshDir d : kMeshDirs)
+                        same(lm.meshLoad(n, r, d, p),
+                             mesh[ps][(static_cast<std::size_t>(n) * nr_
+                                       + r)
+                                          * kNumMeshDirs
+                                      + static_cast<std::size_t>(
+                                          meshDirIdx(d))]);
+                }
+                for (int ca = 0; ca < layout_.numChannelAdapters(); ++ca) {
+                    for (int v = 0; v < chip_.numVcs(); ++v) {
+                        same(lm.caEgressLoad(n, ca, v, p),
+                             ca_egress[ps][caIdx(n, ca, v)]);
+                        same(lm.caIngressLoad(n, ca, v, p),
+                             ca_ingress[ps][caIdx(n, ca, v)]);
+                    }
+                }
+                for (int d = 0; d < 3; ++d)
+                    for (Dir dir : kDirs)
+                        for (int s = 0; s < kNumSlices; ++s)
+                            same(lm.torusLoad(n, d, dir, s, p),
+                                 torus[ps][((static_cast<std::size_t>(n) * 3
+                                             + static_cast<std::size_t>(d))
+                                                * 2
+                                            + static_cast<std::size_t>(
+                                                dirIndex(dir)))
+                                               * kNumSlices
+                                           + static_cast<std::size_t>(s)]);
+            }
+        }
+        EXPECT_EQ(mismatches, 0u);
+    }
+
+    /**
+     * Every inverse-weighted arbiter of @p m holds the weights the
+     * pre-charge-table applyWeights programmed: inverseWeightsFromLoads
+     * over the arbiter's (input, pattern) load matrix.
+     */
+    void
+    expectWeights(Machine &m) const
+    {
+        const auto slots = router.size();
+        std::size_t arbiters = 0, mismatches = 0;
+        auto check = [&](InverseWeightedArbiter *arb,
+                         const std::vector<std::vector<double>> &loads,
+                         std::size_t base) {
+            if (arb == nullptr)
+                return;
+            ++arbiters;
+            const auto k = static_cast<std::size_t>(arb->numInputs());
+            std::vector<std::vector<double>> mat(k,
+                                                 std::vector<double>(slots));
+            for (std::size_t i = 0; i < k; ++i)
+                for (std::size_t p = 0; p < slots; ++p)
+                    mat[i][p] = loads[p][base + i];
+            const auto w =
+                inverseWeightsFromLoads(mat, chip_.weight_bits);
+            const auto &acc = arb->accumulators();
+            for (std::size_t i = 0; i < k; ++i)
+                for (int p = 0; p < acc.numPatterns(); ++p) {
+                    const auto src = std::min(static_cast<std::size_t>(p),
+                                              slots - 1);
+                    mismatches += acc.weight(static_cast<int>(i), p)
+                                          == w[i][src]
+                                      ? 0
+                                      : 1;
+                }
+        };
+        for (NodeId n = 0; n < geom_.numNodes(); ++n) {
+            Chip &chip = m.chip(n);
+            for (RouterId r = 0; r < layout_.numRouters(); ++r)
+                for (int port = 0; port < kRouterPorts; ++port)
+                    check(chip.router(r).outputArbiter(port), router,
+                          routerIdx(n, r, port, 0));
+            for (int ca = 0; ca < layout_.numChannelAdapters(); ++ca) {
+                check(chip.channelAdapter(ca).egressArbiter(), ca_egress,
+                      caIdx(n, ca, 0));
+                check(chip.channelAdapter(ca).ingressArbiter(), ca_ingress,
+                      caIdx(n, ca, 0));
+            }
+        }
+        EXPECT_GT(arbiters, 0u);
+        EXPECT_EQ(mismatches, 0u);
+    }
+
+    std::vector<std::vector<double>> router, ca_egress, ca_ingress, torus,
+        mesh;
+
+  private:
+    std::size_t
+    routerIdx(NodeId n, RouterId r, int out_port, int in_port) const
+    {
+        return ((static_cast<std::size_t>(n) * nr_ + r) * np_
+                + static_cast<std::size_t>(out_port))
+                   * np_
+               + static_cast<std::size_t>(in_port);
+    }
+
+    std::size_t
+    caIdx(NodeId n, int ca, int vc) const
+    {
+        return (static_cast<std::size_t>(n) * nca_
+                + static_cast<std::size_t>(ca))
+                   * nvc_
+               + static_cast<std::size_t>(vc);
+    }
+
+    const TorusGeom &geom_;
+    const ChipLayout &layout_;
+    ChipConfig chip_;
+    std::size_t nr_, np_, nca_, nvc_;
+};
+
+struct LoadCase
+{
+    std::vector<int> radix;
+    int endpoints;
+    VcPolicy policy;
+    MeshDirOrder order;
+    int samples;
+};
+
+void
+PrintTo(const LoadCase &lc, std::ostream *os)
+{
+    *os << lc.radix[0] << "x" << lc.radix[1] << "x" << lc.radix[2] << ", "
+        << lc.endpoints << " endpoints, " << vcPolicyName(lc.policy) << ", "
+        << (lc.order == anton2DirOrder() ? "Anton 2" : "other")
+        << " mesh order, " << lc.samples << " samples/core";
+}
+
+class LoadModelReference : public ::testing::TestWithParam<LoadCase>
+{
+};
+
+TEST_P(LoadModelReference, LoadsAndWeightsMatchTheChipLayoutTracer)
+{
+    const LoadCase &lc = GetParam();
+    MachineConfig cfg;
+    cfg.radix = lc.radix;
+    cfg.chip.endpoints_per_node = lc.endpoints;
+    cfg.chip.vc_policy = lc.policy;
+    cfg.chip.dir_order = lc.order;
+    cfg.chip.arb = ArbPolicy::InverseWeighted;
+    cfg.use_packaging = false;
+    Machine m(cfg);
+    const TorusGeom &geom = m.geom();
+
+    // Slots: uniform, tornado, 2-hop neighbour; cores spread over the
+    // chip so entries at many routers are charged.
+    const UniformPattern uniform(geom);
+    const TornadoPattern tornado(geom);
+    const NHopNeighborPattern two_hop(geom, 2);
+    const TrafficPattern *patterns[] = { &uniform, &tornado, &two_hop };
+    std::vector<EndpointId> cores;
+    for (EndpointId e = 0; e < lc.endpoints; e += 3)
+        cores.push_back(e);
+
+    LoadModel lm(geom, m.layout(), cfg.chip, 3);
+    ReferenceLoads ref(geom, m.layout(), cfg.chip, 3);
+    Rng a(17), b(17);
+    for (int slot = 0; slot < 3; ++slot) {
+        lm.addPattern(slot, *patterns[slot], cores, lc.samples, a);
+        ref.addPattern(slot, *patterns[slot], cores, lc.samples, b);
+    }
+    EXPECT_EQ(a.next(), b.next()) << "same RNG draws";
+
+    // Hand-built specs too: any order, any direction per dimension
+    // (minimal or the long way round), either slice, any endpoints.
+    Rng h(23);
+    for (int i = 0; i < 500; ++i) {
+        const auto src = static_cast<NodeId>(h.below(geom.numNodes()));
+        const auto dst = static_cast<NodeId>(h.below(geom.numNodes()));
+        RouteSpec spec = randomRoute(geom, src, dst, h);
+        for (Dir &d : spec.dirs)
+            d = h.bit() ? Dir::Neg : Dir::Pos;
+        const EndpointAddr s{ src, static_cast<EndpointId>(
+                                       h.below(static_cast<std::uint64_t>(
+                                           lc.endpoints))) };
+        const EndpointAddr t{ dst, static_cast<EndpointId>(
+                                       h.below(static_cast<std::uint64_t>(
+                                           lc.endpoints))) };
+        lm.tracePacket(s, t, spec, 0.125, 1);
+        ref.tracePacket(s, t, spec, 0.125, 1);
+    }
+    ref.expectEqual(lm);
+
+    lm.applyWeights(m);
+    ref.expectWeights(m);
+}
+
+MeshDirOrder
+otherDirOrder()
+{
+    return { MeshDir::UPos, MeshDir::UNeg, MeshDir::VPos, MeshDir::VNeg };
+}
+
+std::string
+loadCaseName(const ::testing::TestParamInfo<LoadCase> &info)
+{
+    const LoadCase &lc = info.param;
+    std::string policy = vcPolicyName(lc.policy);
+    std::replace(policy.begin(), policy.end(), '-', '_');
+    return "k" + std::to_string(lc.radix[0]) + "x"
+           + std::to_string(lc.radix[1]) + "x" + std::to_string(lc.radix[2])
+           + "_e" + std::to_string(lc.endpoints) + "_" + policy
+           + (lc.order == anton2DirOrder() ? "_anton2order" : "_otherorder");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, LoadModelReference,
+    ::testing::Values(
+        LoadCase{ { 4, 4, 4 }, 23, VcPolicy::Anton2, anton2DirOrder(), 24 },
+        LoadCase{ { 4, 4, 4 }, 8, VcPolicy::Baseline2n, otherDirOrder(),
+                  24 },
+        LoadCase{ { 8, 8, 8 }, 8, VcPolicy::Anton2, anton2DirOrder(), 2 },
+        LoadCase{ { 8, 8, 8 }, 8, VcPolicy::Baseline2n, otherDirOrder(),
+                  1 },
+        LoadCase{ { 3, 5, 8 }, 23, VcPolicy::Anton2, otherDirOrder(), 8 },
+        LoadCase{ { 3, 5, 8 }, 8, VcPolicy::Baseline2n, anton2DirOrder(),
+                  8 }),
+    loadCaseName);
+
+// ---------------------------------------------------------------------
+// Load model input checks
+// ---------------------------------------------------------------------
+
+TEST_F(LoadModelTest, RejectsTorusWithoutThreeDimensions)
+{
+    const TorusGeom four({ 2, 2, 2, 2 });
+    EXPECT_THROW(LoadModel(four, layout_, chip_, 1), std::invalid_argument);
+    const TorusGeom two({ 4, 4 });
+    EXPECT_THROW(LoadModel(two, layout_, chip_, 1), std::invalid_argument);
+    EXPECT_THROW(LoadModel(geom_, layout_, chip_, 0), std::invalid_argument);
+}
+
+TEST_F(LoadModelTest, ApplyWeightsRejectsAMachineOfAnotherShape)
+{
+    LoadModel lm(geom_, layout_, chip_, 1);
+    MachineConfig mcfg;
+    mcfg.radix = { 2, 4, 4 };
+    mcfg.chip = chip_;
+    mcfg.chip.arb = ArbPolicy::InverseWeighted;
+    Machine smaller(mcfg);
+    EXPECT_THROW(lm.applyWeights(smaller), std::invalid_argument);
+    mcfg.radix = { 4, 4, 4 };
+    Machine same(mcfg);
+    EXPECT_NO_THROW(lm.applyWeights(same));
+}
+
+TEST_F(LoadModelTest, RejectsOrdersThatAreNotPermutations)
+{
+    LoadModel lm(geom_, layout_, chip_, 1);
+    Rng rng(1);
+    const NodeId dst = geom_.id({ 1, 2, 3 });
+    const RouteSpec good = makeRoute(geom_, 0, dst, DimOrder{ 2, 0, 1 }, 1,
+                                     rng);
+    for (const DimOrder &order :
+         { DimOrder{ 0, 1 }, DimOrder{ 0, 1, 1 }, DimOrder{ 0, 1, 2, 0 },
+           DimOrder{ 0, 1, 3 }, DimOrder{ -1, 1, 2 }, DimOrder{} }) {
+        RouteSpec bad = good;
+        bad.order = order;
+        EXPECT_THROW(lm.tracePacket({ 0, 0 }, { dst, 1 }, bad, 1.0, 0),
+                     std::invalid_argument);
+    }
+    EXPECT_EQ(lm.maxTorusLoad(0), 0.0) << "a rejected spec charges nothing";
+    EXPECT_NO_THROW(lm.tracePacket({ 0, 0 }, { dst, 1 }, good, 1.0, 0));
+}
+
+TEST_F(LoadModelTest, RejectsMalformedDirsSliceAndAddresses)
+{
+    LoadModel lm(geom_, layout_, chip_, 1);
+    Rng rng(1);
+    const NodeId dst = geom_.id({ 1, 2, 3 });
+    const RouteSpec good = makeRoute(geom_, 0, dst, DimOrder{ 0, 1, 2 }, 0,
+                                     rng);
+    auto rejects = [&](EndpointAddr src, EndpointAddr to,
+                       const RouteSpec &spec, int slot) {
+        EXPECT_THROW(lm.tracePacket(src, to, spec, 1.0, slot),
+                     std::invalid_argument);
+    };
+    RouteSpec bad = good;
+    bad.dirs.pop_back();
+    rejects({ 0, 0 }, { dst, 1 }, bad, 0);
+    bad = good;
+    bad.dirs.push_back(Dir::Pos);
+    rejects({ 0, 0 }, { dst, 1 }, bad, 0);
+    bad = good;
+    bad.dirs[1] = static_cast<Dir>(0);
+    rejects({ 0, 0 }, { dst, 1 }, bad, 0);
+    bad = good;
+    bad.slice = kNumSlices;
+    rejects({ 0, 0 }, { dst, 1 }, bad, 0);
+    rejects({ geom_.numNodes(), 0 }, { dst, 1 }, good, 0);
+    rejects({ 0, 0 }, { dst, layout_.numEndpoints() }, good, 0);
+    rejects({ 0, -1 }, { dst, 1 }, good, 0);
+    rejects({ 0, 0 }, { dst, 1 }, good, 1);
+    rejects({ 0, 0 }, { dst, 1 }, good, -1);
+
+    const UniformPattern uniform(geom_);
+    EXPECT_THROW(lm.addPattern(0, uniform, { 0, layout_.numEndpoints() }, 1,
+                               rng),
+                 std::invalid_argument);
+    EXPECT_THROW(lm.addPattern(1, uniform, { 0 }, 1, rng),
+                 std::invalid_argument);
+    EXPECT_EQ(lm.maxTorusLoad(0), 0.0) << "a rejected call charges nothing";
 }
 
 } // namespace

@@ -228,6 +228,62 @@ TEST(Machine, MulticastDeliversToAllDestinations)
     EXPECT_EQ(delivered_nodes.size(), dests.size());
 }
 
+TEST(Machine, MulticastWithoutAnEntryAtTheSourceIsRejected)
+{
+    Machine m(smallConfig());
+    const NodeId root = m.geom().id({ 1, 1, 1 });
+    const std::vector<McastDest> dests = {
+        { m.geom().id({ 2, 1, 1 }), 1 }, { m.geom().id({ 1, 2, 1 }), 2 }
+    };
+    Rng tie(3);
+    const McastTree tree =
+        buildMcastTree(m.geom(), root, dests, DimOrder{ 0, 1, 2 }, 0, tie);
+    const std::int32_t group = m.installTree(tree);
+    NodeId outside = 0;
+    while (tree.nodes.count(outside) != 0)
+        ++outside;
+
+    EXPECT_THROW(m.sendMulticast({ root, 0 }, group + 1),
+                 std::invalid_argument); // never installed
+    EXPECT_THROW(m.sendMulticast({ root, 0 }, -1), std::invalid_argument);
+    EXPECT_THROW(m.sendMulticast({ outside, 0 }, group),
+                 std::invalid_argument); // installed, but not at the source
+
+    // The rejected sends injected nothing; the group still works.
+    m.sendMulticast({ root, 0 }, group);
+    ASSERT_EQ(m.run(RunSpec::untilDelivered(dests.size(), 50000)).reason,
+              StopReason::Delivered);
+    EXPECT_EQ(m.totalDelivered(), dests.size());
+}
+
+TEST(Machine, RecycledPacketsKeepTheirRouteStorage)
+{
+    // A pooled packet comes back with empty route vectors that keep
+    // their capacity, and the next unicast draws its route into them. A
+    // capacity no fresh route has tells kept storage from a reallocation
+    // that happens to reuse the freed block.
+    Machine m(smallConfig());
+    const TorusGeom &g = m.geom();
+    const NodeId far = g.id({ 2, 3, 1 });
+    PacketPtr first = m.makeWrite({ 0, 0 }, { far, 1 });
+    first->route.order.reserve(64);
+    first->route.dirs.reserve(64);
+    const Packet *raw = first.get();
+    const int *order = first->route.order.data();
+    const Dir *dirs = first->route.dirs.data();
+    first.reset(); // back to the pool
+
+    const NodeId src = g.id({ 3, 0, 2 });
+    PacketPtr second = m.makeWrite({ src, 2 }, { 0, 3 });
+    ASSERT_EQ(second.get(), raw) << "the pool hands the same packet back";
+    EXPECT_EQ(second->route.order.capacity(), 64u);
+    EXPECT_EQ(second->route.dirs.capacity(), 64u);
+    EXPECT_EQ(second->route.order.data(), order);
+    EXPECT_EQ(second->route.dirs.data(), dirs);
+    EXPECT_EQ(static_cast<int>(torusHops(g, src, 0, second->route).size()),
+              g.hopDistance(src, 0));
+}
+
 TEST(Machine, MulticastSavesTorusHops)
 {
     const TorusGeom g(8, 8, 8);

@@ -171,6 +171,89 @@ TEST(Route, CoordFreeRoutingMatchesCoordsReference)
     }
 }
 
+/** Reference randomRoute: the by-value formulation that builds a new
+ * order vector and hands it to makeRoute. */
+RouteSpec
+referenceRandomRoute(const TorusGeom &geom, NodeId src, NodeId dst, Rng &rng)
+{
+    DimOrder order(static_cast<std::size_t>(geom.ndims()));
+    for (std::size_t i = 0; i < order.size(); ++i)
+        order[i] = static_cast<int>(i);
+    for (std::size_t i = order.size(); i > 1; --i) {
+        const auto j = static_cast<std::size_t>(rng.below(i));
+        std::swap(order[i - 1], order[j]);
+    }
+    const auto slice = static_cast<std::uint8_t>(rng.below(kNumSlices));
+    return makeRoute(geom, src, dst, std::move(order), slice, rng);
+}
+
+TEST(Route, InPlaceDrawsMatchByValue)
+{
+    // Into a fresh spec and into one spec reused across (src, dst) pairs
+    // and tori, the in-place draws must return the by-value spec (which
+    // randomRoute checks against the reference) and leave the Rng in the
+    // same state. 8x8x8 has k/2 ties in every dimension, so the
+    // tie-break draws must line up too.
+    RouteSpec reused;
+    for (const std::vector<int> &radix :
+         { std::vector<int>{ 4, 4, 4 }, { 8, 8, 8 }, { 3, 5, 8 } }) {
+        const TorusGeom g(radix);
+        const std::vector<DimOrder> orders = allDimOrders(g.ndims());
+        Rng ref_rng(29), by_value(29), fresh_rng(29), reused_rng(29),
+            pick(31);
+        const int *order_storage = nullptr;
+        const Dir *dirs_storage = nullptr;
+        for (int i = 0; i < 12000; ++i) {
+            const auto src = static_cast<NodeId>(pick.below(g.numNodes()));
+            const auto dst = static_cast<NodeId>(pick.below(g.numNodes()));
+            RouteSpec want, fresh;
+            if (i % 2 == 0) {
+                const RouteSpec ref = referenceRandomRoute(g, src, dst,
+                                                           ref_rng);
+                want = randomRoute(g, src, dst, by_value);
+                ASSERT_EQ(want.order, ref.order) << "draw " << i;
+                ASSERT_EQ(want.slice, ref.slice) << "draw " << i;
+                ASSERT_EQ(want.dirs, ref.dirs) << "draw " << i;
+                ASSERT_EQ(by_value.state(), ref_rng.state());
+                randomRoute(g, src, dst, fresh_rng, fresh);
+                randomRoute(g, src, dst, reused_rng, reused);
+            } else {
+                const DimOrder &order = orders[pick.below(orders.size())];
+                const auto slice =
+                    static_cast<std::uint8_t>(pick.below(kNumSlices));
+                want = makeRoute(g, src, dst, order, slice, by_value);
+                ref_rng = by_value; // the reference covers randomRoute
+                makeRoute(g, src, dst, order, slice, fresh_rng, fresh);
+                makeRoute(g, src, dst, order, slice, reused_rng, reused);
+            }
+            for (const RouteSpec *got : { &fresh, &reused }) {
+                ASSERT_EQ(got->order, want.order) << "draw " << i;
+                ASSERT_EQ(got->slice, want.slice) << "draw " << i;
+                ASSERT_EQ(got->dirs, want.dirs) << "draw " << i;
+            }
+            ASSERT_EQ(fresh_rng.state(), by_value.state()) << "draw " << i;
+            ASSERT_EQ(reused_rng.state(), by_value.state()) << "draw " << i;
+            // The reused spec keeps its storage: no allocation per draw.
+            if (i > 0) {
+                ASSERT_EQ(reused.order.data(), order_storage);
+                ASSERT_EQ(reused.dirs.data(), dirs_storage);
+            }
+            order_storage = reused.order.data();
+            dirs_storage = reused.dirs.data();
+        }
+        // The order argument may alias the output spec's own order.
+        const RouteSpec before = reused;
+        Rng a(7), b(7);
+        makeRoute(g, 0, g.numNodes() - 1, reused.order, reused.slice, a,
+                  reused);
+        const RouteSpec want = makeRoute(g, 0, g.numNodes() - 1,
+                                         before.order, before.slice, b);
+        EXPECT_EQ(reused.order, want.order);
+        EXPECT_EQ(reused.dirs, want.dirs);
+        EXPECT_EQ(a.state(), b.state());
+    }
+}
+
 TEST(MeshRoute, Anton2OrderProducesExpectedHops)
 {
     const MeshGeom m(4, 4);
