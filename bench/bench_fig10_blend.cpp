@@ -33,6 +33,10 @@ namespace {
 
 enum class WeightMode { None, Forward, Reverse, Both };
 
+/** Endpoints per node of every machine this bench builds: the ceiling
+ * for --cores. */
+constexpr int kEndpointsPerNode = 8;
+
 double
 runBlend(const std::vector<int> &radix, int cores, std::uint64_t batch,
          WeightMode mode, double reverse_fraction, std::uint64_t seed,
@@ -40,11 +44,9 @@ runBlend(const std::vector<int> &radix, int cores, std::uint64_t batch,
          const bench::HostProfileOptions &host_profile, bool probe,
          std::string *report_body, std::string *host_json)
 {
-    HostProfiler prof;
-    prof.beginPhase("build");
     MachineConfig cfg;
     cfg.radix = radix;
-    cfg.chip.endpoints_per_node = 8;
+    cfg.chip.endpoints_per_node = kEndpointsPerNode;
     cfg.chip.arb = mode == WeightMode::None ? ArbPolicy::RoundRobin
                                             : ArbPolicy::InverseWeighted;
     cfg.use_packaging = false;
@@ -128,17 +130,17 @@ runBlend(const std::vector<int> &radix, int cores, std::uint64_t batch,
     dcfg.blend_fraction2 = reverse_fraction;
     BatchDriver driver(m, dcfg);
     m.engine().add(driver);
-    prof.beginPhase("run");
-    if (!driver.run(static_cast<Cycle>(batch) * 3000 + 300000))
+    if (m.run(RunSpec::untilDelivered(driver.deliveredTarget(),
+                                      static_cast<Cycle>(batch) * 3000
+                                          + 300000))
+            .reason
+        != StopReason::Delivered)
         std::fprintf(stderr, "WARNING: blend run timed out\n");
-    prof.endPhase();
     if (probe) {
         host_profile.write(m);
         if (report.enabled()) {
             *report_body = report.bodyJson(m);
-            bench::recordHostMem(prof, m);
-            *host_json = bench::hostJson(prof, m.now(),
-                                         m.engine().componentCount());
+            *host_json = m.hostJson();
         }
     }
     return driver.throughputPerCore() / ideal;
@@ -160,7 +162,7 @@ main(int argc, char **argv)
     reg.add("--kx", "N", "torus X radix (default 8)", &kx);
     reg.add("--ky", "N", "torus Y radix (default 4)", &ky);
     reg.add("--kz", "N", "torus Z radix (default 4)", &kz);
-    reg.add("--cores", "N", "participating cores per node (default 8)",
+    reg.add("--cores", "N", "participating cores per node, 1-8 (default 8)",
             &cores);
     reg.add("--batch", "N", "packets per core (default 256)", &batch_flag);
     reg.add("--seed", "N", "simulation seed (default 21)", &seed_flag);
@@ -173,6 +175,8 @@ main(int argc, char **argv)
     host_profile.registerInto(reg);
     report.registerInto(reg);
     if (!reg.parse(argc, argv))
+        return 1;
+    if (!bench::validateCores(cores, kEndpointsPerNode))
         return 1;
     if (threads < 1) {
         std::fprintf(stderr, "error: --threads must be >= 1\n");
@@ -228,15 +232,16 @@ main(int argc, char **argv)
         "Paper (8x8x8): Both holds ~0.85 across all blends; Forward/"
         "Reverse fall\ntoward round-robin as the blend moves away from "
         "their pattern.\n");
-    report.write("fig10_blend",
-                 bench::JsonObj()
-                     .add("kx", bench::num(radix[0]))
-                     .add("ky", bench::num(radix[1]))
-                     .add("kz", bench::num(radix[2]))
-                     .add("cores", bench::num(cores))
-                     .add("batch", bench::num(static_cast<double>(batch)))
-                     .add("steps", bench::num(steps))
-                     .dump(0),
-                 report_body, report_host);
-    return 0;
+    const auto config =
+        bench::JsonObj()
+            .add("kx", bench::num(radix[0]))
+            .add("ky", bench::num(radix[1]))
+            .add("kz", bench::num(radix[2]))
+            .add("cores", bench::num(cores))
+            .add("batch", bench::num(static_cast<double>(batch)))
+            .add("steps", bench::num(steps))
+            .dump(0);
+    return report.write("fig10_blend", config, report_body, "", report_host)
+               ? 0
+               : 1;
 }

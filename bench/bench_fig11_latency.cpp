@@ -90,7 +90,6 @@ int
 main(int argc, char **argv)
 {
     long k_flag = 8, pairs_flag = 6, rounds_flag = 4;
-    const char *json_path = nullptr;
     bench::RunOptions run;
     bench::OptionRegistry reg(
         "Figure 11: one-way software-to-software message latency vs. "
@@ -101,22 +100,16 @@ main(int argc, char **argv)
             &pairs_flag);
     reg.add("--rounds", "N", "ping-pong rounds per pair (default 4)",
             &rounds_flag);
-    reg.add("--json", "PATH", "write the machine-readable report JSON",
-            &json_path);
     run.registerInto(reg);
     if (!reg.parse(argc, argv))
         return 1;
-    if (!run.validate() || !bench::validateOutputPaths({ json_path }))
+    if (!run.validate())
         return 1;
     const int k = static_cast<int>(k_flag);
     const int pairs = static_cast<int>(pairs_flag);
     const int rounds = static_cast<int>(rounds_flag);
     const auto &trace = run.trace;
-    const auto &ts = run.ts;
-    const auto &audit = run.audit;
 
-    HostProfiler prof;
-    prof.beginPhase("build");
     MachineConfig cfg;
     cfg.radix = { k, k, k };
     cfg.chip.endpoints_per_node = 4;
@@ -124,14 +117,13 @@ main(int argc, char **argv)
     cfg.use_packaging = true; // Figure 2 trace/cable latencies
     cfg.seed = 31;
     Machine m(cfg);
-    run.apply(m, /*metrics=*/json_path != nullptr);
+    run.apply(m);
     // The network is quiescent between ping-pongs, so a checkpoint
     // brackets the whole sweep: --checkpoint-in resumes a prior
     // machine's clock/RNG state, --checkpoint-out (below) preserves
     // this one's.
     if (run.ckpt.in != nullptr)
         m.restoreCheckpoint(run.ckpt.in);
-    prof.beginPhase("run");
 
     bench::printHeader(
         "Figure 11: one-way 16 B message latency vs. inter-node hops");
@@ -176,12 +168,11 @@ main(int argc, char **argv)
         ys.push_back(lat.mean());
     }
     bench::printRule(40);
-    prof.endPhase();
     if (run.ckpt.out != nullptr)
         m.saveCheckpoint(run.ckpt.out);
     run.flows.write(m);
-    ts.write(m);
-    audit.write(m);
+    run.ts.write(m);
+    run.audit.write(m);
     run.host_profile.write(m);
 
     const auto fit = LinearFit::fit(xs, ys);
@@ -196,35 +187,19 @@ main(int argc, char **argv)
                             .add("pairs", bench::num(pairs))
                             .add("rounds", bench::num(rounds))
                             .dump(0);
-    bench::recordHostMem(prof, m);
-    run.report.write("fig11_latency", config, run.report.bodyJson(m),
-                     bench::hostJson(prof, m.now(),
-                                     m.engine().componentCount()));
-    if (json_path != nullptr) {
-        const auto fit_obj = bench::JsonObj()
-                                 .add("intercept_ns",
-                                      bench::num(fit.intercept))
-                                 .add("slope_ns_per_hop",
-                                      bench::num(fit.slope))
-                                 .add("r2", bench::num(fit.r2))
-                                 .dump(0);
-        bench::writeFile(json_path,
-                         bench::JsonObj()
-                             .add("bench", bench::str("fig11_latency"))
-                             .add("config", config)
+    const auto fit_obj = bench::JsonObj()
+                             .add("intercept_ns", bench::num(fit.intercept))
+                             .add("slope_ns_per_hop", bench::num(fit.slope))
+                             .add("r2", bench::num(fit.r2))
+                             .dump(0);
+    const auto results = bench::JsonObj()
                              .add("rows", bench::arr(rows))
                              .add("fit", fit_obj)
-                             .add("metrics", m.metricsJson())
-                             .add("timeseries", ts.jsonSection(m))
-                             .add("audit", audit.jsonSection(m))
-                             .add("host",
-                                  bench::hostJson(
-                                      prof, m.now(),
-                                      m.engine().componentCount()))
-                             .dump()
-                             + "\n");
-        std::printf("JSON report written to %s\n", json_path);
-    }
+                             .dump(2, 1);
+    const std::string body = run.report.bodyJson(m);
+    if (!run.report.write("fig11_latency", config, body, results,
+                          m.hostJson()))
+        return 1;
     if (trace.enabled()) {
         trace.write(m);
         if (trace.chrome != nullptr)

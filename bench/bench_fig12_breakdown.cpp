@@ -40,8 +40,6 @@ main(int argc, char **argv)
     const auto &ts = run.ts;
     const auto &audit = run.audit;
 
-    HostProfiler prof;
-    prof.beginPhase("build");
     MachineConfig cfg;
     cfg.radix = { k, k, k };
     cfg.chip.endpoints_per_node = 23;
@@ -51,7 +49,6 @@ main(int argc, char **argv)
     // A single-packet traversal makes the smallest useful demo trace:
     // every lifecycle event of Figure 12's E -> R -> C -> link path.
     run.apply(m);
-    prof.beginPhase("run");
 
     // The minimum-latency configuration: source and destination endpoints
     // co-located with the Y-channel routers (endpoint 16 sits on R(0,2)
@@ -132,13 +129,11 @@ main(int argc, char **argv)
     ts.write(m);
     audit.write(m);
     run.host_profile.write(m);
-    prof.endPhase();
-    bench::recordHostMem(prof, m);
-    run.report.write("fig12_breakdown",
-                     bench::JsonObj().add("k", bench::num(k)).dump(0),
-                     run.report.bodyJson(m),
-                     bench::hostJson(prof, m.now(),
-                                     m.engine().componentCount()));
+    const std::string body = run.report.bodyJson(m);
+    if (!run.report.write("fig12_breakdown",
+                          bench::JsonObj().add("k", bench::num(k)).dump(0),
+                          body, "", m.hostJson()))
+        return 1;
     if (m.audit() != nullptr && m.audit()->violationCount() > 0) {
         std::fprintf(stderr, "audit: %llu invariant violations\n",
                      static_cast<unsigned long long>(

@@ -125,8 +125,6 @@ main(int argc, char **argv)
                 maxChannelUse({ &tree_a, &tree_b }));
 
     // --- measured in the simulator ------------------------------------
-    HostProfiler prof;
-    prof.beginPhase("build");
     MachineConfig cfg;
     cfg.radix = { 4, 4, 4 };
     cfg.chip.endpoints_per_node = 4;
@@ -140,7 +138,6 @@ main(int argc, char **argv)
         host_profile.addTo(inst);
         m.attachInstrumentation(inst);
     }
-    prof.beginPhase("run");
     const NodeId msrc = m.geom().id({ 2, 2, 2 });
     const auto mdests = planeDests(m.geom(), msrc, 1);
 
@@ -173,13 +170,11 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(mcast_flits));
     std::printf("  unicast torus flits:   %llu\n",
                 static_cast<unsigned long long>(unicast_flits));
-    prof.endPhase();
     host_profile.write(m);
-    bench::recordHostMem(prof, m);
-    report.write("fig3_multicast",
-                 bench::JsonObj().add("k", bench::num(k)).dump(0),
-                 report.bodyJson(m),
-                 bench::hostJson(prof, m.now(),
-                                 m.engine().componentCount()));
-    return 0;
+    const std::string body = report.bodyJson(m);
+    return report.write("fig3_multicast",
+                        bench::JsonObj().add("k", bench::num(k)).dump(0),
+                        body, "", m.hostJson())
+               ? 0
+               : 1;
 }

@@ -31,28 +31,29 @@ using namespace anton2;
 
 namespace {
 
+/** Endpoints per node of every machine this bench builds: the ceiling
+ * for --cores. */
+constexpr int kEndpointsPerNode = 8;
+
+/** The first (smallest) batch size of the sweep: the floor for
+ * --maxbatch. */
+constexpr std::uint64_t kFirstBatch = 16;
+
 struct SweepPoint
 {
     double normalized;
-    Cycle cycles;
-    std::string metrics_json; ///< full registry snapshot (telemetry runs)
-    std::string timeseries_json; ///< windowed section (probe runs)
-    std::string host_json;       ///< simulator self-profile (probe runs)
-    std::string audit_json;      ///< auditor summary (probe runs)
-    std::string report_json;     ///< run-report body (probe runs)
+    std::string report_json; ///< run-report body (probe runs)
+    std::string host_json;   ///< the machine's host section (probe runs)
 };
 
 SweepPoint
 runBatch(const std::vector<int> &radix, int cores, ArbPolicy policy,
          const char *pattern_name, std::uint64_t batch,
-         std::uint64_t seed, const bench::RunOptions &run,
-         bool with_metrics, bool probe)
+         std::uint64_t seed, const bench::RunOptions &run, bool probe)
 {
-    HostProfiler prof;
-    prof.beginPhase("build");
     MachineConfig cfg;
     cfg.radix = radix;
-    cfg.chip.endpoints_per_node = 8;
+    cfg.chip.endpoints_per_node = kEndpointsPerNode;
     cfg.chip.arb = policy;
     cfg.use_packaging = false;
     cfg.fixed_torus_latency = 20;
@@ -61,19 +62,12 @@ runBatch(const std::vector<int> &radix, int cores, ArbPolicy policy,
     m.setThreads(static_cast<int>(run.threads));
     m.setLookahead(static_cast<Cycle>(run.lookahead));
     // Probe runs carry the full requested instrumentation; the other
-    // sweep points keep only metrics/progress so the sweep stays fast.
+    // sweep points keep only the progress line so the sweep stays fast.
     Instrumentation inst;
-    inst.metrics = with_metrics;
-    if (probe) {
-        run.trace.addTo(inst);
-        run.flows.addTo(inst);
-        run.ts.addTo(inst);
-        run.audit.addTo(inst, m.geom());
-        run.host_profile.addTo(inst);
-        run.report.addTo(inst);
-    } else if (run.ts.progress) {
+    if (probe)
+        inst = run.instrumentation(m);
+    else if (run.ts.progress)
         inst.progress = ProgressMeter::Config{};
-    }
     m.attachInstrumentation(inst);
 
     const auto core_eps = firstEndpoints(cores);
@@ -108,7 +102,6 @@ runBatch(const std::vector<int> &radix, int cores, ArbPolicy policy,
 
     const Cycle max_cycles =
         static_cast<Cycle>(batch) * 2000 + 200000;
-    prof.beginPhase("run");
     // The last probe run (uniform, largest batch) is the one whose
     // report ships, so it alone gets the warm-start checkpoint I/O:
     // --checkpoint-out writes its steady-state image, --checkpoint-in
@@ -120,28 +113,16 @@ runBatch(const std::vector<int> &radix, int cores, ArbPolicy policy,
         run.ckpt.addTo(spec);
     if (m.run(spec).reason != StopReason::Delivered)
         std::fprintf(stderr, "WARNING: batch timed out\n");
-    prof.endPhase();
 
-    if (probe) {
-        run.trace.write(m);
-        run.flows.write(m);
-    }
-    run.ts.write(m);
     SweepPoint res;
     res.normalized = driver.throughputPerCore() / ideal;
-    res.cycles = driver.completionTime();
-    if (with_metrics)
-        res.metrics_json = m.metricsJson();
     if (probe) {
-        res.timeseries_json = run.ts.jsonSection(m);
-        run.audit.write(m);
-        run.host_profile.write(m);
-        res.audit_json = run.audit.jsonSection(m);
+        run.writeOutputs(m);
         res.report_json = run.report.bodyJson(m);
+        res.host_json = m.hostJson();
+    } else {
+        run.ts.write(m); // terminates the progress line
     }
-    bench::recordHostMem(prof, m);
-    res.host_json =
-        bench::hostJson(prof, m.now(), m.engine().componentCount());
     return res;
 }
 
@@ -152,7 +133,6 @@ main(int argc, char **argv)
 {
     long kx = 8, ky = 4, kz = 4;
     long cores = 8, maxbatch = 512, seed = 12;
-    const char *json_path = nullptr;
     bench::RunOptions run;
     bench::OptionRegistry reg(
         "Figure 9: batch throughput vs. batch size, round-robin vs. "
@@ -160,17 +140,23 @@ main(int argc, char **argv)
     reg.add("--kx", "N", "torus X radix (default 8)", &kx);
     reg.add("--ky", "N", "torus Y radix (default 4)", &ky);
     reg.add("--kz", "N", "torus Z radix (default 4)", &kz);
-    reg.add("--cores", "N", "participating cores per node (default 8)",
+    reg.add("--cores", "N", "participating cores per node, 1-8 (default 8)",
             &cores);
-    reg.add("--maxbatch", "N", "largest batch size swept (default 512)",
-            &maxbatch);
+    reg.add("--maxbatch", "N",
+            "largest batch size swept, >= 16 (default 512)", &maxbatch);
     reg.add("--seed", "N", "simulation seed (default 12)", &seed);
-    reg.add("--json", "PATH", "write the machine-readable report JSON",
-            &json_path);
     run.registerInto(reg);
     if (!reg.parse(argc, argv))
         return 1;
-    if (!run.validate() || !bench::validateOutputPaths({ json_path }))
+    if (!bench::validateCores(cores, kEndpointsPerNode))
+        return 1;
+    if (maxbatch < static_cast<long>(kFirstBatch)) {
+        std::fprintf(stderr, "error: --maxbatch must be >= %llu (the "
+                             "sweep's first batch)\n",
+                     static_cast<unsigned long long>(kFirstBatch));
+        return 1;
+    }
+    if (!run.validate())
         return 1;
     const std::vector<int> radix{ static_cast<int>(kx),
                                   static_cast<int>(ky),
@@ -187,30 +173,28 @@ main(int argc, char **argv)
     bench::printRule();
 
     std::vector<std::string> rows;
-    std::string last_metrics;
-    std::string last_timeseries;
-    std::string last_host;
-    std::string last_audit;
     std::string last_report;
+    std::string last_host;
     for (const char *pattern : { "2-hop", "uniform" }) {
-        for (std::uint64_t batch = 16; batch <= max_batch; batch *= 4) {
-            // The telemetry snapshot (and the event trace / time series,
-            // when enabled) comes from the largest batch of each sweep;
-            // the last pattern's probe run wins the output files.
+        for (std::uint64_t batch = kFirstBatch; batch <= max_batch;
+             batch *= 4) {
+            // The report body (and the event trace / time series, when
+            // enabled) comes from the largest batch of each sweep; the
+            // last pattern's probe run wins the output files.
             const bool probe =
-                (json_path != nullptr || run.trace.enabled()
-                 || run.flows.enabled() || run.ts.enabled()
-                 || run.audit.enabled() || run.host_profile.enabled
-                 || run.report.enabled() || run.ckpt.enabled())
+                (run.trace.enabled() || run.flows.enabled()
+                 || run.ts.enabled() || run.audit.enabled()
+                 || run.host_profile.enabled || run.report.enabled()
+                 || run.ckpt.enabled())
                 && batch * 4 > max_batch;
             const auto rr = runBatch(radix, static_cast<int>(cores),
                                      ArbPolicy::RoundRobin, pattern, batch,
                                      static_cast<std::uint64_t>(seed), run,
-                                     false, false);
+                                     false);
             auto iw = runBatch(radix, static_cast<int>(cores),
                                ArbPolicy::InverseWeighted, pattern, batch,
                                static_cast<std::uint64_t>(seed), run,
-                               probe && json_path != nullptr, probe);
+                               probe);
             std::printf("%-18s %10llu %14.3f %16.3f\n", pattern,
                         static_cast<unsigned long long>(batch),
                         rr.normalized, iw.normalized);
@@ -223,12 +207,9 @@ main(int argc, char **argv)
                                     bench::num(iw.normalized))
                                .dump(0));
             if (probe) {
-                last_metrics = std::move(iw.metrics_json);
-                last_timeseries = std::move(iw.timeseries_json);
-                last_audit = std::move(iw.audit_json);
                 last_report = std::move(iw.report_json);
+                last_host = std::move(iw.host_json);
             }
-            last_host = std::move(iw.host_json);
         }
         bench::printRule();
     }
@@ -240,8 +221,8 @@ main(int argc, char **argv)
 
     // The run report's config carries only experiment parameters - not
     // the thread count or lookahead window, which are host-execution
-    // details that must not break the report's cross-thread
-    // byte-identity. The --json report below keeps them.
+    // details (the host section records them) that must not break the
+    // report's cross-thread byte-identity.
     const auto det_config =
         bench::JsonObj()
             .add("kx", bench::num(radix[0]))
@@ -251,39 +232,11 @@ main(int argc, char **argv)
             .add("maxbatch", bench::num(static_cast<double>(max_batch)))
             .add("seed", bench::num(static_cast<double>(seed)))
             .dump(0);
-    run.report.write("fig9_throughput", det_config, last_report,
-                     last_host);
-    if (json_path != nullptr) {
-        const auto config =
-            bench::JsonObj()
-                .add("kx", bench::num(radix[0]))
-                .add("ky", bench::num(radix[1]))
-                .add("kz", bench::num(radix[2]))
-                .add("cores", bench::num(cores))
-                .add("maxbatch", bench::num(static_cast<double>(max_batch)))
-                .add("seed", bench::num(static_cast<double>(seed)))
-                .add("threads",
-                     bench::num(static_cast<double>(run.threads)))
-                .dump(0);
-        bench::writeFile(
-            json_path,
-            bench::JsonObj()
-                .add("bench", bench::str("fig9_throughput"))
-                .add("config", config)
-                .add("rows", bench::arr(rows))
-                .add("metrics", last_metrics.empty() ? "null"
-                                                     : last_metrics)
-                .add("timeseries", last_timeseries.empty()
-                                       ? "null"
-                                       : last_timeseries)
-                .add("audit",
-                     last_audit.empty() ? "null" : last_audit)
-                .add("host",
-                     last_host.empty() ? "null" : last_host)
-                .dump()
-                + "\n");
-        std::printf("JSON report written to %s\n", json_path);
-    }
+    if (!run.report.write(
+            "fig9_throughput", det_config, last_report,
+            bench::JsonObj().add("rows", bench::arr(rows)).dump(2, 1),
+            last_host))
+        return 1;
     if (run.trace.chrome != nullptr)
         std::printf("Chrome trace written to %s\n", run.trace.chrome);
     if (run.trace.csv != nullptr)

@@ -40,6 +40,10 @@ using namespace anton2;
 
 namespace {
 
+/** Endpoints per node of every machine this bench builds: the ceiling
+ * for --cores. */
+constexpr int kEndpointsPerNode = 8;
+
 struct SpeedResult
 {
     int threads;
@@ -80,7 +84,7 @@ runLoad(const std::vector<int> &radix, int cores, double rate,
 {
     MachineConfig cfg;
     cfg.radix = radix;
-    cfg.chip.endpoints_per_node = 8;
+    cfg.chip.endpoints_per_node = kEndpointsPerNode;
     cfg.use_packaging = false;
     cfg.fixed_torus_latency = 20;
     cfg.seed = 17;
@@ -105,17 +109,18 @@ runLoad(const std::vector<int> &radix, int cores, double rate,
     OpenLoopDriver driver(m, dcfg);
     m.engine().add(driver);
 
-    HostProfiler prof;
-    prof.beginPhase("run");
     m.run(RunSpec::forCycles(cycles));
-    prof.endPhase();
     host_profile.write(m); // timeline (single-thread-count runs only)
 
     SpeedResult r;
     r.threads = threads;
-    r.wall_seconds = prof.wallSeconds();
+    // The machine's own host clock: time inside run(), the same timer
+    // behind the run report's machine.host.phase.run_seconds.
+    r.wall_seconds = m.hostRunSeconds();
     r.cycles = cycles;
-    r.cycles_per_sec = prof.cyclesPerSec(cycles);
+    r.cycles_per_sec = r.wall_seconds > 0.0
+                           ? static_cast<double>(cycles) / r.wall_seconds
+                           : 0.0;
     r.flit_hops = totalFlitHops(m);
     r.flit_hops_per_sec =
         r.wall_seconds > 0.0
@@ -191,7 +196,7 @@ main(int argc, char **argv)
     reg.add("--kx", "N", "torus X radix (default 4)", &kx);
     reg.add("--ky", "N", "torus Y radix (default 4)", &ky);
     reg.add("--kz", "N", "torus Z radix (default 4)", &kz);
-    reg.add("--cores", "N", "injecting cores per node (default 4)",
+    reg.add("--cores", "N", "injecting cores per node, 1-8 (default 4)",
             &cores);
     reg.add("--cycles", "N", "simulated cycles per run (default 20000)",
             &cycles_flag);
@@ -216,15 +221,14 @@ main(int argc, char **argv)
     host_profile.registerInto(reg);
     if (!reg.parse(argc, argv))
         return 1;
-    if (!host_profile.validate())
+    if (!bench::validateCores(cores, kEndpointsPerNode))
         return 1;
-    if (cycles_flag < 1 || max_threads < 1 || cores < 1
-        || lookahead < 0) {
-        std::fprintf(stderr, "error: --cycles/--max-threads/--cores must "
-                             "be >= 1 and --lookahead >= 0\n");
+    if (cycles_flag < 1 || max_threads < 1 || lookahead < 0) {
+        std::fprintf(stderr, "error: --cycles/--max-threads must be >= 1 "
+                             "and --lookahead >= 0\n");
         return 1;
     }
-    if (!bench::validateOutputPaths({ json_path }))
+    if (!host_profile.validate() || !bench::validateOutputPaths({ json_path }))
         return 1;
     std::vector<int> thread_counts;
     if (threads_csv != nullptr) {
@@ -261,9 +265,9 @@ main(int argc, char **argv)
         // enough to keep every router busy, low enough to stay out of
         // the congested regime where queue scans dominate.
         ChipConfig chip;
-        chip.endpoints_per_node = 8;
+        chip.endpoints_per_node = kEndpointsPerNode;
         const TorusGeom geom(radix);
-        const ChipLayout layout(8, 3);
+        const ChipLayout layout(kEndpointsPerNode, 3);
         LoadModel lm(geom, layout, chip, 1);
         Rng lrng(2);
         UniformPattern uniform(geom);

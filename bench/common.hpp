@@ -1,12 +1,12 @@
 /**
  * @file
  * Shared helpers for the experiment harnesses: the declarative option
- * registry (options.hpp), aligned table printing, and the
- * machine-readable `--json <path>` report writer. Every bench prints the
- * paper's rows/series with defaults that reproduce the paper's setup at
- * simulation-tractable scale; flags let you push to the paper's full
- * 8x8x8 (or larger) machine, and `--threads N` runs the sharded engine
- * on N workers with bit-identical results.
+ * registry (options.hpp), aligned table printing, and the shared flag
+ * groups, including the `--report <path>` run-report writer. Every
+ * bench prints the paper's rows/series with defaults that reproduce the
+ * paper's setup at simulation-tractable scale; flags let you push to
+ * the paper's full 8x8x8 (or larger) machine, and `--threads N` runs
+ * the sharded engine on N workers with bit-identical results.
  */
 #pragma once
 
@@ -26,10 +26,10 @@
 namespace anton2::bench {
 
 /**
- * Order-preserving JSON report builder for bench output. Values are
- * pre-serialized fragments; use num()/str()/raw() to produce them. The
- * registry's own toJson() output slots in via raw(), so one report can
- * carry both the bench's result rows and the full telemetry snapshot.
+ * Order-preserving JSON object builder for bench output. Values are
+ * pre-serialized fragments; use num()/str()/arr() to produce them, or
+ * pass a serializer's output (the run-report body, the host section)
+ * as is.
  */
 class JsonObj
 {
@@ -106,7 +106,7 @@ checkWritable(const char *path)
 /**
  * Validate every (possibly null) output path up front, reporting *all*
  * unwritable ones before giving up. The single fail-fast gate for
- * --json/--trace/--trace-csv/--heatmap: benches pass their full path
+ * --report/--trace/--trace-csv/--heatmap: benches pass their full path
  * set here instead of sprinkling per-flag checks.
  */
 inline bool
@@ -118,6 +118,18 @@ validateOutputPaths(std::initializer_list<const char *> paths)
             ok = checkWritable(p) && ok;
     }
     return ok;
+}
+
+/** Reject a participating-core count outside [1, @p endpoints] (the
+ * endpoints each node of the bench's machine has) before any output
+ * path is probed; false = do not simulate. */
+inline bool
+validateCores(long cores, long endpoints)
+{
+    if (cores >= 1 && cores <= endpoints)
+        return true;
+    std::fprintf(stderr, "error: --cores must be in [1, %ld]\n", endpoints);
+    return false;
 }
 
 inline void
@@ -275,7 +287,9 @@ struct FlowOptions
  *   --auto-steady         detect steady state online and reset the
  *                         metrics registry at convergence (implies
  *                         --timeseries)
- *   --warmup <N>          fixed warmup: reset metrics at cycle N
+ *   --warmup <N>          fixed warmup: reset metrics at the first
+ *                         window boundary >= cycle N (N > 0 implies
+ *                         --timeseries)
  *   --progress            live stderr progress line (cycle, Mcyc/s)
  * Paths are validated before any simulation time is spent.
  */
@@ -304,7 +318,9 @@ struct TimeseriesOptions
                 "detect steady state online and reset metrics at "
                 "convergence (implies --timeseries)",
                 &auto_steady);
-        reg.add("--warmup", "N", "fixed warmup: reset metrics at cycle N",
+        reg.add("--warmup", "N",
+                "fixed warmup: reset metrics at cycle N (implies "
+                "--timeseries)",
                 &warmup);
         reg.add("--progress", "live stderr progress line (cycle, Mcyc/s)",
                 &progress);
@@ -317,9 +333,14 @@ struct TimeseriesOptions
     bool
     validate()
     {
-        timeseries = timeseries || heatmap != nullptr || auto_steady;
+        timeseries =
+            timeseries || heatmap != nullptr || auto_steady || warmup > 0;
         if (window < 1) {
             std::fprintf(stderr, "error: --window must be >= 1\n");
+            return false;
+        }
+        if (warmup < 0) {
+            std::fprintf(stderr, "error: --warmup must be >= 0\n");
             return false;
         }
         return validateOutputPaths({ heatmap });
@@ -339,13 +360,6 @@ struct TimeseriesOptions
         }
         if (progress)
             inst.progress = ProgressMeter::Config{};
-    }
-
-    /** The `timeseries` report section ("null" when sampling is off). */
-    std::string
-    jsonSection(Machine &m) const
-    {
-        return m.timeseries() != nullptr ? m.timeseriesJson() : "null";
     }
 
     /** Write the heatmap CSV and terminate the progress line. */
@@ -469,13 +483,6 @@ struct AuditOptions
         cfg.watchdog_interval = static_cast<Cycle>(watchdog);
         cfg.stall_threshold = static_cast<Cycle>(stall_threshold);
         inst.audit = cfg;
-    }
-
-    /** The `audit` report section ("null" when the auditor is off). */
-    std::string
-    jsonSection(Machine &m) const
-    {
-        return m.audit() != nullptr ? m.audit()->reportJson() : "null";
     }
 
     /** Write the snapshot JSON / DOT (trip snapshot when tripped). */
@@ -653,9 +660,11 @@ struct CheckpointOptions
  *                          (implies metrics)
  *   --topk N               hot-spot digest size (default 8)
  * The report merges bench config, the Machine's deterministic body
- * (rollups, digest, steady state, audit verdict), and the host profile;
- * the host section is the LAST key, so byte-comparisons across thread
- * counts stop at `"host":`. Paths are validated before simulating.
+ * (rollups, digest, steady state, time series, audit verdict), the
+ * bench's own results (table rows, fits), and the Machine's host
+ * section; the host section is the LAST key, so byte-comparisons
+ * across thread counts stop at `"host":`. Paths are validated before
+ * simulating.
  */
 struct ReportOptions
 {
@@ -722,30 +731,41 @@ struct ReportOptions
 
     /**
      * Compose and write the run report: report_version / bench / config
-     * first, the deterministic body under "run", and the
-     * non-deterministic host section last. No-op when --report is off
-     * or the probe run never produced a body. @p config_json must carry
-     * only experiment parameters (radix, cores, seed, ...) - never the
-     * thread count or lookahead window - so everything before the
-     * `"host"` key stays byte-identical across thread counts.
+     * first, the deterministic body under "run", the bench's results
+     * (@p results_json; "" = null), and the Machine's non-deterministic
+     * host section last. @p config_json must carry only experiment
+     * parameters (radix, cores, seed, ...) - never the thread count or
+     * lookahead window, which the host section records - so everything
+     * before the `"host"` key stays byte-identical across thread
+     * counts. True when --report is off or the report was written;
+     * false (with an error) when no run produced a report body.
      */
-    void
+    bool
     write(const char *bench_name, const std::string &config_json,
-          const std::string &body, const std::string &host_json) const
+          const std::string &body, const std::string &results_json,
+          const std::string &host_json) const
     {
-        if (report == nullptr || body.empty())
-            return;
+        if (report == nullptr)
+            return true;
+        if (body.empty()) {
+            std::fprintf(stderr,
+                         "error: --report %s: no run produced a report\n",
+                         report);
+            return false;
+        }
         writeFile(report,
                   JsonObj()
-                      .add("report_version", num(2))
+                      .add("report_version", num(3))
                       .add("bench", str(bench_name))
                       .add("config", config_json)
                       .add("run", body)
-                      .add("host",
-                           host_json.empty() ? "null" : host_json)
+                      .add("results",
+                           results_json.empty() ? "null" : results_json)
+                      .add("host", host_json)
                       .dump()
                       + "\n");
         std::printf("Run report written to %s\n", report);
+        return true;
     }
 };
 
@@ -842,37 +862,6 @@ struct RunOptions
         host_profile.write(m);
     }
 };
-
-/**
- * The bench-report `host` section: wall time, phases, and simulated
- * cycles per wall second from a HostProfiler. Host-dependent by nature,
- * so it lives *outside* the deterministic `metrics`/`timeseries`
- * sections - byte-compare those, not this.
- */
-inline std::string
-hostJson(const HostProfiler &prof, Cycle cycles, std::size_t components)
-{
-    return prof.toJson(cycles, components);
-}
-
-/** Record the simulator's memory footprint on @p prof (peak RSS plus
- * the packet-pool and metric-registry sizes from @p m), so the host
- * section carries the `machine.host.mem.*` gauges - and, when the
- * engine profiler is attached, fold its `engine.*` gauges in too (lane
- * tick / barrier-wait seconds, straggler shard, class attribution), so
- * every bench's host section carries `machine.host.engine.*` without
- * per-bench wiring. Call right before hostJson(). */
-inline void
-recordHostMem(HostProfiler &prof, Machine &m)
-{
-    prof.setMemStats(m.packetPoolBytes(),
-                     m.metrics() != nullptr ? m.metrics()->approxBytes()
-                                            : 0);
-    if (m.hostProfile() != nullptr) {
-        for (const auto &[key, value] : m.hostProfile()->gauges())
-            prof.setExtraGauge(key, value);
-    }
-}
 
 /** Render a possibly-NaN value for the text tables ("-" when empty). */
 inline std::string

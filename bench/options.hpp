@@ -10,10 +10,10 @@
  *
  * Usage:
  *     long k = 8;
- *     const char *json = nullptr;
+ *     const char *out = nullptr;
  *     bench::OptionRegistry reg("Figure N: what this bench reproduces");
  *     reg.add("--k", "N", "torus radix per dimension", &k);
- *     reg.add("--json", "PATH", "write the report JSON here", &json);
+ *     reg.add("--out", "PATH", "write the output here", &out);
  *     if (!reg.parse(argc, argv))
  *         return 1;
  *

@@ -91,7 +91,7 @@ main()
                             static_cast<std::uint8_t>(p % 2), 1,
                             /*counter=*/1);
     }
-    m.runUntilQuiescent(2000000);
+    m.run(RunSpec::untilQuiescent(2000000));
 
     std::printf("step complete in %.2f us simulated time\n",
                 cyclesToNs(m.now() - start) / 1000.0);

@@ -56,7 +56,7 @@ main()
     });
     m.send(m.makeWrite(src, dst, 0, 1, /*counter=*/7));
     m.send(m.makeWrite({ 1, 0 }, dst, 0, 1, /*counter=*/7));
-    m.runUntilQuiescent(100000);
+    m.run(RunSpec::untilQuiescent(100000));
 
     std::printf("total delivered: %llu packets, mean latency %.1f ns\n",
                 static_cast<unsigned long long>(m.totalDelivered()),

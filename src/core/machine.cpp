@@ -172,12 +172,6 @@ Machine::Machine(const MachineConfig &cfg)
     engine_.addSerialPhase([this](Cycle now) { serialPhase(now); });
     setThreads(cfg_.threads);
     setLookahead(cfg_.lookahead);
-
-    if (cfg_.enable_metrics) {
-        Instrumentation inst;
-        inst.metrics = true;
-        attachInstrumentation(inst);
-    }
 }
 
 Machine::PacketPool::~PacketPool()
@@ -235,15 +229,21 @@ Machine::serialPhase(Cycle now)
 }
 
 void
+Machine::configureStaging()
+{
+    const std::size_t lanes = engine_.laneCount();
+    const auto depth = static_cast<std::size_t>(lookahead_cap_);
+    if (trace_ != nullptr)
+        trace_->configureLanes(lanes, depth);
+    if (flow_ != nullptr)
+        flow_->configureLanes(lanes, depth);
+}
+
+void
 Machine::setThreads(int n)
 {
     engine_.setThreads(n);
-    if (trace_ != nullptr)
-        trace_->configureLanes(engine_.laneCount(),
-                               static_cast<std::size_t>(lookahead_cap_));
-    if (flow_ != nullptr)
-        flow_->configureLanes(engine_.laneCount(),
-                              static_cast<std::size_t>(lookahead_cap_));
+    configureStaging();
 }
 
 void
@@ -252,12 +252,7 @@ Machine::setLookahead(Cycle w)
     if (w == 0 || w > lookahead_cap_)
         w = lookahead_cap_;
     engine_.setWindow(w);
-    if (trace_ != nullptr)
-        trace_->configureLanes(engine_.laneCount(),
-                               static_cast<std::size_t>(lookahead_cap_));
-    if (flow_ != nullptr)
-        flow_->configureLanes(engine_.laneCount(),
-                              static_cast<std::size_t>(lookahead_cap_));
+    configureStaging();
 }
 
 void
@@ -542,6 +537,10 @@ Machine::runReportJson(std::size_t topk)
            + (sampler_ != nullptr ? sampler_->steadyStateJson(2, 1)
                                   : std::string("null"))
            + ",\n";
+    // The windowed series ride along whenever a sampler is attached
+    // (absent otherwise, so sampler-free reports keep their bytes).
+    if (sampler_ != nullptr)
+        out += "  \"timeseries\": " + sampler_->toJson(2, 1) + ",\n";
     out += "  \"audit\": "
            + (audit_ != nullptr ? audit_->reportJson()
                                 : std::string("null"))
@@ -561,6 +560,54 @@ Machine::packetPoolBytes()
                        * sizeof(decltype(p->payload)::value_type);
     }
     return total;
+}
+
+double
+Machine::hostRunSeconds() const
+{
+    return std::chrono::duration<double>(host_.in_run).count();
+}
+
+std::string
+Machine::hostJson()
+{
+    using Secs = std::chrono::duration<double>;
+    const double build =
+        host_.ran ? Secs(host_.first_run - host_.built).count() : 0.0;
+    const double run = hostRunSeconds();
+    const double wall =
+        host_.ran ? Secs(host_.last_run_end - host_.built).count() : 0.0;
+    const double cps =
+        run > 0.0 ? static_cast<double>(host_.run_cycles) / run : 0.0;
+
+    std::vector<std::pair<std::string, double>> gauges{
+        { "wall_seconds", wall },
+        { "cycles", static_cast<double>(host_.run_cycles) },
+        { "cycles_per_sec", cps },
+        { "ticks_per_sec",
+          cps * static_cast<double>(engine_.componentCount()) },
+        { "threads", static_cast<double>(engine_.threads()) },
+        { "lookahead_window", static_cast<double>(engine_.window()) },
+        { "mem.peak_rss_bytes", static_cast<double>(hostPeakRssBytes()) },
+        { "mem.packet_pool_bytes", static_cast<double>(packetPoolBytes()) },
+        { "mem.metric_registry_bytes",
+          metrics_ != nullptr ? static_cast<double>(metrics_->approxBytes())
+                              : 0.0 },
+    };
+    if (host_profile_ != nullptr) {
+        for (auto &g : host_profile_->gauges())
+            gauges.push_back(std::move(g));
+    }
+    gauges.emplace_back("phase.build_seconds", build);
+    gauges.emplace_back("phase.run_seconds", run);
+
+    std::string out = "{";
+    for (std::size_t i = 0; i < gauges.size(); ++i) {
+        out += i == 0 ? "\n" : ",\n";
+        out += "    \"machine.host." + jsonEscape(gauges[i].first)
+               + "\": " + jsonNumber(gauges[i].second);
+    }
+    return out + "\n  }";
 }
 
 IntervalSampler &
@@ -841,8 +888,7 @@ Machine::doEnableFlows(const FlowProbeConfig &cfg)
     if (flow_ != nullptr)
         return *flow_;
     flow_ = std::make_unique<FlowProbe>(cfg);
-    flow_->configureLanes(engine_.laneCount(),
-                          static_cast<std::size_t>(lookahead_cap_));
+    configureStaging();
     for (auto &c : chips_)
         c->bindFlow(*flow_);
     // Unlike tracing's stall samplers, hop records are emitted only
@@ -864,8 +910,7 @@ Machine::doEnableTracing(const TraceConfig &cfg)
         return *trace_;
     trace_ = std::make_unique<RingTraceSink>(cfg.capacity);
     trace_->setSampleStride(cfg.sample);
-    trace_->configureLanes(engine_.laneCount(),
-                           static_cast<std::size_t>(lookahead_cap_));
+    configureStaging();
     for (auto &c : chips_)
         c->bindTrace(*trace_);
     // Stall attribution classifies every router output port every cycle
@@ -1140,6 +1185,11 @@ stopReasonName(StopReason r)
 RunResult
 Machine::run(const RunSpec &spec)
 {
+    const HostClock::Clock::time_point t0 = HostClock::Clock::now();
+    if (!host_.ran) {
+        host_.first_run = t0;
+        host_.ran = true;
+    }
     if (!spec.checkpoint_in.empty())
         restoreCheckpoint(spec.checkpoint_in);
 
@@ -1152,10 +1202,13 @@ Machine::run(const RunSpec &spec)
         progress_->setTargetCycles(start + spec.max_cycles);
 
     Cycle stride = spec.check_every;
-    if (stride == 0)
+    if (stride == 0) {
         stride = engine_.window();
-    if (stride < 1)
-        stride = 1;
+        // busy() walks every component and drain is monotone, so a
+        // quiescence wait checks no more often than every 8 cycles.
+        if (spec.until_quiescent && stride < 8)
+            stride = 8;
+    }
 
     // The first engaged condition to fire ends the run. The delivery
     // target outranks an audit trip observed at the same check (the run
@@ -1184,8 +1237,9 @@ Machine::run(const RunSpec &spec)
         return false;
     };
 
-    // Warm-start saves happen at a check boundary so the image lands on
-    // a window-final cycle at every lookahead setting.
+    // Warm-start saves happen at a check boundary (the first one after
+    // steady-state convergence) so the image lands on a window-final
+    // cycle at every lookahead setting.
     auto maybe_save = [&] {
         if (spec.checkpoint_out.empty() || res.checkpoint_saved)
             return;
@@ -1196,27 +1250,14 @@ Machine::run(const RunSpec &spec)
         res.checkpoint_cycle = engine_.now();
     };
 
-    // Engine::runUntil's cadence, inlined so the steady-state
-    // checkpoint hook sees every predicate-check boundary: check at
-    // `start`, then every `stride` cycles, then exactly at the
-    // deadline.
-    const Cycle end = start + spec.max_cycles;
-    Cycle next_check = start;
-    bool stopped = false;
-    while (engine_.now() < end) {
-        if (engine_.now() >= next_check) {
-            if (done()) {
-                stopped = true;
-                break;
-            }
+    engine_.runUntil(
+        [&] {
+            if (done())
+                return true;
             maybe_save();
-            next_check = engine_.now() + stride;
-        }
-        const Cycle stop = next_check < end ? next_check : end;
-        engine_.advance(stop - engine_.now());
-    }
-    if (!stopped)
-        done(); // the exact-deadline check (may still set `fired`)
+            return false;
+        },
+        spec.max_cycles, stride);
 
     // Fallback: no sampler convergence (or none attached) - write the
     // image at whatever state the run ended in.
@@ -1231,6 +1272,10 @@ Machine::run(const RunSpec &spec)
     res.delivered = delivered_;
     res.reason = fired;
     res.audit_tripped = audit_ != nullptr && audit_->tripped();
+
+    host_.run_cycles += res.cycles;
+    host_.last_run_end = HostClock::Clock::now();
+    host_.in_run += host_.last_run_end - t0;
     return res;
 }
 

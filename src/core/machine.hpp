@@ -5,11 +5,12 @@
  * A Machine is a k_X x k_Y x k_Z torus of Chips whose torus-channel
  * adapters are wired together with latencies from the packaging model
  * (Figure 2). It provides the packet factory (remote writes, remote reads,
- * counted writes, multicast), global delivery statistics, and run helpers
- * used by the experiment harnesses.
+ * counted writes, multicast), global delivery statistics, and the single
+ * run entry point used by the experiment harnesses.
  */
 #pragma once
 
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -31,7 +32,7 @@ namespace anton2 {
 
 /**
  * A seeded negative-control fault, used to validate that the runtime
- * auditor actually trips on real protocol breaks (Machine::injectFault).
+ * auditor actually trips on real protocol breaks (Instrumentation::faults).
  */
 struct NetworkFault
 {
@@ -68,9 +69,6 @@ struct MachineConfig
     Cycle fixed_torus_latency = 33; ///< used when use_packaging is false
     PackagingModel packaging;
     std::uint64_t seed = 1;
-    /** Deprecated: prefer attachInstrumentation() after construction.
-     * Build with telemetry bound (default off: zero hot-path cost). */
-    bool enable_metrics = false;
     /** Worker threads for the engine's parallel phase (1 = serial).
      * Results are bit-identical at any count; see Machine::setThreads. */
     int threads = 1;
@@ -87,10 +85,9 @@ struct MachineConfig
 /**
  * The one-call instrumentation bundle (Machine::attachInstrumentation):
  * every observability layer and the seeded negative-control faults in a
- * single declarative struct. Each engaged member behaves exactly like
- * the corresponding legacy enable*() call; disengaged members cost
- * nothing (the layer is simply not constructed). All layers are
- * idempotent, so attaching a second bundle unions it with the first.
+ * single declarative struct. Disengaged members cost nothing (the
+ * layer is simply not constructed). All layers are idempotent, so
+ * attaching a second bundle unions it with the first.
  */
 struct Instrumentation
 {
@@ -137,10 +134,9 @@ const char *stopReasonName(StopReason r);
 /**
  * One run, declaratively: how long, what stops it, and the checkpoint
  * plumbing. This is the single entry point behind every experiment
- * harness; the legacy run helpers survive as thin forwarders that build
- * a RunSpec. Engaged stop conditions compose: the run ends at the first
- * one to fire (the delivery target is checked first, then audit trips,
- * quiescence, and the custom predicate).
+ * harness and test. Engaged stop conditions compose: the run ends at
+ * the first one to fire (the delivery target is checked first, then
+ * audit trips, quiescence, and the custom predicate).
  */
 struct RunSpec
 {
@@ -151,9 +147,11 @@ struct RunSpec
     std::function<bool()> stop;
 
     /** Predicate-check stride in cycles; 0 = the engine's lookahead
-     * window (checks at barrier boundaries, the natural cadence).
-     * Monotone conditions tolerate a coarse stride at the cost of
-     * overshooting the firing cycle by at most `check_every - 1`. */
+     * window (checks at barrier boundaries, the natural cadence), or
+     * max(window, 8) when until_quiescent is set (busy() walks every
+     * component, and drain is monotone). Monotone conditions tolerate
+     * a coarse stride at the cost of overshooting the firing cycle by
+     * at most `check_every - 1`. */
     Cycle check_every = 0;
 
     /** Stop once totalDelivered() reaches this count (0 = disabled). */
@@ -179,7 +177,7 @@ struct RunSpec
      */
     std::string checkpoint_out;
 
-    /** Plain fixed-length run (the old run(cycles)). */
+    /** Plain fixed-length run. */
     static RunSpec
     forCycles(Cycle n)
     {
@@ -188,7 +186,7 @@ struct RunSpec
         return s;
     }
 
-    /** Run until @p count total deliveries (the old runUntilDelivered). */
+    /** Run until @p count total deliveries. */
     static RunSpec
     untilDelivered(std::uint64_t count, Cycle max_cycles)
     {
@@ -198,7 +196,7 @@ struct RunSpec
         return s;
     }
 
-    /** Drain the network (the old runUntilQuiescent). */
+    /** Drain the network: run until no component holds work. */
     static RunSpec
     untilQuiescent(Cycle max_cycles)
     {
@@ -288,7 +286,7 @@ class Machine
                        std::int32_t counter = -1);
 
     // ------------------------------------------------------------------
-    // Run helpers and statistics
+    // Running and statistics
     // ------------------------------------------------------------------
 
     /** Extra hook invoked on every delivery, after internal accounting. */
@@ -332,34 +330,6 @@ class Machine
      * thread count.
      */
     RunResult run(const RunSpec &spec);
-
-    /** Forwarder: run for a fixed @p cycles (RunSpec::forCycles). */
-    void
-    run(Cycle cycles)
-    {
-        run(RunSpec::forCycles(cycles));
-    }
-
-    /** Forwarder: run until @p count deliveries (or timeout); true if
-     * the target was reached (RunSpec::untilDelivered). */
-    bool
-    runUntilDelivered(std::uint64_t count, Cycle max_cycles)
-    {
-        return run(RunSpec::untilDelivered(count, max_cycles)).reason
-               == StopReason::Delivered;
-    }
-
-    /** Forwarder: run until no component holds work (or timeout); true
-     * on quiescence (RunSpec::untilQuiescent). */
-    bool
-    runUntilQuiescent(Cycle max_cycles)
-    {
-        RunSpec spec = RunSpec::untilQuiescent(max_cycles);
-        // busy() walks every component and drain is monotone, so check
-        // no more often than every 8 cycles (or the lookahead window).
-        spec.check_every = engine_.window() > 8 ? engine_.window() : 8;
-        return run(spec).reason == StopReason::Quiescent;
-    }
 
     std::uint64_t totalDelivered() const { return delivered_; }
     Cycle lastDeliveryTime() const { return last_delivery_; }
@@ -419,6 +389,28 @@ class Machine
     /** Bytes parked in the packet-pool freelist (objects + payload
      * capacity), for the host memory report. */
     std::size_t packetPoolBytes();
+
+    // ------------------------------------------------------------------
+    // Host clock (the non-deterministic `host` report section)
+    // ------------------------------------------------------------------
+
+    /** Host wall seconds spent inside run(), summed over every call. */
+    double hostRunSeconds() const;
+
+    /**
+     * The `host` report section: a flat JSON object of
+     * `machine.host.*` gauges - wall_seconds (construction to the end
+     * of the last run()), cycles (advanced by run()), cycles_per_sec
+     * and ticks_per_sec (over the time inside run()), the thread count
+     * and lookahead window, the mem.* footprint gauges, the engine.*
+     * gauges when the engine profiler is attached, and
+     * phase.build_seconds (construction to the first run()) and
+     * phase.run_seconds (time inside run()). The machine reads the
+     * host clock once at construction and twice per run(), never
+     * through the profiler's audited clock. Host-dependent by nature:
+     * reports keep it last, outside the deterministic body.
+     */
+    std::string hostJson();
 
     // ------------------------------------------------------------------
     // Event tracing
@@ -495,18 +487,6 @@ class Machine
      */
     MachineSnapshot dumpSnapshot(const std::string &reason = "on_demand");
 
-    /**
-     * Convenience forwarder for attachInstrumentation(): arm a seeded
-     * negative-control fault (test/debug only).
-     */
-    void
-    injectFault(const NetworkFault &f)
-    {
-        Instrumentation inst;
-        inst.faults.push_back(f);
-        attachInstrumentation(inst);
-    }
-
     // ------------------------------------------------------------------
     // Checkpoint / restore
     // ------------------------------------------------------------------
@@ -572,6 +552,9 @@ class Machine
     void wireProgressRate();
     Auditor &doEnableAudit(const AuditConfig &cfg); // machine_audit.cpp
     void applyFault(const NetworkFault &f);         // machine_audit.cpp
+    /** Size the trace and flow staging for the current lane count and
+     * the maximum lookahead window (whichever layers are attached). */
+    void configureStaging();
     /** Per-cycle post-barrier work: merge staged trace and flow lanes,
      * then run deferred delivery side effects in endpoint registration
      * order (so a cycle's hop records land before the deliveries that
@@ -595,6 +578,20 @@ class Machine
         std::vector<Packet *> free;
         ~PacketPool();
     };
+
+    /** Host wall-clock bookkeeping behind hostJson(). Declared first so
+     * `built` is read before anything else is constructed. */
+    struct HostClock
+    {
+        using Clock = std::chrono::steady_clock;
+        Clock::time_point built = Clock::now();
+        Clock::time_point first_run{};    ///< start of the first run()
+        Clock::time_point last_run_end{}; ///< end of the latest run()
+        Clock::duration in_run{};         ///< summed time inside run()
+        Cycle run_cycles = 0;             ///< cycles advanced by run()
+        bool ran = false;
+    };
+    HostClock host_;
 
     MachineConfig cfg_;
     TorusGeom geom_;

@@ -1,11 +1,9 @@
 #include "sim/flow.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <utility>
 
 #include "sim/metrics.hpp" // jsonNumber / jsonEscape
-#include "sim/thread_pool.hpp"
 
 namespace anton2 {
 
@@ -68,36 +66,6 @@ FlowProbe::registerUnit(std::int32_t node, FlowUnitKind kind, int unit,
 {
     FlowUnitBlame &b = blame_[FlowUnitKey{ node, kind, unit }];
     b.name = std::move(name);
-}
-
-void
-FlowProbe::configureLanes(std::size_t lanes, std::size_t window_depth)
-{
-    depth_ = window_depth < 1 ? 1 : window_depth;
-    staged_.assign(lanes,
-                   std::vector<std::vector<FlowHopRecord>>(depth_));
-}
-
-void
-FlowProbe::stage(int lane, const FlowHopRecord &r)
-{
-    assert(static_cast<std::size_t>(lane) < staged_.size()
-           && "flow probe not configured for this many lanes");
-    staged_[static_cast<std::size_t>(lane)]
-           [static_cast<std::size_t>(r.cycle % depth_)]
-               .push_back(r);
-}
-
-void
-FlowProbe::mergeStaged(Cycle cycle)
-{
-    const auto bucket = static_cast<std::size_t>(cycle % depth_);
-    for (auto &lane : staged_) {
-        auto &records = lane[bucket];
-        for (const FlowHopRecord &r : records)
-            apply(r);
-        records.clear();
-    }
 }
 
 bool

@@ -13,13 +13,13 @@
  * simulation already holds, so an attached probe takes zero additional
  * clock reads and a detached one costs a single pointer test per site.
  *
- * Determinism follows the trace-staging contract (trace/trace.hpp):
- * records emitted from an engine parallel lane are staged per-lane and
- * per-cycle-offset, and the serial replay drains each cycle's bucket in
- * lane order, reproducing the exact stream a serial window-1 run would
- * have produced. Every export (report JSON, matrix CSV, Chrome spans)
- * is therefore byte-identical across thread counts and lookahead
- * windows.
+ * Determinism follows the trace sink's staging contract
+ * (sim/lane_staging.hpp): records emitted from an engine parallel lane
+ * are staged per-lane and per-cycle-offset, and the serial replay
+ * drains each cycle's bucket in lane order, reproducing the exact
+ * stream a serial window-1 run would have produced. Every export
+ * (report JSON, matrix CSV, Chrome spans) is therefore byte-identical
+ * across thread counts and lookahead windows.
  *
  * Aggregation happens at the canonical serial points:
  *  - apply() folds each hop's queue wait (grant - arrival) and transfer
@@ -48,15 +48,10 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sim/lane_staging.hpp"
 #include "sim/types.hpp"
 
 namespace anton2 {
-
-namespace par {
-// Declared in sim/thread_pool.hpp: the calling thread's lane index
-// during the engine's parallel phase, or -1 on the serial path.
-int currentLane();
-} // namespace par
 
 /** The kind of unit a flow hop was recorded at. */
 enum class FlowUnitKind : std::uint8_t
@@ -217,7 +212,7 @@ class FlowProbe
     {
         const int lane = par::currentLane();
         if (lane >= 0) [[unlikely]] {
-            stage(lane, r);
+            staged_.stage(lane, r);
             return;
         }
         apply(r);
@@ -227,13 +222,20 @@ class FlowProbe
     void recordDelivery(const FlowDeliveryRecord &d);
 
     /** Size the per-lane staging buffers; same contract as
-     * TraceSink::configureLanes (call with Engine::laneCount() and the
-     * largest lookahead window whenever either changes). */
-    void configureLanes(std::size_t lanes, std::size_t window_depth = 1);
+     * TraceSink::configureLanes. */
+    void
+    configureLanes(std::size_t lanes, std::size_t window_depth = 1)
+    {
+        staged_.configure(lanes, window_depth);
+    }
 
     /** Apply cycle @p cycle's staged hop records in lane order (serial
      * replay only). A no-op when nothing is staged. */
-    void mergeStaged(Cycle cycle);
+    void
+    mergeStaged(Cycle cycle)
+    {
+        staged_.merge(cycle, [this](const FlowHopRecord &r) { apply(r); });
+    }
 
     /** Registered unit name, or "?" when unbound. */
     const std::string &unitName(std::int64_t node, FlowUnitKind kind,
@@ -274,16 +276,11 @@ class FlowProbe
     std::uint64_t deliveries() const { return deliveries_; }
 
   private:
-    void stage(int lane, const FlowHopRecord &r);
     void apply(const FlowHopRecord &r);
     bool keepPaths(std::uint64_t packet) const;
 
     FlowProbeConfig cfg_;
-    std::size_t depth_ = 1; ///< staging buckets per lane (window size)
-    /** One bucket per (lane, cycle % depth_); a bucket is only touched
-     * by its lane's thread during the parallel phase and drained by the
-     * serial replay between windows. */
-    std::vector<std::vector<std::vector<FlowHopRecord>>> staged_;
+    LaneStaging<FlowHopRecord> staged_;
 
     std::map<FlowKey, FlowCell> cells_;
     std::map<FlowUnitKey, FlowUnitBlame> blame_;

@@ -208,8 +208,8 @@ class EngineProfiler
     /**
      * Every derived figure as ordered (key, value) gauges, keyed
      * relative to the host section ("engine.windows", ...,
-     * "engine.lane.0.tick_seconds", ...). HostProfiler::setExtraGauge
-     * turns them into `machine.host.engine.*` in reports.
+     * "engine.lane.0.tick_seconds", ...). Machine::hostJson() emits
+     * them as `machine.host.engine.*` in reports.
      */
     std::vector<std::pair<std::string, double>> gauges() const;
 

@@ -255,10 +255,13 @@ IntervalSampler::findSeries(const std::string &name) const
 }
 
 std::string
-IntervalSampler::toJson(int indent) const
+IntervalSampler::toJson(int indent, int depth) const
 {
-    const std::string p1(static_cast<std::size_t>(indent), ' ');
-    const std::string p2(static_cast<std::size_t>(2 * indent), ' ');
+    const std::string p0(static_cast<std::size_t>(indent * depth), ' ');
+    const std::string p1(static_cast<std::size_t>(indent * (depth + 1)),
+                         ' ');
+    const std::string p2(static_cast<std::size_t>(indent * (depth + 2)),
+                         ' ');
 
     std::string out = "{\n";
     out += p1 + "\"window_cycles\": "
@@ -280,7 +283,8 @@ IntervalSampler::toJson(int indent) const
 
     // Steady-state outcome plus the offline MSER cross-check on the
     // windowed ejection series.
-    out += p1 + "\"steady_state\": " + steadyStateJson(indent, 1) + ",\n";
+    out += p1 + "\"steady_state\": " + steadyStateJson(indent, depth + 1)
+           + ",\n";
 
     // Machine- and Chip-scope series, sorted by name. Link and Router
     // series are exported through the heatmap CSV / API instead (a
@@ -305,7 +309,7 @@ IntervalSampler::toJson(int indent) const
         out += "]";
     }
     out += first ? "}\n" : "\n" + p1 + "}\n";
-    out += "}";
+    out += p0 + "}";
     return out;
 }
 
@@ -395,7 +399,7 @@ IntervalSampler::heatmapCsv() const
 }
 
 // ---------------------------------------------------------------------
-// HostProfiler
+// Host memory
 // ---------------------------------------------------------------------
 
 std::size_t
@@ -413,166 +417,6 @@ hostPeakRssBytes()
 #else
     return 0;
 #endif
-}
-
-void
-HostProfiler::setMemStats(std::size_t packet_pool_bytes,
-                          std::size_t metric_registry_bytes)
-{
-    have_mem_ = true;
-    peak_rss_bytes_ = hostPeakRssBytes();
-    pool_bytes_ = packet_pool_bytes;
-    registry_bytes_ = metric_registry_bytes;
-}
-
-void
-HostProfiler::beginPhase(const std::string &name)
-{
-    endPhase();
-    open_ = name;
-    open_start_ = ClockT::now();
-}
-
-void
-HostProfiler::endPhase()
-{
-    if (open_.empty())
-        return;
-    const double secs =
-        std::chrono::duration<double>(ClockT::now() - open_start_).count();
-    for (auto &[name, total] : phases_) {
-        if (name == open_) {
-            total += secs;
-            open_.clear();
-            return;
-        }
-    }
-    phases_.emplace_back(open_, secs);
-    open_.clear();
-}
-
-double
-HostProfiler::wallSeconds() const
-{
-    return std::chrono::duration<double>(ClockT::now() - start_).count();
-}
-
-std::vector<std::pair<std::string, double>>
-HostProfiler::phasesNow() const
-{
-    auto phases = phases_;
-    if (!open_.empty()) {
-        const double secs =
-            std::chrono::duration<double>(ClockT::now() - open_start_)
-                .count();
-        bool merged = false;
-        for (auto &[name, total] : phases) {
-            if (name == open_) {
-                total += secs;
-                merged = true;
-                break;
-            }
-        }
-        if (!merged)
-            phases.emplace_back(open_, secs);
-    }
-    return phases;
-}
-
-double
-HostProfiler::phaseSeconds(const std::string &name) const
-{
-    double total = 0.0;
-    for (const auto &[n, secs] : phasesNow()) {
-        if (n == name)
-            total += secs;
-    }
-    return total;
-}
-
-void
-HostProfiler::setExtraGauge(const std::string &key, double value)
-{
-    for (auto &[k, v] : extras_) {
-        if (k == key) {
-            v = value;
-            return;
-        }
-    }
-    extras_.emplace_back(key, value);
-}
-
-void
-HostProfiler::publish(MetricsRegistry &reg, Cycle cycles,
-                      std::size_t components) const
-{
-    const double wall = wallSeconds();
-    const double cps = cyclesPerSec(cycles);
-    reg.setGauge("machine.host.wall_seconds", wall);
-    reg.setGauge("machine.host.cycles_per_sec", cps);
-    reg.setGauge("machine.host.ticks_per_sec",
-                 cps * static_cast<double>(components));
-    if (have_mem_) {
-        reg.setGauge("machine.host.mem.peak_rss_bytes",
-                     static_cast<double>(peak_rss_bytes_));
-        reg.setGauge("machine.host.mem.packet_pool_bytes",
-                     static_cast<double>(pool_bytes_));
-        reg.setGauge("machine.host.mem.metric_registry_bytes",
-                     static_cast<double>(registry_bytes_));
-    }
-    for (const auto &[key, value] : extras_)
-        reg.setGauge("machine.host." + key, value);
-    for (const auto &[name, secs] : phasesNow())
-        reg.setGauge("machine.host.phase." + name + "_seconds", secs);
-}
-
-std::string
-HostProfiler::toJson(Cycle cycles, std::size_t components, int indent,
-                     int depth) const
-{
-    const std::string pad(static_cast<std::size_t>(indent * (depth + 1)),
-                          ' ');
-    const double wall = wallSeconds();
-    const double cps = cyclesPerSec(cycles);
-    const auto phases = phasesNow();
-    // Phases are sequential slices of [start_, now] - beginPhase ends
-    // the previous phase - so their sum can never exceed the wall time.
-    // A violation means a phase timer outlived its profiler.
-    [[maybe_unused]] double phase_sum = 0.0;
-    for (const auto &[name, secs] : phases)
-        phase_sum += secs;
-    assert(phase_sum <= wallSeconds() + 1e-6
-           && "phase seconds exceed wall seconds");
-    std::string out = "{\n";
-    out += pad + "\"machine.host.wall_seconds\": " + jsonNumber(wall)
-           + ",\n";
-    out += pad + "\"machine.host.cycles\": "
-           + jsonNumber(static_cast<double>(cycles)) + ",\n";
-    out += pad + "\"machine.host.cycles_per_sec\": " + jsonNumber(cps)
-           + ",\n";
-    out += pad + "\"machine.host.ticks_per_sec\": "
-           + jsonNumber(cps * static_cast<double>(components));
-    if (have_mem_) {
-        out += ",\n" + pad + "\"machine.host.mem.peak_rss_bytes\": "
-               + jsonNumber(static_cast<double>(peak_rss_bytes_));
-        out += ",\n" + pad + "\"machine.host.mem.packet_pool_bytes\": "
-               + jsonNumber(static_cast<double>(pool_bytes_));
-        out += ",\n" + pad
-               + "\"machine.host.mem.metric_registry_bytes\": "
-               + jsonNumber(static_cast<double>(registry_bytes_));
-    }
-    for (const auto &[key, value] : extras_) {
-        out += ",\n" + pad + "\"machine.host." + jsonEscape(key)
-               + "\": " + jsonNumber(value);
-    }
-    for (const auto &[name, secs] : phases) {
-        out += ",\n" + pad + "\"machine.host.phase."
-               + jsonEscape(name) + "_seconds\": " + jsonNumber(secs);
-    }
-    out += "\n"
-           + std::string(static_cast<std::size_t>(indent * depth), ' ')
-           + "}";
-    return out;
 }
 
 // ---------------------------------------------------------------------

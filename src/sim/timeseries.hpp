@@ -21,10 +21,10 @@
  *  - deterministic exporters - a per-link heatmap CSV and a time-series
  *    JSON section (byte-identical across same-seed runs, like every
  *    other serializer in the repo);
- *  - host-side self-profiling (HostProfiler, ProgressMeter): simulated
- *    cycles per wall second and per-phase wall time, the prerequisite
- *    measurement for any simulator-performance work. Host wall-clock
- *    values are intentionally kept out of the deterministic exports.
+ *  - the live progress line (ProgressMeter) and the peak-RSS probe
+ *    behind the host report's memory gauges. Host wall-clock and memory
+ *    values are intentionally kept out of the deterministic exports
+ *    (Machine::hostJson() assembles the separate `host` section).
  */
 #pragma once
 
@@ -248,9 +248,10 @@ class IntervalSampler : public Component
     /**
      * JSON object: window geometry, steady-state outcome (including the
      * offline MSER cross-check), and the Machine- and Chip-scope series
-     * keyed by name in sorted order. NaN serializes as null.
+     * keyed by name in sorted order. NaN serializes as null. @p depth
+     * is the nesting level the object is embedded at.
      */
-    std::string toJson(int indent = 2) const;
+    std::string toJson(int indent = 2, int depth = 0) const;
 
     /**
      * The steady-state outcome alone as a JSON value: `null` when no
@@ -303,101 +304,12 @@ class IntervalSampler : public Component
 };
 
 // ---------------------------------------------------------------------
-// Host-side self-profiling
+// Host-side observability
 // ---------------------------------------------------------------------
 
-/**
- * Wall-clock profiling of the simulator itself: total wall time,
- * named phases, and derived rates (simulated cycles and component
- * ticks per wall second). Values are host-dependent by nature, so
- * benches report them in a JSON section *separate* from the
- * deterministic `metrics`/`timeseries` payloads; publish() is for
- * consumers that want them as `machine.host.*` gauges in a registry
- * (which then stops being byte-reproducible).
- */
 /** Peak resident set size of this process in bytes (via getrusage),
  * or 0 when the platform does not report it. */
 std::size_t hostPeakRssBytes();
-
-class HostProfiler
-{
-  public:
-    HostProfiler() : start_(ClockT::now()) {}
-
-    /**
-     * Begin a named phase (ends any open phase, including a re-entered
-     * one: `beginPhase("x")` while "x" is open banks the elapsed time
-     * and restarts the segment, so nothing is counted twice). Phase
-     * time re-entered under the same name accumulates.
-     */
-    void beginPhase(const std::string &name);
-    /** End the open phase, accumulating its wall time. A no-op when no
-     * phase is open, so a stray extra endPhase() is harmless. */
-    void endPhase();
-    /** Name of the currently open phase ("" when none). */
-    const std::string &openPhase() const { return open_; }
-
-    /**
-     * Record the simulator's memory footprint for the host report:
-     * bytes parked in the packet-pool freelist and the metric
-     * registry's approximate size (both from the Machine); peak RSS is
-     * sampled here via hostPeakRssBytes(). Once set, publish()/toJson()
-     * emit the three `machine.host.mem.*` gauges.
-     */
-    void setMemStats(std::size_t packet_pool_bytes,
-                     std::size_t metric_registry_bytes);
-
-    /**
-     * Attach an extra host gauge, reported as `machine.host.<key>` by
-     * publish()/toJson() in insertion order (same key overwrites). The
-     * engine self-profiler's `engine.*` gauges arrive through here, so
-     * they ride the existing non-deterministic host report section.
-     */
-    void setExtraGauge(const std::string &key, double value);
-
-    double wallSeconds() const;
-    /** Accumulated seconds of phase @p name. An unended (still-open)
-     * phase counts its elapsed-so-far time, so the value is usable
-     * mid-phase and an unended final phase is never silently lost. */
-    double phaseSeconds(const std::string &name) const;
-
-    /** Simulated cycles per wall second over the full profile. */
-    double
-    cyclesPerSec(Cycle cycles) const
-    {
-        const double w = wallSeconds();
-        return w > 0.0 ? static_cast<double>(cycles) / w : 0.0;
-    }
-
-    /** Gauges into @p reg: machine.host.{wall_seconds, cycles_per_sec,
-     * ticks_per_sec, phase.<name>_seconds} plus any extra gauges. */
-    void publish(MetricsRegistry &reg, Cycle cycles,
-                 std::size_t components) const;
-
-    /** The same figures as a flat JSON object keyed `machine.host.*`.
-     * Includes the elapsed time of a still-open phase, and asserts the
-     * phase times sum to no more than the wall time (phases are
-     * sequential slices of the profiled run by construction). */
-    std::string toJson(Cycle cycles, std::size_t components,
-                       int indent = 2, int depth = 1) const;
-
-  private:
-    using ClockT = std::chrono::steady_clock;
-
-    /** Recorded phases with a still-open phase folded in at its
-     * elapsed-so-far time (the exporters' and phaseSeconds()' view). */
-    std::vector<std::pair<std::string, double>> phasesNow() const;
-
-    ClockT::time_point start_;
-    std::vector<std::pair<std::string, double>> phases_; ///< insertion order
-    std::vector<std::pair<std::string, double>> extras_; ///< insertion order
-    std::string open_;
-    ClockT::time_point open_start_;
-    bool have_mem_ = false;
-    std::size_t peak_rss_bytes_ = 0;
-    std::size_t pool_bytes_ = 0;
-    std::size_t registry_bytes_ = 0;
-};
 
 /**
  * Opt-in live progress line: a passive engine component that, every
@@ -435,7 +347,7 @@ class ProgressMeter : public Component
     void setRateFn(std::function<double()> fn) { rate_ = std::move(fn); }
 
     /** Known end cycle of the current run (0 = none): enables the ETA
-     * field. For bounded runUntil* budgets the ETA is an upper bound. */
+     * field. For runs with a stop condition the ETA is an upper bound. */
     void setTargetCycles(Cycle target) { target_ = target; }
 
     void tick(Cycle now) override;

@@ -1,9 +1,5 @@
 #include "trace/trace.hpp"
 
-#include <cassert>
-
-#include "sim/thread_pool.hpp"
-
 namespace anton2 {
 
 const char *
@@ -32,47 +28,6 @@ stallClassName(StallClass c)
       case StallClass::NoInput: return "no_input";
     }
     return "unknown";
-}
-
-void
-TraceSink::configureLanes(std::size_t lanes, std::size_t window_depth)
-{
-    depth_ = window_depth < 1 ? 1 : window_depth;
-    staged_.assign(lanes, std::vector<std::vector<TraceEvent>>(depth_));
-}
-
-void
-TraceSink::stage(int lane, const TraceEvent &ev)
-{
-    assert(static_cast<std::size_t>(lane) < staged_.size()
-           && "sink not configured for this many lanes");
-    staged_[static_cast<std::size_t>(lane)]
-           [static_cast<std::size_t>(ev.cycle % depth_)]
-               .push_back(ev);
-}
-
-void
-TraceSink::mergeStaged(Cycle cycle)
-{
-    const auto bucket = static_cast<std::size_t>(cycle % depth_);
-    for (auto &lane : staged_) {
-        auto &events = lane[bucket];
-        for (const TraceEvent &ev : events)
-            doRecord(ev);
-        events.clear();
-    }
-}
-
-void
-TraceSink::mergeStagedLanes()
-{
-    for (auto &lane : staged_) {
-        for (auto &bucket : lane) {
-            for (const TraceEvent &ev : bucket)
-                doRecord(ev);
-            bucket.clear();
-        }
-    }
 }
 
 RingTraceSink::RingTraceSink(std::size_t capacity)

@@ -31,15 +31,10 @@
 #include <cstddef>
 #include <vector>
 
+#include "sim/lane_staging.hpp"
 #include "sim/types.hpp"
 
 namespace anton2 {
-
-namespace par {
-// Declared in sim/thread_pool.hpp: the calling thread's lane index
-// during the engine's parallel phase, or -1 on the serial path.
-int currentLane();
-} // namespace par
 
 /** Packet lifecycle states recorded by the tracing layer. */
 enum class TraceEventType : std::uint8_t
@@ -85,16 +80,11 @@ struct TraceEvent
  * shares one policy (record packets whose id falls on the sample
  * stride; packet-less records always pass).
  *
- * Threaded and windowed runs: one sink is shared by every component, so
- * when the engine ticks shards on several lanes (or one lane several
- * cycles between barriers), record() routes each event into a per-lane,
- * per-cycle-offset staging bucket instead of the underlying store. The
- * engine's serial replay calls mergeStaged(cycle) once per simulated
- * cycle, which drains that cycle's bucket of every lane in lane order -
- * reproducing the exact (cycle-major, registration-order) stream a
- * serial window-1 run would have written, so trace exports are
- * byte-identical at any thread count. Truly serial paths (lane -1,
- * outside any engine parallel phase) bypass staging entirely.
+ * Threaded and windowed runs: record() on an engine lane stages the
+ * event (LaneStaging) and the serial replay merges it with
+ * mergeStaged(cycle), so trace exports are byte-identical at any thread
+ * count. Truly serial paths (lane -1, outside any engine parallel
+ * phase) bypass staging entirely.
  */
 class TraceSink
 {
@@ -107,32 +97,28 @@ class TraceSink
     {
         const int lane = par::currentLane();
         if (lane >= 0) [[unlikely]] {
-            stage(lane, ev);
+            staged_.stage(lane, ev);
             return;
         }
         doRecord(ev);
     }
 
-    /**
-     * Size the per-lane staging buffers for a threaded or windowed run
-     * (call with Engine::laneCount() whenever the thread count changes).
-     * @p window_depth is the largest lookahead window the engine may
-     * run: each lane gets one bucket per cycle offset, indexed by
-     * event.cycle modulo the depth (distinct within any one window). A
-     * sink recording from a lane it was not configured for is a logic
-     * error. Existing staged events are preserved only when drained
-     * first; reconfigure between windows.
-     */
-    void configureLanes(std::size_t lanes, std::size_t window_depth = 1);
+    /** Size the per-lane staging buffers (see LaneStaging::configure;
+     * call with Engine::laneCount() and the largest lookahead window
+     * whenever either changes). */
+    void
+    configureLanes(std::size_t lanes, std::size_t window_depth = 1)
+    {
+        staged_.configure(lanes, window_depth);
+    }
 
     /** Replay cycle @p cycle's staged events into the store in lane
      * order (serial replay only). A no-op when nothing is staged. */
-    void mergeStaged(Cycle cycle);
-
-    /** Replay every staged event into the store in lane order,
-     * bucket-major. Only order-exact when at most one cycle is staged
-     * per lane (the window-1 legacy schedule); prefer mergeStaged(). */
-    void mergeStagedLanes();
+    void
+    mergeStaged(Cycle cycle)
+    {
+        staged_.merge(cycle, [this](const TraceEvent &ev) { doRecord(ev); });
+    }
 
     /** True if lifecycle events for @p packet_id should be recorded. */
     bool
@@ -150,14 +136,8 @@ class TraceSink
     virtual void doRecord(const TraceEvent &ev) = 0;
 
   private:
-    void stage(int lane, const TraceEvent &ev);
-
     std::uint64_t sample_ = 1;
-    std::size_t depth_ = 1; ///< buckets per lane (max window size)
-    /** One bucket per (lane, cycle % depth_); a bucket is only touched
-     * by its lane's thread during the parallel phase and drained by the
-     * serial replay between windows. */
-    std::vector<std::vector<std::vector<TraceEvent>>> staged_;
+    LaneStaging<TraceEvent> staged_;
 };
 
 /**

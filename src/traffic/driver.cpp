@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "debug/checkpoint.hpp"
 
@@ -21,6 +23,9 @@ makeCoreList(const Machine &m, const std::vector<EndpointId> &eps)
 std::vector<EndpointId>
 firstEndpoints(int n)
 {
+    if (n < 0)
+        throw std::invalid_argument("firstEndpoints: negative count "
+                                    + std::to_string(n));
     std::vector<EndpointId> eps(static_cast<std::size_t>(n));
     std::iota(eps.begin(), eps.end(), 0);
     return eps;
@@ -110,17 +115,6 @@ BatchDriver::tick(Cycle now)
         ++sent_[i];
         ++sent_total_;
     }
-}
-
-bool
-BatchDriver::run(Cycle max_cycles)
-{
-    // A tripped watchdog ends the run early (RunSpec's default): the
-    // machine is wedged, and the trip snapshot has the story.
-    return machine_.run(RunSpec::untilDelivered(delivered_target_,
-                                                max_cycles))
-               .reason
-           == StopReason::Delivered;
 }
 
 Cycle

@@ -53,7 +53,9 @@ class BatchDriver : public Component
     std::uint64_t expected() const { return expected_; }
     std::uint64_t sentTotal() const { return sent_total_; }
 
-    /** Machine-wide delivered() count that completes the batch. */
+    /** Machine-wide delivered() count that completes the batch: run
+     * the machine with RunSpec::untilDelivered(deliveredTarget(), ...)
+     * after adding the driver to the engine. */
     std::uint64_t deliveredTarget() const { return delivered_target_; }
 
     /** True once every batch packet has been delivered. */
@@ -62,12 +64,6 @@ class BatchDriver : public Component
     {
         return m.totalDelivered() >= delivered_target_;
     }
-
-    /**
-     * Run the batch to completion (registers nothing; call after the
-     * driver is added to the engine). Returns false on timeout.
-     */
-    bool run(Cycle max_cycles);
 
     /**
      * Measured per-core throughput in packets/cycle: batch size divided by
@@ -129,7 +125,8 @@ class OpenLoopDriver : public Component
 std::vector<EndpointAddr> makeCoreList(const Machine &m,
                                        const std::vector<EndpointId> &eps);
 
-/** The first @p n endpoint ids, a convenient default core set. */
+/** The first @p n endpoint ids, a convenient default core set.
+ * @throws std::invalid_argument for n < 0. */
 std::vector<EndpointId> firstEndpoints(int n);
 
 } // namespace anton2

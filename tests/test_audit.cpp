@@ -131,9 +131,10 @@ TEST(Audit, MaxAgeGaugesPublishedWithoutAuditor)
 {
     // The packet-age watermark is plain telemetry: it must appear in the
     // metrics export even when no auditor was ever constructed.
-    MachineConfig cfg = auditConfig();
-    cfg.enable_metrics = true;
-    Machine m(cfg);
+    Machine m(auditConfig());
+    Instrumentation inst;
+    inst.metrics = true;
+    m.attachInstrumentation(inst);
     ASSERT_EQ(m.audit(), nullptr);
     m.send(m.makeWrite({ 0, 0 }, { m.geom().id({ 2, 1, 1 }), 1 }));
     ASSERT_TRUE(m.run(RunSpec::untilDelivered(1, 50000)).reason == StopReason::Delivered);
@@ -146,9 +147,10 @@ TEST(Audit, MaxAgeGaugesPublishedWithoutAuditor)
 
 TEST(Audit, GaugesPublishedWhenBound)
 {
-    MachineConfig cfg = auditConfig();
-    cfg.enable_metrics = true;
-    Machine m(cfg);
+    Machine m(auditConfig());
+    Instrumentation inst;
+    inst.metrics = true;
+    m.attachInstrumentation(inst);
     attachAudit(m, fastAudit());
     const auto sent = driveSeededTraffic(m, 73, 40);
     ASSERT_TRUE(m.run(RunSpec::untilDelivered(sent, 100000)).reason == StopReason::Delivered);
@@ -188,7 +190,9 @@ TEST(Audit, WithholdCreditTripsWatchdogAndNamesLink)
     NetworkFault fault;
     fault.kind = NetworkFault::Kind::WithholdTorusCredits;
     fault.node = 0;
-    m.injectFault(fault);
+    Instrumentation inst;
+    inst.faults.push_back(fault);
+    m.attachInstrumentation(inst);
     Auditor &a = attachAudit(m, fastAudit(/*stall_threshold=*/300));
 
     Rng tie(3);
@@ -236,7 +240,9 @@ TEST(Audit, NoPromotionDeadlocksRingWithDeadlockVerdict)
     NetworkFault fault;
     fault.kind = NetworkFault::Kind::NoDatelinePromotion;
     fault.node = m.geom().id({ 7, 0, 0 }); // dateline between x=7 and x=0
-    m.injectFault(fault);
+    Instrumentation inst;
+    inst.faults.push_back(fault);
+    m.attachInstrumentation(inst);
     Auditor &a = attachAudit(m, fastAudit(/*stall_threshold=*/500));
 
     Rng tie(5);

@@ -304,6 +304,52 @@ TEST(Checkpoint, RunSpecSavesAtRunEndAndRestoresBeforeRunning)
     std::remove(path.c_str());
 }
 
+TEST(Checkpoint, SteadyStateSaveLandsOnFirstCheckAfterConvergence)
+{
+    // With an auto-steady sampler attached, checkpoint_out is written at
+    // the first predicate check after the detector converges - the
+    // warm-start image batch sweeps fork from - not at run end. The
+    // check stride (300) differs from the sampling window (250), so the
+    // save cycle pins the check cadence, not the sampler's.
+    constexpr Cycle kStride = 300;
+    constexpr Cycle kSaveCycle = 5100; // pinned
+    const std::string path = ckptPath("steady");
+
+    MachineConfig cfg = smallConfig(47);
+    cfg.chip.endpoints_per_node = 4;
+    Machine m(cfg);
+    Instrumentation inst;
+    inst.metrics = true;
+    TimeseriesConfig scfg;
+    scfg.window = 250;
+    scfg.auto_steady = true;
+    inst.timeseries = scfg;
+    m.attachInstrumentation(inst);
+
+    UniformPattern pat(m.geom());
+    OpenLoopDriver::Config dcfg;
+    dcfg.cores = { 0, 1, 2, 3 };
+    dcfg.rate = 0.02;
+    dcfg.pattern = &pat;
+    OpenLoopDriver driver(m, dcfg);
+    m.engine().add(driver);
+
+    RunSpec spec = RunSpec::forCycles(8000);
+    spec.check_every = kStride;
+    spec.checkpoint_out = path;
+    const RunResult res = m.run(spec);
+
+    const SteadyStateResult &ss = m.timeseries()->steadyState();
+    ASSERT_TRUE(ss.converged);
+    ASSERT_TRUE(res.checkpoint_saved);
+    EXPECT_EQ(res.checkpoint_cycle, kSaveCycle);
+    EXPECT_EQ(res.checkpoint_cycle % kStride, 0u);
+    EXPECT_GT(res.checkpoint_cycle, ss.detected_cycle);
+    EXPECT_LE(res.checkpoint_cycle - ss.detected_cycle, kStride);
+    EXPECT_LT(res.checkpoint_cycle, res.end_cycle);
+    std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------
 // Rejection: corrupted / mismatched files fail loudly
 // ---------------------------------------------------------------------

@@ -30,8 +30,10 @@ runAndSnapshot(std::uint64_t seed)
     cfg.use_packaging = false;
     cfg.fixed_torus_latency = 12;
     cfg.seed = seed;
-    cfg.enable_metrics = true;
     Machine m(cfg);
+    Instrumentation inst;
+    inst.metrics = true;
+    m.attachInstrumentation(inst);
 
     // Destinations and sizes come from a generator derived from the same
     // seed, so the full workload - not just the routing tie-breaks - is a
@@ -96,11 +98,11 @@ runAndSnapshotTimeseries(std::uint64_t seed)
     cfg.use_packaging = false;
     cfg.fixed_torus_latency = 12;
     cfg.seed = seed;
-    cfg.enable_metrics = true;
     Machine m(cfg);
     TimeseriesConfig tcfg;
     tcfg.window = 64;
     Instrumentation inst;
+    inst.metrics = true;
     inst.timeseries = tcfg;
     m.attachInstrumentation(inst);
 
@@ -161,12 +163,12 @@ runFaultedSnapshot(std::uint64_t seed)
     Machine m(cfg);
     NetworkFault fault;
     fault.kind = NetworkFault::Kind::WithholdTorusCredits;
-    m.injectFault(fault);
     AuditConfig acfg;
     acfg.audit_interval = 64;
     acfg.watchdog_interval = 16;
     acfg.stall_threshold = 300;
     Instrumentation inst;
+    inst.faults.push_back(fault);
     inst.audit = acfg;
     m.attachInstrumentation(inst);
     Auditor &a = *m.audit();
@@ -234,8 +236,10 @@ TEST(Determinism, RepeatedSerializationOfOneRunIsStable)
     cfg.chip.endpoints_per_node = 2;
     cfg.use_packaging = false;
     cfg.seed = 5;
-    cfg.enable_metrics = true;
     Machine m(cfg);
+    Instrumentation inst;
+    inst.metrics = true;
+    m.attachInstrumentation(inst);
     m.send(m.makeWrite({ 0, 0 }, { 7, 1 }, 0, 2));
     ASSERT_TRUE(m.run(RunSpec::untilDelivered(1, 100000)).reason == StopReason::Delivered);
     // metricsJson refreshes gauges then serializes; with no intervening

@@ -50,13 +50,13 @@ runFlows(std::uint64_t seed, int threads, Cycle lookahead,
     cfg.use_packaging = false;
     cfg.fixed_torus_latency = 12;
     cfg.seed = seed;
-    cfg.enable_metrics = true;
     Machine m(cfg);
     m.setThreads(threads);
     m.setLookahead(lookahead);
     FlowProbeConfig fc;
     fc.sample = sample;
     Instrumentation finst;
+    finst.metrics = true;
     finst.flows = fc;
     m.attachInstrumentation(finst);
 
@@ -94,8 +94,8 @@ TEST(FlowExports, ByteIdenticalAcrossThreadsAndWindows)
     ASSERT_FALSE(base.flows_json.empty());
     ASSERT_FALSE(base.csv.empty());
     for (const Cycle lookahead : { Cycle{ 1 }, Cycle{ 0 } }) {
-        // The run report's elapsed-cycles gauge depends on where
-        // runUntilDelivered stops (a window boundary under lookahead),
+        // The run report's elapsed-cycles gauge depends on where a
+        // delivery-target run stops (a window boundary under lookahead),
         // so the *full* report is only compared across thread counts at
         // a fixed window; the flow exports must match everywhere.
         const auto window_base = runFlows(71, 1, lookahead);
@@ -126,9 +126,9 @@ TEST(FlowMatrix, LatencySumsReconcileExactlyWithAggregateStats)
     cfg.use_packaging = false;
     cfg.fixed_torus_latency = 12;
     cfg.seed = 9;
-    cfg.enable_metrics = true;
     Machine m(cfg);
     Instrumentation finst;
+    finst.metrics = true;
     finst.flows = FlowProbeConfig{};
     m.attachInstrumentation(finst);
 
@@ -386,8 +386,10 @@ TEST(LatencyHistogram, BinWidthScalesWithMachineDiameter)
         cfg.chip.endpoints_per_node = 1;
         cfg.use_packaging = false;
         cfg.fixed_torus_latency = 20;
-        cfg.enable_metrics = true;
         Machine m(cfg);
+        Instrumentation inst;
+        inst.metrics = true;
+        m.attachInstrumentation(inst);
         const Histogram *h =
             m.metrics()->findHistogram("machine.latency.total");
         ASSERT_NE(h, nullptr);
@@ -401,8 +403,10 @@ TEST(LatencyHistogram, BinWidthScalesWithMachineDiameter)
         cfg.chip.endpoints_per_node = 1;
         cfg.use_packaging = false;
         cfg.fixed_torus_latency = 20;
-        cfg.enable_metrics = true;
         Machine m(cfg);
+        Instrumentation inst;
+        inst.metrics = true;
+        m.attachInstrumentation(inst);
         const Histogram *h =
             m.metrics()->findHistogram("machine.latency.total");
         ASSERT_NE(h, nullptr);
@@ -421,8 +425,10 @@ TEST(LatencyHistogram, WorstPathOnLargeTorusLandsInRealBins)
     cfg.use_packaging = false;
     cfg.fixed_torus_latency = 200;
     cfg.seed = 3;
-    cfg.enable_metrics = true;
     Machine m(cfg);
+    Instrumentation inst;
+    inst.metrics = true;
+    m.attachInstrumentation(inst);
     const Histogram *h =
         m.metrics()->findHistogram("machine.latency.total");
     ASSERT_NE(h, nullptr);

@@ -17,12 +17,14 @@
  *  - every deterministic export is byte-identical with profiling on or
  *    off, at 1/2/4 threads and per-cycle or auto windows;
  *  - the Chrome-trace host timeline loads and covers the run's windows;
- *  - HostProfiler hardening: open/re-entered phases, stray endPhase,
- *    phase seconds never exceeding wall seconds, extra-gauge overwrite;
+ *  - Machine::hostJson(): build + run phase seconds never exceed the
+ *    wall seconds, the run shape (threads, window) rides along, and
+ *    engine.* gauges appear exactly when the profiler is attached;
  *  - the window-aware --progress line (running rate + ETA);
  *  - bench flag validation: --topk, --host-profile-sample, unwritable
- *    timeline paths, timeline vs. multi-run sweeps, and the
- *    OptionRegistry's --name=value syntax.
+ *    timeline paths, timeline vs. multi-run sweeps, --warmup, --cores,
+ *    a --report no run filled, and the OptionRegistry's --name=value
+ *    syntax.
  */
 #include <gtest/gtest.h>
 
@@ -252,17 +254,11 @@ TEST(EngineProfiler, GaugeSchemaAndHostJsonRoundTrip)
     Machine m = makeLoadedMachine(2, 0);
     attachHostProfile(m);
     preInject(m);
-    HostProfiler prof;
-    prof.beginPhase("run");
     m.run(RunSpec::forCycles(1024));
-    prof.endPhase();
 
-    // The shared bench path: recordHostMem folds the engine gauges into
-    // the HostProfiler, hostJson emits them as machine.host.engine.*.
-    bench::recordHostMem(prof, m);
-    const std::string json =
-        bench::hostJson(prof, m.now(), m.engine().componentCount());
-    const auto root = TinyJsonParser(json).parse();
+    // The report's host section folds the engine gauges in as
+    // machine.host.engine.*.
+    const auto root = TinyJsonParser(m.hostJson()).parse();
 
     for (const char *key : {
              "machine.host.engine.windows",
@@ -304,7 +300,10 @@ TEST(EngineProfiler, GaugeSchemaAndHostJsonRoundTrip)
     EXPECT_DOUBLE_EQ(
         root->at("machine.host.engine.profiled_seconds").number,
         p.profiledSeconds());
-    // Profiled engine time is a subset of the phase wall time.
+    // Profiled engine time is a subset of the time inside run(), and
+    // so of the wall time.
+    EXPECT_LE(root->at("machine.host.engine.profiled_seconds").number,
+              root->at("machine.host.phase.run_seconds").number + 1e-6);
     EXPECT_LE(root->at("machine.host.engine.profiled_seconds").number,
               root->at("machine.host.wall_seconds").number + 1e-6);
 }
@@ -395,92 +394,51 @@ TEST(HostTimeline, ChromeJsonLoadsAndCoversWindows)
 }
 
 // ---------------------------------------------------------------------
-// HostProfiler hardening
+// Machine host section
 // ---------------------------------------------------------------------
 
-TEST(HostProfilerHardening, OpenPhaseIsCountedWithoutEndPhase)
+TEST(MachineHostJson, PhaseSecondsNeverExceedWallSeconds)
 {
-    HostProfiler prof;
-    prof.beginPhase("open");
-    EXPECT_EQ(prof.openPhase(), "open");
-    // A still-open phase reports its elapsed time - phaseSeconds must
-    // not require endPhase() first.
-    const double t0 = prof.phaseSeconds("open");
-    EXPECT_GE(t0, 0.0);
-    volatile double sink = 0.0;
-    for (int i = 0; i < 100000; ++i)
-        sink = sink + 1.0;
-    EXPECT_GE(prof.phaseSeconds("open"), t0);
-    EXPECT_LE(prof.phaseSeconds("open"), prof.wallSeconds() + 1e-6);
-}
-
-TEST(HostProfilerHardening, ReenteredPhaseAccumulates)
-{
-    HostProfiler prof;
-    prof.beginPhase("a");
-    prof.endPhase();
-    const double first = prof.phaseSeconds("a");
-    prof.beginPhase("b");
-    // Re-entering "a" banks "b" and opens a new "a" slice; the name's
-    // total accumulates across both slices.
-    prof.beginPhase("a");
-    EXPECT_EQ(prof.openPhase(), "a");
-    EXPECT_GE(prof.phaseSeconds("a"), first);
-    EXPECT_GE(prof.phaseSeconds("b"), 0.0);
-    prof.endPhase();
-    EXPECT_EQ(prof.openPhase(), "");
-}
-
-TEST(HostProfilerHardening, StrayEndPhaseIsHarmless)
-{
-    HostProfiler prof;
-    prof.endPhase(); // nothing open - must be a no-op, not UB
-    prof.endPhase();
-    EXPECT_EQ(prof.openPhase(), "");
-    prof.beginPhase("x");
-    prof.endPhase();
-    prof.endPhase(); // second end after the close is also a no-op
-    EXPECT_GE(prof.phaseSeconds("x"), 0.0);
-}
-
-TEST(HostProfilerHardening, PhaseSecondsNeverExceedWallSeconds)
-{
-    HostProfiler prof;
-    prof.beginPhase("build");
+    // Several runs with host work between them: build and run phases
+    // are disjoint slices of [construction, end of the last run()].
+    Machine m = makeLoadedMachine(1, 1);
     volatile double sink = 0.0;
     for (int i = 0; i < 50000; ++i)
         sink = sink + 1.0;
-    prof.beginPhase("run");
-    for (int i = 0; i < 50000; ++i)
-        sink = sink + 1.0;
-    // "run" intentionally left open: toJson must fold it in and the
-    // sum of phases must still bound below the wall clock.
-    const std::string json = prof.toJson(1000, 10);
-    const auto root = TinyJsonParser(json).parse();
-    const double wall = root->at("machine.host.wall_seconds").number;
-    double phase_sum = 0.0;
-    for (const auto &[key, value] : root->object) {
-        if (key.rfind("machine.host.phase.", 0) == 0)
-            phase_sum += value->number;
+    preInject(m);
+    for (int r = 0; r < 3; ++r) {
+        m.run(RunSpec::forCycles(256));
+        for (int i = 0; i < 50000; ++i)
+            sink = sink + 1.0;
     }
-    EXPECT_GT(phase_sum, 0.0);
-    EXPECT_LE(phase_sum, wall + 1e-6);
+    const auto root = TinyJsonParser(m.hostJson()).parse();
+    const double wall = root->at("machine.host.wall_seconds").number;
+    const double build = root->at("machine.host.phase.build_seconds").number;
+    const double run = root->at("machine.host.phase.run_seconds").number;
+    EXPECT_GT(build, 0.0);
+    EXPECT_GT(run, 0.0);
+    EXPECT_DOUBLE_EQ(run, m.hostRunSeconds());
+    EXPECT_LE(build + run, wall + 1e-9);
+    EXPECT_DOUBLE_EQ(root->at("machine.host.cycles").number, 768.0);
+    EXPECT_GT(root->at("machine.host.cycles_per_sec").number, 0.0);
 }
 
-TEST(HostProfilerHardening, ExtraGaugesOverwriteByKeyKeepOrder)
+TEST(MachineHostJson, RunShapeAndEngineGaugesOnlyWithProfiler)
 {
-    HostProfiler prof;
-    prof.setExtraGauge("engine.windows", 1.0);
-    prof.setExtraGauge("engine.lanes", 4.0);
-    prof.setExtraGauge("engine.windows", 7.0); // overwrite, not append
-    const std::string json = prof.toJson(0, 0);
-    const auto root = TinyJsonParser(json).parse();
-    EXPECT_DOUBLE_EQ(root->at("machine.host.engine.windows").number, 7.0);
-    EXPECT_DOUBLE_EQ(root->at("machine.host.engine.lanes").number, 4.0);
-    // Overwriting must not duplicate the key in the serialized JSON.
-    const auto first = json.find("machine.host.engine.windows");
-    ASSERT_NE(first, std::string::npos);
-    EXPECT_EQ(json.find("machine.host.engine.windows", first + 1),
+    Machine m = makeLoadedMachine(2, 0);
+    preInject(m);
+    m.run(RunSpec::forCycles(256));
+    const std::string bare = m.hostJson();
+    const auto root = TinyJsonParser(bare).parse();
+    EXPECT_DOUBLE_EQ(root->at("machine.host.threads").number, 2.0);
+    EXPECT_DOUBLE_EQ(root->at("machine.host.lookahead_window").number,
+                     static_cast<double>(m.lookaheadWindow()));
+    EXPECT_EQ(bare.find("machine.host.engine."), std::string::npos)
+        << "engine gauges without an engine profiler";
+
+    attachHostProfile(m);
+    m.run(RunSpec::forCycles(256));
+    EXPECT_NE(m.hostJson().find("machine.host.engine.windows"),
               std::string::npos);
 }
 
@@ -579,6 +537,56 @@ TEST(BenchFlagValidation, HostProfileTimelinePathMustBeWritable)
               std::string::npos);
     // The implication still resolves even when the path is bad.
     EXPECT_TRUE(hp.enabled);
+}
+
+TEST(BenchFlagValidation, WarmupImpliesTimeseries)
+{
+    bench::TimeseriesOptions ts;
+    ts.warmup = 100;
+    ASSERT_TRUE(ts.validate());
+    EXPECT_TRUE(ts.timeseries);
+    Instrumentation inst;
+    ts.addTo(inst);
+    ASSERT_TRUE(inst.timeseries.has_value())
+        << "--warmup without a sampler would never reset the registry";
+    EXPECT_EQ(inst.timeseries->warmup_reset, Cycle{ 100 });
+}
+
+TEST(BenchFlagValidation, NegativeWarmupIsRejected)
+{
+    bench::TimeseriesOptions ts;
+    ts.warmup = -5;
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(ts.validate());
+    EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                  "error: --warmup must be >= 0"),
+              std::string::npos);
+}
+
+TEST(BenchFlagValidation, CoresMustFitTheNode)
+{
+    for (long bad : { -1L, 0L, 9L }) {
+        testing::internal::CaptureStderr();
+        EXPECT_FALSE(bench::validateCores(bad, 8)) << bad;
+        EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                      "error: --cores must be in [1, 8]"),
+                  std::string::npos);
+    }
+    EXPECT_TRUE(bench::validateCores(1, 8));
+    EXPECT_TRUE(bench::validateCores(8, 8));
+}
+
+TEST(BenchFlagValidation, ReportWithoutRunBodyFails)
+{
+    bench::ReportOptions ro;
+    EXPECT_TRUE(ro.write("b", "{}", "", "", "{}"))
+        << "no --report: nothing to write, nothing to fail";
+    ro.report = "/dev/null";
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(ro.write("b", "{}", "", "", "{}"));
+    EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                  "no run produced a report"),
+              std::string::npos);
 }
 
 TEST(BenchFlagValidation, TimelinePathImpliesProfiling)

@@ -435,9 +435,13 @@ runFig9Style(int threads, Cycle lookahead)
     BatchDriver driver(m, dcfg);
     m.engine().add(driver);
 
-    EXPECT_TRUE(driver.run(1000000))
+    EXPECT_EQ(m.run(RunSpec::untilDelivered(driver.deliveredTarget(),
+                                            1000000))
+                  .reason,
+              StopReason::Delivered)
         << "threads=" << threads << " lookahead=" << lookahead;
-    EXPECT_TRUE(m.runUntilQuiescent(100000))
+    EXPECT_EQ(m.run(RunSpec::untilQuiescent(100000)).reason,
+              StopReason::Quiescent)
         << "threads=" << threads << " lookahead=" << lookahead;
     return captureExports(m);
 }

@@ -155,7 +155,8 @@ TEST(Machine, QuiescentAfterDrain)
     Machine m(smallConfig());
     for (int i = 0; i < 10; ++i)
         m.send(m.makeWrite({ 0, 0 }, { m.geom().id({ 3, 2, 1 }), 0 }));
-    ASSERT_TRUE(m.runUntilQuiescent(100000));
+    ASSERT_EQ(m.run(RunSpec::untilQuiescent(100000)).reason,
+              StopReason::Quiescent);
     EXPECT_EQ(m.totalDelivered(), 10u);
 }
 

@@ -178,8 +178,8 @@ TEST(MetricsRegistry, ResetClearsEverything)
 
 namespace warmup_reset {
 
-Machine
-makeMachine()
+MachineConfig
+machineConfig()
 {
     MachineConfig cfg;
     cfg.radix = { 2, 2, 2 };
@@ -187,8 +187,15 @@ makeMachine()
     cfg.use_packaging = false;
     cfg.fixed_torus_latency = 8;
     cfg.seed = 7;
-    cfg.enable_metrics = true;
-    return Machine(cfg);
+    return cfg;
+}
+
+void
+attachMetrics(Machine &m)
+{
+    Instrumentation inst;
+    inst.metrics = true;
+    m.attachInstrumentation(inst);
 }
 
 /**
@@ -213,7 +220,8 @@ drive(Machine &m, int count, std::uint64_t route_seed)
         pkt->vc = VcState(m.config().chip.vc_policy);
         m.chip(a).setExit(*pkt, nextRouteDim(m.geom(), a, b, pkt->route));
         m.send(pkt);
-        ASSERT_TRUE(m.runUntilQuiescent(100000));
+        ASSERT_EQ(m.run(RunSpec::untilQuiescent(100000)).reason,
+                  StopReason::Quiescent);
     }
 }
 
@@ -255,7 +263,8 @@ TEST(MetricsRegistry, WarmupResetMeasureMatchesFreshMeasure)
     using namespace warmup_reset;
 
     // Machine A: warmup traffic, quiesce, reset, then measure.
-    Machine warmed = makeMachine();
+    Machine warmed(machineConfig());
+    attachMetrics(warmed);
     drive(warmed, 24, /*route_seed=*/11);
     EXPECT_GT(warmed.metrics()->findCounter("machine.delivered")->value(),
               0u);
@@ -266,7 +275,8 @@ TEST(MetricsRegistry, WarmupResetMeasureMatchesFreshMeasure)
     const auto after_reset = Snapshot::take(warmed);
 
     // Machine B: the measurement phase alone.
-    Machine fresh = makeMachine();
+    Machine fresh(machineConfig());
+    attachMetrics(fresh);
     drive(fresh, 16, /*route_seed=*/42);
     const auto baseline = Snapshot::take(fresh);
 

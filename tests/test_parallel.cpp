@@ -108,7 +108,7 @@ TEST(Engine, RunUntilStrideChecksAtIntervalWithFinalExactCheck)
 {
     // With check_every = 8 a predicate that turns true at cycle 5 is
     // noticed at the next check (cycle 8) - legal for monotone
-    // predicates, and the documented trade of runUntilQuiescent.
+    // predicates, and the documented trade of a quiescence wait.
     Engine e;
     TickCounter c;
     e.add(c);
@@ -221,8 +221,14 @@ runFig9Style(int threads)
     BatchDriver driver(m, dcfg);
     m.engine().add(driver);
 
-    EXPECT_TRUE(driver.run(1000000)) << "threads=" << threads;
-    EXPECT_TRUE(m.runUntilQuiescent(100000)) << "threads=" << threads;
+    EXPECT_EQ(m.run(RunSpec::untilDelivered(driver.deliveredTarget(),
+                                            1000000))
+                  .reason,
+              StopReason::Delivered)
+        << "threads=" << threads;
+    EXPECT_EQ(m.run(RunSpec::untilQuiescent(100000)).reason,
+              StopReason::Quiescent)
+        << "threads=" << threads;
     return captureExports(m);
 }
 
@@ -274,11 +280,16 @@ runFig11Style(int threads)
     });
 
     send_ping();
-    EXPECT_TRUE(m.engine().runUntil([&] { return done; }, 1000000))
+    RunSpec spec;
+    spec.max_cycles = 1000000;
+    spec.stop = [&] { return done; };
+    EXPECT_EQ(m.run(spec).reason, StopReason::Predicate)
         << "threads=" << threads;
     m.endpoint(a).setHandlerFn(nullptr);
     m.endpoint(b).setHandlerFn(nullptr);
-    EXPECT_TRUE(m.runUntilQuiescent(100000)) << "threads=" << threads;
+    EXPECT_EQ(m.run(RunSpec::untilQuiescent(100000)).reason,
+              StopReason::Quiescent)
+        << "threads=" << threads;
     return captureExports(m);
 }
 
@@ -392,17 +403,21 @@ runSegmented(bool reconfigure)
     m.engine().add(driver);
 
     // Reconfigure between cycles: serial -> 4 workers -> 2 -> serial.
-    m.engine().run(40);
+    m.run(RunSpec::forCycles(40));
     if (reconfigure)
         m.setThreads(4);
-    m.engine().run(40);
+    m.run(RunSpec::forCycles(40));
     if (reconfigure)
         m.setThreads(2);
-    m.engine().run(40);
+    m.run(RunSpec::forCycles(40));
     if (reconfigure)
         m.setThreads(1);
-    EXPECT_TRUE(driver.run(1000000));
-    EXPECT_TRUE(m.runUntilQuiescent(100000));
+    EXPECT_EQ(m.run(RunSpec::untilDelivered(driver.deliveredTarget(),
+                                            1000000))
+                  .reason,
+              StopReason::Delivered);
+    EXPECT_EQ(m.run(RunSpec::untilQuiescent(100000)).reason,
+              StopReason::Quiescent);
     return captureExports(m);
 }
 
@@ -465,8 +480,12 @@ TEST(ThreadedDeterminism, IncrementalAttachMatchesBundledAttach)
         dcfg.pattern = &pat;
         BatchDriver driver(m, dcfg);
         m.engine().add(driver);
-        EXPECT_TRUE(driver.run(1000000));
-        EXPECT_TRUE(m.runUntilQuiescent(100000));
+        EXPECT_EQ(m.run(RunSpec::untilDelivered(driver.deliveredTarget(),
+                                                1000000))
+                      .reason,
+                  StopReason::Delivered);
+        EXPECT_EQ(m.run(RunSpec::untilQuiescent(100000)).reason,
+                  StopReason::Quiescent);
     };
     drive(bundled);
     drive(legacy);

@@ -178,7 +178,8 @@ TEST(Property, RequestAndReplyClassesDoNotBlockEachOther)
     });
     for (int i = 0; i < 20; ++i)
         m.send(m.makeRead({ 0, 2 }, { m.geom().id({ 2, 2, 2 }), 3 }));
-    ASSERT_TRUE(m.runUntilQuiescent(2000000));
+    ASSERT_EQ(m.run(RunSpec::untilQuiescent(2000000)).reason,
+              StopReason::Quiescent);
     EXPECT_EQ(replies, 20);
 }
 
@@ -214,7 +215,8 @@ TEST(Property, MachineSurvivesHeavyMulticastContention)
         expected += uniq;
         m.sendMulticast({ n, 0 }, group);
     }
-    ASSERT_TRUE(m.runUntilQuiescent(2000000));
+    ASSERT_EQ(m.run(RunSpec::untilQuiescent(2000000)).reason,
+              StopReason::Quiescent);
     EXPECT_EQ(m.totalDelivered(), expected);
 }
 

@@ -14,12 +14,13 @@
  *    level;
  *  - Machine::runReportJson() - the deterministic report body - is
  *    byte-identical across thread counts {1,2,4} and lookahead windows
- *    {1, auto} for a feedback-free (pre-injected) workload;
+ *    {1, auto} for a feedback-free (pre-injected) workload, with and
+ *    without an interval sampler (whose series the body then carries);
  *  - the hot-spot digest is sorted, k-bounded, conserves the axis flit
  *    totals against the raw adapter counters, and is level-independent
  *    (it is built from always-on counters, not from metrics);
- *  - HostProfiler::setMemStats() surfaces the `machine.host.mem.*`
- *    gauges with positive values;
+ *  - Machine::hostJson() surfaces the `machine.host.mem.*` gauges with
+ *    positive values;
  *  - an 8x8x8 short-run delivered-count regression (the
  *    bench_host_speed --cycles 200 workload from test_lookahead.cpp)
  *    exercised at `machine` metrics level, proving coarse telemetry
@@ -84,18 +85,25 @@ injectTraffic(Machine &m, std::uint64_t seed = 9)
     }
 }
 
-/** Build, instrument at @p level, run the shared workload to the end. */
+/** Build, instrument at @p level (plus a 64-cycle interval sampler when
+ * @p sampled), run the shared workload to the end. */
 std::unique_ptr<Machine>
-runAtLevel(MetricsLevel level, int threads = 1, Cycle lookahead = 1)
+runAtLevel(MetricsLevel level, int threads = 1, Cycle lookahead = 1,
+           bool sampled = false)
 {
     auto m = std::make_unique<Machine>(baseConfig(level, threads,
                                                   lookahead));
     Instrumentation inst;
     inst.metrics = true;
     inst.metrics_level = level;
+    if (sampled) {
+        TimeseriesConfig tcfg;
+        tcfg.window = 64;
+        inst.timeseries = tcfg;
+    }
     m->attachInstrumentation(inst);
     injectTraffic(*m);
-    m->run(2048);
+    m->run(RunSpec::forCycles(2048));
     EXPECT_GT(m->totalDelivered(), 0u);
     return m;
 }
@@ -265,11 +273,13 @@ TEST(ReportDeterminism, RunReportByteIdenticalAcrossThreadsAndWindows)
                 EXPECT_NE(ref.find("\"metrics_level\": \"machine\""),
                           std::string::npos);
                 EXPECT_NE(ref.find("\"digest\""), std::string::npos);
-                // No sampler / auditor attached: their slots are null.
+                // No sampler / auditor attached: their slots are null
+                // and the sampler's series are absent.
                 EXPECT_NE(ref.find("\"steady_state\": null"),
                           std::string::npos);
                 EXPECT_NE(ref.find("\"audit\": null"),
                           std::string::npos);
+                EXPECT_EQ(ref.find("\"timeseries\""), std::string::npos);
             } else {
                 EXPECT_EQ(report, ref)
                     << "threads=" << threads
@@ -282,6 +292,30 @@ TEST(ReportDeterminism, RunReportByteIdenticalAcrossThreadsAndWindows)
     EXPECT_EQ(root->at("delivered").number,
               root->path("metrics.machine.ep.delivered").number);
     EXPECT_EQ(root->at("metrics_level").string, "machine");
+
+    // With a sampler attached the body carries its windowed series,
+    // under the same contract.
+    std::string sampled_ts;
+    for (Cycle lookahead : { Cycle{ 1 }, Cycle{ 0 } }) {
+        for (int threads : { 1, 2, 4 }) {
+            const auto m = runAtLevel(MetricsLevel::Machine, threads,
+                                      lookahead, /*sampled=*/true);
+            const std::string ts =
+                topLevelObject(m->runReportJson(4), "timeseries");
+            if (sampled_ts.empty()) {
+                sampled_ts = ts;
+                ASSERT_FALSE(sampled_ts.empty());
+            } else {
+                EXPECT_EQ(ts, sampled_ts)
+                    << "threads=" << threads
+                    << " lookahead=" << lookahead;
+            }
+        }
+    }
+    const auto ts_root = TinyJsonParser("{" + sampled_ts + "}").parse();
+    EXPECT_DOUBLE_EQ(ts_root->path("timeseries.window_cycles").number,
+                     64.0);
+    EXPECT_GT(ts_root->path("timeseries.windows").number, 0.0);
 }
 
 // ---------------------------------------------------------------------
@@ -343,7 +377,7 @@ TEST(HotspotDigestSuite, SortedBoundedConservativeLevelIndependent)
     {
         Machine bare(baseConfig(MetricsLevel::Full));
         injectTraffic(bare);
-        bare.run(2048);
+        bare.run(RunSpec::forCycles(2048));
         EXPECT_EQ(hotspotDigestJson(bare.hotspotDigest(5)), ref)
             << "digest must not depend on metrics being enabled";
     }
@@ -355,21 +389,15 @@ TEST(HotspotDigestSuite, SortedBoundedConservativeLevelIndependent)
 
 TEST(HostMemGauges, SetMemStatsSurfacesPositiveGauges)
 {
+    // A machine without metrics reports an empty registry footprint.
+    {
+        Machine bare(baseConfig(MetricsLevel::Chip));
+        const auto root = TinyJsonParser(bare.hostJson()).parse();
+        EXPECT_EQ(root->at("machine.host.mem.metric_registry_bytes").number,
+                  0.0);
+    }
     const auto m = runAtLevel(MetricsLevel::Chip);
-    HostProfiler prof;
-    prof.beginPhase("run");
-    prof.endPhase();
-
-    // Before setMemStats the mem gauges stay absent.
-    const std::string before =
-        prof.toJson(m->now(), m->engine().componentCount());
-    EXPECT_EQ(before.find("machine.host.mem."), std::string::npos);
-
-    prof.setMemStats(m->packetPoolBytes(),
-                     m->metrics()->approxBytes());
-    const std::string after =
-        prof.toJson(m->now(), m->engine().componentCount());
-    const auto root = TinyJsonParser(after).parse();
+    const auto root = TinyJsonParser(m->hostJson()).parse();
     EXPECT_GT(root->at("machine.host.mem.peak_rss_bytes").number, 0.0);
     EXPECT_GT(root->at("machine.host.mem.packet_pool_bytes").number, 0.0)
         << "a finished run should have parked packets in the pool";

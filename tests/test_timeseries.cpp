@@ -24,9 +24,10 @@ namespace {
 /** Attach a sampler through the unified bundle (the only attach path)
  * and hand back the bound instance. */
 IntervalSampler &
-attachSampler(Machine &m, const TimeseriesConfig &tcfg)
+attachSampler(Machine &m, const TimeseriesConfig &tcfg, bool metrics = false)
 {
     Instrumentation inst;
+    inst.metrics = metrics;
     inst.timeseries = tcfg;
     m.attachInstrumentation(inst);
     return *m.timeseries();
@@ -220,11 +221,10 @@ TEST(IntervalSampler, WindowGeometryIncludesPartialFinalWindow)
 TEST(IntervalSampler, WindowedSumsMatchAggregatesByteExactly)
 {
     auto cfg = smallConfig(13);
-    cfg.enable_metrics = true;
     Machine m(cfg);
     TimeseriesConfig tcfg;
     tcfg.window = 64;
-    IntervalSampler &s = attachSampler(m, tcfg);
+    IntervalSampler &s = attachSampler(m, tcfg, /*metrics=*/true);
     runSampledMachine(m, 120, 13);
     s.finalize(m.now());
 
@@ -368,13 +368,12 @@ TEST(IntervalSampler, HeatmapCsvHasOneRowPerLinkPerWindow)
 TEST(AutoSteady, LowLoadRunConvergesWithinTheDefaultWarmupBudget)
 {
     auto cfg = smallConfig(37);
-    cfg.enable_metrics = true;
     Machine m(cfg);
 
     TimeseriesConfig tcfg;
     tcfg.window = 250;
     tcfg.auto_steady = true;
-    IntervalSampler &s = attachSampler(m, tcfg);
+    IntervalSampler &s = attachSampler(m, tcfg, /*metrics=*/true);
 
     UniformPattern pat(m.geom());
     OpenLoopDriver::Config dcfg;
@@ -411,13 +410,12 @@ TEST(AutoSteady, LowLoadRunConvergesWithinTheDefaultWarmupBudget)
 TEST(AutoSteady, FixedWarmupResetsRegistryAtTheRequestedCycle)
 {
     auto cfg = smallConfig(41);
-    cfg.enable_metrics = true;
     Machine m(cfg);
 
     TimeseriesConfig tcfg;
     tcfg.window = 100;
     tcfg.warmup_reset = 350;
-    IntervalSampler &s = attachSampler(m, tcfg);
+    IntervalSampler &s = attachSampler(m, tcfg, /*metrics=*/true);
 
     UniformPattern pat(m.geom());
     OpenLoopDriver::Config dcfg;
@@ -464,37 +462,8 @@ TEST(ChromeCounters, TimeseriesAppendsCounterTracksToTheTrace)
 }
 
 // ---------------------------------------------------------------------
-// Host-side self-profiling
+// Live progress line
 // ---------------------------------------------------------------------
-
-TEST(HostProfiler, PhasesAccumulateAndRatesArePublished)
-{
-    HostProfiler prof;
-    prof.beginPhase("build");
-    prof.beginPhase("run"); // implicitly ends "build"
-    prof.endPhase();
-    prof.beginPhase("run"); // reopening accumulates into the same phase
-    prof.endPhase();
-
-    EXPECT_GE(prof.phaseSeconds("build"), 0.0);
-    EXPECT_GE(prof.phaseSeconds("run"), 0.0);
-    EXPECT_EQ(prof.phaseSeconds("absent"), 0.0);
-    EXPECT_GT(prof.wallSeconds(), 0.0);
-    EXPECT_GT(prof.cyclesPerSec(1000), 0.0);
-
-    MetricsRegistry reg;
-    prof.publish(reg, 1000, 10);
-    const std::string json = reg.toJson();
-    EXPECT_NE(json.find("\"wall_seconds\""), std::string::npos);
-    EXPECT_NE(json.find("\"cycles_per_sec\""), std::string::npos);
-    EXPECT_NE(json.find("\"ticks_per_sec\""), std::string::npos);
-
-    const std::string flat = prof.toJson(1000, 10);
-    EXPECT_NE(flat.find("\"machine.host.cycles_per_sec\""),
-              std::string::npos);
-    EXPECT_NE(flat.find("\"machine.host.phase.run_seconds\""),
-              std::string::npos);
-}
 
 TEST(ProgressMeter, PrintsRateLimitedStatusLines)
 {

@@ -123,12 +123,12 @@ runTraced(std::uint64_t seed, std::uint64_t sample = 1)
     cfg.use_packaging = false;
     cfg.fixed_torus_latency = 12;
     cfg.seed = seed;
-    cfg.enable_metrics = true;
     Machine m(cfg);
     TraceConfig tc;
     tc.capacity = std::size_t{ 1 } << 16;
     tc.sample = sample;
     Instrumentation inst;
+    inst.metrics = true;
     inst.trace = tc;
     m.attachInstrumentation(inst);
 

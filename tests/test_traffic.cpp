@@ -6,6 +6,7 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
 
 #include "core/machine.hpp"
 #include "traffic/driver.hpp"
@@ -140,7 +141,10 @@ TEST(BatchDriver, SendsExactBatchAndCompletes)
     m.engine().add(driver);
 
     EXPECT_EQ(driver.expected(), 16u * 64 * 2);
-    ASSERT_TRUE(driver.run(2000000));
+    ASSERT_EQ(m.run(RunSpec::untilDelivered(driver.deliveredTarget(),
+                                            2000000))
+                  .reason,
+              StopReason::Delivered);
     EXPECT_EQ(driver.sentTotal(), driver.expected());
     EXPECT_EQ(m.totalDelivered(), driver.expected());
     EXPECT_GT(driver.throughputPerCore(), 0.0);
@@ -168,7 +172,10 @@ TEST(BatchDriver, BlendLabelsPackets)
     dcfg.blend_fraction2 = 0.5;
     BatchDriver driver(m, dcfg);
     m.engine().add(driver);
-    ASSERT_TRUE(driver.run(2000000));
+    ASSERT_EQ(m.run(RunSpec::untilDelivered(driver.deliveredTarget(),
+                                            2000000))
+                  .reason,
+              StopReason::Delivered);
     const double frac = static_cast<double>(label1)
                         / static_cast<double>(label0 + label1);
     EXPECT_NEAR(frac, 0.5, 0.1);
@@ -214,6 +221,9 @@ TEST(CoreList, EnumeratesNodeEndpointPairs)
     EXPECT_EQ(cores[0].ep, 0);
     EXPECT_EQ(cores[1].ep, 2);
     EXPECT_EQ(firstEndpoints(3), (std::vector<EndpointId>{ 0, 1, 2 }));
+    EXPECT_TRUE(firstEndpoints(0).empty());
+    // A negative count is a caller error, not a vector length_error.
+    EXPECT_THROW(firstEndpoints(-1), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------
