@@ -8,8 +8,9 @@
 namespace anton2 {
 
 Chip::Chip(NodeId node, const ChipConfig &cfg, const ChipLayout &layout,
-           const TorusGeom &geom, const RouteTable &routes)
-    : node_(node), cfg_(cfg), layout_(layout), geom_(geom)
+           const TorusGeom &geom, const RouteTable &routes, PacketCopy copy)
+    : node_(node), cfg_(cfg), layout_(layout), geom_(geom),
+      copy_(std::move(copy))
 {
     std::string prefix = "n";
     prefix += std::to_string(node);
@@ -127,38 +128,27 @@ Chip::Chip(NodeId node, const ChipConfig &cfg, const ChipLayout &layout,
 void
 Chip::registerWith(Engine &engine)
 {
-    // One shard per chip; the thunks dispatch each tick with a qualified
-    // (non-virtual) call so the per-component cost is a predicted
-    // indirect call instead of a vtable load + virtual dispatch.
-    // The class tags keep registration's contiguous grouping visible to
-    // the profiler's sampled attribution pass (one timestamped run per
-    // class per shard).
+    // One shard per chip; each thunk ticks through a qualified
+    // (non-virtual) call and reports whether the component keeps work
+    // for the next cycle. The class tags keep registration's contiguous
+    // grouping visible to the profiler's sampled attribution pass (one
+    // timestamped run per class per shard).
     const std::size_t shard = engine.newShard();
-    for (auto &r : routers_) {
-        engine.addSharded(
-            shard, *r,
-            [](Component &c, Cycle now) {
-                static_cast<Router &>(c).Router::tick(now);
-            },
-            HostCompClass::Router);
-    }
-    for (auto &ca : channel_adapters_) {
-        engine.addSharded(
-            shard, *ca,
-            [](Component &c, Cycle now) {
-                static_cast<ChannelAdapter &>(c).ChannelAdapter::tick(now);
-            },
-            HostCompClass::ChannelAdapter);
-    }
-    for (auto &ep : endpoints_) {
-        engine.addSharded(
-            shard, *ep,
-            [](Component &c, Cycle now) {
-                static_cast<EndpointAdapter &>(c).EndpointAdapter::tick(
-                    now);
-            },
-            HostCompClass::Endpoint);
-    }
+    for (auto &r : routers_)
+        engine.addWakeable(shard, *r, HostCompClass::Router);
+    for (auto &ca : channel_adapters_)
+        engine.addWakeable(shard, *ca, HostCompClass::ChannelAdapter);
+    for (auto &ep : endpoints_)
+        engine.addWakeable(shard, *ep, HostCompClass::Endpoint);
+}
+
+void
+Chip::settleIdle(Cycle now)
+{
+    for (auto &r : routers_)
+        r->settleIdle(now);
+    for (auto &ca : channel_adapters_)
+        ca->settleIdle(now);
 }
 
 void
@@ -285,8 +275,10 @@ Chip::ingressAt(int ca, const PacketPtr &pkt,
     if (pkt->mcast_group >= 0) {
         const McastNodeEntry *entry = mcastEntry(pkt->mcast_group);
         assert(entry != nullptr && "multicast packet at node without entry");
+        // Copies come from the packet pool and reuse its payload and
+        // route capacity.
         for (const auto &hop : entry->forward) {
-            auto copy = std::make_shared<Packet>(*pkt);
+            auto copy = copy_(*pkt);
             const auto arrival_vc = copy->vc.torusVc();
             if (hop.dim != dim)
                 copy->vc.onDimComplete();
@@ -298,7 +290,7 @@ Chip::ingressAt(int ca, const PacketPtr &pkt,
                                          fullVc(copy->tc, arrival_vc)) });
         }
         for (int ep : entry->local) {
-            auto copy = std::make_shared<Packet>(*pkt);
+            auto copy = copy_(*pkt);
             const auto arrival_vc = copy->vc.torusVc();
             copy->vc.onDimComplete();
             copy->x_through = false;

@@ -6,6 +6,7 @@
  */
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -53,24 +54,34 @@ struct ChipConfig
 class Chip
 {
   public:
+    /** Copies a packet for multicast ingress (from the machine's packet
+     * pool; called from the chip's engine lane, so thread-safe). */
+    using PacketCopy = std::function<PacketPtr(const Packet &)>;
+
     /**
      * @param layout Shared placement (identical for every chip).
      * @param geom The machine's torus geometry (for dateline decisions).
      * @param routes The machine's on-chip route table (built from
      * @p layout and cfg.dir_order); layout, geom and routes must
      * outlive the chip.
+     * @param copy Makes the ingress multicast copies.
      */
     Chip(NodeId node, const ChipConfig &cfg, const ChipLayout &layout,
-         const TorusGeom &geom, const RouteTable &routes);
+         const TorusGeom &geom, const RouteTable &routes, PacketCopy copy);
 
     /**
      * Register every component of this chip with the engine as one
-     * shard (routers, then channel adapters, then endpoints - the
-     * canonical serial order). Chip-granular sharding keeps each chip's
-     * components on a single lane of a threaded engine, so only the
-     * latency >= 1 torus wires ever cross threads.
+     * shard of wake-aware components (routers, then channel adapters,
+     * then endpoints - the canonical serial order). Chip-granular
+     * sharding keeps each chip's components on a single lane of a
+     * threaded engine, so only the latency >= 1 torus wires ever cross
+     * threads.
      */
     void registerWith(Engine &engine);
+
+    /** Settle the idle cycles every router and channel adapter slept
+     * through before @p now (see Router::settleIdle). */
+    void settleIdle(Cycle now);
 
     /**
      * Bind every component of this chip to @p reg under
@@ -203,6 +214,7 @@ class Chip
     std::vector<std::unique_ptr<Channel>> channels_;
     std::vector<std::unique_ptr<RouterEnergyMeter>> energy_;
     std::unordered_map<std::int32_t, McastNodeEntry> mcast_;
+    PacketCopy copy_;
 };
 
 } // namespace anton2

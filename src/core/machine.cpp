@@ -1,6 +1,7 @@
 #include "core/machine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -59,10 +60,12 @@ Machine::Machine(const MachineConfig &cfg)
         throw std::invalid_argument("Machine models a 3-D torus");
     checkLatencies(cfg_);
 
+    // Multicast copies made at ingress come from the packet pool.
     chips_.reserve(geom_.numNodes());
     for (NodeId n = 0; n < geom_.numNodes(); ++n) {
-        chips_.push_back(
-            std::make_unique<Chip>(n, cfg_.chip, layout_, geom_, routes_));
+        chips_.push_back(std::make_unique<Chip>(
+            n, cfg_.chip, layout_, geom_, routes_,
+            [this](const Packet &src) { return copyPacket(src); }));
     }
 
     // The lookahead bound: shards may tick up to k cycles between
@@ -132,6 +135,9 @@ Machine::Machine(const MachineConfig &cfg)
         }
     }
 
+    // The slowest torus link bounds how far ahead an arrival can wake
+    // its receiver; the on-chip wires are all faster.
+    engine_.setWakeHorizon(max_link_latency);
     for (auto &c : chips_)
         c->registerWith(engine_);
 
@@ -140,12 +146,16 @@ Machine::Machine(const MachineConfig &cfg)
     // engine's serial phase (serialPhase below): they reach machine-wide
     // state - the shared latency aggregates, the RNG via read-reply
     // generation, software handlers - so they must run in one canonical
-    // order whether chips ticked on one thread or many.
+    // order whether chips ticked on one thread or many. Each node's
+    // endpoints (at most 32, the free router ports) flag staged
+    // deliveries in the node's word, which only that chip's engine lane
+    // writes.
+    staged_deliveries_.assign(geom_.numNodes(), 0);
     for (NodeId n = 0; n < geom_.numNodes(); ++n) {
         for (EndpointId e = 0; e < layout_.numEndpoints(); ++e) {
             auto &ep = chip(n).endpoint(e);
-            flush_order_.push_back(&ep);
-            ep.setDeferredDelivery(true);
+            ep.deferDeliveries(staged_deliveries_[n],
+                               static_cast<unsigned>(e));
             ep.setDeliverFn([this](const PacketPtr &pkt, Cycle now) {
                 ++delivered_;
                 last_delivery_ = now;
@@ -180,17 +190,30 @@ Machine::PacketPool::~PacketPool()
         delete p;
 }
 
+Packet *
+Machine::reusePacket()
+{
+    std::lock_guard<std::mutex> lock(pool_->mu);
+    if (pool_->free.empty())
+        return nullptr;
+    Packet *p = pool_->free.back();
+    pool_->free.pop_back();
+    return p;
+}
+
+PacketPtr
+Machine::adoptPacket(Packet *p)
+{
+    return PacketPtr(p, [pool = pool_](Packet *q) {
+        std::lock_guard<std::mutex> lock(pool->mu);
+        pool->free.push_back(q);
+    });
+}
+
 PacketPtr
 Machine::allocPacket()
 {
-    Packet *p = nullptr;
-    {
-        std::lock_guard<std::mutex> lock(pool_->mu);
-        if (!pool_->free.empty()) {
-            p = pool_->free.back();
-            pool_->free.pop_back();
-        }
-    }
+    Packet *p = reusePacket();
     if (p == nullptr) {
         p = new Packet();
     } else {
@@ -208,10 +231,19 @@ Machine::allocPacket()
         p->route.order = std::move(order);
         p->route.dirs = std::move(dirs);
     }
-    return PacketPtr(p, [pool = pool_](Packet *q) {
-        std::lock_guard<std::mutex> lock(pool->mu);
-        pool->free.push_back(q);
-    });
+    return adoptPacket(p);
+}
+
+PacketPtr
+Machine::copyPacket(const Packet &src)
+{
+    // Copy assignment reuses the recycled vectors' capacity.
+    Packet *p = reusePacket();
+    if (p == nullptr)
+        p = new Packet(src);
+    else
+        *p = src;
+    return adoptPacket(p);
 }
 
 void
@@ -224,8 +256,27 @@ Machine::serialPhase(Cycle now)
     // closes its flight into the flow matrix.
     if (flow_ != nullptr)
         flow_->mergeStaged(now);
-    for (EndpointAdapter *ep : flush_order_)
-        ep->flushDeliveries(now);
+    // Only endpoints that staged a delivery are visited, node-major and
+    // endpoint-minor (registration order). A flag clears once its
+    // endpoint has nothing pending; deliveries staged for later cycles
+    // of the window keep it set.
+    for (NodeId n = 0; n < staged_deliveries_.size(); ++n) {
+        std::uint64_t &staged = staged_deliveries_[n];
+        for (std::uint64_t m = staged; m != 0; m &= m - 1) {
+            const int e = std::countr_zero(m);
+            EndpointAdapter &ep = chips_[n]->endpoint(e);
+            ep.flushDeliveries(now);
+            if (!ep.hasPendingDeliveries())
+                staged &= ~(std::uint64_t{ 1 } << e);
+        }
+    }
+}
+
+void
+Machine::settleIdle()
+{
+    for (auto &c : chips_)
+        c->settleIdle(engine_.now());
 }
 
 void
@@ -341,7 +392,9 @@ Machine::metricsJson()
     // Stall attribution (present once tracing enabled the samplers):
     // per-class cycle totals reduced router -> chip -> machine; the
     // machine aggregate mirrors traceChromeJson()'s
-    // otherData.stall_totals.
+    // otherData.stall_totals. Sleeping routers book their idle cycles
+    // first.
+    settleIdle();
     PortStallTotals machine_stalls;
     bool any_stalls = false;
     for (NodeId n = 0; n < geom_.numNodes(); ++n) {
@@ -579,6 +632,10 @@ Machine::hostJson()
         host_.ran ? Secs(host_.last_run_end - host_.built).count() : 0.0;
     const double cps =
         run > 0.0 ? static_cast<double>(host_.run_cycles) / run : 0.0;
+    const double slots = static_cast<double>(host_.run_cycles)
+                         * static_cast<double>(engine_.shardedCount());
+    const double awake =
+        slots > 0.0 ? static_cast<double>(host_.run_ticks) / slots : 0.0;
 
     std::vector<std::pair<std::string, double>> gauges{
         { "wall_seconds", wall },
@@ -586,6 +643,7 @@ Machine::hostJson()
         { "cycles_per_sec", cps },
         { "ticks_per_sec",
           cps * static_cast<double>(engine_.componentCount()) },
+        { "awake_frac", awake },
         { "threads", static_cast<double>(engine_.threads()) },
         { "lookahead_window", static_cast<double>(engine_.window()) },
         { "mem.peak_rss_bytes", static_cast<double>(hostPeakRssBytes()) },
@@ -891,8 +949,6 @@ Machine::doEnableFlows(const FlowProbeConfig &cfg)
     configureStaging();
     for (auto &c : chips_)
         c->bindFlow(*flow_);
-    // Unlike tracing's stall samplers, hop records are emitted only
-    // when flits actually move, so idle shards may still be skipped.
     return *flow_;
 }
 
@@ -911,12 +967,13 @@ Machine::doEnableTracing(const TraceConfig &cfg)
     trace_ = std::make_unique<RingTraceSink>(cfg.capacity);
     trace_->setSampleStride(cfg.sample);
     configureStaging();
+    // Stall attribution classifies every router output port from this
+    // cycle on (a sleeping router books its slept cycles as no_input
+    // when it settles), so whatever a router slept through before the
+    // attach is settled first and never sampled.
+    settleIdle();
     for (auto &c : chips_)
         c->bindTrace(*trace_);
-    // Stall attribution classifies every router output port every cycle
-    // (per-port class totals must sum to the sampled cycle count), so
-    // idle shards cannot be skipped while tracing is bound.
-    engine_.setIdleSkip(false);
     return *trace_;
 }
 
@@ -932,7 +989,9 @@ Machine::traceChromeJson()
     in.sample_stride = trace_->sampleStride();
     in.end_cycle = engine_.now();
 
-    // One stall report per router output port that saw any cycles.
+    // One stall report per router output port that saw any cycles,
+    // with the idle cycles of sleeping routers booked first.
+    settleIdle();
     for (NodeId n = 0; n < geom_.numNodes(); ++n) {
         for (RouterId r = 0; r < layout_.numRouters(); ++r) {
             const RouterStallSampler *s = chip(n).router(r).stallSampler();
@@ -1090,9 +1149,71 @@ Machine::send(const PacketPtr &pkt)
     endpoint(pkt->src).inject(pkt);
 }
 
+void
+Machine::validateTree(const McastTree &tree) const
+{
+    auto reject = [](const std::string &why) {
+        throw std::invalid_argument("installTree: " + why);
+    };
+    if (tree.slice >= kNumSlices)
+        reject("slice " + std::to_string(tree.slice) + " is not below "
+               + std::to_string(kNumSlices));
+    const NodeId nodes = geom_.numNodes();
+    for (const auto &[node, entry] : tree.nodes) {
+        if (node >= nodes)
+            reject("node " + std::to_string(node) + " is outside the "
+                   + std::to_string(nodes) + "-node machine");
+        for (const McastHop &hop : entry.forward) {
+            if (hop.dim >= 3 || (hop.dir != Dir::Pos && hop.dir != Dir::Neg))
+                reject("node " + std::to_string(node)
+                       + " forwards along a hop that is not one of the "
+                         "six torus directions");
+        }
+        for (int ep : entry.local) {
+            if (ep < 0 || ep >= layout_.numEndpoints())
+                reject("node " + std::to_string(node) + " delivers to "
+                       "endpoint " + std::to_string(ep) + ", outside [0, "
+                       + std::to_string(layout_.numEndpoints()) + ")");
+        }
+    }
+    // Follow the forward hops from the root: every hop must land on a
+    // node with an entry, no node may be reached twice (duplicate
+    // deliveries, or copies circling forever), and every entry must be
+    // reached.
+    if (tree.nodes.empty())
+        return;
+    if (tree.nodes.count(tree.root) == 0)
+        reject("the root node " + std::to_string(tree.root)
+               + " has no entry");
+    std::vector<char> seen(nodes, 0);
+    std::vector<NodeId> todo{ tree.root };
+    seen[tree.root] = 1;
+    std::size_t reached = 1;
+    while (!todo.empty()) {
+        const NodeId node = todo.back();
+        todo.pop_back();
+        for (const McastHop &hop : tree.nodes.at(node).forward) {
+            const NodeId next = geom_.neighbor(node, hop.dim, hop.dir);
+            if (tree.nodes.count(next) == 0)
+                reject("node " + std::to_string(node) + " forwards to node "
+                       + std::to_string(next) + ", which has no entry");
+            if (seen[next])
+                reject("node " + std::to_string(next)
+                       + " is reached twice");
+            seen[next] = 1;
+            ++reached;
+            todo.push_back(next);
+        }
+    }
+    if (reached != tree.nodes.size())
+        reject(std::to_string(tree.nodes.size() - reached)
+               + " entries are not reached from the root");
+}
+
 std::int32_t
 Machine::installTree(const McastTree &tree)
 {
+    validateTree(tree);
     const std::int32_t group = next_group_++;
     group_slices_.push_back(tree.slice);
     for (const auto &[node, entry] : tree.nodes)
@@ -1195,6 +1316,7 @@ Machine::run(const RunSpec &spec)
 
     RunResult res;
     const Cycle start = engine_.now();
+    const std::uint64_t ticks0 = engine_.ticksRun();
 
     // The budget is an upper bound (a stop condition usually fires
     // first), so the meter reports the ETA as a bound too.
@@ -1274,6 +1396,7 @@ Machine::run(const RunSpec &spec)
     res.audit_tripped = audit_ != nullptr && audit_->tripped();
 
     host_.run_cycles += res.cycles;
+    host_.run_ticks += engine_.ticksRun() - ticks0;
     host_.last_run_end = HostClock::Clock::now();
     host_.in_run += host_.last_run_end - t0;
     return res;

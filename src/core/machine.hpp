@@ -272,6 +272,10 @@ class Machine
     /**
      * Install a multicast tree on every involved node's tables.
      * @return the group id to pass to sendMulticast().
+     * @throws std::invalid_argument, before installing anything, for a
+     * malformed tree: a node outside the machine, a slice, hop or local
+     * endpoint out of range, or forward hops from the root that land on
+     * a node without an entry, reach a node twice, or miss an entry.
      */
     std::int32_t installTree(const McastTree &tree);
 
@@ -401,7 +405,9 @@ class Machine
      * The `host` report section: a flat JSON object of
      * `machine.host.*` gauges - wall_seconds (construction to the end
      * of the last run()), cycles (advanced by run()), cycles_per_sec
-     * and ticks_per_sec (over the time inside run()), the thread count
+     * and ticks_per_sec (component-cycles simulated per second, over the
+     * time inside run()), awake_frac (component ticks run over sharded
+     * components x cycles advanced by run()), the thread count
      * and lookahead window, the mem.* footprint gauges, the engine.*
      * gauges when the engine profiler is attached, and
      * phase.build_seconds (construction to the first run()) and
@@ -560,11 +566,21 @@ class Machine
      * order (so a cycle's hop records land before the deliveries that
      * close those packets' flights). */
     void serialPhase(Cycle now);
+    /** Settle what sleeping routers and adapters owe their idle cycles
+     * up to now() (before stall totals are read or state is saved). */
+    void settleIdle();
+    void validateTree(const McastTree &tree) const;
     void prepareUnicast(Packet &pkt);
     /** Pooled packet allocation: recycles Packet objects (and their
      * payload vectors' heap capacity) through a freelist, cutting the
      * per-packet heap churn of the factory hot path. */
     PacketPtr allocPacket();
+    /** A pooled copy of @p src (multicast ingress copies; thread-safe). */
+    PacketPtr copyPacket(const Packet &src);
+    /** Pop a recycled packet from the freelist (null when empty). */
+    Packet *reusePacket();
+    /** Own @p p through a PacketPtr that recycles it on release. */
+    PacketPtr adoptPacket(Packet *p);
     MachineSnapshot buildSnapshot(Cycle now, const std::string &reason);
     ProgressProbe progressProbe() const;
 
@@ -589,6 +605,7 @@ class Machine
         Clock::time_point last_run_end{}; ///< end of the latest run()
         Clock::duration in_run{};         ///< summed time inside run()
         Cycle run_cycles = 0;             ///< cycles advanced by run()
+        std::uint64_t run_ticks = 0;      ///< component ticks in run()
         bool ran = false;
     };
     HostClock host_;
@@ -607,9 +624,9 @@ class Machine
 
     std::vector<std::unique_ptr<Chip>> chips_;
     std::vector<std::unique_ptr<Channel>> torus_channels_;
-    /** Every endpoint in registration order - the canonical delivery
-     * flush order (chip-major, endpoint-minor). */
-    std::vector<EndpointAdapter *> flush_order_;
+    /** Per node, bit e set while endpoint e holds staged deliveries
+     * (the serial phase flushes only those, in registration order). */
+    std::vector<std::uint64_t> staged_deliveries_;
 
     std::uint64_t next_packet_id_ = 1;
     std::int32_t next_group_ = 0;

@@ -86,10 +86,10 @@ Machine::unregisterCheckpointClients(const void *owner)
 void
 Machine::saveCheckpoint(const std::string &path)
 {
-    // Parked shards hold stale idle state; replay it so every
-    // component's members reflect the current cycle. Idle-skip replay
-    // is bit-exact with per-cycle ticking, so this perturbs nothing.
-    engine_.flushParking();
+    // Sleeping routers and adapters settle their idle cycles so every
+    // component's members reflect the current cycle. Settling is
+    // bit-exact with per-cycle ticking, so this perturbs nothing.
+    settleIdle();
 
     CkptWriter w;
     w.tag("machine");
@@ -133,13 +133,11 @@ Machine::saveCheckpoint(const std::string &path)
 void
 Machine::restoreCheckpoint(const std::string &path)
 {
-    // Forget parking bookkeeping tied to the pre-restore clock; the
-    // next advance() re-probes from the restored state.
-    engine_.flushParking();
-
     CkptReader r(path, configFingerprint(),
                  [this] { return allocPacket(); });
     r.expect("machine");
+    // Every component wakes at the restored cycle; the wires restored
+    // below re-register their in-flight arrivals' wakes.
     engine_.restoreNow(r.cycle());
     std::array<std::uint64_t, 4> rng_state;
     for (auto &word : rng_state)

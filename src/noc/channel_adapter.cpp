@@ -53,12 +53,14 @@ ChannelAdapter::connectTorusOut(Channel &ch, int peer_buf_flits)
 {
     torus_out_ = &ch;
     torus_credits_.init(cfg_.num_vcs, peer_buf_flits);
+    ch.credit.attachRemote(bell_);
 }
 
 void
 ChannelAdapter::connectTorusIn(Channel &ch)
 {
     torus_in_ = &ch;
+    ch.data.attachRemote(bell_);
 }
 
 InverseWeightedArbiter *
@@ -353,6 +355,8 @@ ChannelAdapter::tickIngress(Cycle now, std::uint32_t rung)
 void
 ChannelAdapter::tick(Cycle now)
 {
+    settleIdle(now);
+    idle_from_ = now + 1;
     // One doorbell read covers both on-chip wires; the torus wires are
     // polled inside each side.
     const std::uint32_t rung = bell_.take(now);
@@ -361,12 +365,21 @@ ChannelAdapter::tick(Cycle now)
 }
 
 void
-ChannelAdapter::onIdleSkip(Cycle skipped)
+ChannelAdapter::settleIdle(Cycle now)
 {
-    // Mirror the accrual tickEgress would have run on each skipped
-    // cycle: +ser_tokens_per_cycle, capped at one flit plus one cycle's
-    // worth (an idle adapter never passes the egress_packets_ gate, so
-    // nothing else in tick() touches state).
+    if (idle_from_ >= now) // also kNoCycle: nothing to settle
+        return;
+    accrueIdle(now - idle_from_);
+    idle_from_ = now;
+}
+
+void
+ChannelAdapter::accrueIdle(Cycle slept)
+{
+    // Mirror the accrual tickEgress would have run on each slept cycle:
+    // +ser_tokens_per_cycle, capped at one flit plus one cycle's worth
+    // (an idle adapter never passes the egress_packets_ gate, so nothing
+    // else in tick() touches state).
     if (router_in_ == nullptr || torus_out_ == nullptr)
         return;
     const int cap = cfg_.ser_tokens_per_flit + cfg_.ser_tokens_per_cycle;
@@ -376,7 +389,7 @@ ChannelAdapter::onIdleSkip(Cycle skipped)
             : static_cast<Cycle>(
                   (cap - ser_tokens_ + cfg_.ser_tokens_per_cycle - 1)
                   / cfg_.ser_tokens_per_cycle);
-    const Cycle n = skipped < to_cap ? skipped : to_cap;
+    const Cycle n = slept < to_cap ? slept : to_cap;
     ser_tokens_ += static_cast<int>(n) * cfg_.ser_tokens_per_cycle;
     if (ser_tokens_ > cap)
         ser_tokens_ = cap;
@@ -566,6 +579,7 @@ ChannelAdapter::loadState(CkptReader &r)
     credits_withheld_ = r.u64();
     egress_packets_ = r.i32();
     ingress_packets_ = r.i32();
+    idle_from_ = kNoCycle;
     egress_nonempty_ = 0;
     ingress_nonempty_ = 0;
     for (int v = 0; v < cfg_.num_vcs; ++v) {

@@ -98,10 +98,27 @@ class ChannelAdapter final : public Component
 
     void tick(Cycle now) override;
     bool busy() const override;
-    /** The one piece of state that evolves while idle: SerDes token
-     * accrual (capped at one flit plus one cycle's worth). Replayed here
-     * so idle shard parking stays bit-exact. */
-    void onIdleSkip(Cycle skipped) override;
+
+    /** True while the adapter holds a packet on either side or owes the
+     * peer a torus credit. Arrivals - on-chip and over the torus - wake
+     * it through its doorbell. */
+    bool
+    hasWork() const
+    {
+        return egress_packets_ > 0 || ingress_packets_ > 0
+               || !pending_credits_.empty();
+    }
+
+    /** Bind the adapter's place in its engine shard (Engine::addWakeable). */
+    void setWake(WakeHandle h) { bell_.setWake(h); }
+
+    /**
+     * Account the cycles before @p now that the adapter slept through:
+     * the one piece of state that evolves while idle is SerDes token
+     * accrual (capped at one flit plus one cycle's worth). tick()
+     * settles first; a checkpoint settles between runs.
+     */
+    void settleIdle(Cycle now);
 
     InverseWeightedArbiter *egressArbiter();
     InverseWeightedArbiter *ingressArbiter();
@@ -241,9 +258,12 @@ class ChannelAdapter final : public Component
 
     void tickEgress(Cycle now, std::uint32_t rung);
     void tickIngress(Cycle now, std::uint32_t rung);
+    /** Accrue the tokens of @p slept idle cycles. */
+    void accrueIdle(Cycle slept);
 
     /** Doorbell bits of the two on-chip wires this adapter receives
-     * from; the torus wires cross shards and are polled. */
+     * from; the torus wires cross shards, only wake the adapter, and are
+     * polled while it is awake. */
     static constexpr unsigned kEgressDataBell = 0;
     static constexpr unsigned kIngressCreditBell = 1;
 
@@ -294,6 +314,9 @@ class ChannelAdapter final : public Component
     std::uint64_t credits_withheld_ = 0;
     int egress_packets_ = 0;
     int ingress_packets_ = 0;
+    /** First cycle neither ticked nor settled (kNoCycle before the first
+     * tick and after a restore: nothing to settle). */
+    Cycle idle_from_ = kNoCycle;
     std::unique_ptr<ChannelAdapterMetrics> metrics_;
     TraceBinding trace_;
     FlowBinding flow_;

@@ -35,6 +35,7 @@ void
 EndpointAdapter::inject(const PacketPtr &pkt)
 {
     inject_q_[static_cast<int>(pkt->tc)].push_back(pkt);
+    bell_.wake().now();
 }
 
 std::size_t
@@ -194,10 +195,12 @@ EndpointAdapter::tickEject(Cycle now, std::uint32_t rung)
     // count, surfaced as the flight record's `hops` column.
     tracePacketEvent(trace_, TraceUnitKind::Endpoint, TraceEventType::Eject,
                      now, pkt->id, pkt->hops, phit->vc);
-    if (defer_deliveries_)
+    if (staged_ != nullptr) {
         pending_.push_back({ std::move(pkt), head_at, now });
-    else
+        *staged_ |= staged_bit_;
+    } else {
         deliverSideEffects(pkt, head_at, now);
+    }
 }
 
 void

@@ -77,11 +77,25 @@ class EndpointAdapter final : public Component
     void tick(Cycle now) override;
     bool busy() const override;
 
+    /** True while the endpoint has a packet to inject. Arrivals wake it
+     * through its doorbell, and inject() wakes it. */
+    bool
+    hasWork() const
+    {
+        return inj_active_ != nullptr || !inject_q_[0].empty()
+               || !inject_q_[1].empty();
+    }
+
+    /** Bind the endpoint's place in its engine shard (Engine::addWakeable). */
+    void setWake(WakeHandle h) { bell_.setWake(h); }
+
     /**
-     * Queue a packet for injection. The packet must have its route fields
+     * Queue a packet for injection and wake the endpoint for the next
+     * cycle its shard ticks. The packet must have its route fields
      * (route, vc policy, chip_exit) prepared; Machine::preparePacket does
      * this. Injection queues model software send descriptors and are
      * unbounded; drivers use injectQueueDepth() for self-throttling.
+     * Call between cycles or from the engine's serial phase.
      */
     void inject(const PacketPtr &pkt);
 
@@ -91,26 +105,34 @@ class EndpointAdapter final : public Component
     void armCounter(std::int32_t counter, int count);
 
     /**
-     * Defer delivery side effects out of tick() into flushDeliveries().
+     * Defer delivery side effects out of tick() into flushDeliveries(),
+     * setting bit @p bit of @p staged each time a delivery is staged.
      * The side effects touch machine-global state (shared ScalarStats,
      * the machine RNG via the packet factory, software handlers), so a
-     * Machine - whose engine may tick chips on several threads - turns
-     * this on and drains every endpoint from the engine's serial phase
-     * in registration order; that one canonical order is what makes
-     * threaded runs byte-identical to serial ones. Standalone adapters
-     * (unit tests) keep the default inline dispatch.
+     * Machine - whose engine may tick chips on several threads - defers
+     * them and drains the endpoints whose bit is set from the engine's
+     * serial phase in registration order; that one canonical order is
+     * what makes threaded runs byte-identical to serial ones. The word
+     * must only be shared with endpoints of the same engine shard.
+     * Standalone adapters (unit tests) keep the default inline dispatch.
      */
-    void setDeferredDelivery(bool on) { defer_deliveries_ = on; }
+    void
+    deferDeliveries(std::uint64_t &staged, unsigned bit)
+    {
+        staged_ = &staged;
+        staged_bit_ = std::uint64_t{ 1 } << bit;
+    }
 
     /**
      * Run the deferred side effects of every packet that finished
      * reassembly at or before cycle @p up_to: the shared latency
      * aggregates, the delivery callback, read-reply generation, and
      * counted-write handler dispatch. The engine's serial replay calls
-     * this (via Machine) once per simulated cycle with that cycle, so in
-     * a lookahead window the deliveries of several cycles, staged during
-     * the parallel phase, replay in exact per-cycle order. The default
-     * flushes everything (legacy window-1 behavior).
+     * this (via Machine) on each simulated cycle with that cycle, for
+     * every endpoint holding staged deliveries, so in a lookahead window
+     * the deliveries of several cycles, staged during the parallel
+     * phase, replay in exact per-cycle order. The default flushes
+     * everything (legacy window-1 behavior).
      */
     void flushDeliveries(Cycle up_to = kNoCycle);
 
@@ -228,7 +250,9 @@ class EndpointAdapter final : public Component
         Cycle at = 0;
     };
     std::vector<PendingDelivery> pending_;
-    bool defer_deliveries_ = false;
+    /** Deferred mode: the word and bit flagging staged deliveries. */
+    std::uint64_t *staged_ = nullptr;
+    std::uint64_t staged_bit_ = 0;
 
     std::unordered_map<std::int32_t, int> counters_;
 

@@ -482,8 +482,35 @@ Router::sampleStalls()
 }
 
 void
+Router::bookIdle(Cycle slept)
+{
+    // An idle tick sends nothing and, with no buffered packet, finds no
+    // input for any connected output port.
+    st_sent_mask_ = 0;
+    if (stalls_ == nullptr)
+        return;
+    stalls_->sampled_cycles += slept;
+    for (std::size_t o = 0; o < out_.size(); ++o) {
+        if (out_[o].ch != nullptr)
+            stalls_->ports[o].cycles[static_cast<std::size_t>(
+                StallClass::NoInput)] += slept;
+    }
+}
+
+void
+Router::settleIdle(Cycle now)
+{
+    if (idle_from_ >= now) // also kNoCycle: nothing to settle
+        return;
+    bookIdle(now - idle_from_);
+    idle_from_ = now;
+}
+
+void
 Router::tick(Cycle now)
 {
+    settleIdle(now);
+    idle_from_ = now + 1;
     st_sent_mask_ = 0;
     receive(now);
     if (buffered_packets_ == 0) {
@@ -692,6 +719,7 @@ Router::loadState(CkptReader &r)
     st_sent_mask_ = r.u32();
     flits_routed_ = r.u64();
     buffered_packets_ = r.i32();
+    idle_from_ = kNoCycle;
     rebuildLiveState();
 }
 

@@ -76,6 +76,22 @@ class Router final : public Component
     void tick(Cycle now) override;
     bool busy() const override;
 
+    /** True while the router buffers a packet: it has pipeline work for
+     * the next cycle. Arrivals wake it through its doorbell. */
+    bool hasWork() const { return buffered_packets_ > 0; }
+
+    /** Bind the router's place in its engine shard (Engine::addWakeable). */
+    void setWake(WakeHandle h) { bell_.setWake(h); }
+
+    /**
+     * Account the cycles before @p now that the router slept through
+     * (engine wakes, see sim/wake.hpp): each counts as an idle tick, so
+     * with stall sampling on every connected output books `no_input`.
+     * tick() settles first; readers of the stall totals, checkpoints and
+     * a stall-sampling attach settle between runs.
+     */
+    void settleIdle(Cycle now);
+
     /** Inverse-weighted output arbiter for @p port (null for other policies). */
     InverseWeightedArbiter *outputArbiter(int port);
 
@@ -111,7 +127,8 @@ class Router final : public Component
      */
     void enableStallSampling();
 
-    /** Accumulated stall attribution, or null when sampling is off. */
+    /** Accumulated stall attribution, or null when sampling is off
+     * (settled up to the router's last tick; see settleIdle). */
     const RouterStallSampler *stallSampler() const { return stalls_.get(); }
 
     const RouterConfig &config() const { return cfg_; }
@@ -207,6 +224,8 @@ class Router final : public Component
     void stageSa2(Cycle now);
     void stageSt(Cycle now);
     void sampleStalls();
+    /** What @p slept idle ticks would have recorded. */
+    void bookIdle(Cycle slept);
     /** Recompute VC @p v of input @p p's RC/VA pending bits (and the
      * port masks) from the entries in its lookahead window. */
     void refreshPending(int p, int v);
@@ -241,6 +260,9 @@ class Router final : public Component
     std::uint32_t st_sent_mask_ = 0; ///< bit o: port o sent a flit this cycle
     std::uint64_t flits_routed_ = 0;
     int buffered_packets_ = 0;
+    /** First cycle neither ticked nor settled (kNoCycle before the first
+     * tick and after a restore: nothing to settle). */
+    Cycle idle_from_ = kNoCycle;
 };
 
 /** Construct an arbiter of the given policy. */

@@ -31,20 +31,11 @@ class Component
 
     /**
      * True while the component holds buffered state that still needs clock
-     * cycles to drain (used for quiescence detection and idle shard
-     * parking: a !busy component's tick must be a state-preserving no-op,
-     * except for the idle evolution declared via onIdleSkip()).
+     * cycles to drain, values in flight on its wires included (used for
+     * quiescence detection: Engine::busy). Whether the engine ticks the
+     * component is decided separately, by its wakes (sim/wake.hpp).
      */
     virtual bool busy() const { return false; }
-
-    /**
-     * Replay @p skipped cycles of idle-state evolution. The engine's idle
-     * shard parking stops ticking a shard whose components are all !busy;
-     * before the first post-park tick it calls this with the number of
-     * skipped cycles so state that evolves even while idle (e.g. SerDes
-     * token accrual) catches up exactly. Default: idle state is static.
-     */
-    virtual void onIdleSkip(Cycle skipped) { (void)skipped; }
 
     const std::string &name() const { return name_; }
 

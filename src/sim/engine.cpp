@@ -1,6 +1,8 @@
 #include "sim/engine.hpp"
 
+#include <bit>
 #include <cassert>
+#include <optional>
 
 #include "sim/thread_pool.hpp"
 
@@ -8,10 +10,12 @@ namespace anton2 {
 
 namespace {
 
-void
-virtualTick(Component &c, Cycle now)
+/** Thunk of a component registered without one: ticks every cycle. */
+bool
+alwaysAwake(Component &c, Cycle now)
 {
     c.tick(now);
+    return true;
 }
 
 } // namespace
@@ -29,19 +33,37 @@ Engine::add(Component &c)
 std::size_t
 Engine::newShard()
 {
-    shards_.emplace_back();
+    shards_.push_back(std::make_unique<Shard>(staging_));
     lanes_dirty_ = true;
     return shards_.size() - 1;
 }
 
 void
-Engine::addSharded(std::size_t shard, Component &c, TickFn fn,
-                   HostCompClass cls)
+Engine::addSharded(std::size_t shard, Component &c)
+{
+    addEntry(shard, c, &alwaysAwake, HostCompClass::Other);
+}
+
+WakeHandle
+Engine::addEntry(std::size_t shard, Component &c, TickFn fn,
+                 HostCompClass cls)
 {
     assert(shard < shards_.size() && "newShard() first");
-    shards_[shard].push_back(
-        { &c, fn != nullptr ? fn : &virtualTick, cls });
+    Shard &sh = *shards_[shard];
+    const auto index = static_cast<std::uint32_t>(sh.entries.size());
+    sh.entries.push_back({ &c, fn, cls });
+    sh.wake.resize(sh.entries.size(), wake_slots_);
     class_runs_dirty_ = true;
+    return WakeHandle(&sh.wake, index);
+}
+
+void
+Engine::setWakeHorizon(Cycle latency)
+{
+    wake_slots_ = std::bit_ceil(static_cast<std::size_t>(
+        latency > kMinWakeSlots ? latency : kMinWakeSlots));
+    for (auto &sh : shards_)
+        sh->wake.resize(sh->entries.size(), wake_slots_);
 }
 
 void
@@ -74,6 +96,11 @@ Engine::rebuildLanes()
     const std::size_t want =
         std::min<std::size_t>(static_cast<std::size_t>(threads_),
                               nshards == 0 ? 1 : nshards);
+    // Staged wakes live in per-lane buffers; enter them before the
+    // buffers are resized.
+    staging_.merge();
+    staging_.configure(want);
+    lane_ticks_.assign(want, LaneTicks{});
     if (want <= 1) {
         pool_.reset();
         lanes_.clear();
@@ -115,8 +142,9 @@ Engine::rebuildClassRuns()
     class_runs_.assign(shards_.size(), {});
     for (std::size_t s = 0; s < shards_.size(); ++s) {
         auto &runs = class_runs_[s];
-        for (std::size_t i = 0; i < shards_[s].size(); ++i) {
-            const HostCompClass cls = shards_[s][i].cls;
+        const auto &entries = shards_[s]->entries;
+        for (std::size_t i = 0; i < entries.size(); ++i) {
+            const HostCompClass cls = entries[i].cls;
             if (runs.empty() || runs.back().cls != cls)
                 runs.push_back({ i + 1, cls });
             else
@@ -146,42 +174,60 @@ Engine::addBarrierAlignment(Cycle period, Cycle phase)
     alignments_.push_back(a);
 }
 
-void
-Engine::setIdleSkip(bool on)
+template <typename Before>
+std::uint64_t
+Engine::tickShardCycle(Shard &sh, Cycle c, Before &&before)
 {
-    idle_skip_ = on;
+    // The union of the awake set and this cycle's calendar ticks in
+    // registration order (bit order); a component whose thunk reports no
+    // work leaves the awake set. Sends made here wake receivers for
+    // later cycles only (latency >= 1), never this cycle's word.
+    WakeSet &ws = sh.wake;
+    std::uint64_t *awake = ws.awake();
+    std::uint64_t *due = ws.due(c);
+    std::uint64_t ticks = 0;
+    for (std::size_t w = 0; w < ws.words(); ++w) {
+        const std::uint64_t run = awake[w] | due[w];
+        due[w] = 0;
+        ticks += static_cast<std::uint64_t>(std::popcount(run));
+        std::uint64_t keep = run;
+        for (std::uint64_t m = run; m != 0; m &= m - 1) {
+            const int b = std::countr_zero(m);
+            const std::size_t i = w * 64 + static_cast<std::size_t>(b);
+            before(i);
+            const Entry &e = sh.entries[i];
+            if (!e.fn(*e.c, c))
+                keep &= ~(std::uint64_t{ 1 } << b);
+        }
+        awake[w] = keep;
+    }
+    return ticks;
 }
 
-void
+std::uint64_t
 Engine::tickShardRange(std::size_t begin, std::size_t end, Cycle start,
                        Cycle window)
 {
-    const bool parking = !parked_.empty();
+    std::uint64_t ticks = 0;
     for (std::size_t s = begin; s < end; ++s) {
-        if (parking && parked_[s])
-            continue;
-        const auto &shard = shards_[s];
+        Shard &sh = *shards_[s];
         // Cycle-major within the shard: all of a shard's components tick
         // cycle c before any ticks c+1, exactly the serial schedule, so
         // intra-shard latency-1 wires behave as in a window-1 run.
-        for (Cycle j = 0; j < window; ++j) {
-            const Cycle c = start + j;
-            for (const Entry &e : shard)
-                e.fn(*e.c, c);
-        }
+        for (Cycle j = 0; j < window; ++j)
+            ticks += tickShardCycle(sh, start + j, [](std::size_t) {});
     }
+    return ticks;
 }
 
-void
+std::uint64_t
 Engine::tickShardRangeProfiled(std::size_t begin, std::size_t end,
                                Cycle start, Cycle window)
 {
-    const bool parking = !parked_.empty();
     const int lane = par::currentLane() >= 0 ? par::currentLane() : 0;
+    std::uint64_t ticks = 0;
     for (std::size_t s = begin; s < end; ++s) {
-        if (parking && parked_[s])
-            continue;
-        const auto &shard = shards_[s];
+        Shard &sh = *shards_[s];
         const auto &runs = class_runs_[s];
         std::int64_t cls_ns[kNumHostCompClasses] = {};
         // Chained reads: each run's segment ends where the next begins,
@@ -190,17 +236,19 @@ Engine::tickShardRangeProfiled(std::size_t begin, std::size_t end,
         std::int64_t t = prof_detail::nowNs();
         const std::int64_t t_shard = t;
         for (Cycle j = 0; j < window; ++j) {
-            const Cycle c = start + j;
-            std::size_t i = 0;
-            for (const ClassRun &run : runs) {
-                for (; i < run.end; ++i) {
-                    const Entry &e = shard[i];
-                    e.fn(*e.c, c);
-                }
+            std::size_t r = 0;
+            auto closeRun = [&] {
                 const std::int64_t t2 = prof_detail::nowNs();
-                cls_ns[static_cast<std::size_t>(run.cls)] += t2 - t;
+                cls_ns[static_cast<std::size_t>(runs[r].cls)] += t2 - t;
                 t = t2;
-            }
+                ++r;
+            };
+            ticks += tickShardCycle(sh, start + j, [&](std::size_t i) {
+                while (i >= runs[r].end)
+                    closeRun();
+            });
+            while (r < runs.size())
+                closeRun();
         }
         profiler_->shardSampleNs(s, t - t_shard);
         for (std::size_t c = 0; c < kNumHostCompClasses; ++c) {
@@ -209,6 +257,7 @@ Engine::tickShardRangeProfiled(std::size_t begin, std::size_t end,
                     lane, static_cast<HostCompClass>(c), cls_ns[c]);
         }
     }
+    return ticks;
 }
 
 Cycle
@@ -224,54 +273,6 @@ Engine::alignedWindow(Cycle w) const
             w = dist + 1;
     }
     return w;
-}
-
-void
-Engine::refreshParking()
-{
-    if (parked_.size() != shards_.size()) {
-        unparkAll();
-        parked_.assign(shards_.size(), 0);
-        parked_since_.assign(shards_.size(), 0);
-    }
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-        bool idle = true;
-        for (const Entry &e : shards_[s]) {
-            if (e.c->busy()) {
-                idle = false;
-                break;
-            }
-        }
-        if (idle) {
-            if (!parked_[s]) {
-                parked_[s] = 1;
-                parked_since_[s] = now_;
-            }
-        } else if (parked_[s]) {
-            parked_[s] = 0;
-            const Cycle skipped = now_ - parked_since_[s];
-            if (skipped > 0) {
-                for (const Entry &e : shards_[s])
-                    e.c->onIdleSkip(skipped);
-            }
-        }
-    }
-}
-
-void
-Engine::unparkAll()
-{
-    for (std::size_t s = 0; s < parked_.size(); ++s) {
-        if (!parked_[s])
-            continue;
-        const Cycle skipped = now_ - parked_since_[s];
-        if (skipped > 0) {
-            for (const Entry &e : shards_[s])
-                e.c->onIdleSkip(skipped);
-        }
-    }
-    parked_.clear();
-    parked_since_.clear();
 }
 
 Cycle
@@ -294,60 +295,47 @@ Engine::advance(Cycle budget)
         sampled = profiler_->windowBegin(now, w);
     }
 
-    // Parking probes happen at barrier boundaries, never more than a
-    // full window apart, which is exactly the horizon within which a
-    // cross-shard arrival is still in its wire's ring (and thus visible
-    // to the busy() probe before the shard must consume it). At window 1
-    // the probe would cost more than the barrier it saves, and window 1
-    // is the exact-legacy mode, so parking engages only beyond it.
-    const bool parking = idle_skip_ && window_ > 1;
-    if (parking)
-        refreshParking();
-    else if (!parked_.empty())
-        unparkAll();
+    // Cross-shard arrivals staged during the last window (or by a
+    // restore) enter their receivers' calendars before any of their
+    // cycles tick: their latency is at least the window.
+    staging_.merge();
 
     if (pool_ != nullptr) {
         if (prof) [[unlikely]] {
             pool_->run([this, now, w, sampled](int lane) {
                 const Lane &l = lanes_[static_cast<std::size_t>(lane)];
                 profiler_->laneBegin(lane);
-                if (sampled)
-                    tickShardRangeProfiled(l.begin, l.end, now, w);
-                else
-                    tickShardRange(l.begin, l.end, now, w);
+                lane_ticks_[static_cast<std::size_t>(lane)].n =
+                    sampled ? tickShardRangeProfiled(l.begin, l.end, now, w)
+                            : tickShardRange(l.begin, l.end, now, w);
                 profiler_->laneEnd(lane);
             });
         } else {
             pool_->run([this, now, w](int lane) {
                 const Lane &l = lanes_[static_cast<std::size_t>(lane)];
-                tickShardRange(l.begin, l.end, now, w);
+                lane_ticks_[static_cast<std::size_t>(lane)].n =
+                    tickShardRange(l.begin, l.end, now, w);
             });
         }
-    } else if (w > 1) {
+        for (const LaneTicks &lt : lane_ticks_)
+            ticks_run_ += lt.n;
+    } else {
         // A serial windowed phase runs "as lane 0" so shared sinks stage
         // per (lane, cycle) exactly as a threaded run would; the serial
         // replay below then restores canonical per-cycle order either
         // way. (At w == 1 the direct path is already canonical.)
-        par::LaneScope lane0(0);
+        std::optional<par::LaneScope> lane0;
+        if (w > 1)
+            lane0.emplace(0);
         if (prof) [[unlikely]] {
             profiler_->laneBegin(0);
-            if (sampled)
-                tickShardRangeProfiled(0, shards_.size(), now, w);
-            else
-                tickShardRange(0, shards_.size(), now, w);
+            ticks_run_ +=
+                sampled ? tickShardRangeProfiled(0, shards_.size(), now, w)
+                        : tickShardRange(0, shards_.size(), now, w);
             profiler_->laneEnd(0);
         } else {
-            tickShardRange(0, shards_.size(), now, w);
+            ticks_run_ += tickShardRange(0, shards_.size(), now, w);
         }
-    } else if (prof) [[unlikely]] {
-        profiler_->laneBegin(0);
-        if (sampled)
-            tickShardRangeProfiled(0, shards_.size(), now, w);
-        else
-            tickShardRange(0, shards_.size(), now, w);
-        profiler_->laneEnd(0);
-    } else {
-        tickShardRange(0, shards_.size(), now, w);
     }
     if (prof) [[unlikely]]
         profiler_->barrierDone();
@@ -380,8 +368,8 @@ Engine::run(Cycle cycles)
 bool
 Engine::busy() const
 {
-    for (const auto &shard : shards_) {
-        for (const Entry &e : shard) {
+    for (const auto &sh : shards_) {
+        for (const Entry &e : sh->entries) {
             if (e.c->busy())
                 return true;
         }
@@ -393,12 +381,27 @@ Engine::busy() const
     return false;
 }
 
+void
+Engine::restoreNow(Cycle now)
+{
+    now_ = now;
+    staging_.clear();
+    for (auto &sh : shards_)
+        sh->wake.wakeAll();
+}
+
 std::size_t
 Engine::componentCount() const
 {
-    std::size_t n = components_.size();
-    for (const auto &shard : shards_)
-        n += shard.size();
+    return components_.size() + shardedCount();
+}
+
+std::size_t
+Engine::shardedCount() const
+{
+    std::size_t n = 0;
+    for (const auto &sh : shards_)
+        n += sh->entries.size();
     return n;
 }
 

@@ -25,6 +25,16 @@
  *    >= k-1 (see Wire) because sender and receiver may be up to k-1
  *    cycles apart within a window.
  *
+ *  - Inside a shard, a component ticks only on cycles where it has
+ *    work: while its last tick left it with work of its own, and on the
+ *    exact cycle a wire delivers to it (sim/wake.hpp). Every wire has a
+ *    fixed latency, so each send already knows the cycle it wakes its
+ *    receiver for; cross-shard sends stage that wake on their lane and
+ *    the barrier merges it, which the latency >= k rule keeps in time.
+ *    A slept cycle is one whose tick would have done nothing but the
+ *    idle evolution the component settles itself, so the schedule is
+ *    exact and needs no per-window probing.
+ *
  * Work whose side effects escape a shard (shared statistics, packet
  * factories drawing from the machine RNG, software handlers) runs in the
  * *serial phase*: after the barrier, for each cycle of the window in
@@ -56,6 +66,7 @@
 #include "sim/component.hpp"
 #include "sim/host_profile.hpp"
 #include "sim/types.hpp"
+#include "sim/wake.hpp"
 
 namespace anton2 {
 
@@ -80,14 +91,6 @@ class Engine
     Engine &operator=(const Engine &) = delete;
 
     /**
-     * Statically dispatched tick thunk. Shard registrars that know the
-     * concrete component type pass a thunk performing a qualified
-     * (non-virtual) call, removing the vtable load from the hot loop;
-     * null falls back to the virtual Component::tick.
-     */
-    using TickFn = void (*)(Component &, Cycle);
-
-    /**
      * Register a serial-tail component: ticked every cycle on the
      * calling thread *after* the parallel phase and the serial-phase
      * hooks. Use for components with cross-machine side effects
@@ -103,12 +106,40 @@ class Engine
      */
     std::size_t newShard();
 
-    /** Register @p c into shard @p shard (see TickFn for @p fn). The
-     * class tag @p cls feeds the profiler's sampled attribution pass
-     * (and nothing else); registrars that know the concrete type pass
-     * it alongside the devirtualized thunk. */
-    void addSharded(std::size_t shard, Component &c, TickFn fn = nullptr,
-                    HostCompClass cls = HostCompClass::Other);
+    /** Register @p c into shard @p shard, ticked every cycle through
+     * its virtual Component::tick. */
+    void addSharded(std::size_t shard, Component &c);
+
+    /**
+     * Register @p c of concrete type T into shard @p shard as a
+     * wake-aware component. It starts awake and ticks - through a
+     * qualified (non-virtual) call to T::tick - on every cycle after
+     * which T::hasWork() holds, and otherwise sleeps until a wake (see
+     * sim/wake.hpp): T::setWake receives the handle its doorbell wakes
+     * it through, and its tick must settle whatever it does on the
+     * cycles it sleeps through. The class tag @p cls feeds the
+     * profiler's sampled attribution pass (and nothing else).
+     */
+    template <typename T>
+    void
+    addWakeable(std::size_t shard, T &c, HostCompClass cls)
+    {
+        c.setWake(addEntry(
+            shard, c,
+            [](Component &x, Cycle now) {
+                T &t = static_cast<T &>(x);
+                t.T::tick(now);
+                return t.hasWork();
+            },
+            cls));
+    }
+
+    /**
+     * Size every shard's wake calendar for wires of latency up to
+     * @p latency (the largest latency whose arrivals wake a component;
+     * at least kMinWakeSlots). Call before registering components.
+     */
+    void setWakeHorizon(Cycle latency);
 
     /**
      * Register a hook that runs on the calling thread each cycle after
@@ -150,26 +181,12 @@ class Engine
     void addBarrierAlignment(Cycle period, Cycle phase);
 
     /**
-     * Park shards whose components are all !busy: a parked shard is not
-     * ticked until a probe at a window boundary sees it busy again
-     * (arrivals from other shards are in a wire's ring, and wire
-     * occupancy counts as busy, so the probe fires at least a full
-     * window before the shard must consume anything). Idle-state
-     * evolution is replayed through Component::onIdleSkip on unpark.
-     * Only active with window > 1; default on. Turn off when per-cycle
-     * observation of idle components matters (stall attribution counts
-     * idle cycles, so Machine disables parking while tracing is bound).
-     */
-    void setIdleSkip(bool on);
-    bool idleSkip() const { return idle_skip_; }
-
-    /**
      * Attach (or detach with null) the host self-profiler. Not owned.
      * With a profiler attached, advance() brackets each window with
      * timestamp hooks and, on the profiler's sampled windows, takes a
      * tick variant that additionally times each shard and its
      * contiguous component-class runs. The schedule itself - tick
-     * order, parking, staging, serial replay - is untouched, so every
+     * order, wakes, staging, serial replay - is untouched, so every
      * deterministic export stays byte-identical with profiling on or
      * off. With no profiler (the default), the pre-existing paths run
      * unchanged and zero profiling clock reads happen.
@@ -225,33 +242,47 @@ class Engine
         return done();
     }
 
-    /** True if any registered component reports buffered work. */
+    /** True if any registered component reports buffered work
+     * (asleep or not: busy() reads state, never the awake sets). */
     bool busy() const;
 
     /**
-     * Replay idle evolution for every parked shard and forget the
-     * parking state, so every component's members reflect cycle now().
-     * Checkpointing calls this before serializing; the next advance()
-     * re-probes parking from scratch. Non-perturbing: idle-skip replay
-     * is defined to be bit-exact with per-cycle ticking.
-     */
-    void flushParking() { unparkAll(); }
-
-    /**
      * Reinstate the simulation clock from a checkpoint. Only valid
-     * between advances, with component and wire state restored to match.
+     * between advances, with component state restored to match (wires
+     * restored after this call re-register their arrival wakes). Wakes
+     * every component and drops every pending wake.
      */
-    void restoreNow(Cycle now) { now_ = now; }
+    void restoreNow(Cycle now);
 
     /** Registered components, sharded and serial-tail alike. */
     std::size_t componentCount() const;
 
+    /** Registered sharded components. */
+    std::size_t shardedCount() const;
+
+    /** Sharded component ticks run so far: one per component per cycle
+     * it was awake (counted without reading any clock). */
+    std::uint64_t ticksRun() const { return ticks_run_; }
+
   private:
+    /** Tick thunk: ticks a component and returns true while it has work
+     * of its own for the next cycle. */
+    using TickFn = bool (*)(Component &, Cycle);
+
     struct Entry
     {
         Component *c;
         TickFn fn;
         HostCompClass cls;
+    };
+
+    /** One shard: its components in registration order and their wake
+     * bookkeeping (bit i of the wake sets is entries[i]). */
+    struct Shard
+    {
+        explicit Shard(WakeStaging &staging) : wake(staging) {}
+        std::vector<Entry> entries;
+        WakeSet wake;
     };
 
     /** One contiguous same-class run of a shard's entry array: entries
@@ -272,6 +303,13 @@ class Engine
         std::size_t end = 0;
     };
 
+    /** Ticks run by one lane in the current window, padded so
+     * concurrent lanes never share a cache line. */
+    struct alignas(64) LaneTicks
+    {
+        std::uint64_t n = 0;
+    };
+
     /** A serial-tail observation schedule windows must align to. */
     struct Alignment
     {
@@ -279,38 +317,42 @@ class Engine
         Cycle phase = 0;
     };
 
-    void tickShardRange(std::size_t begin, std::size_t end, Cycle start,
-                        Cycle window);
-    /** The sampled-window variant: same order, same skips, plus
+    /** Tick shards [begin, end) for @p window cycles from @p start;
+     * returns the component ticks run. */
+    std::uint64_t tickShardRange(std::size_t begin, std::size_t end,
+                                 Cycle start, Cycle window);
+    /** The sampled-window variant: same order, same wakes, plus
      * per-shard and per-class timestamps reported to profiler_. */
-    void tickShardRangeProfiled(std::size_t begin, std::size_t end,
-                                Cycle start, Cycle window);
+    std::uint64_t tickShardRangeProfiled(std::size_t begin,
+                                         std::size_t end, Cycle start,
+                                         Cycle window);
+    /** Tick shard @p sh's awake components at cycle @p c in
+     * registration order, calling @p before(i) ahead of entry i; returns
+     * the ticks run. */
+    template <typename Before>
+    static std::uint64_t tickShardCycle(Shard &sh, Cycle c,
+                                        Before &&before);
+    WakeHandle addEntry(std::size_t shard, Component &c, TickFn fn,
+                        HostCompClass cls);
     void rebuildLanes();
     void rebuildClassRuns();
     /** Largest window <= @p w whose final cycle respects alignments_. */
     Cycle alignedWindow(Cycle w) const;
-    /** Re-probe shard busy() state; park/unpark (window boundary only). */
-    void refreshParking();
-    /** Replay idle evolution for every parked shard and forget parking
-     * state (when parking deactivates mid-run). */
-    void unparkAll();
 
-    std::vector<std::vector<Entry>> shards_;
+    WakeStaging staging_;
+    std::vector<std::unique_ptr<Shard>> shards_;
     std::vector<Component *> components_; ///< serial tail
     std::vector<std::function<void(Cycle)>> serial_phases_;
     std::vector<Lane> lanes_;
+    std::vector<LaneTicks> lane_ticks_;
     std::vector<Alignment> alignments_;
-    /** parked_[s] != 0: shard s is idle-skipped; parked_since_[s] is the
-     * cycle its components last ticked (for onIdleSkip replay). Empty
-     * whenever parking is inactive. */
-    std::vector<char> parked_;
-    std::vector<Cycle> parked_since_;
     std::unique_ptr<CycleWorkerPool> pool_;
     EngineProfiler *profiler_ = nullptr;
     std::vector<std::vector<ClassRun>> class_runs_;
+    std::size_t wake_slots_ = kMinWakeSlots;
+    std::uint64_t ticks_run_ = 0;
     int threads_ = 1;
     Cycle window_ = 1;
-    bool idle_skip_ = true;
     bool lanes_dirty_ = false;
     bool class_runs_dirty_ = true;
     Cycle now_ = 0;

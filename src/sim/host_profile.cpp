@@ -190,8 +190,8 @@ EngineProfiler::windowEnd()
             shard_total_s_[sh] += toSeconds(ns);
             shard_window_ns_[sh] = 0;
         }
-        // worst_ns == 0 means every shard was parked (or none exist):
-        // no straggler evidence in this window.
+        // worst_ns == 0 means no shard took measurable time (or none
+        // exist): no straggler evidence in this window.
         if (worst != npos)
             ++shard_straggler_[worst];
     }

@@ -135,7 +135,7 @@ IntervalSampler::tick(Cycle now)
     }
     if (now != next_)
         return;
-    sampleWindow(now);
+    sampleWindow(now, /*full=*/true);
     next_ += cfg_.window;
 }
 
@@ -144,12 +144,15 @@ IntervalSampler::finalize(Cycle now)
 {
     if (!started_ || now <= last_)
         return;
-    sampleWindow(now);
+    // A partial window is recorded but never resets the registry: a run
+    // that ends before its warmup (or steady state) keeps its whole-run
+    // metrics.
+    sampleWindow(now, /*full=*/false);
     next_ = now + cfg_.window;
 }
 
 void
-IntervalSampler::sampleWindow(Cycle end)
+IntervalSampler::sampleWindow(Cycle end, bool full)
 {
     const Cycle len = end - last_;
     assert(len > 0);
@@ -190,6 +193,8 @@ IntervalSampler::sampleWindow(Cycle end)
     }
     window_end_.push_back(end);
     last_ = end;
+    if (!full)
+        return;
 
     // Fixed warmup: one registry reset at the first boundary past it.
     if (!cfg_.auto_steady && cfg_.warmup_reset > 0 && !warmup_done_

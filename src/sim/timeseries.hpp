@@ -219,7 +219,8 @@ class IntervalSampler : public Component
     /**
      * Record the final partial window up to @p now (idempotent; called
      * by the exporters). Cumulative series then sum exactly to their
-     * aggregate counters.
+     * aggregate counters. A partial window never resets the registry
+     * (fixed warmup or steady state): those fire only at full windows.
      */
     void finalize(Cycle now);
 
@@ -280,7 +281,9 @@ class IntervalSampler : public Component
         ScalarStat::Snapshot prev_snap; ///< last stat snapshot
     };
 
-    void sampleWindow(Cycle end);
+    /** Record the window ending at @p end; only a @p full window (one
+     * reached by tick()) may fire the warmup or steady-state reset. */
+    void sampleWindow(Cycle end, bool full);
 
     TimeseriesConfig cfg_;
     std::vector<Series> series_;

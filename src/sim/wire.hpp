@@ -16,8 +16,12 @@
  * arrival mask for the delivery cycle, and the receiver reads one mask
  * per tick instead of polling each wire. Inside a chip every wire
  * qualifies. The torus wires cross shards: their senders tick on other
- * threads, up to a lookahead window ahead, so they never ring and their
- * receivers keep polling them.
+ * threads, up to a lookahead window ahead, so they never touch the mask.
+ * They only wake their receivers, through a wake staged on the sending
+ * lane, and the receivers poll them while awake.
+ *
+ * Either way the doorbell carries its owner's WakeHandle, so every
+ * delivery also wakes the receiver for its arrival cycle (sim/wake.hpp).
  */
 #pragma once
 
@@ -33,6 +37,7 @@
 #include <vector>
 
 #include "sim/types.hpp"
+#include "sim/wake.hpp"
 
 namespace anton2 {
 
@@ -51,6 +56,7 @@ inline constexpr Cycle kMaxDoorbellLatency = kDoorbellSlots - 1;
 /**
  * A receiver's per-cycle arrival masks. Bit b of the mask for cycle c is
  * set iff the wire attached as bit b holds a value deliverable at c.
+ * Every ring also wakes the receiver for the delivery cycle.
  */
 class Doorbell
 {
@@ -60,7 +66,16 @@ class Doorbell
     ring(Cycle at, unsigned bit)
     {
         slots_[index(at)] |= 1u << bit;
+        wake_.at(at);
     }
+
+    /** Wake the receiver for a delivery at @p at on a wire from another
+     * shard (no mask bit: the receiver polls such wires while awake). */
+    void ringRemote(Cycle at) { wake_.staged(at); }
+
+    /** Bind the receiver's place in its engine shard (see WakeHandle). */
+    void setWake(WakeHandle h) { wake_ = h; }
+    const WakeHandle &wake() const { return wake_; }
 
     /** Return and clear the arrival mask of cycle @p now. */
     std::uint32_t
@@ -88,6 +103,7 @@ class Doorbell
     }
 
     std::array<std::uint32_t, kDoorbellSlots> slots_{};
+    WakeHandle wake_;
 };
 
 /**
@@ -146,6 +162,22 @@ class Wire
     }
 
     /**
+     * Wake @p bell's owner on every delivery from now on, for a wire
+     * whose sender ticks on another shard: each send stages the wake on
+     * the sending lane instead of ringing a mask bit (see the file
+     * comment), and the owner polls this wire while awake. Attach before
+     * the first send (restored values wake the owner through
+     * restoreSlot); these rings are long, so they are not scanned.
+     */
+    void
+    attachRemote(Doorbell &bell)
+    {
+        assert(!busy() && "attach a remote doorbell before sending");
+        bell_ = &bell;
+        bell_bit_ = kRemoteBit;
+    }
+
+    /**
      * Send a value at cycle @p now; it becomes visible at now+latency.
      * At most one value may be sent per cycle.
      */
@@ -158,7 +190,7 @@ class Wire
         s.at = at;
         s.value = std::move(value);
         if (bell_ != nullptr)
-            bell_->ring(at, bell_bit_);
+            ring(at);
     }
 
     /** True if a value is deliverable at cycle @p now. */
@@ -235,7 +267,7 @@ class Wire
     {
         for (Slot &s : slots_)
             s = Slot{};
-        if (bell_ != nullptr)
+        if (bell_ != nullptr && bell_bit_ != kRemoteBit)
             bell_->clear(bell_bit_);
     }
 
@@ -253,10 +285,13 @@ class Wire
         s.at = deliver_at;
         s.value = std::move(value);
         if (bell_ != nullptr)
-            bell_->ring(deliver_at, bell_bit_);
+            ring(deliver_at);
     }
 
   private:
+    /** bell_bit_ of a wire attached with attachRemote. */
+    static constexpr unsigned kRemoteBit = 32;
+
     struct Slot
     {
         Cycle at = kNoCycle; ///< delivery cycle; kNoCycle when empty
@@ -277,6 +312,15 @@ class Wire
     index(Cycle c) const
     {
         return static_cast<std::size_t>(c) & mask_;
+    }
+
+    void
+    ring(Cycle at)
+    {
+        if (bell_bit_ == kRemoteBit)
+            bell_->ringRemote(at);
+        else
+            bell_->ring(at, bell_bit_);
     }
 
     Cycle latency_;

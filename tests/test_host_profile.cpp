@@ -442,6 +442,39 @@ TEST(MachineHostJson, RunShapeAndEngineGaugesOnlyWithProfiler)
               std::string::npos);
 }
 
+TEST(MachineHostJson, AwakeFracIsThreadInvariantAndZeroWhenIdle)
+{
+    // Ticks are counted, never timed: the fraction is a function of the
+    // schedule alone, so it is equal at every thread count for a fixed
+    // window.
+    std::vector<double> fracs;
+    for (int threads : { 1, 2, 4 }) {
+        Machine m = makeLoadedMachine(threads, 0);
+        preInject(m);
+        m.run(RunSpec::forCycles(512));
+        const auto root = TinyJsonParser(m.hostJson()).parse();
+        fracs.push_back(root->at("machine.host.awake_frac").number);
+    }
+    EXPECT_GT(fracs[0], 0.0);
+    EXPECT_LT(fracs[0], 1.0);
+    EXPECT_EQ(fracs[1], fracs[0]);
+    EXPECT_EQ(fracs[2], fracs[0]);
+
+    // An idle machine: every component ticks once (all start awake),
+    // finds no work and sleeps for the rest of the run.
+    MachineConfig cfg;
+    cfg.radix = { 4, 4, 4 };
+    cfg.chip.endpoints_per_node = 8;
+    cfg.use_packaging = false;
+    cfg.fixed_torus_latency = 20;
+    cfg.lookahead = 0;
+    Machine idle(cfg);
+    idle.run(RunSpec::forCycles(1000));
+    EXPECT_LE(idle.engine().ticksRun(), idle.engine().shardedCount());
+    const auto root = TinyJsonParser(idle.hostJson()).parse();
+    EXPECT_LE(root->at("machine.host.awake_frac").number, 1.0 / 1000.0);
+}
+
 // ---------------------------------------------------------------------
 // Window-aware --progress line
 // ---------------------------------------------------------------------

@@ -9,8 +9,7 @@
  *    packaging-derived links, clamping, and the k = 1 degenerate case
  *    (which is exactly the pre-lookahead per-cycle engine);
  *  - the engine-level windowed schedule: shard ticks before the serial
- *    replay, barrier alignment truncation, idle-shard parking with
- *    onIdleSkip() replay;
+ *    replay, barrier alignment truncation;
  *  - staged cross-shard side effects (trace lanes, deferred deliveries)
  *    replay in canonical per-cycle order, proven by byte-identical
  *    exports across thread counts at any fixed window;
@@ -151,68 +150,6 @@ TEST(LookaheadEngine, ThreadedWindowedScheduleMatchesSerial)
         for (const auto &c : cs)
             EXPECT_EQ(c.ticks(), 20) << "threads=" << threads;
     }
-}
-
-/** Parkable component: externally controlled busy(), onIdleSkip log. */
-class Parker final : public Component
-{
-  public:
-    Parker() : Component("parker") {}
-    void tick(Cycle) override { ++ticks_; }
-    bool busy() const override { return busy_; }
-    void onIdleSkip(Cycle skipped) override { skipped_ += skipped; }
-
-    void setBusy(bool b) { busy_ = b; }
-    int ticks() const { return ticks_; }
-    Cycle skippedReplayed() const { return skipped_; }
-
-  private:
-    bool busy_ = false;
-    int ticks_ = 0;
-    Cycle skipped_ = 0;
-};
-
-TEST(LookaheadEngine, IdleShardsAreParkedAndReplayedOnUnpark)
-{
-    Engine e;
-    e.setWindow(4);
-    Parker p;
-    const std::size_t shard = e.newShard();
-    e.addSharded(shard, p);
-
-    // Idle from the start: parked at the first barrier, never ticked.
-    e.run(8);
-    EXPECT_EQ(p.ticks(), 0);
-    EXPECT_EQ(p.skippedReplayed(), 0u);
-
-    // Work arrives between barriers; the next probe unparks the shard
-    // and replays the 8 skipped cycles before its first real tick.
-    p.setBusy(true);
-    e.run(4);
-    EXPECT_EQ(p.ticks(), 4);
-    EXPECT_EQ(p.skippedReplayed(), 8u);
-
-    // Going idle again re-parks at the next barrier probe; disabling
-    // idle-skip resumes ticking and replays the second parked span
-    // (cycles 12-19) before the first post-park tick.
-    p.setBusy(false);
-    e.run(8);
-    EXPECT_EQ(p.ticks(), 4);
-    e.setIdleSkip(false);
-    e.run(4);
-    EXPECT_EQ(p.ticks(), 8);
-    EXPECT_EQ(p.skippedReplayed(), 16u);
-}
-
-TEST(LookaheadEngine, ParkingIsDisabledAtWindowOne)
-{
-    Engine e; // default window 1: the exact-legacy mode ticks everything
-    Parker p;
-    const std::size_t shard = e.newShard();
-    e.addSharded(shard, p);
-    e.run(5);
-    EXPECT_EQ(p.ticks(), 5);
-    EXPECT_EQ(p.skippedReplayed(), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -534,8 +471,9 @@ TEST(LookaheadDeterminism, RandomizedConfigsSerialVsThreadedByteEqual)
         cfg.use_packaging = false;
         cfg.fixed_torus_latency = 2 + static_cast<Cycle>(gen.below(19));
         cfg.seed = seed;
-        // Tracing on even seeds only: traced machines pin the staged
-        // trace path, untraced ones keep idle-skip parking engaged.
+        // Tracing on even seeds only: traced machines also pin the
+        // staged trace path and the sleeping routers' settled stall
+        // samples.
         const bool with_trace = seed % 2 == 0;
 
         auto run = [&](int threads, Cycle lookahead) {

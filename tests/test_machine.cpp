@@ -10,6 +10,7 @@
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "core/machine.hpp"
 
@@ -255,6 +256,59 @@ TEST(Machine, MulticastWithoutAnEntryAtTheSourceIsRejected)
     ASSERT_EQ(m.run(RunSpec::untilDelivered(dests.size(), 50000)).reason,
               StopReason::Delivered);
     EXPECT_EQ(m.totalDelivered(), dests.size());
+}
+
+TEST(Machine, MalformedTreeIsRejected)
+{
+    Machine m(smallConfig());
+    const TorusGeom &g = m.geom();
+    const NodeId root = g.id({ 1, 1, 1 });
+    const NodeId east = g.neighbor(root, 0, Dir::Pos);
+    auto tree = [&](std::unordered_map<NodeId, McastNodeEntry> nodes) {
+        McastTree t;
+        t.root = root;
+        t.nodes = std::move(nodes);
+        return t;
+    };
+    const McastNodeEntry leaf{ {}, { 1 } };
+    const McastNodeEntry to_east{ { { 0, Dir::Pos } }, {} };
+
+    const McastTree cases[] = {
+        // The root forwards +X to a node with no entry.
+        tree({ { root, to_east } }),
+        // A node id outside the machine.
+        tree({ { root, to_east }, { east, leaf }, { g.numNodes(), leaf } }),
+        // A hop dimension and a hop direction out of range.
+        tree({ { root, { { { 3, Dir::Pos } }, {} } } }),
+        tree({ { root, { { { 0, static_cast<Dir>(0) } }, {} } } }),
+        // Local endpoints outside [0, endpoints per node).
+        tree({ { root, { {}, { -1 } } } }),
+        tree({ { root, { {}, { 4 } } } }),
+        // Two hops reach the same node: duplicate deliveries.
+        tree({ { root, { { { 0, Dir::Pos }, { 0, Dir::Pos } }, {} } },
+               { east, leaf } }),
+        // A loop back to the root: copies circle forever.
+        tree({ { root, to_east },
+               { east, { { { 0, Dir::Neg } }, { 1 } } } }),
+        // An entry the root never reaches.
+        tree({ { root, leaf }, { east, leaf } }),
+        // The root itself has no entry.
+        tree({ { east, leaf } }),
+    };
+    for (const McastTree &t : cases)
+        EXPECT_THROW(m.installTree(t), std::invalid_argument);
+    McastTree bad_slice = tree({ { root, leaf } });
+    bad_slice.slice = kNumSlices;
+    EXPECT_THROW(m.installTree(bad_slice), std::invalid_argument);
+
+    // Nothing was installed and no group id was consumed: the first
+    // well-formed tree still gets group 0 and delivers.
+    const McastTree good = tree({ { root, to_east }, { east, leaf } });
+    EXPECT_EQ(m.installTree(good), 0);
+    m.sendMulticast({ root, 0 }, 0);
+    ASSERT_EQ(m.run(RunSpec::untilDelivered(1, 50000)).reason,
+              StopReason::Delivered);
+    EXPECT_EQ(m.totalDelivered(), 1u);
 }
 
 TEST(Machine, RecycledPacketsKeepTheirRouteStorage)

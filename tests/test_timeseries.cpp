@@ -434,6 +434,40 @@ TEST(AutoSteady, FixedWarmupResetsRegistryAtTheRequestedCycle)
     EXPECT_LT(delivered->value(), m.totalDelivered());
 }
 
+TEST(AutoSteady, FixedWarmupPastTheLastFullWindowNeverResets)
+{
+    // The shape of a fig9 4x2x2 batch with --warmup 100: the run ends at
+    // cycle 220, inside the first 1024-cycle window. Exporting records
+    // that partial window but must not fire the warmup reset: only a
+    // full window may, so the report keeps whole-run metrics.
+    auto cfg = smallConfig(41);
+    Machine m(cfg);
+    TimeseriesConfig tcfg; // the default 1024-cycle window
+    tcfg.warmup_reset = 100;
+    IntervalSampler &s = attachSampler(m, tcfg, /*metrics=*/true);
+
+    UniformPattern pat(m.geom());
+    OpenLoopDriver::Config dcfg;
+    dcfg.cores = firstEndpoints(4);
+    dcfg.rate = 0.02;
+    dcfg.pattern = &pat;
+    OpenLoopDriver driver(m, dcfg);
+    m.engine().add(driver);
+    m.run(RunSpec::forCycles(220));
+
+    const std::string report = m.runReportJson();
+    ASSERT_EQ(s.numWindows(), 1u);
+    EXPECT_EQ(s.windowEnd(0), 220u);
+    EXPECT_EQ(s.steadyState().metrics_reset_cycle, kNoCycle);
+    EXPECT_NE(report.find("\"metrics_reset_cycle\": null"),
+              std::string::npos);
+    const Counter *delivered =
+        m.metrics()->findCounter("machine.delivered");
+    ASSERT_NE(delivered, nullptr);
+    EXPECT_GT(delivered->value(), 0u);
+    EXPECT_EQ(delivered->value(), m.totalDelivered());
+}
+
 // ---------------------------------------------------------------------
 // Chrome-trace counter tracks
 // ---------------------------------------------------------------------

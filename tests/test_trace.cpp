@@ -343,37 +343,61 @@ TEST(Tracing, FlightRecordCoversEveryPacketWithConsistentLatency)
 
 TEST(Tracing, StallSamplerAccountsForEveryConnectedPortCycle)
 {
-    MachineConfig cfg;
-    cfg.radix = { 2, 2, 2 };
-    cfg.chip.endpoints_per_node = 2;
-    cfg.use_packaging = false;
-    cfg.seed = 3;
-    Machine m(cfg);
-    Instrumentation inst;
-    inst.trace = TraceConfig{};
-    m.attachInstrumentation(inst);
-    m.send(m.makeWrite({ 0, 0 }, { 7, 1 }, 0, 2));
-    ASSERT_TRUE(m.run(RunSpec::untilDelivered(1, 100000)).reason == StopReason::Delivered);
+    // One packet crosses an otherwise idle machine, so most routers
+    // sleep through most of the run - serially per cycle, and on two
+    // lanes at the auto window. Their slept cycles are booked as
+    // no_input when the exporter settles them, so every router has
+    // classified every cycle since the attach.
+    struct Schedule
+    {
+        int threads;
+        Cycle lookahead;
+    };
+    for (const Schedule sch : { Schedule{ 1, 1 }, Schedule{ 2, 0 } }) {
+        MachineConfig cfg;
+        cfg.radix = { 2, 2, 2 };
+        cfg.chip.endpoints_per_node = 2;
+        cfg.use_packaging = false;
+        cfg.seed = 3;
+        cfg.threads = sch.threads;
+        cfg.lookahead = sch.lookahead;
+        Machine m(cfg);
+        Instrumentation inst;
+        inst.trace = TraceConfig{};
+        m.attachInstrumentation(inst);
+        m.send(m.makeWrite({ 0, 0 }, { 7, 1 }, 0, 2));
+        ASSERT_TRUE(m.run(RunSpec::untilDelivered(1, 100000)).reason
+                    == StopReason::Delivered);
+        EXPECT_LT(m.engine().ticksRun() * 4,
+                  m.engine().shardedCount() * m.now())
+            << "most components sleep";
+        (void)m.traceChromeJson(); // settles the sleeping routers
 
-    std::uint64_t busy = 0;
-    for (NodeId n = 0; n < m.geom().numNodes(); ++n) {
-        for (RouterId r = 0; r < m.layout().numRouters(); ++r) {
-            const RouterStallSampler *s = m.chip(n).router(r).stallSampler();
-            ASSERT_NE(s, nullptr);
-            EXPECT_GT(s->sampled_cycles, 0u);
-            for (const auto &port : s->ports) {
-                // Exhaustive classification: a connected port's class
-                // totals sum exactly to the sampled cycles; unconnected
-                // ports are never classified.
-                const auto total = port.total();
-                EXPECT_TRUE(total == 0 || total == s->sampled_cycles)
+        std::uint64_t busy = 0;
+        for (NodeId n = 0; n < m.geom().numNodes(); ++n) {
+            for (RouterId r = 0; r < m.layout().numRouters(); ++r) {
+                const RouterStallSampler *s =
+                    m.chip(n).router(r).stallSampler();
+                ASSERT_NE(s, nullptr);
+                EXPECT_EQ(s->sampled_cycles, m.now())
                     << "n=" << n << " r=" << r;
-                busy += port.cycles[static_cast<std::size_t>(
-                    StallClass::Busy)];
+                for (std::size_t o = 0; o < s->ports.size(); ++o) {
+                    // Exhaustive classification: a connected port's
+                    // class totals sum exactly to the sampled cycles;
+                    // unconnected ports are never classified.
+                    const auto total = s->ports[o].total();
+                    EXPECT_EQ(total, m.chip(n).router(r).outConnected(
+                                         static_cast<int>(o))
+                                         ? s->sampled_cycles
+                                         : 0u)
+                        << "n=" << n << " r=" << r << " port=" << o;
+                    busy += s->ports[o].cycles[static_cast<std::size_t>(
+                        StallClass::Busy)];
+                }
             }
         }
+        EXPECT_GT(busy, 0u) << "the delivered packet crossed some switch";
     }
-    EXPECT_GT(busy, 0u) << "the delivered packet crossed some switch";
 }
 
 TEST(Tracing, DisabledTracingLeavesNoSinkOrSampler)
