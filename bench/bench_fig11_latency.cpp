@@ -86,11 +86,14 @@ pingPong(Machine &m, EndpointAddr a, EndpointAddr b, int rounds)
 
 } // namespace
 
+// A restore that fails after validation (an image of another
+// configuration, or a corrupted one) ends the bench with an error.
 int
 main(int argc, char **argv)
-{
+try {
     long k_flag = 8, pairs_flag = 6, rounds_flag = 4;
     bench::RunOptions run;
+    bench::CheckpointOptions ckpt;
     bench::OptionRegistry reg(
         "Figure 11: one-way software-to-software message latency vs. "
         "inter-node hop count");
@@ -101,9 +104,10 @@ main(int argc, char **argv)
     reg.add("--rounds", "N", "ping-pong rounds per pair (default 4)",
             &rounds_flag);
     run.registerInto(reg);
+    ckpt.registerInto(reg);
     if (!reg.parse(argc, argv))
         return 1;
-    if (!run.validate())
+    if (!ckpt.validate() || !run.validate())
         return 1;
     const int k = static_cast<int>(k_flag);
     const int pairs = static_cast<int>(pairs_flag);
@@ -122,8 +126,8 @@ main(int argc, char **argv)
     // brackets the whole sweep: --checkpoint-in resumes a prior
     // machine's clock/RNG state, --checkpoint-out (below) preserves
     // this one's.
-    if (run.ckpt.in != nullptr)
-        m.restoreCheckpoint(run.ckpt.in);
+    if (ckpt.in != nullptr)
+        m.restoreCheckpoint(ckpt.in);
 
     bench::printHeader(
         "Figure 11: one-way 16 B message latency vs. inter-node hops");
@@ -168,8 +172,8 @@ main(int argc, char **argv)
         ys.push_back(lat.mean());
     }
     bench::printRule(40);
-    if (run.ckpt.out != nullptr)
-        m.saveCheckpoint(run.ckpt.out);
+    if (ckpt.out != nullptr)
+        m.saveCheckpoint(ckpt.out);
     run.flows.write(m);
     run.ts.write(m);
     run.audit.write(m);
@@ -208,4 +212,7 @@ main(int argc, char **argv)
             std::printf("Flight record written to %s\n", trace.csv);
     }
     return 0;
+} catch (const CheckpointError &e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
 }

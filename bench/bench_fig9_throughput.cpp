@@ -49,7 +49,8 @@ struct SweepPoint
 SweepPoint
 runBatch(const std::vector<int> &radix, int cores, ArbPolicy policy,
          const char *pattern_name, std::uint64_t batch,
-         std::uint64_t seed, const bench::RunOptions &run, bool probe)
+         std::uint64_t seed, const bench::RunOptions &run,
+         const bench::CheckpointOptions &ckpt, bool probe)
 {
     MachineConfig cfg;
     cfg.radix = radix;
@@ -110,7 +111,7 @@ runBatch(const std::vector<int> &radix, int cores, ArbPolicy policy,
     RunSpec spec = RunSpec::untilDelivered(driver.deliveredTarget(),
                                            max_cycles);
     if (probe && std::string(pattern_name) == "uniform")
-        run.ckpt.addTo(spec);
+        ckpt.addTo(spec);
     if (m.run(spec).reason != StopReason::Delivered)
         std::fprintf(stderr, "WARNING: batch timed out\n");
 
@@ -128,12 +129,15 @@ runBatch(const std::vector<int> &radix, int cores, ArbPolicy policy,
 
 } // namespace
 
+// A restore that fails after validation (an image of another
+// configuration, or a corrupted one) ends the bench with an error.
 int
 main(int argc, char **argv)
-{
+try {
     long kx = 8, ky = 4, kz = 4;
     long cores = 8, maxbatch = 512, seed = 12;
     bench::RunOptions run;
+    bench::CheckpointOptions ckpt;
     bench::OptionRegistry reg(
         "Figure 9: batch throughput vs. batch size, round-robin vs. "
         "inverse-weighted arbitration");
@@ -146,6 +150,7 @@ main(int argc, char **argv)
             "largest batch size swept, >= 16 (default 512)", &maxbatch);
     reg.add("--seed", "N", "simulation seed (default 12)", &seed);
     run.registerInto(reg);
+    ckpt.registerInto(reg);
     if (!reg.parse(argc, argv))
         return 1;
     if (!bench::validateCores(cores, kEndpointsPerNode))
@@ -156,7 +161,7 @@ main(int argc, char **argv)
                      static_cast<unsigned long long>(kFirstBatch));
         return 1;
     }
-    if (!run.validate())
+    if (!ckpt.validate() || !run.validate())
         return 1;
     const std::vector<int> radix{ static_cast<int>(kx),
                                   static_cast<int>(ky),
@@ -185,16 +190,16 @@ main(int argc, char **argv)
                 (run.trace.enabled() || run.flows.enabled()
                  || run.ts.enabled() || run.audit.enabled()
                  || run.host_profile.enabled || run.report.enabled()
-                 || run.ckpt.enabled())
+                 || ckpt.enabled())
                 && batch * 4 > max_batch;
             const auto rr = runBatch(radix, static_cast<int>(cores),
                                      ArbPolicy::RoundRobin, pattern, batch,
                                      static_cast<std::uint64_t>(seed), run,
-                                     false);
+                                     ckpt, false);
             auto iw = runBatch(radix, static_cast<int>(cores),
                                ArbPolicy::InverseWeighted, pattern, batch,
                                static_cast<std::uint64_t>(seed), run,
-                               probe);
+                               ckpt, probe);
             std::printf("%-18s %10llu %14.3f %16.3f\n", pattern,
                         static_cast<unsigned long long>(batch),
                         rr.normalized, iw.normalized);
@@ -242,4 +247,7 @@ main(int argc, char **argv)
     if (run.trace.csv != nullptr)
         std::printf("Flight record written to %s\n", run.trace.csv);
     return 0;
+} catch (const CheckpointError &e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
 }

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/machine.hpp"
+#include "debug/checkpoint.hpp"
 #include "options.hpp"
 #include "sim/metrics.hpp"
 
@@ -612,8 +613,11 @@ validateTimelineSingleRun(const HostProfileOptions &hp,
  *                          simulating; the run report's
  *                          `run.checkpoint` section records the source
  *                          path and fork cycle
- * Benches thread these into the RunSpec of their final measured run.
- * Output paths are validated before any simulation time is spent.
+ * Only the benches that honor them (fig9, fig11) register these, and
+ * they thread them into the RunSpec of their final measured run. The
+ * input must be a checkpoint of this format before any output path is
+ * probed; a restore that fails later (another configuration's image, or
+ * a corrupted one) ends the bench with `error: checkpoint: ...`, exit 1.
  */
 struct CheckpointOptions
 {
@@ -635,8 +639,22 @@ struct CheckpointOptions
 
     bool enabled() const { return in != nullptr || out != nullptr; }
 
-    /** Fail fast on unwritable output paths. */
-    bool validate() const { return validateOutputPaths({ out }); }
+    /** Fail fast on an input that is not a readable checkpoint of this
+     * format (checked first, so a bad input leaves no probed output
+     * behind) and on an unwritable output path. */
+    bool
+    validate() const
+    {
+        if (in != nullptr) {
+            try {
+                checkCheckpointFile(in);
+            } catch (const CheckpointError &e) {
+                std::fprintf(stderr, "error: %s\n", e.what());
+                return false;
+            }
+        }
+        return validateOutputPaths({ out });
+    }
 
     /** Thread the requested checkpoint I/O into a run spec. */
     void
@@ -786,7 +804,6 @@ struct RunOptions
     AuditOptions audit;
     HostProfileOptions host_profile;
     ReportOptions report;
-    CheckpointOptions ckpt;
 
     void
     registerInto(OptionRegistry &reg)
@@ -805,7 +822,6 @@ struct RunOptions
         audit.registerInto(reg);
         host_profile.registerInto(reg);
         report.registerInto(reg);
-        ckpt.registerInto(reg);
     }
 
     /** Resolve implications and fail fast; call once after parse(). */
@@ -822,7 +838,7 @@ struct RunOptions
         }
         return trace.validate() && flows.validate() && ts.validate()
                && audit.validate() && host_profile.validate()
-               && report.validate() && ckpt.validate();
+               && report.validate();
     }
 
     /** The bundle every requested option group contributes to. */

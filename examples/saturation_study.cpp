@@ -56,8 +56,8 @@ main(int argc, char **argv)
                              "--lookahead >= 0\n");
         return 1;
     }
-    if (!audit.validate() || !flows.validate() || !host_profile.validate()
-        || !ckpt.validate())
+    if (!ckpt.validate() || !audit.validate() || !flows.validate()
+        || !host_profile.validate())
         return 1;
 
     const std::vector<int> radix{ 4, 4, 4 };

@@ -190,24 +190,8 @@ LoadModel::tracePacket(EndpointAddr src, EndpointAddr dst,
     if (src.node >= nodes || dst.node >= nodes || src.ep < 0
         || src.ep >= num_eps_ || dst.ep < 0 || dst.ep >= num_eps_)
         reject("packet address outside the machine");
-    unsigned seen = 0;
-    for (int d : spec.order) {
-        if (d < 0 || d >= 3 || ((seen >> d) & 1u) != 0)
-            reject("route order is not a permutation of the dimensions");
-        seen |= 1u << d;
-    }
-    if (seen != 7u)
-        reject("route order is not a permutation of the dimensions");
-    if (spec.dirs.size() != 3)
-        reject("route needs one direction per dimension, not "
-               + std::to_string(spec.dirs.size()));
-    for (Dir d : spec.dirs) {
-        if (d != Dir::Pos && d != Dir::Neg)
-            reject("route direction is neither Pos nor Neg");
-    }
-    if (spec.slice >= kNumSlices)
-        reject("route slice " + std::to_string(spec.slice)
-               + " out of range");
+    if (const char *why = malformedRoute(spec))
+        reject(why);
     trace(src, dst, spec, weight, slot);
 }
 

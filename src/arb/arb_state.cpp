@@ -1,7 +1,8 @@
 /**
  * @file
- * Checkpoint state for the stateful arbiters. Kept out of the headers so
- * the arbiter interfaces need only a forward declaration of the codec.
+ * Checkpoint field lists of the stateful arbiters. Kept out of the
+ * headers so the arbiter interfaces need only a forward declaration of
+ * the archive.
  */
 #include "arb/basic_arbiters.hpp"
 #include "arb/inverse_weighted.hpp"
@@ -10,65 +11,37 @@
 namespace anton2 {
 
 void
-RoundRobinArbiter::saveState(CkptWriter &w) const
+RoundRobinArbiter::fields(CkptArchive &ar)
 {
-    w.tag("arb.rr");
-    w.i32(ptr_);
+    ar.marker("arb.rr");
+    ar.io(ptr_, 0, numInputs() - 1, "round-robin pointer out of range");
 }
 
 void
-RoundRobinArbiter::loadState(CkptReader &r)
+InvWeightAccumulators::fields(CkptArchive &ar)
 {
-    r.expect("arb.rr");
-    const std::int32_t ptr = r.i32();
-    if (ptr < 0 || ptr >= numInputs())
-        throw CheckpointError("checkpoint: round-robin pointer out of "
-                              "range");
-    ptr_ = ptr;
-}
-
-void
-InvWeightAccumulators::saveState(CkptWriter &w) const
-{
-    w.tag("arb.iw.accum");
-    w.u32(static_cast<std::uint32_t>(accum_.size()));
-    for (std::uint32_t a : accum_)
-        w.u32(a);
-    w.u32(static_cast<std::uint32_t>(weights_.size()));
-    for (std::uint32_t wt : weights_)
-        w.u32(wt);
-}
-
-void
-InvWeightAccumulators::loadState(CkptReader &r)
-{
-    r.expect("arb.iw.accum");
-    const std::uint32_t na = r.u32();
-    if (na != accum_.size())
-        throw CheckpointError("checkpoint: accumulator count mismatch");
+    ar.marker("arb.iw.accum");
+    const std::uint32_t msb = 1u << weight_bits_;
+    ar.same(static_cast<std::uint32_t>(accum_.size()),
+            "accumulator count mismatch");
     for (std::uint32_t &a : accum_)
-        a = r.u32();
-    const std::uint32_t nw = r.u32();
-    if (nw != weights_.size())
-        throw CheckpointError("checkpoint: weight table size mismatch");
-    for (std::uint32_t &wt : weights_)
-        wt = r.u32();
+        ar.io(a, 0, (msb << 1) - 1, "accumulator outside its window");
+    ar.same(static_cast<std::uint32_t>(weights_.size()),
+            "weight table size mismatch");
+    for (std::uint32_t &w : weights_)
+        ar.io(w, 1, msb - 1, "inverse weight outside [1, 2^M)");
 }
 
 void
-InverseWeightedArbiter::saveState(CkptWriter &w) const
+InverseWeightedArbiter::fields(CkptArchive &ar)
 {
-    w.tag("arb.iw");
-    accum_.saveState(w);
-    w.u32(rr_therm_);
-}
-
-void
-InverseWeightedArbiter::loadState(CkptReader &r)
-{
-    r.expect("arb.iw");
-    accum_.loadState(r);
-    rr_therm_ = r.u32();
+    ar.marker("arb.iw");
+    accum_.fields(ar);
+    ar.io(rr_therm_);
+    // rrThermAfterGrant: the inputs below the last grant, a thermometer.
+    ar.check((rr_therm_ & (rr_therm_ + 1)) == 0
+                 && rr_therm_ < (1u << (numInputs() - 1)),
+             "round-robin thermometer malformed");
 }
 
 } // namespace anton2

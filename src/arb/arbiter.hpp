@@ -14,8 +14,7 @@
 
 namespace anton2 {
 
-class CkptWriter;
-class CkptReader;
+class CkptArchive;
 
 /** Per-input request metadata consumed by some arbiter policies. */
 struct ReqInfo
@@ -64,12 +63,11 @@ class Arbiter
     virtual int pick(std::uint32_t req_mask, const ReqInfo *info) = 0;
 
     /**
-     * Checkpoint hooks. Stateless policies keep the no-op defaults;
+     * Checkpoint field list. Stateless policies keep the empty default;
      * stateful ones (round-robin pointer, inverse-weighted accumulators)
-     * override both so fairness state survives a save/restore exactly.
+     * override it so fairness state survives a save/restore exactly.
      */
-    virtual void saveState(CkptWriter &) const {}
-    virtual void loadState(CkptReader &) {}
+    virtual void fields(CkptArchive &) {}
 
     int numInputs() const { return num_inputs_; }
 

@@ -59,8 +59,7 @@ class RoundRobinArbiter : public Arbiter
     /** The input the next pick favors first. */
     int pointer() const { return ptr_; }
 
-    void saveState(CkptWriter &w) const override;
-    void loadState(CkptReader &r) override;
+    void fields(CkptArchive &ar) override;
 
   private:
     std::uint32_t valid_; ///< bit i set iff input i exists

@@ -62,9 +62,8 @@ class InvWeightAccumulators
     int numInputs() const { return k_; }
     int numPatterns() const { return num_patterns_; }
 
-    /** Checkpoint the accumulators and programmed weights. */
-    void saveState(CkptWriter &w) const;
-    void loadState(CkptReader &r);
+    /** Checkpoint field list: the accumulators and programmed weights. */
+    void fields(CkptArchive &ar);
 
   private:
     int k_;
@@ -87,8 +86,7 @@ class InverseWeightedArbiter : public Arbiter
 
     int pick(std::uint32_t req_mask, const ReqInfo *info) override;
 
-    void saveState(CkptWriter &w) const override;
-    void loadState(CkptReader &r) override;
+    void fields(CkptArchive &ar) override;
 
     InvWeightAccumulators &accumulators() { return accum_; }
     const InvWeightAccumulators &accumulators() const { return accum_; }

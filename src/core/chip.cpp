@@ -317,77 +317,51 @@ Chip::ingressAt(int ca, const PacketPtr &pkt,
 }
 
 void
-Chip::saveState(CkptWriter &w) const
+Chip::fields(CkptArchive &ar)
 {
-    w.tag("chip");
+    ar.tag("chip");
     for (const auto &r : routers_)
-        r->saveState(w);
-    for (const auto &ca : channel_adapters_)
-        ca->saveState(w);
-    for (const auto &ep : endpoints_)
-        ep->saveState(w);
-    w.tag("chip.channels");
-    w.u32(static_cast<std::uint32_t>(channels_.size()));
+        r->fields(ar);
+    for (int ca = 0; ca < layout_.numChannelAdapters(); ++ca) {
+        // A packet fans out to at most one copy per torus direction and
+        // one per endpoint.
+        channel_adapters_[static_cast<std::size_t>(ca)]->fields(
+            ar, router(layout_.channelRouter(ca)),
+            static_cast<std::size_t>(2 * 3 + layout_.numEndpoints()));
+    }
+    for (EndpointId e = 0; e < layout_.numEndpoints(); ++e)
+        endpoints_[static_cast<std::size_t>(e)]->fields(
+            ar, router(layout_.endpointRouter(e)));
+    ar.tag("chip.channels");
+    ar.same(static_cast<std::uint32_t>(channels_.size()),
+            "chip channel count mismatch");
     for (const auto &ch : channels_)
-        ch->saveState(w);
+        ch->fields(ar, cfg_.numVcs());
     // The multicast table is installed by calls, not construction, so it
-    // is part of the state; sort by group id for deterministic bytes.
-    w.tag("chip.mcast");
-    std::vector<std::int32_t> groups;
-    groups.reserve(mcast_.size());
-    for (const auto &[group, entry] : mcast_)
-        groups.push_back(group);
-    std::sort(groups.begin(), groups.end());
-    w.u32(static_cast<std::uint32_t>(groups.size()));
-    for (std::int32_t group : groups) {
-        const McastNodeEntry &entry = mcast_.at(group);
-        w.i32(group);
-        w.u32(static_cast<std::uint32_t>(entry.forward.size()));
-        for (const McastHop &hop : entry.forward) {
-            w.u8(hop.dim);
-            w.i8(static_cast<std::int8_t>(hop.dir));
+    // is part of the state; sorted by group id for deterministic bytes.
+    // Machine::fields validates the restored trees.
+    ar.tag("chip.mcast");
+    std::vector<std::pair<std::int32_t, McastNodeEntry>> table(
+        mcast_.begin(), mcast_.end());
+    std::sort(table.begin(), table.end(),
+              [](const auto &a, const auto &b) { return a.first < b.first; });
+    ar.size(table, ~std::size_t{ 0 }, 12, "multicast groups");
+    for (auto &[group, entry] : table) {
+        ar.io(group);
+        ar.size(entry.forward, 2 * 3, 2, "multicast hops");
+        for (McastHop &hop : entry.forward) {
+            ar.io(hop.dim);
+            ar.io(hop.dir);
         }
-        w.u32(static_cast<std::uint32_t>(entry.local.size()));
-        for (int ep : entry.local)
-            w.i32(ep);
+        ar.size(entry.local,
+                static_cast<std::size_t>(layout_.numEndpoints()), 4,
+                "multicast endpoints");
+        for (int &ep : entry.local)
+            ar.io(ep);
     }
-}
-
-void
-Chip::loadState(CkptReader &r)
-{
-    r.expect("chip");
-    for (const auto &rt : routers_)
-        rt->loadState(r);
-    for (const auto &ca : channel_adapters_)
-        ca->loadState(r);
-    for (const auto &ep : endpoints_)
-        ep->loadState(r);
-    r.expect("chip.channels");
-    if (r.u32() != channels_.size())
-        throw CheckpointError("chip channel count mismatch");
-    for (const auto &ch : channels_)
-        ch->loadState(r);
-    r.expect("chip.mcast");
-    mcast_.clear();
-    std::uint32_t ngroups = r.u32();
-    for (std::uint32_t g = 0; g < ngroups; ++g) {
-        std::int32_t group = r.i32();
-        McastNodeEntry entry;
-        std::uint32_t nfwd = r.u32();
-        entry.forward.reserve(nfwd);
-        for (std::uint32_t i = 0; i < nfwd; ++i) {
-            McastHop hop;
-            hop.dim = r.u8();
-            hop.dir = static_cast<Dir>(r.i8());
-            entry.forward.push_back(hop);
-        }
-        std::uint32_t nlocal = r.u32();
-        entry.local.reserve(nlocal);
-        for (std::uint32_t i = 0; i < nlocal; ++i)
-            entry.local.push_back(r.i32());
-        mcast_.emplace(group, std::move(entry));
-    }
+    if (ar.loading())
+        mcast_ = { table.begin(), table.end() };
+    ar.check(mcast_.size() == table.size(), "multicast group listed twice");
 }
 
 } // namespace anton2

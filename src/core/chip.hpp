@@ -192,12 +192,19 @@ class Chip
     std::string ingressLinkName(int ca, int full_vc) const;
 
     /**
-     * Checkpoint this chip: every router, channel adapter, and endpoint
-     * in registration order, every on-chip channel in wiring order, and
-     * the multicast table. Torus channels belong to the Machine.
+     * Checkpoint field list of this chip: every router, channel adapter,
+     * and endpoint in registration order, every on-chip channel in
+     * wiring order, and the multicast table. Torus channels belong to
+     * the Machine.
      */
-    void saveState(CkptWriter &w) const;
-    void loadState(CkptReader &r);
+    void fields(CkptArchive &ar);
+
+    /** The multicast table, for the restore check of whole trees. */
+    const std::unordered_map<std::int32_t, McastNodeEntry> &
+    mcastTable() const
+    {
+        return mcast_;
+    }
 
   private:
     void ingressAt(int ca, const PacketPtr &pkt,

@@ -174,8 +174,10 @@ Chip::auditInvariants(
     const int per = cfg_.vcsPerClass();
     const int ndims = layout_.ndims();
 
-    auto checkBuffer = [&](const VcBuffer &buf, int full_vc,
-                           const std::string &name, bool check_vc) {
+    // Resource names are built only for a report (@p name is a callable
+    // returning it): a clean pass builds no strings.
+    auto checkBuffer = [&](const VcBuffer &buf, int full_vc, auto &&name,
+                           bool check_vc) {
         int resident = 0;
         for (std::size_t i = 0; i < buf.packetCount(); ++i) {
             const auto &e = buf.entry(i);
@@ -188,7 +190,7 @@ Chip::auditInvariants(
             const int promo = full_vc % per;
             if (cls != static_cast<int>(pkt.tc)) {
                 report("vc_legality",
-                       name + ": packet " + std::to_string(pkt.id)
+                       name() + ": packet " + std::to_string(pkt.id)
                            + " of class " + std::to_string(
                                  static_cast<int>(pkt.tc))
                            + " resident in class-" + std::to_string(cls)
@@ -198,7 +200,7 @@ Chip::auditInvariants(
                                         pkt.vc.crossedInCurrentDim(), promo,
                                         ndims)) {
                 report("vc_legality",
-                       name + ": packet " + std::to_string(pkt.id)
+                       name() + ": packet " + std::to_string(pkt.id)
                            + " (dims=" + std::to_string(
                                  pkt.vc.dimsCompleted())
                            + ", crossed="
@@ -210,7 +212,7 @@ Chip::auditInvariants(
         if (buf.occupancy() != resident || buf.occupancy() < 0
             || buf.occupancy() > buf.capacity()) {
             report("buffer_sanity",
-                   name + ": occupancy " + std::to_string(buf.occupancy())
+                   name() + ": occupancy " + std::to_string(buf.occupancy())
                        + " != resident flits " + std::to_string(resident)
                        + " (capacity " + std::to_string(buf.capacity())
                        + ")");
@@ -220,13 +222,13 @@ Chip::auditInvariants(
     auto checkCredits = [&](const CreditCounter &credits, int vc,
                             int reserved, const Wire<Phit> &data,
                             const Wire<Credit> &credit_wire,
-                            int downstream_occ, const std::string &name) {
+                            int downstream_occ, auto &&name) {
         const int lhs = credits.available(vc) + reserved
                         + inFlightPhits(data, vc) + downstream_occ
                         + inFlightCredits(credit_wire, vc);
         if (lhs != credits.initialPerVc()) {
             report("credit_conservation",
-                   name + ": credits " + std::to_string(credits.available(vc))
+                   name() + ": credits " + std::to_string(credits.available(vc))
                        + " + reserved " + std::to_string(reserved)
                        + " + in-flight + occupancy = " + std::to_string(lhs)
                        + ", expected depth "
@@ -241,8 +243,11 @@ Chip::auditInvariants(
             if (rt.inConnected(p)) {
                 for (int v = 0; v < cfg_.numVcs(); ++v) {
                     checkBuffer(rt.inputBuffer(p, v), v,
-                                inputBufferName(node_, layout_, r, p,
-                                                v % per, v >= per),
+                                [&] {
+                                    return inputBufferName(node_, layout_, r,
+                                                           p, v % per,
+                                                           v >= per);
+                                },
                                 /*check_vc=*/true);
                 }
             }
@@ -283,9 +288,11 @@ Chip::auditInvariants(
                 checkCredits(rt.outCredits(p), v,
                              rt.outReservedFlits(p, v),
                              rt.outChannel(p)->data,
-                             rt.outChannel(p)->credit, occ,
-                             outputDownstreamName(node_, layout_, r, p,
-                                                  v % per, v >= per));
+                             rt.outChannel(p)->credit, occ, [&] {
+                                 return outputDownstreamName(
+                                     node_, layout_, r, p, v % per,
+                                     v >= per);
+                             });
             }
         }
     }
@@ -298,12 +305,15 @@ Chip::auditInvariants(
         const RouterId r = layout_.channelRouter(ca);
         for (int v = 0; v < cfg_.numVcs(); ++v) {
             checkBuffer(ad.egressBuffer(v), v,
-                        chipResName(node_,
-                                    kindInt(
-                                        ChipChannel::Kind::RouterToAdapter),
-                                    r, r, ca, v % per, v >= per),
+                        [&] {
+                            return chipResName(
+                                node_,
+                                kindInt(ChipChannel::Kind::RouterToAdapter),
+                                r, r, ca, v % per, v >= per);
+                        },
                         /*check_vc=*/true);
-            checkBuffer(ad.ingressBuffer(v), v, ingressLinkName(ca, v),
+            checkBuffer(ad.ingressBuffer(v), v,
+                        [&] { return ingressLinkName(ca, v); },
                         /*check_vc=*/true);
             // Adapter -> router channel conservation (the torus-link side
             // spans two chips and is checked by the machine).
@@ -314,9 +324,12 @@ Chip::auditInvariants(
                     router(r)
                         .inputBuffer(layout_.channelPort(r, ca), v)
                         .occupancy(),
-                    chipResName(node_,
-                                kindInt(ChipChannel::Kind::AdapterToRouter),
-                                r, r, ca, v % per, v >= per));
+                    [&] {
+                        return chipResName(
+                            node_,
+                            kindInt(ChipChannel::Kind::AdapterToRouter), r,
+                            r, ca, v % per, v >= per);
+                    });
             }
         }
     }
@@ -333,9 +346,11 @@ Chip::auditInvariants(
                 router(r)
                     .inputBuffer(layout_.endpointPort(r, e), v)
                     .occupancy(),
-                chipResName(node_,
-                            kindInt(ChipChannel::Kind::EndpointToRouter),
-                            r, r, e, v % per, v >= per));
+                [&] {
+                    return chipResName(
+                        node_, kindInt(ChipChannel::Kind::EndpointToRouter),
+                        r, r, e, v % per, v >= per);
+                });
         }
     }
 }

@@ -518,7 +518,12 @@ class Machine
      * buffers and wires; thread count and lookahead window are NOT part
      * of the fingerprint and may differ). Checkpoint clients must be
      * registered in the same order as at save time. Throws
-     * CheckpointError on version/fingerprint mismatch or corruption.
+     * CheckpointError on version/fingerprint mismatch, corruption, or a
+     * value outside its bound - including a restored state that breaks
+     * the runtime auditor's invariants, so an image of a run with a
+     * seeded network fault does not restore. A restore that throws
+     * leaves the machine partly overwritten and unusable: the caller
+     * must discard it.
      */
     void restoreCheckpoint(const std::string &path);
 
@@ -528,14 +533,15 @@ class Machine
 
     /**
      * Register extra state to ride along in checkpoints (traffic
-     * drivers do this in their constructor). Clients are saved and
-     * restored in registration order; @p name is validated on restore
-     * so a save/load pairing drift fails loudly. @p owner keys
-     * unregisterCheckpointClients (a destructor must remove its hooks).
+     * drivers do this in their constructor): @p fields is the client's
+     * one field list, run by both save and restore. Clients are saved
+     * and restored in registration order; @p name is validated on
+     * restore so a save/restore pairing drift fails loudly. @p owner
+     * keys unregisterCheckpointClients (a destructor must remove its
+     * hooks).
      */
     void registerCheckpointClient(std::string name,
-                                  std::function<void(CkptWriter &)> save,
-                                  std::function<void(CkptReader &)> load,
+                                  std::function<void(CkptArchive &)> fields,
                                   const void *owner);
 
     /** Remove every client registered with @p owner. */
@@ -558,6 +564,15 @@ class Machine
     void wireProgressRate();
     Auditor &doEnableAudit(const AuditConfig &cfg); // machine_audit.cpp
     void applyFault(const NetworkFault &f);         // machine_audit.cpp
+    using AuditReport = std::function<void(const std::string &check,
+                                           const std::string &detail)>;
+    /** Run every invariant check, reporting each violation (the
+     * auditor's pass, and a restore's last check; machine_audit.cpp). */
+    void auditInvariants(const AuditReport &report) const;
+    /** The checkpoint field list of the whole machine, and of one packet
+     * of its table (machine_checkpoint.cpp). */
+    void fields(CkptArchive &ar);
+    void packetFields(CkptArchive &ar, Packet &p) const;
     /** Size the trace and flow staging for the current lane count and
      * the maximum lookahead window (whichever layers are attached). */
     void configureStaging();
@@ -642,8 +657,7 @@ class Machine
     struct CheckpointClient
     {
         std::string name;
-        std::function<void(CkptWriter &)> save;
-        std::function<void(CkptReader &)> load;
+        std::function<void(CkptArchive &)> fields;
         const void *owner = nullptr;
     };
     std::vector<CheckpointClient> ckpt_clients_;

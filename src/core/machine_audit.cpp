@@ -2,8 +2,9 @@
  * @file
  * Machine-side assembly of the runtime auditor: the machine-wide invariant
  * checks (flit conservation, torus-link credit conservation, per-chip
- * invariants), the watchdog progress probe, the forensic-snapshot builder,
- * and the seeded negative-control faults.
+ * invariants, which a checkpoint restore also runs), the watchdog
+ * progress probe, the forensic-snapshot builder, and the seeded
+ * negative-control faults.
  *
  * The per-chip half (on-chip credit conservation, buffer sanity, VC-class
  * legality, snapshot rows) lives in core/chip_audit.cpp; this file owns
@@ -89,87 +90,81 @@ Machine::applyFault(const NetworkFault &f)
     }
 }
 
-Auditor &
-Machine::doEnableAudit(const AuditConfig &cfg)
+void
+Machine::auditInvariants(const AuditReport &report) const
 {
-    if (audit_ != nullptr)
-        return *audit_;
-    audit_ = std::make_unique<Auditor>(cfg);
-    Auditor &a = *audit_;
-
     // Every flit the endpoints ever put into the network is either still
     // resident (a buffer or a wire) or was ejected. Multicast expansion
     // clones flits inside adapters - each copy ejects flits that were
     // never counted at injection - so once any multicast has been sent
     // the global equality no longer holds and is skipped for good; the
     // per-link sent/received balance below holds regardless.
-    a.addCheck("flit_conservation", [this](Cycle) {
-        std::uint64_t injected = 0;
-        std::uint64_t ejected = 0;
-        std::uint64_t delivered_eps = 0;
-        for (const auto &cp : chips_) {
-            for (EndpointId e = 0; e < layout_.numEndpoints(); ++e) {
-                const EndpointAdapter &ep = cp->endpoint(e);
-                injected += ep.flitsInjected();
-                ejected += ep.flitsEjected();
-                delivered_eps += ep.delivered();
-            }
+    std::uint64_t injected = 0;
+    std::uint64_t ejected = 0;
+    std::uint64_t delivered_eps = 0;
+    for (const auto &cp : chips_) {
+        for (EndpointId e = 0; e < layout_.numEndpoints(); ++e) {
+            const EndpointAdapter &ep = cp->endpoint(e);
+            injected += ep.flitsInjected();
+            ejected += ep.flitsEjected();
+            delivered_eps += ep.delivered();
         }
-        if (delivered_eps != delivered_) {
-            audit_->report("flit_conservation",
-                           "machine.delivered "
-                               + std::to_string(delivered_)
-                               + " != endpoint deliveries "
-                               + std::to_string(delivered_eps));
-        }
+    }
+    if (delivered_eps != delivered_) {
+        report("flit_conservation",
+               "machine.delivered " + std::to_string(delivered_)
+                   + " != endpoint deliveries "
+                   + std::to_string(delivered_eps));
+    }
 
-        std::uint64_t resident = 0;
-        for (const auto &cp : chips_) {
-            const Chip::FlitCensus c = cp->flitCensus();
-            resident += c.buffered + c.on_wires;
-        }
-        for (const auto &ch : torus_channels_) {
-            ch->data.forEachInFlight([&](const Phit &) { ++resident; });
-        }
-        if (mcast_sends_ == 0 && injected != ejected + resident) {
-            audit_->report("flit_conservation",
-                           "flits injected " + std::to_string(injected)
-                               + " != ejected " + std::to_string(ejected)
-                               + " + resident "
-                               + std::to_string(resident));
-        }
+    std::uint64_t resident = 0;
+    for (const auto &cp : chips_) {
+        const Chip::FlitCensus c = cp->flitCensus();
+        resident += c.buffered + c.on_wires;
+    }
+    for (const auto &ch : torus_channels_) {
+        ch->data.forEachInFlight([&](const Phit &) { ++resident; });
+    }
+    if (mcast_sends_ == 0 && injected != ejected + resident) {
+        report("flit_conservation",
+               "flits injected " + std::to_string(injected) + " != ejected "
+                   + std::to_string(ejected) + " + resident "
+                   + std::to_string(resident));
+    }
 
-        // Per torus link: everything the sender serialized either reached
-        // the peer or is on the wire.
+    // Every torus link in wiring order: its channel, the sending
+    // adapter's chip and index, and both adapters.
+    auto forEachLink = [this](auto &&fn) {
         std::size_t idx = 0;
         for (NodeId n = 0; n < geom_.numNodes(); ++n) {
             for (int dim = 0; dim < 3; ++dim) {
                 for (Dir dir : kDirs) {
                     const NodeId peer = geom_.neighbor(n, dim, dir);
                     for (int slice = 0; slice < kNumSlices; ++slice) {
-                        const Channel &ch = *torus_channels_[idx++];
                         const int ca =
                             layout_.channelAdapterIndex(dim, dir, slice);
-                        const ChannelAdapter &snd =
-                            chips_[n]->channelAdapter(ca);
-                        const ChannelAdapter &rcv =
-                            chips_[peer]->channelAdapter(
-                                layout_.channelAdapterIndex(
-                                    dim, opposite(dir), slice));
-                        const std::uint64_t wire = phitsInFlight(ch.data);
-                        if (snd.flitsSent() != rcv.flitsReceived() + wire) {
-                            audit_->report(
-                                "flit_conservation",
-                                chips_[n]->egressLinkName(ca, 0)
-                                    + ": sent "
-                                    + std::to_string(snd.flitsSent())
-                                    + " != received "
-                                    + std::to_string(rcv.flitsReceived())
-                                    + " + on-wire " + std::to_string(wire));
-                        }
+                        fn(*torus_channels_[idx++], *chips_[n], ca,
+                           chips_[n]->channelAdapter(ca),
+                           chips_[peer]->channelAdapter(
+                               layout_.channelAdapterIndex(
+                                   dim, opposite(dir), slice)));
                     }
                 }
             }
+        }
+    };
+
+    // Per torus link: everything the sender serialized either reached
+    // the peer or is on the wire.
+    forEachLink([&](const Channel &ch, const Chip &chip, int ca,
+                    const ChannelAdapter &snd, const ChannelAdapter &rcv) {
+        const std::uint64_t wire = phitsInFlight(ch.data);
+        if (snd.flitsSent() != rcv.flitsReceived() + wire) {
+            report("flit_conservation",
+                   chip.egressLinkName(ca, 0) + ": sent "
+                       + std::to_string(snd.flitsSent()) + " != received "
+                       + std::to_string(rcv.flitsReceived()) + " + on-wire "
+                       + std::to_string(wire));
         }
     });
 
@@ -179,57 +174,44 @@ Machine::doEnableAudit(const AuditConfig &cfg)
     // ingress buffer, credits queued at the peer, credits on the return
     // wire - must equal the advertised buffer depth. A withheld or lost
     // credit shows up here as a permanently short sum.
-    a.addCheck("credit_conservation", [this](Cycle) {
-        std::size_t idx = 0;
-        for (NodeId n = 0; n < geom_.numNodes(); ++n) {
-            for (int dim = 0; dim < 3; ++dim) {
-                for (Dir dir : kDirs) {
-                    const NodeId peer = geom_.neighbor(n, dim, dir);
-                    for (int slice = 0; slice < kNumSlices; ++slice) {
-                        const Channel &ch = *torus_channels_[idx++];
-                        const int ca =
-                            layout_.channelAdapterIndex(dim, dir, slice);
-                        const ChannelAdapter &snd =
-                            chips_[n]->channelAdapter(ca);
-                        const ChannelAdapter &rcv =
-                            chips_[peer]->channelAdapter(
-                                layout_.channelAdapterIndex(
-                                    dim, opposite(dir), slice));
-                        for (int v = 0; v < cfg_.chip.numVcs(); ++v) {
-                            const int lhs =
-                                snd.torusCredits().available(v)
-                                + snd.egressReservedFlits(v)
-                                + inFlightPhits(ch.data, v)
-                                + rcv.ingressBuffer(v).occupancy()
-                                + rcv.pendingTorusCredits(v)
-                                + inFlightCredits(ch.credit, v);
-                            const int depth =
-                                snd.torusCredits().initialPerVc();
-                            if (lhs != depth) {
-                                audit_->report(
-                                    "credit_conservation",
-                                    chips_[n]->egressLinkName(ca, v)
-                                        + ": accounted credits "
-                                        + std::to_string(lhs)
-                                        + " != depth "
-                                        + std::to_string(depth));
-                            }
-                        }
-                    }
-                }
+    forEachLink([&](const Channel &ch, const Chip &chip, int ca,
+                    const ChannelAdapter &snd, const ChannelAdapter &rcv) {
+        for (int v = 0; v < cfg_.chip.numVcs(); ++v) {
+            const int lhs = snd.torusCredits().available(v)
+                            + snd.egressReservedFlits(v)
+                            + inFlightPhits(ch.data, v)
+                            + rcv.ingressBuffer(v).occupancy()
+                            + rcv.pendingTorusCredits(v)
+                            + inFlightCredits(ch.credit, v);
+            const int depth = snd.torusCredits().initialPerVc();
+            if (lhs != depth) {
+                report("credit_conservation",
+                       chip.egressLinkName(ca, v) + ": accounted credits "
+                           + std::to_string(lhs) + " != depth "
+                           + std::to_string(depth));
             }
         }
     });
 
     // On-chip invariants (buffer sanity, adapter/endpoint/router credit
     // conservation, VC-class legality) report under their own names.
-    a.addCheck("chip_invariants", [this](Cycle) {
-        for (const auto &cp : chips_) {
-            cp->auditInvariants(
-                [this](const std::string &check, const std::string &detail) {
-                    audit_->report(check, detail);
-                });
-        }
+    for (const auto &cp : chips_)
+        cp->auditInvariants(report);
+}
+
+Auditor &
+Machine::doEnableAudit(const AuditConfig &cfg)
+{
+    if (audit_ != nullptr)
+        return *audit_;
+    audit_ = std::make_unique<Auditor>(cfg);
+    Auditor &a = *audit_;
+
+    a.addCheck("invariants", [this](Cycle) {
+        auditInvariants([this](const std::string &check,
+                               const std::string &detail) {
+            audit_->report(check, detail);
+        });
     });
 
     a.setProgressProbe([this](Cycle) { return progressProbe(); });

@@ -1,14 +1,16 @@
 /**
  * @file
  * Machine-level checkpoint/restore (src/debug/checkpoint.* holds the
- * encoding; this file owns the machine traversal).
+ * archive; this file owns the machine's field list and packet bounds).
  *
  * Layout: machine scalars (clock, RNG, packet-id counter, multicast
  * bookkeeping, delivery statistics), then every torus channel in
  * construction order, then every chip in node order, then the
  * registered checkpoint clients (traffic drivers) in registration
- * order. The writer's packet table dedups shared PacketPtrs across all
- * of it, so virtual cut-through sharing survives the round trip.
+ * order. The packet table ahead of them dedups shared PacketPtrs across
+ * all of it, so virtual cut-through sharing survives the round trip. A
+ * restore ends with the checks that span components: whole multicast
+ * trees, and the runtime auditor's invariants.
  *
  * Instrumentation layers are deliberately NOT part of the image: the
  * contract is attach-at-fork (a restored machine with instrumentation
@@ -17,7 +19,9 @@
  * which observability layers happen to be bound.
  */
 #include <algorithm>
+#include <climits>
 
+#include "arb/inverse_weighted.hpp"
 #include "core/machine.hpp"
 #include "debug/checkpoint.hpp"
 
@@ -64,12 +68,10 @@ Machine::configFingerprint() const
 
 void
 Machine::registerCheckpointClient(std::string name,
-                                  std::function<void(CkptWriter &)> save,
-                                  std::function<void(CkptReader &)> load,
+                                  std::function<void(CkptArchive &)> fields,
                                   const void *owner)
 {
-    ckpt_clients_.push_back({ std::move(name), std::move(save),
-                              std::move(load), owner });
+    ckpt_clients_.push_back({ std::move(name), std::move(fields), owner });
 }
 
 void
@@ -84,108 +86,185 @@ Machine::unregisterCheckpointClients(const void *owner)
 }
 
 void
+Machine::packetFields(CkptArchive &ar, Packet &p) const
+{
+    const NodeId last_node = geom_.numNodes() - 1;
+    const int last_ep = layout_.numEndpoints() - 1;
+    ar.io(p.id);
+    ar.io(p.src.node, 0, last_node, "source node outside the machine");
+    ar.io(p.src.ep, 0, last_ep, "source endpoint outside the node");
+    ar.io(p.dst.node, 0, last_node, "destination node outside the machine");
+    ar.io(p.dst.ep, 0, last_ep, "destination endpoint outside the node");
+    ar.io(p.tc, TrafficClass::Request, TrafficClass::Reply,
+          "traffic class out of range");
+    ar.io(p.op, OpKind::Write, OpKind::ReadReply, "operation out of range");
+    ar.io(p.pattern, 0, kNumPatterns - 1, "traffic pattern out of range");
+    ar.io(p.size_flits, 1, kMaxPacketFlits, "packet size out of range");
+    ar.size(p.payload, kMaxPacketFlits, sizeof(FlitPayload), "payload flit");
+    ar.check(p.payload.size() == p.size_flits,
+             "payload flits differ from the packet size");
+    for (FlitPayload &f : p.payload) {
+        for (std::uint64_t &word : f)
+            ar.io(word);
+    }
+    ar.io(p.counter);
+    // Bounded above once the machine section names the installed groups.
+    ar.io(p.mcast_group, -1, INT32_MAX, "multicast group out of range");
+    ar.size(p.route.order, 3, 4, "route order");
+    for (int &d : p.route.order)
+        ar.io(d);
+    ar.io(p.route.slice);
+    ar.size(p.route.dirs, 3, 1, "route direction");
+    for (Dir &d : p.route.dirs)
+        ar.io(d);
+    if (const char *why = ar.loading() ? malformedRoute(p.route) : nullptr)
+        ar.fail(why);
+    VcPolicy policy = p.vc.policy();
+    auto dims = static_cast<std::uint8_t>(p.vc.dimsCompleted());
+    bool crossed = p.vc.crossedInCurrentDim();
+    ar.io(policy);
+    ar.io(dims, 0, 3, "dimensions completed out of range");
+    ar.io(crossed);
+    if (ar.loading()) {
+        p.vc = VcState(policy);
+        p.vc.restoreState(dims, crossed);
+    }
+    const int per_class = cfg_.chip.vcsPerClass();
+    ar.check(policy == cfg_.chip.vc_policy && p.vc.torusVc() < per_class
+                 && p.vc.meshVc() < per_class,
+             "promotion state outside the machine's VCs");
+    AttachPoint &x = p.chip_exit;
+    ar.io(x.kind, AttachPoint::Kind::Endpoint, AttachPoint::Kind::Channel,
+          "chip exit kind out of range");
+    ar.io(x.endpoint);
+    ar.io(x.dim);
+    ar.io(x.dir);
+    ar.io(x.slice);
+    ar.io(p.x_through);
+    ar.check(x.kind == AttachPoint::Kind::Endpoint
+                 ? x.endpoint >= 0 && x.endpoint <= last_ep && !p.x_through
+                 : x.dim < 3 && (x.dir == Dir::Pos || x.dir == Dir::Neg)
+                       && x.slice < kNumSlices
+                       && (!p.x_through || x.dim == 0),
+             "chip exit outside the chip");
+    ar.io(p.birth);
+    ar.io(p.inject_time);
+    ar.io(p.eject_time);
+    ar.io(p.hops);
+}
+
+void
+Machine::fields(CkptArchive &ar)
+{
+    ar.tag("machine");
+    Cycle now = engine_.now();
+    ar.clock(now);
+    // Every component wakes at the restored cycle; the wires restored
+    // below re-register their in-flight arrivals' wakes.
+    if (ar.loading())
+        engine_.restoreNow(now);
+    std::array<std::uint64_t, 4> rng = rng_.state();
+    for (std::uint64_t &word : rng)
+        ar.io(word);
+    ar.io(next_packet_id_);
+    ar.io(next_group_, 0, INT32_MAX, "multicast group count out of range");
+    for (const PacketPtr &p : ar.packets())
+        ar.check(p->mcast_group < next_group_,
+                 "packet of a multicast group never installed");
+    ar.size(group_slices_, static_cast<std::size_t>(next_group_), 1,
+            "multicast group slice");
+    ar.check(group_slices_.size() == static_cast<std::size_t>(next_group_),
+             "multicast group slices differ from the group count");
+    for (std::uint8_t &slice : group_slices_)
+        ar.io(slice, 0, kNumSlices - 1, "multicast slice out of range");
+    ar.io(mcast_sends_);
+    ar.io(delivered_);
+    ar.io(last_delivery_);
+    ScalarStat::State lat = latency_.state();
+    ar.io(lat.count);
+    for (double *v : { &lat.sum, &lat.mean, &lat.m2, &lat.min, &lat.max })
+        ar.io(*v);
+
+    ar.tag("machine.torus");
+    ar.same(static_cast<std::uint32_t>(torus_channels_.size()),
+            "torus channel count mismatch");
+    for (const auto &ch : torus_channels_)
+        ch->fields(ar, cfg_.chip.numVcs());
+
+    for (const auto &c : chips_)
+        c->fields(ar);
+
+    ar.tag("machine.clients");
+    ar.same(static_cast<std::uint32_t>(ckpt_clients_.size()),
+            "checkpoint client count mismatch (different drivers "
+            "registered at save and restore time)");
+    for (CheckpointClient &client : ckpt_clients_) {
+        ar.same(client.name, "checkpoint client order mismatch");
+        client.fields(ar);
+    }
+    if (!ar.loading())
+        return;
+
+    rng_.setState(rng);
+    latency_.restoreState(lat);
+    ar.section("restored state");
+    // The multicast tables must hold trees installTree would accept,
+    // each rooted at the one entry no hop reaches.
+    std::vector<McastTree> trees(group_slices_.size());
+    for (NodeId n = 0; n < geom_.numNodes(); ++n) {
+        for (const auto &[group, entry] : chips_[n]->mcastTable()) {
+            ar.check(group >= 0 && group < next_group_,
+                     "multicast entry of a group never installed");
+            trees[static_cast<std::size_t>(group)].nodes[n] = entry;
+        }
+    }
+    for (std::size_t g = 0; g < trees.size(); ++g) {
+        McastTree &tree = trees[g];
+        tree.slice = group_slices_[g];
+        std::vector<char> reached(geom_.numNodes(), 0);
+        for (const auto &[node, entry] : tree.nodes) {
+            for (const McastHop &hop : entry.forward) {
+                if (hop.dim < 3 && (hop.dir == Dir::Pos || hop.dir == Dir::Neg))
+                    reached[geom_.neighbor(node, hop.dim, hop.dir)] = 1;
+            }
+        }
+        for (NodeId n = geom_.numNodes(); n-- > 0;) {
+            if (tree.nodes.count(n) != 0 && !reached[n])
+                tree.root = n;
+        }
+        try {
+            validateTree(tree);
+        } catch (const std::invalid_argument &e) {
+            ar.fail(e.what());
+        }
+    }
+    auditInvariants([&ar](const std::string &check,
+                          const std::string &detail) {
+        ar.fail(check + ": " + detail);
+    });
+}
+
+void
 Machine::saveCheckpoint(const std::string &path)
 {
     // Sleeping routers and adapters settle their idle cycles so every
     // component's members reflect the current cycle. Settling is
     // bit-exact with per-cycle ticking, so this perturbs nothing.
     settleIdle();
-
-    CkptWriter w;
-    w.tag("machine");
-    w.cycle(engine_.now());
-    for (std::uint64_t word : rng_.state())
-        w.u64(word);
-    w.u64(next_packet_id_);
-    w.i32(next_group_);
-    w.u32(static_cast<std::uint32_t>(group_slices_.size()));
-    for (std::uint8_t s : group_slices_)
-        w.u8(s);
-    w.u64(mcast_sends_);
-    w.u64(delivered_);
-    w.cycle(last_delivery_);
-    const ScalarStat::State lat = latency_.state();
-    w.u64(lat.count);
-    w.f64(lat.sum);
-    w.f64(lat.mean);
-    w.f64(lat.m2);
-    w.f64(lat.min);
-    w.f64(lat.max);
-
-    w.tag("machine.torus");
-    w.u32(static_cast<std::uint32_t>(torus_channels_.size()));
-    for (const auto &ch : torus_channels_)
-        ch->saveState(w);
-
-    for (const auto &c : chips_)
-        c->saveState(w);
-
-    w.tag("machine.clients");
-    w.u32(static_cast<std::uint32_t>(ckpt_clients_.size()));
-    for (const CheckpointClient &client : ckpt_clients_) {
-        w.str(client.name);
-        client.save(w);
-    }
-
-    w.writeFile(path, configFingerprint());
+    CkptArchive ar;
+    fields(ar);
+    ar.writeFile(path, configFingerprint(),
+                 [this](CkptArchive &a, Packet &p) { packetFields(a, p); });
 }
 
 void
 Machine::restoreCheckpoint(const std::string &path)
 {
-    CkptReader r(path, configFingerprint(),
-                 [this] { return allocPacket(); });
-    r.expect("machine");
-    // Every component wakes at the restored cycle; the wires restored
-    // below re-register their in-flight arrivals' wakes.
-    engine_.restoreNow(r.cycle());
-    std::array<std::uint64_t, 4> rng_state;
-    for (auto &word : rng_state)
-        word = r.u64();
-    rng_.setState(rng_state);
-    next_packet_id_ = r.u64();
-    next_group_ = r.i32();
-    group_slices_.resize(r.u32());
-    for (auto &s : group_slices_)
-        s = r.u8();
-    mcast_sends_ = r.u64();
-    delivered_ = r.u64();
-    last_delivery_ = r.cycle();
-    ScalarStat::State lat;
-    lat.count = r.u64();
-    lat.sum = r.f64();
-    lat.mean = r.f64();
-    lat.m2 = r.f64();
-    lat.min = r.f64();
-    lat.max = r.f64();
-    latency_.restoreState(lat);
-
-    r.expect("machine.torus");
-    if (r.u32() != torus_channels_.size())
-        throw CheckpointError("torus channel count mismatch");
-    for (const auto &ch : torus_channels_)
-        ch->loadState(r);
-
-    for (const auto &c : chips_)
-        c->loadState(r);
-
-    r.expect("machine.clients");
-    if (r.u32() != ckpt_clients_.size()) {
-        throw CheckpointError(
-            "checkpoint client count mismatch (different drivers "
-            "registered at save and restore time)");
-    }
-    for (CheckpointClient &client : ckpt_clients_) {
-        const std::string name = r.str();
-        if (name != client.name) {
-            throw CheckpointError("checkpoint client order mismatch: file "
-                                  "has \"" + name + "\", machine expects \""
-                                  + client.name + "\"");
-        }
-        client.load(r);
-    }
-
-    r.finish();
+    CkptArchive ar(path, configFingerprint());
+    ar.readPackets([this] { return allocPacket(); },
+                   [this](CkptArchive &a, Packet &p) { packetFields(a, p); });
+    fields(ar);
+    ar.finish();
     restored_from_ = path;
     restored_cycle_ = engine_.now();
 }

@@ -8,15 +8,41 @@
  * pointer, in-flight phit, and RNG word round-trips exactly, so a
  * restored machine continues bit-identically to the uninterrupted run.
  *
+ * One field list per class. Every checkpointed class has one `fields`
+ * function that names its state once, in image order, through a
+ * CkptArchive. Saving and restoring run that same function: a writing
+ * archive appends each field, a reading archive assigns it. Work only a
+ * restore needs (rebuilding live masks and doorbells, waking
+ * components) follows the list under `if (ar.loading())`.
+ *
+ * Restore bounds what it reads. Each field carries its bound next to
+ * it, and a reading archive throws CheckpointError, naming the section,
+ * the moment a value leaves it:
+ *  - counts against their structural bound and against what the
+ *    remaining payload bytes could hold, so no read allocates more than
+ *    the file could describe;
+ *  - indices (nodes, endpoints, ports, VCs, pattern and route fields,
+ *    promotion state, arbiter accumulators) against their ranges;
+ *  - values the restoring machine already holds (wiring, VC counts,
+ *    buffer depths, client names) against that machine;
+ *  - wire values against the latency window after the image's cycle,
+ *    one per slot;
+ *  - cross-field accounting: buffered flits, grants, credit
+ *    conservation and the multicast trees, after the list.
+ *
+ * A restore that throws has already overwritten part of the machine,
+ * which is then unusable: the caller must discard it.
+ *
  * Encoding rules:
- *  - all scalars are fixed-width little-endian;
- *  - sections are delimited by `tag`/`expect` markers (a hash of the
- *    section name) so a drifted save/load pairing fails loudly at the
- *    first divergent section instead of silently mis-decoding;
+ *  - all scalars are fixed-width little-endian, their width set by the
+ *    field's C++ type;
+ *  - sections are delimited by `tag` markers (a hash of the section
+ *    name), so a drifted image fails loudly at the first divergent
+ *    section instead of silently mis-decoding;
  *  - packets are deduplicated by pointer identity through an ordinal
- *    table, preserving virtual cut-through sharing (the same packet
- *    simultaneously referenced by a VC buffer and an in-flight phit
- *    decodes back to one shared object);
+ *    table ahead of the stream, preserving virtual cut-through sharing
+ *    (the same packet referenced by a VC buffer and an in-flight phit
+ *    restores as one shared object);
  *  - the file carries a format version, a configuration fingerprint,
  *    and an FNV-1a checksum over the payload. Version and fingerprint
  *    are validated before the checksum so a reader can distinguish
@@ -28,10 +54,12 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
 #include "noc/packet.hpp"
+#include "sim/wire.hpp"
 
 namespace anton2 {
 
@@ -63,89 +91,208 @@ ckptHashCombine(std::uint64_t h, std::uint64_t v)
 }
 
 /**
- * Serializer for one checkpoint. Components append their state through
- * the scalar writers; `packetRef` records a shared-packet reference by
- * ordinal. `writeFile` assembles header + packet table + component
- * stream + checksum.
+ * Throw CheckpointError unless @p path is a readable regular file that
+ * starts with this format's magic and version (a cheap check before any
+ * simulation time is spent; restore validates the rest).
  */
-class CkptWriter
+void checkCheckpointFile(const std::string &path);
+
+/**
+ * One checkpoint image, in one direction. A default-constructed archive
+ * writes: field calls append to the stream and writeFile() seals it. An
+ * archive opened on a path reads: field calls assign the next value,
+ * checking the bound each carries.
+ */
+class CkptArchive
 {
   public:
-    void u8(std::uint8_t v) { raw(&v, 1); }
-    void u16(std::uint16_t v);
-    void u32(std::uint32_t v);
-    void u64(std::uint64_t v);
-    void i8(std::int8_t v) { u8(static_cast<std::uint8_t>(v)); }
-    void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-    void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-    void b(bool v) { u8(v ? 1 : 0); }
-    void f64(double v);
-    void cycle(Cycle c) { u64(c); }
-    void str(const std::string &s);
+    /** The field list of one packet (see readPackets/writeFile). */
+    using PacketFields = std::function<void(CkptArchive &, Packet &)>;
 
-    /** Begin a named section; the reader must `expect` the same name. */
+    /** A writing archive. */
+    CkptArchive() = default;
+
+    /** A reading archive over @p path: validates magic, version,
+     * @p fingerprint, size, and checksum. */
+    CkptArchive(const std::string &path, std::uint64_t fingerprint);
+
+    bool loading() const { return loading_; }
+
+    // --- scalars, their width chosen by their C++ type ----------------
+    void io(bool &v);
+    void io(std::uint8_t &v) { scalar(v); }
+    void io(std::int8_t &v) { scalar(v); }
+    void io(std::uint16_t &v) { scalar(v); }
+    void io(std::uint32_t &v) { scalar(v); }
+    void io(std::int32_t &v) { scalar(v); }
+    void io(std::uint64_t &v) { scalar(v); }
+    void io(double &v);
+    void io(std::string &s);
+
+    /** An enum, stored as its underlying type. */
+    template <typename E>
+        requires std::is_enum_v<E>
+    void
+    io(E &v)
+    {
+        auto u = static_cast<std::underlying_type_t<E>>(v);
+        io(u);
+        v = static_cast<E>(u);
+    }
+
+    /** A scalar (or index) whose restored value must lie in [lo, hi]. */
+    template <typename T>
+    void
+    io(T &v, std::type_identity_t<T> lo, std::type_identity_t<T> hi,
+       const char *what)
+    {
+        io(v);
+        check(!(v < lo) && !(hi < v), what);
+    }
+
+    /** Bit @p b of @p mask, stored as one bool. */
+    void bit(std::uint32_t &mask, unsigned b);
+
+    /**
+     * The element count of a container holding @p n: stored as a u32,
+     * and on restore checked against @p bound and against the remaining
+     * payload at @p min_bytes per element. Returns the count.
+     */
+    std::size_t count(std::size_t n, std::size_t bound,
+                      std::size_t min_bytes, const char *what);
+
+    /** count() for a resizable container, resized on restore. */
+    template <typename C>
+    void
+    size(C &c, std::size_t bound, std::size_t min_bytes, const char *what)
+    {
+        c.resize(count(c.size(), bound, min_bytes, what));
+    }
+
+    /** A value the restoring machine already holds (wiring, VC counts,
+     * depths, names): stored, and on restore required to equal @p v. */
+    template <typename T>
+    void
+    same(T v, const char *what)
+    {
+        T got = v;
+        io(got);
+        check(got == v, what);
+    }
+
+    /** Begin section @p name: a marker hash on save, checked on restore.
+     * Errors name the latest section. */
     void tag(const char *name);
 
-    /** Record a shared-packet reference (null allowed). */
-    void packetRef(const PacketPtr &p);
+    /** A marker like tag() inside a section (a buffer, counter, or
+     * arbiter of a component): errors keep naming the section. */
+    void marker(const char *name);
 
-    /** Assemble and write the checkpoint file. */
-    void writeFile(const std::string &path, std::uint64_t fingerprint);
+    /** Name the part of the image later errors refer to, for checks
+     * that span sections (no marker is stored). */
+    void section(const char *name) { section_ = name; }
+
+    /** A shared-packet reference, by ordinal into the packet table. */
+    void packet(PacketPtr &p, bool nullable = false);
+
+    /** The cycle the image is taken at; bounds wire delivery cycles. */
+    void clock(Cycle &now);
+    Cycle now() const { return now_; }
+
+    /** On restore, throw CheckpointError naming the section unless @p ok
+     * (a no-op while saving). */
+    void
+    check(bool ok, const char *what) const
+    {
+        if (loading_ && !ok)
+            fail(what);
+    }
+    [[noreturn]] void fail(const std::string &what) const;
+
+    /**
+     * Read the packet table that precedes the stream: @p alloc makes
+     * each packet and @p fields restores it. Call once, first.
+     */
+    void readPackets(const std::function<PacketPtr()> &alloc,
+                     const PacketFields &fields);
+
+    /** Every packet of the table, by ordinal (after readPackets). */
+    const std::vector<PacketPtr> &packets() const { return packets_; }
+
+    /** Fail if bytes remain after the last field (a drifted image). */
+    void finish() const;
+
+    /** Write header, packet table (each packet through @p fields), the
+     * stream, and checksum to @p path. */
+    void writeFile(const std::string &path, std::uint64_t fingerprint,
+                   const PacketFields &fields);
 
   private:
-    void raw(const void *p, std::size_t n);
+    template <typename T>
+    void
+    scalar(T &v)
+    {
+        using U = std::make_unsigned_t<T>;
+        U u = static_cast<U>(v);
+        if (loading_) {
+            const std::uint8_t *p = need(sizeof(U));
+            u = 0;
+            for (std::size_t i = 0; i < sizeof(U); ++i)
+                u = static_cast<U>(u | (static_cast<U>(p[i]) << (8 * i)));
+            v = static_cast<T>(u);
+        } else {
+            for (std::size_t i = 0; i < sizeof(U); ++i)
+                data_.push_back(static_cast<std::uint8_t>(u >> (8 * i)));
+        }
+    }
 
-    std::vector<std::uint8_t> stream_;
+    const std::uint8_t *need(std::size_t n);
+
+    bool loading_ = false;
+    std::vector<std::uint8_t> data_; ///< stream (save) or file (restore)
+    std::size_t pos_ = 0;
+    std::size_t end_ = 0;
+    const char *section_ = "header";
+    Cycle now_ = 0;
     std::vector<PacketPtr> packets_; ///< ordinal -> packet
     std::unordered_map<const Packet *, std::uint32_t> ordinals_;
 };
 
 /**
- * Deserializer for one checkpoint. The constructor parses and validates
- * the header (version, fingerprint, checksum) and materializes the
- * packet table through @p alloc (required when the checkpoint holds
- * packets; pass nullptr for packet-free standalone state).
+ * The in-flight values of @p wire: ring size (held by the machine),
+ * count, and each value's delivery cycle followed by @p value's field
+ * list. A restored delivery cycle must lie in the wire's latency window
+ * after the image's cycle, in a free slot; restoring re-rings the
+ * receiver's doorbell.
  */
-class CkptReader
+template <typename T, typename Fn>
+void
+wireFields(CkptArchive &ar, Wire<T> &wire, Fn &&value)
 {
-  public:
-    using PacketAlloc = std::function<PacketPtr()>;
-
-    CkptReader(const std::string &path, std::uint64_t expect_fingerprint,
-               PacketAlloc alloc);
-
-    std::uint8_t u8();
-    std::uint16_t u16();
-    std::uint32_t u32();
-    std::uint64_t u64();
-    std::int8_t i8() { return static_cast<std::int8_t>(u8()); }
-    std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-    std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-    bool b() { return u8() != 0; }
-    double f64();
-    Cycle cycle() { return u64(); }
-    std::string str();
-
-    /** Validate a section marker written by CkptWriter::tag. */
-    void expect(const char *name);
-
-    /** Resolve a shared-packet reference (identity-preserving). */
-    PacketPtr packetRef();
-
-    /** Fail if trailing bytes remain (save/load drift detector). */
-    void finish() const;
-
-  private:
-    const std::uint8_t *need(std::size_t n);
-
-    std::vector<std::uint8_t> data_;
-    std::size_t pos_ = 0;
-    std::size_t end_ = 0;
-    std::vector<PacketPtr> packets_;
-};
-
-/** Encode/decode one packet's full field set (used by the table). */
-void ckptEncodePacket(CkptWriter &w, const Packet &p);
-void ckptDecodePacket(CkptReader &r, Packet &p);
+    ar.same(static_cast<std::uint32_t>(wire.ringSlots()),
+            "wire ring size mismatch (different lookahead slack at save "
+            "time)");
+    std::size_t n = 0;
+    wire.forEachSlot([&n](Cycle, const T &) { ++n; });
+    n = ar.count(n, wire.latency(), 9, "wire values");
+    if (!ar.loading()) {
+        wire.forEachSlot([&](Cycle at, const T &v) {
+            T copy = v;
+            ar.io(at);
+            value(copy);
+        });
+        return;
+    }
+    wire.clearAll();
+    for (std::size_t i = 0; i < n; ++i) {
+        Cycle at = 0;
+        ar.io(at, ar.now(), ar.now() + wire.latency() - 1,
+              "wire delivery cycle outside the latency window");
+        T v{};
+        value(v);
+        ar.check(wire.restoreSlot(at, std::move(v)),
+                 "two wire values in one slot");
+    }
+}
 
 } // namespace anton2

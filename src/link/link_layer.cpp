@@ -183,124 +183,53 @@ LinkReceiver::tick(Cycle now)
         m_acks_tx_->inc();
 }
 
-namespace {
-
 void
-encodeFrame(CkptWriter &w, const LinkFrame &f)
+LossyFrameChannel::fields(CkptArchive &ar)
 {
-    w.u32(f.seq);
-    for (std::uint64_t word : f.data)
-        w.u64(word);
-    w.u32(f.crc);
-    w.b(f.is_ack);
-    w.u32(f.ack_seq);
-}
-
-LinkFrame
-decodeFrame(CkptReader &r)
-{
-    LinkFrame f;
-    f.seq = r.u32();
-    for (auto &word : f.data)
-        word = r.u64();
-    f.crc = r.u32();
-    f.is_ack = r.b();
-    f.ack_seq = r.u32();
-    return f;
-}
-
-} // namespace
-
-void
-LossyFrameChannel::saveState(CkptWriter &w) const
-{
-    w.tag("link.channel");
-    w.u32(static_cast<std::uint32_t>(wire_.ringSlots()));
-    std::uint32_t occupied = 0;
-    wire_.forEachSlot([&](Cycle, const LinkFrame &) { ++occupied; });
-    w.u32(occupied);
-    wire_.forEachSlot([&](Cycle at, const LinkFrame &f) {
-        w.cycle(at);
-        encodeFrame(w, f);
+    ar.tag("link.channel");
+    wireFields(ar, wire_, [&ar](LinkFrame &f) {
+        ar.io(f.seq);
+        for (std::uint64_t &word : f.data)
+            ar.io(word);
+        ar.io(f.crc);
+        ar.io(f.is_ack);
+        ar.io(f.ack_seq);
     });
-    for (std::uint64_t word : rng_.state())
-        w.u64(word);
-    w.u64(frames_);
+    std::array<std::uint64_t, 4> rng = rng_.state();
+    for (std::uint64_t &word : rng)
+        ar.io(word);
+    if (ar.loading())
+        rng_.setState(rng);
+    ar.io(frames_);
 }
 
 void
-LossyFrameChannel::loadState(CkptReader &r)
+LinkSender::fields(CkptArchive &ar)
 {
-    r.expect("link.channel");
-    if (r.u32() != wire_.ringSlots())
-        throw CheckpointError("link wire ring size mismatch");
-    wire_.clearAll();
-    std::uint32_t occupied = r.u32();
-    for (std::uint32_t i = 0; i < occupied; ++i) {
-        Cycle at = r.cycle();
-        wire_.restoreSlot(at, decodeFrame(r));
+    ar.tag("link.sender");
+    ar.size(queue_, ~std::size_t{ 0 }, sizeof(FlitPayload), "link queue");
+    for (FlitPayload &flit : queue_) {
+        for (std::uint64_t &word : flit)
+            ar.io(word);
     }
-    std::array<std::uint64_t, 4> state;
-    for (auto &word : state)
-        word = r.u64();
-    rng_.setState(state);
-    frames_ = r.u64();
+    ar.io(base_);
+    ar.io(next_);
+    ar.io(last_progress_);
+    ar.io(tokens_);
+    ar.io(transmitted_);
+    ar.io(retransmissions_);
+    ar.check(next_ >= base_ && next_ - base_ <= queue_.size(),
+             "go-back-N window outside the queue");
 }
 
 void
-LinkSender::saveState(CkptWriter &w) const
+LinkReceiver::fields(CkptArchive &ar)
 {
-    w.tag("link.sender");
-    w.u32(static_cast<std::uint32_t>(queue_.size()));
-    for (const FlitPayload &flit : queue_)
-        for (std::uint64_t word : flit)
-            w.u64(word);
-    w.u32(base_);
-    w.u32(next_);
-    w.cycle(last_progress_);
-    w.i32(tokens_);
-    w.u64(transmitted_);
-    w.u64(retransmissions_);
-}
-
-void
-LinkSender::loadState(CkptReader &r)
-{
-    r.expect("link.sender");
-    queue_.clear();
-    std::uint32_t depth = r.u32();
-    for (std::uint32_t i = 0; i < depth; ++i) {
-        FlitPayload flit{};
-        for (auto &word : flit)
-            word = r.u64();
-        queue_.push_back(flit);
-    }
-    base_ = r.u32();
-    next_ = r.u32();
-    last_progress_ = r.cycle();
-    tokens_ = r.i32();
-    transmitted_ = r.u64();
-    retransmissions_ = r.u64();
-}
-
-void
-LinkReceiver::saveState(CkptWriter &w) const
-{
-    w.tag("link.receiver");
-    w.u32(expected_);
-    w.u64(delivered_);
-    w.u64(crc_drops_);
-    w.u64(order_drops_);
-}
-
-void
-LinkReceiver::loadState(CkptReader &r)
-{
-    r.expect("link.receiver");
-    expected_ = r.u32();
-    delivered_ = r.u64();
-    crc_drops_ = r.u64();
-    order_drops_ = r.u64();
+    ar.tag("link.receiver");
+    ar.io(expected_);
+    ar.io(delivered_);
+    ar.io(crc_drops_);
+    ar.io(order_drops_);
 }
 
 } // namespace anton2

@@ -83,10 +83,10 @@ class LossyFrameChannel
     bool busy() const { return wire_.busy(); }
     std::uint64_t framesSent() const { return frames_; }
 
-    /** Checkpoint in-flight frames, the error-injection RNG, and the
-     * frame tally. */
-    void saveState(CkptWriter &w) const;
-    void loadState(CkptReader &r);
+    /** Checkpoint field list: in-flight frames, the error-injection
+     * RNG, and the frame tally. Set the archive's clock first: it bounds
+     * the frames' delivery cycles. */
+    void fields(CkptArchive &ar);
 
   private:
     Wire<LinkFrame> wire_;
@@ -140,10 +140,9 @@ class LinkSender : public Component
     std::uint64_t retransmissions() const { return retransmissions_; }
     std::size_t backlog() const { return queue_.size(); }
 
-    /** Checkpoint the go-back-N window: queue, sequence state, timer,
-     * tokens, and tallies. */
-    void saveState(CkptWriter &w) const;
-    void loadState(CkptReader &r);
+    /** Checkpoint field list of the go-back-N window: queue, sequence
+     * state, timer, tokens, and tallies. */
+    void fields(CkptArchive &ar);
 
   private:
     LinkConfig cfg_;
@@ -188,9 +187,9 @@ class LinkReceiver : public Component
     std::uint64_t crcDrops() const { return crc_drops_; }
     std::uint64_t orderDrops() const { return order_drops_; }
 
-    /** Checkpoint the expected sequence number and tallies. */
-    void saveState(CkptWriter &w) const;
-    void loadState(CkptReader &r);
+    /** Checkpoint field list: the expected sequence number and
+     * tallies. */
+    void fields(CkptArchive &ar);
 
   private:
     Counter *m_delivered_ = nullptr;

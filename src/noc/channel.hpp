@@ -14,8 +14,7 @@
 
 namespace anton2 {
 
-class CkptWriter;
-class CkptReader;
+class CkptArchive;
 
 /**
  * A unidirectional channel: a data wire carrying one phit per cycle and a
@@ -37,9 +36,9 @@ struct Channel
 
     bool busy() const { return data.busy() || credit.busy(); }
 
-    /** Checkpoint both wires (in-flight phits and credits). */
-    void saveState(CkptWriter &w) const;
-    void loadState(CkptReader &r);
+    /** Checkpoint field list: both wires (in-flight phits and credits
+     * on @p vcs VCs). */
+    void fields(CkptArchive &ar, int vcs);
 };
 
 /** Phits in flight on @p w for VC @p vc (runtime-audit probe). */
@@ -117,9 +116,8 @@ class CreditCounter
         return total;
     }
 
-    /** Checkpoint the per-VC counter values. */
-    void saveState(CkptWriter &w) const;
-    void loadState(CkptReader &r);
+    /** Checkpoint field list: the per-VC counter values. */
+    void fields(CkptArchive &ar);
 
   private:
     std::vector<int> credits_;
@@ -212,9 +210,9 @@ class VcBuffer
     Entry &entry(std::size_t i) { return entries_[i]; }
     const Entry &entry(std::size_t i) const { return entries_[i]; }
 
-    /** Checkpoint all entries including pipeline progress. */
-    void saveState(CkptWriter &w) const;
-    void loadState(CkptReader &r);
+    /** Checkpoint field list: all entries including pipeline progress
+     * (output ports below @p ports, VCs below @p vcs). */
+    void fields(CkptArchive &ar, int ports, int vcs);
 
   private:
     std::vector<Entry> entries_;

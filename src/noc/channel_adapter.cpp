@@ -490,104 +490,117 @@ ChannelAdapter::collectBlockedHeads(std::vector<BlockedHead> &out) const
 }
 
 void
-ChannelAdapter::saveState(CkptWriter &w) const
+ChannelAdapter::fields(CkptArchive &ar, const Router &to_router,
+                       std::size_t max_copies)
 {
-    w.tag("channel_adapter");
+    const int vcs = cfg_.num_vcs;
+    const auto top_vc = static_cast<std::uint8_t>(vcs - 1);
+    ar.tag("channel_adapter");
     // Egress side.
-    for (const VcBuffer &vc : egress_vcs_)
-        vc.saveState(w);
-    torus_credits_.saveState(w);
-    egress_arb_->saveState(w);
-    w.i32(ser_tokens_);
-    w.b(egress_busy_);
-    w.i32(egress_vc_);
-    w.u8(egress_link_vc_);
-    w.cycle(egress_grant_at_);
-    // Ingress side.
-    for (const VcBuffer &vc : ingress_vcs_)
-        vc.saveState(w);
-    w.u32(static_cast<std::uint32_t>(ingress_heads_.size()));
-    for (const IngressEntry &e : ingress_heads_) {
-        w.u32(static_cast<std::uint32_t>(e.copies.size()));
-        for (const IngressCopy &c : e.copies) {
-            w.packetRef(c.pkt);
-            w.u8(c.vc);
-        }
-        w.u64(e.next_copy);
-        w.u16(e.copy_sent);
-    }
-    for (int v = 0; v < cfg_.num_vcs; ++v)
-        w.b(((ingress_expanded_ >> v) & 1u) != 0);
-    router_credits_.saveState(w);
-    ingress_arb_->saveState(w);
-    w.b(ingress_busy_);
-    w.i32(ingress_vc_);
-    w.u32(static_cast<std::uint32_t>(pending_credits_.size()));
-    for (std::uint8_t c : pending_credits_)
-        w.u8(c);
-    // Counters.
-    w.u64(flits_sent_);
-    w.u64(flits_received_);
-    w.u64(idle_cycles_);
-    w.u64(credits_withheld_);
-    w.i32(egress_packets_);
-    w.i32(ingress_packets_);
-}
-
-void
-ChannelAdapter::loadState(CkptReader &r)
-{
-    r.expect("channel_adapter");
     for (VcBuffer &vc : egress_vcs_)
-        vc.loadState(r);
-    torus_credits_.loadState(r);
-    egress_arb_->loadState(r);
-    ser_tokens_ = r.i32();
-    egress_busy_ = r.b();
-    egress_vc_ = r.i32();
-    egress_link_vc_ = r.u8();
-    egress_grant_at_ = r.cycle();
+        vc.fields(ar, 0, vcs);
+    torus_credits_.fields(ar);
+    egress_arb_->fields(ar);
+    ar.io(ser_tokens_, 0, cfg_.ser_tokens_per_flit + cfg_.ser_tokens_per_cycle,
+          "serializer tokens out of range");
+    ar.io(egress_busy_);
+    ar.io(egress_vc_, -1, vcs - 1, "egress active VC");
+    ar.io(egress_link_vc_, 0, top_vc, "egress link VC");
+    ar.io(egress_grant_at_);
+    // Ingress side.
     for (VcBuffer &vc : ingress_vcs_)
-        vc.loadState(r);
-    const std::uint32_t heads = r.u32();
-    if (heads != ingress_heads_.size())
-        throw CheckpointError("checkpoint: adapter VC count mismatch");
+        vc.fields(ar, 0, vcs);
+    ar.same(static_cast<std::uint32_t>(ingress_heads_.size()),
+            "adapter VC count mismatch");
     for (IngressEntry &e : ingress_heads_) {
-        e.copies.resize(r.u32());
+        ar.size(e.copies, max_copies, 5, "ingress copies");
         for (IngressCopy &c : e.copies) {
-            c.pkt = r.packetRef();
-            c.vc = r.u8();
+            ar.packet(c.pkt);
+            ar.io(c.vc, 0, top_vc, "ingress copy VC");
         }
-        e.next_copy = static_cast<std::size_t>(r.u64());
-        e.copy_sent = r.u16();
+        ar.io(e.next_copy);
+        ar.io(e.copy_sent);
     }
-    ingress_expanded_ = 0;
-    for (int v = 0; v < cfg_.num_vcs; ++v) {
-        if (r.b())
-            ingress_expanded_ |= 1u << v;
-    }
-    router_credits_.loadState(r);
-    ingress_arb_->loadState(r);
-    ingress_busy_ = r.b();
-    ingress_vc_ = r.i32();
-    pending_credits_.resize(r.u32());
+    for (int v = 0; v < vcs; ++v)
+        ar.bit(ingress_expanded_, static_cast<unsigned>(v));
+    router_credits_.fields(ar);
+    ingress_arb_->fields(ar);
+    ar.io(ingress_busy_);
+    ar.io(ingress_vc_, -1, vcs - 1, "ingress active VC");
+    // One queued credit per freed ingress slot, at most.
+    ar.size(pending_credits_,
+            static_cast<std::size_t>(vcs * cfg_.buf_flits_per_vc), 1,
+            "pending torus credits");
     for (std::uint8_t &c : pending_credits_)
-        c = r.u8();
-    flits_sent_ = r.u64();
-    flits_received_ = r.u64();
-    idle_cycles_ = r.u64();
-    credits_withheld_ = r.u64();
-    egress_packets_ = r.i32();
-    ingress_packets_ = r.i32();
-    idle_from_ = kNoCycle;
+        ar.io(c, 0, top_vc, "pending credit VC");
+    // Counters.
+    ar.io(flits_sent_);
+    ar.io(flits_received_);
+    ar.io(idle_cycles_);
+    ar.io(credits_withheld_);
+    ar.io(egress_packets_);
+    ar.io(ingress_packets_);
+    if (!ar.loading())
+        return;
+
+    // The active grants must hold a packet with flits left to send, the
+    // packet counts and expansion state must match the buffers, and
+    // ingress copies need a route at the adapter's router.
+    if (egress_busy_) {
+        ar.check(egress_vc_ >= 0 && !egress_vcs_[egress_vc_].empty(),
+                 "egress grant without a buffered packet");
+        const VcBuffer::Entry &head = egress_vcs_[egress_vc_].head();
+        ar.check(head.sent < head.pkt->size_flits,
+                 "egress grant on a sent packet");
+    }
+    ar.check(egress_busy_ != (egress_vc_ < 0), "egress grant mismatch");
+    if (ingress_busy_) {
+        ar.check(ingress_vc_ >= 0
+                     && ((ingress_expanded_ >> ingress_vc_) & 1u) != 0,
+                 "ingress grant on an unexpanded VC");
+        const IngressEntry &e = ingress_heads_[ingress_vc_];
+        ar.check(e.next_copy < e.copies.size(),
+                 "ingress grant without a copy left");
+    }
+    ar.check(ingress_busy_ != (ingress_vc_ < 0), "ingress grant mismatch");
+    int egress = 0;
+    int ingress = 0;
     egress_nonempty_ = 0;
     ingress_nonempty_ = 0;
-    for (int v = 0; v < cfg_.num_vcs; ++v) {
-        if (!egress_vcs_[static_cast<std::size_t>(v)].empty())
-            egress_nonempty_ |= 1u << v;
-        if (!ingress_vcs_[static_cast<std::size_t>(v)].empty())
-            ingress_nonempty_ |= 1u << v;
+    for (int v = 0; v < vcs; ++v) {
+        const VcBuffer &out = egress_vcs_[static_cast<std::size_t>(v)];
+        const VcBuffer &in = ingress_vcs_[static_cast<std::size_t>(v)];
+        egress += static_cast<int>(out.packetCount());
+        ingress += static_cast<int>(in.packetCount());
+        egress_nonempty_ |= out.empty() ? 0u : 1u << v;
+        ingress_nonempty_ |= in.empty() ? 0u : 1u << v;
+        const IngressEntry &e = ingress_heads_[static_cast<std::size_t>(v)];
+        const bool active = ingress_busy_ && ingress_vc_ == v;
+        // Expansion resets next_copy, so a retired entry keeps a stale one.
+        if (((ingress_expanded_ >> v) & 1u) == 0) {
+            ar.check(e.copies.empty() && e.copy_sent == 0,
+                     "ingress copies on an unexpanded VC");
+            continue;
+        }
+        ar.check(!in.empty() && e.next_copy <= e.copies.size(),
+                 "expanded ingress VC without a packet or copy");
+        const VcBuffer::Entry &head = in.head();
+        for (const IngressCopy &c : e.copies)
+            ar.check(c.pkt->size_flits == head.pkt->size_flits
+                         && to_router.routable(*c.pkt),
+                     "ingress copy differs from its packet or has no "
+                     "route");
+        ar.check(e.copies.size() == 1 ? e.copy_sent == head.sent
+                                      : head.sent == 0,
+                 "ingress copy progress differs from its buffer");
+        ar.check(e.copy_sent <= head.arrived
+                     && (active ? e.copy_sent < head.pkt->size_flits
+                                : e.copy_sent == 0),
+                 "ingress copy progress out of range");
     }
+    ar.check(egress == egress_packets_ && ingress == ingress_packets_,
+             "adapter packet count mismatch");
+    idle_from_ = kNoCycle;
 }
 
 bool

@@ -28,6 +28,7 @@
 namespace anton2 {
 
 class InverseWeightedArbiter;
+class Router;
 
 /**
  * Telemetry bound to one torus-channel adapter. `retransmissions` stays
@@ -230,13 +231,15 @@ class ChannelAdapter final : public Component
     bool crossesDateline() const { return crosses_dateline_; }
 
     /**
-     * Checkpoint both sides: VC buffers, credit counters, arbitration
-     * state, serialization tokens, active grants, ingress expansion
-     * state, and the queued torus credits. (The four attached channels
-     * are checkpointed by their owners.)
+     * Checkpoint field list of both sides: VC buffers, credit counters,
+     * arbitration state, serialization tokens, active grants, ingress
+     * expansion state (at most @p max_copies copies per packet), and the
+     * queued torus credits. (The four attached channels are checkpointed
+     * by their owners.) A restore checks the grants and copies against
+     * the buffers, and the copies' routes at @p to_router.
      */
-    void saveState(CkptWriter &w) const;
-    void loadState(CkptReader &r);
+    void fields(CkptArchive &ar, const Router &to_router,
+                std::size_t max_copies);
 
   private:
     struct IngressEntry

@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "debug/checkpoint.hpp"
+#include "noc/router.hpp"
 
 namespace anton2 {
 
@@ -309,85 +310,66 @@ EndpointAdapter::oldestBirth() const
 }
 
 void
-EndpointAdapter::saveState(CkptWriter &w) const
+EndpointAdapter::fields(CkptArchive &ar, const Router &to_router)
 {
-    w.tag("endpoint");
+    ar.tag("endpoint");
     // Staged deliveries are flushed by the serial phase within the same
     // cycle, so at any window boundary the pending list is empty; a
     // non-empty list here means the save point is mid-window.
     assert(pending_.empty() && "checkpoint mid-window (pending deliveries)");
-    w.b(to_router_ != nullptr);
+    ar.same(to_router_ != nullptr, "endpoint wiring mismatch");
     if (to_router_ != nullptr)
-        router_credits_.saveState(w);
-    for (const auto &q : inject_q_) {
-        w.u32(static_cast<std::uint32_t>(q.size()));
-        for (const PacketPtr &p : q)
-            w.packetRef(p);
+        router_credits_.fields(ar);
+    for (auto &q : inject_q_) {
+        ar.size(q, ~std::size_t{ 0 }, 4, "injection queue");
+        for (PacketPtr &p : q)
+            ar.packet(p);
     }
-    w.i32(next_class_);
-    w.packetRef(inj_active_);
-    w.u16(inj_sent_);
-    w.u32(static_cast<std::uint32_t>(eject_.size()));
-    for (const EjectSlot &s : eject_) {
-        w.packetRef(s.pkt);
-        w.u16(s.arrived);
-        w.cycle(s.head_at);
+    ar.io(next_class_, 0, kNumTrafficClasses - 1, "next traffic class");
+    ar.packet(inj_active_, /*nullable=*/true);
+    ar.io(inj_sent_);
+    ar.same(static_cast<std::uint32_t>(eject_.size()),
+            "endpoint VC count mismatch");
+    for (EjectSlot &s : eject_) {
+        ar.packet(s.pkt, /*nullable=*/true);
+        ar.io(s.arrived);
+        ar.io(s.head_at);
+        ar.check(s.pkt != nullptr
+                     ? s.arrived > 0 && s.arrived < s.pkt->size_flits
+                     : s.arrived == 0,
+                 "reassembly slot flit count out of range");
     }
     // unordered_map iteration order is not deterministic; sort by key so
     // identical machine states produce identical checkpoint bytes.
     std::vector<std::pair<std::int32_t, int>> armed(counters_.begin(),
                                                     counters_.end());
     std::sort(armed.begin(), armed.end());
-    w.u32(static_cast<std::uint32_t>(armed.size()));
-    for (const auto &[counter, count] : armed) {
-        w.i32(counter);
-        w.i32(count);
+    ar.size(armed, ~std::size_t{ 0 }, 8, "armed counters");
+    for (auto &[counter, count] : armed) {
+        ar.io(counter);
+        ar.io(count);
     }
-    w.u64(delivered_);
-    w.u64(injected_);
-    w.u64(flits_injected_);
-    w.u64(flits_ejected_);
-    w.cycle(last_delivery_);
-}
+    ar.io(delivered_);
+    ar.io(injected_);
+    ar.io(flits_injected_);
+    ar.io(flits_ejected_);
+    ar.io(last_delivery_);
+    if (!ar.loading())
+        return;
 
-void
-EndpointAdapter::loadState(CkptReader &r)
-{
-    r.expect("endpoint");
-    const bool has_out = r.b();
-    if (has_out != (to_router_ != nullptr))
-        throw CheckpointError("checkpoint: endpoint wiring mismatch");
-    if (to_router_ != nullptr)
-        router_credits_.loadState(r);
-    for (auto &q : inject_q_) {
-        q.clear();
-        const std::uint32_t n = r.u32();
-        for (std::uint32_t i = 0; i < n; ++i)
-            q.push_back(r.packetRef());
+    counters_ = { armed.begin(), armed.end() };
+    ar.check(counters_.size() == armed.size(), "counter armed twice");
+    ar.check(inj_active_ != nullptr ? inj_sent_ < inj_active_->size_flits
+                                    : inj_sent_ == 0,
+             "injection progress out of range");
+    // The endpoint's router routes every packet still to be injected.
+    bool routable = inj_active_ == nullptr || to_router.routable(*inj_active_);
+    for (const auto &q : inject_q_) {
+        for (const PacketPtr &p : q)
+            routable = routable && to_router.routable(*p);
     }
-    next_class_ = r.i32();
-    inj_active_ = r.packetRef();
-    inj_sent_ = r.u16();
-    const std::uint32_t slots = r.u32();
-    if (slots != eject_.size())
-        throw CheckpointError("checkpoint: endpoint VC count mismatch");
-    for (EjectSlot &s : eject_) {
-        s.pkt = r.packetRef();
-        s.arrived = r.u16();
-        s.head_at = r.cycle();
-    }
-    counters_.clear();
-    const std::uint32_t armed = r.u32();
-    for (std::uint32_t i = 0; i < armed; ++i) {
-        const std::int32_t counter = r.i32();
-        counters_[counter] = r.i32();
-    }
-    pending_.clear();
-    delivered_ = r.u64();
-    injected_ = r.u64();
-    flits_injected_ = r.u64();
-    flits_ejected_ = r.u64();
-    last_delivery_ = r.cycle();
+    ar.check(routable, "queued packet has no route at the endpoint's "
+                       "router");
 }
 
 bool

@@ -30,6 +30,8 @@
 
 namespace anton2 {
 
+class Router;
+
 struct EndpointConfig
 {
     int num_vcs = 8;        ///< VC indices used on the router link
@@ -201,12 +203,12 @@ class EndpointAdapter final : public Component
     Cycle oldestBirth() const;
 
     /**
-     * Checkpoint queues, streaming state, reassembly slots, armed
-     * counters, and the delivery/injection tallies. Must be called at a
-     * window boundary (no staged deliveries pending).
+     * Checkpoint field list: queues, streaming state, reassembly slots,
+     * armed counters, and the delivery/injection tallies. Runs at a
+     * window boundary (no staged deliveries pending). A restore checks
+     * that @p to_router routes every packet still to be injected.
      */
-    void saveState(CkptWriter &w) const;
-    void loadState(CkptReader &r);
+    void fields(CkptArchive &ar, const Router &to_router);
 
   private:
     void tickInject(Cycle now, std::uint32_t rung);

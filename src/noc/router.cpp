@@ -640,87 +640,97 @@ Router::collectBlockedHeads(std::vector<BlockedHead> &out) const
 }
 
 void
-Router::saveState(CkptWriter &w) const
+Router::fields(CkptArchive &ar)
 {
-    w.tag("router");
-    for (std::size_t p = 0; p < in_.size(); ++p) {
-        const InPort &ip = in_[p];
-        w.b(ip.ch != nullptr);
-        if (ip.ch == nullptr)
-            continue;
-        for (const VcBuffer &vc : ip.vcs)
-            vc.saveState(w);
-        w.u32(ip.nonempty);
-        w.b(((draining_ >> p) & 1u) != 0);
-    }
-    for (std::size_t o = 0; o < out_.size(); ++o) {
-        const OutPort &op = out_[o];
-        w.b(op.ch != nullptr);
-        if (op.ch == nullptr)
-            continue;
-        op.credits.saveState(w);
-        w.b(((busy_out_ >> o) & 1u) != 0);
-        w.i32(op.src_port);
-        w.i32(op.src_vc);
-        w.u8(op.out_vc);
-    }
-    for (const auto &a : sa1_)
-        a->saveState(w);
-    for (const auto &a : sa2_)
-        a->saveState(w);
-    for (int v : sa1_winner_)
-        w.i32(v);
-    w.u32(st_sent_mask_);
-    w.u64(flits_routed_);
-    w.i32(buffered_packets_);
-}
-
-void
-Router::loadState(CkptReader &r)
-{
-    r.expect("router");
-    draining_ = 0;
-    busy_out_ = 0;
-    for (std::size_t p = 0; p < in_.size(); ++p) {
+    const int ports = cfg_.num_ports;
+    const int vcs = cfg_.num_vcs;
+    ar.tag("router");
+    for (unsigned p = 0; p < in_.size(); ++p) {
         InPort &ip = in_[p];
-        const bool connected = r.b();
-        if (connected != (ip.ch != nullptr))
-            throw CheckpointError("checkpoint: router input wiring "
-                                  "mismatch");
+        ar.same(ip.ch != nullptr, "router input wiring mismatch");
         if (ip.ch == nullptr)
             continue;
         for (VcBuffer &vc : ip.vcs)
-            vc.loadState(r);
-        ip.nonempty = r.u32();
-        if (r.b())
-            draining_ |= 1u << p;
+            vc.fields(ar, ports, vcs);
+        ar.io(ip.nonempty);
+        ar.bit(draining_, p);
     }
-    for (std::size_t o = 0; o < out_.size(); ++o) {
+    for (unsigned o = 0; o < out_.size(); ++o) {
         OutPort &op = out_[o];
-        const bool connected = r.b();
-        if (connected != (op.ch != nullptr))
-            throw CheckpointError("checkpoint: router output wiring "
-                                  "mismatch");
+        ar.same(op.ch != nullptr, "router output wiring mismatch");
         if (op.ch == nullptr)
             continue;
-        op.credits.loadState(r);
-        if (r.b())
-            busy_out_ |= 1u << o;
-        op.src_port = r.i32();
-        op.src_vc = r.i32();
-        op.out_vc = r.u8();
+        op.credits.fields(ar);
+        ar.bit(busy_out_, o);
+        ar.io(op.src_port, -1, ports - 1, "granted input port");
+        ar.io(op.src_vc, -1, vcs - 1, "granted input VC");
+        ar.io(op.out_vc, 0, static_cast<std::uint8_t>(vcs - 1),
+              "granted output VC");
     }
     for (auto &a : sa1_)
-        a->loadState(r);
+        a->fields(ar);
     for (auto &a : sa2_)
-        a->loadState(r);
+        a->fields(ar);
     for (int &v : sa1_winner_)
-        v = r.i32();
-    st_sent_mask_ = r.u32();
-    flits_routed_ = r.u64();
-    buffered_packets_ = r.i32();
+        ar.io(v, -1, vcs - 1, "SA1 winner");
+    ar.io(st_sent_mask_);
+    ar.io(flits_routed_);
+    ar.io(buffered_packets_);
+    if (!ar.loading())
+        return;
+
+    // Grants, masks and counts must match the buffers: each granted
+    // output drains a granted head of a connected input, once.
+    std::uint32_t draining = 0;
+    for (unsigned o = 0; o < out_.size(); ++o) {
+        const OutPort &op = out_[o];
+        if (((busy_out_ >> o) & 1u) == 0)
+            continue;
+        const bool src_ok = op.src_port >= 0 && op.src_vc >= 0
+                            && in_[op.src_port].ch != nullptr
+                            && !in_[op.src_port].vcs[op.src_vc].empty()
+                            && ((draining >> op.src_port) & 1u) == 0;
+        ar.check(src_ok, "granted output without a buffered input");
+        const VcBuffer::Entry &head = in_[op.src_port].vcs[op.src_vc].head();
+        ar.check(head.granted && head.out_port == static_cast<int>(o)
+                     && head.out_vc == op.out_vc,
+                 "granted output disagrees with its input's head");
+        draining |= 1u << op.src_port;
+    }
+    int packets = 0;
+    for (unsigned p = 0; p < in_.size(); ++p) {
+        const InPort &ip = in_[p];
+        std::uint32_t nonempty = 0;
+        for (int v = 0; v < vcs; ++v) {
+            const VcBuffer &buf = ip.vcs[static_cast<std::size_t>(v)];
+            packets += static_cast<int>(buf.packetCount());
+            nonempty |= buf.empty() ? 0u : 1u << v;
+            for (std::size_t i = 0; i < buf.packetCount(); ++i) {
+                const VcBuffer::Entry &e = buf.entry(i);
+                ar.check(e.routed ? out_[e.out_port].ch != nullptr
+                                  : routable(*e.pkt),
+                         "buffered packet has no route at this router");
+                ar.check(!e.granted || (((busy_out_ >> e.out_port) & 1u)
+                                        && out_[e.out_port].src_port
+                                               == static_cast<int>(p)
+                                        && out_[e.out_port].src_vc == v),
+                         "granted head without its output");
+            }
+        }
+        ar.check(nonempty == ip.nonempty, "nonempty mask mismatch");
+    }
+    ar.check(draining == draining_ && packets == buffered_packets_
+                 && (st_sent_mask_ >> ports) == 0,
+             "router masks or packet count mismatch");
     idle_from_ = kNoCycle;
     rebuildLiveState();
+}
+
+bool
+Router::routable(const Packet &pkt) const
+{
+    const RouteStep &step = routes_.step(id_, routes_.slot(pkt));
+    return step.out_port >= 0 && out_[step.out_port].ch != nullptr;
 }
 
 void

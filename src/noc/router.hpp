@@ -178,13 +178,17 @@ class Router final : public Component
     void collectBlockedHeads(std::vector<BlockedHead> &out) const;
 
     /**
-     * Checkpoint every field that carries across cycles: per-input VC
-     * buffers and drain state, per-output grant/credit state, arbiter
-     * fairness state, and the SA1 winners consumed by next cycle's SA2.
-     * (The attached channels are checkpointed by their owner.)
+     * Checkpoint field list: every field that carries across cycles -
+     * per-input VC buffers and drain state, per-output grant/credit
+     * state, arbiter fairness state, and the SA1 winners consumed by
+     * next cycle's SA2. (The attached channels are checkpointed by their
+     * owner.) A restore checks grants against buffers and rebuilds the
+     * live-state masks.
      */
-    void saveState(CkptWriter &w) const;
-    void loadState(CkptReader &r);
+    void fields(CkptArchive &ar);
+
+    /** True if RC at this router has a connected port for @p pkt. */
+    bool routable(const Packet &pkt) const;
 
   private:
     struct InPort

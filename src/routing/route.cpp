@@ -105,4 +105,26 @@ nextRouteDim(const TorusGeom &geom, NodeId here, NodeId dst,
     return -1;
 }
 
+const char *
+malformedRoute(const RouteSpec &spec)
+{
+    unsigned seen = 0;
+    for (int d : spec.order) {
+        if (d < 0 || d >= 3 || ((seen >> d) & 1u) != 0)
+            return "route order is not a permutation of the dimensions";
+        seen |= 1u << d;
+    }
+    if (seen != 7u)
+        return "route order is not a permutation of the dimensions";
+    if (spec.dirs.size() != 3)
+        return "route needs one direction per dimension";
+    for (Dir d : spec.dirs) {
+        if (d != Dir::Pos && d != Dir::Neg)
+            return "route direction is neither Pos nor Neg";
+    }
+    if (spec.slice >= kNumSlices)
+        return "route slice out of range";
+    return nullptr;
+}
+
 } // namespace anton2

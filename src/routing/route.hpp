@@ -80,4 +80,11 @@ std::vector<TorusHop> torusHops(const TorusGeom &geom, NodeId src, NodeId dst,
 int nextRouteDim(const TorusGeom &geom, NodeId here, NodeId dst,
                  const RouteSpec &spec);
 
+/**
+ * Why @p spec is not a route of a 3-D torus - its order must be a
+ * permutation of the dimensions, with one Pos or Neg direction per
+ * dimension and a slice below kNumSlices - or null when it is one.
+ */
+const char *malformedRoute(const RouteSpec &spec);
+
 } // namespace anton2

@@ -275,17 +275,19 @@ class Wire
      * Reinstate one in-flight value at its absolute delivery cycle, as
      * recorded by forEachSlot, and ring the doorbell for it. Keeping the
      * absolute cycle keeps the ring index consistent with the restored
-     * engine clock.
+     * engine clock. False (and nothing restored) if the slot is taken.
      */
-    void
+    bool
     restoreSlot(Cycle deliver_at, T value)
     {
         Slot &s = slots_[index(deliver_at)];
-        assert(s.at == kNoCycle && "restore into occupied slot");
+        if (s.at != kNoCycle)
+            return false;
         s.at = deliver_at;
         s.value = std::move(value);
         if (bell_ != nullptr)
             ring(deliver_at);
+        return true;
     }
 
   private:

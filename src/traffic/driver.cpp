@@ -47,30 +47,18 @@ BatchDriver::BatchDriver(Machine &machine, Config cfg)
     // before restoreCheckpoint() (the client name pins the pairing).
     machine_.registerCheckpointClient(
         "batch-driver",
-        [this](CkptWriter &w) {
-            w.tag("driver.batch");
-            w.u32(static_cast<std::uint32_t>(sent_.size()));
-            for (std::uint64_t s : sent_)
-                w.u64(s);
-            w.u64(sent_total_);
-            w.u64(expected_);
-            w.u64(delivered_target_);
-            w.u64(base_delivered_);
-            w.cycle(start_);
-            w.b(started_);
-        },
-        [this](CkptReader &r) {
-            r.expect("driver.batch");
-            if (r.u32() != sent_.size())
-                throw CheckpointError("batch-driver core count mismatch");
-            for (auto &s : sent_)
-                s = r.u64();
-            sent_total_ = r.u64();
-            expected_ = r.u64();
-            delivered_target_ = r.u64();
-            base_delivered_ = r.u64();
-            start_ = r.cycle();
-            started_ = r.b();
+        [this](CkptArchive &ar) {
+            ar.tag("driver.batch");
+            ar.same(static_cast<std::uint32_t>(sent_.size()),
+                    "batch-driver core count mismatch");
+            for (std::uint64_t &s : sent_)
+                ar.io(s, 0, cfg_.batch_size, "core sent past its batch");
+            ar.io(sent_total_);
+            ar.same(expected_, "batch-driver batch size mismatch");
+            ar.io(delivered_target_);
+            ar.io(base_delivered_);
+            ar.io(start_);
+            ar.io(started_);
         },
         this);
 }

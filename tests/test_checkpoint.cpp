@@ -12,20 +12,32 @@
  *
  * Also pinned here: traffic-driver state rides along through the
  * checkpoint-client registry (a batch saved mid-flight completes after
- * restore), the RunSpec checkpoint_in/checkpoint_out plumbing, and the
- * reader's rejection of corrupted, truncated, version-mismatched,
- * config-mismatched, and client-mismatched files.
+ * restore), the RunSpec checkpoint_in/checkpoint_out plumbing, the link
+ * layer's field lists, the reader's rejection of corrupted, truncated,
+ * version-mismatched, config-mismatched, and client-mismatched files,
+ * and a fuzz corpus of checksum-resealed mutations that restore must
+ * either reject or survive.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/machine.hpp"
 #include "debug/checkpoint.hpp"
+#include "link/link_layer.hpp"
+#include "routing/multicast.hpp"
+#include "sim/engine.hpp"
 #include "sim/rng.hpp"
 #include "traffic/driver.hpp"
 #include "traffic/patterns.hpp"
@@ -478,6 +490,37 @@ TEST(CheckpointReject, ClientCountMismatchIsRejected)
     std::remove(path.c_str());
 }
 
+TEST(CheckpointReject, StateBreakingAnInvariantIsRejected)
+{
+    // An image whose state the runtime auditor would flag - here a
+    // link that lost credits to a seeded fault - is refused, and the
+    // error names the broken invariant.
+    const std::string path = ckptPath("withheld");
+    {
+        Machine m(smallConfig());
+        NetworkFault fault;
+        fault.kind = NetworkFault::Kind::WithholdTorusCredits;
+        Instrumentation inst;
+        inst.faults.push_back(fault);
+        m.attachInstrumentation(inst);
+        preInject(m, smallConfig().seed);
+        m.run(RunSpec::forCycles(kForkCycle));
+        ASSERT_GT(m.chip(0).channelAdapter(0, Dir::Pos, 0).creditsWithheld(),
+                  0u);
+        m.saveCheckpoint(path);
+    }
+    Machine m(smallConfig());
+    try {
+        m.restoreCheckpoint(path);
+        FAIL() << "image with withheld credits accepted";
+    } catch (const CheckpointError &e) {
+        EXPECT_NE(std::string(e.what()).find("credit_conservation"),
+                  std::string::npos)
+            << "unexpected error: " << e.what();
+    }
+    std::remove(path.c_str());
+}
+
 TEST(CheckpointReject, MissingFileIsRejected)
 {
     Machine m(smallConfig());
@@ -490,6 +533,327 @@ TEST(Checkpoint, ColdStartReportsNoProvenance)
     Machine m(smallConfig());
     EXPECT_EQ(m.restoredFrom(), "");
     EXPECT_EQ(m.restoredCycle(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Link layer: the go-back-N state survives a save mid-retransmission
+// ---------------------------------------------------------------------
+
+/** A lossy link, ticked every cycle, recording every delivered frame. */
+struct LinkRig
+{
+    LinkRig()
+        : fwd(4, 0.001, 5), ack(4, 0.0, 6), sender("tx", {}, fwd, ack),
+          receiver("rx", {}, fwd, ack,
+                   [this](const FlitPayload &f, Cycle at) {
+                       delivered.emplace_back(at, f);
+                   })
+    {
+        engine.add(sender);
+        engine.add(receiver);
+    }
+
+    void
+    fields(CkptArchive &ar)
+    {
+        Cycle now = engine.now();
+        ar.clock(now);
+        fwd.fields(ar);
+        ack.fields(ar);
+        sender.fields(ar);
+        receiver.fields(ar);
+    }
+
+    Engine engine;
+    LossyFrameChannel fwd;
+    LossyFrameChannel ack;
+    LinkSender sender;
+    LinkReceiver receiver;
+    std::vector<std::pair<Cycle, FlitPayload>> delivered;
+};
+
+TEST(Checkpoint, LinkLayerResumesMidRetransmission)
+{
+    constexpr Cycle kSave = 300;
+    const std::string path = ckptPath("link");
+    LinkRig base;
+    for (std::uint64_t i = 0; i < 200; ++i)
+        base.sender.offer(FlitPayload{ i, i * 7, ~i });
+    base.engine.run(kSave);
+    // Frames are in flight and at least one window has been resent.
+    ASSERT_GT(base.sender.retransmissions(), 0u);
+    ASSERT_GT(base.sender.backlog(), 0u);
+    CkptArchive out;
+    base.fields(out);
+    out.writeFile(path, 0, {});
+    const std::size_t before = base.delivered.size();
+    base.engine.run(20000);
+
+    LinkRig restored;
+    restored.engine.restoreNow(kSave);
+    CkptArchive in(path, 0);
+    in.readPackets({}, {});
+    restored.fields(in);
+    in.finish();
+    restored.engine.run(20000);
+    EXPECT_EQ(restored.sender.retransmissions(),
+              base.sender.retransmissions());
+    const std::vector<std::pair<Cycle, FlitPayload>> tail(
+        base.delivered.begin() + static_cast<std::ptrdiff_t>(before),
+        base.delivered.end());
+    EXPECT_EQ(base.delivered.size(), 200u);
+    EXPECT_EQ(restored.delivered, tail);
+    std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// Fuzz: every resealed single-byte mutation, truncation, or bad header
+// either throws CheckpointError or restores a machine that runs on
+// ---------------------------------------------------------------------
+
+/**
+ * A fuzz image's machine. Image A is the pre-injected small machine;
+ * image B adds inverse-weighted arbitration, a batch driver, and a
+ * multicast tree from node 0 to endpoint 1 of every other node. A
+ * restore needs B's driver registered (and ticking) too.
+ */
+struct FuzzRig
+{
+    explicit FuzzRig(bool image_b)
+        : m([image_b] {
+              MachineConfig cfg = smallConfig();
+              if (image_b)
+                  cfg.chip.arb = ArbPolicy::InverseWeighted;
+              return cfg;
+          }()),
+          pat(m.geom())
+    {
+        if (!image_b)
+            return;
+        BatchDriver::Config dcfg;
+        dcfg.cores = firstEndpoints(2);
+        dcfg.batch_size = 16;
+        dcfg.pattern = &pat;
+        driver = std::make_unique<BatchDriver>(m, dcfg);
+        m.engine().add(*driver);
+    }
+
+    Machine m;
+    UniformPattern pat;
+    std::unique_ptr<BatchDriver> driver;
+};
+
+std::vector<char>
+fuzzImage(bool image_b)
+{
+    const std::string path = ckptPath(image_b ? "fuzz_b" : "fuzz_a");
+    {
+        FuzzRig rig(image_b);
+        if (image_b) {
+            std::vector<McastDest> dests;
+            for (NodeId n = 1; n < rig.m.geom().numNodes(); ++n)
+                dests.push_back({ n, 1 });
+            Rng tie(5);
+            const std::int32_t group = rig.m.installTree(buildMcastTree(
+                rig.m.geom(), 0, dests, DimOrder{ 0, 1, 2 }, 0, tie));
+            for (int i = 0; i < 4; ++i)
+                rig.m.sendMulticast({ 0, 0 }, group);
+        }
+        preInject(rig.m, smallConfig().seed);
+        rig.m.run(RunSpec::forCycles(kForkCycle));
+        rig.m.saveCheckpoint(path);
+    }
+    std::vector<char> bytes = readAll(path);
+    std::remove(path.c_str());
+    return bytes;
+}
+
+/** Header: 8-byte magic, u32 version, u64 fingerprint, u64 payload
+ * size; the payload's FNV-1a checksum trails it. */
+constexpr std::size_t kHeaderBytes = 28;
+
+/** Rewrite the payload size and checksum to match the bytes. */
+void
+reseal(std::vector<char> &f)
+{
+    const std::uint64_t n = f.size() - kHeaderBytes - 8;
+    std::memcpy(f.data() + 20, &n, 8);
+    const std::uint64_t h = ckptHash(f.data() + kHeaderBytes, n);
+    std::memcpy(f.data() + f.size() - 8, &h, 8);
+}
+
+/** One corpus case: an image with one payload byte replaced (and the
+ * checksum resealed), or a whole file (truncations, bad headers), or a
+ * directory. */
+struct FuzzCase
+{
+    bool image_b = false;
+    std::string label;
+    std::size_t offset = 0; ///< replaced payload byte (byte cases)
+    std::uint8_t value = 0;
+    std::vector<char> file; ///< whole-file cases
+    bool whole_file = false;
+    bool directory = false;
+};
+
+/**
+ * The fixed corpus: per image, 500 seeds each of a bit flip, a random
+ * byte, and an 0xff byte at a seeded payload offset, plus 8 truncated
+ * payloads, all resealed; then one corruption of each header field of
+ * image A, an empty file, and a directory.
+ */
+std::vector<FuzzCase>
+fuzzCorpus(const std::vector<char> (&images)[2])
+{
+    std::vector<FuzzCase> out;
+    const char *kinds[] = { "flip", "byte", "0xff" };
+    for (int b = 0; b < 2; ++b) {
+        const std::vector<char> &img = images[b];
+        const std::string name = b != 0 ? "B " : "A ";
+        const std::size_t payload = img.size() - kHeaderBytes - 8;
+        for (std::uint64_t seed = 0; seed < 500; ++seed) {
+            for (int kind = 0; kind < 3; ++kind) {
+                Rng r(seed * 3 + static_cast<std::uint64_t>(kind) + 1);
+                FuzzCase c;
+                c.image_b = b != 0;
+                c.offset = kHeaderBytes + r.below(payload);
+                const auto old = static_cast<std::uint8_t>(img[c.offset]);
+                c.value = kind == 0 ? static_cast<std::uint8_t>(
+                                          old ^ (1u << r.below(8)))
+                          : kind == 1
+                              ? static_cast<std::uint8_t>(r.below(256))
+                              : std::uint8_t{ 0xff };
+                c.label = name + kinds[kind] + " seed " + std::to_string(seed)
+                          + " offset " + std::to_string(c.offset);
+                out.push_back(std::move(c));
+            }
+        }
+        for (std::uint64_t t = 0; t < 8; ++t) {
+            Rng r(1000 + t);
+            const std::size_t keep = r.below(payload);
+            FuzzCase c;
+            c.image_b = b != 0;
+            c.label = name + "truncated to " + std::to_string(keep);
+            c.whole_file = true;
+            c.file.assign(img.begin(),
+                          img.begin()
+                              + static_cast<std::ptrdiff_t>(kHeaderBytes
+                                                            + keep));
+            c.file.resize(c.file.size() + 8);
+            reseal(c.file);
+            out.push_back(std::move(c));
+        }
+    }
+    const std::pair<const char *, std::size_t> header[] = {
+        { "magic", 0 },         { "version", 8 },
+        { "fingerprint", 12 },  { "payload size", 20 },
+        { "checksum", images[0].size() - 8 },
+    };
+    for (const auto &[field, off] : header) {
+        FuzzCase c;
+        c.label = std::string("A header ") + field;
+        c.whole_file = true;
+        c.file = images[0];
+        c.file[off] = static_cast<char>(c.file[off] ^ 0x01);
+        out.push_back(std::move(c));
+    }
+    FuzzCase empty;
+    empty.label = "empty file";
+    empty.whole_file = true;
+    out.push_back(std::move(empty));
+    FuzzCase dir;
+    dir.label = "directory";
+    dir.directory = true;
+    out.push_back(std::move(dir));
+    return out;
+}
+
+TEST(CheckpointFuzz, MutatedImagesAreRejectedOrRunOn)
+{
+    const std::vector<char> images[2] = { fuzzImage(false), fuzzImage(true) };
+    const std::vector<FuzzCase> corpus = fuzzCorpus(images);
+    ASSERT_EQ(corpus.size(), 2u * (3 * 500 + 8) + 5 + 2);
+
+    // Cases are independent machines, so worker threads share the list.
+    // A byte case patches the mutated byte and resealed checksum into
+    // the worker's copy of its image, and restores them afterwards.
+    std::atomic<std::size_t> next{ 0 };
+    std::atomic<std::size_t> rejected{ 0 };
+    std::mutex mu;
+    std::vector<std::string> failures;
+    const std::string dir = ckptPath("fuzz_dir");
+    auto work = [&](int worker) {
+        const std::string tag = "fuzz" + std::to_string(worker);
+        const std::string file = ckptPath((tag + "_file").c_str());
+        const std::string copy[2] = { ckptPath((tag + "_a").c_str()),
+                                      ckptPath((tag + "_b").c_str()) };
+        writeAll(copy[0], images[0]);
+        writeAll(copy[1], images[1]);
+        auto patch = [](const std::string &path, std::size_t off,
+                        const char *bytes, std::size_t n) {
+            std::fstream f(path, std::ios::binary | std::ios::in
+                                     | std::ios::out);
+            f.seekp(static_cast<std::streamoff>(off));
+            f.write(bytes, static_cast<std::streamsize>(n));
+        };
+        for (std::size_t i; (i = next++) < corpus.size();) {
+            const FuzzCase &c = corpus[i];
+            const std::vector<char> &img = images[c.image_b ? 1 : 0];
+            std::string path = c.directory ? dir : file;
+            if (c.whole_file) {
+                writeAll(file, c.file);
+            } else if (!c.directory) {
+                path = copy[c.image_b ? 1 : 0];
+                std::vector<char> payload(img.begin() + kHeaderBytes,
+                                          img.end() - 8);
+                payload[c.offset - kHeaderBytes] =
+                    static_cast<char>(c.value);
+                const std::uint64_t h =
+                    ckptHash(payload.data(), payload.size());
+                patch(path, c.offset, &payload[c.offset - kHeaderBytes], 1);
+                patch(path, img.size() - 8,
+                      reinterpret_cast<const char *>(&h), 8);
+            }
+            std::string failure;
+            {
+                FuzzRig rig(c.image_b);
+                try {
+                    rig.m.restoreCheckpoint(path);
+                    rig.m.run(RunSpec::forCycles(kTailCycles));
+                } catch (const CheckpointError &) {
+                    ++rejected;
+                } catch (const std::exception &e) {
+                    failure = c.label + ": " + e.what();
+                }
+            }
+            if (!c.whole_file && !c.directory) {
+                patch(path, c.offset, &img[c.offset], 1);
+                patch(path, img.size() - 8, &img[img.size() - 8], 8);
+            }
+            if (!failure.empty()) {
+                std::lock_guard<std::mutex> lock(mu);
+                failures.push_back(failure);
+            }
+        }
+        for (const std::string &f : { file, copy[0], copy[1] })
+            std::remove(f.c_str());
+    };
+    std::filesystem::create_directories(dir);
+    const int workers = static_cast<int>(
+        std::clamp(std::thread::hardware_concurrency(), 1u, 4u));
+    std::vector<std::thread> pool;
+    for (int w = 1; w < workers; ++w)
+        pool.emplace_back(work, w);
+    work(0);
+    for (std::thread &t : pool)
+        t.join();
+    std::filesystem::remove(dir);
+
+    for (const std::string &f : failures)
+        ADD_FAILURE() << f;
+    // The header corruptions, empty file, directory, and truncations
+    // are rejected at least.
+    EXPECT_GE(rejected.load(), 5u + 2u + 16u);
 }
 
 } // namespace
