@@ -40,8 +40,7 @@ constexpr int kEndpointsPerNode = 8;
 double
 runBlend(const std::vector<int> &radix, int cores, std::uint64_t batch,
          WeightMode mode, double reverse_fraction, std::uint64_t seed,
-         int threads, const bench::ReportOptions &report,
-         const bench::HostProfileOptions &host_profile, bool probe,
+         const bench::SharedFlags &flags, bool probe,
          std::string *report_body, std::string *host_json)
 {
     MachineConfig cfg;
@@ -52,17 +51,13 @@ runBlend(const std::vector<int> &radix, int cores, std::uint64_t batch,
     cfg.use_packaging = false;
     cfg.fixed_torus_latency = 20;
     cfg.seed = seed;
-    cfg.threads = threads;
+    flags.configure(cfg);
     Machine m(cfg);
     // The probe run (last sweep point, Both mode) carries the run-report
     // and self-profiling instrumentation; the rest of the sweep stays
     // uninstrumented.
-    if (probe && (report.enabled() || host_profile.enabled)) {
-        Instrumentation inst;
-        report.addTo(inst);
-        host_profile.addTo(inst);
-        m.attachInstrumentation(inst);
-    }
+    if (probe)
+        m.attachInstrumentation(flags.instrumentation(m.geom()));
 
     const auto eps = firstEndpoints(cores);
     TornadoPattern fwd(m.geom(), false);
@@ -137,11 +132,9 @@ runBlend(const std::vector<int> &radix, int cores, std::uint64_t batch,
         != StopReason::Delivered)
         std::fprintf(stderr, "WARNING: blend run timed out\n");
     if (probe) {
-        host_profile.write(m);
-        if (report.enabled()) {
-            *report_body = report.bodyJson(m);
-            *host_json = m.hostJson();
-        }
+        flags.writeOutputs(m);
+        *report_body = flags.reportBody(m);
+        *host_json = m.hostJson();
     }
     return driver.throughputPerCore() / ideal;
 }
@@ -153,36 +146,23 @@ main(int argc, char **argv)
 {
     long kx = 8, ky = 4, kz = 4;
     long cores = 8, batch_flag = 256, seed_flag = 21, steps_flag = 4;
-    long threads = 1;
-    bench::ReportOptions report;
-    bench::HostProfileOptions host_profile;
+    bench::SharedFlags flags;
     bench::OptionRegistry reg(
         "Figure 10: tornado / reverse-tornado blending under the four "
         "arbiter weight modes");
-    reg.add("--kx", "N", "torus X radix (default 8)", &kx);
-    reg.add("--ky", "N", "torus Y radix (default 4)", &ky);
-    reg.add("--kz", "N", "torus Z radix (default 4)", &kz);
+    reg.add("--kx", "N", "torus X radix (default 8)", &kx, 2);
+    reg.add("--ky", "N", "torus Y radix (default 4)", &ky, 2);
+    reg.add("--kz", "N", "torus Z radix (default 4)", &kz, 2);
     reg.add("--cores", "N", "participating cores per node, 1-8 (default 8)",
-            &cores);
-    reg.add("--batch", "N", "packets per core (default 256)", &batch_flag);
+            &cores, 1, kEndpointsPerNode);
+    reg.add("--batch", "N", "packets per core (default 256)", &batch_flag,
+            1);
     reg.add("--seed", "N", "simulation seed (default 21)", &seed_flag);
     reg.add("--steps", "N", "blend-fraction sweep steps (default 4)",
-            &steps_flag);
-    reg.add("--threads", "N",
-            "engine worker threads (results are bit-identical at any "
-            "count)",
-            &threads);
-    host_profile.registerInto(reg);
-    report.registerInto(reg);
-    if (!reg.parse(argc, argv))
-        return 1;
-    if (!bench::validateCores(cores, kEndpointsPerNode))
-        return 1;
-    if (threads < 1) {
-        std::fprintf(stderr, "error: --threads must be >= 1\n");
-        return 1;
-    }
-    if (!host_profile.validate() || !report.validate())
+            &steps_flag, 1);
+    flags.registerInto(reg, bench::kGroupThreads | bench::kGroupHostProfile
+                                | bench::kGroupReport);
+    if (!reg.parse(argc, argv) || !flags.validate())
         return 1;
     const std::vector<int> radix{ static_cast<int>(kx),
                                   static_cast<int>(ky),
@@ -204,26 +184,17 @@ main(int argc, char **argv)
     std::string report_body, report_host;
     for (int i = 0; i <= steps; ++i) {
         const double f = static_cast<double>(i) / steps;
-        const double none =
-            runBlend(radix, static_cast<int>(cores), batch,
-                     WeightMode::None, f, seed,
-                     static_cast<int>(threads), report, host_profile, false, nullptr,
-                     nullptr);
-        const double fwd =
-            runBlend(radix, static_cast<int>(cores), batch,
-                     WeightMode::Forward, f, seed,
-                     static_cast<int>(threads), report, host_profile, false, nullptr,
-                     nullptr);
-        const double rev =
-            runBlend(radix, static_cast<int>(cores), batch,
-                     WeightMode::Reverse, f, seed,
-                     static_cast<int>(threads), report, host_profile, false, nullptr,
-                     nullptr);
-        const double both =
-            runBlend(radix, static_cast<int>(cores), batch,
-                     WeightMode::Both, f, seed,
-                     static_cast<int>(threads), report, host_profile,
-                     i == steps, &report_body, &report_host);
+        // The last Both run is the probe that fills the report.
+        auto blend = [&](WeightMode mode) {
+            return runBlend(radix, static_cast<int>(cores), batch, mode, f,
+                            seed, flags,
+                            mode == WeightMode::Both && i == steps,
+                            &report_body, &report_host);
+        };
+        const double none = blend(WeightMode::None);
+        const double fwd = blend(WeightMode::Forward);
+        const double rev = blend(WeightMode::Reverse);
+        const double both = blend(WeightMode::Both);
         std::printf("%-22.2f %8.3f %8.3f %8.3f %8.3f\n", f, none, fwd, rev,
                     both);
     }
@@ -241,7 +212,8 @@ main(int argc, char **argv)
             .add("batch", bench::num(static_cast<double>(batch)))
             .add("steps", bench::num(steps))
             .dump(0);
-    return report.write("fig10_blend", config, report_body, "", report_host)
+    return flags.writeReport("fig10_blend", config, report_body, "",
+                             report_host)
                ? 0
                : 1;
 }

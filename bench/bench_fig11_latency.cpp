@@ -92,27 +92,23 @@ int
 main(int argc, char **argv)
 try {
     long k_flag = 8, pairs_flag = 6, rounds_flag = 4;
-    bench::RunOptions run;
-    bench::CheckpointOptions ckpt;
+    bench::SharedFlags flags;
     bench::OptionRegistry reg(
         "Figure 11: one-way software-to-software message latency vs. "
         "inter-node hop count");
-    reg.add("--k", "N", "torus radix per dimension (default 8)", &k_flag);
+    // Radix 2 is the smallest with a hop to measure.
+    reg.add("--k", "N", "torus radix per dimension (default 8)", &k_flag, 2);
     reg.add("--pairs", "N", "endpoint pairs sampled per hop count "
                             "(default 6)",
-            &pairs_flag);
+            &pairs_flag, 1);
     reg.add("--rounds", "N", "ping-pong rounds per pair (default 4)",
-            &rounds_flag);
-    run.registerInto(reg);
-    ckpt.registerInto(reg);
-    if (!reg.parse(argc, argv))
-        return 1;
-    if (!ckpt.validate() || !run.validate())
+            &rounds_flag, 1);
+    flags.registerInto(reg, bench::kRunSet | bench::kGroupCheckpoint);
+    if (!reg.parse(argc, argv) || !flags.validate())
         return 1;
     const int k = static_cast<int>(k_flag);
     const int pairs = static_cast<int>(pairs_flag);
     const int rounds = static_cast<int>(rounds_flag);
-    const auto &trace = run.trace;
 
     MachineConfig cfg;
     cfg.radix = { k, k, k };
@@ -120,14 +116,15 @@ try {
     cfg.chip.arb = ArbPolicy::RoundRobin;
     cfg.use_packaging = true; // Figure 2 trace/cable latencies
     cfg.seed = 31;
+    flags.configure(cfg);
     Machine m(cfg);
-    run.apply(m);
+    m.attachInstrumentation(flags.instrumentation(m.geom()));
     // The network is quiescent between ping-pongs, so a checkpoint
     // brackets the whole sweep: --checkpoint-in resumes a prior
     // machine's clock/RNG state, --checkpoint-out (below) preserves
     // this one's.
-    if (ckpt.in != nullptr)
-        m.restoreCheckpoint(ckpt.in);
+    if (flags.checkpoint_in != nullptr)
+        m.restoreCheckpoint(flags.checkpoint_in);
 
     bench::printHeader(
         "Figure 11: one-way 16 B message latency vs. inter-node hops");
@@ -172,12 +169,9 @@ try {
         ys.push_back(lat.mean());
     }
     bench::printRule(40);
-    if (ckpt.out != nullptr)
-        m.saveCheckpoint(ckpt.out);
-    run.flows.write(m);
-    run.ts.write(m);
-    run.audit.write(m);
-    run.host_profile.write(m);
+    if (flags.checkpoint_out != nullptr)
+        m.saveCheckpoint(flags.checkpoint_out);
+    flags.writeOutputs(m);
 
     const auto fit = LinearFit::fit(xs, ys);
     std::printf("\nLinear fit: %.1f ns fixed + %.1f ns/hop (r^2 = %.4f)\n",
@@ -200,18 +194,11 @@ try {
                              .add("rows", bench::arr(rows))
                              .add("fit", fit_obj)
                              .dump(2, 1);
-    const std::string body = run.report.bodyJson(m);
-    if (!run.report.write("fig11_latency", config, body, results,
-                          m.hostJson()))
-        return 1;
-    if (trace.enabled()) {
-        trace.write(m);
-        if (trace.chrome != nullptr)
-            std::printf("Chrome trace written to %s\n", trace.chrome);
-        if (trace.csv != nullptr)
-            std::printf("Flight record written to %s\n", trace.csv);
-    }
-    return 0;
+    const std::string body = flags.reportBody(m);
+    return flags.writeReport("fig11_latency", config, body, results,
+                             m.hostJson())
+               ? 0
+               : 1;
 } catch (const CheckpointError &e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

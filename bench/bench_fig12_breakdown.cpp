@@ -25,30 +25,27 @@ int
 main(int argc, char **argv)
 {
     long k_flag = 4;
-    bench::RunOptions run;
+    bench::SharedFlags flags;
     bench::OptionRegistry reg(
         "Figure 12: minimum inter-node latency decomposition "
         "(single-packet traversal)");
-    reg.add("--k", "N", "torus radix per dimension (default 4)", &k_flag);
-    run.registerInto(reg);
-    if (!reg.parse(argc, argv))
-        return 1;
-    if (!run.validate())
+    // The packet goes from node (0,0,0) to (0,1,0): radix 2 at least.
+    reg.add("--k", "N", "torus radix per dimension (default 4)", &k_flag, 2);
+    flags.registerInto(reg, bench::kRunSet);
+    if (!reg.parse(argc, argv) || !flags.validate())
         return 1;
     const int k = static_cast<int>(k_flag);
-    const auto &trace = run.trace;
-    const auto &ts = run.ts;
-    const auto &audit = run.audit;
 
     MachineConfig cfg;
     cfg.radix = { k, k, k };
     cfg.chip.endpoints_per_node = 23;
     cfg.use_packaging = true;
     cfg.seed = 33;
+    flags.configure(cfg);
     Machine m(cfg);
     // A single-packet traversal makes the smallest useful demo trace:
     // every lifecycle event of Figure 12's E -> R -> C -> link path.
-    run.apply(m);
+    m.attachInstrumentation(flags.instrumentation(m.geom()));
 
     // The minimum-latency configuration: source and destination endpoints
     // co-located with the Y-channel routers (endpoint 16 sits on R(0,2)
@@ -76,7 +73,7 @@ main(int argc, char **argv)
     if (m.run(RunSpec::untilDelivered(1, 100000)).reason
         != StopReason::Delivered) {
         std::fprintf(stderr, "delivery failed\n");
-        audit.write(m); // forensic snapshot of the wedge, if requested
+        flags.writeOutputs(m); // forensic snapshot of the wedge, if asked
         return 1;
     }
     const Cycle network = pkt->eject_time - pkt->inject_time;
@@ -118,21 +115,11 @@ main(int argc, char **argv)
                 "total.\nHere: network = %.0f%% of total.\n",
                 100.0 * static_cast<double>(network)
                     / static_cast<double>(total));
-    if (trace.enabled()) {
-        trace.write(m);
-        if (trace.chrome != nullptr)
-            std::printf("Chrome trace written to %s\n", trace.chrome);
-        if (trace.csv != nullptr)
-            std::printf("Flight record written to %s\n", trace.csv);
-    }
-    run.flows.write(m);
-    ts.write(m);
-    audit.write(m);
-    run.host_profile.write(m);
-    const std::string body = run.report.bodyJson(m);
-    if (!run.report.write("fig12_breakdown",
-                          bench::JsonObj().add("k", bench::num(k)).dump(0),
-                          body, "", m.hostJson()))
+    flags.writeOutputs(m);
+    const std::string body = flags.reportBody(m);
+    if (!flags.writeReport("fig12_breakdown",
+                           bench::JsonObj().add("k", bench::num(k)).dump(0),
+                           body, "", m.hostJson()))
         return 1;
     if (m.audit() != nullptr && m.audit()->violationCount() > 0) {
         std::fprintf(stderr, "audit: %llu invariant violations\n",

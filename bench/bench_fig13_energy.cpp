@@ -249,9 +249,12 @@ main(int argc, char **argv)
     bench::OptionRegistry reg(
         "Figure 13: router energy per flit vs. injection rate and payload "
         "content");
+    // Shorter points end while the 35-router chain is still filling:
+    // rows read 0 or NaN below ~30 cycles and stay transient-biased
+    // (>10% low) below ~1000.
     reg.add("--cycles", "N", "simulated cycles per measurement point "
                              "(default 20000)",
-            &cycles_flag);
+            &cycles_flag, 1000);
     if (!reg.parse(argc, argv))
         return 1;
     const auto cycles = static_cast<Cycle>(cycles_flag);

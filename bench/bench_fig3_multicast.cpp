@@ -68,26 +68,16 @@ maxChannelUse(const std::vector<const McastTree *> &trees)
 int
 main(int argc, char **argv)
 {
-    long k_flag = 8, threads = 1;
-    bench::ReportOptions report;
-    bench::HostProfileOptions host_profile;
+    long k_flag = 8;
+    bench::SharedFlags flags;
     bench::OptionRegistry reg(
         "Figure 3: multicast tree vs. unicast torus hops, plus measured "
         "flit savings in the simulator");
-    reg.add("--k", "N", "torus radix per dimension (default 8)", &k_flag);
-    reg.add("--threads", "N",
-            "engine worker threads for the measured section (results are "
-            "bit-identical at any count)",
-            &threads);
-    host_profile.registerInto(reg);
-    report.registerInto(reg);
-    if (!reg.parse(argc, argv))
-        return 1;
-    if (threads < 1) {
-        std::fprintf(stderr, "error: --threads must be >= 1\n");
-        return 1;
-    }
-    if (!host_profile.validate() || !report.validate())
+    // The 3x3 destination plane needs three distinct nodes per dimension.
+    reg.add("--k", "N", "torus radix per dimension (default 8)", &k_flag, 3);
+    flags.registerInto(reg, bench::kGroupThreads | bench::kGroupHostProfile
+                                | bench::kGroupReport);
+    if (!reg.parse(argc, argv) || !flags.validate())
         return 1;
     const int k = static_cast<int>(k_flag);
     const TorusGeom geom(k, k, k);
@@ -130,14 +120,9 @@ main(int argc, char **argv)
     cfg.chip.endpoints_per_node = 4;
     cfg.use_packaging = false;
     cfg.seed = 9;
-    cfg.threads = static_cast<int>(threads);
+    flags.configure(cfg);
     Machine m(cfg);
-    if (report.enabled() || host_profile.enabled) {
-        Instrumentation inst;
-        report.addTo(inst);
-        host_profile.addTo(inst);
-        m.attachInstrumentation(inst);
-    }
+    m.attachInstrumentation(flags.instrumentation(m.geom()));
     const NodeId msrc = m.geom().id({ 2, 2, 2 });
     const auto mdests = planeDests(m.geom(), msrc, 1);
 
@@ -170,11 +155,11 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(mcast_flits));
     std::printf("  unicast torus flits:   %llu\n",
                 static_cast<unsigned long long>(unicast_flits));
-    host_profile.write(m);
-    const std::string body = report.bodyJson(m);
-    return report.write("fig3_multicast",
-                        bench::JsonObj().add("k", bench::num(k)).dump(0),
-                        body, "", m.hostJson())
+    flags.writeOutputs(m);
+    const std::string body = flags.reportBody(m);
+    return flags.writeReport("fig3_multicast",
+                             bench::JsonObj().add("k", bench::num(k)).dump(0),
+                             body, "", m.hostJson())
                ? 0
                : 1;
 }

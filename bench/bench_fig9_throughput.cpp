@@ -37,20 +37,19 @@ constexpr int kEndpointsPerNode = 8;
 
 /** The first (smallest) batch size of the sweep: the floor for
  * --maxbatch. */
-constexpr std::uint64_t kFirstBatch = 16;
+constexpr long kFirstBatch = 16;
 
 struct SweepPoint
 {
     double normalized;
-    std::string report_json; ///< run-report body (probe runs)
-    std::string host_json;   ///< the machine's host section (probe runs)
+    std::string report_json; ///< run-report body (shipping probe run)
+    std::string host_json;   ///< its machine's host section
 };
 
 SweepPoint
 runBatch(const std::vector<int> &radix, int cores, ArbPolicy policy,
          const char *pattern_name, std::uint64_t batch,
-         std::uint64_t seed, const bench::RunOptions &run,
-         const bench::CheckpointOptions &ckpt, bool probe)
+         std::uint64_t seed, const bench::SharedFlags &flags, bool probe)
 {
     MachineConfig cfg;
     cfg.radix = radix;
@@ -59,15 +58,14 @@ runBatch(const std::vector<int> &radix, int cores, ArbPolicy policy,
     cfg.use_packaging = false;
     cfg.fixed_torus_latency = 20;
     cfg.seed = seed;
+    flags.configure(cfg);
     Machine m(cfg);
-    m.setThreads(static_cast<int>(run.threads));
-    m.setLookahead(static_cast<Cycle>(run.lookahead));
     // Probe runs carry the full requested instrumentation; the other
     // sweep points keep only the progress line so the sweep stays fast.
     Instrumentation inst;
     if (probe)
-        inst = run.instrumentation(m);
-    else if (run.ts.progress)
+        inst = flags.instrumentation(m.geom());
+    else if (flags.progress)
         inst.progress = ProgressMeter::Config{};
     m.attachInstrumentation(inst);
 
@@ -104,25 +102,28 @@ runBatch(const std::vector<int> &radix, int cores, ArbPolicy policy,
     const Cycle max_cycles =
         static_cast<Cycle>(batch) * 2000 + 200000;
     // The last probe run (uniform, largest batch) is the one whose
-    // report ships, so it alone gets the warm-start checkpoint I/O:
-    // --checkpoint-out writes its steady-state image, --checkpoint-in
-    // restores into it. The 2-hop probe would otherwise overwrite the
-    // image / restore another pattern's traffic.
+    // report and exports ship, so it alone gets the warm-start
+    // checkpoint I/O and writes the outputs: --checkpoint-out writes its
+    // steady-state image, --checkpoint-in restores into it. The 2-hop
+    // probe would otherwise overwrite the image / restore another
+    // pattern's traffic, and a restore that fails finds no output
+    // written yet.
+    const bool ships = probe && std::string(pattern_name) == "uniform";
     RunSpec spec = RunSpec::untilDelivered(driver.deliveredTarget(),
                                            max_cycles);
-    if (probe && std::string(pattern_name) == "uniform")
-        ckpt.addTo(spec);
+    if (ships)
+        flags.configure(spec);
     if (m.run(spec).reason != StopReason::Delivered)
         std::fprintf(stderr, "WARNING: batch timed out\n");
 
     SweepPoint res;
     res.normalized = driver.throughputPerCore() / ideal;
-    if (probe) {
-        run.writeOutputs(m);
-        res.report_json = run.report.bodyJson(m);
+    if (ships) {
+        flags.writeOutputs(m);
+        res.report_json = flags.reportBody(m);
         res.host_json = m.hostJson();
-    } else {
-        run.ts.write(m); // terminates the progress line
+    } else if (m.progress() != nullptr) {
+        m.progress()->finish();
     }
     return res;
 }
@@ -136,32 +137,21 @@ main(int argc, char **argv)
 try {
     long kx = 8, ky = 4, kz = 4;
     long cores = 8, maxbatch = 512, seed = 12;
-    bench::RunOptions run;
-    bench::CheckpointOptions ckpt;
+    bench::SharedFlags flags;
     bench::OptionRegistry reg(
         "Figure 9: batch throughput vs. batch size, round-robin vs. "
         "inverse-weighted arbitration");
-    reg.add("--kx", "N", "torus X radix (default 8)", &kx);
-    reg.add("--ky", "N", "torus Y radix (default 4)", &ky);
-    reg.add("--kz", "N", "torus Z radix (default 4)", &kz);
+    reg.add("--kx", "N", "torus X radix (default 8)", &kx, 2);
+    reg.add("--ky", "N", "torus Y radix (default 4)", &ky, 2);
+    reg.add("--kz", "N", "torus Z radix (default 4)", &kz, 2);
     reg.add("--cores", "N", "participating cores per node, 1-8 (default 8)",
-            &cores);
+            &cores, 1, kEndpointsPerNode);
     reg.add("--maxbatch", "N",
-            "largest batch size swept, >= 16 (default 512)", &maxbatch);
+            "largest batch size swept, >= 16 (default 512)", &maxbatch,
+            kFirstBatch);
     reg.add("--seed", "N", "simulation seed (default 12)", &seed);
-    run.registerInto(reg);
-    ckpt.registerInto(reg);
-    if (!reg.parse(argc, argv))
-        return 1;
-    if (!bench::validateCores(cores, kEndpointsPerNode))
-        return 1;
-    if (maxbatch < static_cast<long>(kFirstBatch)) {
-        std::fprintf(stderr, "error: --maxbatch must be >= %llu (the "
-                             "sweep's first batch)\n",
-                     static_cast<unsigned long long>(kFirstBatch));
-        return 1;
-    }
-    if (!ckpt.validate() || !run.validate())
+    flags.registerInto(reg, bench::kRunSet | bench::kGroupCheckpoint);
+    if (!reg.parse(argc, argv) || !flags.validate())
         return 1;
     const std::vector<int> radix{ static_cast<int>(kx),
                                   static_cast<int>(ky),
@@ -181,25 +171,19 @@ try {
     std::string last_report;
     std::string last_host;
     for (const char *pattern : { "2-hop", "uniform" }) {
-        for (std::uint64_t batch = kFirstBatch; batch <= max_batch;
-             batch *= 4) {
-            // The report body (and the event trace / time series, when
-            // enabled) comes from the largest batch of each sweep; the
-            // last pattern's probe run wins the output files.
-            const bool probe =
-                (run.trace.enabled() || run.flows.enabled()
-                 || run.ts.enabled() || run.audit.enabled()
-                 || run.host_profile.enabled || run.report.enabled()
-                 || ckpt.enabled())
-                && batch * 4 > max_batch;
+        for (auto batch = static_cast<std::uint64_t>(kFirstBatch);
+             batch <= max_batch; batch *= 4) {
+            // The largest batch of each sweep runs instrumented; the
+            // last pattern's probe run writes the report and exports.
+            const bool probe = flags.requested() && batch * 4 > max_batch;
             const auto rr = runBatch(radix, static_cast<int>(cores),
                                      ArbPolicy::RoundRobin, pattern, batch,
-                                     static_cast<std::uint64_t>(seed), run,
-                                     ckpt, false);
+                                     static_cast<std::uint64_t>(seed),
+                                     flags, false);
             auto iw = runBatch(radix, static_cast<int>(cores),
                                ArbPolicy::InverseWeighted, pattern, batch,
-                               static_cast<std::uint64_t>(seed), run,
-                               ckpt, probe);
+                               static_cast<std::uint64_t>(seed), flags,
+                               probe);
             std::printf("%-18s %10llu %14.3f %16.3f\n", pattern,
                         static_cast<unsigned long long>(batch),
                         rr.normalized, iw.normalized);
@@ -237,16 +221,12 @@ try {
             .add("maxbatch", bench::num(static_cast<double>(max_batch)))
             .add("seed", bench::num(static_cast<double>(seed)))
             .dump(0);
-    if (!run.report.write(
-            "fig9_throughput", det_config, last_report,
-            bench::JsonObj().add("rows", bench::arr(rows)).dump(2, 1),
-            last_host))
-        return 1;
-    if (run.trace.chrome != nullptr)
-        std::printf("Chrome trace written to %s\n", run.trace.chrome);
-    if (run.trace.csv != nullptr)
-        std::printf("Flight record written to %s\n", run.trace.csv);
-    return 0;
+    return flags.writeReport(
+               "fig9_throughput", det_config, last_report,
+               bench::JsonObj().add("rows", bench::arr(rows)).dump(2, 1),
+               last_host)
+               ? 0
+               : 1;
 } catch (const CheckpointError &e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -26,7 +26,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -80,7 +79,7 @@ totalFlitHops(Machine &m)
 SpeedResult
 runLoad(const std::vector<int> &radix, int cores, double rate,
         Cycle cycles, int threads, Cycle lookahead,
-        const bench::HostProfileOptions &host_profile)
+        const bench::SharedFlags &flags)
 {
     MachineConfig cfg;
     cfg.radix = radix;
@@ -91,15 +90,7 @@ runLoad(const std::vector<int> &radix, int cores, double rate,
     cfg.threads = threads;
     cfg.lookahead = lookahead;
     Machine m(cfg);
-    // The engine profiler is always on here: the per-row imbalance /
-    // attribution columns are this bench's product. Its cost is two
-    // clock reads per lane per window plus the sampled attribution
-    // pass, which is noise next to the ticks being measured.
-    EngineProfileConfig pcfg;
-    pcfg.sample_every = static_cast<Cycle>(host_profile.sample_every);
-    Instrumentation pinst;
-    pinst.host_profile = pcfg;
-    m.attachInstrumentation(pinst);
+    m.attachInstrumentation(flags.instrumentation(m.geom()));
 
     UniformPattern pat(m.geom());
     OpenLoopDriver::Config dcfg;
@@ -110,7 +101,7 @@ runLoad(const std::vector<int> &radix, int cores, double rate,
     m.engine().add(driver);
 
     m.run(RunSpec::forCycles(cycles));
-    host_profile.write(m); // timeline (single-thread-count runs only)
+    flags.writeOutputs(m); // timeline (single-thread-count runs only)
 
     SpeedResult r;
     r.threads = threads;
@@ -189,24 +180,24 @@ main(int argc, char **argv)
     double rate = 0.0;  // 0 = 60% of the analytic saturation point
     const char *json_path = "BENCH_speed.json";
     const char *threads_csv = nullptr;
-    bench::HostProfileOptions host_profile;
+    bench::SharedFlags flags;
     bench::OptionRegistry reg(
         "Host speed: simulated cycles/sec and flit-hops/sec, serial vs. "
         "2/4 engine worker threads (bit-identical results)");
-    reg.add("--kx", "N", "torus X radix (default 4)", &kx);
-    reg.add("--ky", "N", "torus Y radix (default 4)", &ky);
-    reg.add("--kz", "N", "torus Z radix (default 4)", &kz);
+    reg.add("--kx", "N", "torus X radix (default 4)", &kx, 2);
+    reg.add("--ky", "N", "torus Y radix (default 4)", &ky, 2);
+    reg.add("--kz", "N", "torus Z radix (default 4)", &kz, 2);
     reg.add("--cores", "N", "injecting cores per node, 1-8 (default 4)",
-            &cores);
+            &cores, 1, kEndpointsPerNode);
     reg.add("--cycles", "N", "simulated cycles per run (default 20000)",
-            &cycles_flag);
+            &cycles_flag, 1);
     reg.add("--rate", "R",
             "offered packets/core/cycle (default: 60% of saturation)",
             &rate);
     reg.add("--max-threads", "N",
             "largest worker count measured; doubles up from 1 "
             "(default 4)",
-            &max_threads);
+            &max_threads, 1);
     reg.add("--threads-list", "CSV",
             "explicit thread counts to measure (e.g. 1,2,4; overrides "
             "--max-threads; must include 1 for speedups)",
@@ -214,21 +205,18 @@ main(int argc, char **argv)
     reg.add("--lookahead", "N",
             "cycles per barrier window: 0 = auto (min torus link "
             "latency, default), 1 = per-cycle barriers",
-            &lookahead);
+            &lookahead, 0);
     reg.add("--json", "PATH",
             "machine-readable report path (default BENCH_speed.json)",
             &json_path);
-    host_profile.registerInto(reg);
-    if (!reg.parse(argc, argv))
-        return 1;
-    if (!bench::validateCores(cores, kEndpointsPerNode))
-        return 1;
-    if (cycles_flag < 1 || max_threads < 1 || lookahead < 0) {
-        std::fprintf(stderr, "error: --cycles/--max-threads must be >= 1 "
-                             "and --lookahead >= 0\n");
-        return 1;
-    }
-    if (!host_profile.validate() || !bench::validateOutputPaths({ json_path }))
+    flags.registerInto(reg, bench::kGroupHostProfile);
+    // The engine profiler is always on here: the per-row imbalance /
+    // attribution columns are this bench's product. Its cost is two
+    // clock reads per lane per window plus the sampled attribution
+    // pass, which is noise next to the ticks being measured.
+    flags.host_profile = true;
+    if (!reg.parse(argc, argv) || !flags.validate()
+        || !bench::probeWritable(json_path))
         return 1;
     std::vector<int> thread_counts;
     if (threads_csv != nullptr) {
@@ -252,8 +240,7 @@ main(int argc, char **argv)
         for (int t = 1; t <= static_cast<int>(max_threads); t *= 2)
             thread_counts.push_back(t);
     }
-    if (!bench::validateTimelineSingleRun(host_profile,
-                                          thread_counts.size()))
+    if (!bench::validateTimelineSingleRun(flags, thread_counts.size()))
         return 1;
     const std::vector<int> radix{ static_cast<int>(kx),
                                   static_cast<int>(ky),
@@ -288,8 +275,7 @@ main(int argc, char **argv)
     for (int t : thread_counts)
         results.push_back(runLoad(radix, static_cast<int>(cores), rate,
                                   cycles, t,
-                                  static_cast<Cycle>(lookahead),
-                                  host_profile));
+                                  static_cast<Cycle>(lookahead), flags));
 
     // Speedup denominator: the serial row, found by its thread count.
     // Never assume row 0 is serial - the measured set is configurable.

@@ -1,20 +1,20 @@
 /**
  * @file
  * Shared helpers for the experiment harnesses: the declarative option
- * registry (options.hpp), aligned table printing, and the shared flag
- * groups, including the `--report <path>` run-report writer. Every
- * bench prints the paper's rows/series with defaults that reproduce the
- * paper's setup at simulation-tractable scale; flags let you push to
- * the paper's full 8x8x8 (or larger) machine, and `--threads N` runs
- * the sharded engine on N workers with bit-identical results.
+ * registry (options.hpp), aligned table printing, the run-report writer,
+ * and the one table of flags the benches share. Every bench prints the
+ * paper's rows/series with defaults that reproduce the paper's setup at
+ * simulation-tractable scale; flags let you push to the paper's full
+ * 8x8x8 (or larger) machine, and `--threads N` runs the sharded engine
+ * on N workers with bit-identical results.
  */
 #pragma once
 
-#include <cmath>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -89,48 +89,24 @@ arr(const std::vector<std::string> &items)
     return out + "]";
 }
 
-/** Verify a report path is writable before spending simulation time;
- * prints an error and returns false when it is not. Opens in append
- * mode so an existing report is not clobbered by the probe. */
+/** Check that @p path can be written before spending simulation time,
+ * leaving no trace: a file the probe creates is removed again, and an
+ * existing file keeps its bytes. Prints an error and returns false when
+ * the path cannot be opened for writing. */
 inline bool
-checkWritable(const char *path)
+probeWritable(const char *path)
 {
+    std::error_code ec;
+    const bool existed = std::filesystem::exists(path, ec);
     std::FILE *f = std::fopen(path, "a");
     if (f == nullptr) {
         std::fprintf(stderr, "error: cannot open %s for writing\n", path);
         return false;
     }
     std::fclose(f);
+    if (!existed)
+        std::remove(path);
     return true;
-}
-
-/**
- * Validate every (possibly null) output path up front, reporting *all*
- * unwritable ones before giving up. The single fail-fast gate for
- * --report/--trace/--trace-csv/--heatmap: benches pass their full path
- * set here instead of sprinkling per-flag checks.
- */
-inline bool
-validateOutputPaths(std::initializer_list<const char *> paths)
-{
-    bool ok = true;
-    for (const char *p : paths) {
-        if (p != nullptr)
-            ok = checkWritable(p) && ok;
-    }
-    return ok;
-}
-
-/** Reject a participating-core count outside [1, @p endpoints] (the
- * endpoints each node of the bench's machine has) before any output
- * path is probed; false = do not simulate. */
-inline bool
-validateCores(long cores, long endpoints)
-{
-    if (cores >= 1 && cores <= endpoints)
-        return true;
-    std::fprintf(stderr, "error: --cores must be in [1, %ld]\n", endpoints);
-    return false;
 }
 
 inline void
@@ -143,331 +119,354 @@ writeFile(const std::string &path, const std::string &content)
     std::fclose(f);
 }
 
-/**
- * Shared event-tracing flags for the figure benches:
- *   --trace <path>        write Chrome trace-event JSON (Perfetto/
- *                         chrome://tracing loadable)
- *   --trace-csv <path>    write the per-packet flight-record CSV
- *   --trace-sample <N>    record every Nth packet id (default 1)
- * Paths are validated before any simulation time is spent.
- */
-struct TraceOptions
+/** Groups of shared flags; a bench registers the groups it honors. */
+enum FlagGroup : unsigned
 {
-    const char *chrome = nullptr;
-    const char *csv = nullptr;
-    long sample = 1;
-
-    /** Declare the shared tracing flags on @p reg. */
-    void
-    registerInto(OptionRegistry &reg)
-    {
-        reg.add("--trace", "PATH",
-                "write Chrome trace-event JSON (Perfetto loadable)",
-                &chrome);
-        reg.add("--trace-csv", "PATH",
-                "write the per-packet flight-record CSV", &csv);
-        reg.add("--trace-sample", "N",
-                "record every Nth packet id (default 1)", &sample);
-    }
-
-    bool enabled() const { return chrome != nullptr || csv != nullptr; }
-
-    /** Fail fast on unwritable output paths (false = do not simulate). */
-    bool
-    validate() const
-    {
-        if (sample < 1) {
-            std::fprintf(stderr, "error: --trace-sample must be >= 1\n");
-            return false;
-        }
-        return validateOutputPaths({ chrome, csv });
-    }
-
-    /** Add the requested tracing to an instrumentation bundle. */
-    void
-    addTo(Instrumentation &inst) const
-    {
-        if (!enabled())
-            return;
-        TraceConfig cfg;
-        cfg.sample = static_cast<std::uint64_t>(sample);
-        inst.trace = cfg;
-    }
-
-    /** Export whatever @p m recorded to the requested paths. */
-    void
-    write(Machine &m) const
-    {
-        if (chrome != nullptr)
-            writeFile(chrome, m.traceChromeJson());
-        if (csv != nullptr)
-            writeFile(csv, m.traceFlightCsv());
-    }
+    kGroupThreads = 1u << 0,     ///< --threads
+    kGroupLookahead = 1u << 1,   ///< --lookahead
+    kGroupTrace = 1u << 2,       ///< event trace and flight record
+    kGroupFlows = 1u << 3,       ///< flow probe
+    kGroupTimeseries = 1u << 4,  ///< interval sampler, progress line
+    kGroupAudit = 1u << 5,       ///< runtime auditor, seeded faults
+    kGroupHostProfile = 1u << 6, ///< engine self-profile
+    kGroupReport = 1u << 7,      ///< run report
+    kGroupCheckpoint = 1u << 8,  ///< checkpoint in / out
+    /** What every Machine-driving figure bench honors. */
+    kRunSet = kGroupThreads | kGroupLookahead | kGroupTrace | kGroupFlows
+              | kGroupTimeseries | kGroupAudit | kGroupHostProfile
+              | kGroupReport,
 };
 
-/**
- * Shared flow-observability flags for the figure benches:
- *   --flows[=PATH]     attach the flow probe: per-(src, dst, class)
- *                      flow matrix, per-hop span attribution, and the
- *                      congestion-blame digest in the run report. With
- *                      =PATH, also write the flow-matrix CSV.
- *   --flow-sample <N>  retain Chrome-trace span rows for every Nth
- *                      packet id (implies --flows; the rows ride in the
- *                      --trace export)
- * Paths are validated before any simulation time is spent. A probe-less
- * run takes zero additional clock reads, so leaving these off keeps
- * every pre-existing export byte-identical.
- */
-struct FlowOptions
+/** An instrumentation layer a flag switches on when it is set. Watchdog
+ * is the auditor with a watchdog cadence (1024 cycles unless given). */
+enum class Layer : unsigned
 {
+    None, Trace, Flows, Sampler, Progress, Audit, Watchdog, Profile, Metrics
+};
+
+/** The shared flags' values, as parsed (kSharedFlags declares them). */
+struct FlagValues
+{
+    long threads = 1, lookahead = 1;
+    const char *trace = nullptr, *trace_csv = nullptr;
+    long trace_sample = 1;
     bool flows = false;
-    const char *csv = nullptr;
-    long sample = 0;
-
-    /** Declare the shared flow flags on @p reg. */
-    void
-    registerInto(OptionRegistry &reg)
-    {
-        reg.addOptional("--flows", "PATH",
-                        "attach the flow probe (flow matrix + congestion "
-                        "blame); =PATH also writes the flow-matrix CSV",
-                        &flows, &csv);
-        reg.add("--flow-sample", "N",
-                "retain Chrome-trace flow spans for every Nth packet id "
-                "(implies --flows)",
-                &sample);
-    }
-
-    bool
-    enabled() const
-    {
-        return flows || csv != nullptr || sample > 0;
-    }
-
-    /** Resolve implications; fail fast on bad strides / unwritable
-     * paths. Call once, after parse(). */
-    bool
-    validate()
-    {
-        flows = enabled();
-        if (sample < 0) {
-            std::fprintf(stderr, "error: --flow-sample must be >= 0\n");
-            return false;
-        }
-        return validateOutputPaths({ csv });
-    }
-
-    /** Add the requested flow probe to an instrumentation bundle. */
-    void
-    addTo(Instrumentation &inst) const
-    {
-        if (!enabled())
-            return;
-        FlowProbeConfig cfg;
-        cfg.sample = static_cast<std::uint64_t>(sample);
-        inst.flows = cfg;
-    }
-
-    /** Write the flow-matrix CSV when a path was given. */
-    void
-    write(Machine &m) const
-    {
-        if (csv != nullptr && m.flows() != nullptr) {
-            writeFile(csv, m.flowMatrixCsv());
-            std::printf("Flow matrix CSV written to %s\n", csv);
-        }
-    }
-};
-
-/**
- * Shared windowed time-series flags for the figure benches:
- *   --timeseries          enable the interval sampler
- *   --window <N>          sampling window in cycles (default 1024)
- *   --heatmap <path>      write the per-link congestion heatmap CSV
- *                         (implies --timeseries)
- *   --auto-steady         detect steady state online and reset the
- *                         metrics registry at convergence (implies
- *                         --timeseries)
- *   --warmup <N>          fixed warmup: reset metrics at the first
- *                         window boundary >= cycle N (N > 0 implies
- *                         --timeseries)
- *   --progress            live stderr progress line (cycle, Mcyc/s)
- * Paths are validated before any simulation time is spent.
- */
-struct TimeseriesOptions
-{
-    bool timeseries = false;
-    long window = 1024;
+    const char *flows_csv = nullptr;
+    long flow_sample = 0;
+    bool timeseries = false, auto_steady = false, progress = false;
+    long window = 1024, warmup = 0;
     const char *heatmap = nullptr;
-    bool auto_steady = false;
-    bool progress = false;
-    long warmup = 0;
+    long audit = 0, watchdog = 0, stall_threshold = 20000;
+    const char *snapshot = nullptr, *snapshot_dot = nullptr;
+    const char *fault = nullptr;
+    bool host_profile = false;
+    const char *host_timeline = nullptr;
+    long host_profile_sample = 16;
+    const char *metrics_level = nullptr, *report = nullptr;
+    long topk = 8;
+    const char *checkpoint_in = nullptr, *checkpoint_out = nullptr;
+};
 
-    /** Declare the shared time-series flags on @p reg. */
-    void
-    registerInto(OptionRegistry &reg)
-    {
-        reg.add("--timeseries", "enable the interval sampler",
-                &timeseries);
-        reg.add("--window", "N", "sampling window in cycles (default 1024)",
-                &window);
-        reg.add("--heatmap", "PATH",
-                "write the per-link congestion heatmap CSV "
-                "(implies --timeseries)",
-                &heatmap);
-        reg.add("--auto-steady",
-                "detect steady state online and reset metrics at "
-                "convergence (implies --timeseries)",
-                &auto_steady);
-        reg.add("--warmup", "N",
-                "fixed warmup: reset metrics at cycle N (implies "
-                "--timeseries)",
-                &warmup);
-        reg.add("--progress", "live stderr progress line (cycle, Mcyc/s)",
-                &progress);
-    }
+/** The --snapshot / --snapshot-dot export: the watchdog's trip snapshot
+ * when it fired, else an end-of-run snapshot. */
+inline MachineSnapshot
+finalSnapshot(Machine &m)
+{
+    if (m.audit() != nullptr && m.audit()->tripped())
+        return *m.audit()->tripSnapshot();
+    return m.dumpSnapshot("end_of_run");
+}
 
-    bool enabled() const { return timeseries; }
+/** One shared flag: where its value lives and what it means. */
+struct SharedFlag
+{
+    const char *name = nullptr;
+    const char *placeholder = nullptr; ///< --help value; null = a switch
+    const char *help = nullptr;
+    unsigned group = 0; ///< its FlagGroup
+    long FlagValues::*num = nullptr;         ///< a numeric value
+    const char *FlagValues::*text = nullptr; ///< a string / PATH value
+    bool FlagValues::*on = nullptr; ///< a switch; with text, `--x[=PATH]`
+    long lo = 0, hi = LONG_MAX;     ///< numeric range [lo, hi]
+    Layer implies = Layer::None; ///< the layer it switches on when set
+    bool output = false;         ///< a PATH probed for writing up front
+    /** What writeOutputs() writes to the PATH, and its label. */
+    std::string (*exporter)(Machine &) = nullptr;
+    const char *what = nullptr;
+};
 
-    /** Resolve flag implications; fail fast on unwritable paths /
-     * nonsense windows. Call once, after parse(). */
-    bool
-    validate()
-    {
-        timeseries =
-            timeseries || heatmap != nullptr || auto_steady || warmup > 0;
-        if (window < 1) {
-            std::fprintf(stderr, "error: --window must be >= 1\n");
-            return false;
-        }
-        if (warmup < 0) {
-            std::fprintf(stderr, "error: --warmup must be >= 0\n");
-            return false;
-        }
-        return validateOutputPaths({ heatmap });
-    }
-
-    /** Add the requested sampling/progress to an instrumentation
-     * bundle. */
-    void
-    addTo(Instrumentation &inst) const
-    {
-        if (timeseries) {
-            TimeseriesConfig cfg;
-            cfg.window = static_cast<Cycle>(window);
-            cfg.auto_steady = auto_steady;
-            cfg.warmup_reset = static_cast<Cycle>(warmup);
-            inst.timeseries = cfg;
-        }
-        if (progress)
-            inst.progress = ProgressMeter::Config{};
-    }
-
-    /** Write the heatmap CSV and terminate the progress line. */
-    void
-    write(Machine &m) const
-    {
-        if (m.progress() != nullptr)
-            m.progress()->finish();
-        if (heatmap != nullptr && m.timeseries() != nullptr) {
-            writeFile(heatmap, m.heatmapCsv());
-            std::printf("Heatmap CSV written to %s\n", heatmap);
-        }
-    }
+/** Every shared flag, in --help order. */
+inline constexpr SharedFlag kSharedFlags[] = {
+    { .name = "--threads", .placeholder = "N",
+      .help = "engine worker threads (results are bit-identical at any count)",
+      .group = kGroupThreads, .num = &FlagValues::threads, .lo = 1 },
+    { .name = "--lookahead", .placeholder = "N",
+      .help = "cycles per barrier window: 0 = auto (min torus link latency), "
+              "1 = per-cycle barriers (default)",
+      .group = kGroupLookahead, .num = &FlagValues::lookahead },
+    { .name = "--trace", .placeholder = "PATH",
+      .help = "write Chrome trace-event JSON (Perfetto loadable)",
+      .group = kGroupTrace, .text = &FlagValues::trace,
+      .implies = Layer::Trace, .output = true,
+      .exporter = [](Machine &m) { return m.traceChromeJson(); },
+      .what = "Chrome trace" },
+    { .name = "--trace-csv", .placeholder = "PATH",
+      .help = "write the per-packet flight-record CSV",
+      .group = kGroupTrace, .text = &FlagValues::trace_csv,
+      .implies = Layer::Trace, .output = true,
+      .exporter = [](Machine &m) { return m.traceFlightCsv(); },
+      .what = "Flight record" },
+    { .name = "--trace-sample", .placeholder = "N",
+      .help = "record every Nth packet id (default 1)",
+      .group = kGroupTrace, .num = &FlagValues::trace_sample, .lo = 1 },
+    { .name = "--flows", .placeholder = "PATH",
+      .help = "attach the flow probe (flow matrix + congestion blame); =PATH "
+              "also writes the flow-matrix CSV",
+      .group = kGroupFlows, .text = &FlagValues::flows_csv,
+      .on = &FlagValues::flows, .implies = Layer::Flows, .output = true,
+      .exporter = [](Machine &m) { return m.flowMatrixCsv(); },
+      .what = "Flow matrix CSV" },
+    { .name = "--flow-sample", .placeholder = "N",
+      .help = "retain Chrome-trace flow spans for every Nth packet id "
+              "(implies --flows)",
+      .group = kGroupFlows, .num = &FlagValues::flow_sample,
+      .implies = Layer::Flows },
+    { .name = "--timeseries",
+      .help = "enable the interval sampler",
+      .group = kGroupTimeseries, .on = &FlagValues::timeseries,
+      .implies = Layer::Sampler },
+    { .name = "--window", .placeholder = "N",
+      .help = "sampling window in cycles (default 1024)",
+      .group = kGroupTimeseries, .num = &FlagValues::window, .lo = 1 },
+    { .name = "--heatmap", .placeholder = "PATH",
+      .help = "write the per-link congestion heatmap CSV (implies "
+              "--timeseries)",
+      .group = kGroupTimeseries, .text = &FlagValues::heatmap,
+      .implies = Layer::Sampler, .output = true,
+      .exporter = [](Machine &m) { return m.heatmapCsv(); },
+      .what = "Heatmap CSV" },
+    { .name = "--auto-steady",
+      .help = "detect steady state online and reset metrics at convergence "
+              "(implies --timeseries)",
+      .group = kGroupTimeseries, .on = &FlagValues::auto_steady,
+      .implies = Layer::Sampler },
+    { .name = "--warmup", .placeholder = "N",
+      .help = "fixed warmup: reset metrics at cycle N (implies --timeseries)",
+      .group = kGroupTimeseries, .num = &FlagValues::warmup,
+      .implies = Layer::Sampler },
+    { .name = "--progress",
+      .help = "live stderr progress line (cycle, Mcyc/s)",
+      .group = kGroupTimeseries, .on = &FlagValues::progress,
+      .implies = Layer::Progress },
+    { .name = "--audit", .placeholder = "N",
+      .help = "run the invariant audit every N cycles",
+      .group = kGroupAudit, .num = &FlagValues::audit,
+      .implies = Layer::Audit },
+    { .name = "--watchdog", .placeholder = "N",
+      .help = "probe forward progress every N cycles",
+      .group = kGroupAudit, .num = &FlagValues::watchdog,
+      .implies = Layer::Audit },
+    { .name = "--stall-threshold", .placeholder = "N",
+      .help = "ejection-stall trip point in cycles (default 20000)",
+      .group = kGroupAudit, .num = &FlagValues::stall_threshold, .lo = 1 },
+    { .name = "--snapshot", .placeholder = "PATH",
+      .help = "write a forensic snapshot JSON (implies --watchdog)",
+      .group = kGroupAudit, .text = &FlagValues::snapshot,
+      .implies = Layer::Watchdog, .output = true,
+      .exporter = [](Machine &m) { return snapshotJson(finalSnapshot(m)); },
+      .what = "Snapshot JSON" },
+    { .name = "--snapshot-dot", .placeholder = "PATH",
+      .help = "write the snapshot's waits-for graph as Graphviz DOT (implies "
+              "--watchdog)",
+      .group = kGroupAudit, .text = &FlagValues::snapshot_dot,
+      .implies = Layer::Watchdog, .output = true,
+      .exporter = [](Machine &m) { return waitsForDot(finalSnapshot(m)); },
+      .what = "Waits-for DOT" },
+    { .name = "--fault", .placeholder = "NAME",
+      .help = "arm a seeded negative-control fault: withhold-credit or "
+              "no-promotion (implies --watchdog)",
+      .group = kGroupAudit, .text = &FlagValues::fault,
+      .implies = Layer::Watchdog },
+    { .name = "--host-profile", .placeholder = "PATH",
+      .help = "profile the engine host loop; =PATH also writes a Chrome-trace "
+              "host timeline",
+      .group = kGroupHostProfile, .text = &FlagValues::host_timeline,
+      .on = &FlagValues::host_profile, .implies = Layer::Profile,
+      .output = true,
+      .exporter = [](Machine &m) { return m.hostTimelineChromeJson(); },
+      .what = "Host timeline" },
+    { .name = "--host-profile-sample", .placeholder = "N",
+      .help = "attribute component classes every Nth window (default 16)",
+      .group = kGroupHostProfile, .num = &FlagValues::host_profile_sample,
+      .lo = 1 },
+    { .name = "--metrics-level", .placeholder = "LEVEL",
+      .help = "telemetry granularity: machine, chip, router, or full (default "
+              "full)",
+      .group = kGroupReport, .text = &FlagValues::metrics_level },
+    { .name = "--report", .placeholder = "PATH",
+      .help = "write the single-artifact run report JSON (implies metrics)",
+      .group = kGroupReport, .text = &FlagValues::report,
+      .implies = Layer::Metrics, .output = true },
+    { .name = "--topk", .placeholder = "N",
+      .help = "hot-spot digest size (default 8)",
+      .group = kGroupReport, .num = &FlagValues::topk, .lo = 1 },
+    { .name = "--checkpoint-in", .placeholder = "PATH",
+      .help = "restore the machine from a checkpoint before simulating",
+      .group = kGroupCheckpoint, .text = &FlagValues::checkpoint_in },
+    { .name = "--checkpoint-out", .placeholder = "PATH",
+      .help = "write a checkpoint (at --auto-steady convergence, else at end "
+              "of run)",
+      .group = kGroupCheckpoint, .text = &FlagValues::checkpoint_out,
+      .output = true },
 };
 
 /**
- * Shared runtime-auditor flags for the figure benches:
- *   --audit <N>           run the invariant audit every N cycles
- *   --watchdog <N>        probe forward progress every N cycles
- *   --stall-threshold <N> ejection-stall trip point in cycles
- *                         (default 20000)
- *   --snapshot <path>     write a forensic snapshot JSON: the watchdog's
- *                         trip snapshot if it fired, else an end-of-run
- *                         snapshot (implies --watchdog)
- *   --snapshot-dot <path> the same snapshot's waits-for graph as
- *                         Graphviz DOT (implies --watchdog)
- *   --fault <name>        arm a seeded negative-control fault before
- *                         simulating: `withhold-credit` (node 0 drops
- *                         every credit returning on its X+ slice-0 link)
- *                         or `no-promotion` (the node at the X dateline
- *                         skips VC promotion on its X+ slice-0 egress)
- * Paths are validated before any simulation time is spent.
+ * The shared flags and the one pass that turns them into a run:
+ * registerInto() the groups a bench honors, validate() once after
+ * parse, configure() the MachineConfig and RunSpec, attach
+ * instrumentation(), and writeOutputs() / writeReport() at the end.
  */
-struct AuditOptions
+class SharedFlags : public FlagValues
 {
-    long audit = 0;
-    long watchdog = 0;
-    long stall_threshold = 20000;
-    const char *snapshot = nullptr;
-    const char *snapshot_dot = nullptr;
-    const char *fault = nullptr;
-
-    /** Declare the shared auditor flags on @p reg. */
+  public:
+    /** Declare every flag of @p groups (FlagGroup bits) on @p reg. */
     void
-    registerInto(OptionRegistry &reg)
+    registerInto(OptionRegistry &reg, unsigned groups)
     {
-        reg.add("--audit", "N", "run the invariant audit every N cycles",
-                &audit);
-        reg.add("--watchdog", "N", "probe forward progress every N cycles",
-                &watchdog);
-        reg.add("--stall-threshold", "N",
-                "ejection-stall trip point in cycles (default 20000)",
-                &stall_threshold);
-        reg.add("--snapshot", "PATH",
-                "write a forensic snapshot JSON (implies --watchdog)",
-                &snapshot);
-        reg.add("--snapshot-dot", "PATH",
-                "write the snapshot's waits-for graph as Graphviz DOT "
-                "(implies --watchdog)",
-                &snapshot_dot);
-        reg.add("--fault", "NAME",
-                "arm a seeded negative-control fault: withhold-credit or "
-                "no-promotion (implies --watchdog)",
-                &fault);
+        for (const SharedFlag &f : kSharedFlags) {
+            if ((f.group & groups) == 0)
+                continue;
+            if (f.num != nullptr)
+                reg.add(f.name, f.placeholder, f.help, &(this->*f.num),
+                        f.lo, f.hi);
+            else if (f.on != nullptr && f.text != nullptr)
+                reg.addOptional(f.name, f.placeholder, f.help,
+                                &(this->*f.on), &(this->*f.text));
+            else if (f.text != nullptr)
+                reg.add(f.name, f.placeholder, f.help, &(this->*f.text));
+            else
+                reg.add(f.name, f.help, &(this->*f.on));
+        }
     }
 
-    bool enabled() const { return audit > 0 || watchdog > 0; }
-
-    /** Resolve flag implications; fail fast on unwritable paths / bad
-     * cadences / unknown faults. Call once, after parse(). */
+    /**
+     * Check ranges and names, resolve implications, check that
+     * --checkpoint-in is a checkpoint, then probe every output path
+     * (reporting all unwritable ones). Call once, after parse(); false
+     * = do not simulate.
+     */
     bool
     validate()
     {
-        // A requested snapshot or fault without an explicit cadence still
-        // needs the watchdog armed to classify and capture the wedge.
-        if ((snapshot != nullptr || snapshot_dot != nullptr
-             || fault != nullptr)
-            && watchdog == 0) {
-            watchdog = 1024;
+        for (const SharedFlag &f : kSharedFlags) {
+            if (f.num != nullptr
+                && !checkRange(f.name, this->*f.num, f.lo, f.hi))
+                return false;
+            if (f.implies != Layer::None && isSet(f))
+                layers_ |= 1u << static_cast<unsigned>(f.implies);
         }
-        if (audit < 0 || watchdog < 0 || stall_threshold < 1) {
-            std::fprintf(stderr,
-                         "error: --audit/--watchdog must be >= 0 and "
-                         "--stall-threshold >= 1\n");
+        if (metrics_level != nullptr
+            && !parseMetricsLevel(metrics_level, level_)) {
+            std::fprintf(stderr, "error: --metrics-level must be machine, "
+                                 "chip, router, or full\n");
             return false;
         }
         if (fault != nullptr && std::strcmp(fault, "withhold-credit") != 0
             && std::strcmp(fault, "no-promotion") != 0) {
-            std::fprintf(stderr,
-                         "error: --fault must be withhold-credit or "
-                         "no-promotion\n");
+            std::fprintf(stderr, "error: --fault must be withhold-credit "
+                                 "or no-promotion\n");
             return false;
         }
-        return validateOutputPaths({ snapshot, snapshot_dot });
+        // A snapshot or fault without an explicit cadence still needs the
+        // watchdog armed to classify and capture the wedge.
+        if (enabled(Layer::Watchdog)) {
+            if (watchdog == 0)
+                watchdog = 1024;
+            layers_ |= 1u << static_cast<unsigned>(Layer::Audit);
+        }
+        // The input is checked before any output path is probed.
+        if (checkpoint_in != nullptr) {
+            try {
+                checkCheckpointFile(checkpoint_in);
+            } catch (const CheckpointError &e) {
+                std::fprintf(stderr, "error: %s\n", e.what());
+                return false;
+            }
+        }
+        bool ok = true;
+        for (const SharedFlag &f : kSharedFlags) {
+            if (f.output && this->*f.text != nullptr)
+                ok = probeWritable(this->*f.text) && ok;
+        }
+        return ok;
     }
 
-    /** Add the requested fault and auditor to an instrumentation
-     * bundle (@p geom locates the dateline node for no-promotion). */
-    void
-    addTo(Instrumentation &inst, const TorusGeom &geom) const
+    /** Whether @p layer is on (valid after validate()). */
+    bool
+    enabled(Layer layer) const
     {
+        return (layers_ >> static_cast<unsigned>(layer)) & 1u;
+    }
+
+    /** Whether any layer or checkpoint I/O was requested. */
+    bool
+    requested() const
+    {
+        return layers_ != 0 || checkpoint_in != nullptr
+               || checkpoint_out != nullptr;
+    }
+
+    /** Set the worker count and lookahead window. */
+    void
+    configure(MachineConfig &cfg) const
+    {
+        cfg.threads = static_cast<int>(threads);
+        cfg.lookahead = static_cast<Cycle>(lookahead);
+    }
+
+    /** Thread the requested checkpoint I/O into a run. */
+    void
+    configure(RunSpec &spec) const
+    {
+        if (checkpoint_in != nullptr)
+            spec.checkpoint_in = checkpoint_in;
+        if (checkpoint_out != nullptr)
+            spec.checkpoint_out = checkpoint_out;
+    }
+
+    /** The bundle of every requested layer and fault (@p geom locates
+     * the dateline node for no-promotion). */
+    Instrumentation
+    instrumentation(const TorusGeom &geom) const
+    {
+        Instrumentation inst;
+        inst.metrics = enabled(Layer::Metrics);
+        inst.metrics_level = level_;
+        if (enabled(Layer::Trace))
+            inst.trace = TraceConfig{
+                .sample = static_cast<std::uint64_t>(trace_sample) };
+        if (enabled(Layer::Flows))
+            inst.flows = FlowProbeConfig{
+                .sample = static_cast<std::uint64_t>(flow_sample) };
+        if (enabled(Layer::Sampler)) {
+            inst.timeseries.emplace();
+            inst.timeseries->window = static_cast<Cycle>(window);
+            inst.timeseries->auto_steady = auto_steady;
+            inst.timeseries->warmup_reset = static_cast<Cycle>(warmup);
+        }
+        if (enabled(Layer::Progress))
+            inst.progress = ProgressMeter::Config{};
+        if (enabled(Layer::Profile))
+            inst.host_profile = EngineProfileConfig{
+                .sample_every = static_cast<Cycle>(host_profile_sample) };
+        if (enabled(Layer::Audit))
+            inst.audit = AuditConfig{
+                .audit_interval = static_cast<Cycle>(audit),
+                .watchdog_interval = static_cast<Cycle>(watchdog),
+                .stall_threshold = static_cast<Cycle>(stall_threshold) };
         if (fault != nullptr) {
-            NetworkFault f;
-            if (std::strcmp(fault, "withhold-credit") == 0) {
-                f.kind = NetworkFault::Kind::WithholdTorusCredits;
-                f.node = 0;
-            } else {
+            NetworkFault f; // the default: withhold-credit at node 0
+            if (std::strcmp(fault, "no-promotion") == 0) {
                 f.kind = NetworkFault::Kind::NoDatelinePromotion;
                 // The dateline sits between coordinates k-1 and 0, so the
                 // node at x = k-1 is the one whose X+ egress must promote.
@@ -477,270 +476,38 @@ struct AuditOptions
             }
             inst.faults.push_back(f);
         }
-        if (!enabled())
-            return;
-        AuditConfig cfg;
-        cfg.audit_interval = static_cast<Cycle>(audit);
-        cfg.watchdog_interval = static_cast<Cycle>(watchdog);
-        cfg.stall_threshold = static_cast<Cycle>(stall_threshold);
-        inst.audit = cfg;
+        return inst;
     }
 
-    /** Write the snapshot JSON / DOT (trip snapshot when tripped). */
+    /** Write every requested export of @p m, each followed by its
+     * `... written to PATH` line, and end the progress line. */
     void
-    write(Machine &m) const
+    writeOutputs(Machine &m) const
     {
-        if (snapshot == nullptr && snapshot_dot == nullptr)
-            return;
-        MachineSnapshot snap;
-        if (m.audit() != nullptr && m.audit()->tripped())
-            snap = *m.audit()->tripSnapshot();
-        else
-            snap = m.dumpSnapshot("end_of_run");
-        if (snapshot != nullptr) {
-            writeFile(snapshot, snapshotJson(snap));
-            std::printf("Snapshot JSON written to %s\n", snapshot);
+        if (m.progress() != nullptr)
+            m.progress()->finish();
+        for (const SharedFlag &f : kSharedFlags) {
+            const char *path =
+                f.exporter != nullptr ? this->*f.text : nullptr;
+            if (path == nullptr)
+                continue;
+            writeFile(path, f.exporter(m));
+            std::printf("%s written to %s\n", f.what, path);
         }
-        if (snapshot_dot != nullptr) {
-            writeFile(snapshot_dot, waitsForDot(snap));
-            std::printf("Waits-for DOT written to %s\n", snapshot_dot);
-        }
-        if (m.audit() != nullptr && m.audit()->tripped()) {
-            std::fprintf(stderr, "warning: watchdog tripped (%s) at cycle "
-                                 "%llu\n",
+        if ((snapshot != nullptr || snapshot_dot != nullptr)
+            && m.audit() != nullptr && m.audit()->tripped()) {
+            std::fprintf(stderr,
+                         "warning: watchdog tripped (%s) at cycle %llu\n",
                          m.audit()->tripSnapshot()->verdict.c_str(),
                          static_cast<unsigned long long>(
                              m.audit()->tripSnapshot()->now));
         }
     }
-};
 
-/**
- * Shared engine self-profiling flags for the Machine-driving benches:
- *   --host-profile[=PATH]      profile the lookahead-window engine loop
- *                              (per-lane tick / barrier-wait / serial
- *                              replay seconds, straggler shard, sampled
- *                              component-class attribution). With =PATH,
- *                              also write a Chrome-trace host timeline
- *                              (workers as tids, windows as slices).
- *   --host-profile-sample <N>  attribute shards/component classes every
- *                              Nth window (default 16; 1 = every window)
- * Profiling only reads the host clock and writes its own buffers, so
- * every deterministic export stays byte-identical with it on or off.
- * The timeline path must be attached with `=` (it is optional).
- */
-struct HostProfileOptions
-{
-    bool enabled = false;
-    const char *timeline = nullptr;
-    long sample_every = 16;
-
-    /** Declare the shared profiling flags on @p reg. */
-    void
-    registerInto(OptionRegistry &reg)
-    {
-        reg.addOptional("--host-profile", "PATH",
-                        "profile the engine host loop; =PATH also writes "
-                        "a Chrome-trace host timeline",
-                        &enabled, &timeline);
-        reg.add("--host-profile-sample", "N",
-                "attribute component classes every Nth window "
-                "(default 16)",
-                &sample_every);
-    }
-
-    /** Resolve implications (a timeline path implies profiling); fail
-     * fast on bad cadences / unwritable paths. Call after parse(). */
-    bool
-    validate()
-    {
-        enabled = enabled || timeline != nullptr;
-        if (sample_every < 1) {
-            std::fprintf(stderr,
-                         "error: --host-profile-sample must be >= 1\n");
-            return false;
-        }
-        return validateOutputPaths({ timeline });
-    }
-
-    /** Add the requested profiling to an instrumentation bundle. */
-    void
-    addTo(Instrumentation &inst) const
-    {
-        if (!enabled)
-            return;
-        EngineProfileConfig cfg;
-        cfg.sample_every = static_cast<Cycle>(sample_every);
-        inst.host_profile = cfg;
-    }
-
-    /** Write the Chrome-trace host timeline when a path was given. */
-    void
-    write(Machine &m) const
-    {
-        if (timeline != nullptr && m.hostProfile() != nullptr) {
-            writeFile(timeline, m.hostTimelineChromeJson());
-            std::printf("Host timeline written to %s\n", timeline);
-        }
-    }
-};
-
-/** A host timeline is one run's worth of window slices: benches that
- * measure several configurations back to back (bench_host_speed's
- * thread sweep) would overwrite it with whichever run finished last.
- * Gate on the measured-run count; false = refuse to simulate. */
-inline bool
-validateTimelineSingleRun(const HostProfileOptions &hp,
-                          std::size_t run_count)
-{
-    if (hp.timeline != nullptr && run_count != 1) {
-        std::fprintf(stderr,
-                     "error: --host-profile=PATH writes one run's "
-                     "timeline; measure a single thread count "
-                     "(--threads-list N)\n");
-        return false;
-    }
-    return true;
-}
-
-/**
- * Shared checkpoint flags for the Machine-driving benches:
- *   --checkpoint-out PATH  write a machine checkpoint: at steady-state
- *                          convergence when --auto-steady is on (the
- *                          warm-start image the batch runner forks
- *                          from), else at the end of the run
- *   --checkpoint-in PATH   restore the machine from a checkpoint before
- *                          simulating; the run report's
- *                          `run.checkpoint` section records the source
- *                          path and fork cycle
- * Only the benches that honor them (fig9, fig11) register these, and
- * they thread them into the RunSpec of their final measured run. The
- * input must be a checkpoint of this format before any output path is
- * probed; a restore that fails later (another configuration's image, or
- * a corrupted one) ends the bench with `error: checkpoint: ...`, exit 1.
- */
-struct CheckpointOptions
-{
-    const char *in = nullptr;
-    const char *out = nullptr;
-
-    /** Declare the shared checkpoint flags on @p reg. */
-    void
-    registerInto(OptionRegistry &reg)
-    {
-        reg.add("--checkpoint-in", "PATH",
-                "restore the machine from a checkpoint before simulating",
-                &in);
-        reg.add("--checkpoint-out", "PATH",
-                "write a checkpoint (at --auto-steady convergence, else "
-                "at end of run)",
-                &out);
-    }
-
-    bool enabled() const { return in != nullptr || out != nullptr; }
-
-    /** Fail fast on an input that is not a readable checkpoint of this
-     * format (checked first, so a bad input leaves no probed output
-     * behind) and on an unwritable output path. */
-    bool
-    validate() const
-    {
-        if (in != nullptr) {
-            try {
-                checkCheckpointFile(in);
-            } catch (const CheckpointError &e) {
-                std::fprintf(stderr, "error: %s\n", e.what());
-                return false;
-            }
-        }
-        return validateOutputPaths({ out });
-    }
-
-    /** Thread the requested checkpoint I/O into a run spec. */
-    void
-    addTo(RunSpec &spec) const
-    {
-        if (in != nullptr)
-            spec.checkpoint_in = in;
-        if (out != nullptr)
-            spec.checkpoint_out = out;
-    }
-};
-
-/**
- * Shared run-report flags for the figure benches:
- *   --metrics-level LEVEL  telemetry granularity: machine, chip, router,
- *                          or full (default full). `machine` keeps the
- *                          registry O(chips) on an 8x8x8 run; rollups
- *                          and the hot-spot digest stay byte-identical
- *                          at every level.
- *   --report PATH          write the single-artifact run report JSON
- *                          (implies metrics)
- *   --topk N               hot-spot digest size (default 8)
- * The report merges bench config, the Machine's deterministic body
- * (rollups, digest, steady state, time series, audit verdict), the
- * bench's own results (table rows, fits), and the Machine's host
- * section; the host section is the LAST key, so byte-comparisons
- * across thread counts stop at `"host":`. Paths are validated before
- * simulating.
- */
-struct ReportOptions
-{
-    const char *level_name = nullptr;
-    const char *report = nullptr;
-    long topk = 8;
-    MetricsLevel level = MetricsLevel::Full;
-
-    /** Declare the shared report flags on @p reg. */
-    void
-    registerInto(OptionRegistry &reg)
-    {
-        reg.add("--metrics-level", "LEVEL",
-                "telemetry granularity: machine, chip, router, or full "
-                "(default full)",
-                &level_name);
-        reg.add("--report", "PATH",
-                "write the single-artifact run report JSON (implies "
-                "metrics)",
-                &report);
-        reg.add("--topk", "N", "hot-spot digest size (default 8)", &topk);
-    }
-
-    bool enabled() const { return report != nullptr; }
-
-    /** Parse the level, fail fast on bad values / unwritable paths. */
-    bool
-    validate()
-    {
-        if (level_name != nullptr
-            && !parseMetricsLevel(level_name, level)) {
-            std::fprintf(stderr,
-                         "error: --metrics-level must be machine, chip, "
-                         "router, or full\n");
-            return false;
-        }
-        if (topk < 1) {
-            std::fprintf(stderr, "error: --topk must be >= 1\n");
-            return false;
-        }
-        return validateOutputPaths({ report });
-    }
-
-    /** Contribute to an instrumentation bundle: the level always (it
-     * only takes effect when metrics engage), metrics when a report
-     * was requested. */
-    void
-    addTo(Instrumentation &inst) const
-    {
-        inst.metrics_level = level;
-        if (report != nullptr)
-            inst.metrics = true;
-    }
-
-    /** The deterministic report body ("" when --report is off). Call on
-     * the probe Machine before it is destroyed. */
+    /** The deterministic report body ("" when --report is off). Call
+     * on the probe Machine before it is destroyed. */
     std::string
-    bodyJson(Machine &m) const
+    reportBody(Machine &m) const
     {
         return report != nullptr
                    ? m.runReportJson(static_cast<std::size_t>(topk))
@@ -759,9 +526,9 @@ struct ReportOptions
      * false (with an error) when no run produced a report body.
      */
     bool
-    write(const char *bench_name, const std::string &config_json,
-          const std::string &body, const std::string &results_json,
-          const std::string &host_json) const
+    writeReport(const char *bench_name, const std::string &config_json,
+                const std::string &body, const std::string &results_json,
+                const std::string &host_json) const
     {
         if (report == nullptr)
             return true;
@@ -785,109 +552,37 @@ struct ReportOptions
         std::printf("Run report written to %s\n", report);
         return true;
     }
-};
 
-/**
- * The full shared option set for a Machine-driving bench: `--threads`
- * plus the tracing / time-series / auditor / report groups. One
- * registerInto() declares every shared flag, one validate() resolves
- * implications and fail-fasts, and one apply() configures a Machine
- * through the unified Machine::attachInstrumentation() call.
- */
-struct RunOptions
-{
-    long threads = 1;
-    long lookahead = 1;
-    TraceOptions trace;
-    FlowOptions flows;
-    TimeseriesOptions ts;
-    AuditOptions audit;
-    HostProfileOptions host_profile;
-    ReportOptions report;
-
-    void
-    registerInto(OptionRegistry &reg)
-    {
-        reg.add("--threads", "N",
-                "engine worker threads (results are bit-identical at "
-                "any count)",
-                &threads);
-        reg.add("--lookahead", "N",
-                "cycles per barrier window: 0 = auto (min torus link "
-                "latency), 1 = per-cycle barriers (default)",
-                &lookahead);
-        trace.registerInto(reg);
-        flows.registerInto(reg);
-        ts.registerInto(reg);
-        audit.registerInto(reg);
-        host_profile.registerInto(reg);
-        report.registerInto(reg);
-    }
-
-    /** Resolve implications and fail fast; call once after parse(). */
+  private:
+    /** A flag is set when it is true, names a path, or is > 0. */
     bool
-    validate()
+    isSet(const SharedFlag &f) const
     {
-        if (threads < 1) {
-            std::fprintf(stderr, "error: --threads must be >= 1\n");
-            return false;
-        }
-        if (lookahead < 0) {
-            std::fprintf(stderr, "error: --lookahead must be >= 0\n");
-            return false;
-        }
-        return trace.validate() && flows.validate() && ts.validate()
-               && audit.validate() && host_profile.validate()
-               && report.validate();
+        if (f.num != nullptr)
+            return this->*f.num > 0;
+        return (f.on != nullptr && this->*f.on)
+               || (f.text != nullptr && this->*f.text != nullptr);
     }
 
-    /** The bundle every requested option group contributes to. */
-    Instrumentation
-    instrumentation(const Machine &m, bool metrics = false) const
-    {
-        Instrumentation inst;
-        inst.metrics = metrics;
-        trace.addTo(inst);
-        flows.addTo(inst);
-        ts.addTo(inst);
-        audit.addTo(inst, m.geom());
-        host_profile.addTo(inst);
-        report.addTo(inst);
-        return inst;
-    }
-
-    /** Configure @p m: worker count, lookahead window, and one
-     * attachInstrumentation(). Window before instrumentation: tracing
-     * and sampling may truncate or disable parts of the window. */
-    void
-    apply(Machine &m, bool metrics = false) const
-    {
-        m.setThreads(static_cast<int>(threads));
-        m.setLookahead(static_cast<Cycle>(lookahead));
-        m.attachInstrumentation(instrumentation(m, metrics));
-    }
-
-    /** Write every requested export of @p m (trace, heatmap, snapshot). */
-    void
-    writeOutputs(Machine &m) const
-    {
-        trace.write(m);
-        flows.write(m);
-        ts.write(m);
-        audit.write(m);
-        host_profile.write(m);
-    }
+    unsigned layers_ = 0;
+    MetricsLevel level_ = MetricsLevel::Full;
 };
 
-/** Render a possibly-NaN value for the text tables ("-" when empty). */
-inline std::string
-fmtOrDash(double x, const char *fmt = "%.1f")
+/** A host timeline is one run's worth of window slices: benches that
+ * measure several configurations back to back (bench_host_speed's
+ * thread sweep) would overwrite it with whichever run finished last.
+ * Gate on the measured-run count; false = refuse to simulate. */
+inline bool
+validateTimelineSingleRun(const SharedFlags &flags, std::size_t run_count)
 {
-    if (std::isnan(x))
-        return "-";
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), fmt, x);
-    return buf;
+    if (flags.host_timeline != nullptr && run_count != 1) {
+        std::fprintf(stderr,
+                     "error: --host-profile=PATH writes one run's "
+                     "timeline; measure a single thread count "
+                     "(--threads-list N)\n");
+        return false;
+    }
+    return true;
 }
 
 inline void

@@ -12,15 +12,18 @@
  *     long k = 8;
  *     const char *out = nullptr;
  *     bench::OptionRegistry reg("Figure N: what this bench reproduces");
- *     reg.add("--k", "N", "torus radix per dimension", &k);
+ *     reg.add("--k", "N", "torus radix per dimension", &k, 2);
  *     reg.add("--out", "PATH", "write the output here", &out);
  *     if (!reg.parse(argc, argv))
  *         return 1;
  *
  * `--help`/`-h` prints the generated usage text and exits successfully.
+ * A numeric flag may declare its valid range [lo, hi]; a value outside
+ * it fails the parse with `error: --k must be >= 2` (or `in [lo, hi]`).
  */
 #pragma once
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -28,6 +31,22 @@
 #include <vector>
 
 namespace anton2::bench {
+
+/** True when @p v lies in [@p lo, @p hi]; otherwise prints
+ * `error: NAME must be >= LO` (`must be in [LO, HI]` when bounded above)
+ * and returns false. */
+inline bool
+checkRange(const char *name, long v, long lo, long hi)
+{
+    if (v >= lo && v <= hi)
+        return true;
+    if (hi == LONG_MAX)
+        std::fprintf(stderr, "error: %s must be >= %ld\n", name, lo);
+    else
+        std::fprintf(stderr, "error: %s must be in [%ld, %ld]\n", name, lo,
+                     hi);
+    return false;
+}
 
 class OptionRegistry
 {
@@ -38,12 +57,13 @@ class OptionRegistry
     {
     }
 
-    /** Integer-valued option: `--name <VALUE>`. */
+    /** Integer-valued option: `--name <VALUE>`, valid in [lo, hi]. */
     void
     add(const char *name, const char *value_name, const char *help,
-        long *out)
+        long *out, long lo = LONG_MIN, long hi = LONG_MAX)
     {
-        opts_.push_back({ name, value_name, help, Kind::Long, out });
+        opts_.push_back(
+            { name, value_name, help, Kind::Long, out, nullptr, lo, hi });
     }
 
     /** Real-valued option: `--name <VALUE>`. */
@@ -67,15 +87,6 @@ class OptionRegistry
     add(const char *name, const char *help, bool *out)
     {
         opts_.push_back({ name, nullptr, help, Kind::Flag, out });
-    }
-
-    /** Repeatable string option: every `--name <VALUE>` appends to
-     * *out, in command-line order. */
-    void
-    add(const char *name, const char *value_name, const char *help,
-        std::vector<std::string> *out)
-    {
-        opts_.push_back({ name, value_name, help, Kind::StringList, out });
     }
 
     /**
@@ -106,8 +117,8 @@ class OptionRegistry
     /**
      * Parse argv against the registered options. Prints the generated
      * usage text and exits 0 on `--help`/`-h`; prints a diagnostic and
-     * returns false on an unknown flag, a missing value, or an
-     * unparseable number.
+     * returns false on an unknown flag, a missing value, an unparseable
+     * number, or a number outside its flag's range.
      */
     bool
     parse(int argc, char **argv)
@@ -206,7 +217,6 @@ class OptionRegistry
         Long,
         Double,
         String,
-        StringList, ///< repeatable; appends to a vector<string>
         Flag,
         OptionalString, ///< presence flag with optional `=VALUE`
     };
@@ -219,6 +229,8 @@ class OptionRegistry
         Kind kind;
         void *out;
         void *out2 = nullptr;   ///< OptionalString: the value slot
+        long lo = LONG_MIN;     ///< Long: valid range
+        long hi = LONG_MAX;
     };
 
     const Opt *
@@ -231,53 +243,39 @@ class OptionRegistry
         return nullptr;
     }
 
+    /** Store a Long, Double or String option's value. */
     bool
     store(const Opt &opt, const char *val) const
     {
-        char *end = nullptr;
-        switch (opt.kind) {
-          case Kind::Long:
-            *static_cast<long *>(opt.out) = std::strtol(val, &end, 10);
-            break;
-          case Kind::Double:
-            *static_cast<double *>(opt.out) = std::strtod(val, &end);
-            break;
-          case Kind::String:
+        if (opt.kind == Kind::String) {
             *static_cast<const char **>(opt.out) = val;
             return true;
-          case Kind::StringList:
-            static_cast<std::vector<std::string> *>(opt.out)
-                ->push_back(val);
-            return true;
-          case Kind::Flag:
-          case Kind::OptionalString:
-            return true;
         }
+        char *end = nullptr;
+        long n = 0;
+        if (opt.kind == Kind::Long)
+            *static_cast<long *>(opt.out) = n = std::strtol(val, &end, 10);
+        else
+            *static_cast<double *>(opt.out) = std::strtod(val, &end);
         if (end == val || *end != '\0') {
             std::fprintf(stderr, "error: %s expects a number, got '%s'\n",
                          opt.name, val);
             return false;
         }
-        return true;
+        return opt.kind != Kind::Long
+               || checkRange(opt.name, n, opt.lo, opt.hi);
     }
 
     static void
     printRow(const Opt &o)
     {
         std::string left = "  ";
-        left += o.name[0] != '\0' ? o.name : "";
+        left += o.name;
         if (o.value_name != nullptr) {
-            if (o.kind == Kind::OptionalString) {
-                left += "[=";
-                left += o.value_name;
-                left += "]";
-            } else {
-                if (!left.empty() && left != "  ")
-                    left += " ";
-                left += "<";
-                left += o.value_name;
-                left += ">";
-            }
+            const bool optional = o.kind == Kind::OptionalString;
+            left += optional ? "[=" : o.name[0] != '\0' ? " <" : "<";
+            left += o.value_name;
+            left += optional ? "]" : ">";
         }
         std::printf("%-26s %s\n", left.c_str(), o.help);
     }

@@ -7,7 +7,6 @@
  */
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "../bench/common.hpp"
@@ -21,43 +20,23 @@ using namespace anton2;
 int
 main(int argc, char **argv)
 {
-    // The runtime-auditor flags (--audit/--watchdog/--snapshot/...) are
-    // shared with the figure benches; see bench/common.hpp.
+    // The shared flags (--threads, --audit, --flows, ...) are declared
+    // once for every bench; see bench/common.hpp.
     const char *heatmap_path = nullptr;
-    long threads = 1;
-    long lookahead = 1;
-    bench::AuditOptions audit;
-    bench::FlowOptions flows;
-    bench::HostProfileOptions host_profile;
-    bench::CheckpointOptions ckpt;
+    bench::SharedFlags flags;
     bench::OptionRegistry reg(
         "Saturation study: open-loop injection sweep toward the analytic "
         "saturation point, plus equality-of-service beyond it");
-    reg.add("--threads", "N",
-            "engine worker threads (results are bit-identical at any "
-            "count)",
-            &threads);
-    reg.add("--lookahead", "N",
-            "cycles per barrier window: 0 = auto (min torus link "
-            "latency), 1 = per-cycle barriers (default)",
-            &lookahead);
-    audit.registerInto(reg);
-    flows.registerInto(reg);
-    host_profile.registerInto(reg);
-    ckpt.registerInto(reg);
+    flags.registerInto(reg, bench::kGroupThreads | bench::kGroupLookahead
+                                | bench::kGroupAudit | bench::kGroupFlows
+                                | bench::kGroupHostProfile
+                                | bench::kGroupCheckpoint);
     reg.addPositional("HEATMAP_CSV",
                       "path for the near-saturation congestion heatmap "
                       "CSV (written from the highest-load sweep point)",
                       &heatmap_path);
-    if (!reg.parse(argc, argv))
-        return 1;
-    if (threads < 1 || lookahead < 0) {
-        std::fprintf(stderr, "error: --threads must be >= 1 and "
-                             "--lookahead >= 0\n");
-        return 1;
-    }
-    if (!ckpt.validate() || !audit.validate() || !flows.validate()
-        || !host_profile.validate())
+    if (!reg.parse(argc, argv) || !flags.validate()
+        || (heatmap_path != nullptr && !bench::probeWritable(heatmap_path)))
         return 1;
 
     const std::vector<int> radix{ 4, 4, 4 };
@@ -70,8 +49,7 @@ main(int argc, char **argv)
     const ChipLayout layout(8, 3);
     LoadModel lm(geom, layout, chip_for_model, 1);
     Rng lrng(2);
-    const TorusGeom g2(radix);
-    UniformPattern uniform(g2);
+    UniformPattern uniform(geom);
     lm.addPattern(0, uniform, cores, 300, lrng);
     const double sat = lm.idealCoreThroughput(0);
     std::printf("predicted saturation: %.4f packets/cycle/core\n\n", sat);
@@ -85,22 +63,18 @@ main(int argc, char **argv)
         cfg.use_packaging = false;
         cfg.fixed_torus_latency = 20;
         cfg.seed = 3;
-        cfg.threads = static_cast<int>(threads);
-        cfg.lookahead = static_cast<Cycle>(lookahead);
+        flags.configure(cfg);
         Machine m(cfg);
         UniformPattern pat(m.geom());
 
         // Windowed sampling with online steady-state detection: the
         // reported warmup column is the detected end of the transient.
         // One bundle carries the sampler plus any requested auditing.
-        Instrumentation inst;
+        Instrumentation inst = flags.instrumentation(m.geom());
         TimeseriesConfig tcfg;
         tcfg.window = 250;
         tcfg.auto_steady = true;
         inst.timeseries = tcfg;
-        audit.addTo(inst, m.geom());
-        flows.addTo(inst);
-        host_profile.addTo(inst);
         m.attachInstrumentation(inst);
         IntervalSampler &sampler = *m.timeseries();
 
@@ -116,7 +90,7 @@ main(int argc, char **argv)
         // steady-state convergence; --checkpoint-in warm-starts there).
         RunSpec spec = RunSpec::forCycles(8000);
         if (frac == 1.0)
-            ckpt.addTo(spec);
+            flags.configure(spec);
         m.run(spec);
         const double per_core =
             static_cast<double>(m.totalDelivered())
@@ -136,20 +110,13 @@ main(int argc, char **argv)
                     per_core, warmup);
 
         if (frac == 1.0 && heatmap_path != nullptr) {
-            const std::string csv = m.heatmapCsv();
-            std::FILE *f = std::fopen(heatmap_path, "w");
-            if (f != nullptr) {
-                std::fwrite(csv.data(), 1, csv.size(), f);
-                std::fclose(f);
-                std::printf("\nheatmap CSV written to %s\n", heatmap_path);
-            } else {
-                std::fprintf(stderr, "cannot write %s\n", heatmap_path);
-            }
+            bench::writeFile(heatmap_path, m.heatmapCsv());
+            std::printf("\nheatmap CSV written to %s\n", heatmap_path);
         }
         if (frac == 1.0) {
-            audit.write(m);
-            flows.write(m); // highest-load sweep point's flow matrix
-            host_profile.write(m); // highest-load sweep point's timeline
+            // The highest-load sweep point's snapshot, flow matrix and
+            // host timeline.
+            flags.writeOutputs(m);
             if (m.audit() != nullptr) {
                 std::printf("audit: %llu passes, %llu violations\n",
                             static_cast<unsigned long long>(
@@ -172,8 +139,7 @@ main(int argc, char **argv)
         cfg.use_packaging = false;
         cfg.fixed_torus_latency = 20;
         cfg.seed = 3;
-        cfg.threads = static_cast<int>(threads);
-        cfg.lookahead = static_cast<Cycle>(lookahead);
+        flags.configure(cfg);
         Machine m(cfg);
         UniformPattern pat(m.geom());
 

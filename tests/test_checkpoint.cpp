@@ -320,9 +320,9 @@ TEST(Checkpoint, SteadyStateSaveLandsOnFirstCheckAfterConvergence)
 {
     // With an auto-steady sampler attached, checkpoint_out is written at
     // the first predicate check after the detector converges - the
-    // warm-start image batch sweeps fork from - not at run end. The
-    // check stride (300) differs from the sampling window (250), so the
-    // save cycle pins the check cadence, not the sampler's.
+    // warm-start image --checkpoint-in runs resume from - not at run
+    // end. The check stride (300) differs from the sampling window
+    // (250), so the save cycle pins the check cadence, not the sampler's.
     constexpr Cycle kStride = 300;
     constexpr Cycle kSaveCycle = 5100; // pinned
     const std::string path = ckptPath("steady");

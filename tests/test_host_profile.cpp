@@ -23,13 +23,17 @@
  *  - the window-aware --progress line (running rate + ETA);
  *  - bench flag validation: --topk, --host-profile-sample, unwritable
  *    timeline paths, timeline vs. multi-run sweeps, --warmup, --cores,
- *    a --report no run filled, and the OptionRegistry's --name=value
- *    syntax.
+ *    a --report no run filled, every numeric row of the shared flag
+ *    table below its range, an output probe that leaves no file behind,
+ *    and the OptionRegistry's ranges and --name=value syntax.
  */
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -528,129 +532,7 @@ TEST(ProgressMeter, FallsBackToRawRateWithoutProfiler)
 }
 
 // ---------------------------------------------------------------------
-// Bench flag validation
-// ---------------------------------------------------------------------
-
-TEST(BenchFlagValidation, TopkMustBePositive)
-{
-    bench::ReportOptions ro;
-    ro.topk = 0;
-    testing::internal::CaptureStderr();
-    EXPECT_FALSE(ro.validate());
-    EXPECT_NE(testing::internal::GetCapturedStderr().find(
-                  "error: --topk must be >= 1"),
-              std::string::npos);
-    ro.topk = -3;
-    testing::internal::CaptureStderr();
-    EXPECT_FALSE(ro.validate());
-    testing::internal::GetCapturedStderr();
-}
-
-TEST(BenchFlagValidation, HostProfileSampleMustBePositive)
-{
-    bench::HostProfileOptions hp;
-    hp.enabled = true;
-    hp.sample_every = 0;
-    testing::internal::CaptureStderr();
-    EXPECT_FALSE(hp.validate());
-    EXPECT_NE(testing::internal::GetCapturedStderr().find(
-                  "error: --host-profile-sample must be >= 1"),
-              std::string::npos);
-}
-
-TEST(BenchFlagValidation, HostProfileTimelinePathMustBeWritable)
-{
-    bench::HostProfileOptions hp;
-    hp.timeline = "/nonexistent-dir-for-test/timeline.json";
-    testing::internal::CaptureStderr();
-    EXPECT_FALSE(hp.validate());
-    EXPECT_NE(testing::internal::GetCapturedStderr().find(
-                  "error: cannot open /nonexistent-dir-for-test/"
-                  "timeline.json for writing"),
-              std::string::npos);
-    // The implication still resolves even when the path is bad.
-    EXPECT_TRUE(hp.enabled);
-}
-
-TEST(BenchFlagValidation, WarmupImpliesTimeseries)
-{
-    bench::TimeseriesOptions ts;
-    ts.warmup = 100;
-    ASSERT_TRUE(ts.validate());
-    EXPECT_TRUE(ts.timeseries);
-    Instrumentation inst;
-    ts.addTo(inst);
-    ASSERT_TRUE(inst.timeseries.has_value())
-        << "--warmup without a sampler would never reset the registry";
-    EXPECT_EQ(inst.timeseries->warmup_reset, Cycle{ 100 });
-}
-
-TEST(BenchFlagValidation, NegativeWarmupIsRejected)
-{
-    bench::TimeseriesOptions ts;
-    ts.warmup = -5;
-    testing::internal::CaptureStderr();
-    EXPECT_FALSE(ts.validate());
-    EXPECT_NE(testing::internal::GetCapturedStderr().find(
-                  "error: --warmup must be >= 0"),
-              std::string::npos);
-}
-
-TEST(BenchFlagValidation, CoresMustFitTheNode)
-{
-    for (long bad : { -1L, 0L, 9L }) {
-        testing::internal::CaptureStderr();
-        EXPECT_FALSE(bench::validateCores(bad, 8)) << bad;
-        EXPECT_NE(testing::internal::GetCapturedStderr().find(
-                      "error: --cores must be in [1, 8]"),
-                  std::string::npos);
-    }
-    EXPECT_TRUE(bench::validateCores(1, 8));
-    EXPECT_TRUE(bench::validateCores(8, 8));
-}
-
-TEST(BenchFlagValidation, ReportWithoutRunBodyFails)
-{
-    bench::ReportOptions ro;
-    EXPECT_TRUE(ro.write("b", "{}", "", "", "{}"))
-        << "no --report: nothing to write, nothing to fail";
-    ro.report = "/dev/null";
-    testing::internal::CaptureStderr();
-    EXPECT_FALSE(ro.write("b", "{}", "", "", "{}"));
-    EXPECT_NE(testing::internal::GetCapturedStderr().find(
-                  "no run produced a report"),
-              std::string::npos);
-}
-
-TEST(BenchFlagValidation, TimelinePathImpliesProfiling)
-{
-    bench::HostProfileOptions hp;
-    hp.timeline = "/dev/null";
-    EXPECT_FALSE(hp.enabled);
-    EXPECT_TRUE(hp.validate());
-    EXPECT_TRUE(hp.enabled);
-}
-
-TEST(BenchFlagValidation, TimelineRejectsMultiRunSweeps)
-{
-    bench::HostProfileOptions hp;
-    hp.timeline = "/dev/null";
-    ASSERT_TRUE(hp.validate());
-    testing::internal::CaptureStderr();
-    EXPECT_FALSE(bench::validateTimelineSingleRun(hp, 3));
-    EXPECT_NE(testing::internal::GetCapturedStderr().find(
-                  "error: --host-profile=PATH writes one run's "
-                  "timeline"),
-              std::string::npos);
-    EXPECT_TRUE(bench::validateTimelineSingleRun(hp, 1));
-    // No timeline requested: any sweep size is fine.
-    bench::HostProfileOptions plain;
-    plain.enabled = true;
-    EXPECT_TRUE(bench::validateTimelineSingleRun(plain, 8));
-}
-
-// ---------------------------------------------------------------------
-// OptionRegistry: --name=value and the optional-value flag kind
+// Bench flag validation: the shared flag table and registry ranges
 // ---------------------------------------------------------------------
 
 namespace {
@@ -672,7 +554,219 @@ struct Argv
     std::vector<char *> ptrs;
 };
 
+/** Read a whole file ("" when it cannot be opened). */
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return { std::istreambuf_iterator<char>(in),
+             std::istreambuf_iterator<char>() };
+}
+
 } // namespace
+
+TEST(BenchFlagValidation, TopkMustBePositive)
+{
+    bench::SharedFlags flags;
+    flags.topk = 0;
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(flags.validate());
+    EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                  "error: --topk must be >= 1"),
+              std::string::npos);
+    flags.topk = -3;
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(flags.validate());
+    testing::internal::GetCapturedStderr();
+}
+
+TEST(BenchFlagValidation, HostProfileSampleMustBePositive)
+{
+    bench::SharedFlags flags;
+    flags.host_profile = true;
+    flags.host_profile_sample = 0;
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(flags.validate());
+    EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                  "error: --host-profile-sample must be >= 1"),
+              std::string::npos);
+}
+
+TEST(BenchFlagValidation, HostProfileTimelinePathMustBeWritable)
+{
+    bench::SharedFlags flags;
+    flags.host_timeline = "/nonexistent-dir-for-test/timeline.json";
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(flags.validate());
+    EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                  "error: cannot open /nonexistent-dir-for-test/"
+                  "timeline.json for writing"),
+              std::string::npos);
+    // The implication still resolves even when the path is bad.
+    EXPECT_TRUE(flags.enabled(bench::Layer::Profile));
+}
+
+TEST(BenchFlagValidation, WarmupImpliesTimeseries)
+{
+    bench::SharedFlags flags;
+    flags.warmup = 100;
+    ASSERT_TRUE(flags.validate());
+    EXPECT_TRUE(flags.enabled(bench::Layer::Sampler));
+    const Instrumentation inst = flags.instrumentation(TorusGeom(2, 2, 2));
+    ASSERT_TRUE(inst.timeseries.has_value())
+        << "--warmup without a sampler would never reset the registry";
+    EXPECT_EQ(inst.timeseries->warmup_reset, Cycle{ 100 });
+}
+
+TEST(BenchFlagValidation, NegativeWarmupIsRejected)
+{
+    bench::SharedFlags flags;
+    flags.warmup = -5;
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(flags.validate());
+    EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                  "error: --warmup must be >= 0"),
+              std::string::npos);
+}
+
+TEST(BenchFlagValidation, CoresMustFitTheNode)
+{
+    // The benches declare --cores with the range [1, endpoints per node].
+    auto parseCores = [](long value) {
+        long cores = 0;
+        bench::OptionRegistry reg("t");
+        reg.add("--cores", "N", "h", &cores, 1, 8);
+        Argv a({ "--cores", std::to_string(value) });
+        return reg.parse(a.argc(), a.argv());
+    };
+    for (long bad : { -1L, 0L, 9L }) {
+        testing::internal::CaptureStderr();
+        EXPECT_FALSE(parseCores(bad)) << bad;
+        EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                      "error: --cores must be in [1, 8]"),
+                  std::string::npos);
+    }
+    EXPECT_TRUE(parseCores(1));
+    EXPECT_TRUE(parseCores(8));
+}
+
+TEST(BenchFlagValidation, ReportWithoutRunBodyFails)
+{
+    bench::SharedFlags flags;
+    EXPECT_TRUE(flags.writeReport("b", "{}", "", "", "{}"))
+        << "no --report: nothing to write, nothing to fail";
+    flags.report = "/dev/null";
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(flags.writeReport("b", "{}", "", "", "{}"));
+    EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                  "no run produced a report"),
+              std::string::npos);
+}
+
+TEST(BenchFlagValidation, TimelinePathImpliesProfiling)
+{
+    bench::SharedFlags flags;
+    flags.host_timeline = "/dev/null";
+    EXPECT_FALSE(flags.enabled(bench::Layer::Profile));
+    EXPECT_TRUE(flags.validate());
+    EXPECT_TRUE(flags.enabled(bench::Layer::Profile));
+}
+
+TEST(BenchFlagValidation, TimelineRejectsMultiRunSweeps)
+{
+    bench::SharedFlags flags;
+    flags.host_timeline = "/dev/null";
+    ASSERT_TRUE(flags.validate());
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(bench::validateTimelineSingleRun(flags, 3));
+    EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                  "error: --host-profile=PATH writes one run's "
+                  "timeline"),
+              std::string::npos);
+    EXPECT_TRUE(bench::validateTimelineSingleRun(flags, 1));
+    // No timeline requested: any sweep size is fine.
+    bench::SharedFlags plain;
+    plain.host_profile = true;
+    EXPECT_TRUE(bench::validateTimelineSingleRun(plain, 8));
+}
+
+TEST(BenchFlagValidation, EveryNumericRowRejectsValuesBelowItsRange)
+{
+    int numeric = 0;
+    for (const bench::SharedFlag &row : bench::kSharedFlags) {
+        if (row.num == nullptr)
+            continue;
+        ++numeric;
+        bench::SharedFlags flags;
+        EXPECT_TRUE(flags.validate()) << row.name << " default";
+        flags.*row.num = row.lo - 1;
+        testing::internal::CaptureStderr();
+        EXPECT_FALSE(flags.validate()) << row.name;
+        EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                      std::string("error: ") + row.name + " must be"),
+                  std::string::npos)
+            << row.name;
+    }
+    EXPECT_GE(numeric, 11);
+}
+
+TEST(BenchFlagValidation, ProbeLeavesNoFileAndKeepsExistingBytes)
+{
+    const std::string fresh = testing::TempDir() + "probe_fresh.json";
+    const std::string kept = testing::TempDir() + "probe_kept.json";
+    std::remove(fresh.c_str());
+    bench::writeFile(kept, "keep these bytes");
+
+    bench::SharedFlags flags;
+    flags.report = fresh.c_str();
+    flags.trace = kept.c_str();
+    ASSERT_TRUE(flags.validate());
+    EXPECT_FALSE(std::filesystem::exists(fresh))
+        << "the probe left the file it created";
+    EXPECT_EQ(slurp(kept), "keep these bytes");
+    std::remove(kept.c_str());
+}
+
+TEST(OptionRegistry, NumericRangeIsCheckedAtParse)
+{
+    auto parse = [](const std::vector<std::string> &args) {
+        long n = 0;
+        bench::OptionRegistry reg("t");
+        reg.add("--n", "N", "h", &n, 2, 5);
+        Argv a(args);
+        return reg.parse(a.argc(), a.argv());
+    };
+    for (const char *bad : { "1", "6", "-3" }) {
+        for (const auto &args :
+             { std::vector<std::string>{ "--n", bad },
+               std::vector<std::string>{ std::string("--n=") + bad } }) {
+            testing::internal::CaptureStderr();
+            EXPECT_FALSE(parse(args)) << args.back();
+            EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                          "error: --n must be in [2, 5]"),
+                      std::string::npos)
+                << args.back();
+        }
+    }
+    for (const char *edge : { "2", "5" }) {
+        EXPECT_TRUE(parse({ "--n", edge })) << edge;
+        EXPECT_TRUE(parse({ std::string("--n=") + edge })) << edge;
+    }
+    // Bounded below only: the message names the floor alone.
+    long m = 0;
+    bench::OptionRegistry reg("t");
+    reg.add("--m", "N", "h", &m, 1);
+    Argv a({ "--m", "0" });
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(reg.parse(a.argc(), a.argv()));
+    EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                  "error: --m must be >= 1"),
+              std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// OptionRegistry: --name=value and the optional-value flag kind
+// ---------------------------------------------------------------------
 
 TEST(OptionRegistry, EqualsValueSyntaxForEveryKind)
 {
