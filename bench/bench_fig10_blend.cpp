@@ -150,16 +150,16 @@ main(int argc, char **argv)
     bench::OptionRegistry reg(
         "Figure 10: tornado / reverse-tornado blending under the four "
         "arbiter weight modes");
-    reg.add("--kx", "N", "torus X radix (default 8)", &kx, 2);
-    reg.add("--ky", "N", "torus Y radix (default 4)", &ky, 2);
-    reg.add("--kz", "N", "torus Z radix (default 4)", &kz, 2);
+    reg.add("--kx", "N", "torus X radix (default 8)", &kx, 2, INT_MAX);
+    reg.add("--ky", "N", "torus Y radix (default 4)", &ky, 2, INT_MAX);
+    reg.add("--kz", "N", "torus Z radix (default 4)", &kz, 2, INT_MAX);
     reg.add("--cores", "N", "participating cores per node, 1-8 (default 8)",
             &cores, 1, kEndpointsPerNode);
     reg.add("--batch", "N", "packets per core (default 256)", &batch_flag,
             1);
     reg.add("--seed", "N", "simulation seed (default 21)", &seed_flag);
     reg.add("--steps", "N", "blend-fraction sweep steps (default 4)",
-            &steps_flag, 1);
+            &steps_flag, 1, INT_MAX);
     flags.registerInto(reg, bench::kGroupThreads | bench::kGroupHostProfile
                                 | bench::kGroupReport);
     if (!reg.parse(argc, argv) || !flags.validate())

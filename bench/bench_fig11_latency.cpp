@@ -97,12 +97,13 @@ try {
         "Figure 11: one-way software-to-software message latency vs. "
         "inter-node hop count");
     // Radix 2 is the smallest with a hop to measure.
-    reg.add("--k", "N", "torus radix per dimension (default 8)", &k_flag, 2);
+    reg.add("--k", "N", "torus radix per dimension (default 8)", &k_flag, 2,
+            INT_MAX);
     reg.add("--pairs", "N", "endpoint pairs sampled per hop count "
                             "(default 6)",
-            &pairs_flag, 1);
+            &pairs_flag, 1, INT_MAX);
     reg.add("--rounds", "N", "ping-pong rounds per pair (default 4)",
-            &rounds_flag, 1);
+            &rounds_flag, 1, INT_MAX);
     flags.registerInto(reg, bench::kRunSet | bench::kGroupCheckpoint);
     if (!reg.parse(argc, argv) || !flags.validate())
         return 1;

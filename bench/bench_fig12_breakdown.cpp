@@ -30,7 +30,8 @@ main(int argc, char **argv)
         "Figure 12: minimum inter-node latency decomposition "
         "(single-packet traversal)");
     // The packet goes from node (0,0,0) to (0,1,0): radix 2 at least.
-    reg.add("--k", "N", "torus radix per dimension (default 4)", &k_flag, 2);
+    reg.add("--k", "N", "torus radix per dimension (default 4)", &k_flag, 2,
+            INT_MAX);
     flags.registerInto(reg, bench::kRunSet);
     if (!reg.parse(argc, argv) || !flags.validate())
         return 1;
@@ -66,9 +67,11 @@ main(int argc, char **argv)
 
     auto pkt = m.makeWrite({ a, ep }, { b, ep });
     Rng tie(1);
-    makeRoute(m.geom(), a, b, DimOrder{ 1, 0, 2 }, 0, tie, pkt->route);
-    pkt->vc = VcState(cfg.chip.vc_policy);
-    m.chip(a).setExit(*pkt, 1);
+    m.setRoute(*pkt, makeRoute(m.geom(), a, b, DimOrder{ 1, 0, 2 }, 0, tie));
+    Cycle network = 0;
+    m.setDeliverHook([&network](const PacketPtr &p, Cycle) {
+        network = p->eject_time - p->inject_time;
+    });
     m.send(pkt);
     if (m.run(RunSpec::untilDelivered(1, 100000)).reason
         != StopReason::Delivered) {
@@ -76,7 +79,6 @@ main(int argc, char **argv)
         flags.writeOutputs(m); // forensic snapshot of the wedge, if asked
         return 1;
     }
-    const Cycle network = pkt->eject_time - pkt->inject_time;
 
     // Model constants (cycles) for the decomposition.
     const Cycle software_src = 44; // send descriptor + doorbell (modeled)

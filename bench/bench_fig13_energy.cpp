@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "noc/packet_slab.hpp"
 #include "noc/router.hpp"
 #include "power/fit.hpp"
 #include "sim/engine.hpp"
@@ -39,9 +40,10 @@ enum class Payload { Zeros, Ones, Random };
 class PacedSource : public Component
 {
   public:
-    PacedSource(Channel &out, int rate_num, int rate_den, Payload payload,
-                std::uint64_t seed)
+    PacedSource(PacketSlab &slab, Channel &out, int rate_num, int rate_den,
+                Payload payload, std::uint64_t seed)
         : Component("source"),
+          slab_(slab),
           out_(out),
           num_(rate_num),
           den_(rate_den),
@@ -83,10 +85,10 @@ class PacedSource : public Component
             break;
         }
 
-        auto pkt = std::make_shared<Packet>();
+        Packet *pkt = slab_.alloc();
         pkt->id = ++count_;
         pkt->size_flits = 1;
-        pkt->payload = { data };
+        pkt->payload[0] = data;
         pkt->chip_exit = AttachPoint::forEndpoint(0); // the chain's sink
 
         Phit phit;
@@ -94,7 +96,7 @@ class PacedSource : public Component
         phit.vc = 0;
         phit.head = true;
         phit.tail = true;
-        out_.data.send(now, std::move(phit));
+        out_.data.send(now, phit);
         ++flits_;
 
         // Stream statistics for the model regressors.
@@ -126,6 +128,7 @@ class PacedSource : public Component
     }
 
   private:
+    PacketSlab &slab_;
     Channel &out_;
     int num_, den_;
     Payload payload_;
@@ -139,7 +142,8 @@ class PacedSource : public Component
     bool have_prev_ = false;
 };
 
-/** Consumes flits at full rate and returns credits. */
+/** Consumes flits at full rate, returns credits, and releases each
+ * packet as its tail arrives. */
 class Sink : public Component
 {
   public:
@@ -148,8 +152,11 @@ class Sink : public Component
     void
     tick(Cycle now) override
     {
-        if (auto phit = in_.data.take(now))
+        if (auto phit = in_.data.take(now)) {
             in_.credit.send(now, Credit{ phit->vc });
+            if (phit->tail)
+                phit->pkt->slab->release(phit->pkt);
+        }
     }
 
   private:
@@ -182,8 +189,8 @@ struct Chain
             routers.back()->connectIn(0, *channels[channels.size() - 2]);
             routers.back()->connectOut(1, *channels.back(), 8);
         }
-        source = std::make_unique<PacedSource>(*channels.front(), rate_num,
-                                               rate_den, payload, 77);
+        source = std::make_unique<PacedSource>(
+            slab, *channels.front(), rate_num, rate_den, payload, 77);
         sink = std::make_unique<Sink>(*channels.back());
 
         engine.add(*source);
@@ -201,6 +208,7 @@ struct Chain
         return t;
     }
 
+    PacketSlab slab;
     Engine engine;
     RouteTable routes;
     std::vector<std::unique_ptr<Router>> routers;

@@ -74,7 +74,8 @@ main(int argc, char **argv)
         "Figure 3: multicast tree vs. unicast torus hops, plus measured "
         "flit savings in the simulator");
     // The 3x3 destination plane needs three distinct nodes per dimension.
-    reg.add("--k", "N", "torus radix per dimension (default 8)", &k_flag, 3);
+    reg.add("--k", "N", "torus radix per dimension (default 8)", &k_flag, 3,
+            INT_MAX);
     flags.registerInto(reg, bench::kGroupThreads | bench::kGroupHostProfile
                                 | bench::kGroupReport);
     if (!reg.parse(argc, argv) || !flags.validate())

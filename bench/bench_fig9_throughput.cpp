@@ -141,9 +141,9 @@ try {
     bench::OptionRegistry reg(
         "Figure 9: batch throughput vs. batch size, round-robin vs. "
         "inverse-weighted arbitration");
-    reg.add("--kx", "N", "torus X radix (default 8)", &kx, 2);
-    reg.add("--ky", "N", "torus Y radix (default 4)", &ky, 2);
-    reg.add("--kz", "N", "torus Z radix (default 4)", &kz, 2);
+    reg.add("--kx", "N", "torus X radix (default 8)", &kx, 2, INT_MAX);
+    reg.add("--ky", "N", "torus Y radix (default 4)", &ky, 2, INT_MAX);
+    reg.add("--kz", "N", "torus Z radix (default 4)", &kz, 2, INT_MAX);
     reg.add("--cores", "N", "participating cores per node, 1-8 (default 8)",
             &cores, 1, kEndpointsPerNode);
     reg.add("--maxbatch", "N",

@@ -184,9 +184,9 @@ main(int argc, char **argv)
     bench::OptionRegistry reg(
         "Host speed: simulated cycles/sec and flit-hops/sec, serial vs. "
         "2/4 engine worker threads (bit-identical results)");
-    reg.add("--kx", "N", "torus X radix (default 4)", &kx, 2);
-    reg.add("--ky", "N", "torus Y radix (default 4)", &ky, 2);
-    reg.add("--kz", "N", "torus Z radix (default 4)", &kz, 2);
+    reg.add("--kx", "N", "torus X radix (default 4)", &kx, 2, INT_MAX);
+    reg.add("--ky", "N", "torus Y radix (default 4)", &ky, 2, INT_MAX);
+    reg.add("--kz", "N", "torus Z radix (default 4)", &kz, 2, INT_MAX);
     reg.add("--cores", "N", "injecting cores per node, 1-8 (default 4)",
             &cores, 1, kEndpointsPerNode);
     reg.add("--cycles", "N", "simulated cycles per run (default 20000)",
@@ -197,7 +197,7 @@ main(int argc, char **argv)
     reg.add("--max-threads", "N",
             "largest worker count measured; doubles up from 1 "
             "(default 4)",
-            &max_threads, 1);
+            &max_threads, 1, INT_MAX);
     reg.add("--threads-list", "CSV",
             "explicit thread counts to measure (e.g. 1,2,4; overrides "
             "--max-threads; must include 1 for speedups)",

@@ -27,7 +27,8 @@ main(int argc, char **argv)
         "Section 2.5 ablation: VC promotion (n+1 VCs) vs. baseline-2n, "
         "correctness and area cost");
     // Radix 2 is the smallest torus with a dateline cycle to break.
-    reg.add("--k", "N", "torus radix per dimension (default 4)", &k_flag, 2);
+    reg.add("--k", "N", "torus radix per dimension (default 4)", &k_flag, 2,
+            INT_MAX);
     if (!reg.parse(argc, argv))
         return 1;
     const int k = static_cast<int>(k_flag);

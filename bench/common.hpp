@@ -199,7 +199,8 @@ struct SharedFlag
 inline constexpr SharedFlag kSharedFlags[] = {
     { .name = "--threads", .placeholder = "N",
       .help = "engine worker threads (results are bit-identical at any count)",
-      .group = kGroupThreads, .num = &FlagValues::threads, .lo = 1 },
+      .group = kGroupThreads, .num = &FlagValues::threads, .lo = 1,
+      .hi = INT_MAX },
     { .name = "--lookahead", .placeholder = "N",
       .help = "cycles per barrier window: 0 = auto (min torus link latency), "
               "1 = per-cycle barriers (default)",

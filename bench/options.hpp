@@ -19,10 +19,13 @@
  *
  * `--help`/`-h` prints the generated usage text and exits successfully.
  * A numeric flag may declare its valid range [lo, hi]; a value outside
- * it fails the parse with `error: --k must be >= 2` (or `in [lo, hi]`).
+ * it fails the parse with `error: --m must be >= 1` (or `in [lo, hi]`).
+ * A flag the bench narrows to `int` declares hi = INT_MAX, and a value
+ * beyond what `long` holds fails as out of range.
  */
 #pragma once
 
+#include <cerrno>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -253,12 +256,18 @@ class OptionRegistry
         }
         char *end = nullptr;
         long n = 0;
+        errno = 0;
         if (opt.kind == Kind::Long)
             *static_cast<long *>(opt.out) = n = std::strtol(val, &end, 10);
         else
             *static_cast<double *>(opt.out) = std::strtod(val, &end);
         if (end == val || *end != '\0') {
             std::fprintf(stderr, "error: %s expects a number, got '%s'\n",
+                         opt.name, val);
+            return false;
+        }
+        if (errno == ERANGE) {
+            std::fprintf(stderr, "error: %s value '%s' is out of range\n",
                          opt.name, val);
             return false;
         }

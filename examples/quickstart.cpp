@@ -31,13 +31,19 @@ main()
     // A remote write from node 0, endpoint 0 to node (2,1,3), endpoint 5.
     const EndpointAddr src{ 0, 0 };
     const EndpointAddr dst{ m.geom().id({ 2, 1, 3 }), 5 };
+    // The machine releases a packet once it is delivered: the hook copies
+    // what it wants to keep.
+    Packet delivered;
+    m.setDeliverHook([&delivered](const PacketPtr &p, Cycle) {
+        delivered = *p;
+    });
     auto pkt = m.makeWrite(src, dst);
     pkt->payload[0] = { 0xdeadbeef, 0xcafef00d, 0x12345678 };
     m.send(pkt);
     m.run(RunSpec::untilDelivered(1, 100000));
     std::printf("write delivered: %d inter-node hops, %.1f ns in-network\n",
-                pkt->hops,
-                cyclesToNs(pkt->eject_time - pkt->inject_time));
+                delivered.hops,
+                cyclesToNs(delivered.eject_time - delivered.inject_time));
 
     // A remote read: the reply arrives in the separate Reply class.
     m.setDeliverHook([](const PacketPtr &p, Cycle) {

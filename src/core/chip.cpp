@@ -8,9 +8,9 @@
 namespace anton2 {
 
 Chip::Chip(NodeId node, const ChipConfig &cfg, const ChipLayout &layout,
-           const TorusGeom &geom, const RouteTable &routes, PacketCopy copy)
-    : node_(node), cfg_(cfg), layout_(layout), geom_(geom),
-      copy_(std::move(copy))
+           const TorusGeom &geom, const RouteTable &routes,
+           PacketReleaseStaging &releases)
+    : node_(node), cfg_(cfg), layout_(layout), geom_(geom)
 {
     std::string prefix = "n";
     prefix += std::to_string(node);
@@ -49,10 +49,10 @@ Chip::Chip(NodeId node, const ChipConfig &cfg, const ChipLayout &layout,
         const int to = geom_.neighborCoord(from, dim, dir);
         channel_adapters_.push_back(std::make_unique<ChannelAdapter>(
             name, ccfg, geom_.crossesDateline(from, to, dim),
-            [this, ca](const PacketPtr &pkt,
-                       std::vector<IngressCopy> &copies) {
+            [this, ca](PacketPtr pkt, std::vector<IngressCopy> &copies) {
                 ingressAt(ca, pkt, copies);
-            }));
+            },
+            LaneRelease{ &slab_, &releases }));
     }
 
     EndpointConfig ecfg;
@@ -263,8 +263,7 @@ Chip::setExit(Packet &pkt, int next_dim) const
 }
 
 void
-Chip::ingressAt(int ca, const PacketPtr &pkt,
-                std::vector<IngressCopy> &copies)
+Chip::ingressAt(int ca, PacketPtr pkt, std::vector<IngressCopy> &copies)
 {
     int dim, slice;
     Dir dir;
@@ -275,10 +274,10 @@ Chip::ingressAt(int ca, const PacketPtr &pkt,
     if (pkt->mcast_group >= 0) {
         const McastNodeEntry *entry = mcastEntry(pkt->mcast_group);
         assert(entry != nullptr && "multicast packet at node without entry");
-        // Copies come from the packet pool and reuse its payload and
-        // route capacity.
+        // Copies are new records from this chip's slab; the adapter
+        // releases the original when the entry retires.
         for (const auto &hop : entry->forward) {
-            auto copy = copy_(*pkt);
+            Packet *copy = slab_.copy(*pkt);
             const auto arrival_vc = copy->vc.torusVc();
             if (hop.dim != dim)
                 copy->vc.onDimComplete();
@@ -290,7 +289,7 @@ Chip::ingressAt(int ca, const PacketPtr &pkt,
                                          fullVc(copy->tc, arrival_vc)) });
         }
         for (int ep : entry->local) {
-            auto copy = copy_(*pkt);
+            Packet *copy = slab_.copy(*pkt);
             const auto arrival_vc = copy->vc.torusVc();
             copy->vc.onDimComplete();
             copy->x_through = false;
@@ -302,8 +301,12 @@ Chip::ingressAt(int ca, const PacketPtr &pkt,
         return;
     }
 
-    // Unicast: continue in the same dimension, turn, or eject.
-    const int next = nextRouteDim(geom_, node_, pkt->dst.node, pkt->route);
+    // Unicast: one hop along dim taken; continue in the same dimension,
+    // turn, or eject. (A packet a restored image placed off its route
+    // keeps a count of zero rather than wrapping.)
+    std::uint16_t &left = pkt->route.left[dim];
+    left = static_cast<std::uint16_t>(left - (left != 0));
+    const int next = pkt->route.nextDim();
     const auto arrival_vc = pkt->vc.torusVc();
     if (next == dim) {
         pkt->x_through = (dim == 0);

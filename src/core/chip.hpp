@@ -54,20 +54,18 @@ struct ChipConfig
 class Chip
 {
   public:
-    /** Copies a packet for multicast ingress (from the machine's packet
-     * pool; called from the chip's engine lane, so thread-safe). */
-    using PacketCopy = std::function<PacketPtr(const Packet &)>;
-
     /**
      * @param layout Shared placement (identical for every chip).
      * @param geom The machine's torus geometry (for dateline decisions).
      * @param routes The machine's on-chip route table (built from
      * @p layout and cfg.dir_order); layout, geom and routes must
      * outlive the chip.
-     * @param copy Makes the ingress multicast copies.
+     * @param releases Where the chip's lane stages releases of packets
+     * homed on other chips (see noc/packet_slab.hpp).
      */
     Chip(NodeId node, const ChipConfig &cfg, const ChipLayout &layout,
-         const TorusGeom &geom, const RouteTable &routes, PacketCopy copy);
+         const TorusGeom &geom, const RouteTable &routes,
+         PacketReleaseStaging &releases);
 
     /**
      * Register every component of this chip with the engine as one
@@ -111,6 +109,10 @@ class Chip
     NodeId node() const { return node_; }
     const ChipLayout &layout() const { return layout_; }
     const ChipConfig &config() const { return cfg_; }
+
+    /** The packet slab of this chip's engine shard: injections at this
+     * node and multicast copies made here. */
+    PacketSlab &slab() { return slab_; }
 
     Router &router(RouterId r) { return *routers_[r]; }
     ChannelAdapter &channelAdapter(int ca) { return *channel_adapters_[
@@ -207,13 +209,13 @@ class Chip
     }
 
   private:
-    void ingressAt(int ca, const PacketPtr &pkt,
-                   std::vector<IngressCopy> &copies);
+    void ingressAt(int ca, PacketPtr pkt, std::vector<IngressCopy> &copies);
 
     NodeId node_;
     ChipConfig cfg_;
     const ChipLayout &layout_;
     const TorusGeom &geom_;
+    PacketSlab slab_;
 
     std::vector<std::unique_ptr<Router>> routers_;
     std::vector<std::unique_ptr<ChannelAdapter>> channel_adapters_;
@@ -221,7 +223,6 @@ class Chip
     std::vector<std::unique_ptr<Channel>> channels_;
     std::vector<std::unique_ptr<RouterEnergyMeter>> energy_;
     std::unordered_map<std::int32_t, McastNodeEntry> mcast_;
-    PacketCopy copy_;
 };
 
 } // namespace anton2

@@ -60,12 +60,12 @@ Machine::Machine(const MachineConfig &cfg)
         throw std::invalid_argument("Machine models a 3-D torus");
     checkLatencies(cfg_);
 
-    // Multicast copies made at ingress come from the packet pool.
+    // Each chip keeps its packets in its own slab; its lane stages the
+    // releases of packets homed on other chips.
     chips_.reserve(geom_.numNodes());
     for (NodeId n = 0; n < geom_.numNodes(); ++n) {
-        chips_.push_back(std::make_unique<Chip>(
-            n, cfg_.chip, layout_, geom_, routes_,
-            [this](const Packet &src) { return copyPacket(src); }));
+        chips_.push_back(std::make_unique<Chip>(n, cfg_.chip, layout_,
+                                                geom_, routes_, releases_));
     }
 
     // The lookahead bound: shards may tick up to k cycles between
@@ -168,12 +168,16 @@ Machine::Machine(const MachineConfig &cfg)
                     deliver_hook_(pkt, now);
             });
             ep.setReadFn([this](const PacketPtr &req, Cycle) {
-                // Generate the read reply in the Reply traffic class.
-                auto reply = makeWrite(req->dst, req->src, req->pattern,
-                                       req->size_flits);
+                // Generate the read reply in the Reply traffic class. It
+                // routes by a second draw after makeWrite's: both are in
+                // the RNG stream every export depends on.
+                Packet *reply = makeWrite(req->dst, req->src, req->pattern,
+                                          req->size_flits);
                 reply->tc = TrafficClass::Reply;
                 reply->op = OpKind::ReadReply;
-                prepareUnicast(*reply);
+                randomRoute(geom_, reply->src.node, reply->dst.node, rng_,
+                            route_scratch_);
+                setRoute(*reply, route_scratch_);
                 send(reply);
             });
         }
@@ -184,71 +188,12 @@ Machine::Machine(const MachineConfig &cfg)
     setLookahead(cfg_.lookahead);
 }
 
-Machine::PacketPool::~PacketPool()
-{
-    for (Packet *p : free)
-        delete p;
-}
-
-Packet *
-Machine::reusePacket()
-{
-    std::lock_guard<std::mutex> lock(pool_->mu);
-    if (pool_->free.empty())
-        return nullptr;
-    Packet *p = pool_->free.back();
-    pool_->free.pop_back();
-    return p;
-}
-
-PacketPtr
-Machine::adoptPacket(Packet *p)
-{
-    return PacketPtr(p, [pool = pool_](Packet *q) {
-        std::lock_guard<std::mutex> lock(pool->mu);
-        pool->free.push_back(q);
-    });
-}
-
-PacketPtr
-Machine::allocPacket()
-{
-    Packet *p = reusePacket();
-    if (p == nullptr) {
-        p = new Packet();
-    } else {
-        // Reset to factory state but keep the heap capacity of the
-        // payload and route vectors - skipping those per-packet
-        // allocations is the win.
-        auto payload = std::move(p->payload);
-        auto order = std::move(p->route.order);
-        auto dirs = std::move(p->route.dirs);
-        payload.clear();
-        order.clear();
-        dirs.clear();
-        *p = Packet{};
-        p->payload = std::move(payload);
-        p->route.order = std::move(order);
-        p->route.dirs = std::move(dirs);
-    }
-    return adoptPacket(p);
-}
-
-PacketPtr
-Machine::copyPacket(const Packet &src)
-{
-    // Copy assignment reuses the recycled vectors' capacity.
-    Packet *p = reusePacket();
-    if (p == nullptr)
-        p = new Packet(src);
-    else
-        *p = src;
-    return adoptPacket(p);
-}
-
 void
 Machine::serialPhase(Cycle now)
 {
+    // The window's staged cross-chip releases land first, in lane
+    // order, so slab reuse is the same at any thread count.
+    releases_.apply();
     if (trace_ != nullptr)
         trace_->mergeStaged(now);
     // Flow hop records merge before the delivery flush: every hop of a
@@ -284,6 +229,7 @@ Machine::configureStaging()
 {
     const std::size_t lanes = engine_.laneCount();
     const auto depth = static_cast<std::size_t>(lookahead_cap_);
+    releases_.configure(lanes);
     if (trace_ != nullptr)
         trace_->configureLanes(lanes, depth);
     if (flow_ != nullptr)
@@ -605,13 +551,9 @@ Machine::runReportJson(std::size_t topk)
 std::size_t
 Machine::packetPoolBytes()
 {
-    std::lock_guard<std::mutex> lock(pool_->mu);
-    std::size_t total = pool_->free.capacity() * sizeof(Packet *);
-    for (const Packet *p : pool_->free) {
-        total += sizeof(Packet)
-                 + p->payload.capacity()
-                       * sizeof(decltype(p->payload)::value_type);
-    }
+    std::size_t total = 0;
+    for (const auto &c : chips_)
+        total += c->slab().bytes();
     return total;
 }
 
@@ -1106,32 +1048,51 @@ Machine::traceFlightCsv()
 }
 
 void
-Machine::prepareUnicast(Packet &pkt)
+Machine::setRoute(Packet &pkt, const RouteSpec &spec)
 {
-    randomRoute(geom_, pkt.src.node, pkt.dst.node, rng_, pkt.route);
+    if (const char *why = malformedRoute(spec))
+        throw std::invalid_argument(std::string("setRoute: ") + why);
+    PacketRoute &r = pkt.route;
+    r.slice = spec.slice;
+    for (std::size_t d = 0; d < 3; ++d) {
+        r.order[d] = static_cast<std::uint8_t>(spec.order[d]);
+        r.dirs[d] = spec.dirs[d];
+        // Hops to the destination's coordinate along the chosen
+        // direction; ingress counts them down.
+        const int k = geom_.radix(static_cast<int>(d));
+        const int fwd = geom_.coord(pkt.dst.node, static_cast<int>(d))
+                        - geom_.coord(pkt.src.node, static_cast<int>(d));
+        r.left[d] = static_cast<std::uint16_t>(
+            (spec.dirs[d] == Dir::Pos ? fwd + k : k - fwd) % k);
+    }
     pkt.vc = VcState(cfg_.chip.vc_policy);
-    const int next = nextRouteDim(geom_, pkt.src.node, pkt.dst.node,
-                                  pkt.route);
-    chip(pkt.src.node).setExit(pkt, next);
+    chip(pkt.src.node).setExit(pkt, r.nextDim());
+}
+
+Packet *
+Machine::newPacket(EndpointAddr src, std::uint8_t pattern, int size_flits,
+                   std::int32_t counter)
+{
+    assert(size_flits >= 1 && size_flits <= kMaxPacketFlits);
+    Packet *pkt = chip(src.node).slab().alloc();
+    pkt->id = next_packet_id_++;
+    pkt->src = src;
+    pkt->pattern = pattern;
+    pkt->size_flits = static_cast<std::uint16_t>(size_flits);
+    pkt->counter = counter;
+    pkt->birth = engine_.now();
+    pkt->vc = VcState(cfg_.chip.vc_policy);
+    return pkt;
 }
 
 PacketPtr
 Machine::makeWrite(EndpointAddr src, EndpointAddr dst, std::uint8_t pattern,
                    int size_flits, std::int32_t counter)
 {
-    assert(size_flits >= 1 && size_flits <= kMaxPacketFlits);
-    auto pkt = allocPacket();
-    pkt->id = next_packet_id_++;
-    pkt->src = src;
+    Packet *pkt = newPacket(src, pattern, size_flits, counter);
     pkt->dst = dst;
-    pkt->tc = TrafficClass::Request;
-    pkt->op = OpKind::Write;
-    pkt->pattern = pattern;
-    pkt->size_flits = static_cast<std::uint16_t>(size_flits);
-    pkt->payload.resize(static_cast<std::size_t>(size_flits));
-    pkt->counter = counter;
-    pkt->birth = engine_.now();
-    prepareUnicast(*pkt);
+    randomRoute(geom_, src.node, dst.node, rng_, route_scratch_);
+    setRoute(*pkt, route_scratch_);
     return pkt;
 }
 
@@ -1235,46 +1196,23 @@ Machine::sendMulticast(EndpointAddr src, std::int32_t group,
 
     // The source node's table entry is expanded at injection: one packet
     // per source branch (the network replicates at later branch points).
-    auto makeCopy = [&]() {
-        auto pkt = allocPacket();
-        pkt->id = next_packet_id_++;
-        pkt->src = src;
-        pkt->tc = TrafficClass::Request;
-        pkt->op = OpKind::Write;
-        pkt->pattern = pattern;
-        pkt->size_flits = static_cast<std::uint16_t>(size_flits);
-        pkt->payload.resize(static_cast<std::size_t>(size_flits));
-        pkt->counter = counter;
-        pkt->mcast_group = group;
-        pkt->birth = engine_.now();
-        pkt->vc = VcState(cfg_.chip.vc_policy);
-        return pkt;
-    };
-
     // The multicast slice comes from the tree's installed entries; the
-    // RouteSpec slice field is what setExit/chip routing consult. The
-    // route vectors are written in place, into the pooled capacity.
+    // route's slice field is what setExit/chip routing consult, and a
+    // multicast packet keeps no hops left (its tree routes it).
     const std::uint8_t slice = group_slices_[static_cast<std::size_t>(group)];
-    auto setRoute = [slice](Packet &pkt) {
-        pkt.route.slice = slice;
-        pkt.route.order.assign({ 0, 1, 2 });
-        pkt.route.dirs.assign(3, Dir::Pos);
-    };
     for (const auto &hop : entry->forward) {
-        auto pkt = makeCopy();
+        Packet *pkt = newPacket(src, pattern, size_flits, counter);
         pkt->dst = src; // updated at delivery branches
-        setRoute(*pkt);
+        pkt->mcast_group = group;
+        pkt->route.slice = slice;
         pkt->chip_exit = AttachPoint::forChannel(hop.dim, hop.dir, slice);
-        pkt->x_through = false;
         send(pkt);
     }
     for (int ep : entry->local) {
-        auto pkt = makeCopy();
-        pkt->dst = EndpointAddr{ src.node, ep };
-        setRoute(*pkt);
-        pkt->mcast_group = -1; // plain local delivery
+        Packet *pkt = newPacket(src, pattern, size_flits, counter);
+        pkt->dst = EndpointAddr{ src.node, ep }; // plain local delivery
+        pkt->route.slice = slice;
         pkt->chip_exit = AttachPoint::forEndpoint(ep);
-        pkt->x_through = false;
         send(pkt);
     }
 }

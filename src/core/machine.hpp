@@ -13,7 +13,6 @@
 #include <chrono>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -171,9 +170,9 @@ struct RunSpec
      * Save a checkpoint to this path during the run (empty = never).
      * With an auto-steady interval sampler attached, the save happens
      * at the first predicate-check boundary after steady-state
-     * convergence - the warm-start image batch sweeps fork from;
-     * otherwise (or if convergence never comes) it is written when the
-     * run returns.
+     * convergence - the warm-start image that a second fig9 run
+     * restores with --checkpoint-in; otherwise (or if convergence never
+     * comes) it is written when the run returns.
      */
     std::string checkpoint_out;
 
@@ -251,9 +250,12 @@ class Machine
     // ------------------------------------------------------------------
 
     /**
-     * Create a remote write. The route (dimension order, slice, direction
-     * tie-breaks) is randomized per Section 2.3; the payload defaults to
-     * zero and can be overwritten before send().
+     * Create a remote write, a record in the source node's packet slab.
+     * The route (dimension order, slice, direction tie-breaks) is
+     * randomized per Section 2.3; the payload defaults to zero and can be
+     * overwritten before send(). The packet is released after its
+     * delivery: keep a copy of the record, not the pointer, to read it
+     * afterwards.
      *
      * @param counter Counted-write counter id at the destination endpoint,
      *        or -1 for a plain write.
@@ -268,6 +270,15 @@ class Machine
 
     /** Queue a prepared packet at its source endpoint. */
     void send(const PacketPtr &pkt);
+
+    /**
+     * Route an unsent unicast packet along @p spec instead of its drawn
+     * route: the order, slice and directions, the hops left per
+     * dimension, fresh promotion state, and the exit on the source chip.
+     * @throws std::invalid_argument if @p spec is not a route of a 3-D
+     * torus (see malformedRoute).
+     */
+    void setRoute(Packet &pkt, const RouteSpec &spec);
 
     /**
      * Install a multicast tree on every involved node's tables.
@@ -293,7 +304,10 @@ class Machine
     // Running and statistics
     // ------------------------------------------------------------------
 
-    /** Extra hook invoked on every delivery, after internal accounting. */
+    /** Extra hook invoked on every delivery, after internal accounting.
+     * The packet is released once the delivery's side effects have run,
+     * so the pointer is valid for the call only: copy the record to keep
+     * it. */
     void setDeliverHook(std::function<void(const PacketPtr &, Cycle)> fn);
 
     /**
@@ -390,8 +404,8 @@ class Machine
      */
     std::string runReportJson(std::size_t topk = 8);
 
-    /** Bytes parked in the packet-pool freelist (objects + payload
-     * capacity), for the host memory report. */
+    /** Bytes of packet storage in every chip's slab (record chunks and
+     * free lists), for the host memory report. */
     std::size_t packetPoolBytes();
 
     // ------------------------------------------------------------------
@@ -585,30 +599,12 @@ class Machine
      * up to now() (before stall totals are read or state is saved). */
     void settleIdle();
     void validateTree(const McastTree &tree) const;
-    void prepareUnicast(Packet &pkt);
-    /** Pooled packet allocation: recycles Packet objects (and their
-     * payload vectors' heap capacity) through a freelist, cutting the
-     * per-packet heap churn of the factory hot path. */
-    PacketPtr allocPacket();
-    /** A pooled copy of @p src (multicast ingress copies; thread-safe). */
-    PacketPtr copyPacket(const Packet &src);
-    /** Pop a recycled packet from the freelist (null when empty). */
-    Packet *reusePacket();
-    /** Own @p p through a PacketPtr that recycles it on release. */
-    PacketPtr adoptPacket(Packet *p);
+    /** A new record from the slab of @p src's node, with the fields
+     * every injection sets. */
+    Packet *newPacket(EndpointAddr src, std::uint8_t pattern,
+                      int size_flits, std::int32_t counter);
     MachineSnapshot buildSnapshot(Cycle now, const std::string &reason);
     ProgressProbe progressProbe() const;
-
-    /** Freelist behind allocPacket(). Shared with the packet deleters so
-     * packets outliving the Machine degrade to plain deletes; the mutex
-     * covers releases from worker lanes (multicast ingress drops copies
-     * during the parallel phase). */
-    struct PacketPool
-    {
-        std::mutex mu;
-        std::vector<Packet *> free;
-        ~PacketPool();
-    };
 
     /** Host wall-clock bookkeeping behind hostJson(). Declared first so
      * `built` is read before anything else is constructed. */
@@ -635,7 +631,11 @@ class Machine
     /** Endpoint total-latency histogram bin width, scaled with the
      * machine diameter at construction (see the ctor). */
     double lat_bin_width_ = 32.0;
-    std::shared_ptr<PacketPool> pool_ = std::make_shared<PacketPool>();
+    /** Releases staged on engine lanes of packets homed on other chips'
+     * slabs, applied at the start of each window's serial replay. */
+    PacketReleaseStaging releases_;
+    /** Storage for each unicast injection's drawn route. */
+    RouteSpec route_scratch_;
 
     std::vector<std::unique_ptr<Chip>> chips_;
     std::vector<std::unique_ptr<Channel>> torus_channels_;

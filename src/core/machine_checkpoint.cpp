@@ -7,7 +7,7 @@
  * bookkeeping, delivery statistics), then every torus channel in
  * construction order, then every chip in node order, then the
  * registered checkpoint clients (traffic drivers) in registration
- * order. The packet table ahead of them dedups shared PacketPtrs across
+ * order. The packet table ahead of them dedups packet references across
  * all of it, so virtual cut-through sharing survives the round trip. A
  * restore ends with the checks that span components: whole multicast
  * trees, and the runtime auditor's invariants.
@@ -100,9 +100,6 @@ Machine::packetFields(CkptArchive &ar, Packet &p) const
     ar.io(p.op, OpKind::Write, OpKind::ReadReply, "operation out of range");
     ar.io(p.pattern, 0, kNumPatterns - 1, "traffic pattern out of range");
     ar.io(p.size_flits, 1, kMaxPacketFlits, "packet size out of range");
-    ar.size(p.payload, kMaxPacketFlits, sizeof(FlitPayload), "payload flit");
-    ar.check(p.payload.size() == p.size_flits,
-             "payload flits differ from the packet size");
     for (FlitPayload &f : p.payload) {
         for (std::uint64_t &word : f)
             ar.io(word);
@@ -110,15 +107,29 @@ Machine::packetFields(CkptArchive &ar, Packet &p) const
     ar.io(p.counter);
     // Bounded above once the machine section names the installed groups.
     ar.io(p.mcast_group, -1, INT32_MAX, "multicast group out of range");
-    ar.size(p.route.order, 3, 4, "route order");
-    for (int &d : p.route.order)
+    PacketRoute &r = p.route;
+    unsigned seen = 0;
+    for (std::uint8_t &d : r.order) {
+        ar.io(d, 0, 2, "route order is not a permutation of the dimensions");
+        seen |= 1u << d;
+    }
+    ar.check(seen == 7u, "route order is not a permutation of the dimensions");
+    for (Dir &d : r.dirs) {
         ar.io(d);
-    ar.io(p.route.slice);
-    ar.size(p.route.dirs, 3, 1, "route direction");
-    for (Dir &d : p.route.dirs)
-        ar.io(d);
-    if (const char *why = ar.loading() ? malformedRoute(p.route) : nullptr)
-        ar.fail(why);
+        ar.check(d == Dir::Pos || d == Dir::Neg,
+                 "route direction is neither Pos nor Neg");
+    }
+    ar.io(r.slice, 0, kNumSlices - 1, "route slice out of range");
+    // At most the source-to-destination distance along each dimension's
+    // direction.
+    for (std::size_t d = 0; d < 3; ++d) {
+        const int k = geom_.radix(static_cast<int>(d));
+        const int fwd = geom_.coord(p.dst.node, static_cast<int>(d))
+                        - geom_.coord(p.src.node, static_cast<int>(d));
+        const int dist = (r.dirs[d] == Dir::Pos ? fwd + k : k - fwd) % k;
+        ar.io(r.left[d], 0, static_cast<std::uint16_t>(dist),
+              "hops left exceed the route's distance");
+    }
     VcPolicy policy = p.vc.policy();
     auto dims = static_cast<std::uint8_t>(p.vc.dimsCompleted());
     bool crossed = p.vc.crossedInCurrentDim();
@@ -261,8 +272,14 @@ void
 Machine::restoreCheckpoint(const std::string &path)
 {
     CkptArchive ar(path, configFingerprint());
-    ar.readPackets([this] { return allocPacket(); },
-                   [this](CkptArchive &a, Packet &p) { packetFields(a, p); });
+    // Every live packet belongs to the state the image replaces; the
+    // image's packets go to their source nodes' slabs.
+    releases_.clear();
+    for (auto &c : chips_)
+        c->slab().reset();
+    ar.readPackets(
+        [this](CkptArchive &a, Packet &p) { packetFields(a, p); },
+        [this](const Packet &p) { return chip(p.src.node).slab().copy(p); });
     fields(ar);
     ar.finish();
     restored_from_ = path;

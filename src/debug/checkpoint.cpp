@@ -16,7 +16,7 @@ constexpr std::uint8_t kMagic[8] = { 'A', '2', 'C', 'K',
 /// Header: magic, u32 version, u64 fingerprint, u64 payload size.
 constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 4 + 8 + 8;
 
-/// Sentinel ordinal for a null PacketPtr.
+/// Sentinel ordinal for a null packet reference.
 constexpr std::uint32_t kNullPacket = 0xffffffffu;
 
 void
@@ -212,7 +212,7 @@ CkptArchive::packet(PacketPtr &p, bool nullable)
     std::uint32_t ord = kNullPacket;
     if (!loading_ && p != nullptr) {
         auto [it, inserted] = ordinals_.try_emplace(
-            p.get(), static_cast<std::uint32_t>(packets_.size()));
+            p, static_cast<std::uint32_t>(packets_.size()));
         if (inserted)
             packets_.push_back(p);
         ord = it->second;
@@ -236,17 +236,33 @@ CkptArchive::clock(Cycle &now)
 }
 
 void
-CkptArchive::readPackets(const std::function<PacketPtr()> &alloc,
-                         const PacketFields &fields)
+CkptArchive::readPackets(
+    const PacketFields &fields,
+    const std::function<PacketPtr(const Packet &)> &place)
 {
-    // Every later packet() resolves to the same shared object,
-    // reproducing cut-through sharing.
+    // Every later packet() resolves to the same record, reproducing
+    // cut-through sharing.
     section_ = "packet table";
     packets_.resize(count(0, end_, 64, "packet"));
-    for (PacketPtr &p : packets_) {
-        p = alloc();
-        fields(*this, *p);
+    held_.assign(packets_.size(), 0);
+    for (std::uint32_t i = 0; i < packets_.size(); ++i) {
+        Packet scratch;
+        fields(*this, scratch);
+        packets_[i] = place(scratch);
+        ordinals_.emplace(packets_[i], i);
     }
+}
+
+void
+CkptArchive::holds(const Packet *p, unsigned lo, unsigned hi)
+{
+    if (!loading_)
+        return;
+    std::uint8_t &held = held_[ordinals_.at(p)];
+    const auto flits = static_cast<std::uint8_t>((1u << hi) - (1u << lo));
+    if ((held & flits) != 0)
+        fail("a packet flit is held in two places");
+    held = static_cast<std::uint8_t>(held | flits);
 }
 
 void

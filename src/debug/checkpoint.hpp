@@ -42,7 +42,8 @@
  *  - packets are deduplicated by pointer identity through an ordinal
  *    table ahead of the stream, preserving virtual cut-through sharing
  *    (the same packet referenced by a VC buffer and an in-flight phit
- *    restores as one shared object);
+ *    restores as one record). Ordinals follow the order the stream
+ *    visits packets, so no byte depends on an address;
  *  - the file carries a format version, a configuration fingerprint,
  *    and an FNV-1a checksum over the payload. Version and fingerprint
  *    are validated before the checksum so a reader can distinguish
@@ -66,8 +67,10 @@ namespace anton2 {
 /** Current checkpoint format version. Bump on any encoding change.
  * Version 2: phits carry no payload copy, and wire rings are rounded up
  * to powers of two. Version 3: adapter ingress entries drop the unused
- * active-grant flag. */
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+ * active-grant flag. Version 4: packets are fixed records - every
+ * payload flit, an inline route with no counts, and the torus hops left
+ * per dimension. */
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 /** Thrown on any malformed, mismatched, or corrupted checkpoint. */
 class CheckpointError : public std::runtime_error
@@ -192,8 +195,16 @@ class CkptArchive
      * that span sections (no marker is stored). */
     void section(const char *name) { section_ = name; }
 
-    /** A shared-packet reference, by ordinal into the packet table. */
+    /** A packet reference, by ordinal into the packet table. */
     void packet(PacketPtr &p, bool nullable = false);
+
+    /**
+     * On restore, record that flits [@p lo, @p hi) of @p p are held where
+     * the caller keeps it: buffered, on a wire, queued for injection, or
+     * consumed by a reassembly or by multicast copies. Fails if a flit is
+     * held twice: each holder would release the packet.
+     */
+    void holds(const Packet *p, unsigned lo, unsigned hi);
 
     /** The cycle the image is taken at; bounds wire delivery cycles. */
     void clock(Cycle &now);
@@ -210,11 +221,12 @@ class CkptArchive
     [[noreturn]] void fail(const std::string &what) const;
 
     /**
-     * Read the packet table that precedes the stream: @p alloc makes
-     * each packet and @p fields restores it. Call once, first.
+     * Read the packet table that precedes the stream: @p fields restores
+     * each packet into a scratch record and @p place stores it where it
+     * will live. Call once, first.
      */
-    void readPackets(const std::function<PacketPtr()> &alloc,
-                     const PacketFields &fields);
+    void readPackets(const PacketFields &fields,
+                     const std::function<PacketPtr(const Packet &)> &place);
 
     /** Every packet of the table, by ordinal (after readPackets). */
     const std::vector<PacketPtr> &packets() const { return packets_; }
@@ -256,6 +268,7 @@ class CkptArchive
     Cycle now_ = 0;
     std::vector<PacketPtr> packets_; ///< ordinal -> packet
     std::unordered_map<const Packet *, std::uint32_t> ordinals_;
+    std::vector<std::uint8_t> held_; ///< restore: flits held, by ordinal
 };
 
 /**

@@ -134,7 +134,7 @@ class VcBuffer
   public:
     struct Entry
     {
-        PacketPtr pkt;
+        PacketPtr pkt = nullptr;
         std::uint16_t arrived = 0; ///< flits received so far
         std::uint16_t sent = 0;    ///< flits forwarded so far
         Cycle head_at = 0;         ///< cycle the packet became buffer head
@@ -160,14 +160,13 @@ class VcBuffer
     int occupancy() const { return occupancy_; }
     bool empty() const { return entries_.empty(); }
 
-    /** Accept one incoming flit (head flit enqueues the packet, taking
-     * over the phit's packet pointer). */
+    /** Accept one incoming flit (a head flit enqueues its packet). */
     void
-    acceptFlit(Phit &&phit, Cycle now)
+    acceptFlit(const Phit &phit, Cycle now)
     {
         if (phit.head) {
             Entry &e = entries_.emplace_back();
-            e.pkt = std::move(phit.pkt);
+            e.pkt = phit.pkt;
             e.head_at = now;
         }
         assert(!entries_.empty());

@@ -13,12 +13,14 @@ namespace anton2 {
 
 ChannelAdapter::ChannelAdapter(std::string name,
                                const ChannelAdapterConfig &cfg,
-                               bool crosses_dateline, IngressFn ingress_fn)
+                               bool crosses_dateline, IngressFn ingress_fn,
+                               LaneRelease release)
     : Component(std::move(name)),
       cfg_(cfg),
       vcs_per_class_(std::max(1, cfg.num_vcs / kNumTrafficClasses)),
       crosses_dateline_(crosses_dateline),
       ingress_fn_(std::move(ingress_fn)),
+      release_(release),
       egress_vcs_(static_cast<std::size_t>(cfg.num_vcs)),
       egress_arb_(makeArbiter(cfg.arb, cfg.num_vcs, cfg.weight_bits)),
       ingress_vcs_(static_cast<std::size_t>(cfg.num_vcs)),
@@ -125,7 +127,7 @@ ChannelAdapter::tickEgress(Cycle now, std::uint32_t rung)
                 ++egress_packets_;
                 egress_nonempty_ |= 1u << phit->vc;
             }
-            egress_vcs_[phit->vc].acceptFlit(std::move(*phit), now);
+            egress_vcs_[phit->vc].acceptFlit(*phit, now);
         }
     }
 
@@ -187,7 +189,7 @@ ChannelAdapter::tickEgress(Cycle now, std::uint32_t rung)
             phit.index = head.sent;
             phit.head = (head.sent == 0);
             phit.tail = tail;
-            torus_out_->data.send(now, std::move(phit));
+            torus_out_->data.send(now, phit);
             if (head.sent == 0)
                 tracePacketEvent(trace_, TraceUnitKind::ChannelAdapter,
                                  TraceEventType::LinkTraverse, now,
@@ -236,7 +238,7 @@ ChannelAdapter::tickIngress(Cycle now, std::uint32_t rung)
             ++ingress_packets_;
             ingress_nonempty_ |= 1u << phit->vc;
         }
-        ingress_vcs_[phit->vc].acceptFlit(std::move(*phit), now);
+        ingress_vcs_[phit->vc].acceptFlit(*phit, now);
         ++flits_received_;
         if (metrics_ != nullptr)
             metrics_->flits_received->inc();
@@ -261,11 +263,11 @@ ChannelAdapter::tickIngress(Cycle now, std::uint32_t rung)
     auto finishEntry = [&](int v) {
         auto &buf = ingress_vcs_[static_cast<std::size_t>(v)];
         auto &entry = ingress_heads_[static_cast<std::size_t>(v)];
-        const auto size = buf.head().pkt->size_flits;
+        Packet *pkt = buf.head().pkt;
         // Multi-copy (and dropped) packets release their buffer slots and
         // link credits only once all copies have been forwarded.
         if (entry.copies.size() != 1) {
-            while (buf.head().sent < size) {
+            while (buf.head().sent < pkt->size_flits) {
                 buf.sendFlit();
                 pendingTorusCredit(v);
             }
@@ -275,6 +277,10 @@ ChannelAdapter::tickIngress(Cycle now, std::uint32_t rung)
             ingress_nonempty_ &= ~(1u << v);
         --ingress_packets_;
         ingress_expanded_ &= ~(1u << v);
+        // A unicast packet continued as its own copy; a multicast packet's
+        // copies are new records, so the original retires here.
+        if (entry.copies.size() != 1 || entry.copies[0].pkt != pkt)
+            release_(pkt);
         entry.copies.clear();
     };
 
@@ -327,7 +333,7 @@ ChannelAdapter::tickIngress(Cycle now, std::uint32_t rung)
             phit.index = entry.copy_sent;
             phit.head = (entry.copy_sent == 0);
             phit.tail = (entry.copy_sent + 1 == copy.pkt->size_flits);
-            router_out_->data.send(now, std::move(phit));
+            router_out_->data.send(now, phit);
             ++entry.copy_sent;
             if (entry.copies.size() == 1) {
                 // Unicast: stream buffer slots / link credits per flit.
@@ -464,7 +470,7 @@ ChannelAdapter::collectBlockedHeads(std::vector<BlockedHead> &out) const
             b.vc = v;
             b.want_vc = link_vc;
             b.pkt = head.pkt;
-            out.push_back(std::move(b));
+            out.push_back(b);
         }
     }
     // Ingress copies waiting on adapter->router credits.
@@ -485,7 +491,7 @@ ChannelAdapter::collectBlockedHeads(std::vector<BlockedHead> &out) const
         b.vc = v;
         b.want_vc = copy.vc;
         b.pkt = copy.pkt;
-        out.push_back(std::move(b));
+        out.push_back(b);
     }
 }
 
@@ -590,6 +596,21 @@ ChannelAdapter::fields(CkptArchive &ar, const Router &to_router,
                          && to_router.routable(*c.pkt),
                      "ingress copy differs from its packet or has no "
                      "route");
+        // A unicast packet is its own copy; multicast copies are new
+        // records, holding the flits not yet forwarded, and the original
+        // holds the flits they consumed.
+        const bool own_copy =
+            e.copies.size() == 1 && e.copies[0].pkt == head.pkt;
+        ar.check(own_copy == (head.pkt->mcast_group < 0),
+                 "ingress copies disagree with the packet's cast");
+        if (!own_copy) {
+            ar.holds(head.pkt, 0, head.sent);
+            for (std::size_t j = e.next_copy; j < e.copies.size(); ++j) {
+                const IngressCopy &c = e.copies[j];
+                ar.holds(c.pkt, j == e.next_copy ? e.copy_sent : 0,
+                         c.pkt->size_flits);
+            }
+        }
         ar.check(e.copies.size() == 1 ? e.copy_sent == head.sent
                                       : head.sent == 0,
                  "ingress copy progress differs from its buffer");

@@ -19,7 +19,7 @@
 
 #include "arb/arbiter.hpp"
 #include "noc/channel.hpp"
-#include "noc/packet.hpp"
+#include "noc/packet_slab.hpp"
 #include "sim/component.hpp"
 #include "sim/flow.hpp"
 #include "sim/metrics.hpp"
@@ -63,7 +63,7 @@ struct ChannelAdapterConfig
 /** One expanded ingress delivery: a packet copy and its on-chip entry VC. */
 struct IngressCopy
 {
-    PacketPtr pkt;
+    PacketPtr pkt = nullptr;
     std::uint8_t vc = 0; ///< VC on the adapter->router channel
 };
 
@@ -71,11 +71,13 @@ struct IngressCopy
  * Ingress routing callback, bound by the chip assembly. Called once when a
  * packet becomes head of an ingress VC buffer; it applies VC promotion /
  * dimension-completion updates, computes the packet's exit attach point
- * on this chip, and appends the resulting copies (several for multicast)
- * to @p out, which arrives empty and keeps its capacity across packets.
+ * on this chip, and appends the resulting copies to @p out, which arrives
+ * empty and keeps its capacity across packets: the packet itself for
+ * unicast, new records for multicast (the adapter then releases the
+ * original when its entry retires).
  */
 using IngressFn =
-    std::function<void(const PacketPtr &, std::vector<IngressCopy> &out)>;
+    std::function<void(PacketPtr, std::vector<IngressCopy> &out)>;
 
 class ChannelAdapter final : public Component
 {
@@ -84,9 +86,12 @@ class ChannelAdapter final : public Component
      * @param crosses_dateline Whether this adapter's outgoing torus link
      * crosses the dateline (Section 2.5): egress then applies the
      * dateline VC promotion.
+     * @param release How retired multicast originals are released (the
+     * default: straight to their slab).
      */
     ChannelAdapter(std::string name, const ChannelAdapterConfig &cfg,
-                   bool crosses_dateline, IngressFn ingress_fn);
+                   bool crosses_dateline, IngressFn ingress_fn,
+                   LaneRelease release = {});
 
     /** Channel from the attached router (egress data in, credits out). */
     void connectRouterIn(Channel &ch);
@@ -196,7 +201,7 @@ class ChannelAdapter final : public Component
         bool egress = true; ///< else ingress side
         int vc = -1;        ///< holding VC buffer
         int want_vc = -1;   ///< VC wanted downstream (link or router)
-        PacketPtr pkt;
+        PacketPtr pkt = nullptr;
     };
 
     /** Collect heads blocked on torus-link credits (egress) or on
@@ -281,6 +286,7 @@ class ChannelAdapter final : public Component
     int vcs_per_class_;       ///< VCs per traffic class (full VC index)
     bool crosses_dateline_;   ///< egress link wraps from k-1 to 0 (or back)
     IngressFn ingress_fn_;
+    LaneRelease release_;
 
     // Egress side: router -> torus.
     Channel *router_in_ = nullptr;

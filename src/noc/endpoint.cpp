@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "debug/checkpoint.hpp"
+#include "noc/packet_slab.hpp"
 #include "noc/router.hpp"
 
 namespace anton2 {
@@ -144,11 +145,11 @@ EndpointAdapter::tickInject(Cycle now, std::uint32_t rung)
         phit.index = inj_sent_;
         phit.head = (inj_sent_ == 0);
         phit.tail = tail;
-        to_router_->data.send(now, std::move(phit));
+        to_router_->data.send(now, phit);
         ++inj_sent_;
         ++flits_injected_;
         if (tail) {
-            inj_active_.reset();
+            inj_active_ = nullptr;
             inj_sent_ = 0;
             ++injected_;
             if (metrics_ != nullptr)
@@ -173,7 +174,7 @@ EndpointAdapter::tickEject(Cycle now, std::uint32_t rung)
     auto &slot = eject_[phit->vc];
     if (phit->head) {
         assert(slot.pkt == nullptr && "interleaved packets on one VC");
-        slot.pkt = std::move(phit->pkt);
+        slot.pkt = phit->pkt;
         slot.arrived = 0;
         slot.head_at = now;
     }
@@ -186,7 +187,7 @@ EndpointAdapter::tickEject(Cycle now, std::uint32_t rung)
     // in standalone use - under a Machine they are queued and drained by
     // the engine's serial phase after the per-cycle barrier (identically
     // in serial and threaded runs).
-    PacketPtr pkt = std::move(slot.pkt);
+    PacketPtr pkt = slot.pkt;
     const Cycle head_at = slot.head_at;
     slot = EjectSlot{};
     pkt->eject_time = now;
@@ -197,7 +198,7 @@ EndpointAdapter::tickEject(Cycle now, std::uint32_t rung)
     tracePacketEvent(trace_, TraceUnitKind::Endpoint, TraceEventType::Eject,
                      now, pkt->id, pkt->hops, phit->vc);
     if (staged_ != nullptr) {
-        pending_.push_back({ std::move(pkt), head_at, now });
+        pending_.push_back({ pkt, head_at, now });
         *staged_ |= staged_bit_;
     } else {
         deliverSideEffects(pkt, head_at, now);
@@ -205,8 +206,7 @@ EndpointAdapter::tickEject(Cycle now, std::uint32_t rung)
 }
 
 void
-EndpointAdapter::deliverSideEffects(const PacketPtr &pkt, Cycle head_at,
-                                    Cycle now)
+EndpointAdapter::deliverSideEffects(PacketPtr pkt, Cycle head_at, Cycle now)
 {
     if (metrics_ != nullptr) {
         metrics_->delivered->inc();
@@ -251,6 +251,8 @@ EndpointAdapter::deliverSideEffects(const PacketPtr &pkt, Cycle head_at,
                 handler_fn_(pkt->counter, now);
         }
     }
+    // Delivered and every side effect run: the packet's life ends here.
+    pkt->slab->release(pkt);
 }
 
 void
@@ -362,6 +364,16 @@ EndpointAdapter::fields(CkptArchive &ar, const Router &to_router)
     ar.check(inj_active_ != nullptr ? inj_sent_ < inj_active_->size_flits
                                     : inj_sent_ == 0,
              "injection progress out of range");
+    for (const auto &q : inject_q_) {
+        for (const PacketPtr &p : q)
+            ar.holds(p, 0, p->size_flits);
+    }
+    if (inj_active_ != nullptr)
+        ar.holds(inj_active_, inj_sent_, inj_active_->size_flits);
+    for (const EjectSlot &s : eject_) {
+        if (s.pkt != nullptr)
+            ar.holds(s.pkt, 0, s.arrived);
+    }
     // The endpoint's router routes every packet still to be injected.
     bool routable = inj_active_ == nullptr || to_router.routable(*inj_active_);
     for (const auto &q : inject_q_) {

@@ -60,7 +60,8 @@ struct EndpointMetrics
 class EndpointAdapter final : public Component
 {
   public:
-    /** Called for every fully delivered packet. */
+    /** Called for every fully delivered packet, which is released after
+     * the side effects (the pointer is valid for the call only). */
     using DeliverFn = std::function<void(const PacketPtr &, Cycle)>;
     /**
      * Called when a counted-write counter fires (reaches zero), modeling
@@ -94,8 +95,8 @@ class EndpointAdapter final : public Component
     /**
      * Queue a packet for injection and wake the endpoint for the next
      * cycle its shard ticks. The packet must have its route fields
-     * (route, vc policy, chip_exit) prepared; Machine::preparePacket does
-     * this. Injection queues model software send descriptors and are
+     * (route, vc policy, chip_exit) prepared; Machine's packet factory
+     * does this. Injection queues model software send descriptors and are
      * unbounded; drivers use injectQueueDepth() for self-throttling.
      * Call between cycles or from the engine's serial phase.
      */
@@ -129,12 +130,13 @@ class EndpointAdapter final : public Component
      * Run the deferred side effects of every packet that finished
      * reassembly at or before cycle @p up_to: the shared latency
      * aggregates, the delivery callback, read-reply generation, and
-     * counted-write handler dispatch. The engine's serial replay calls
-     * this (via Machine) on each simulated cycle with that cycle, for
-     * every endpoint holding staged deliveries, so in a lookahead window
-     * the deliveries of several cycles, staged during the parallel
-     * phase, replay in exact per-cycle order. The default flushes
-     * everything (legacy window-1 behavior).
+     * counted-write handler dispatch; then release the packet. The
+     * engine's serial replay calls this (via Machine) on each simulated
+     * cycle with that cycle, for every endpoint holding staged
+     * deliveries, so in a lookahead window the deliveries of several
+     * cycles, staged during the parallel phase, replay in exact
+     * per-cycle order. The default flushes everything (legacy window-1
+     * behavior).
      */
     void flushDeliveries(Cycle up_to = kNoCycle);
 
@@ -218,7 +220,7 @@ class EndpointAdapter final : public Component
      * receives from. */
     static constexpr unsigned kCreditBell = 0;
     static constexpr unsigned kEjectBell = 1;
-    void deliverSideEffects(const PacketPtr &pkt, Cycle head_at, Cycle now);
+    void deliverSideEffects(PacketPtr pkt, Cycle head_at, Cycle now);
 
     EndpointConfig cfg_;
     EndpointAddr addr_;
@@ -232,13 +234,13 @@ class EndpointAdapter final : public Component
     std::deque<PacketPtr> inject_q_[kNumTrafficClasses];
     int next_class_ = 0; ///< round-robin between the classes
     /** In-flight injection (flit streaming). */
-    PacketPtr inj_active_;
+    PacketPtr inj_active_ = nullptr;
     std::uint16_t inj_sent_ = 0;
 
     /** Reassembly of the (at most one per VC) arriving packet. */
     struct EjectSlot
     {
-        PacketPtr pkt;
+        PacketPtr pkt = nullptr;
         std::uint16_t arrived = 0;
         Cycle head_at = 0; ///< head-flit arrival (latency breakdown)
     };
@@ -247,7 +249,7 @@ class EndpointAdapter final : public Component
     /** A delivery completed during tick(), awaiting flushDeliveries(). */
     struct PendingDelivery
     {
-        PacketPtr pkt;
+        PacketPtr pkt = nullptr;
         Cycle head_at = 0;
         Cycle at = 0;
     };

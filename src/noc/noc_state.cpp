@@ -23,6 +23,7 @@ Channel::fields(CkptArchive &ar, int vcs)
         ar.check(p.index < p.pkt->size_flits && p.head == (p.index == 0)
                      && p.tail == (p.index + 1 == p.pkt->size_flits),
                  "phit index and flags disagree with its packet");
+        ar.holds(p.pkt, p.index, p.index + 1u);
     });
     wireFields(ar, credit, [&](Credit &c) {
         ar.io(c.vc, 0, static_cast<std::uint8_t>(vcs - 1), "credit VC");
@@ -79,6 +80,7 @@ VcBuffer::fields(CkptArchive &ar, int ports, int vcs)
                      && (!e.va_done || e.routed)
                      && (!e.granted || (e.va_done && i == 0)),
                  "entry pipeline flags out of order");
+        ar.holds(e.pkt, e.sent, e.arrived);
     }
 }
 

@@ -12,7 +12,7 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "core/chip_layout.hpp"
@@ -60,55 +60,103 @@ struct EndpointAddr
     }
 };
 
+class PacketSlab;
+
 /**
- * A network packet. Owned via shared_ptr; a multicast delivery clones the
- * packet at branch points.
+ * A packet's inter-node route, fixed at the source (Section 2.3) and
+ * stored inline: the dimension order, the torus slice, the direction of
+ * travel per dimension, and the torus hops still to take per dimension.
+ * `Machine` models a 3-D torus, so every array has one entry per
+ * dimension.
+ */
+struct PacketRoute
+{
+    std::array<std::uint8_t, 3> order{ 0, 1, 2 }; ///< dimension order
+    std::array<Dir, 3> dirs{ Dir::Pos, Dir::Pos, Dir::Pos };
+    std::uint8_t slice = 0; ///< torus slice, in [0, kNumSlices)
+    /** Torus hops left per dimension: set at injection, decremented at
+     * each unicast ingress (multicast packets route by their tree and
+     * keep zeros). */
+    std::array<std::uint16_t, 3> left{};
+
+    /** The first dimension in route order with hops left, or -1 when
+     * the packet is at its destination node. */
+    int
+    nextDim() const
+    {
+        for (const std::uint8_t d : order) {
+            if (left[d] != 0)
+                return d;
+        }
+        return -1;
+    }
+
+    /** The route as a RouteSpec (for torusHops and nextRouteDim). */
+    RouteSpec
+    spec() const
+    {
+        return { DimOrder(order.begin(), order.end()), slice,
+                 std::vector<Dir>(dirs.begin(), dirs.end()) };
+    }
+};
+
+/**
+ * A network packet: a fixed-size, trivially copyable record that lives in
+ * a PacketSlab (noc/packet_slab.hpp), which also states its lifetime.
+ * Fields the router stages read come first; the payload comes last.
  */
 struct Packet
 {
-    std::uint64_t id = 0;
-    EndpointAddr src;
-    EndpointAddr dst;
+    // --- read by every router stage (RC, VA, SA1/SA2, ST) -------------
+    AttachPoint chip_exit;            ///< exit point on the current chip
+    bool x_through = false;           ///< current chip traversal uses skip
     TrafficClass tc = TrafficClass::Request;
-    OpKind op = OpKind::Write;
     std::uint8_t pattern = 0; ///< traffic-pattern id for inverse weighting
     std::uint16_t size_flits = 1;
-    std::vector<FlitPayload> payload; ///< size_flits entries
-
-    /** Counted-write synchronization: counter id at the destination. */
-    std::int32_t counter = -1;
-
+    VcState vc{ VcPolicy::Anton2 };   ///< promotion state, updated en route
+    Cycle birth = 0;       ///< creation time (age-based arbitration)
+    std::uint64_t id = 0;
     /** Multicast group id at each hop's node table, or -1 for unicast. */
     std::int32_t mcast_group = -1;
 
-    // --- routing state -------------------------------------------------
-    RouteSpec route;                  ///< fixed at the source
-    VcState vc{ VcPolicy::Anton2 };   ///< promotion state, updated en route
-    AttachPoint chip_exit;            ///< exit point on the current chip
-    bool x_through = false;           ///< current chip traversal uses skip
+    // --- routing at node boundaries, and the endpoints -----------------
+    PacketRoute route;
+    EndpointAddr src;
+    EndpointAddr dst;
+    OpKind op = OpKind::Write;
+    /** Counted-write synchronization: counter id at the destination. */
+    std::int32_t counter = -1;
+    int hops = 0; ///< inter-node hops taken (for latency-vs-hops plots)
 
     // --- timestamps (free-running cycle counters, Section 4) -----------
-    Cycle birth = 0;       ///< creation time (age-based arbitration)
     Cycle inject_time = 0; ///< first flit entered the network
     Cycle eject_time = 0;  ///< last flit delivered
 
-    int hops = 0; ///< inter-node hops taken (for latency-vs-hops plots)
+    /** The slab holding this record (its home; not simulation state). */
+    PacketSlab *slab = nullptr;
+
+    std::array<FlitPayload, kMaxPacketFlits> payload{}; ///< size_flits used
 };
 
-using PacketPtr = std::shared_ptr<Packet>;
+static_assert(std::is_trivially_copyable_v<Packet>);
+
+/**
+ * A non-owning reference to a packet record. Whoever holds one holds it
+ * only while the packet is live (see PacketSlab for when it is released);
+ * a deliver hook's argument is valid for the call only.
+ */
+using PacketPtr = Packet *;
 
 /**
  * One phit on a channel wire: a single flit plus control. Every phit
  * carries the packet pointer; the flit's 192 payload bits are
- * `pkt->payload[index]`, so a phit does not copy them. Senders move a
- * phit onto the wire and receivers move it into their buffers, so a hop
- * copies the packet pointer once.
+ * `pkt->payload[index]`, so a phit does not copy them.
  */
 struct Phit
 {
-    PacketPtr pkt;          ///< set on every phit (simulation convenience)
-    std::uint8_t vc = 0;    ///< VC this flit occupies on the channel
-    std::uint16_t index = 0;///< flit index within the packet
+    PacketPtr pkt = nullptr; ///< set on every phit (simulation convenience)
+    std::uint8_t vc = 0;     ///< VC this flit occupies on the channel
+    std::uint16_t index = 0; ///< flit index within the packet
     bool head = false;
     bool tail = false;
 

@@ -181,7 +181,7 @@ Router::receive(Cycle now)
         if (metrics_ != nullptr)
             metrics_->in_flits[static_cast<std::size_t>(p)]->inc();
         ++flits_routed_;
-        ip.vcs[v].acceptFlit(std::move(*phit), now);
+        ip.vcs[v].acceptFlit(*phit, now);
     }
 }
 
@@ -403,7 +403,7 @@ Router::stageSt(Cycle now)
         phit.index = head.sent;
         phit.head = (head.sent == 0);
         phit.tail = tail;
-        op.ch->data.send(now, std::move(phit));
+        op.ch->data.send(now, phit);
 
         ip.ch->credit.send(now, Credit{ static_cast<std::uint8_t>(
                                     op.src_vc) });
@@ -634,7 +634,7 @@ Router::collectBlockedHeads(std::vector<BlockedHead> &out) const
             b.out_port = e.out_port;
             b.out_vc = e.out_vc;
             b.pkt = e.pkt;
-            out.push_back(std::move(b));
+            out.push_back(b);
         }
     }
 }

@@ -170,7 +170,7 @@ class Router final : public Component
         int in_vc = -1;
         int out_port = -1;
         int out_vc = -1;
-        PacketPtr pkt;
+        PacketPtr pkt = nullptr;
     };
 
     /** Collect every routed head whose VA/SA is blocked purely by missing

@@ -10,17 +10,17 @@
 
 #include "noc/channel_adapter.hpp"
 #include "noc/endpoint.hpp"
+#include "noc/packet_slab.hpp"
 #include "sim/engine.hpp"
 
 namespace anton2 {
 namespace {
 
 PacketPtr
-makePkt(int flits = 1)
+makePkt(PacketSlab &slab, int flits = 1)
 {
-    auto pkt = std::make_shared<Packet>();
+    PacketPtr pkt = slab.alloc();
     pkt->size_flits = static_cast<std::uint16_t>(flits);
-    pkt->payload.resize(static_cast<std::size_t>(flits));
     return pkt;
 }
 
@@ -57,6 +57,7 @@ struct EgressBench
         from_router.data.send(engine.now(), phit);
     }
 
+    PacketSlab slab;
     Engine engine;
     Channel from_router;
     Channel torus;
@@ -71,7 +72,7 @@ TEST(ChannelAdapterUnit, SerializesAtExactly14Over45)
     const int cycles = 450 * 4; // 4 x 45-cycle periods x 10 flits
     for (int t = 0; t < cycles; ++t) {
         if (sent - got < 6 && sent < 1000) {
-            b.offer(makePkt(), 0);
+            b.offer(makePkt(b.slab), 0);
             ++sent;
         }
         b.engine.step();
@@ -90,7 +91,7 @@ TEST(ChannelAdapterUnit, TorusFlitsCarryTheCommittedLinkVc)
     EgressBench b;
     // A Reply packet crossing the dateline: promotion VC 1 of class 1,
     // full link VC 1 * 2 + 1 = 3.
-    auto pkt = makePkt();
+    auto pkt = makePkt(b.slab);
     pkt->tc = TrafficClass::Reply;
     b.offer(pkt, 1);
     for (int t = 0; t < 30; ++t) {
@@ -112,7 +113,7 @@ TEST(ChannelAdapterUnit, NoPromotionFaultKeepsTheUnpromotedVc)
     EXPECT_TRUE(b.adapter->crossesDateline());
     b.adapter->faultNoPromotion();
     EXPECT_FALSE(b.adapter->crossesDateline());
-    auto pkt = makePkt();
+    auto pkt = makePkt(b.slab);
     b.offer(pkt, 0);
     for (int t = 0; t < 30; ++t) {
         b.engine.step();
@@ -136,7 +137,7 @@ TEST(ChannelAdapterUnit, EgressBlocksWithoutPeerCredits)
     int got = 0, offered = 0, credits = 8;
     for (int t = 0; t < 600; ++t) {
         if (offered < 20 && credits > 0) {
-            b.offer(makePkt(), 0);
+            b.offer(makePkt(b.slab), 0);
             ++offered;
             --credits;
         }
@@ -158,7 +159,7 @@ TEST(ChannelAdapterUnit, CommitHappensOncePerPacket)
     int offered = 0, got = 0;
     for (int t = 0; t < 400; ++t) {
         if (offered < 6 && t % 2 == 0) {
-            pkts.push_back(makePkt());
+            pkts.push_back(makePkt(b.slab));
             b.offer(pkts.back(), offered % 4);
             ++offered;
         }
@@ -176,6 +177,7 @@ TEST(ChannelAdapterUnit, CommitHappensOncePerPacket)
 
 TEST(EndpointUnit, InjectsOneFlitPerCycle)
 {
+    PacketSlab slab;
     Engine engine;
     Channel to_router(1, 1), from_router(1, 1);
     EndpointConfig cfg;
@@ -186,7 +188,7 @@ TEST(EndpointUnit, InjectsOneFlitPerCycle)
     engine.add(ep);
 
     for (int i = 0; i < 10; ++i) {
-        auto pkt = makePkt();
+        auto pkt = makePkt(slab);
         pkt->vc = VcState(VcPolicy::Anton2);
         ep.inject(pkt);
     }
@@ -209,6 +211,7 @@ TEST(EndpointUnit, InjectsOneFlitPerCycle)
 
 TEST(EndpointUnit, ClassesShareInjectionRoundRobin)
 {
+    PacketSlab slab;
     Engine engine;
     Channel to_router(1, 1), from_router(1, 1);
     EndpointConfig cfg;
@@ -219,10 +222,10 @@ TEST(EndpointUnit, ClassesShareInjectionRoundRobin)
     engine.add(ep);
 
     for (int i = 0; i < 6; ++i) {
-        auto req = makePkt();
+        auto req = makePkt(slab);
         req->tc = TrafficClass::Request;
         ep.inject(req);
-        auto rep = makePkt();
+        auto rep = makePkt(slab);
         rep->tc = TrafficClass::Reply;
         ep.inject(rep);
     }
@@ -248,6 +251,7 @@ TEST(EndpointUnit, ClassesShareInjectionRoundRobin)
 
 TEST(EndpointUnit, EjectionDeliversAndReturnsCreditImmediately)
 {
+    PacketSlab slab;
     Engine engine;
     Channel to_router(1, 1), from_router(1, 1);
     EndpointConfig cfg;
@@ -260,7 +264,7 @@ TEST(EndpointUnit, EjectionDeliversAndReturnsCreditImmediately)
     int delivered = 0;
     ep.setDeliverFn([&](const PacketPtr &, Cycle) { ++delivered; });
 
-    auto pkt = makePkt(2);
+    auto pkt = makePkt(slab, 2);
     for (int f = 0; f < 2; ++f) {
         Phit phit;
         phit.pkt = pkt;

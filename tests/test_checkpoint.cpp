@@ -35,6 +35,7 @@
 
 #include "core/machine.hpp"
 #include "debug/checkpoint.hpp"
+#include "halo.hpp"
 #include "link/link_layer.hpp"
 #include "routing/multicast.hpp"
 #include "sim/engine.hpp"
@@ -381,6 +382,57 @@ writeAll(const std::string &path, const std::vector<char> &bytes)
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+TEST(Checkpoint, MidMulticastImageIsThreadInvariantAndRestores)
+{
+    // Mid-step, multicast copies are new records made on the lanes and
+    // their originals are released across chips at the barrier. None of
+    // that reaches the image: ordinals follow the stream, so the image is
+    // byte-identical at 1, 2 and 4 threads, and a restore finishes the
+    // step exactly as the uninterrupted run does.
+    auto config = [](int threads) {
+        MachineConfig cfg = smallConfig(41);
+        cfg.radix = { 3, 3, 3 };
+        cfg.threads = threads;
+        cfg.lookahead = 0;
+        return cfg;
+    };
+    const std::string path = ckptPath("mid_mcast");
+    std::vector<char> image;
+    Exports expected;
+    for (int threads : { 1, 2, 4 }) {
+        Machine m(config(threads));
+        const auto groups = test::installHalo(m, 2);
+        test::sendHaloStep(m, groups, 2, 2, 1);
+        m.run(RunSpec::forCycles(kForkCycle));
+        bool multicast = false;
+        for (NodeId n = 0; n < m.geom().numNodes(); ++n)
+            multicast = multicast || m.chip(n).flitCensus().multicast;
+        ASSERT_TRUE(multicast) << "the save must land mid-multicast";
+        m.saveCheckpoint(path);
+        if (threads == 1) {
+            image = readAll(path);
+            m.attachInstrumentation(forkInstrumentation());
+            ASSERT_EQ(m.run(RunSpec::untilQuiescent(200000)).reason,
+                      StopReason::Quiescent);
+            expected = capture(m);
+        } else {
+            EXPECT_EQ(readAll(path), image) << "threads=" << threads;
+        }
+    }
+    writeAll(path, image);
+    for (int threads : { 1, 4 }) {
+        Machine m(config(threads));
+        m.restoreCheckpoint(path);
+        m.attachInstrumentation(forkInstrumentation());
+        ASSERT_EQ(m.run(RunSpec::untilQuiescent(200000)).reason,
+                  StopReason::Quiescent);
+        expectIdentical(expected, capture(m),
+                        "restored at threads=" + std::to_string(threads));
+        EXPECT_EQ(test::livePackets(m), 0u);
+    }
+    std::remove(path.c_str());
+}
+
 /** Save a valid checkpoint from a mid-run machine. */
 std::string
 makeValidCheckpoint(const char *name)
@@ -485,6 +537,31 @@ TEST(CheckpointReject, ClientCountMismatchIsRejected)
         FAIL() << "client-mismatched checkpoint accepted";
     } catch (const CheckpointError &e) {
         EXPECT_NE(std::string(e.what()).find("client"), std::string::npos)
+            << "unexpected error: " << e.what();
+    }
+    std::remove(path.c_str());
+}
+
+TEST(CheckpointReject, PacketHeldInTwoPlacesIsRejected)
+{
+    // One packet queued twice for injection: each queue entry would
+    // deliver it, and so release it. A restore must refuse the image.
+    const std::string path = ckptPath("held_twice");
+    MachineConfig cfg = smallConfig();
+    {
+        Machine m(cfg);
+        PacketPtr pkt = m.makeWrite({ 0, 0 }, { 1, 1 });
+        m.send(pkt);
+        m.send(pkt);
+        m.saveCheckpoint(path);
+    }
+    Machine m(cfg);
+    try {
+        m.restoreCheckpoint(path);
+        FAIL() << "a packet queued twice was restored";
+    } catch (const CheckpointError &e) {
+        EXPECT_NE(std::string(e.what()).find("held in two places"),
+                  std::string::npos)
             << "unexpected error: " << e.what();
     }
     std::remove(path.c_str());

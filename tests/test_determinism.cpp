@@ -192,12 +192,10 @@ runFaultedSnapshot(std::uint64_t seed)
     const NodeId choke_dst = m.geom().id({ 2, 0, 0 });
     for (int i = 0; i < 30; ++i) {
         auto pkt = m.makeWrite({ 0, i % 4 }, { choke_dst, 1 }, 0, 2);
-        pkt->route = makeRoute(m.geom(), 0, choke_dst, DimOrder{ 0, 1, 2 },
-                               0, tie);
-        pkt->route.dirs[0] = Dir::Pos;
-        pkt->vc = VcState(m.config().chip.vc_policy);
-        m.chip(0).setExit(*pkt, nextRouteDim(m.geom(), 0, choke_dst,
-                                             pkt->route));
+        RouteSpec route = makeRoute(m.geom(), 0, choke_dst,
+                                    DimOrder{ 0, 1, 2 }, 0, tie);
+        route.dirs[0] = Dir::Pos;
+        m.setRoute(*pkt, route);
         m.send(pkt);
         ++sent;
     }

@@ -29,6 +29,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -762,6 +763,35 @@ TEST(OptionRegistry, NumericRangeIsCheckedAtParse)
     EXPECT_NE(testing::internal::GetCapturedStderr().find(
                   "error: --m must be >= 1"),
               std::string::npos);
+
+    // A flag narrowed to int is bounded by INT_MAX: 2^32 + 2 no longer
+    // wraps to 2. A value past what long holds is out of range, not
+    // clamped to LONG_MAX, whatever the flag's bound.
+    auto reject = [](long hi, const char *value, const std::string &why) {
+        long k = 0;
+        bench::OptionRegistry r("t");
+        r.add("--k", "N", "h", &k, 2, hi);
+        Argv args({ "--k", value });
+        testing::internal::CaptureStderr();
+        EXPECT_FALSE(r.parse(args.argc(), args.argv())) << value;
+        EXPECT_NE(testing::internal::GetCapturedStderr().find(why),
+                  std::string::npos)
+            << value;
+    };
+    reject(INT_MAX, "4294967298", "error: --k must be in [2, 2147483647]");
+    reject(INT_MAX, "2147483648", "error: --k must be in [2, 2147483647]");
+    for (long hi : { long{ INT_MAX }, LONG_MAX }) {
+        reject(hi, "99999999999999999999",
+               "error: --k value '99999999999999999999' is out of range");
+        reject(hi, "-99999999999999999999",
+               "error: --k value '-99999999999999999999' is out of range");
+    }
+    long k = 0;
+    bench::OptionRegistry r("t");
+    r.add("--k", "N", "h", &k, 2, INT_MAX);
+    Argv top({ "--k", "2147483647" });
+    EXPECT_TRUE(r.parse(top.argc(), top.argv()));
+    EXPECT_EQ(k, INT_MAX);
 }
 
 // ---------------------------------------------------------------------

@@ -529,12 +529,10 @@ sendForcedXPlus(Machine &m, NodeId src, NodeId dst, int count, Rng &tie)
     std::uint64_t sent = 0;
     for (int i = 0; i < count; ++i) {
         auto pkt = m.makeWrite({ src, i % 4 }, { dst, 1 }, 0, 2);
-        pkt->route = makeRoute(m.geom(), src, dst, DimOrder{ 0, 1, 2 }, 0,
-                               tie);
-        pkt->route.dirs[0] = Dir::Pos;
-        pkt->vc = VcState(m.config().chip.vc_policy);
-        m.chip(src).setExit(*pkt, nextRouteDim(m.geom(), src, dst,
-                                               pkt->route));
+        RouteSpec route = makeRoute(m.geom(), src, dst,
+                                    DimOrder{ 0, 1, 2 }, 0, tie);
+        route.dirs[0] = Dir::Pos;
+        m.setRoute(*pkt, route);
         m.send(pkt);
         ++sent;
     }

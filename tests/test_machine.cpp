@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <unordered_map>
@@ -30,11 +31,20 @@ smallConfig()
     return cfg;
 }
 
+/** Keep a copy of each delivered packet's record in @p got (the
+ * machine releases a packet once it is delivered). */
+void
+keepDelivered(Machine &m, std::optional<Packet> &got)
+{
+    m.setDeliverHook([&got](const PacketPtr &p, Cycle) { got = *p; });
+}
+
 TEST(Machine, SingleWriteSameNodeDelivers)
 {
     Machine m(smallConfig());
-    auto pkt = m.makeWrite({ 0, 0 }, { 0, 3 });
-    m.send(pkt);
+    std::optional<Packet> pkt;
+    keepDelivered(m, pkt);
+    m.send(m.makeWrite({ 0, 0 }, { 0, 3 }));
     ASSERT_TRUE(m.run(RunSpec::untilDelivered(1, 2000)).reason == StopReason::Delivered);
     EXPECT_EQ(m.totalDelivered(), 1u);
     EXPECT_EQ(pkt->hops, 0);
@@ -45,8 +55,9 @@ TEST(Machine, SingleWriteNeighborNodeDelivers)
 {
     Machine m(smallConfig());
     const NodeId dst = m.geom().neighbor(0, 0, Dir::Pos);
-    auto pkt = m.makeWrite({ 0, 0 }, { dst, 1 });
-    m.send(pkt);
+    std::optional<Packet> pkt;
+    keepDelivered(m, pkt);
+    m.send(m.makeWrite({ 0, 0 }, { dst, 1 }));
     ASSERT_TRUE(m.run(RunSpec::untilDelivered(1, 5000)).reason == StopReason::Delivered);
     EXPECT_EQ(pkt->hops, 1);
 }
@@ -55,8 +66,9 @@ TEST(Machine, WriteAcrossAllDimensionsDelivers)
 {
     Machine m(smallConfig());
     const NodeId dst = m.geom().id({ 2, 1, 3 });
-    auto pkt = m.makeWrite({ 0, 0 }, { dst, 2 });
-    m.send(pkt);
+    std::optional<Packet> pkt;
+    keepDelivered(m, pkt);
+    m.send(m.makeWrite({ 0, 0 }, { dst, 2 }));
     ASSERT_TRUE(m.run(RunSpec::untilDelivered(1, 10000)).reason == StopReason::Delivered);
     EXPECT_EQ(pkt->hops, m.geom().hopDistance(0, dst));
 }
@@ -68,11 +80,11 @@ TEST(Machine, TwoFlitPacketDelivers)
                            /*pattern=*/0, /*size_flits=*/2);
     pkt->payload[0] = { 0x1111, 0x2222, 0x3333 };
     pkt->payload[1] = { 0x4444, 0x5555, 0x6666 };
-    PacketPtr got;
-    m.setDeliverHook([&](const PacketPtr &p, Cycle) { got = p; });
+    std::optional<Packet> got;
+    keepDelivered(m, got);
     m.send(pkt);
     ASSERT_TRUE(m.run(RunSpec::untilDelivered(1, 10000)).reason == StopReason::Delivered);
-    ASSERT_NE(got, nullptr);
+    ASSERT_TRUE(got.has_value());
     EXPECT_EQ(got->payload[1][2], 0x6666u);
 }
 
@@ -99,11 +111,10 @@ TEST(Machine, EveryDimOrderAndSliceDelivers)
     for (const auto &order : allDimOrders(3)) {
         for (int slice = 0; slice < kNumSlices; ++slice) {
             auto pkt = m.makeWrite({ 0, 0 }, { dst, 0 });
-            pkt->route = makeRoute(m.geom(), 0, dst, order,
-                                   static_cast<std::uint8_t>(slice), tie);
-            pkt->vc = VcState(m.config().chip.vc_policy);
-            const int next = nextRouteDim(m.geom(), 0, dst, pkt->route);
-            m.chip(0).setExit(*pkt, next);
+            RouteSpec route = makeRoute(m.geom(), 0, dst, order,
+                                        static_cast<std::uint8_t>(slice),
+                                        tie);
+            m.setRoute(*pkt, route);
             m.send(pkt);
             ++sent;
         }
@@ -116,8 +127,9 @@ TEST(Machine, XThroughRoutesWork)
     // 4 hops along X exercise the skip channels at intermediate chips.
     Machine m(smallConfig());
     const NodeId dst = m.geom().id({ 2, 0, 0 });
-    auto pkt = m.makeWrite({ 0, 0 }, { dst, 0 });
-    m.send(pkt);
+    std::optional<Packet> pkt;
+    keepDelivered(m, pkt);
+    m.send(m.makeWrite({ 0, 0 }, { dst, 0 }));
     ASSERT_TRUE(m.run(RunSpec::untilDelivered(1, 10000)).reason == StopReason::Delivered);
     EXPECT_EQ(pkt->hops, 2);
 }
@@ -139,13 +151,15 @@ TEST(Machine, DatelineCrossingRoutesDeliver)
 TEST(Machine, LatencyScalesWithHops)
 {
     Machine m(smallConfig());
-    auto near = m.makeWrite({ 0, 0 }, { m.geom().id({ 1, 0, 0 }), 0 });
-    m.send(near);
+    std::optional<Packet> near;
+    keepDelivered(m, near);
+    m.send(m.makeWrite({ 0, 0 }, { m.geom().id({ 1, 0, 0 }), 0 }));
     ASSERT_TRUE(m.run(RunSpec::untilDelivered(1, 10000)).reason == StopReason::Delivered);
     const Cycle lat1 = near->eject_time - near->inject_time;
 
-    auto far = m.makeWrite({ 0, 0 }, { m.geom().id({ 2, 2, 2 }), 0 });
-    m.send(far);
+    std::optional<Packet> far;
+    keepDelivered(m, far);
+    m.send(m.makeWrite({ 0, 0 }, { m.geom().id({ 2, 2, 2 }), 0 }));
     ASSERT_TRUE(m.run(RunSpec::untilDelivered(2, 20000)).reason == StopReason::Delivered);
     const Cycle lat6 = far->eject_time - far->inject_time;
     EXPECT_GT(lat6, lat1 + 4 * m.config().fixed_torus_latency);
@@ -186,15 +200,15 @@ TEST(Machine, RemoteReadGeneratesReply)
     Machine m(smallConfig());
     const EndpointAddr requester{ 0, 0 };
     const EndpointAddr target{ m.geom().id({ 2, 1, 0 }), 3 };
-    PacketPtr reply_seen;
+    std::optional<Packet> reply_seen;
     m.setDeliverHook([&](const PacketPtr &p, Cycle) {
         if (p->op == OpKind::ReadReply)
-            reply_seen = p;
+            reply_seen = *p;
     });
     m.send(m.makeRead(requester, target));
     // Two deliveries: the request at the target, the reply at the source.
     ASSERT_TRUE(m.run(RunSpec::untilDelivered(2, 50000)).reason == StopReason::Delivered);
-    ASSERT_NE(reply_seen, nullptr);
+    ASSERT_TRUE(reply_seen.has_value());
     EXPECT_EQ(reply_seen->tc, TrafficClass::Reply);
     EXPECT_TRUE(reply_seen->dst == requester);
 }
@@ -311,32 +325,29 @@ TEST(Machine, MalformedTreeIsRejected)
     EXPECT_EQ(m.totalDelivered(), 1u);
 }
 
-TEST(Machine, RecycledPacketsKeepTheirRouteStorage)
+TEST(Machine, DeliveredPacketRecordsAreReused)
 {
-    // A pooled packet comes back with empty route vectors that keep
-    // their capacity, and the next unicast draws its route into them. A
-    // capacity no fresh route has tells kept storage from a reallocation
-    // that happens to reuse the freed block.
+    // A delivered packet's record goes back to its source node's slab,
+    // and the next packet injected at that node is that record, with
+    // fresh fields and a freshly drawn route.
     Machine m(smallConfig());
     const TorusGeom &g = m.geom();
     const NodeId far = g.id({ 2, 3, 1 });
     PacketPtr first = m.makeWrite({ 0, 0 }, { far, 1 });
-    first->route.order.reserve(64);
-    first->route.dirs.reserve(64);
-    const Packet *raw = first.get();
-    const int *order = first->route.order.data();
-    const Dir *dirs = first->route.dirs.data();
-    first.reset(); // back to the pool
+    const Packet *raw = first;
+    m.send(first);
+    ASSERT_EQ(m.run(RunSpec::untilDelivered(1, 20000)).reason,
+              StopReason::Delivered);
+    EXPECT_EQ(m.chip(0).slab().live(), 0u);
 
-    const NodeId src = g.id({ 3, 0, 2 });
-    PacketPtr second = m.makeWrite({ src, 2 }, { 0, 3 });
-    ASSERT_EQ(second.get(), raw) << "the pool hands the same packet back";
-    EXPECT_EQ(second->route.order.capacity(), 64u);
-    EXPECT_EQ(second->route.dirs.capacity(), 64u);
-    EXPECT_EQ(second->route.order.data(), order);
-    EXPECT_EQ(second->route.dirs.data(), dirs);
-    EXPECT_EQ(static_cast<int>(torusHops(g, src, 0, second->route).size()),
-              g.hopDistance(src, 0));
+    const NodeId dst = g.id({ 3, 0, 2 });
+    PacketPtr second = m.makeWrite({ 0, 2 }, { dst, 3 });
+    ASSERT_EQ(second, raw) << "the slab hands the same record back";
+    EXPECT_EQ(second->hops, 0);
+    EXPECT_EQ(second->dst.node, dst);
+    EXPECT_EQ(static_cast<int>(
+                  torusHops(g, 0, dst, second->route.spec()).size()),
+              g.hopDistance(0, dst));
 }
 
 TEST(Machine, MulticastSavesTorusHops)

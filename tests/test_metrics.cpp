@@ -216,9 +216,9 @@ drive(Machine &m, int count, std::uint64_t route_seed)
         if (a == b)
             continue;
         auto pkt = m.makeWrite({ a, 0 }, { b, 1 });
-        pkt->route = makeRoute(m.geom(), a, b, DimOrder{ 0, 1, 2 }, 0, tie);
-        pkt->vc = VcState(m.config().chip.vc_policy);
-        m.chip(a).setExit(*pkt, nextRouteDim(m.geom(), a, b, pkt->route));
+        RouteSpec route =
+            makeRoute(m.geom(), a, b, DimOrder{ 0, 1, 2 }, 0, tie);
+        m.setRoute(*pkt, route);
         m.send(pkt);
         ASSERT_EQ(m.run(RunSpec::untilQuiescent(100000)).reason,
                   StopReason::Quiescent);

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 
+#include "noc/packet_slab.hpp"
 #include "noc/router.hpp"
 #include "sim/engine.hpp"
 
@@ -17,11 +18,10 @@ namespace anton2 {
 namespace {
 
 PacketPtr
-makeTestPacket(int flits)
+makeTestPacket(PacketSlab &slab, int flits)
 {
-    auto pkt = std::make_shared<Packet>();
+    PacketPtr pkt = slab.alloc();
     pkt->size_flits = static_cast<std::uint16_t>(flits);
-    pkt->payload.resize(static_cast<std::size_t>(flits));
     pkt->chip_exit = AttachPoint::forEndpoint(0);
     return pkt;
 }
@@ -85,6 +85,7 @@ struct RouterBench
         return { flits, first };
     }
 
+    PacketSlab slab;
     Engine engine;
     Channel in;
     Channel out;
@@ -95,7 +96,7 @@ struct RouterBench
 TEST(RouterUnit, SingleFlitTraversesInPipelineLatency)
 {
     RouterBench b;
-    b.sendPacket(makeTestPacket(1), 0);
+    b.sendPacket(makeTestPacket(b.slab, 1), 0);
     const auto [flits, first] = b.drain(20);
     EXPECT_EQ(flits, 1);
     // Head arrives at the router at cycle 1 (wire latency); the
@@ -107,7 +108,7 @@ TEST(RouterUnit, SingleFlitTraversesInPipelineLatency)
 TEST(RouterUnit, TwoFlitPacketStaysContiguous)
 {
     RouterBench b;
-    b.sendPacket(makeTestPacket(2), 1);
+    b.sendPacket(makeTestPacket(b.slab, 2), 1);
     Cycle times[2] = { 0, 0 };
     int n = 0;
     for (Cycle i = 0; i < 30; ++i) {
@@ -131,7 +132,7 @@ TEST(RouterUnit, BackToBackPacketsSustainFullRate)
     int flits = 0;
     for (Cycle t = 0; t < 60; ++t) {
         if (t < 20) {
-            auto pkt = makeTestPacket(1);
+            auto pkt = makeTestPacket(b.slab, 1);
             Phit phit;
             phit.pkt = pkt;
             phit.vc = 0;
@@ -155,7 +156,7 @@ TEST(RouterUnit, CreditExhaustionBlocksTransmission)
     RouterBench b(2, 8, /*downstream_buf=*/2);
     int flits = 0;
     for (int i = 0; i < 6; ++i) {
-        auto pkt = makeTestPacket(1);
+        auto pkt = makeTestPacket(b.slab, 1);
         Phit phit;
         phit.pkt = pkt;
         phit.vc = 0;
@@ -176,7 +177,7 @@ TEST(RouterUnit, CreditsResumeBlockedTraffic)
 {
     RouterBench b(2, 8, 2);
     for (int i = 0; i < 4; ++i) {
-        auto pkt = makeTestPacket(1);
+        auto pkt = makeTestPacket(b.slab, 1);
         Phit phit;
         phit.pkt = pkt;
         phit.vc = 0;
@@ -204,7 +205,7 @@ TEST(RouterUnit, VcsArbitrateFairlyAtSa1)
     // Drive alternating VCs, one flit per cycle, and count deliveries.
     for (Cycle t = 0; t < 60; ++t) {
         const int vc = static_cast<int>(t % 2);
-        auto pkt = makeTestPacket(1);
+        auto pkt = makeTestPacket(b.slab, 1);
         Phit phit;
         phit.pkt = pkt;
         phit.vc = static_cast<std::uint8_t>(vc);
@@ -232,8 +233,8 @@ TEST(RouterUnit, StallAttributionSumsExactlyToSampledCycles)
     // and no-input classes in one run.
     RouterBench b(2, 8, /*downstream_buf=*/2);
     b.router->enableStallSampling();
-    auto first_pkt = makeTestPacket(2);
-    auto second_pkt = makeTestPacket(2);
+    auto first_pkt = makeTestPacket(b.slab, 2);
+    auto second_pkt = makeTestPacket(b.slab, 2);
     for (int f = 0; f < 4; ++f) {
         Phit phit;
         phit.pkt = f < 2 ? first_pkt : second_pkt;
@@ -287,7 +288,7 @@ TEST(RouterUnit, LookaheadWindowRoutesAndAllocatesAtPinnedCycles)
     std::vector<Cycle> out_at;
     for (Cycle t = 0; t < 60; ++t) {
         if (t < 6) {
-            auto pkt = makeTestPacket(1);
+            auto pkt = makeTestPacket(b.slab, 1);
             pkt->id = t + 1;
             Phit phit;
             phit.pkt = pkt;
@@ -345,7 +346,7 @@ TEST(RouterUnit, VaCreditStallsCountEveryWithheldCycle)
         }
     };
     for (std::uint64_t id = 1; id <= 2; ++id) {
-        auto pkt = makeTestPacket(1);
+        auto pkt = makeTestPacket(b.slab, 1);
         pkt->id = id;
         Phit phit;
         phit.pkt = pkt;

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/machine.hpp"
+#include "halo.hpp"
 #include "routing/route.hpp"
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
@@ -301,6 +302,42 @@ TEST(ThreadedDeterminism, Fig11PingPongExportsAreByteIdentical)
     expectIdentical(serial, runFig11Style(4), "fig11 threads=4");
 }
 
+/** MD-halo steps: multicast copies made on lanes, their originals
+ * released across chips at the barrier. */
+RunExports
+runHaloStyle(int threads)
+{
+    MachineConfig cfg;
+    cfg.radix = { 3, 3, 3 };
+    cfg.chip.endpoints_per_node = 2;
+    cfg.use_packaging = false;
+    cfg.fixed_torus_latency = 8;
+    cfg.seed = 13;
+    cfg.threads = threads;
+    cfg.lookahead = 0;
+    Machine m(cfg);
+    m.attachInstrumentation(fullInstrumentation());
+    const auto groups = test::installHalo(m, 2);
+    std::uint64_t expect = 0;
+    for (int step = 0; step < 2; ++step) {
+        expect += test::sendHaloStep(m, groups, 2, 2, step + 1);
+        EXPECT_EQ(m.run(RunSpec::untilQuiescent(1000000)).reason,
+                  StopReason::Quiescent)
+            << "threads=" << threads;
+    }
+    EXPECT_EQ(m.totalDelivered(), expect) << "threads=" << threads;
+    EXPECT_EQ(test::livePackets(m), 0u) << "threads=" << threads;
+    return captureExports(m);
+}
+
+TEST(ThreadedDeterminism, HaloMulticastExportsAreByteIdentical)
+{
+    const RunExports serial = runHaloStyle(1);
+    EXPECT_GT(serial.delivered, 0u);
+    expectIdentical(serial, runHaloStyle(2), "halo threads=2");
+    expectIdentical(serial, runHaloStyle(4), "halo threads=4");
+}
+
 // ---------------------------------------------------------------------
 // Seeded-fault watchdog equality
 // ---------------------------------------------------------------------
@@ -312,12 +349,10 @@ sendForcedXPlus(Machine &m, NodeId src, NodeId dst, int count, Rng &tie)
     std::uint64_t sent = 0;
     for (int i = 0; i < count; ++i) {
         auto pkt = m.makeWrite({ src, i % 4 }, { dst, 1 }, 0, 2);
-        pkt->route = makeRoute(m.geom(), src, dst, DimOrder{ 0, 1, 2 }, 0,
-                               tie);
-        pkt->route.dirs[0] = Dir::Pos;
-        pkt->vc = VcState(m.config().chip.vc_policy);
-        m.chip(src).setExit(*pkt, nextRouteDim(m.geom(), src, dst,
-                                               pkt->route));
+        RouteSpec route = makeRoute(m.geom(), src, dst,
+                                    DimOrder{ 0, 1, 2 }, 0, tie);
+        route.dirs[0] = Dir::Pos;
+        m.setRoute(*pkt, route);
         m.send(pkt);
         ++sent;
     }

@@ -56,17 +56,21 @@ TEST(Property, SimulatedHopsMatchGeometryDistance)
     cfg.seed = 99;
     Machine m(cfg);
     Rng rng(21);
-    std::vector<PacketPtr> pkts;
+    // Copies of the delivered records (a packet is released once it is
+    // delivered).
+    std::vector<Packet> pkts;
+    m.setDeliverHook([&](const PacketPtr &p, Cycle) { pkts.push_back(*p); });
+    std::uint64_t sent = 0;
     for (int i = 0; i < 40; ++i) {
         const auto dst = static_cast<NodeId>(
             rng.below(m.geom().numNodes()));
-        auto pkt = m.makeWrite({ 0, 0 }, { dst, 1 });
-        pkts.push_back(pkt);
-        m.send(pkt);
+        m.send(m.makeWrite({ 0, 0 }, { dst, 1 }));
+        ++sent;
     }
-    ASSERT_TRUE(m.run(RunSpec::untilDelivered(pkts.size(), 500000)).reason == StopReason::Delivered);
+    ASSERT_TRUE(m.run(RunSpec::untilDelivered(sent, 500000)).reason == StopReason::Delivered);
+    ASSERT_EQ(pkts.size(), sent);
     for (const auto &pkt : pkts)
-        EXPECT_EQ(pkt->hops, m.geom().hopDistance(0, pkt->dst.node));
+        EXPECT_EQ(pkt.hops, m.geom().hopDistance(0, pkt.dst.node));
 }
 
 TEST(Packaging, BackplaneGrouping)

@@ -45,10 +45,8 @@ struct Egress
     void
     offer(Cycle now)
     {
-        auto pkt = std::make_shared<Packet>();
-        pkt->payload.resize(1);
         Phit phit;
-        phit.pkt = pkt;
+        phit.pkt = slab.alloc();
         phit.head = phit.tail = true;
         from_router.data.send(now, phit);
     }
@@ -67,6 +65,7 @@ struct Egress
         return true;
     }
 
+    PacketSlab slab;
     Channel from_router;
     Channel torus;
     std::unique_ptr<ChannelAdapter> adapter;
