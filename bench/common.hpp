@@ -220,6 +220,11 @@ inline constexpr SharedFlag kSharedFlags[] = {
     { .name = "--trace-sample", .placeholder = "N",
       .help = "record every Nth packet id (default 1)",
       .group = kGroupTrace, .num = &FlagValues::trace_sample, .lo = 1 },
+    { .name = "--flow-sample", .placeholder = "N",
+      .help = "write flow spans of every Nth packet id into the --trace "
+              "Chrome trace (implies --flows)",
+      .group = kGroupTrace, .num = &FlagValues::flow_sample,
+      .implies = Layer::Flows },
     { .name = "--flows", .placeholder = "PATH",
       .help = "attach the flow probe (flow matrix + congestion blame); =PATH "
               "also writes the flow-matrix CSV",
@@ -227,11 +232,6 @@ inline constexpr SharedFlag kSharedFlags[] = {
       .on = &FlagValues::flows, .implies = Layer::Flows, .output = true,
       .exporter = [](Machine &m) { return m.flowMatrixCsv(); },
       .what = "Flow matrix CSV" },
-    { .name = "--flow-sample", .placeholder = "N",
-      .help = "retain Chrome-trace flow spans for every Nth packet id "
-              "(implies --flows)",
-      .group = kGroupFlows, .num = &FlagValues::flow_sample,
-      .implies = Layer::Flows },
     { .name = "--timeseries",
       .help = "enable the interval sampler",
       .group = kGroupTimeseries, .on = &FlagValues::timeseries,
@@ -351,7 +351,8 @@ class SharedFlags : public FlagValues
     }
 
     /**
-     * Check ranges and names, resolve implications, check that
+     * Check ranges and names, resolve implications, check that each
+     * sample stride thins an export that is written and that
      * --checkpoint-in is a checkpoint, then probe every output path
      * (reporting all unwritable ones). Call once, after parse(); false
      * = do not simulate.
@@ -365,6 +366,19 @@ class SharedFlags : public FlagValues
                 return false;
             if (f.implies != Layer::None && isSet(f))
                 layers_ |= 1u << static_cast<unsigned>(f.implies);
+        }
+        // A sample stride only thins an export: sampled flow spans are
+        // written into the Chrome trace, and the trace stride thins the
+        // Chrome trace and the flight record.
+        if (flow_sample > 0 && trace == nullptr) {
+            std::fprintf(stderr, "error: --flow-sample needs --trace (the "
+                                 "Chrome trace holds the flow spans)\n");
+            return false;
+        }
+        if (trace_sample != 1 && trace == nullptr && trace_csv == nullptr) {
+            std::fprintf(stderr, "error: --trace-sample needs --trace or "
+                                 "--trace-csv\n");
+            return false;
         }
         if (metrics_level != nullptr
             && !parseMetricsLevel(metrics_level, level_)) {

@@ -4,12 +4,13 @@
 #include <cassert>
 
 #include "debug/checkpoint.hpp"
+#include "sim/flow.hpp"
 
 namespace anton2 {
 
 Chip::Chip(NodeId node, const ChipConfig &cfg, const ChipLayout &layout,
            const TorusGeom &geom, const RouteTable &routes,
-           PacketReleaseStaging &releases)
+           LaneBuffer<Packet *> &releases)
     : node_(node), cfg_(cfg), layout_(layout), geom_(geom)
 {
     std::string prefix = "n";
@@ -186,47 +187,33 @@ Chip::bindMetrics(MetricsRegistry &reg, double lat_bin_width)
 }
 
 void
-Chip::bindTrace(TraceSink &sink)
+Chip::bindEvents(PacketEventStream &events)
 {
-    for (RouterId r = 0; r < layout_.numRouters(); ++r) {
-        routers_[static_cast<std::size_t>(r)]->bindTrace(
-            sink, node_, static_cast<std::int16_t>(r));
-        routers_[static_cast<std::size_t>(r)]->enableStallSampling();
-    }
-    for (int ca = 0; ca < layout_.numChannelAdapters(); ++ca) {
-        channel_adapters_[static_cast<std::size_t>(ca)]->bindTrace(
-            sink, node_, static_cast<std::int16_t>(ca));
-    }
-    for (EndpointId e = 0; e < layout_.numEndpoints(); ++e)
-        endpoints_[static_cast<std::size_t>(e)]->bindTrace(sink);
-}
-
-void
-Chip::bindFlow(FlowProbe &probe)
-{
+    const auto node = static_cast<std::int32_t>(node_);
+    FlowProbe *flows = events.flows();
     const MeshGeom &mesh = layout_.mesh();
     for (RouterId r = 0; r < layout_.numRouters(); ++r) {
-        probe.registerUnit(static_cast<std::int32_t>(node_),
-                           FlowUnitKind::Router, r,
-                           "r" + std::to_string(mesh.u(r)) + "."
-                               + std::to_string(mesh.v(r)));
-        routers_[static_cast<std::size_t>(r)]->bindFlow(
-            probe, static_cast<std::int32_t>(node_),
-            static_cast<std::int16_t>(r));
+        Router &router = *routers_[static_cast<std::size_t>(r)];
+        router.bindEvents(events, node, static_cast<std::int16_t>(r));
+        if (events.trace() != nullptr)
+            router.enableStallSampling();
+        if (flows != nullptr)
+            flows->registerUnit(node, TraceUnitKind::Router, r,
+                                "r" + std::to_string(mesh.u(r)) + "."
+                                    + std::to_string(mesh.v(r)));
     }
     for (int ca = 0; ca < layout_.numChannelAdapters(); ++ca) {
-        probe.registerUnit(static_cast<std::int32_t>(node_),
-                           FlowUnitKind::Link, ca,
-                           layout_.channelShortName(ca));
-        channel_adapters_[static_cast<std::size_t>(ca)]->bindFlow(
-            probe, static_cast<std::int32_t>(node_),
-            static_cast<std::int16_t>(ca));
+        channel_adapters_[static_cast<std::size_t>(ca)]->bindEvents(
+            events, node, static_cast<std::int16_t>(ca));
+        if (flows != nullptr)
+            flows->registerUnit(node, TraceUnitKind::ChannelAdapter, ca,
+                                layout_.channelShortName(ca));
     }
     for (EndpointId e = 0; e < layout_.numEndpoints(); ++e) {
-        probe.registerUnit(static_cast<std::int32_t>(node_),
-                           FlowUnitKind::Endpoint, e,
-                           "ep" + std::to_string(e));
-        endpoints_[static_cast<std::size_t>(e)]->bindFlow(probe);
+        endpoints_[static_cast<std::size_t>(e)]->bindEvents(events);
+        if (flows != nullptr)
+            flows->registerUnit(node, TraceUnitKind::Endpoint, e,
+                                "ep" + std::to_string(e));
     }
 }
 

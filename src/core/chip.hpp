@@ -61,11 +61,11 @@ class Chip
      * @p layout and cfg.dir_order); layout, geom and routes must
      * outlive the chip.
      * @param releases Where the chip's lane stages releases of packets
-     * homed on other chips (see noc/packet_slab.hpp).
+     * homed on other chips (see LaneRelease in noc/packet_slab.hpp).
      */
     Chip(NodeId node, const ChipConfig &cfg, const ChipLayout &layout,
          const TorusGeom &geom, const RouteTable &routes,
-         PacketReleaseStaging &releases);
+         LaneBuffer<Packet *> &releases);
 
     /**
      * Register every component of this chip with the engine as one
@@ -92,19 +92,15 @@ class Chip
     void bindMetrics(MetricsRegistry &reg, double lat_bin_width = 32.0);
 
     /**
-     * Bind every component of this chip to @p sink: routers emit
-     * lifecycle events and start stall sampling, channel adapters emit
-     * link-traverse events, endpoints emit inject/eject events.
+     * Bind every component of this chip to @p events (see
+     * trace/trace.hpp): routers emit lifecycle events and switch-
+     * traversal hop spans, channel adapters link-traverse events and
+     * torus-link egress spans, endpoints inject/eject events and the
+     * flight-closing delivery records. With a trace ring on the stream
+     * the routers also sample stalls; with a flow probe the units'
+     * names are registered with it. Call again when either attaches.
      */
-    void bindTrace(TraceSink &sink);
-
-    /**
-     * Bind every component of this chip to @p probe and register their
-     * unit names with it: routers emit switch-traversal hop spans,
-     * channel adapters emit torus-link egress spans, endpoints emit
-     * injection spans and the flight-closing delivery records.
-     */
-    void bindFlow(FlowProbe &probe);
+    void bindEvents(PacketEventStream &events);
 
     NodeId node() const { return node_; }
     const ChipLayout &layout() const { return layout_; }

@@ -193,14 +193,11 @@ Machine::serialPhase(Cycle now)
 {
     // The window's staged cross-chip releases land first, in lane
     // order, so slab reuse is the same at any thread count.
-    releases_.apply();
-    if (trace_ != nullptr)
-        trace_->mergeStaged(now);
-    // Flow hop records merge before the delivery flush: every hop of a
+    releaseStaged(releases_);
+    // Packet events merge before the delivery flush: every hop of a
     // packet delivered this cycle must be applied before the delivery
     // closes its flight into the flow matrix.
-    if (flow_ != nullptr)
-        flow_->mergeStaged(now);
+    events_.merge(now);
     // Only endpoints that staged a delivery are visited, node-major and
     // endpoint-minor (registration order). A flag clears once its
     // endpoint has nothing pending; deliveries staged for later cycles
@@ -228,12 +225,9 @@ void
 Machine::configureStaging()
 {
     const std::size_t lanes = engine_.laneCount();
-    const auto depth = static_cast<std::size_t>(lookahead_cap_);
+    releaseStaged(releases_);
     releases_.configure(lanes);
-    if (trace_ != nullptr)
-        trace_->configureLanes(lanes, depth);
-    if (flow_ != nullptr)
-        flow_->configureLanes(lanes, depth);
+    events_.configure(lanes, static_cast<std::size_t>(lookahead_cap_));
 }
 
 void
@@ -888,9 +882,9 @@ Machine::doEnableFlows(const FlowProbeConfig &cfg)
     if (flow_ != nullptr)
         return *flow_;
     flow_ = std::make_unique<FlowProbe>(cfg);
-    configureStaging();
+    events_.setFlows(flow_.get());
     for (auto &c : chips_)
-        c->bindFlow(*flow_);
+        c->bindEvents(events_);
     return *flow_;
 }
 
@@ -908,14 +902,14 @@ Machine::doEnableTracing(const TraceConfig &cfg)
         return *trace_;
     trace_ = std::make_unique<RingTraceSink>(cfg.capacity);
     trace_->setSampleStride(cfg.sample);
-    configureStaging();
+    events_.setTrace(trace_.get());
     // Stall attribution classifies every router output port from this
     // cycle on (a sleeping router books its slept cycles as no_input
     // when it settles), so whatever a router slept through before the
     // attach is settled first and never sampled.
     settleIdle();
     for (auto &c : chips_)
-        c->bindTrace(*trace_);
+        c->bindEvents(events_);
     return *trace_;
 }
 
@@ -996,7 +990,7 @@ Machine::traceChromeJson()
                          + std::to_string(m.dst_node) + "."
                          + std::to_string(m.dst_ep)
                          + (m.tc == 0 ? " req" : " rep"));
-            for (const FlowHopRecord &hop : sp.path) {
+            for (const PacketEvent &hop : sp.path) {
                 FlowSpanSlice fs;
                 fs.tid = tid;
                 fs.name =

@@ -587,13 +587,13 @@ class Machine
      * of its table (machine_checkpoint.cpp). */
     void fields(CkptArchive &ar);
     void packetFields(CkptArchive &ar, Packet &p) const;
-    /** Size the trace and flow staging for the current lane count and
-     * the maximum lookahead window (whichever layers are attached). */
+    /** Size the release and packet-event staging for the current lane
+     * count and the maximum lookahead window. */
     void configureStaging();
-    /** Per-cycle post-barrier work: merge staged trace and flow lanes,
-     * then run deferred delivery side effects in endpoint registration
-     * order (so a cycle's hop records land before the deliveries that
-     * close those packets' flights). */
+    /** Per-cycle post-barrier work: apply staged releases, merge the
+     * cycle's staged packet events, then run deferred delivery side
+     * effects in endpoint registration order (so a cycle's hop records
+     * land before the deliveries that close those packets' flights). */
     void serialPhase(Cycle now);
     /** Settle what sleeping routers and adapters owe their idle cycles
      * up to now() (before stall totals are read or state is saved). */
@@ -633,7 +633,7 @@ class Machine
     double lat_bin_width_ = 32.0;
     /** Releases staged on engine lanes of packets homed on other chips'
      * slabs, applied at the start of each window's serial replay. */
-    PacketReleaseStaging releases_;
+    LaneBuffer<Packet *> releases_;
     /** Storage for each unicast injection's drawn route. */
     RouteSpec route_scratch_;
 
@@ -667,6 +667,9 @@ class Machine
     std::unique_ptr<MetricsRegistry> metrics_;
     Counter *m_delivered_ = nullptr; ///< machine.delivered
     ScalarStat *m_hops_ = nullptr;   ///< machine.hops per delivery
+    /** What every component emits packet events into; the trace ring
+     * and the flow probe attach to it. */
+    PacketEventStream events_;
     std::unique_ptr<RingTraceSink> trace_;
     std::unique_ptr<FlowProbe> flow_;
     std::unique_ptr<IntervalSampler> sampler_;

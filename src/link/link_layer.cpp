@@ -54,14 +54,6 @@ LinkSender::bindMetrics(MetricsRegistry &reg, const std::string &prefix)
 }
 
 void
-LinkSender::bindTrace(TraceSink &sink, std::int32_t node, std::int16_t unit)
-{
-    trace_.sink = &sink;
-    trace_.node = node;
-    trace_.unit = unit;
-}
-
-void
 LinkSender::tick(Cycle now)
 {
     // Process cumulative acknowledgments.
@@ -86,10 +78,10 @@ LinkSender::tick(Cycle now)
         retransmissions_ += next_ - base_;
         if (m_retransmissions_ != nullptr)
             m_retransmissions_->inc(next_ - base_);
-        tracePacketEvent(trace_, TraceUnitKind::Link,
-                         TraceEventType::Retransmit, now, /*packet=*/0,
-                         /*port=*/static_cast<int>(next_ - base_),
-                         /*vc=*/0);
+        emitPacketEvent(events_, TraceEventType::Retransmit, now,
+                        /*pkt=*/nullptr,
+                        /*port=*/static_cast<int>(next_ - base_),
+                        /*vc=*/0);
         next_ = base_;
         last_progress_ = now;
     }

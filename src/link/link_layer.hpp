@@ -131,10 +131,15 @@ class LinkSender : public Component
 
     /**
      * Start emitting a retransmit event per go-back-N rewind into
-     * @p sink. Frames carry no packet identity, so the records have
-     * packet id 0 and always pass the sampling filter.
+     * @p events. Frames carry no packet identity, so the records have
+     * packet id 0 and always pass the trace's sampling filter.
      */
-    void bindTrace(TraceSink &sink, std::int32_t node, std::int16_t unit);
+    void
+    bindEvents(PacketEventStream &events, std::int32_t node,
+               std::int16_t unit)
+    {
+        events_ = { &events, node, unit, TraceUnitKind::Link };
+    }
 
     std::uint64_t framesTransmitted() const { return transmitted_; }
     std::uint64_t retransmissions() const { return retransmissions_; }
@@ -148,7 +153,7 @@ class LinkSender : public Component
     LinkConfig cfg_;
     LossyFrameChannel &tx_;
     LossyFrameChannel &ack_rx_;
-    TraceBinding trace_;
+    EventBinding events_;
 
     Counter *m_frames_tx_ = nullptr;
     Counter *m_retransmissions_ = nullptr;

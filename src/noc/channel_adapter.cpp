@@ -89,24 +89,6 @@ ChannelAdapter::bindMetrics(MetricsRegistry &reg, const std::string &prefix)
 }
 
 void
-ChannelAdapter::bindTrace(TraceSink &sink, std::int32_t node,
-                          std::int16_t unit)
-{
-    trace_.sink = &sink;
-    trace_.node = node;
-    trace_.unit = unit;
-}
-
-void
-ChannelAdapter::bindFlow(FlowProbe &probe, std::int32_t node,
-                         std::int16_t unit)
-{
-    flow_.probe = &probe;
-    flow_.node = node;
-    flow_.unit = unit;
-}
-
-void
 ChannelAdapter::tickEgress(Cycle now, std::uint32_t rung)
 {
     if (router_in_ == nullptr || torus_out_ == nullptr)
@@ -191,9 +173,8 @@ ChannelAdapter::tickEgress(Cycle now, std::uint32_t rung)
             phit.tail = tail;
             torus_out_->data.send(now, phit);
             if (head.sent == 0)
-                tracePacketEvent(trace_, TraceUnitKind::ChannelAdapter,
-                                 TraceEventType::LinkTraverse, now,
-                                 head.pkt->id, -1, egress_link_vc_);
+                emitPacketEvent(events_, TraceEventType::LinkTraverse, now,
+                                head.pkt, -1, egress_link_vc_);
             ser_tokens_ -= cfg_.ser_tokens_per_flit;
             router_in_->credit.send(
                 now, Credit{ static_cast<std::uint8_t>(egress_vc_) });
@@ -204,10 +185,9 @@ ChannelAdapter::tickEgress(Cycle now, std::uint32_t rung)
             if (tail) {
                 // Emit the link hop span while the entry is live (all
                 // cycles are existing state - no clock reads).
-                flowHopEvent(flow_, FlowUnitKind::Link, head.pkt->id,
-                             head.pkt->mcast_group, head.pkt->size_flits,
-                             head.head_at, egress_grant_at_, now, -1,
-                             egress_link_vc_);
+                emitPacketEvent(events_, TraceEventType::Depart, now,
+                                head.pkt, -1, egress_link_vc_, head.head_at,
+                                egress_grant_at_);
                 buf.popHead(now);
                 if (buf.empty())
                     egress_nonempty_ &= ~(1u << egress_vc_);

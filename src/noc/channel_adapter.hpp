@@ -21,7 +21,6 @@
 #include "noc/channel.hpp"
 #include "noc/packet_slab.hpp"
 #include "sim/component.hpp"
-#include "sim/flow.hpp"
 #include "sim/metrics.hpp"
 #include "trace/trace.hpp"
 
@@ -133,18 +132,18 @@ class ChannelAdapter final : public Component
     void bindMetrics(MetricsRegistry &reg, const std::string &prefix);
 
     /**
-     * Start emitting link-traverse events (head flit serialized onto the
-     * torus link) into @p sink, stamped with this adapter's coordinates
-     * (@p node, @p unit = adapter index on the chip).
+     * Start emitting packet events into @p events, stamped with this
+     * adapter's coordinates (@p node, @p unit = adapter index on the
+     * chip): a link-traverse record when a head flit is serialized onto
+     * the torus link, and one egress hop span (arrival, link grant,
+     * tail-serialized departure) per packet.
      */
-    void bindTrace(TraceSink &sink, std::int32_t node, std::int16_t unit);
-
-    /**
-     * Start emitting one per-packet egress hop span (arrival, link
-     * grant, tail-serialized departure) into @p probe, stamped with
-     * this adapter's coordinates.
-     */
-    void bindFlow(FlowProbe &probe, std::int32_t node, std::int16_t unit);
+    void
+    bindEvents(PacketEventStream &events, std::int32_t node,
+               std::int16_t unit)
+    {
+        events_ = { &events, node, unit, TraceUnitKind::ChannelAdapter };
+    }
 
     const ChannelAdapterConfig &config() const { return cfg_; }
     std::uint64_t flitsSent() const { return flits_sent_; }
@@ -327,8 +326,7 @@ class ChannelAdapter final : public Component
      * tick and after a restore: nothing to settle). */
     Cycle idle_from_ = kNoCycle;
     std::unique_ptr<ChannelAdapterMetrics> metrics_;
-    TraceBinding trace_;
-    FlowBinding flow_;
+    EventBinding events_;
 };
 
 } // namespace anton2

@@ -6,6 +6,7 @@
 #include "debug/checkpoint.hpp"
 #include "noc/packet_slab.hpp"
 #include "noc/router.hpp"
+#include "sim/flow.hpp"
 
 namespace anton2 {
 
@@ -77,22 +78,6 @@ EndpointAdapter::bindMetrics(MetricsRegistry &reg,
 }
 
 void
-EndpointAdapter::bindTrace(TraceSink &sink)
-{
-    trace_.sink = &sink;
-    trace_.node = addr_.node;
-    trace_.unit = static_cast<std::int16_t>(addr_.ep);
-}
-
-void
-EndpointAdapter::bindFlow(FlowProbe &probe)
-{
-    flow_.probe = &probe;
-    flow_.node = static_cast<std::int32_t>(addr_.node);
-    flow_.unit = static_cast<std::int16_t>(addr_.ep);
-}
-
-void
 EndpointAdapter::tickInject(Cycle now, std::uint32_t rung)
 {
     if (to_router_ == nullptr)
@@ -122,15 +107,10 @@ EndpointAdapter::tickInject(Cycle now, std::uint32_t rung)
             inject_q_[c].pop_front();
             next_class_ = (c + 1) % kNumTrafficClasses;
             inj_active_->inject_time = now;
-            tracePacketEvent(trace_, TraceUnitKind::Endpoint,
-                             TraceEventType::Inject, now, inj_active_->id,
-                             -1, vc);
-            // Source-queueing span: birth -> injection grant. Both
-            // cycles already exist; the probe reads no clock.
-            flowHopEvent(flow_, FlowUnitKind::Endpoint, inj_active_->id,
-                         inj_active_->mcast_group,
-                         inj_active_->size_flits, inj_active_->birth,
-                         now, now, -1, vc);
+            // Also the source-queueing span: birth -> injection grant.
+            // Both cycles already exist; the probe reads no clock.
+            emitPacketEvent(events_, TraceEventType::Inject, now,
+                            inj_active_, -1, vc, inj_active_->birth, now);
             break;
         }
     }
@@ -195,8 +175,8 @@ EndpointAdapter::tickEject(Cycle now, std::uint32_t rung)
     last_delivery_ = now;
     // The Eject record's port slot carries the packet's inter-node hop
     // count, surfaced as the flight record's `hops` column.
-    tracePacketEvent(trace_, TraceUnitKind::Endpoint, TraceEventType::Eject,
-                     now, pkt->id, pkt->hops, phit->vc);
+    emitPacketEvent(events_, TraceEventType::Eject, now, pkt, pkt->hops,
+                    phit->vc);
     if (staged_ != nullptr) {
         pending_.push_back({ pkt, head_at, now });
         *staged_ |= staged_bit_;
@@ -221,7 +201,9 @@ EndpointAdapter::deliverSideEffects(PacketPtr pkt, Cycle head_at, Cycle now)
     // Close the packet's flight in the flow matrix. Under a Machine
     // this runs in the serial delivery flush (canonical order), after
     // the cycle's staged hop records were merged.
-    if (flow_.probe != nullptr && pkt->mcast_group < 0) {
+    FlowProbe *flows =
+        events_.stream != nullptr ? events_.stream->flows() : nullptr;
+    if (flows != nullptr && pkt->mcast_group < 0) {
         FlowDeliveryRecord d;
         d.packet = pkt->id;
         d.src_node = static_cast<std::int64_t>(pkt->src.node);
@@ -233,7 +215,7 @@ EndpointAdapter::deliverSideEffects(PacketPtr pkt, Cycle head_at, Cycle now)
         d.hops = pkt->hops;
         d.birth = pkt->birth;
         d.delivered = now;
-        flow_.probe->recordDelivery(d);
+        flows->recordDelivery(d);
     }
 
     if (deliver_fn_)

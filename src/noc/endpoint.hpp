@@ -23,7 +23,6 @@
 #include "noc/channel.hpp"
 #include "noc/packet.hpp"
 #include "sim/component.hpp"
-#include "sim/flow.hpp"
 #include "sim/metrics.hpp"
 #include "sim/stats.hpp"
 #include "trace/trace.hpp"
@@ -155,19 +154,20 @@ class EndpointAdapter final : public Component
                      double lat_bin_width = 32.0);
 
     /**
-     * Start emitting packet lifecycle events (inject at injection grant,
-     * eject at full reassembly) into @p sink, stamped with this
-     * endpoint's address.
+     * Start emitting packet events into @p events, stamped with this
+     * endpoint's address: at each injection grant one inject record,
+     * which is also the packet's source-queueing hop span, and an eject
+     * record at full reassembly. With a flow probe on the stream, the
+     * serial delivery flush also closes each unicast packet's flight
+     * into its flow-matrix cell.
      */
-    void bindTrace(TraceSink &sink);
-
-    /**
-     * Start emitting flow records into @p probe: a source-queueing span
-     * at each injection grant, and the flight-closing delivery record
-     * (from the serial delivery flush) that lands the packet in its
-     * flow-matrix cell.
-     */
-    void bindFlow(FlowProbe &probe);
+    void
+    bindEvents(PacketEventStream &events)
+    {
+        events_ = { &events, static_cast<std::int32_t>(addr_.node),
+                    static_cast<std::int16_t>(addr_.ep),
+                    TraceUnitKind::Endpoint };
+    }
 
     void setDeliverFn(DeliverFn fn) { deliver_fn_ = std::move(fn); }
     void setHandlerFn(HandlerFn fn) { handler_fn_ = std::move(fn); }
@@ -270,8 +270,7 @@ class EndpointAdapter final : public Component
     std::uint64_t flits_ejected_ = 0;
     Cycle last_delivery_ = 0;
     std::unique_ptr<EndpointMetrics> metrics_;
-    TraceBinding trace_;
-    FlowBinding flow_;
+    EventBinding events_;
 };
 
 } // namespace anton2

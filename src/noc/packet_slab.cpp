@@ -4,8 +4,6 @@
 #include <cassert>
 #include <new>
 
-#include "sim/thread_pool.hpp"
-
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/asan_interface.h>
 #define ANTON2_POISON(p, n) ASAN_POISON_MEMORY_REGION(p, n)
@@ -96,42 +94,6 @@ PacketSlab::bytes() const
     for (const Chunk &c : chunks_)
         total += c.size * sizeof(Packet);
     return total;
-}
-
-void
-PacketReleaseStaging::configure(std::size_t lanes)
-{
-    apply();
-    lanes_.resize(lanes < 1 ? 1 : lanes);
-}
-
-void
-PacketReleaseStaging::release(Packet *p, const PacketSlab *local)
-{
-    if (p->slab == local) {
-        p->slab->release(p);
-        return;
-    }
-    const int lane = par::currentLane();
-    lanes_[lane < 0 ? 0 : static_cast<std::size_t>(lane)].staged.push_back(
-        p);
-}
-
-void
-PacketReleaseStaging::apply()
-{
-    for (Lane &lane : lanes_) {
-        for (Packet *p : lane.staged)
-            p->slab->release(p);
-        lane.staged.clear();
-    }
-}
-
-void
-PacketReleaseStaging::clear()
-{
-    for (Lane &lane : lanes_)
-        lane.staged.clear();
 }
 
 } // namespace anton2

@@ -9,8 +9,9 @@
  * chip (engine shard) a slab; a packet is released exactly once, after
  * its delivery's side effects or when its multicast ingress entry
  * retires. A lane releases records of its own chip directly and stages
- * the others (PacketReleaseStaging) until the barrier, which applies them
- * in lane order, so record reuse does not depend on the thread count.
+ * the others in its buffer (LaneRelease, sim/lane_staging.hpp) until the
+ * serial replay, which applies them in lane order, so record reuse does
+ * not depend on the thread count.
  *
  * Under AddressSanitizer released and never-used records are poisoned, so
  * a stale PacketPtr fails like a heap use-after-free.
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "noc/packet.hpp"
+#include "sim/lane_staging.hpp"
 
 namespace anton2 {
 
@@ -68,50 +70,33 @@ class PacketSlab
     std::size_t live_ = 0;
 };
 
-/** Releases of records homed on another chip's slab, made on engine
- * lanes and staged per lane until the barrier (owned by the Machine). */
-class PacketReleaseStaging
-{
-  public:
-    /** One buffer per lane; what is staged is applied first. */
-    void configure(std::size_t lanes);
-
-    /** Release @p p from the calling thread's lane (lane 0 outside the
-     * parallel phase): directly when homed at @p local, the caller's own
-     * slab, else staged. */
-    void release(Packet *p, const PacketSlab *local);
-
-    /** Release every staged record to its slab, in lane order. */
-    void apply();
-
-    /** Drop every staged release (a restore resets the slabs). */
-    void clear();
-
-  private:
-    /** Padded so concurrent lanes never share a cache line. */
-    struct alignas(64) Lane
-    {
-        std::vector<Packet *> staged;
-    };
-    std::vector<Lane> lanes_{ 1 };
-};
-
-/** How a channel adapter releases the multicast packets it retires:
- * straight to their slab (the default, for standalone use), or through
- * its chip's slab and the machine's staging. */
+/**
+ * How a channel adapter releases the multicast packets it retires:
+ * straight to their slab (the default, for standalone use), or, on a
+ * Machine's engine lane, directly when homed on the chip's own slab
+ * @p local and otherwise staged in the lane's buffer of @p staged, which
+ * the serial replay drains with releaseStaged().
+ */
 struct LaneRelease
 {
     const PacketSlab *local = nullptr;
-    PacketReleaseStaging *staging = nullptr;
+    LaneBuffer<Packet *> *staged = nullptr;
 
     void
     operator()(Packet *p) const
     {
-        if (staging != nullptr)
-            staging->release(p, local);
-        else
+        if (staged == nullptr || p->slab == local)
             p->slab->release(p);
+        else
+            staged->push(par::currentLane(), p);
     }
 };
+
+/** Release every record staged in @p staged to its slab, in lane order. */
+inline void
+releaseStaged(LaneBuffer<Packet *> &staged)
+{
+    staged.drain([](Packet *p) { p->slab->release(p); });
+}
 
 } // namespace anton2

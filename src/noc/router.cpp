@@ -100,22 +100,6 @@ Router::bindMetrics(MetricsRegistry &reg, const std::string &prefix)
 }
 
 void
-Router::bindTrace(TraceSink &sink, std::int32_t node, std::int16_t unit)
-{
-    trace_.sink = &sink;
-    trace_.node = node;
-    trace_.unit = unit;
-}
-
-void
-Router::bindFlow(FlowProbe &probe, std::int32_t node, std::int16_t unit)
-{
-    flow_.probe = &probe;
-    flow_.node = node;
-    flow_.unit = unit;
-}
-
-void
 Router::enableStallSampling()
 {
     if (stalls_ == nullptr)
@@ -224,9 +208,8 @@ Router::stageRc(Cycle now)
                 entry.routed = true;
                 entry.routed_at = now;
                 routed = true;
-                tracePacketEvent(trace_, TraceUnitKind::Router,
-                                 TraceEventType::RouteComputed, now, pkt.id,
-                                 entry.out_port, entry.out_vc);
+                emitPacketEvent(events_, TraceEventType::RouteComputed, now,
+                                &pkt, entry.out_port, entry.out_vc);
             }
             if (routed) {
                 ip.va_pending |= 1u << v;
@@ -267,10 +250,9 @@ Router::stageVa(Cycle now)
                            >= entry.pkt->size_flits) {
                     entry.va_done = true;
                     entry.va_at = now;
-                    tracePacketEvent(trace_, TraceUnitKind::Router,
-                                     TraceEventType::VcAllocated, now,
-                                     entry.pkt->id, entry.out_port,
-                                     entry.out_vc);
+                    emitPacketEvent(events_, TraceEventType::VcAllocated,
+                                    now, entry.pkt, entry.out_port,
+                                    entry.out_vc);
                 } else {
                     waiting = true;
                     if (metrics_ != nullptr && i == 0)
@@ -369,9 +351,8 @@ Router::stageSa2(Cycle now)
                          .head();
         head.granted = true;
         head.granted_at = now;
-        tracePacketEvent(trace_, TraceUnitKind::Router,
-                         TraceEventType::SwitchGrant, now, head.pkt->id,
-                         o, head.out_vc);
+        emitPacketEvent(events_, TraceEventType::SwitchGrant, now, head.pkt,
+                        o, head.out_vc);
         busy_out_ |= 1u << o;
         op.src_port = winner;
         op.src_vc = winner_vc;
@@ -413,10 +394,8 @@ Router::stageSt(Cycle now)
             // Emit the hop span while the entry's pipeline timestamps
             // are still live (every cycle below is existing state - no
             // clock is read for the probe).
-            flowHopEvent(flow_, FlowUnitKind::Router, head.pkt->id,
-                         head.pkt->mcast_group, head.pkt->size_flits,
-                         head.head_at, head.granted_at, now, o,
-                         op.out_vc);
+            emitPacketEvent(events_, TraceEventType::Depart, now, head.pkt,
+                            o, op.out_vc, head.head_at, head.granted_at);
             vcbuf.popHead(now);
             if (vcbuf.empty()) {
                 ip.nonempty &= ~(1u << op.src_vc);

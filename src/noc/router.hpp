@@ -20,7 +20,6 @@
 #include "noc/route_table.hpp"
 #include "power/energy.hpp"
 #include "sim/component.hpp"
-#include "sim/flow.hpp"
 #include "sim/metrics.hpp"
 #include "trace/trace.hpp"
 
@@ -106,18 +105,17 @@ class Router final : public Component
     void bindMetrics(MetricsRegistry &reg, const std::string &prefix);
 
     /**
-     * Start emitting packet lifecycle events (route-computed,
-     * VC-allocated, switch-grant) into @p sink, stamped with this
-     * router's coordinates (@p node, @p unit).
+     * Start emitting packet events into @p events, stamped with this
+     * router's coordinates (@p node, @p unit): route-computed,
+     * VC-allocated and switch-grant records, and one hop span (arrival,
+     * SA2 grant, tail departure) per packet.
      */
-    void bindTrace(TraceSink &sink, std::int32_t node, std::int16_t unit);
-
-    /**
-     * Start emitting one per-packet hop span (arrival, SA2 grant,
-     * switch-traversal departure) into @p probe, stamped with this
-     * router's coordinates.
-     */
-    void bindFlow(FlowProbe &probe, std::int32_t node, std::int16_t unit);
+    void
+    bindEvents(PacketEventStream &events, std::int32_t node,
+               std::int16_t unit)
+    {
+        events_ = { &events, node, unit, TraceUnitKind::Router };
+    }
 
     /**
      * Start classifying every connected output port's cycles into stall
@@ -249,8 +247,7 @@ class Router final : public Component
     Doorbell bell_;                 ///< arrivals on the in/credit wires
     RouterEnergyMeter *energy_ = nullptr;
     std::unique_ptr<RouterMetrics> metrics_;
-    TraceBinding trace_;
-    FlowBinding flow_;
+    EventBinding events_;
     std::unique_ptr<RouterStallSampler> stalls_;
 
     // --- live state: each stage visits only these -------------------

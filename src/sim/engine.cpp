@@ -8,18 +8,6 @@
 
 namespace anton2 {
 
-namespace {
-
-/** Thunk of a component registered without one: ticks every cycle. */
-bool
-alwaysAwake(Component &c, Cycle now)
-{
-    c.tick(now);
-    return true;
-}
-
-} // namespace
-
 Engine::Engine() = default;
 
 Engine::~Engine() = default;
@@ -33,15 +21,9 @@ Engine::add(Component &c)
 std::size_t
 Engine::newShard()
 {
-    shards_.push_back(std::make_unique<Shard>(staging_));
+    shards_.push_back(std::make_unique<Shard>(staged_wakes_));
     lanes_dirty_ = true;
     return shards_.size() - 1;
-}
-
-void
-Engine::addSharded(std::size_t shard, Component &c)
-{
-    addEntry(shard, c, &alwaysAwake, HostCompClass::Other);
 }
 
 WakeHandle
@@ -98,8 +80,8 @@ Engine::rebuildLanes()
                               nshards == 0 ? 1 : nshards);
     // Staged wakes live in per-lane buffers; enter them before the
     // buffers are resized.
-    staging_.merge();
-    staging_.configure(want);
+    mergeWakes();
+    staged_wakes_.configure(want);
     lane_ticks_.assign(want, LaneTicks{});
     if (want <= 1) {
         pool_.reset();
@@ -121,6 +103,14 @@ Engine::rebuildLanes()
         pool_ = std::make_unique<CycleWorkerPool>(static_cast<int>(want));
     if (profiler_ != nullptr)
         profiler_->configure(laneCount(), shards_.size());
+}
+
+void
+Engine::mergeWakes()
+{
+    staged_wakes_.drain([](const StagedWake &w) {
+        w.set->wakeAt(w.at_low, w.index);
+    });
 }
 
 void
@@ -298,7 +288,7 @@ Engine::advance(Cycle budget)
     // Cross-shard arrivals staged during the last window (or by a
     // restore) enter their receivers' calendars before any of their
     // cycles tick: their latency is at least the window.
-    staging_.merge();
+    mergeWakes();
 
     if (pool_ != nullptr) {
         if (prof) [[unlikely]] {
@@ -385,7 +375,7 @@ void
 Engine::restoreNow(Cycle now)
 {
     now_ = now;
-    staging_.clear();
+    staged_wakes_.clear();
     for (auto &sh : shards_)
         sh->wake.wakeAll();
 }

@@ -43,7 +43,12 @@
  * registration order - a per-cycle replay in the canonical order. The
  * serial schedule is the same whether the parallel phase ran on one
  * thread or eight, which is what makes the exports byte-identical at
- * any thread count for a fixed window.
+ * any thread count for a fixed window. What a lane cannot apply itself
+ * it stages in its own buffer (sim/lane_staging.hpp), drained in lane
+ * order: cross-shard wakes at the next window boundary, and - through
+ * Machine's serial-phase hook, one cycle at a time - releases of packets
+ * homed on other chips and the packet-event stream that feeds the trace
+ * ring and the flow probe.
  *
  * Serial-tail work feeding state *into* shards (a driver's injections)
  * is seen by the shards at the start of the next window rather than the
@@ -106,10 +111,6 @@ class Engine
      */
     std::size_t newShard();
 
-    /** Register @p c into shard @p shard, ticked every cycle through
-     * its virtual Component::tick. */
-    void addSharded(std::size_t shard, Component &c);
-
     /**
      * Register @p c of concrete type T into shard @p shard as a
      * wake-aware component. It starts awake and ticks - through a
@@ -144,8 +145,9 @@ class Engine
     /**
      * Register a hook that runs on the calling thread each cycle after
      * the parallel phase, before serial-tail components. Hooks run in
-     * registration order; Machine uses them to merge staged trace lanes
-     * and flush deferred endpoint deliveries.
+     * registration order; Machine uses one to apply staged releases,
+     * merge the staged packet-event stream and flush deferred endpoint
+     * deliveries.
      */
     void addSerialPhase(std::function<void(Cycle)> hook);
 
@@ -280,7 +282,7 @@ class Engine
      * bookkeeping (bit i of the wake sets is entries[i]). */
     struct Shard
     {
-        explicit Shard(WakeStaging &staging) : wake(staging) {}
+        explicit Shard(LaneBuffer<StagedWake> &staging) : wake(staging) {}
         std::vector<Entry> entries;
         WakeSet wake;
     };
@@ -336,10 +338,12 @@ class Engine
                         HostCompClass cls);
     void rebuildLanes();
     void rebuildClassRuns();
+    /** Enter every staged cross-shard wake into its calendar. */
+    void mergeWakes();
     /** Largest window <= @p w whose final cycle respects alignments_. */
     Cycle alignedWindow(Cycle w) const;
 
-    WakeStaging staging_;
+    LaneBuffer<StagedWake> staged_wakes_;
     std::vector<std::unique_ptr<Shard>> shards_;
     std::vector<Component *> components_; ///< serial tail
     std::vector<std::function<void(Cycle)>> serial_phases_;

@@ -23,12 +23,13 @@ flowTcName(int tc)
 } // namespace
 
 const char *
-flowUnitKindName(FlowUnitKind k)
+flowUnitKindName(TraceUnitKind k)
 {
     switch (k) {
-      case FlowUnitKind::Endpoint: return "endpoint";
-      case FlowUnitKind::Router: return "router";
-      case FlowUnitKind::Link: return "link";
+      case TraceUnitKind::Endpoint: return "endpoint";
+      case TraceUnitKind::Router: return "router";
+      case TraceUnitKind::ChannelAdapter: return "link";
+      case TraceUnitKind::Link: break; // link senders emit no hops
     }
     return "unknown";
 }
@@ -61,7 +62,7 @@ FlowProbe::FlowProbe(const FlowProbeConfig &cfg)
 }
 
 void
-FlowProbe::registerUnit(std::int32_t node, FlowUnitKind kind, int unit,
+FlowProbe::registerUnit(std::int32_t node, TraceUnitKind kind, int unit,
                         std::string name)
 {
     FlowUnitBlame &b = blame_[FlowUnitKey{ node, kind, unit }];
@@ -77,7 +78,7 @@ FlowProbe::keepPaths(std::uint64_t packet) const
 }
 
 void
-FlowProbe::apply(const FlowHopRecord &r)
+FlowProbe::addHop(const PacketEvent &r)
 {
     auto it = blame_.find(FlowUnitKey{ r.node, r.kind, r.unit });
     if (it == blame_.end()) {
@@ -132,7 +133,7 @@ FlowProbe::recordDelivery(const FlowDeliveryRecord &d)
         if (!cfg_.digest_only) {
             c.worst_path = path != inflight_.end()
                                ? path->second
-                               : std::vector<FlowHopRecord>{};
+                               : std::vector<PacketEvent>{};
         }
     }
     if (cfg_.sample > 0 && d.packet % cfg_.sample == 0) {
@@ -151,7 +152,7 @@ FlowProbe::recordDelivery(const FlowDeliveryRecord &d)
 }
 
 const std::string &
-FlowProbe::unitName(std::int64_t node, FlowUnitKind kind, int unit) const
+FlowProbe::unitName(std::int64_t node, TraceUnitKind kind, int unit) const
 {
     static const std::string unknown = "?";
     const auto it = blame_.find(FlowUnitKey{ node, kind, unit });
@@ -177,12 +178,11 @@ worseFlow(const std::pair<FlowKey, const FlowCell *> &a,
 }
 
 std::string
-hopPathJson(const FlowProbe &probe,
-            const std::vector<FlowHopRecord> &path)
+hopPathJson(const FlowProbe &probe, const std::vector<PacketEvent> &path)
 {
     std::string out = "[";
     for (std::size_t i = 0; i < path.size(); ++i) {
-        const FlowHopRecord &h = path[i];
+        const PacketEvent &h = path[i];
         if (i != 0)
             out += ", ";
         out += "{\"node\": " + jsonNumber(static_cast<double>(h.node))
@@ -249,7 +249,7 @@ blameEntryJson(const FlowUnitKey &key, const FlowUnitBlame &b)
  * (node, unit) key ascending. */
 std::vector<std::pair<FlowUnitKey, const FlowUnitBlame *>>
 topBlamed(const std::map<FlowUnitKey, FlowUnitBlame> &blame,
-          FlowUnitKind kind, std::size_t k)
+          TraceUnitKind kind, std::size_t k)
 {
     std::vector<std::pair<FlowUnitKey, const FlowUnitBlame *>> v;
     for (const auto &[key, b] : blame) {
@@ -304,7 +304,8 @@ FlowProbe::reportJson(bool full_matrix, std::size_t num_nodes,
                                   *worst[i].second);
     }
     out += worst.empty() ? "],\n" : "\n" + p2 + "],\n";
-    const auto links = topBlamed(blame_, FlowUnitKind::Link, cfg_.topk);
+    const auto links =
+        topBlamed(blame_, TraceUnitKind::ChannelAdapter, cfg_.topk);
     out += p2 + "\"blamed_links\": [";
     for (std::size_t i = 0; i < links.size(); ++i) {
         out += i == 0 ? "\n" : ",\n";
@@ -312,7 +313,7 @@ FlowProbe::reportJson(bool full_matrix, std::size_t num_nodes,
     }
     out += links.empty() ? "],\n" : "\n" + p2 + "],\n";
     const auto routers =
-        topBlamed(blame_, FlowUnitKind::Router, cfg_.topk);
+        topBlamed(blame_, TraceUnitKind::Router, cfg_.topk);
     out += p2 + "\"blamed_routers\": [";
     for (std::size_t i = 0; i < routers.size(); ++i) {
         out += i == 0 ? "\n" : ",\n";

@@ -7,22 +7,24 @@
  *
  * The aggregate `machine.*.latency.*` stats give the paper's Section 4
  * three-way breakdown but cannot name the slow flows or the links they
- * wait behind. The FlowProbe closes that gap: routers, channel
- * adapters, and endpoints emit one fixed-size FlowHopRecord per packet
- * per hop - arrival, arbitration grant, departure, all cycles the
- * simulation already holds, so an attached probe takes zero additional
- * clock reads and a detached one costs a single pointer test per site.
+ * wait behind. The FlowProbe closes that gap. It reads the hop spans of
+ * the packet-event stream (trace/trace.hpp): one PacketEvent per unicast
+ * packet per hop - the source endpoint's injection grant, each router's
+ * and channel adapter's tail departure - carrying the arrival, grant and
+ * departure cycles the unit already holds, so an attached probe takes
+ * zero additional clock reads and a detached one costs a single pointer
+ * test per site.
  *
- * Determinism follows the trace sink's staging contract
- * (sim/lane_staging.hpp): records emitted from an engine parallel lane
- * are staged per-lane and per-cycle-offset, and the serial replay
- * drains each cycle's bucket in lane order, reproducing the exact
- * stream a serial window-1 run would have produced. Every export
- * (report JSON, matrix CSV, Chrome spans) is therefore byte-identical
- * across thread counts and lookahead windows.
+ * Determinism is the stream's: records emitted on an engine lane are
+ * staged per lane and per cycle offset, and the serial replay merges
+ * each cycle in lane order, reproducing the exact stream a serial
+ * window-1 run would have produced. Every export (report JSON, matrix
+ * CSV, Chrome spans) is therefore byte-identical across thread counts
+ * and lookahead windows, with or without the trace ring attached to the
+ * same stream.
  *
  * Aggregation happens at the canonical serial points:
- *  - apply() folds each hop's queue wait (grant - arrival) and transfer
+ *  - addHop() folds each hop's queue wait (grant - arrival) and transfer
  *    time (departure - grant) into per-unit *blame* counters, and
  *    appends the hop to the packet's in-flight path log;
  *  - recordDelivery() (called by the destination endpoint during the
@@ -48,21 +50,14 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sim/lane_staging.hpp"
 #include "sim/types.hpp"
+#include "trace/trace.hpp"
 
 namespace anton2 {
 
-/** The kind of unit a flow hop was recorded at. */
-enum class FlowUnitKind : std::uint8_t
-{
-    Endpoint = 0,     ///< source endpoint injection grant
-    Router,           ///< mesh router switch traversal
-    Link,             ///< channel adapter torus-link egress
-};
-
-/** Snake-case kind name used in the flow exports. */
-const char *flowUnitKindName(FlowUnitKind k);
+/** Snake-case kind name used in the flow exports: endpoint, router, or
+ * link (a channel adapter's torus-link egress). */
+const char *flowUnitKindName(TraceUnitKind k);
 
 struct FlowProbeConfig
 {
@@ -77,25 +72,6 @@ struct FlowProbeConfig
     /** Cap on retained sampled spans; further samples are counted as
      * dropped, never silently lost. */
     std::size_t max_spans = 4096;
-};
-
-/**
- * One per-hop span record. Fixed-size and assembled entirely from
- * cycles the emitting unit already tracks; `cycle` is the departure
- * cycle and doubles as the staging key.
- */
-struct FlowHopRecord
-{
-    Cycle cycle = 0;            ///< departure (tail left the unit)
-    Cycle arrival = 0;          ///< head flit buffered at the unit
-    Cycle grant = 0;            ///< arbitration / injection grant
-    std::uint64_t packet = 0;
-    std::int32_t node = -1;     ///< chip the emitting unit sits on
-    std::int16_t unit = -1;     ///< router id / adapter index / ep id
-    std::int16_t port = -1;     ///< output port where meaningful
-    std::int16_t size_flits = 0;
-    FlowUnitKind kind = FlowUnitKind::Endpoint;
-    std::uint8_t vc = 0;
 };
 
 /**
@@ -153,7 +129,7 @@ struct FlowCell
     std::uint64_t worst_packet = 0;
     Cycle worst_latency = 0;
     /** Worst packet's hop path (empty in digest_only mode). */
-    std::vector<FlowHopRecord> worst_path;
+    std::vector<PacketEvent> worst_path;
 
     /** Upper edge of the bucket holding the 99th percentile. */
     double p99Estimate() const;
@@ -163,7 +139,7 @@ struct FlowCell
 struct FlowUnitKey
 {
     std::int64_t node = 0;
-    FlowUnitKind kind = FlowUnitKind::Endpoint;
+    TraceUnitKind kind = TraceUnitKind::Endpoint;
     int unit = 0;
 
     bool
@@ -188,11 +164,10 @@ struct FlowUnitBlame
 };
 
 /**
- * The flow probe. One instance is shared by every component (bound via
- * FlowBinding, null until attached), exactly like TraceSink; record()
- * stages from parallel lanes and Machine::serialPhase drains the
- * current cycle's buckets before flushing deliveries, so every hop of
- * a packet is applied before the delivery that closes its flight.
+ * The flow probe. One instance reads the hop spans of the packet-event
+ * stream; Machine::serialPhase merges the current cycle's staged records
+ * before flushing deliveries, so every hop of a packet is added before
+ * the delivery that closes its flight.
  */
 class FlowProbe
 {
@@ -203,42 +178,18 @@ class FlowProbe
 
     /** Name a hop unit (bind time, serial). Blame counters and path
      * rendering resolve units through this table. */
-    void registerUnit(std::int32_t node, FlowUnitKind kind, int unit,
+    void registerUnit(std::int32_t node, TraceUnitKind kind, int unit,
                       std::string name);
 
-    /** Append one hop record (simulation hot path). */
-    void
-    record(const FlowHopRecord &r)
-    {
-        const int lane = par::currentLane();
-        if (lane >= 0) [[unlikely]] {
-            staged_.stage(lane, r);
-            return;
-        }
-        apply(r);
-    }
+    /** Fold one hop span into its unit's blame and its packet's path
+     * log (serial context; the stream delivers in canonical order). */
+    void addHop(const PacketEvent &hop);
 
     /** Close a packet's flight into its flow cell (serial flush only). */
     void recordDelivery(const FlowDeliveryRecord &d);
 
-    /** Size the per-lane staging buffers; same contract as
-     * TraceSink::configureLanes. */
-    void
-    configureLanes(std::size_t lanes, std::size_t window_depth = 1)
-    {
-        staged_.configure(lanes, window_depth);
-    }
-
-    /** Apply cycle @p cycle's staged hop records in lane order (serial
-     * replay only). A no-op when nothing is staged. */
-    void
-    mergeStaged(Cycle cycle)
-    {
-        staged_.merge(cycle, [this](const FlowHopRecord &r) { apply(r); });
-    }
-
     /** Registered unit name, or "?" when unbound. */
-    const std::string &unitName(std::int64_t node, FlowUnitKind kind,
+    const std::string &unitName(std::int64_t node, TraceUnitKind kind,
                                 int unit) const;
 
     // --- exports -----------------------------------------------------
@@ -261,7 +212,7 @@ class FlowProbe
     struct Span
     {
         FlowDeliveryRecord meta;
-        std::vector<FlowHopRecord> path;
+        std::vector<PacketEvent> path;
     };
 
     const std::map<FlowKey, FlowCell> &cells() const { return cells_; }
@@ -276,54 +227,17 @@ class FlowProbe
     std::uint64_t deliveries() const { return deliveries_; }
 
   private:
-    void apply(const FlowHopRecord &r);
     bool keepPaths(std::uint64_t packet) const;
 
     FlowProbeConfig cfg_;
-    LaneStaging<FlowHopRecord> staged_;
 
     std::map<FlowKey, FlowCell> cells_;
     std::map<FlowUnitKey, FlowUnitBlame> blame_;
     /** In-flight hop paths, erased at delivery. */
-    std::unordered_map<std::uint64_t, std::vector<FlowHopRecord>>
-        inflight_;
+    std::unordered_map<std::uint64_t, std::vector<PacketEvent>> inflight_;
     std::vector<Span> spans_;
     std::uint64_t dropped_spans_ = 0;
     std::uint64_t deliveries_ = 0;
 };
-
-/**
- * A component's binding to the probe plus its coordinates. Components
- * hold one (probe null until bound) and emit through flowHopEvent(),
- * which folds the null test, the multicast filter, and the record
- * assembly into one inlined call site.
- */
-struct FlowBinding
-{
-    FlowProbe *probe = nullptr;
-    std::int32_t node = -1;
-    std::int16_t unit = -1;
-};
-
-inline void
-flowHopEvent(const FlowBinding &fb, FlowUnitKind kind,
-             std::uint64_t packet, int mcast_group, int size_flits,
-             Cycle arrival, Cycle grant, Cycle depart, int port, int vc)
-{
-    if (fb.probe == nullptr || mcast_group >= 0)
-        return;
-    FlowHopRecord r;
-    r.cycle = depart;
-    r.arrival = arrival;
-    r.grant = grant;
-    r.packet = packet;
-    r.node = fb.node;
-    r.unit = fb.unit;
-    r.port = static_cast<std::int16_t>(port);
-    r.size_flits = static_cast<std::int16_t>(size_flits);
-    r.kind = kind;
-    r.vc = static_cast<std::uint8_t>(vc);
-    fb.probe->record(r);
-}
 
 } // namespace anton2

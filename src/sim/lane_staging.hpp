@@ -1,24 +1,27 @@
 /**
  * @file
- * Per-(lane, cycle-offset) staging for records emitted from the engine's
- * parallel phase, shared by the trace sink and the flow probe.
+ * Per-lane staging for side effects made in the engine's parallel phase.
  *
- * One sink is shared by every component, so when the engine ticks shards
- * on several lanes (or one lane several cycles between barriers), a
- * record emitted on a lane goes into a bucket keyed by (lane, record
- * cycle modulo the window depth) instead of the sink's store. The
- * serial replay then merges one simulated cycle at a time, draining that
- * cycle's bucket of every lane in lane order - the exact (cycle-major,
- * registration-order) stream a serial window-1 run would have produced,
- * so exports are byte-identical at any thread count and window.
+ * A lane that ticks its shards must not touch state other lanes share,
+ * so it appends what it would have done to its own buffer, and the
+ * serial context drains every buffer in lane order. Lanes hold
+ * contiguous shard ranges in registration order, so lane order is the
+ * serial order, and the drained stream does not depend on the thread
+ * count. One template serves every such stream:
+ *
+ *  - cross-shard wakes (sim/wake.hpp), entered into their calendars at
+ *    the next window boundary;
+ *  - releases of packet records homed on another chip
+ *    (noc/packet_slab.hpp), applied in the serial replay;
+ *  - packet events for the trace ring and the flow probe
+ *    (trace/trace.hpp), one buffer per cycle offset of the window, so
+ *    the serial replay drains one simulated cycle at a time.
  */
 #pragma once
 
 #include <cassert>
 #include <cstddef>
 #include <vector>
-
-#include "sim/types.hpp"
 
 namespace anton2 {
 
@@ -28,57 +31,58 @@ namespace par {
 int currentLane();
 } // namespace par
 
-/** Staging buckets for records of type @p Record (which carries a
- * `cycle` member). */
-template <typename Record>
-class LaneStaging
+/** One append buffer per engine lane for items of type @p T. */
+template <typename T>
+class LaneBuffer
 {
   public:
-    /**
-     * Size the buckets: one per cycle offset for each of @p lanes lanes.
-     * @p window_depth is the largest lookahead window the engine may
-     * run, so `cycle % depth` is distinct within any one window. Staged
-     * records are dropped; reconfigure between windows.
-     */
+    /** Hold @p lanes buffers (at least one). Drain first: items still
+     * held are dropped. */
     void
-    configure(std::size_t lanes, std::size_t window_depth)
+    configure(std::size_t lanes)
     {
-        depth_ = window_depth < 1 ? 1 : window_depth;
-        staged_.assign(lanes, std::vector<std::vector<Record>>(depth_));
+        lanes_.assign(lanes < 1 ? 1 : lanes, Lane{});
     }
 
-    /** Stage @p r from lane @p lane (its own thread only). */
+    /** Append @p item from lane @p lane, on that lane's thread (-1, the
+     * serial path, appends to lane 0). */
     void
-    stage(int lane, const Record &r)
+    push(int lane, const T &item)
     {
-        assert(static_cast<std::size_t>(lane) < staged_.size()
-               && "staging not configured for this many lanes");
-        staged_[static_cast<std::size_t>(lane)]
-               [static_cast<std::size_t>(r.cycle % depth_)]
-                   .push_back(r);
+        const std::size_t i = lane < 0 ? 0 : static_cast<std::size_t>(lane);
+        assert(i < lanes_.size() && "staging not configured for this lane");
+        lanes_[i].items.push_back(item);
     }
 
-    /** Hand cycle @p cycle's records to @p apply in lane order and clear
-     * them (serial replay only). */
+    /** Hand every item to @p apply, lane by lane in lane order, and
+     * clear the buffers (serial context only). */
     template <typename Apply>
     void
-    merge(Cycle cycle, Apply &&apply)
+    drain(Apply &&apply)
     {
-        const auto bucket = static_cast<std::size_t>(cycle % depth_);
-        for (auto &lane : staged_) {
-            auto &records = lane[bucket];
-            for (const Record &r : records)
-                apply(r);
-            records.clear();
+        for (Lane &lane : lanes_) {
+            for (const T &item : lane.items)
+                apply(item);
+            lane.items.clear();
         }
     }
 
+    /** Drop every item (a checkpoint restore starts clean). */
+    void
+    clear()
+    {
+        for (Lane &lane : lanes_)
+            lane.items.clear();
+    }
+
   private:
-    std::size_t depth_ = 1;
-    /** One bucket per (lane, cycle % depth_); a bucket is only touched
-     * by its lane's thread during the parallel phase and drained by the
-     * serial replay between windows. */
-    std::vector<std::vector<std::vector<Record>>> staged_;
+    /** Padded so concurrent lanes never share the cache line their
+     * push_back writes. */
+    struct alignas(64) Lane
+    {
+        std::vector<T> items;
+    };
+    std::vector<Lane> lanes_{ 1 };
 };
 
 } // namespace anton2

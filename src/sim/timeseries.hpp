@@ -9,10 +9,10 @@
  * heatmap source), per-router / per-chip buffer occupancy and credit
  * levels, and machine-level windowed injection/ejection counts and
  * latency means. The same zero-overhead-when-unbound discipline as
- * MetricsRegistry and TraceSink applies: a machine without a sampler
- * pays nothing at all (the sampler is simply never constructed or
- * registered), and a bound sampler touches the simulation only at
- * window boundaries through read-only probes.
+ * MetricsRegistry and the packet-event stream applies: a machine
+ * without a sampler pays nothing at all (the sampler is simply never
+ * constructed or registered), and a bound sampler touches the
+ * simulation only at window boundaries through read-only probes.
  *
  * On top of the sampled series sit:
  *  - a steady-state detector (sliding-window convergence on windowed

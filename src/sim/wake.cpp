@@ -6,29 +6,6 @@
 namespace anton2 {
 
 void
-WakeStaging::configure(std::size_t lanes)
-{
-    lanes_.resize(lanes < 1 ? 1 : lanes);
-}
-
-void
-WakeStaging::merge()
-{
-    for (Lane &lane : lanes_) {
-        for (const Staged &w : lane.staged)
-            w.set->wakeAt(w.at_low, w.index);
-        lane.staged.clear();
-    }
-}
-
-void
-WakeStaging::clear()
-{
-    for (Lane &lane : lanes_)
-        lane.staged.clear();
-}
-
-void
 WakeSet::resize(std::size_t components, std::size_t slots)
 {
     assert(std::has_single_bit(slots));

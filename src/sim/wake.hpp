@@ -15,9 +15,10 @@
  *    receiver's Doorbell, which also sets the receiver's calendar bit for
  *    the arrival cycle;
  *  - an arrival on a cross-shard (torus) wire: the send stages a
- *    (receiver, arrival cycle) wake on the sending lane. Such wires have
- *    latency >= the lookahead window, so the engine merges the staged
- *    wakes at the next window boundary, before the arrival is due;
+ *    (receiver, arrival cycle) wake in the sending lane's buffer
+ *    (sim/lane_staging.hpp). Such wires have latency >= the lookahead
+ *    window, so the engine drains the staged wakes into their calendars
+ *    at the next window boundary, before the arrival is due;
  *  - work handed over by the serial phase (an endpoint injection), which
  *    sets the awake bit for the next cycle the shard ticks.
  *
@@ -33,15 +34,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/lane_staging.hpp"
 #include "sim/types.hpp"
 
 namespace anton2 {
-
-namespace par {
-// Declared in sim/thread_pool.hpp: the calling thread's lane index
-// during the engine's parallel phase, or -1 on the serial path.
-int currentLane();
-} // namespace par
 
 class WakeSet;
 
@@ -49,56 +45,23 @@ class WakeSet;
  * on-chip wire (latency <= kMaxDoorbellLatency, see sim/wire.hpp). */
 inline constexpr Cycle kMinWakeSlots = 4;
 
-/**
- * Cross-shard wakes staged per lane during the parallel phase (owned by
- * the Engine). A lane appends only to its own buffer; the engine merges
- * every buffer into the calendars between windows.
- */
-class WakeStaging
+/** A cross-shard wake staged on the sending lane (in the Engine's
+ * LaneBuffer) until the next window boundary enters it into its
+ * calendar. 16 bytes: a calendar reads only the low bits of the cycle. */
+struct StagedWake
 {
-  public:
-    /** One buffer per lane (staged wakes must be merged first). */
-    void configure(std::size_t lanes);
-
-    /** Stage a wake of component @p index of @p set for cycle @p at,
-     * from the calling thread's lane (lane 0 outside the parallel
-     * phase). */
-    void
-    stage(WakeSet *set, std::uint32_t index, Cycle at)
-    {
-        const int lane = par::currentLane();
-        lanes_[lane < 0 ? 0 : static_cast<std::size_t>(lane)]
-            .staged.push_back({ set, index, static_cast<std::uint32_t>(at) });
-    }
-
-    /** Enter every staged wake into its calendar (serial context). */
-    void merge();
-
-    /** Drop every staged wake (a checkpoint restore starts clean). */
-    void clear();
-
-  private:
-    /** 16 bytes: a calendar reads only the low bits of the cycle. */
-    struct Staged
-    {
-        WakeSet *set;
-        std::uint32_t index;
-        std::uint32_t at_low;
-    };
-    /** One lane's buffer, padded so concurrent lanes never share the
-     * cache line their push_back writes. */
-    struct alignas(64) Lane
-    {
-        std::vector<Staged> staged;
-    };
-    std::vector<Lane> lanes_{ 1 };
+    WakeSet *set;
+    std::uint32_t index;
+    std::uint32_t at_low;
 };
 
 /** One shard's awake set and wake calendar (owned by the Engine). */
 class WakeSet
 {
   public:
-    explicit WakeSet(WakeStaging &staging) : staging_(&staging) {}
+    explicit WakeSet(LaneBuffer<StagedWake> &staging) : staging_(&staging)
+    {
+    }
 
     /**
      * Cover @p components components and a calendar of @p slots cycles
@@ -124,7 +87,12 @@ class WakeSet
 
     /** Wake component @p i for an arrival at @p at sent from another
      * shard's lane: staged, merged at the next window boundary. */
-    void stageAt(Cycle at, std::uint32_t i) { staging_->stage(this, i, at); }
+    void
+    stageAt(Cycle at, std::uint32_t i)
+    {
+        staging_->push(par::currentLane(),
+                       { this, i, static_cast<std::uint32_t>(at) });
+    }
 
     /** Wake component @p i for the next cycle its shard ticks (serial
      * context only). */
@@ -151,7 +119,7 @@ class WakeSet
     std::size_t words_ = 0;
     std::vector<std::uint64_t> calendar_; ///< slots x words_
     std::vector<std::uint64_t> awake_;
-    WakeStaging *staging_;
+    LaneBuffer<StagedWake> *staging_;
     std::size_t components_ = 0;
 };
 

@@ -50,6 +50,7 @@ flightRecordCsv(const std::vector<TraceEvent> &events)
           case TraceEventType::LinkTraverse: ++f.link_hops; break;
           case TraceEventType::VcAllocated:
           case TraceEventType::Retransmit:
+          case TraceEventType::Depart: // never in the ring
             break;
         }
     }

@@ -1,5 +1,7 @@
 #include "trace/trace.hpp"
 
+#include "sim/flow.hpp"
+
 namespace anton2 {
 
 const char *
@@ -13,6 +15,7 @@ traceEventName(TraceEventType t)
       case TraceEventType::LinkTraverse: return "link_traverse";
       case TraceEventType::Retransmit: return "retransmit";
       case TraceEventType::Eject: return "eject";
+      case TraceEventType::Depart: return "depart";
     }
     return "unknown";
 }
@@ -36,7 +39,7 @@ RingTraceSink::RingTraceSink(std::size_t capacity)
 }
 
 void
-RingTraceSink::doRecord(const TraceEvent &ev)
+RingTraceSink::push(const TraceEvent &ev)
 {
     ring_[next_] = ev;
     next_ = (next_ + 1) % ring_.size();
@@ -75,6 +78,24 @@ RingTraceSink::clear()
 {
     next_ = 0;
     recorded_ = 0;
+}
+
+void
+PacketEventStream::configure(std::size_t lanes, std::size_t window_depth)
+{
+    buckets_.assign(window_depth < 1 ? 1 : window_depth, {});
+    for (auto &bucket : buckets_)
+        bucket.configure(lanes);
+}
+
+void
+PacketEventStream::deliver(const PacketEvent &ev)
+{
+    if ((ev.to & PacketEvent::kToTrace) != 0)
+        trace_->push({ ev.cycle, ev.packet, ev.node, ev.unit, ev.port,
+                       ev.kind, ev.type, ev.vc });
+    if ((ev.to & PacketEvent::kToFlows) != 0)
+        flows_->addHop(ev);
 }
 
 } // namespace anton2

@@ -1,18 +1,28 @@
 /**
  * @file
- * Cycle-level event tracing: packet lifecycle records and stall
- * attribution (the event layer underneath the aggregate telemetry of
- * sim/metrics.hpp).
+ * The packet-event stream and the trace layer it feeds: packet lifecycle
+ * records, flow hop spans, and stall attribution (the event layer
+ * underneath the aggregate telemetry of sim/metrics.hpp).
  *
  * The aggregate counters answer "how much"; this layer answers "why a
- * flit waited". Components emit fixed-size binary TraceEvent records
- * into a TraceSink at the points a packet changes state (injection,
- * route computation, VC allocation, switch grant, link traversal,
- * retransmission, ejection), carrying the cycle, the emitting unit's
- * coordinates (chip / unit kind / unit / port / VC), and the packet id.
- * The same null-check discipline as MetricsRegistry applies: an unbound
- * component pays one pointer test per would-be record site, so the
- * tracing build is the normal build.
+ * flit waited". Routers, channel adapters, endpoints and link senders
+ * each hold one EventBinding and emit one fixed-size PacketEvent, through
+ * emitPacketEvent(), at the points a packet changes state (injection,
+ * route computation, VC allocation, switch grant, link traversal, tail
+ * departure, retransmission, ejection). A record carries the cycle, the
+ * emitting unit's coordinates (chip / unit kind / unit / port / VC), the
+ * packet id, and for a hop the arrival and grant cycles the unit already
+ * holds. An unbound component pays one pointer test per would-be record
+ * site, so the tracing build is the normal build.
+ *
+ * The PacketEventStream routes each record once, at emission, to its
+ * readers: lifecycle records to the trace ring when its sampling stride
+ * takes the packet, hop spans of unicast packets to the flow probe
+ * (sim/flow.hpp), and the injection grant to both. On an engine lane the
+ * record is staged (sim/lane_staging.hpp) in the buffer of its cycle
+ * offset, and Machine's serial replay merges one simulated cycle at a
+ * time in lane order - the exact stream a serial window-1 run delivers -
+ * so every export is byte-identical at any thread count and window.
  *
  * Recording is decoupled from interpretation: RingTraceSink stores raw
  * records in a bounded ring (overwriting the oldest on overflow, never
@@ -31,12 +41,15 @@
 #include <cstddef>
 #include <vector>
 
+#include "noc/packet.hpp"
 #include "sim/lane_staging.hpp"
 #include "sim/types.hpp"
 
 namespace anton2 {
 
-/** Packet lifecycle states recorded by the tracing layer. */
+class FlowProbe;
+
+/** Packet lifecycle states recorded by the packet-event stream. */
 enum class TraceEventType : std::uint8_t
 {
     Inject = 0,       ///< packet granted injection at its source endpoint
@@ -46,8 +59,8 @@ enum class TraceEventType : std::uint8_t
     LinkTraverse,     ///< head flit serialized onto an external torus link
     Retransmit,       ///< link-layer go-back-N resend (no packet identity)
     Eject,            ///< full packet reassembled at a destination endpoint
+    Depart,           ///< tail left a router or adapter (flow hop only)
 };
-inline constexpr int kNumTraceEventTypes = 7;
 
 /** Short stable name for an event type (trace schema vocabulary). */
 const char *traceEventName(TraceEventType t);
@@ -61,7 +74,9 @@ enum class TraceUnitKind : std::uint8_t
     Link,
 };
 
-/** One fixed-size binary trace record. */
+/** One fixed-size binary trace record, as the ring stores it: the
+ * fields of a PacketEvent the trace exports read, in 32 bytes instead of
+ * 48 (the default ring holds 2^19 of them). */
 struct TraceEvent
 {
     Cycle cycle = 0;
@@ -75,50 +90,20 @@ struct TraceEvent
 };
 
 /**
- * Destination for trace records. Components hold a `TraceSink *` that is
- * null until bound; the sampling filter lives here so every emit site
- * shares one policy (record packets whose id falls on the sample
- * stride; packet-less records always pass).
- *
- * Threaded and windowed runs: record() on an engine lane stages the
- * event (LaneStaging) and the serial replay merges it with
- * mergeStaged(cycle), so trace exports are byte-identical at any thread
- * count. Truly serial paths (lane -1, outside any engine parallel
- * phase) bypass staging entirely.
+ * Bounded in-memory recorder: a preallocated ring that overwrites the
+ * oldest record when full. Overflow is counted, never silent - the
+ * exporters surface `dropped()` so a truncated trace reads as truncated.
+ * The sampling filter lives here so every emit site shares one policy
+ * (record packets whose id falls on the sample stride; packet-less
+ * records always pass).
  */
-class TraceSink
+class RingTraceSink
 {
   public:
-    virtual ~TraceSink() = default;
+    explicit RingTraceSink(std::size_t capacity);
 
-    /** Append one record (called on the simulation hot path). */
-    void
-    record(const TraceEvent &ev)
-    {
-        const int lane = par::currentLane();
-        if (lane >= 0) [[unlikely]] {
-            staged_.stage(lane, ev);
-            return;
-        }
-        doRecord(ev);
-    }
-
-    /** Size the per-lane staging buffers (see LaneStaging::configure;
-     * call with Engine::laneCount() and the largest lookahead window
-     * whenever either changes). */
-    void
-    configureLanes(std::size_t lanes, std::size_t window_depth = 1)
-    {
-        staged_.configure(lanes, window_depth);
-    }
-
-    /** Replay cycle @p cycle's staged events into the store in lane
-     * order (serial replay only). A no-op when nothing is staged. */
-    void
-    mergeStaged(Cycle cycle)
-    {
-        staged_.merge(cycle, [this](const TraceEvent &ev) { doRecord(ev); });
-    }
+    /** Append one record (serial context; the stream merges lanes). */
+    void push(const TraceEvent &ev);
 
     /** True if lifecycle events for @p packet_id should be recorded. */
     bool
@@ -130,25 +115,6 @@ class TraceSink
     /** Record every Nth packet (1 = every packet). */
     void setSampleStride(std::uint64_t n) { sample_ = n < 1 ? 1 : n; }
     std::uint64_t sampleStride() const { return sample_; }
-
-  protected:
-    /** Append one record to the underlying store. */
-    virtual void doRecord(const TraceEvent &ev) = 0;
-
-  private:
-    std::uint64_t sample_ = 1;
-    LaneStaging<TraceEvent> staged_;
-};
-
-/**
- * Bounded in-memory recorder: a preallocated ring that overwrites the
- * oldest record when full. Overflow is counted, never silent - the
- * exporters surface `dropped()` so a truncated trace reads as truncated.
- */
-class RingTraceSink : public TraceSink
-{
-  public:
-    explicit RingTraceSink(std::size_t capacity);
 
     /** Records in chronological order (oldest surviving first). */
     std::vector<TraceEvent> drain() const;
@@ -164,45 +130,148 @@ class RingTraceSink : public TraceSink
     /** Forget every record (capacity and sampling are kept). */
     void clear();
 
-  protected:
-    void doRecord(const TraceEvent &ev) override;
-
   private:
     std::vector<TraceEvent> ring_;
     std::size_t next_ = 0;       ///< ring slot the next record lands in
     std::uint64_t recorded_ = 0;
+    std::uint64_t sample_ = 1;
 };
 
 /**
- * A component's binding to a sink plus its coordinates. Components hold
- * one of these (sink null until bound) and emit through
- * tracePacketEvent(), which folds the null test, the sampling filter,
- * and the record assembly into one inlined call site.
+ * One packet event, as emitted and staged. A lifecycle record reads
+ * `cycle`, `packet`, the coordinates, `port` and `vc`; a hop span also
+ * reads `arrival`, `grant` and `size_flits`, with `cycle` its departure.
+ * `to` names the readers it was routed to at emission.
  */
-struct TraceBinding
+struct PacketEvent
 {
-    TraceSink *sink = nullptr;
-    std::int32_t node = -1;
-    std::int16_t unit = -1;
+    static constexpr std::uint8_t kToTrace = 1;
+    static constexpr std::uint8_t kToFlows = 2;
+
+    Cycle cycle = 0;            ///< event cycle (a hop's departure)
+    Cycle arrival = 0;          ///< hop: head flit buffered at the unit
+    Cycle grant = 0;            ///< hop: arbitration / injection grant
+    std::uint64_t packet = 0;   ///< packet id, or 0 for packet-less events
+    std::int32_t node = -1;     ///< chip the emitting unit sits on
+    std::int16_t unit = -1;     ///< router id / adapter index / ep id
+    std::int16_t port = -1;     ///< output port where meaningful, else -1
+    std::int16_t size_flits = 0;
+    TraceUnitKind kind = TraceUnitKind::Endpoint;
+    TraceEventType type = TraceEventType::Inject;
+    std::uint8_t vc = 0;
+    std::uint8_t to = 0;        ///< kToTrace | kToFlows
 };
 
-inline void
-tracePacketEvent(const TraceBinding &tb, TraceUnitKind kind,
-                 TraceEventType type, Cycle now, std::uint64_t packet,
-                 int port, int vc)
+/**
+ * The one stream every component emits into (owned by the Machine, or a
+ * test). The trace ring and the flow probe attach to it; each is
+ * optional and not owned.
+ */
+class PacketEventStream
 {
-    if (tb.sink == nullptr || !tb.sink->accepts(packet))
+  public:
+    void setTrace(RingTraceSink *ring) { trace_ = ring; }
+    void setFlows(FlowProbe *probe) { flows_ = probe; }
+    RingTraceSink *trace() const { return trace_; }
+    FlowProbe *flows() const { return flows_; }
+
+    /** Deliver @p ev, or stage it when called on an engine lane
+     * (simulation hot path). */
+    void
+    emit(const PacketEvent &ev)
+    {
+        const int lane = par::currentLane();
+        if (lane >= 0) [[unlikely]] {
+            buckets_[static_cast<std::size_t>(ev.cycle % buckets_.size())]
+                .push(lane, ev);
+            return;
+        }
+        deliver(ev);
+    }
+
+    /**
+     * Size the staging: one LaneBuffer of @p lanes lanes per cycle
+     * offset of a window of up to @p window_depth cycles, so
+     * `cycle % depth` is distinct within any one window. Call with
+     * Engine::laneCount() and the largest lookahead window whenever
+     * either changes (between windows: staged records are dropped).
+     */
+    void configure(std::size_t lanes, std::size_t window_depth);
+
+    /** Deliver cycle @p cycle's staged records in lane order (serial
+     * replay only). */
+    void
+    merge(Cycle cycle)
+    {
+        if (trace_ == nullptr && flows_ == nullptr)
+            return;
+        buckets_[static_cast<std::size_t>(cycle % buckets_.size())].drain(
+            [this](const PacketEvent &ev) { deliver(ev); });
+    }
+
+  private:
+    void deliver(const PacketEvent &ev);
+
+    RingTraceSink *trace_ = nullptr;
+    FlowProbe *flows_ = nullptr;
+    std::vector<LaneBuffer<PacketEvent>> buckets_{ 1 };
+};
+
+/**
+ * A component's binding to the stream plus its coordinates (stream null
+ * until bound). Components emit through emitPacketEvent(), which folds
+ * the null test, the routing, and the record assembly into one inlined
+ * call site.
+ */
+struct EventBinding
+{
+    PacketEventStream *stream = nullptr;
+    std::int32_t node = -1;
+    std::int16_t unit = -1;
+    TraceUnitKind kind = TraceUnitKind::Endpoint;
+};
+
+/**
+ * Emit one packet event of @p pkt (null for a packet-less retransmit)
+ * at @p now. A Depart record is a hop span - the unit held the packet
+ * from @p arrival, was granted at @p grant and saw the tail leave at
+ * @p now - and goes to the flow probe for a unicast packet. An Inject
+ * record is also the source endpoint's hop span (birth to grant) and
+ * goes to both readers. Every other type goes to the trace ring only,
+ * and the ring takes a record when its sampling stride takes the packet.
+ */
+inline void
+emitPacketEvent(const EventBinding &b, TraceEventType type, Cycle now,
+                const Packet *pkt, int port, int vc, Cycle arrival = 0,
+                Cycle grant = 0)
+{
+    if (b.stream == nullptr)
         return;
-    TraceEvent ev;
+    const std::uint64_t id = pkt != nullptr ? pkt->id : 0;
+    std::uint8_t to = 0;
+    if (type != TraceEventType::Depart && b.stream->trace() != nullptr
+        && b.stream->trace()->accepts(id))
+        to |= PacketEvent::kToTrace;
+    if ((type == TraceEventType::Inject || type == TraceEventType::Depart)
+        && b.stream->flows() != nullptr && pkt->mcast_group < 0)
+        to |= PacketEvent::kToFlows;
+    if (to == 0)
+        return;
+    PacketEvent ev;
     ev.cycle = now;
-    ev.packet = packet;
-    ev.node = tb.node;
-    ev.unit = tb.unit;
+    ev.arrival = arrival;
+    ev.grant = grant;
+    ev.packet = id;
+    ev.node = b.node;
+    ev.unit = b.unit;
     ev.port = static_cast<std::int16_t>(port);
-    ev.unit_kind = kind;
+    ev.size_flits =
+        static_cast<std::int16_t>(pkt != nullptr ? pkt->size_flits : 0);
+    ev.kind = b.kind;
     ev.type = type;
     ev.vc = static_cast<std::uint8_t>(vc);
-    tb.sink->record(ev);
+    ev.to = to;
+    b.stream->emit(ev);
 }
 
 // ---------------------------------------------------------------------

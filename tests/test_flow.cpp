@@ -27,7 +27,8 @@ using testjson::TinyJsonParser;
 constexpr std::uint64_t kPackets = 120;
 
 /**
- * Build a flow-probed 2x2x2 machine and drive seeded random unicast
+ * Build a flow-probed 2x2x2 machine (with the trace ring on the same
+ * packet-event stream when @p traced) and drive seeded random unicast
  * writes, all injected before the run starts (no serial-phase feedback,
  * so exports are byte-identical across lookahead windows too).
  */
@@ -42,7 +43,7 @@ struct FlowRun
 
 FlowRun
 runFlows(std::uint64_t seed, int threads, Cycle lookahead,
-         std::uint64_t sample = 0)
+         std::uint64_t sample = 0, bool traced = false)
 {
     MachineConfig cfg;
     cfg.radix = { 2, 2, 2 };
@@ -58,6 +59,8 @@ runFlows(std::uint64_t seed, int threads, Cycle lookahead,
     Instrumentation finst;
     finst.metrics = true;
     finst.flows = fc;
+    if (traced)
+        finst.trace = TraceConfig{};
     m.attachInstrumentation(finst);
 
     Rng traffic(seed * 1315423911ULL + 1);
@@ -107,6 +110,15 @@ TEST(FlowExports, ByteIdenticalAcrossThreadsAndWindows)
                 << "threads=" << threads << " lookahead=" << lookahead;
             EXPECT_EQ(run.report, window_base.report)
                 << "threads=" << threads << " lookahead=" << lookahead;
+            // The trace ring reads the same packet-event stream; with
+            // it attached the flow exports must not change.
+            const auto traced = runFlows(71, threads, lookahead, 0, true);
+            EXPECT_EQ(traced.flows_json, base.flows_json)
+                << "traced, threads=" << threads
+                << " lookahead=" << lookahead;
+            EXPECT_EQ(traced.csv, base.csv)
+                << "traced, threads=" << threads
+                << " lookahead=" << lookahead;
         }
     }
     // Different seed, different exports: the identity above is not
@@ -232,12 +244,12 @@ TEST(FlowBlame, LinkFlitsConserveAgainstDeliveredHopCrossings)
     const FlowProbe &probe = *m.flows();
     std::uint64_t link_flits = 0, link_pkt_hops = 0, ep_packets = 0;
     for (const auto &[key, b] : probe.blame()) {
-        if (key.kind == FlowUnitKind::Link) {
+        if (key.kind == TraceUnitKind::ChannelAdapter) {
             link_flits += b.flits;
             link_pkt_hops += b.packets;
             EXPECT_NE(b.name, "?") << "every link unit is registered";
         }
-        if (key.kind == FlowUnitKind::Endpoint)
+        if (key.kind == TraceUnitKind::Endpoint)
             ep_packets += b.packets;
     }
     // Every delivered packet crossed `hops` torus links, each crossing
@@ -353,19 +365,19 @@ TEST(FlowSpans, SampledPacketsCarryOrderedCompleteHopPaths)
         ASSERT_FALSE(s.path.empty());
         // The first span of every flight is the source endpoint's
         // injection-queue wait.
-        EXPECT_EQ(s.path.front().kind, FlowUnitKind::Endpoint);
+        EXPECT_EQ(s.path.front().kind, TraceUnitKind::Endpoint);
         int link_hops = 0;
         Cycle prev_depart = 0;
-        for (const FlowHopRecord &h : s.path) {
+        for (const PacketEvent &h : s.path) {
             EXPECT_LE(h.arrival, h.grant) << "packet " << s.meta.packet;
             EXPECT_LE(h.grant, h.cycle) << "packet " << s.meta.packet;
             EXPECT_GE(h.arrival, prev_depart)
                 << "hops must be chronological, packet " << s.meta.packet;
             prev_depart = h.cycle;
-            if (h.kind == FlowUnitKind::Link)
+            if (h.kind == TraceUnitKind::ChannelAdapter)
                 ++link_hops;
         }
-        // Span attribution is complete: one Link record per torus hop
+        // Span attribution is complete: one adapter hop per torus hop
         // the packet reported at delivery.
         EXPECT_EQ(link_hops, s.meta.hops) << "packet " << s.meta.packet;
         EXPECT_LE(s.path.back().cycle, s.meta.delivered);

@@ -619,6 +619,58 @@ TEST(BenchFlagValidation, WarmupImpliesTimeseries)
     EXPECT_EQ(inst.timeseries->warmup_reset, Cycle{ 100 });
 }
 
+TEST(BenchFlagValidation, FlowSampleNeedsTheChromeTrace)
+{
+    // Sampled flow spans are written only into the --trace Chrome trace:
+    // without it the stride would select spans no export writes. The
+    // check runs before any output path is probed.
+    bench::SharedFlags flags;
+    flags.flow_sample = 3;
+    flags.flows_csv = "/nonexistent-dir-for-test/flows.csv";
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(flags.validate());
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("error: --flow-sample needs --trace"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(err.find("cannot open"), std::string::npos) << err;
+    // --trace-csv alone holds no flow spans either.
+    flags.trace_csv = "flight.csv";
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(flags.validate());
+    testing::internal::GetCapturedStderr();
+
+    // With the Chrome trace the stride stands, and implies the probe.
+    bench::SharedFlags traced;
+    traced.flow_sample = 3;
+    const std::string path = testing::TempDir() + "flow-sample-trace.json";
+    traced.trace = path.c_str();
+    EXPECT_TRUE(traced.validate());
+    EXPECT_TRUE(traced.enabled(bench::Layer::Flows));
+}
+
+TEST(BenchFlagValidation, TraceSampleNeedsATraceExport)
+{
+    bench::SharedFlags flags;
+    flags.trace_sample = 5;
+    flags.report = "/nonexistent-dir-for-test/report.json";
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(flags.validate());
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("error: --trace-sample needs --trace or --trace-csv"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(err.find("cannot open"), std::string::npos) << err;
+
+    // The flight record alone is a trace export the stride thins.
+    bench::SharedFlags csv;
+    csv.trace_sample = 5;
+    const std::string path = testing::TempDir() + "trace-sample-flight.csv";
+    csv.trace_csv = path.c_str();
+    EXPECT_TRUE(csv.validate());
+    EXPECT_TRUE(csv.enabled(bench::Layer::Trace));
+}
+
 TEST(BenchFlagValidation, NegativeWarmupIsRejected)
 {
     bench::SharedFlags flags;

@@ -10,9 +10,9 @@
  *    (which is exactly the pre-lookahead per-cycle engine);
  *  - the engine-level windowed schedule: shard ticks before the serial
  *    replay, barrier alignment truncation;
- *  - staged cross-shard side effects (trace lanes, deferred deliveries)
- *    replay in canonical per-cycle order, proven by byte-identical
- *    exports across thread counts at any fixed window;
+ *  - staged cross-shard side effects (packet events, deferred
+ *    deliveries) replay in canonical per-cycle order, proven by
+ *    byte-identical exports across thread counts at any fixed window;
  *  - feedback-free workloads (pre-injected traffic, no driver/handler
  *    chains) are byte-identical across *windows* too, because the only
  *    window-observable effect is serial-to-shard feedback timing;
@@ -33,6 +33,7 @@
 #include "core/machine.hpp"
 #include "routing/route.hpp"
 #include "sim/engine.hpp"
+#include "sim/flow.hpp"
 #include "sim/rng.hpp"
 #include "sim/thread_pool.hpp"
 #include "trace/trace.hpp"
@@ -56,6 +57,9 @@ class TickCounter final : public Component
     }
     void tick(Cycle) override { ++ticks_; }
     bool busy() const override { return ticks_ < quota_; }
+    /** Never sleeps: ticks every cycle its shard runs. */
+    bool hasWork() const { return true; }
+    void setWake(WakeHandle) {}
     int ticks() const { return ticks_; }
 
   private:
@@ -71,7 +75,7 @@ TEST(LookaheadEngine, WindowedShardTicksCompleteBeforeSerialReplay)
     TickCounter sharded(1000);
     TickCounter tail;
     const std::size_t shard = e.newShard();
-    e.addSharded(shard, sharded);
+    e.addWakeable(shard, sharded, HostCompClass::Other);
     e.add(tail);
 
     std::vector<int> sharded_at_phase;
@@ -110,7 +114,7 @@ TEST(LookaheadEngine, AdvanceHonorsBudgetAndBarrierAlignment)
     e.setWindow(4);
     TickCounter c(1000000);
     const std::size_t shard = e.newShard();
-    e.addSharded(shard, c);
+    e.addWakeable(shard, c, HostCompClass::Other);
 
     // Observation cycles are those == 4 (mod 5); each must be the final
     // cycle of its window, so the schedule alternates 4-cycle and
@@ -140,7 +144,7 @@ TEST(LookaheadEngine, ThreadedWindowedScheduleMatchesSerial)
             cs.emplace_back(1000000);
         for (auto &c : cs) {
             const std::size_t shard = e.newShard();
-            e.addSharded(shard, c);
+            e.addWakeable(shard, c, HostCompClass::Other);
         }
         int phase_runs = 0;
         e.addSerialPhase([&](Cycle) { ++phase_runs; });
@@ -153,51 +157,90 @@ TEST(LookaheadEngine, ThreadedWindowedScheduleMatchesSerial)
 }
 
 // ---------------------------------------------------------------------
-// Staged trace replay
+// Staged packet-event replay
 // ---------------------------------------------------------------------
 
-TraceEvent
-makeEvent(std::uint64_t packet, Cycle cycle)
+Packet
+packetWithId(std::uint64_t id)
 {
-    TraceEvent ev;
-    ev.cycle = cycle;
-    ev.packet = packet;
-    ev.node = 0;
-    ev.unit = 0;
-    ev.type = TraceEventType::Inject;
-    return ev;
+    Packet p;
+    p.id = id;
+    return p;
 }
 
 TEST(LookaheadTrace, StagedEventsMergeInCanonicalPerCycleOrder)
 {
-    RingTraceSink sink(64);
-    sink.configureLanes(2, /*window_depth=*/4);
+    // One stream feeds both readers: trace records and flow hops staged
+    // interleaved on two lanes merge one cycle at a time, lanes in order.
+    RingTraceSink ring(64);
+    FlowProbeConfig fc;
+    fc.sample = 1;
+    FlowProbe flows(fc);
+    PacketEventStream stream;
+    stream.setTrace(&ring);
+    stream.setFlows(&flows);
+    stream.configure(2, /*window_depth=*/4);
+    const Packet p7 = packetWithId(7), p10 = packetWithId(10),
+                 p11 = packetWithId(11), p20 = packetWithId(20),
+                 p21 = packetWithId(21);
+    const EventBinding ep{ &stream, 0, 0, TraceUnitKind::Endpoint };
+    auto router = [&](std::int16_t unit) {
+        return EventBinding{ &stream, 0, unit, TraceUnitKind::Router };
+    };
 
     // Shard-major recording order (what a windowed worker produces):
-    // lane 1 first, and within it cycle 1 before cycle 0.
+    // lane 1 first, and within it cycle 1 before cycle 0. Packet 7's
+    // hop spans (flows only) sit between other packets' route-computed
+    // records (trace only); its inject record goes to both.
     {
         par::LaneScope lane(1);
-        sink.record(makeEvent(21, 1));
-        sink.record(makeEvent(20, 0));
+        emitPacketEvent(router(9), TraceEventType::RouteComputed, 1, &p21,
+                        0, 0);
+        emitPacketEvent(router(4), TraceEventType::Depart, 1, &p7, 0, 0,
+                        1, 1);
+        emitPacketEvent(router(9), TraceEventType::RouteComputed, 0, &p20,
+                        0, 0);
+        emitPacketEvent(router(2), TraceEventType::Depart, 0, &p7, 0, 0,
+                        0, 0);
     }
     {
         par::LaneScope lane(0);
-        sink.record(makeEvent(10, 0));
-        sink.record(makeEvent(11, 1));
+        emitPacketEvent(ep, TraceEventType::Inject, 0, &p7, -1, 0, 0, 0);
+        emitPacketEvent(router(1), TraceEventType::Depart, 0, &p7, 0, 0,
+                        0, 0);
+        emitPacketEvent(router(9), TraceEventType::RouteComputed, 0, &p10,
+                        0, 0);
+        emitPacketEvent(router(9), TraceEventType::RouteComputed, 1, &p11,
+                        0, 0);
+        emitPacketEvent(router(3), TraceEventType::Depart, 1, &p7, 0, 0,
+                        1, 1);
     }
-    EXPECT_EQ(sink.size(), 0u) << "events must stage, not publish";
+    EXPECT_EQ(ring.size(), 0u) << "events must stage, not publish";
+    EXPECT_TRUE(flows.blame().empty()) << "hops must stage, not apply";
 
     // The serial replay drains one cycle at a time, lanes in order.
-    sink.mergeStaged(0);
-    sink.mergeStaged(1);
-    const auto events = sink.drain();
-    ASSERT_EQ(events.size(), 4u);
-    EXPECT_EQ(events[0].packet, 10u);
-    EXPECT_EQ(events[1].packet, 20u);
-    EXPECT_EQ(events[2].packet, 11u);
-    EXPECT_EQ(events[3].packet, 21u);
+    stream.merge(0);
+    stream.merge(1);
+    const auto events = ring.drain();
+    std::vector<std::uint64_t> ids;
+    for (const TraceEvent &ev : events)
+        ids.push_back(ev.packet);
+    EXPECT_EQ(ids, (std::vector<std::uint64_t>{ 7, 10, 20, 11, 21 }));
     for (std::size_t i = 1; i < events.size(); ++i)
         EXPECT_GE(events[i].cycle, events[i - 1].cycle);
+
+    // Packet 7's path comes out in the same canonical order.
+    FlowDeliveryRecord d;
+    d.packet = 7;
+    d.delivered = 2;
+    flows.recordDelivery(d);
+    ASSERT_EQ(flows.sampledSpans().size(), 1u);
+    std::vector<int> units;
+    for (const PacketEvent &hop : flows.sampledSpans()[0].path)
+        units.push_back(hop.unit);
+    EXPECT_EQ(units, (std::vector<int>{ 0, 1, 2, 3, 4 }));
+    EXPECT_EQ(flows.sampledSpans()[0].path.front().kind,
+              TraceUnitKind::Endpoint);
 }
 
 // ---------------------------------------------------------------------

@@ -284,7 +284,9 @@ TEST(RouterUnit, LookaheadWindowRoutesAndAllocatesAtPinnedCycles)
     // move them.
     RouterBench b(2, 8, /*downstream_buf=*/1);
     RingTraceSink sink(256);
-    b.router->bindTrace(sink, 0, 0);
+    PacketEventStream events;
+    events.setTrace(&sink);
+    b.router->bindEvents(events, 0, 0);
     std::vector<Cycle> out_at;
     for (Cycle t = 0; t < 60; ++t) {
         if (t < 6) {

@@ -104,8 +104,9 @@ TEST(PacketSlab, ChunksKeepTheirAddressesAsTheSlabGrows)
 TEST(PacketSlab, StagedCrossShardReleasesLandAtTheBarrier)
 {
     PacketSlab home, local;
-    PacketReleaseStaging staging;
-    staging.configure(2);
+    LaneBuffer<Packet *> staged;
+    staged.configure(2);
+    const LaneRelease release{ &local, &staged };
     Packet *mine = local.alloc();
     Packet *theirs = home.alloc();
     Packet *also_theirs = home.alloc();
@@ -113,27 +114,28 @@ TEST(PacketSlab, StagedCrossShardReleasesLandAtTheBarrier)
         // On lane 1: a release of its own record is immediate; records
         // homed elsewhere wait for the barrier.
         par::LaneScope lane(1);
-        staging.release(mine, &local);
-        staging.release(theirs, &local);
+        release(mine);
+        release(theirs);
     }
-    staging.release(also_theirs, &local); // serial path: lane 0
+    release(also_theirs); // serial path: lane 0
     EXPECT_EQ(local.live(), 0u);
     EXPECT_EQ(home.live(), 2u) << "staged releases wait for the barrier";
 
-    staging.apply();
+    releaseStaged(staged);
     EXPECT_EQ(home.live(), 0u);
     // Applied in lane order: lane 0's record, then lane 1's, so the
     // free list hands back lane 1's first.
     EXPECT_EQ(home.alloc(), theirs);
     EXPECT_EQ(home.alloc(), also_theirs);
 
-    // Reconfiguring applies whatever is still staged.
+    // Without a buffer (a standalone adapter) every release is direct.
     {
         par::LaneScope lane(1);
-        staging.release(theirs, &local);
+        LaneRelease{}(theirs);
     }
-    staging.configure(4);
     EXPECT_EQ(home.live(), 1u);
+    releaseStaged(staged);
+    EXPECT_EQ(home.live(), 1u) << "a drained buffer holds nothing";
 }
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -325,8 +327,8 @@ TEST(PacketRoute, EveryIngressPicksNextRouteDim)
             const RouteSpec spec = p->route.spec();
             NodeId here = p->src.node;
             int hops = 0;
-            for (const FlowHopRecord &hop : spans.back().path) {
-                if (hop.kind != FlowUnitKind::Link)
+            for (const PacketEvent &hop : spans.back().path) {
+                if (hop.kind != TraceUnitKind::ChannelAdapter)
                     continue;
                 int dim, slice;
                 Dir dir;

@@ -44,6 +44,9 @@ class TickCounter final : public Component
     }
     void tick(Cycle) override { ++ticks_; }
     bool busy() const override { return ticks_ < quota_; }
+    /** Never sleeps: ticks every cycle its shard runs. */
+    bool hasWork() const { return true; }
+    void setWake(WakeHandle) {}
     int ticks() const { return ticks_; }
 
   private:
@@ -57,7 +60,7 @@ TEST(Engine, ShardedTicksRunBeforeSerialPhaseAndTail)
     TickCounter sharded;
     TickCounter tail;
     const std::size_t shard = e.newShard();
-    e.addSharded(shard, sharded);
+    e.addWakeable(shard, sharded, HostCompClass::Other);
     e.add(tail);
 
     std::vector<int> sharded_at_phase;
@@ -84,7 +87,7 @@ TEST(Engine, ThreadedScheduleMatchesSerial)
         std::vector<TickCounter> cs(8);
         for (auto &c : cs) {
             const std::size_t shard = e.newShard();
-            e.addSharded(shard, c);
+            e.addWakeable(shard, c, HostCompClass::Other);
         }
         int phase_runs = 0;
         e.addSerialPhase([&](Cycle) { ++phase_runs; });

@@ -48,7 +48,7 @@ TEST(RingTraceSink, KeepsEverythingBelowCapacity)
 {
     RingTraceSink sink(8);
     for (std::uint64_t i = 1; i <= 5; ++i)
-        sink.record(makeEvent(i, i));
+        sink.push(makeEvent(i, i));
     EXPECT_EQ(sink.size(), 5u);
     EXPECT_EQ(sink.recorded(), 5u);
     EXPECT_EQ(sink.dropped(), 0u);
@@ -62,7 +62,7 @@ TEST(RingTraceSink, OverflowDropsOldestAndCountsIt)
 {
     RingTraceSink sink(4);
     for (std::uint64_t i = 1; i <= 10; ++i)
-        sink.record(makeEvent(i, i));
+        sink.push(makeEvent(i, i));
     EXPECT_EQ(sink.size(), 4u);
     EXPECT_EQ(sink.recorded(), 10u);
     EXPECT_EQ(sink.dropped(), 6u);
@@ -77,7 +77,7 @@ TEST(RingTraceSink, ClearKeepsCapacityAndSampling)
 {
     RingTraceSink sink(4);
     sink.setSampleStride(3);
-    sink.record(makeEvent(3, 1));
+    sink.push(makeEvent(3, 1));
     sink.clear();
     EXPECT_EQ(sink.size(), 0u);
     EXPECT_EQ(sink.recorded(), 0u);
@@ -113,9 +113,10 @@ struct TracedRun
     std::uint64_t sent = 0;
 };
 
-/** Drive seeded random traffic on a traced 2x2x2 machine. */
+/** Drive seeded random traffic on a traced 2x2x2 machine (with the
+ * flow probe on the same packet-event stream when @p flows). */
 TracedRun
-runTraced(std::uint64_t seed, std::uint64_t sample = 1)
+runTraced(std::uint64_t seed, std::uint64_t sample = 1, bool flows = false)
 {
     MachineConfig cfg;
     cfg.radix = { 2, 2, 2 };
@@ -130,6 +131,8 @@ runTraced(std::uint64_t seed, std::uint64_t sample = 1)
     Instrumentation inst;
     inst.metrics = true;
     inst.trace = tc;
+    if (flows)
+        inst.flows = FlowProbeConfig{};
     m.attachInstrumentation(inst);
 
     Rng traffic(seed * 1315423911ULL + 1);
@@ -211,6 +214,11 @@ TEST(Tracing, SameSeedProducesByteIdenticalChromeTrace)
     EXPECT_FALSE(a.chrome.empty());
     EXPECT_EQ(a.chrome, b.chrome);
     EXPECT_EQ(a.csv, b.csv);
+    // The flow probe reads the same packet-event stream; attaching it
+    // (with no sampled spans) leaves both trace exports unchanged.
+    const auto with_flows = runTraced(71, 1, /*flows=*/true);
+    EXPECT_EQ(with_flows.chrome, a.chrome);
+    EXPECT_EQ(with_flows.csv, a.csv);
     EXPECT_NE(runTraced(72).chrome, a.chrome);
 }
 
@@ -445,6 +453,7 @@ TEST(Tracing, EventAndStallNamesAreStable)
                  "link_traverse");
     EXPECT_STREQ(traceEventName(TraceEventType::Retransmit), "retransmit");
     EXPECT_STREQ(traceEventName(TraceEventType::Eject), "eject");
+    EXPECT_STREQ(traceEventName(TraceEventType::Depart), "depart");
     EXPECT_STREQ(stallClassName(StallClass::Busy), "busy");
     EXPECT_STREQ(stallClassName(StallClass::LinkBusy), "link_busy");
     EXPECT_STREQ(stallClassName(StallClass::CreditStall), "credit_stall");
