@@ -14,7 +14,7 @@ void
 RoundRobinArbiter::fields(CkptArchive &ar)
 {
     ar.marker("arb.rr");
-    ar.io(ptr_, 0, numInputs() - 1, "round-robin pointer out of range");
+    ar.io(ptr_, 0, num_inputs_ - 1, "round-robin pointer out of range");
 }
 
 void
@@ -30,6 +30,11 @@ InvWeightAccumulators::fields(CkptArchive &ar)
             "weight table size mismatch");
     for (std::uint32_t &w : weights_)
         ar.io(w, 1, msb - 1, "inverse weight outside [1, 2^M)");
+    if (!ar.loading())
+        return;
+    high_ = 0;
+    for (int i = 0; i < k_; ++i)
+        high_ |= accum_[static_cast<std::size_t>(i)] < msb ? 1u << i : 0u;
 }
 
 void

@@ -1,79 +1,22 @@
 /**
  * @file
- * Common interface for the network arbiters (Section 3).
+ * The network arbitration point (Section 3): one policy of a closed set,
+ * chosen once at construction.
  *
- * An arbiter owns one arbitration point (e.g. a router output port). Each
- * cycle it is offered a request mask plus per-input metadata and grants at
- * most one input, updating its internal fairness state.
+ * The policies are plain value types (arb/basic_arbiters.hpp,
+ * arb/inverse_weighted.hpp). A PortArbiter holds one by value, so a
+ * grant is one variant dispatch to an inlined pick, and the
+ * inverse-weighted state is reached with std::get_if.
  */
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
+#include <variant>
+
+#include "arb/basic_arbiters.hpp"
+#include "arb/inverse_weighted.hpp"
 
 namespace anton2 {
-
-class CkptArchive;
-
-/** Per-input request metadata consumed by some arbiter policies. */
-struct ReqInfo
-{
-    std::uint8_t pattern = 0; ///< traffic-pattern id (inverse-weighted)
-    std::uint64_t age = 0;    ///< packet injection time (age-based)
-};
-
-/** Upper bound on one arbitration point's inputs (request masks are
- * 32-bit words). */
-inline constexpr int kMaxArbInputs = 32;
-
-/**
- * This thread's request-metadata scratch, kMaxArbInputs entries. Callers
- * fill only the entries of requesting inputs and arbiters read only
- * those, so it is never cleared. The engine ticks one component at a
- * time on each thread, so one array per thread serves every arbitration
- * point and no component carries its own.
- */
-inline ReqInfo *
-reqInfoScratch()
-{
-    thread_local ReqInfo scratch[kMaxArbInputs];
-    return scratch;
-}
-
-/** Abstract K-input, single-grant arbiter. */
-class Arbiter
-{
-  public:
-    explicit Arbiter(int num_inputs) : num_inputs_(num_inputs) {}
-    virtual ~Arbiter() = default;
-
-    Arbiter(const Arbiter &) = delete;
-    Arbiter &operator=(const Arbiter &) = delete;
-
-    /**
-     * Grant one requesting input.
-     *
-     * @param req_mask Bit i set iff input i requests this cycle.
-     * @param info Per-input metadata, indexed by input; entries for
-     *        non-requesting inputs are ignored. May be null if no
-     *        requesting input's metadata is needed by the policy.
-     * @return The granted input, or -1 if req_mask is empty.
-     */
-    virtual int pick(std::uint32_t req_mask, const ReqInfo *info) = 0;
-
-    /**
-     * Checkpoint field list. Stateless policies keep the empty default;
-     * stateful ones (round-robin pointer, inverse-weighted accumulators)
-     * override it so fairness state survives a save/restore exactly.
-     */
-    virtual void fields(CkptArchive &) {}
-
-    int numInputs() const { return num_inputs_; }
-
-  private:
-    int num_inputs_;
-};
 
 /** The arbiter policies available at network arbitration points. */
 enum class ArbPolicy : std::uint8_t
@@ -92,6 +35,45 @@ arbPolicyName(ArbPolicy p)
       case ArbPolicy::AgeBased: return "age-based";
     }
     return "?";
+}
+
+/** One arbitration point's arbiter, of any ArbPolicy. */
+using PortArbiter =
+    std::variant<RoundRobinArbiter, InverseWeightedArbiter, AgeBasedArbiter>;
+
+/** Construct a @p num_inputs-input arbiter of @p policy. */
+inline PortArbiter
+makeArbiter(ArbPolicy policy, int num_inputs, int weight_bits)
+{
+    switch (policy) {
+      case ArbPolicy::InverseWeighted:
+        return InverseWeightedArbiter(num_inputs, weight_bits);
+      case ArbPolicy::AgeBased:
+        return AgeBasedArbiter(num_inputs);
+      case ArbPolicy::RoundRobin:
+        break;
+    }
+    return RoundRobinArbiter(num_inputs);
+}
+
+/**
+ * Grant one input of @p req_mask (bit i: input i requests) and update
+ * @p arb's fairness state; -1 if the mask is empty. @p info is indexed
+ * by input and read for requesting inputs only; it may be null when the
+ * policy needs no metadata.
+ */
+inline int
+arbiterPick(PortArbiter &arb, std::uint32_t req_mask, const ReqInfo *info)
+{
+    return std::visit([&](auto &a) { return a.pick(req_mask, info); }, arb);
+}
+
+/** Checkpoint field list of the policy @p arb holds, so fairness state
+ * survives a save/restore exactly. */
+inline void
+arbiterFields(PortArbiter &arb, CkptArchive &ar)
+{
+    std::visit([&](auto &a) { a.fields(ar); }, arb);
 }
 
 } // namespace anton2

@@ -1,28 +1,65 @@
 /**
  * @file
- * Simple baseline arbiters: fixed-priority, round-robin, and age-based.
+ * Request metadata and the simple baseline arbiters: fixed-priority,
+ * round-robin, and age-based.
+ *
+ * Each policy is a plain value type owning one arbitration point (e.g. a
+ * router output port). Each cycle it is offered a request mask plus
+ * per-input metadata and grants at most one input, updating its fairness
+ * state. arb/arbiter.hpp closes the set a network arbitration point
+ * chooses from.
  */
 #pragma once
 
 #include <bit>
 #include <cassert>
-
-#include "arb/arbiter.hpp"
+#include <cstdint>
 
 namespace anton2 {
 
-/** Grants the lowest-indexed requesting input. Stateless. */
-class FixedPriorityArbiter : public Arbiter
+class CkptArchive;
+
+/** Per-input request metadata consumed by some arbiter policies. */
+struct ReqInfo
 {
-  public:
-    using Arbiter::Arbiter;
+    std::uint8_t pattern = 0; ///< traffic-pattern id (inverse-weighted)
+    std::uint64_t age = 0;    ///< packet injection time (age-based)
+};
+
+/** Upper bound on one arbitration point's inputs (request masks are
+ * 32-bit words). */
+inline constexpr int kMaxArbInputs = 32;
+
+/** Bit i set for each input i of a @p k-input arbiter. */
+constexpr std::uint32_t
+inputMask(int k)
+{
+    return k >= kMaxArbInputs ? ~0u : (1u << k) - 1;
+}
+
+/**
+ * This thread's request-metadata scratch, kMaxArbInputs entries. Callers
+ * fill only the entries of requesting inputs and arbiters read only
+ * those, so it is never cleared. The engine ticks one component at a
+ * time on each thread, so one array per thread serves every arbitration
+ * point and no component carries its own.
+ */
+inline ReqInfo *
+reqInfoScratch()
+{
+    thread_local ReqInfo scratch[kMaxArbInputs];
+    return scratch;
+}
+
+/** Grants the lowest-indexed requesting input. Stateless. */
+struct FixedPriorityArbiter
+{
+    explicit FixedPriorityArbiter(int) {}
 
     int
-    pick(std::uint32_t req_mask, const ReqInfo *) override
+    pick(std::uint32_t req_mask, const ReqInfo *) const
     {
-        if (req_mask == 0)
-            return -1;
-        return std::countr_zero(req_mask);
+        return req_mask == 0 ? -1 : std::countr_zero(req_mask);
     }
 };
 
@@ -35,33 +72,34 @@ class FixedPriorityArbiter : public Arbiter
  * The pick is two bit scans: the requests at or after the pointer, and
  * failing those, the lowest request (the wrap-around).
  */
-class RoundRobinArbiter : public Arbiter
+class RoundRobinArbiter
 {
   public:
     explicit RoundRobinArbiter(int num_inputs)
-        : Arbiter(num_inputs),
-          valid_(num_inputs >= 32 ? ~0u : (1u << num_inputs) - 1)
+        : num_inputs_(num_inputs), valid_(inputMask(num_inputs))
     {
     }
 
     int
-    pick(std::uint32_t req_mask, const ReqInfo *) override
+    pick(std::uint32_t req_mask, const ReqInfo *)
     {
         req_mask &= valid_;
         if (req_mask == 0)
             return -1;
         const std::uint32_t ahead = req_mask & (~0u << ptr_);
         const int i = std::countr_zero(ahead != 0 ? ahead : req_mask);
-        ptr_ = i + 1 == numInputs() ? 0 : i + 1;
+        ptr_ = i + 1 == num_inputs_ ? 0 : i + 1;
         return i;
     }
 
     /** The input the next pick favors first. */
     int pointer() const { return ptr_; }
 
-    void fields(CkptArchive &ar) override;
+    /** Checkpoint field list: the pointer. */
+    void fields(CkptArchive &ar);
 
   private:
+    int num_inputs_;
     std::uint32_t valid_; ///< bit i set iff input i exists
     int ptr_ = 0;
 };
@@ -72,19 +110,18 @@ class RoundRobinArbiter : public Arbiter
  * but is the heavy-weight scheme the inverse-weighted arbiter avoids
  * (per-packet age fields and wide comparators at every arbiter).
  */
-class AgeBasedArbiter : public Arbiter
+class AgeBasedArbiter
 {
   public:
-    using Arbiter::Arbiter;
+    explicit AgeBasedArbiter(int num_inputs) : valid_(inputMask(num_inputs)) {}
 
     int
-    pick(std::uint32_t req_mask, const ReqInfo *info) override
+    pick(std::uint32_t req_mask, const ReqInfo *info) const
     {
+        req_mask &= valid_;
         if (req_mask == 0)
             return -1;
         assert(info != nullptr);
-        if (numInputs() < 32)
-            req_mask &= (1u << numInputs()) - 1;
         int best = -1;
         for (; req_mask != 0; req_mask &= req_mask - 1) {
             const int i = std::countr_zero(req_mask);
@@ -93,6 +130,12 @@ class AgeBasedArbiter : public Arbiter
         }
         return best;
     }
+
+    /** Stateless: nothing to checkpoint. */
+    void fields(CkptArchive &) {}
+
+  private:
+    std::uint32_t valid_; ///< bit i set iff input i exists
 };
 
 } // namespace anton2

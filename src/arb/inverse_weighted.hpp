@@ -18,10 +18,11 @@
  */
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
-#include "arb/arbiter.hpp"
+#include "arb/basic_arbiters.hpp"
 #include "arb/priority_arb.hpp"
 
 namespace anton2 {
@@ -49,20 +50,58 @@ class InvWeightAccumulators
 
     /** Program the inverse weight for (input, pattern); in [1, 2^M). */
     void setWeight(int input, int pattern, std::uint32_t weight);
-    std::uint32_t weight(int input, int pattern) const;
+
+    std::uint32_t
+    weight(int input, int pattern) const
+    {
+        return weights_[static_cast<std::size_t>(input * num_patterns_
+                                                 + pattern)];
+    }
 
     /** Priority bit per input: true = high priority (lower window half). */
-    bool highPriority(int input) const;
+    bool highPriority(int input) const { return (high_ >> input) & 1u; }
+
+    /** Every input's priority bit: bit i set iff accumulator i's MSB is
+     * clear. onGrant keeps it current. */
+    std::uint32_t highMask() const { return high_; }
 
     /** Apply the Figure 6 update after granting @p granted on @p pattern. */
-    void onGrant(int granted, int pattern);
+    void
+    onGrant(int granted, int pattern)
+    {
+        const std::uint32_t low_half = (1u << weight_bits_) - 1;
+        const std::uint32_t bit = 1u << granted;
+        if ((high_ & bit) == 0) {
+            // Low-priority grant, so the window shifts: subtract 2^M from
+            // every accumulator, clamping the high-priority ones (already
+            // below 2^M) to zero. All of them end below 2^M.
+            for (int i = 0; i < k_; ++i) {
+                std::uint32_t &acc = accum_[static_cast<std::size_t>(i)];
+                acc = ((high_ >> i) & 1u) != 0 ? 0 : acc & low_half;
+            }
+            high_ = inputMask(k_);
+        }
+        // Granted input: shift out of the window (clear MSB) and add the
+        // inverse weight; always < 2^(M+1).
+        std::uint32_t &acc = accum_[static_cast<std::size_t>(granted)];
+        acc = (acc & low_half) + weight(granted, pattern);
+        assert(acc <= 2 * low_half + 1);
+        if (acc > low_half)
+            high_ &= ~bit;
+    }
 
-    std::uint32_t accumulator(int input) const;
+    std::uint32_t
+    accumulator(int input) const
+    {
+        return accum_[static_cast<std::size_t>(input)];
+    }
+
     int weightBits() const { return weight_bits_; }
     int numInputs() const { return k_; }
     int numPatterns() const { return num_patterns_; }
 
-    /** Checkpoint field list: the accumulators and programmed weights. */
+    /** Checkpoint field list: the accumulators and programmed weights
+     * (restore rebuilds the priority mask from the accumulators). */
     void fields(CkptArchive &ar);
 
   private:
@@ -71,29 +110,49 @@ class InvWeightAccumulators
     int num_patterns_;
     std::vector<std::uint32_t> accum_;   ///< (M+1)-bit values
     std::vector<std::uint32_t> weights_; ///< [input][pattern], M-bit values
+    std::uint32_t high_;                 ///< see highMask()
 };
 
 /**
- * Full inverse-weighted arbiter: Figure 6 accumulators driving the Figure 8
- * two-priority-level arbiter with round-robin tie-breaking.
+ * Full inverse-weighted arbiter: Figure 6 accumulators driving the
+ * two-priority-level arbiter of Figures 7 and 8 with round-robin
+ * tie-breaking, evaluated as maskPriorityGrant() (GateLevelPriorityArb
+ * is its oracle).
  */
-class InverseWeightedArbiter : public Arbiter
+class InverseWeightedArbiter
 {
   public:
     explicit InverseWeightedArbiter(int num_inputs,
                                     int weight_bits = kDefaultWeightBits,
-                                    int num_patterns = kNumPatterns);
+                                    int num_patterns = kNumPatterns)
+        : accum_(num_inputs, weight_bits, num_patterns)
+    {
+    }
 
-    int pick(std::uint32_t req_mask, const ReqInfo *info) override;
+    /** Grant a requesting input (-1 if none) and update the fairness
+     * state; the granted input's ReqInfo pattern picks its weight. */
+    int
+    pick(std::uint32_t req_mask, const ReqInfo *info)
+    {
+        req_mask &= inputMask(numInputs());
+        if (req_mask == 0)
+            return -1;
+        const int g =
+            maskPriorityGrant(req_mask, accum_.highMask(), rr_therm_);
+        accum_.onGrant(g, info != nullptr ? info[g].pattern : 0);
+        rr_therm_ = rrThermAfterGrant(numInputs(), g);
+        return g;
+    }
 
-    void fields(CkptArchive &ar) override;
+    /** Checkpoint field list: accumulators, weights and thermometer. */
+    void fields(CkptArchive &ar);
 
+    int numInputs() const { return accum_.numInputs(); }
     InvWeightAccumulators &accumulators() { return accum_; }
     const InvWeightAccumulators &accumulators() const { return accum_; }
 
   private:
     InvWeightAccumulators accum_;
-    GateLevelPriorityArb arb_;
     std::uint32_t rr_therm_ = 0;
 };
 

@@ -9,28 +9,28 @@
  * and can share one fixed-priority arbiter, reducing the count from 2P to
  * P+1 fixed-priority arbiters.
  *
- * Two implementations are provided:
+ * Three implementations are provided:
  *  - priorityArbReference(): straightforward behavioral model.
  *  - GateLevelPriorityArb: a bit-accurate C++ mirror of the SystemVerilog
  *    in Figure 8 (thermometer-encoded round-robin state, thermometer-
  *    encoded unrolled requests, depth-limited Kogge-Stone parallel-prefix
- *    grant generation). Tests check the two agree exhaustively.
+ *    grant generation).
+ *  - maskPriorityGrant(): the two-level grant as three request masks and
+ *    one bit scan, the kernel the simulator's arbiters run.
+ * Tests check all three agree exhaustively; the first two are the
+ * oracles of the third.
  */
 #pragma once
 
+#include <bit>
 #include <cstdint>
-#include <vector>
 
 namespace anton2 {
 
 /**
- * Reference behavioral model: among requesting inputs, grant within the
- * highest occupied priority band; bands are (from highest):
- * for p = P..1: inputs with priority >= p that are boosted by the
- * round-robin thermometer when p is the upper band... concretely, input i
- * belongs to band b(i) = pri[i] + (rr_therm[i] ? 1 : 0) scaled as in
- * Figure 8: band(i) counts how many thresholds 2p-1 the value
- * 2*pri[i]+rr_therm[i] meets. Within a band, the highest index wins.
+ * Reference behavioral model: input i's band counts the thresholds
+ * 2p-1 (p = 1..P) that 2*pri[i] + rr_therm[i] meets, as in Figure 8; the
+ * highest occupied band wins, and within it the highest index.
  *
  * @param k          number of inputs
  * @param num_pri    P, number of priority levels (pri values in [0, P))
@@ -42,6 +42,27 @@ namespace anton2 {
  */
 int priorityArbReference(int k, int num_pri, std::uint32_t req,
                          const std::uint8_t *pri, std::uint32_t rr_therm);
+
+/**
+ * The two-level (P = 2) grant as Figure 7's P+1 = 3 fixed-priority
+ * arbiters, one request mask each: boosted high-priority inputs, then
+ * also unboosted high and boosted low ones, then every request. The
+ * highest index of the first non-empty mask wins: priorityArbReference()
+ * with num_pri = 2 and pri[i] = bit i of @p high.
+ *
+ * @return granted input, or -1 when req == 0
+ */
+inline int
+maskPriorityGrant(std::uint32_t req, std::uint32_t high,
+                  std::uint32_t rr_therm)
+{
+    std::uint32_t band = req & high & rr_therm;
+    if (band == 0)
+        band = req & (high | rr_therm);
+    if (band == 0)
+        band = req;
+    return static_cast<int>(std::bit_width(band)) - 1;
+}
 
 /** Bit-accurate mirror of the Figure 8 SystemVerilog module. */
 class GateLevelPriorityArb

@@ -5,7 +5,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "arb/inverse_weighted.hpp"
 #include "debug/checkpoint.hpp"
 #include "noc/router.hpp"
 
@@ -63,18 +62,6 @@ ChannelAdapter::connectTorusIn(Channel &ch)
 {
     torus_in_ = &ch;
     ch.data.attachRemote(bell_);
-}
-
-InverseWeightedArbiter *
-ChannelAdapter::egressArbiter()
-{
-    return dynamic_cast<InverseWeightedArbiter *>(egress_arb_.get());
-}
-
-InverseWeightedArbiter *
-ChannelAdapter::ingressArbiter()
-{
-    return dynamic_cast<InverseWeightedArbiter *>(ingress_arb_.get());
 }
 
 void
@@ -146,7 +133,7 @@ ChannelAdapter::tickEgress(Cycle now, std::uint32_t rung)
         if (req == 0 && credit_blocked && metrics_ != nullptr)
             metrics_->credit_stalls->inc();
         if (req != 0) {
-            const int v = egress_arb_->pick(req, info);
+            const int v = arbiterPick(egress_arb_, req, info);
             auto &head = egress_vcs_[static_cast<std::size_t>(v)].head();
             egress_link_vc_ = linkVc(*head.pkt);
             head.pkt->vc.onTorusHop(crosses_dateline_);
@@ -290,7 +277,7 @@ ChannelAdapter::tickIngress(Cycle now, std::uint32_t rung)
             info[v].age = copy.pkt->birth;
         }
         if (req != 0) {
-            const int v = ingress_arb_->pick(req, info);
+            const int v = arbiterPick(ingress_arb_, req, info);
             auto &entry = ingress_heads_[static_cast<std::size_t>(v)];
             const auto &copy = entry.copies[entry.next_copy];
             router_credits_.consume(copy.vc, copy.pkt->size_flits);
@@ -486,7 +473,7 @@ ChannelAdapter::fields(CkptArchive &ar, const Router &to_router,
     for (VcBuffer &vc : egress_vcs_)
         vc.fields(ar, 0, vcs);
     torus_credits_.fields(ar);
-    egress_arb_->fields(ar);
+    arbiterFields(egress_arb_, ar);
     ar.io(ser_tokens_, 0, cfg_.ser_tokens_per_flit + cfg_.ser_tokens_per_cycle,
           "serializer tokens out of range");
     ar.io(egress_busy_);
@@ -510,7 +497,7 @@ ChannelAdapter::fields(CkptArchive &ar, const Router &to_router,
     for (int v = 0; v < vcs; ++v)
         ar.bit(ingress_expanded_, static_cast<unsigned>(v));
     router_credits_.fields(ar);
-    ingress_arb_->fields(ar);
+    arbiterFields(ingress_arb_, ar);
     ar.io(ingress_busy_);
     ar.io(ingress_vc_, -1, vcs - 1, "ingress active VC");
     // One queued credit per freed ingress slot, at most.

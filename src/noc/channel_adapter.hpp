@@ -26,7 +26,6 @@
 
 namespace anton2 {
 
-class InverseWeightedArbiter;
 class Router;
 
 /**
@@ -125,8 +124,18 @@ class ChannelAdapter final : public Component
      */
     void settleIdle(Cycle now);
 
-    InverseWeightedArbiter *egressArbiter();
-    InverseWeightedArbiter *ingressArbiter();
+    /** Inverse-weighted egress and ingress arbiters (null for other
+     * policies). */
+    InverseWeightedArbiter *
+    egressArbiter()
+    {
+        return std::get_if<InverseWeightedArbiter>(&egress_arb_);
+    }
+    InverseWeightedArbiter *
+    ingressArbiter()
+    {
+        return std::get_if<InverseWeightedArbiter>(&ingress_arb_);
+    }
 
     /** Register this adapter's metrics under @p prefix and record. */
     void bindMetrics(MetricsRegistry &reg, const std::string &prefix);
@@ -293,7 +302,7 @@ class ChannelAdapter final : public Component
     std::vector<VcBuffer> egress_vcs_;
     std::uint32_t egress_nonempty_ = 0; ///< bit v: egress_vcs_[v] nonempty
     CreditCounter torus_credits_;
-    std::unique_ptr<Arbiter> egress_arb_;
+    PortArbiter egress_arb_;
     int ser_tokens_ = 0;
     bool egress_busy_ = false;
     int egress_vc_ = -1;           ///< source VC buffer of active packet
@@ -308,7 +317,7 @@ class ChannelAdapter final : public Component
     std::vector<IngressEntry> ingress_heads_; ///< per VC, expansion state
     std::uint32_t ingress_expanded_ = 0; ///< bit v: head of VC v expanded
     CreditCounter router_credits_;
-    std::unique_ptr<Arbiter> ingress_arb_;
+    PortArbiter ingress_arb_;
     bool ingress_busy_ = false;
     int ingress_vc_ = -1;
     std::vector<std::uint8_t> pending_credits_;

@@ -5,26 +5,9 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "arb/basic_arbiters.hpp"
-#include "arb/inverse_weighted.hpp"
 #include "debug/checkpoint.hpp"
 
 namespace anton2 {
-
-std::unique_ptr<Arbiter>
-makeArbiter(ArbPolicy policy, int num_inputs, int weight_bits)
-{
-    switch (policy) {
-      case ArbPolicy::RoundRobin:
-        return std::make_unique<RoundRobinArbiter>(num_inputs);
-      case ArbPolicy::InverseWeighted:
-        return std::make_unique<InverseWeightedArbiter>(num_inputs,
-                                                        weight_bits);
-      case ArbPolicy::AgeBased:
-        return std::make_unique<AgeBasedArbiter>(num_inputs);
-    }
-    return nullptr;
-}
 
 Router::Router(std::string name, const RouterConfig &cfg,
                const RouteTable &routes, int id)
@@ -55,14 +38,12 @@ Router::Router(std::string name, const RouterConfig &cfg,
         for (auto &vc : ip.vcs)
             vc.init(cfg.buf_flits_per_vc);
     }
-    for (int p = 0; p < cfg.num_ports; ++p) {
-        // SA1 arbitrates among this input's VCs; SA2 among input ports.
-        // SA1 fairness is secondary (round-robin suffices); SA2 is where
-        // the inverse-weighted policy applies (Section 3).
-        sa1_.push_back(std::make_unique<RoundRobinArbiter>(cfg.num_vcs));
-        sa2_.push_back(makeArbiter(cfg.out_arb, cfg.num_ports,
-                                   cfg.weight_bits));
-    }
+    // SA1 arbitrates among each input's VCs; SA2 among input ports.
+    // SA1 fairness is secondary (round-robin suffices); SA2 is where the
+    // inverse-weighted policy applies (Section 3).
+    sa1_.assign(in_.size(), RoundRobinArbiter(cfg.num_vcs));
+    sa2_.assign(out_.size(),
+                makeArbiter(cfg.out_arb, cfg.num_ports, cfg.weight_bits));
 }
 
 void
@@ -121,13 +102,6 @@ Router::connectOut(int port, Channel &ch, int downstream_buf_flits)
     op.credits.init(cfg_.num_vcs, downstream_buf_flits);
     ch.credit.attachDoorbell(bell_, kCreditBell
                                         + static_cast<unsigned>(port));
-}
-
-InverseWeightedArbiter *
-Router::outputArbiter(int port)
-{
-    return dynamic_cast<InverseWeightedArbiter *>(
-        sa2_[static_cast<std::size_t>(port)].get());
 }
 
 void
@@ -288,7 +262,7 @@ Router::stageSa1(Cycle now)
         }
         if (req != 0) {
             sa1_winner_[static_cast<std::size_t>(p)] =
-                sa1_[static_cast<std::size_t>(p)]->pick(req, nullptr);
+                sa1_[static_cast<std::size_t>(p)].pick(req, nullptr);
             sa1_mask_ |= 1u << p;
         }
     }
@@ -338,7 +312,7 @@ Router::stageSa2(Cycle now)
         const int o = std::countr_zero(wanted);
         auto &op = out_[static_cast<std::size_t>(o)];
         const int winner =
-            sa2_[static_cast<std::size_t>(o)]->pick(req[o], info);
+            arbiterPick(sa2_[static_cast<std::size_t>(o)], req[o], info);
         assert(winner >= 0);
         if (metrics_ != nullptr) {
             metrics_->sa2_grants->inc();
@@ -647,9 +621,9 @@ Router::fields(CkptArchive &ar)
               "granted output VC");
     }
     for (auto &a : sa1_)
-        a->fields(ar);
+        a.fields(ar);
     for (auto &a : sa2_)
-        a->fields(ar);
+        arbiterFields(a, ar);
     for (int &v : sa1_winner_)
         ar.io(v, -1, vcs - 1, "SA1 winner");
     ar.io(st_sent_mask_);

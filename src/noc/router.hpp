@@ -25,8 +25,6 @@
 
 namespace anton2 {
 
-class InverseWeightedArbiter;
-
 /**
  * Telemetry bound to one router (null when telemetry is disabled, so the
  * unbound hot path costs one pointer test per record site).
@@ -92,7 +90,12 @@ class Router final : public Component
     void settleIdle(Cycle now);
 
     /** Inverse-weighted output arbiter for @p port (null for other policies). */
-    InverseWeightedArbiter *outputArbiter(int port);
+    InverseWeightedArbiter *
+    outputArbiter(int port)
+    {
+        return std::get_if<InverseWeightedArbiter>(
+            &sa2_[static_cast<std::size_t>(port)]);
+    }
 
     /** Optional energy meter (not owned); charges per-flit events. */
     void setEnergyMeter(RouterEnergyMeter *meter) { energy_ = meter; }
@@ -241,9 +244,9 @@ class Router final : public Component
     int vcs_per_class_;   ///< VCs per traffic class (full VC index)
     std::vector<InPort> in_;
     std::vector<OutPort> out_;
-    std::vector<std::unique_ptr<Arbiter>> sa1_;      ///< per input port
-    std::vector<std::unique_ptr<Arbiter>> sa2_;      ///< per output port
-    std::vector<int> sa1_winner_;                    ///< vc per input, -1
+    std::vector<RoundRobinArbiter> sa1_; ///< per input port
+    std::vector<PortArbiter> sa2_;       ///< per output port
+    std::vector<int> sa1_winner_;        ///< vc per input, -1
     Doorbell bell_;                 ///< arrivals on the in/credit wires
     RouterEnergyMeter *energy_ = nullptr;
     std::unique_ptr<RouterMetrics> metrics_;
@@ -265,9 +268,5 @@ class Router final : public Component
      * tick and after a restore: nothing to settle). */
     Cycle idle_from_ = kNoCycle;
 };
-
-/** Construct an arbiter of the given policy. */
-std::unique_ptr<Arbiter> makeArbiter(ArbPolicy policy, int num_inputs,
-                                     int weight_bits);
 
 } // namespace anton2

@@ -45,7 +45,8 @@ defaultTrackName(TraceUnitKind kind, std::int16_t unit, std::int16_t port)
 {
     std::string name = std::string(kindName(kind)) + " "
                        + std::to_string(unit);
-    if (port >= 0)
+    // A link record's port field counts the frames it rewound.
+    if (port >= 0 && kind != TraceUnitKind::Link)
         name += ":" + std::to_string(port);
     return name;
 }

@@ -34,48 +34,39 @@ stallClassName(StallClass c)
 }
 
 RingTraceSink::RingTraceSink(std::size_t capacity)
-    : ring_(capacity == 0 ? 1 : capacity)
+    : capacity_(capacity == 0 ? 1 : capacity)
 {
+    ring_.reserve(capacity_);
 }
 
 void
 RingTraceSink::push(const TraceEvent &ev)
 {
-    ring_[next_] = ev;
-    next_ = (next_ + 1) % ring_.size();
+    if (ring_.size() < capacity_) {
+        ring_.push_back(ev);
+    } else {
+        ring_[next_] = ev;
+        if (++next_ == capacity_)
+            next_ = 0;
+    }
     ++recorded_;
-}
-
-std::size_t
-RingTraceSink::size() const
-{
-    return recorded_ < ring_.size() ? static_cast<std::size_t>(recorded_)
-                                    : ring_.size();
-}
-
-std::uint64_t
-RingTraceSink::dropped() const
-{
-    return recorded_ < ring_.size() ? 0 : recorded_ - ring_.size();
 }
 
 std::vector<TraceEvent>
 RingTraceSink::drain() const
 {
-    std::vector<TraceEvent> out;
-    const std::size_t n = size();
-    out.reserve(n);
-    // When full, the oldest surviving record sits at next_ (the slot the
-    // upcoming record would overwrite); otherwise the ring starts at 0.
-    const std::size_t start = recorded_ < ring_.size() ? 0 : next_;
-    for (std::size_t i = 0; i < n; ++i)
-        out.push_back(ring_[(start + i) % ring_.size()]);
+    // Once full, the oldest surviving record sits at next_ (the slot the
+    // upcoming record overwrites); until then next_ is 0.
+    const auto oldest = ring_.begin() + static_cast<std::ptrdiff_t>(next_);
+    std::vector<TraceEvent> out(oldest, ring_.end());
+    out.insert(out.end(), ring_.begin(), oldest);
     return out;
 }
 
 void
 RingTraceSink::clear()
 {
+    ring_.clear();
     next_ = 0;
     recorded_ = 0;
 }

@@ -90,8 +90,10 @@ struct TraceEvent
 };
 
 /**
- * Bounded in-memory recorder: a preallocated ring that overwrites the
- * oldest record when full. Overflow is counted, never silent - the
+ * Bounded in-memory recorder: a ring that reserves its capacity up
+ * front, appends until full and then overwrites the oldest record, so
+ * memory is touched only as records arrive and the hot path never
+ * allocates. Overflow is counted, never silent - the
  * exporters surface `dropped()` so a truncated trace reads as truncated.
  * The sampling filter lives here so every emit site shares one policy
  * (record packets whose id falls on the sample stride; packet-less
@@ -119,20 +121,21 @@ class RingTraceSink
     /** Records in chronological order (oldest surviving first). */
     std::vector<TraceEvent> drain() const;
 
-    std::size_t capacity() const { return ring_.size(); }
+    std::size_t capacity() const { return capacity_; }
     /** Records currently held (min(recorded, capacity)). */
-    std::size_t size() const;
+    std::size_t size() const { return ring_.size(); }
     /** Total records ever offered, including overwritten ones. */
     std::uint64_t recorded() const { return recorded_; }
     /** Records lost to ring overflow. */
-    std::uint64_t dropped() const;
+    std::uint64_t dropped() const { return recorded_ - ring_.size(); }
 
     /** Forget every record (capacity and sampling are kept). */
     void clear();
 
   private:
-    std::vector<TraceEvent> ring_;
-    std::size_t next_ = 0;       ///< ring slot the next record lands in
+    std::size_t capacity_;
+    std::vector<TraceEvent> ring_; ///< grows to capacity_, then wraps
+    std::size_t next_ = 0;         ///< oldest record once full, else 0
     std::uint64_t recorded_ = 0;
     std::uint64_t sample_ = 1;
 };

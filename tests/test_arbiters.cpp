@@ -1,12 +1,13 @@
 /**
  * @file
  * Tests for the arbiter library (Section 3): baselines, the gate-level
- * Figure 8 prioritized arbiter, and the Figure 6 inverse-weighted
- * accumulators, including the equality-of-service property under pattern
- * blending.
+ * Figure 8 prioritized arbiter and the three-mask grant it is the oracle
+ * of, and the Figure 6 inverse-weighted accumulators, including the
+ * equality-of-service property under pattern blending.
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <vector>
 
 #include "arb/basic_arbiters.hpp"
@@ -188,6 +189,43 @@ TEST(GateLevel, BoostedLowPriorityTiesWithUnboostedHigh)
     EXPECT_EQ(arb.grant(0b1001, pri2, 0b0001), 0b0001u);
 }
 
+TEST(PriorityArb, MaskGrantMatchesGateLevelExhaustively)
+{
+    // Every k <= 8, request mask, two-level priority vector and
+    // thermometer a grant can leave (inputs below the last grant).
+    std::uint64_t cases = 0;
+    std::uint64_t mismatches = 0;
+    for (int k = 1; k <= 8; ++k) {
+        const GateLevelPriorityArb arb(k, 2);
+        std::uint8_t pri[8];
+        for (std::uint32_t high = 0; high < (1u << k); ++high) {
+            for (int i = 0; i < k; ++i)
+                pri[i] = static_cast<std::uint8_t>((high >> i) & 1u);
+            for (int last = 0; last < k; ++last) {
+                const std::uint32_t therm = rrThermAfterGrant(k, last);
+                for (std::uint32_t req = 0; req < (1u << k); ++req) {
+                    ++cases;
+                    const int got = maskPriorityGrant(req, high, therm);
+                    const std::uint32_t g = arb.grant(req, pri, therm);
+                    const int gate = g == 0 ? -1 : std::countr_zero(g);
+                    const int ref =
+                        priorityArbReference(k, 2, req, pri, therm);
+                    if (got != gate || got != ref) {
+                        if (mismatches++ == 0)
+                            ADD_FAILURE()
+                                << "k=" << k << " req=" << req
+                                << " high=" << high << " therm=" << therm
+                                << ": mask " << got << ", gate-level "
+                                << gate << ", reference " << ref;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(cases, 669924u); // sum over k of 4^k * k
+    EXPECT_EQ(mismatches, 0u);
+}
+
 // ---------------------------------------------------------------------
 // Figure 6 accumulators
 // ---------------------------------------------------------------------
@@ -261,6 +299,99 @@ TEST(Accumulators, BoundedByTwiceWindow)
                     static_cast<int>(rng.below(2)));
         for (int j = 0; j < 3; ++j)
             EXPECT_LT(acc.accumulator(j), 64u);
+    }
+}
+
+/**
+ * The inverse-weighted pick as the Figure 8 mirror evaluates it: a
+ * priority array rebuilt from the accumulator MSBs, the gate-level
+ * grant, a scan for the grant bit, and Figure 6's update visiting every
+ * accumulator. The reference for the mask-based arbiter.
+ */
+struct GateLevelInverseWeighted
+{
+    GateLevelInverseWeighted(int k, int weight_bits, int num_patterns)
+        : k(k),
+          msb(1u << weight_bits),
+          num_patterns(num_patterns),
+          arb(k, 2),
+          accum(static_cast<std::size_t>(k), 0),
+          weights(static_cast<std::size_t>(k * num_patterns), 1)
+    {
+    }
+
+    int
+    pick(std::uint32_t req, const ReqInfo *info)
+    {
+        if (req == 0)
+            return -1;
+        std::uint8_t pri[32];
+        for (int i = 0; i < k; ++i)
+            pri[i] = (accum[static_cast<std::size_t>(i)] & msb) == 0 ? 1 : 0;
+        const int g = std::countr_zero(arb.grant(req, pri, therm));
+        const std::uint32_t w = weights[static_cast<std::size_t>(
+            g * num_patterns + info[g].pattern)];
+        const bool low_grant = pri[g] == 0;
+        for (int i = 0; i < k; ++i) {
+            std::uint32_t &acc = accum[static_cast<std::size_t>(i)];
+            if (i == g)
+                acc = (acc & (msb - 1)) + w;
+            else if (low_grant)
+                acc = pri[i] != 0 ? 0 : acc & (msb - 1);
+        }
+        therm = (1u << g) - 1;
+        return g;
+    }
+
+    int k;
+    std::uint32_t msb;
+    int num_patterns;
+    GateLevelPriorityArb arb;
+    std::vector<std::uint32_t> accum;
+    std::vector<std::uint32_t> weights; ///< [input][pattern]
+    std::uint32_t therm = 0;
+};
+
+TEST(InverseWeighted, GrantStreamMatchesGateLevelPick)
+{
+    for (int k = 2; k <= 8; ++k) {
+        Rng rng(static_cast<std::uint64_t>(1000 + k));
+        InverseWeightedArbiter fast(k, kDefaultWeightBits, kNumPatterns);
+        GateLevelInverseWeighted ref(k, kDefaultWeightBits, kNumPatterns);
+        for (int i = 0; i < k; ++i) {
+            for (int p = 0; p < kNumPatterns; ++p) {
+                const auto w = static_cast<std::uint32_t>(1 + rng.below(31));
+                fast.accumulators().setWeight(i, p, w);
+                ref.weights[static_cast<std::size_t>(i * kNumPatterns + p)] =
+                    w;
+            }
+        }
+        ReqInfo info[8];
+        std::uint64_t low_grants = 0;
+        for (int t = 0; t < 100000; ++t) {
+            const auto req =
+                static_cast<std::uint32_t>(rng.below(std::uint64_t{ 1 } << k));
+            for (int i = 0; i < k; ++i)
+                info[i].pattern =
+                    static_cast<std::uint8_t>(rng.below(kNumPatterns));
+            const std::uint32_t high = fast.accumulators().highMask();
+            const int want = ref.pick(req, info);
+            const int got = fast.pick(req, info);
+            ASSERT_EQ(got, want) << "k=" << k << " t=" << t;
+            if (got >= 0 && ((high >> got) & 1u) == 0)
+                ++low_grants;
+            std::uint32_t want_high = 0;
+            for (int i = 0; i < k; ++i) {
+                const std::uint32_t a = ref.accum[static_cast<std::size_t>(i)];
+                ASSERT_EQ(fast.accumulators().accumulator(i), a)
+                    << "k=" << k << " t=" << t << " input " << i;
+                want_high |= a < ref.msb ? 1u << i : 0u;
+            }
+            ASSERT_EQ(fast.accumulators().highMask(), want_high)
+                << "k=" << k << " t=" << t;
+        }
+        // The stream exercises the window shift, not just the fast path.
+        EXPECT_GT(low_grants, 0u) << "k=" << k;
     }
 }
 

@@ -33,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/loads.hpp"
 #include "core/machine.hpp"
 #include "debug/checkpoint.hpp"
 #include "halo.hpp"
@@ -431,6 +432,106 @@ TEST(Checkpoint, MidMulticastImageIsThreadInvariantAndRestores)
         EXPECT_EQ(test::livePackets(m), 0u);
     }
     std::remove(path.c_str());
+}
+
+/** Inputs of @p m's inverse-weighted arbiters, routers and adapters,
+ * that the priority masks place in the upper window half. */
+int
+lowPriorityInputs(Machine &m)
+{
+    int low = 0;
+    auto count = [&low](const InverseWeightedArbiter *arb) {
+        for (int i = 0; arb != nullptr && i < arb->numInputs(); ++i)
+            low += arb->accumulators().highPriority(i) ? 0 : 1;
+    };
+    for (NodeId n = 0; n < m.geom().numNodes(); ++n) {
+        Chip &chip = m.chip(n);
+        for (RouterId r = 0; r < m.layout().numRouters(); ++r) {
+            for (int port = 0; port < kRouterPorts; ++port)
+                count(chip.router(r).outputArbiter(port));
+        }
+        for (int ca = 0; ca < m.layout().numChannelAdapters(); ++ca) {
+            count(chip.channelAdapter(ca).egressArbiter());
+            count(chip.channelAdapter(ca).ingressArbiter());
+        }
+    }
+    return low;
+}
+
+TEST(Checkpoint, InverseWeightedRoundTripContinuesIdentically)
+{
+    // The accumulators, weights and round-robin thermometers ride through
+    // the image, and restore rebuilds each arbiter's priority mask from
+    // the accumulators. Inputs are low priority at the fork, so a stale
+    // mask would grant differently from the uninterrupted run.
+    MachineConfig cfg = smallConfig(43);
+    cfg.chip.arb = ArbPolicy::InverseWeighted;
+    Machine base(cfg);
+    const UniformPattern uniform(base.geom());
+    BatchDriver::Config dcfg;
+    dcfg.cores = { 0, 1 };
+    dcfg.batch_size = 24;
+    dcfg.pattern = &uniform;
+
+    auto weigh = [&](Machine &m) {
+        LoadModel lm(m.geom(), m.layout(), cfg.chip, 1);
+        Rng rng(5);
+        lm.addPattern(0, uniform, dcfg.cores, 200, rng);
+        lm.applyWeights(m);
+    };
+    auto finish = [](Machine &m, BatchDriver &driver) {
+        Instrumentation inst;
+        inst.metrics = true;
+        m.attachInstrumentation(inst);
+        const RunResult res = m.run(
+            RunSpec::untilDelivered(driver.deliveredTarget(), 500000));
+        EXPECT_EQ(res.reason, StopReason::Delivered);
+        return BatchOutcome{ m.totalDelivered(), m.now(), m.metricsJson() };
+    };
+
+    weigh(base);
+    BatchDriver bdriver(base, dcfg);
+    base.engine().add(bdriver);
+    base.run(RunSpec::forCycles(kForkCycle));
+    ASSERT_LT(base.totalDelivered(), bdriver.deliveredTarget());
+    const int low_at_fork = lowPriorityInputs(base);
+    ASSERT_GT(low_at_fork, 0);
+    const BatchOutcome expected = finish(base, bdriver);
+
+    std::vector<char> image;
+    for (int threads : { 1, 2 }) {
+        const std::string path = ckptPath("inverse_weighted");
+        {
+            MachineConfig scfg = cfg;
+            scfg.threads = threads;
+            Machine saver(scfg);
+            weigh(saver);
+            BatchDriver sdriver(saver, dcfg);
+            saver.engine().add(sdriver);
+            saver.run(RunSpec::forCycles(kForkCycle));
+            saver.saveCheckpoint(path);
+        }
+        if (threads == 1)
+            image = readAll(path);
+        else
+            EXPECT_EQ(readAll(path), image) << "threads=" << threads;
+
+        // A fresh machine at the other thread count, weights
+        // unprogrammed: the image carries them.
+        MachineConfig rcfg = cfg;
+        rcfg.threads = 3 - threads;
+        Machine restored(rcfg);
+        BatchDriver rdriver(restored, dcfg);
+        restored.engine().add(rdriver);
+        restored.restoreCheckpoint(path);
+        EXPECT_EQ(lowPriorityInputs(restored), low_at_fork);
+        const BatchOutcome got = finish(restored, rdriver);
+        EXPECT_EQ(got.delivered, expected.delivered) << "threads=" << threads;
+        EXPECT_EQ(got.done_cycle, expected.done_cycle)
+            << "threads=" << threads;
+        EXPECT_EQ(got.metrics, expected.metrics) << "threads=" << threads;
+        std::remove(path.c_str());
+    }
 }
 
 /** Save a valid checkpoint from a mid-run machine. */

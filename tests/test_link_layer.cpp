@@ -1,16 +1,23 @@
 /**
  * @file
  * Tests for the link layer: CRC, framing, and go-back-N retransmission
- * under bit-error injection (Section 2.2).
+ * under bit-error injection (Section 2.2), and the sender's retransmit
+ * records in the packet-event stream.
  */
 #include <gtest/gtest.h>
 
 #include "link/link_layer.hpp"
 #include "sim/engine.hpp"
+#include "sim/flow.hpp"
 #include "sim/metrics.hpp"
+#include "tiny_json.hpp"
+#include "trace/chrome_trace.hpp"
+#include "trace/trace.hpp"
 
 namespace anton2 {
 namespace {
+
+using testjson::TinyJsonParser;
 
 TEST(Crc32, KnownVector)
 {
@@ -221,6 +228,82 @@ TEST(LinkLayer, RecoversFromBurstLoss)
                          300000);
     EXPECT_EQ(link.received.size(), 64u);
     EXPECT_GT(link.sender.retransmissions(), 0u);
+}
+
+TEST(LinkLayer, RewindEmitsOnePacketlessRetransmitRecord)
+{
+    // A lossy link bound to a packet-event stream with both readers
+    // attached: each go-back-N rewind is one `retransmit` record (packet
+    // 0, `port` = frames rewound) on the sender's link track, and the
+    // flow probe, which reads packet hops, sees none of them.
+    LinkFixture link(1e-3, 41);
+    RingTraceSink ring(1024);
+    FlowProbe probe(FlowProbeConfig{});
+    PacketEventStream events;
+    events.setTrace(&ring);
+    events.setFlows(&probe);
+    link.sender.bindEvents(events, /*node=*/2, /*unit=*/3);
+
+    constexpr std::uint64_t kFlits = 120;
+    for (std::uint64_t i = 0; i < kFlits; ++i)
+        link.sender.offer(FlitPayload{ i, i ^ 0x5555u, i << 4 });
+    // One cycle at a time, so each rewind is seen at its cycle (a tick
+    // rewinds at most once).
+    struct Rewind
+    {
+        Cycle cycle;
+        std::uint64_t frames;
+    };
+    std::vector<Rewind> rewinds;
+    while (link.received.size() < kFlits && link.engine.now() < 400000) {
+        const Cycle now = link.engine.now();
+        const std::uint64_t before = link.sender.retransmissions();
+        link.engine.run(1);
+        if (link.sender.retransmissions() != before)
+            rewinds.push_back(
+                { now, link.sender.retransmissions() - before });
+    }
+    ASSERT_EQ(link.received.size(), kFlits);
+    ASSERT_FALSE(rewinds.empty());
+
+    const std::vector<TraceEvent> recs = ring.drain();
+    EXPECT_EQ(ring.dropped(), 0u);
+    ASSERT_EQ(recs.size(), rewinds.size());
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+        EXPECT_EQ(recs[i].type, TraceEventType::Retransmit);
+        EXPECT_EQ(recs[i].unit_kind, TraceUnitKind::Link);
+        EXPECT_EQ(recs[i].node, 2);
+        EXPECT_EQ(recs[i].unit, 3);
+        EXPECT_EQ(recs[i].packet, 0u);
+        EXPECT_EQ(recs[i].cycle, rewinds[i].cycle);
+        EXPECT_EQ(static_cast<std::uint64_t>(recs[i].port),
+                  rewinds[i].frames);
+    }
+    EXPECT_TRUE(probe.sampledSpans().empty());
+    EXPECT_TRUE(probe.cells().empty());
+    EXPECT_TRUE(probe.blame().empty());
+
+    ChromeTraceInput in;
+    in.events = recs;
+    in.recorded = ring.recorded();
+    in.end_cycle = link.engine.now();
+    const auto doc = TinyJsonParser(chromeTraceJson(in)).parse();
+    std::size_t tracks = 0;
+    std::size_t instants = 0;
+    for (const auto &ev : doc->at("traceEvents").array) {
+        const std::string ph = ev->at("ph").string;
+        if (ph == "M" && ev->at("name").string == "thread_name") {
+            ++tracks;
+            EXPECT_EQ(ev->at("pid").number, 2.0);
+            EXPECT_EQ(ev->at("args").at("name").string, "link 3");
+        } else if (ph == "i") {
+            ++instants;
+            EXPECT_EQ(ev->at("name").string, "retransmit");
+            EXPECT_EQ(ev->at("args").at("packet").number, 0.0);
+        }
+    }
+    EXPECT_EQ(tracks, 1u);
+    EXPECT_EQ(instants, recs.size());
 }
 
 } // namespace
