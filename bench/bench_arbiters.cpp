@@ -85,20 +85,6 @@ BM_RoundRobinPick(benchmark::State &state)
 }
 BENCHMARK(BM_RoundRobinPick)->Arg(6);
 
-void
-BM_AgeBasedPick(benchmark::State &state)
-{
-    const int k = static_cast<int>(state.range(0));
-    AgeBasedArbiter arb(k);
-    ReqInfo info[32];
-    for (int i = 0; i < k; ++i)
-        info[i].age = static_cast<std::uint64_t>(1000 - i * 17);
-    const std::uint32_t req = (1u << k) - 1;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(arb.pick(req, info));
-}
-BENCHMARK(BM_AgeBasedPick)->Arg(6);
-
 } // namespace
 
 BENCHMARK_MAIN();

@@ -23,7 +23,6 @@ enum class ArbPolicy : std::uint8_t
 {
     RoundRobin,     ///< locally fair baseline [9]
     InverseWeighted,///< Section 3: per-pattern inverse weights
-    AgeBased,       ///< oldest-first baseline [1]
 };
 
 constexpr const char *
@@ -32,27 +31,19 @@ arbPolicyName(ArbPolicy p)
     switch (p) {
       case ArbPolicy::RoundRobin: return "round-robin";
       case ArbPolicy::InverseWeighted: return "inverse-weighted";
-      case ArbPolicy::AgeBased: return "age-based";
     }
     return "?";
 }
 
 /** One arbitration point's arbiter, of any ArbPolicy. */
-using PortArbiter =
-    std::variant<RoundRobinArbiter, InverseWeightedArbiter, AgeBasedArbiter>;
+using PortArbiter = std::variant<RoundRobinArbiter, InverseWeightedArbiter>;
 
 /** Construct a @p num_inputs-input arbiter of @p policy. */
 inline PortArbiter
 makeArbiter(ArbPolicy policy, int num_inputs, int weight_bits)
 {
-    switch (policy) {
-      case ArbPolicy::InverseWeighted:
+    if (policy == ArbPolicy::InverseWeighted)
         return InverseWeightedArbiter(num_inputs, weight_bits);
-      case ArbPolicy::AgeBased:
-        return AgeBasedArbiter(num_inputs);
-      case ArbPolicy::RoundRobin:
-        break;
-    }
     return RoundRobinArbiter(num_inputs);
 }
 

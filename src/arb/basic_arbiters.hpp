@@ -1,7 +1,7 @@
 /**
  * @file
- * Request metadata and the simple baseline arbiters: fixed-priority,
- * round-robin, and age-based.
+ * Request metadata and the simple baseline arbiters: fixed-priority and
+ * round-robin.
  *
  * Each policy is a plain value type owning one arbitration point (e.g. a
  * router output port). Each cycle it is offered a request mask plus
@@ -12,18 +12,16 @@
 #pragma once
 
 #include <bit>
-#include <cassert>
 #include <cstdint>
 
 namespace anton2 {
 
 class CkptArchive;
 
-/** Per-input request metadata consumed by some arbiter policies. */
+/** Per-input request metadata consumed by the inverse-weighted policy. */
 struct ReqInfo
 {
-    std::uint8_t pattern = 0; ///< traffic-pattern id (inverse-weighted)
-    std::uint64_t age = 0;    ///< packet injection time (age-based)
+    std::uint8_t pattern = 0; ///< traffic-pattern id
 };
 
 /** Upper bound on one arbitration point's inputs (request masks are
@@ -102,40 +100,6 @@ class RoundRobinArbiter
     int num_inputs_;
     std::uint32_t valid_; ///< bit i set iff input i exists
     int ptr_ = 0;
-};
-
-/**
- * Age-based arbitration [Abts & Weisser]: grants the input whose packet is
- * oldest (smallest injection timestamp). Provides strong global fairness
- * but is the heavy-weight scheme the inverse-weighted arbiter avoids
- * (per-packet age fields and wide comparators at every arbiter).
- */
-class AgeBasedArbiter
-{
-  public:
-    explicit AgeBasedArbiter(int num_inputs) : valid_(inputMask(num_inputs)) {}
-
-    int
-    pick(std::uint32_t req_mask, const ReqInfo *info) const
-    {
-        req_mask &= valid_;
-        if (req_mask == 0)
-            return -1;
-        assert(info != nullptr);
-        int best = -1;
-        for (; req_mask != 0; req_mask &= req_mask - 1) {
-            const int i = std::countr_zero(req_mask);
-            if (best < 0 || info[i].age < info[best].age)
-                best = i;
-        }
-        return best;
-    }
-
-    /** Stateless: nothing to checkpoint. */
-    void fields(CkptArchive &) {}
-
-  private:
-    std::uint32_t valid_; ///< bit i set iff input i exists
 };
 
 } // namespace anton2

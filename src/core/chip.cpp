@@ -153,40 +153,6 @@ Chip::settleIdle(Cycle now)
 }
 
 void
-Chip::bindMetrics(MetricsRegistry &reg, double lat_bin_width)
-{
-    const std::string prefix = "chip." + std::to_string(node_);
-    // Below Router level every component of this chip shares one metric
-    // set per domain (`<chip>.noc` / `<chip>.link` / `<chip>.ep`). A
-    // chip is exactly one engine shard, so concurrent recording into the
-    // shared aggregates cannot cross a thread boundary; sharing across
-    // chips would. At Machine level the same aggregates are recorded but
-    // the exporter collapses them into `machine.*` rollups.
-    const bool per_component = reg.level() >= MetricsLevel::Router;
-    const MeshGeom &mesh = layout_.mesh();
-    for (RouterId r = 0; r < layout_.numRouters(); ++r) {
-        routers_[static_cast<std::size_t>(r)]->bindMetrics(
-            reg, per_component
-                     ? prefix + ".router." + std::to_string(mesh.u(r))
-                           + "." + std::to_string(mesh.v(r))
-                     : prefix + ".noc");
-    }
-    for (int ca = 0; ca < layout_.numChannelAdapters(); ++ca) {
-        channel_adapters_[static_cast<std::size_t>(ca)]->bindMetrics(
-            reg, per_component
-                     ? prefix + ".ca." + layout_.channelShortName(ca)
-                     : prefix + ".link");
-    }
-    for (EndpointId e = 0; e < layout_.numEndpoints(); ++e) {
-        endpoints_[static_cast<std::size_t>(e)]->bindMetrics(
-            reg,
-            per_component ? prefix + ".ep." + std::to_string(e)
-                          : prefix + ".ep",
-            "machine", lat_bin_width);
-    }
-}
-
-void
 Chip::bindEvents(PacketEventStream &events)
 {
     const auto node = static_cast<std::int32_t>(node_);

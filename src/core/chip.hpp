@@ -82,16 +82,6 @@ class Chip
     void settleIdle(Cycle now);
 
     /**
-     * Bind every component of this chip to @p reg under
-     * `chip.<node>.router.<u>.<v>`, `chip.<node>.ca.<chan>`, and
-     * `chip.<node>.ep.<e>`; the endpoints' latency breakdown aggregates
-     * machine-wide under `machine.latency.*`. @p lat_bin_width sizes
-     * the endpoints' total-latency histogram bins (see
-     * EndpointAdapter::bindMetrics).
-     */
-    void bindMetrics(MetricsRegistry &reg, double lat_bin_width = 32.0);
-
-    /**
      * Bind every component of this chip to @p events (see
      * trace/trace.hpp): routers emit lifecycle events and switch-
      * traversal hop spans, channel adapters link-traverse events and

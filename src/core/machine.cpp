@@ -92,7 +92,7 @@ Machine::Machine(const MachineConfig &cfg)
     if (lookahead_cap_ == kNoCycle)
         lookahead_cap_ = 1;
 
-    // Size the endpoints' total-latency histogram bins with the machine
+    // Size the total-latency histogram bins with the machine
     // diameter: the worst zero-load path crosses half of every ring at
     // the slowest link (plus per-hop adapter serialization and the
     // on-chip mesh at each end), and congested runs stretch several
@@ -144,7 +144,7 @@ Machine::Machine(const MachineConfig &cfg)
     // Delivery accounting and the programming-model hooks on every
     // endpoint adapter. Delivery side effects are deferred to the
     // engine's serial phase (serialPhase below): they reach machine-wide
-    // state - the shared latency aggregates, the RNG via read-reply
+    // state - the latency aggregates, the RNG via read-reply
     // generation, software handlers - so they must run in one canonical
     // order whether chips ticked on one thread or many. Each node's
     // endpoints (at most 32, the free router ports) flag staged
@@ -156,13 +156,24 @@ Machine::Machine(const MachineConfig &cfg)
             auto &ep = chip(n).endpoint(e);
             ep.deferDeliveries(staged_deliveries_[n],
                                static_cast<unsigned>(e));
-            ep.setDeliverFn([this](const PacketPtr &pkt, Cycle now) {
+            ep.setDeliverFn([this](const PacketPtr &pkt, Cycle head_at,
+                                   Cycle now) {
                 ++delivered_;
                 last_delivery_ = now;
                 latency_.add(static_cast<double>(now - pkt->inject_time));
                 if (m_delivered_ != nullptr) {
                     m_delivered_->inc();
                     m_hops_->add(pkt->hops);
+                    // Source queueing (birth -> injection), network
+                    // (injection -> head arrival), destination (head
+                    // arrival -> reassembled).
+                    m_latency_[0]->add(
+                        static_cast<double>(pkt->inject_time - pkt->birth));
+                    m_latency_[1]->add(
+                        static_cast<double>(head_at - pkt->inject_time));
+                    m_latency_[2]->add(static_cast<double>(now - head_at));
+                    m_latency_total_->add(
+                        static_cast<double>(now - pkt->birth));
                 }
                 if (deliver_hook_)
                     deliver_hook_(pkt, now);
@@ -273,12 +284,84 @@ Machine::doEnableMetrics(MetricsLevel level)
     if (metrics_ != nullptr)
         return *metrics_;
     metrics_ = std::make_unique<MetricsRegistry>();
-    metrics_->setLevel(level);
-    for (auto &c : chips_)
-        c->bindMetrics(*metrics_, lat_bin_width_);
-    m_delivered_ = &metrics_->counter("machine.delivered");
-    m_hops_ = &metrics_->scalar("machine.hops");
-    return *metrics_;
+    MetricsRegistry &reg = *metrics_;
+    reg.setLevel(level);
+    // Busy router ticks sample their buffered flits: each router into its
+    // own stat at router/full (and per VC at full), below that all of a
+    // chip's routers into one stat, which only that chip's lane touches.
+    for (NodeId n = 0; n < geom_.numNodes(); ++n) {
+        for (RouterId r = 0; r < layout_.numRouters(); ++r) {
+            Router &rt = chip(n).router(r);
+            if (level < MetricsLevel::Router) {
+                rt.sampleOccupancy(reg.scalar("chip." + std::to_string(n)
+                                              + ".noc.vc_occupancy"));
+                continue;
+            }
+            const std::string prefix = routerPath(n, r);
+            std::vector<ScalarStat *> per_vc;
+            for (int v = 0; level == MetricsLevel::Full
+                            && v < rt.config().num_vcs;
+                 ++v)
+                per_vc.push_back(&reg.scalar(
+                    prefix + ".vc." + std::to_string(v) + ".occupancy"));
+            rt.sampleOccupancy(reg.scalar(prefix + ".vc_occupancy"),
+                               std::move(per_vc));
+        }
+    }
+    m_delivered_ = &reg.counter("machine.delivered");
+    m_hops_ = &reg.scalar("machine.hops");
+    m_latency_ = { &reg.scalar("machine.latency.source_queue"),
+                   &reg.scalar("machine.latency.network"),
+                   &reg.scalar("machine.latency.destination") };
+    // 64 bins whose width scales with the machine diameter; outliers
+    // beyond the last bin still contribute exact moments via stat().
+    m_latency_total_ =
+        &reg.histogram("machine.latency.total", 64, lat_bin_width_);
+    // The exported counts start here, and again at every reset.
+    readCounts(count_base_);
+    reg.setResetHook([this] { readCounts(count_base_); });
+    return reg;
+}
+
+void
+Machine::readCounts(std::vector<std::uint64_t> &out) const
+{
+    out.clear();
+    for (const auto &c : chips_) {
+        for (RouterId r = 0; r < layout_.numRouters(); ++r) {
+            const Router &rt = c->router(r);
+            for (int p = 0; p < rt.config().num_ports; ++p)
+                out.push_back(rt.flitsIn(p));
+            out.insert(out.end(), { rt.sa2Grants(), rt.sa2Losses(),
+                                    rt.vaCreditStalls() });
+        }
+        for (int ca = 0; ca < layout_.numChannelAdapters(); ++ca) {
+            const ChannelAdapter &a = c->channelAdapter(ca);
+            out.insert(out.end(), { a.flitsSent(), a.flitsReceived(),
+                                    a.idleCycles(), a.creditStalls() });
+        }
+        for (EndpointId e = 0; e < layout_.numEndpoints(); ++e) {
+            const EndpointAdapter &ep = c->endpoint(e);
+            out.insert(out.end(), { ep.injected(), ep.delivered() });
+        }
+    }
+}
+
+void
+Machine::rebaseCounts(const std::vector<std::uint64_t> &before)
+{
+    std::vector<std::uint64_t> after;
+    readCounts(after);
+    for (std::size_t i = 0; i < after.size(); ++i)
+        count_base_[i] += after[i] - before[i];
+}
+
+std::string
+Machine::routerPath(NodeId n, RouterId r) const
+{
+    const MeshGeom &mesh = layout_.mesh();
+    return "chip." + std::to_string(n) + ".router."
+           + std::to_string(mesh.u(r)) + "." + std::to_string(mesh.v(r));
 }
 
 std::string
@@ -287,23 +370,98 @@ Machine::metricsJson()
     assert(metrics_ != nullptr && "attach metrics first");
     MetricsRegistry &reg = *metrics_;
     const MetricsLevel level = reg.level();
+    const bool per_chip = level >= MetricsLevel::Chip;
+    const bool per_component = level >= MetricsLevel::Router;
     const auto cycles = static_cast<double>(engine_.now());
     reg.setGauge("machine.cycles", cycles);
+    // Sleeping routers book their idle cycles before the stall totals
+    // are read.
+    settleIdle();
 
-    // Per-channel utilization: flits actually serialized over the flits
-    // the SerDes could have carried in the elapsed time (the paper's
-    // normalization: 1.0 = the 89.6 Gb/s effective channel rate).
-    // Reduced along the hierarchy like everything else: per-adapter
-    // gauges at Router/Full, per-chip at Chip, machine-wide always.
-    // The accumulation loop is level-independent, so the machine value
-    // is byte-identical at every level.
+    // Each count less its base, read in readCounts() order.
+    std::size_t at = 0;
+    auto since = [&](std::uint64_t count) {
+        return count - count_base_[at++];
+    };
+    auto sumInto = [](auto &sum, const auto &v) {
+        for (std::size_t i = 0; i < v.size(); ++i)
+            sum[i] += v[i];
+    };
+
+    // One walk writes every level's paths: per component at router/full,
+    // per chip from chip up, machine-wide always. Counts, stall cycles
+    // and occupancy samples are integers, so every sum is exact and the
+    // machine values are byte-identical at every level. Utilization is
+    // the flits an adapter ever sent over what the SerDes could have
+    // carried in the elapsed cycles (the paper's normalization: 1.0 =
+    // the 89.6 Gb/s effective channel rate). Stall attribution is
+    // present once tracing enabled the samplers; its machine totals
+    // mirror traceChromeJson()'s otherData.stall_totals.
+    CountRollup machine;
     double m_flits = 0.0;
     double m_capacity = 0.0;
+    PortStallTotals machine_stalls;
+    bool any_stalls = false;
+    Cycle oldest = kNoCycle;
     for (NodeId n = 0; n < geom_.numNodes(); ++n) {
+        const Chip &c = chip(n);
+        const std::string chip_prefix = "chip." + std::to_string(n);
+        CountRollup sum;
+        PortStallTotals chip_stalls;
+        bool chip_any = false;
+        for (RouterId r = 0; r < layout_.numRouters(); ++r) {
+            const Router &rt = c.router(r);
+            const std::string prefix = routerPath(n, r);
+            std::array<std::uint64_t, kNocCounts.size()> v{};
+            for (int p = 0; p < rt.config().num_ports; ++p) {
+                const std::uint64_t flits = since(rt.flitsIn(p));
+                v[0] += flits;
+                if (level == MetricsLevel::Full)
+                    reg.setGauge(prefix + ".flits_in.port"
+                                     + std::to_string(p),
+                                 static_cast<double>(flits));
+            }
+            v[1] = since(rt.sa2Grants());
+            v[2] = since(rt.sa2Losses());
+            v[3] = since(rt.vaCreditStalls());
+            sumInto(sum.noc, v);
+            if (per_component) {
+                // At full the per-port counts stand for the total.
+                for (std::size_t i = level == MetricsLevel::Full ? 1 : 0;
+                     i < v.size(); ++i)
+                    reg.setGauge(prefix + "." + kNocCounts[i],
+                                 static_cast<double>(v[i]));
+                sum.addOccupancy(*rt.occupancyStat());
+            }
+            const RouterStallSampler *s = rt.stallSampler();
+            if (s == nullptr)
+                continue;
+            chip_any = true;
+            const PortStallTotals agg = s->aggregate();
+            for (int k = 0; k < kNumStallClasses; ++k) {
+                const auto cycles_k = agg.cycles[static_cast<std::size_t>(k)];
+                if (per_component)
+                    reg.setGauge(prefix + ".stall."
+                                     + stallClassName(
+                                         static_cast<StallClass>(k)),
+                                 static_cast<double>(cycles_k));
+                chip_stalls.cycles[static_cast<std::size_t>(k)] += cycles_k;
+            }
+        }
+        // Below router level the chip's routers share one stat.
+        if (!per_component)
+            sum.addOccupancy(*c.router(0).occupancyStat());
+
         double c_flits = 0.0;
         double c_capacity = 0.0;
         for (int ca = 0; ca < layout_.numChannelAdapters(); ++ca) {
-            ChannelAdapter &a = chip(n).channelAdapter(ca);
+            const ChannelAdapter &a = c.channelAdapter(ca);
+            // Retransmissions stay 0 while torus channels are reliable.
+            const std::array<std::uint64_t, kLinkCounts.size()> v{
+                since(a.flitsSent()), since(a.flitsReceived()),
+                since(a.idleCycles()), since(a.creditStalls()), 0
+            };
+            sumInto(sum.link, v);
             const double capacity =
                 cycles
                 * static_cast<double>(a.config().ser_tokens_per_cycle)
@@ -311,108 +469,73 @@ Machine::metricsJson()
             const auto flits = static_cast<double>(a.flitsSent());
             c_flits += flits;
             c_capacity += capacity;
-            if (level >= MetricsLevel::Router) {
-                reg.setGauge("chip." + std::to_string(n) + ".ca."
-                                 + layout_.channelShortName(ca)
-                                 + ".utilization",
+            if (per_component) {
+                const std::string prefix =
+                    chip_prefix + ".ca." + layout_.channelShortName(ca);
+                writeCounts(reg, prefix, kLinkCounts, v);
+                reg.setGauge(prefix + ".utilization",
                              capacity > 0.0 ? flits / capacity : 0.0);
             }
         }
         m_flits += c_flits;
         m_capacity += c_capacity;
-        if (level >= MetricsLevel::Chip) {
-            reg.setGauge("chip." + std::to_string(n)
-                             + ".link.utilization",
-                         c_capacity > 0.0 ? c_flits / c_capacity : 0.0);
+        for (EndpointId e = 0; e < layout_.numEndpoints(); ++e) {
+            const EndpointAdapter &ep = c.endpoint(e);
+            const std::array<std::uint64_t, kEpCounts.size()> v{
+                since(ep.injected()), since(ep.delivered())
+            };
+            sumInto(sum.ep, v);
+            if (per_component)
+                writeCounts(reg, chip_prefix + ".ep." + std::to_string(e),
+                            kEpCounts, v);
         }
-    }
-    reg.setGauge("machine.link.utilization",
-                 m_capacity > 0.0 ? m_flits / m_capacity : 0.0);
+        machine.add(sum);
 
-    // Stall attribution (present once tracing enabled the samplers):
-    // per-class cycle totals reduced router -> chip -> machine; the
-    // machine aggregate mirrors traceChromeJson()'s
-    // otherData.stall_totals. Sleeping routers book their idle cycles
-    // first.
-    settleIdle();
-    PortStallTotals machine_stalls;
-    bool any_stalls = false;
-    for (NodeId n = 0; n < geom_.numNodes(); ++n) {
-        const MeshGeom &mesh = layout_.mesh();
-        PortStallTotals chip_stalls;
-        bool chip_any = false;
-        for (RouterId r = 0; r < layout_.numRouters(); ++r) {
-            const RouterStallSampler *s = chip(n).router(r).stallSampler();
-            if (s == nullptr)
-                continue;
-            chip_any = true;
-            const PortStallTotals agg = s->aggregate();
-            const std::string prefix = "chip." + std::to_string(n)
-                                       + ".router."
-                                       + std::to_string(mesh.u(r)) + "."
-                                       + std::to_string(mesh.v(r))
-                                       + ".stall.";
-            for (int c = 0; c < kNumStallClasses; ++c) {
-                const auto cycles_c =
-                    agg.cycles[static_cast<std::size_t>(c)];
-                if (level >= MetricsLevel::Router) {
-                    reg.setGauge(
-                        prefix
-                            + stallClassName(static_cast<StallClass>(c)),
-                        static_cast<double>(cycles_c));
-                }
-                chip_stalls.cycles[static_cast<std::size_t>(c)] +=
-                    cycles_c;
-            }
-        }
         if (chip_any) {
             any_stalls = true;
-            for (int c = 0; c < kNumStallClasses; ++c) {
-                const auto cycles_c =
-                    chip_stalls.cycles[static_cast<std::size_t>(c)];
-                if (level >= MetricsLevel::Chip) {
-                    reg.setGauge(
-                        "chip." + std::to_string(n) + ".stall."
-                            + stallClassName(static_cast<StallClass>(c)),
-                        static_cast<double>(cycles_c));
-                }
-                machine_stalls.cycles[static_cast<std::size_t>(c)] +=
-                    cycles_c;
+            for (int k = 0; k < kNumStallClasses; ++k) {
+                const auto cycles_k =
+                    chip_stalls.cycles[static_cast<std::size_t>(k)];
+                if (per_chip)
+                    reg.setGauge(chip_prefix + ".stall."
+                                     + stallClassName(
+                                         static_cast<StallClass>(k)),
+                                 static_cast<double>(cycles_k));
+                machine_stalls.cycles[static_cast<std::size_t>(k)] +=
+                    cycles_k;
             }
         }
-    }
-    if (any_stalls) {
-        for (int c = 0; c < kNumStallClasses; ++c) {
-            reg.setGauge(std::string("machine.stall.")
-                             + stallClassName(static_cast<StallClass>(c)),
-                         static_cast<double>(machine_stalls.cycles[
-                             static_cast<std::size_t>(c)]));
-        }
-    }
-
-    // Packet-age watermarks: the oldest in-flight packet per chip and
-    // machine-wide. Usable without the auditor bound; the watchdog reads
-    // the same probes on its own schedule.
-    Cycle oldest = kNoCycle;
-    for (NodeId n = 0; n < geom_.numNodes(); ++n) {
+        // Packet-age watermarks: the oldest in-flight packet per chip and
+        // machine-wide (the watchdog reads the same probes).
         const Cycle b = chips_[n]->oldestPacketBirth();
-        if (level >= MetricsLevel::Chip) {
-            reg.setGauge("chip." + std::to_string(n) + ".pkt.oldest_age",
-                         b == kNoCycle
-                             ? 0.0
-                             : static_cast<double>(engine_.now() - b));
-        }
         if (b < oldest)
             oldest = b;
+        if (!per_chip)
+            continue;
+        writeRollup(reg, chip_prefix, sum, per_component);
+        reg.setGauge(chip_prefix + ".link.utilization",
+                     c_capacity > 0.0 ? c_flits / c_capacity : 0.0);
+        reg.setGauge(chip_prefix + ".pkt.oldest_age",
+                     b == kNoCycle
+                         ? 0.0
+                         : static_cast<double>(engine_.now() - b));
+    }
+    assert(at == count_base_.size());
+    writeRollup(reg, "machine", machine, true);
+    reg.setGauge("machine.link.utilization",
+                 m_capacity > 0.0 ? m_flits / m_capacity : 0.0);
+    if (any_stalls) {
+        for (int k = 0; k < kNumStallClasses; ++k) {
+            reg.setGauge(std::string("machine.stall.")
+                             + stallClassName(static_cast<StallClass>(k)),
+                         static_cast<double>(machine_stalls.cycles[
+                             static_cast<std::size_t>(k)]));
+        }
     }
     reg.setGauge("machine.pkt.max_age",
                  oldest == kNoCycle
                      ? 0.0
                      : static_cast<double>(engine_.now() - oldest));
-
-    // The hierarchical reduction of every recorded counter/stat; at
-    // Machine level these rollups are all the export will show.
-    applyRollups(reg);
 
     if (audit_ != nullptr)
         audit_->publishGauges(reg);
@@ -1063,11 +1186,32 @@ Machine::setRoute(Packet &pkt, const RouteSpec &spec)
     chip(pkt.src.node).setExit(pkt, r.nextDim());
 }
 
+void
+Machine::checkPacket(const char *who, EndpointAddr src, EndpointAddr dst,
+                     std::uint8_t pattern, int size_flits) const
+{
+    auto reject = [who](const std::string &why) {
+        throw std::invalid_argument(std::string(who) + ": " + why);
+    };
+    for (const EndpointAddr &a : { src, dst }) {
+        if (a.node >= geom_.numNodes() || a.ep < 0
+            || a.ep >= layout_.numEndpoints())
+            reject("endpoint " + std::to_string(a.ep) + " of node "
+                   + std::to_string(a.node) + " is outside the machine");
+    }
+    if (pattern >= kNumPatterns)
+        reject("traffic pattern " + std::to_string(pattern)
+               + " is not below " + std::to_string(kNumPatterns));
+    if (size_flits < 1 || size_flits > kMaxPacketFlits)
+        reject("packet size " + std::to_string(size_flits)
+               + " is outside [1, " + std::to_string(kMaxPacketFlits)
+               + "] flits");
+}
+
 Packet *
 Machine::newPacket(EndpointAddr src, std::uint8_t pattern, int size_flits,
                    std::int32_t counter)
 {
-    assert(size_flits >= 1 && size_flits <= kMaxPacketFlits);
     Packet *pkt = chip(src.node).slab().alloc();
     pkt->id = next_packet_id_++;
     pkt->src = src;
@@ -1083,6 +1227,7 @@ PacketPtr
 Machine::makeWrite(EndpointAddr src, EndpointAddr dst, std::uint8_t pattern,
                    int size_flits, std::int32_t counter)
 {
+    checkPacket("makeWrite", src, dst, pattern, size_flits);
     Packet *pkt = newPacket(src, pattern, size_flits, counter);
     pkt->dst = dst;
     randomRoute(geom_, src.node, dst.node, rng_, route_scratch_);
@@ -1181,6 +1326,7 @@ Machine::sendMulticast(EndpointAddr src, std::int32_t group,
                        std::uint8_t pattern, int size_flits,
                        std::int32_t counter)
 {
+    checkPacket("sendMulticast", src, src, pattern, size_flits);
     const McastNodeEntry *entry = chip(src.node).mcastEntry(group);
     if (entry == nullptr)
         throw std::invalid_argument(

@@ -10,6 +10,7 @@
  */
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <functional>
 #include <memory>
@@ -90,12 +91,14 @@ struct MachineConfig
  */
 struct Instrumentation
 {
-    /** Bind the metrics registry to every component. */
+    /** Create the metrics registry: the components' counts are
+     * exported through it from the attach on, and deliveries and busy
+     * router ticks sample into it. */
     bool metrics = false;
     /** Telemetry granularity for the registry (see MetricsLevel): how
-     * much per-component state is materialized and exported. Only
+     * much per-component state is registered and exported. Only
      * consulted when `metrics` is engaged, and only by the *first*
-     * attach that creates the registry (binding is one-shot). */
+     * attach, which creates the registry. */
     MetricsLevel metrics_level = MetricsLevel::Full;
     /** Create the trace ring and bind every component. */
     std::optional<TraceConfig> trace;
@@ -259,12 +262,18 @@ class Machine
      *
      * @param counter Counted-write counter id at the destination endpoint,
      *        or -1 for a plain write.
+     * @throws std::invalid_argument, before anything is allocated, if
+     * @p src or @p dst is not an endpoint of this machine, @p pattern is
+     * not below kNumPatterns (the patterns inverse-weighted arbiters
+     * hold weights for), or @p size_flits is outside
+     * [1, kMaxPacketFlits].
      */
     PacketPtr makeWrite(EndpointAddr src, EndpointAddr dst,
                         std::uint8_t pattern = 0, int size_flits = 1,
                         std::int32_t counter = -1);
 
-    /** Create a remote read request (the reply is generated automatically). */
+    /** Create a remote read request (the reply is generated
+     * automatically). @throws std::invalid_argument as makeWrite does. */
     PacketPtr makeRead(EndpointAddr src, EndpointAddr dst,
                        std::uint8_t pattern = 0);
 
@@ -294,7 +303,8 @@ class Machine
      * Send one packet down an installed tree. The source node's table
      * entry is expanded at injection (one packet per source branch).
      * @throws std::invalid_argument if @p group has no entry at the
-     * source node: never installed, negative, or a tree without it.
+     * source node (never installed, negative, or a tree without it), or
+     * for a source, pattern or size makeWrite rejects.
      */
     void sendMulticast(EndpointAddr src, std::int32_t group,
                        std::uint8_t pattern = 0, int size_flits = 1,
@@ -376,11 +386,12 @@ class Machine
     MetricsRegistry *metrics() { return metrics_.get(); }
 
     /**
-     * Refresh derived gauges (elapsed cycles, per-channel utilization)
-     * and the hierarchical rollups (`machine.noc.*` / `machine.link.*`
-     * / `machine.ep.*`, per-chip reductions at the fine levels), then
-     * serialize the registry at its bound MetricsLevel. Requires
-     * attached metrics.
+     * Write the components' counts since the attach or the last reset
+     * (per component at router/full, per chip from chip up), the
+     * derived gauges (elapsed cycles, per-channel utilization, stall
+     * and packet-age totals) and the rollups (`machine.noc.*` /
+     * `machine.link.*` / `machine.ep.*`) into the registry, then
+     * serialize it at its MetricsLevel. Requires attached metrics.
      */
     std::string metricsJson();
 
@@ -598,7 +609,25 @@ class Machine
     /** Settle what sleeping routers and adapters owe their idle cycles
      * up to now() (before stall totals are read or state is saved). */
     void settleIdle();
+    /**
+     * Every count metricsJson() exports, chip by chip: each router's
+     * flits per input port, SA2 grants, SA2 losses and VA credit
+     * stalls; each channel adapter's flits sent and received, idle
+     * cycles and credit stalls; each endpoint's injections and
+     * deliveries.
+     */
+    void readCounts(std::vector<std::uint64_t> &out) const;
+    /** After a restore overwrote the counts that readCounts() gave as
+     * @p before, shift the base by as much: the export keeps what it
+     * counted and goes on from the image's values. */
+    void rebaseCounts(const std::vector<std::uint64_t> &before);
+    /** `chip.<n>.router.<u>.<v>`, the metrics path of router @p r. */
+    std::string routerPath(NodeId n, RouterId r) const;
     void validateTree(const McastTree &tree) const;
+    /** Throw std::invalid_argument, naming @p who, for a packet
+     * makeWrite rejects. */
+    void checkPacket(const char *who, EndpointAddr src, EndpointAddr dst,
+                     std::uint8_t pattern, int size_flits) const;
     /** A new record from the slab of @p src's node, with the fields
      * every injection sets. */
     Packet *newPacket(EndpointAddr src, std::uint8_t pattern,
@@ -667,6 +696,13 @@ class Machine
     std::unique_ptr<MetricsRegistry> metrics_;
     Counter *m_delivered_ = nullptr; ///< machine.delivered
     ScalarStat *m_hops_ = nullptr;   ///< machine.hops per delivery
+    /** machine.latency.{source_queue,network,destination}: the Section 4
+     * breakdown of each delivery's latency. */
+    std::array<ScalarStat *, 3> m_latency_{};
+    Histogram *m_latency_total_ = nullptr; ///< machine.latency.total
+    /** readCounts() at the attach or the last reset, shifted by what a
+     * restore overwrote: metricsJson() exports the counts less these. */
+    std::vector<std::uint64_t> count_base_;
     /** What every component emits packet events into; the trace ring
      * and the flow probe attach to it. */
     PacketEventStream events_;

@@ -271,6 +271,9 @@ Machine::saveCheckpoint(const std::string &path)
 void
 Machine::restoreCheckpoint(const std::string &path)
 {
+    std::vector<std::uint64_t> before;
+    if (metrics_ != nullptr)
+        readCounts(before);
     CkptArchive ar(path, configFingerprint());
     // Every live packet belongs to the state the image replaces; the
     // image's packets go to their source nodes' slabs.
@@ -284,6 +287,8 @@ Machine::restoreCheckpoint(const std::string &path)
     ar.finish();
     restored_from_ = path;
     restored_cycle_ = engine_.now();
+    if (metrics_ != nullptr)
+        rebaseCounts(before);
 }
 
 } // namespace anton2

@@ -41,27 +41,13 @@ LinkSender::offer(const FlitPayload &flit)
 }
 
 void
-LinkSender::bindMetrics(MetricsRegistry &reg, const std::string &prefix)
-{
-    // Link endpoints are per-link instruments; below Router level they
-    // stay unbound entirely (the counters are visible through
-    // framesTransmitted()/retransmissions() regardless).
-    if (reg.level() < MetricsLevel::Router)
-        return;
-    m_frames_tx_ = &reg.counter(prefix + ".frames_tx");
-    m_retransmissions_ = &reg.counter(prefix + ".retransmissions");
-    m_acks_rx_ = &reg.counter(prefix + ".acks_rx");
-}
-
-void
 LinkSender::tick(Cycle now)
 {
     // Process cumulative acknowledgments.
     while (auto frame = ack_rx_.take(now)) {
         if (!frame->is_ack)
             continue;
-        if (m_acks_rx_ != nullptr)
-            m_acks_rx_->inc();
+        ++acks_rx_;
         // ack_seq acknowledges every frame with seq < ack_seq.
         while (base_ < frame->ack_seq && !queue_.empty()) {
             queue_.pop_front();
@@ -76,8 +62,6 @@ LinkSender::tick(Cycle now)
     // rewind and resend everything outstanding.
     if (next_ > base_ && now - last_progress_ > cfg_.retry_timeout) {
         retransmissions_ += next_ - base_;
-        if (m_retransmissions_ != nullptr)
-            m_retransmissions_->inc(next_ - base_);
         emitPacketEvent(events_, TraceEventType::Retransmit, now,
                         /*pkt=*/nullptr,
                         /*port=*/static_cast<int>(next_ - base_),
@@ -104,8 +88,6 @@ LinkSender::tick(Cycle now)
         tokens_ -= cfg_.tokens_per_frame;
         ++next_;
         ++transmitted_;
-        if (m_frames_tx_ != nullptr)
-            m_frames_tx_->inc();
         if (next_ == base_ + 1)
             last_progress_ = now; // first frame of a fresh window
     }
@@ -129,17 +111,6 @@ LinkReceiver::LinkReceiver(std::string name, const LinkConfig &cfg,
 }
 
 void
-LinkReceiver::bindMetrics(MetricsRegistry &reg, const std::string &prefix)
-{
-    if (reg.level() < MetricsLevel::Router)
-        return;
-    m_delivered_ = &reg.counter(prefix + ".delivered");
-    m_crc_drops_ = &reg.counter(prefix + ".crc_drops");
-    m_order_drops_ = &reg.counter(prefix + ".order_drops");
-    m_acks_tx_ = &reg.counter(prefix + ".acks_tx");
-}
-
-void
 LinkReceiver::tick(Cycle now)
 {
     auto frame = rx_.take(now);
@@ -148,18 +119,12 @@ LinkReceiver::tick(Cycle now)
 
     if (!frame->crcOk()) {
         ++crc_drops_;
-        if (m_crc_drops_ != nullptr)
-            m_crc_drops_->inc();
     } else if (frame->seq != expected_) {
         // Go-back-N accepts only the next in-order frame.
         ++order_drops_;
-        if (m_order_drops_ != nullptr)
-            m_order_drops_->inc();
     } else {
         ++expected_;
         ++delivered_;
-        if (m_delivered_ != nullptr)
-            m_delivered_->inc();
         if (deliver_)
             deliver_(frame->data, now);
     }
@@ -171,8 +136,7 @@ LinkReceiver::tick(Cycle now)
     ack.ack_seq = expected_;
     ack.crc = frameCrc(ack.seq, ack.data);
     ack_tx_.send(now, ack);
-    if (m_acks_tx_ != nullptr)
-        m_acks_tx_->inc();
+    ++acks_tx_;
 }
 
 void

@@ -21,7 +21,6 @@
 #include "noc/channel_adapter.hpp"
 #include "noc/packet.hpp"
 #include "sim/component.hpp"
-#include "sim/metrics.hpp"
 #include "sim/rng.hpp"
 #include "sim/wire.hpp"
 
@@ -122,14 +121,6 @@ class LinkSender : public Component
     bool busy() const override;
 
     /**
-     * Register sender metrics under @p prefix: `frames_tx` (including
-     * resends), `retransmissions`, and `acks_rx`. The retransmission
-     * counter uses the same leaf name as ChannelAdapter's, so a lossy
-     * link slots into the machine-wide registry schema.
-     */
-    void bindMetrics(MetricsRegistry &reg, const std::string &prefix);
-
-    /**
      * Start emitting a retransmit event per go-back-N rewind into
      * @p events. Frames carry no packet identity, so the records have
      * packet id 0 and always pass the trace's sampling filter.
@@ -141,8 +132,11 @@ class LinkSender : public Component
         events_ = { &events, node, unit, TraceUnitKind::Link };
     }
 
+    /** Frames sent, resends included. */
     std::uint64_t framesTransmitted() const { return transmitted_; }
     std::uint64_t retransmissions() const { return retransmissions_; }
+    /** Acknowledgments received (not checkpointed). */
+    std::uint64_t acksReceived() const { return acks_rx_; }
     std::size_t backlog() const { return queue_.size(); }
 
     /** Checkpoint field list of the go-back-N window: queue, sequence
@@ -155,10 +149,6 @@ class LinkSender : public Component
     LossyFrameChannel &ack_rx_;
     EventBinding events_;
 
-    Counter *m_frames_tx_ = nullptr;
-    Counter *m_retransmissions_ = nullptr;
-    Counter *m_acks_rx_ = nullptr;
-
     std::deque<FlitPayload> queue_; ///< unacknowledged + unsent flits
     std::uint32_t base_ = 0;        ///< seq of oldest unacked frame
     std::uint32_t next_ = 0;        ///< next seq to transmit
@@ -166,6 +156,7 @@ class LinkSender : public Component
     int tokens_ = 0;
     std::uint64_t transmitted_ = 0;
     std::uint64_t retransmissions_ = 0;
+    std::uint64_t acks_rx_ = 0;
 };
 
 /**
@@ -184,23 +175,17 @@ class LinkReceiver : public Component
     void tick(Cycle now) override;
     bool busy() const override { return false; }
 
-    /** Register receiver metrics under @p prefix: `delivered`,
-     * `crc_drops`, `order_drops`, and `acks_tx`. */
-    void bindMetrics(MetricsRegistry &reg, const std::string &prefix);
-
     std::uint64_t delivered() const { return delivered_; }
     std::uint64_t crcDrops() const { return crc_drops_; }
     std::uint64_t orderDrops() const { return order_drops_; }
+    /** Cumulative acknowledgments sent (not checkpointed). */
+    std::uint64_t acksSent() const { return acks_tx_; }
 
     /** Checkpoint field list: the expected sequence number and
      * tallies. */
     void fields(CkptArchive &ar);
 
   private:
-    Counter *m_delivered_ = nullptr;
-    Counter *m_crc_drops_ = nullptr;
-    Counter *m_order_drops_ = nullptr;
-    Counter *m_acks_tx_ = nullptr;
     LinkConfig cfg_;
     LossyFrameChannel &rx_;
     LossyFrameChannel &ack_tx_;
@@ -209,6 +194,7 @@ class LinkReceiver : public Component
     std::uint64_t delivered_ = 0;
     std::uint64_t crc_drops_ = 0;
     std::uint64_t order_drops_ = 0;
+    std::uint64_t acks_tx_ = 0;
 };
 
 } // namespace anton2

@@ -65,17 +65,6 @@ ChannelAdapter::connectTorusIn(Channel &ch)
 }
 
 void
-ChannelAdapter::bindMetrics(MetricsRegistry &reg, const std::string &prefix)
-{
-    metrics_ = std::make_unique<ChannelAdapterMetrics>();
-    metrics_->flits_sent = &reg.counter(prefix + ".flits_sent");
-    metrics_->flits_received = &reg.counter(prefix + ".flits_received");
-    metrics_->idle_cycles = &reg.counter(prefix + ".idle_cycles");
-    metrics_->credit_stalls = &reg.counter(prefix + ".credit_stalls");
-    metrics_->retransmissions = &reg.counter(prefix + ".retransmissions");
-}
-
-void
 ChannelAdapter::tickEgress(Cycle now, std::uint32_t rung)
 {
     if (router_in_ == nullptr || torus_out_ == nullptr)
@@ -128,10 +117,9 @@ ChannelAdapter::tickEgress(Cycle now, std::uint32_t rung)
             }
             req |= 1u << v;
             info[v].pattern = head.pkt->pattern;
-            info[v].age = head.pkt->birth;
         }
-        if (req == 0 && credit_blocked && metrics_ != nullptr)
-            metrics_->credit_stalls->inc();
+        if (req == 0 && credit_blocked)
+            ++credit_stalls_;
         if (req != 0) {
             const int v = arbiterPick(egress_arb_, req, info);
             auto &head = egress_vcs_[static_cast<std::size_t>(v)].head();
@@ -167,8 +155,6 @@ ChannelAdapter::tickEgress(Cycle now, std::uint32_t rung)
                 now, Credit{ static_cast<std::uint8_t>(egress_vc_) });
             buf.sendFlit();
             ++flits_sent_;
-            if (metrics_ != nullptr)
-                metrics_->flits_sent->inc();
             if (tail) {
                 // Emit the link hop span while the entry is live (all
                 // cycles are existing state - no clock reads).
@@ -185,8 +171,6 @@ ChannelAdapter::tickEgress(Cycle now, std::uint32_t rung)
         }
     } else if (ser_tokens_ >= cfg_.ser_tokens_per_flit) {
         ++idle_cycles_;
-        if (metrics_ != nullptr)
-            metrics_->idle_cycles->inc();
     }
 }
 
@@ -207,8 +191,6 @@ ChannelAdapter::tickIngress(Cycle now, std::uint32_t rung)
         }
         ingress_vcs_[phit->vc].acceptFlit(*phit, now);
         ++flits_received_;
-        if (metrics_ != nullptr)
-            metrics_->flits_received->inc();
     }
 
     if (ingress_packets_ == 0 && pending_credits_.empty())
@@ -274,7 +256,6 @@ ChannelAdapter::tickIngress(Cycle now, std::uint32_t rung)
                 continue;
             req |= 1u << v;
             info[v].pattern = copy.pkt->pattern;
-            info[v].age = copy.pkt->birth;
         }
         if (req != 0) {
             const int v = arbiterPick(ingress_arb_, req, info);

@@ -14,34 +14,17 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "arb/arbiter.hpp"
 #include "noc/channel.hpp"
 #include "noc/packet_slab.hpp"
 #include "sim/component.hpp"
-#include "sim/metrics.hpp"
 #include "trace/trace.hpp"
 
 namespace anton2 {
 
 class Router;
-
-/**
- * Telemetry bound to one torus-channel adapter. `retransmissions` stays
- * zero in the reliable cycle-level model; the link layer increments the
- * same counter path when it terminates a lossy channel, so the registry
- * schema is identical in both setups.
- */
-struct ChannelAdapterMetrics
-{
-    Counter *flits_sent = nullptr;      ///< egress flits onto the torus
-    Counter *flits_received = nullptr;  ///< ingress flits off the torus
-    Counter *idle_cycles = nullptr;     ///< SerDes ready, nothing to send
-    Counter *credit_stalls = nullptr;   ///< head ready, no torus credits
-    Counter *retransmissions = nullptr; ///< link-layer go-back-N resends
-};
 
 /** Exact SerDes/mesh rate ratio: 89.6 / 288 = 14 / 45 flits per cycle. */
 inline constexpr int kSerdesTokensPerCycle = 14;
@@ -137,9 +120,6 @@ class ChannelAdapter final : public Component
         return std::get_if<InverseWeightedArbiter>(&ingress_arb_);
     }
 
-    /** Register this adapter's metrics under @p prefix and record. */
-    void bindMetrics(MetricsRegistry &reg, const std::string &prefix);
-
     /**
      * Start emitting packet events into @p events, stamped with this
      * adapter's coordinates (@p node, @p unit = adapter index on the
@@ -159,6 +139,9 @@ class ChannelAdapter final : public Component
     std::uint64_t flitsReceived() const { return flits_received_; }
     /** Cycles in which the serializer had tokens but nothing to send. */
     std::uint64_t idleCycles() const { return idle_cycles_; }
+    /** Egress grant cycles on which every waiting head lacked torus
+     * credits (not checkpointed). */
+    std::uint64_t creditStalls() const { return credit_stalls_; }
 
     /** Flits buffered on both sides right now (telemetry probe). */
     std::uint64_t
@@ -326,6 +309,7 @@ class ChannelAdapter final : public Component
     std::uint64_t flits_sent_ = 0;
     std::uint64_t flits_received_ = 0;
     std::uint64_t idle_cycles_ = 0;
+    std::uint64_t credit_stalls_ = 0;
     bool fault_withhold_ = false;
     int fault_withhold_vc_ = -1;
     std::uint64_t credits_withheld_ = 0;
@@ -334,7 +318,6 @@ class ChannelAdapter final : public Component
     /** First cycle neither ticked nor settled (kNoCycle before the first
      * tick and after a restore: nothing to settle). */
     Cycle idle_from_ = kNoCycle;
-    std::unique_ptr<ChannelAdapterMetrics> metrics_;
     EventBinding events_;
 };
 

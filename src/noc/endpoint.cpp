@@ -57,27 +57,6 @@ EndpointAdapter::armCounter(std::int32_t counter, int count)
 }
 
 void
-EndpointAdapter::bindMetrics(MetricsRegistry &reg,
-                             const std::string &prefix,
-                             const std::string &agg_prefix,
-                             double lat_bin_width)
-{
-    metrics_ = std::make_unique<EndpointMetrics>();
-    metrics_->injected = &reg.counter(prefix + ".injected");
-    metrics_->delivered = &reg.counter(prefix + ".delivered");
-    metrics_->lat_source_queue =
-        &reg.scalar(agg_prefix + ".latency.source_queue");
-    metrics_->lat_network = &reg.scalar(agg_prefix + ".latency.network");
-    metrics_->lat_destination =
-        &reg.scalar(agg_prefix + ".latency.destination");
-    // 64 bins whose width scales with the machine diameter (32 cycles
-    // on small tori); outliers beyond the last bin still contribute
-    // exact moments via stat().
-    metrics_->lat_total =
-        &reg.histogram(agg_prefix + ".latency.total", 64, lat_bin_width);
-}
-
-void
 EndpointAdapter::tickInject(Cycle now, std::uint32_t rung)
 {
     if (to_router_ == nullptr)
@@ -132,8 +111,6 @@ EndpointAdapter::tickInject(Cycle now, std::uint32_t rung)
             inj_active_ = nullptr;
             inj_sent_ = 0;
             ++injected_;
-            if (metrics_ != nullptr)
-                metrics_->injected->inc();
         }
     }
 }
@@ -171,7 +148,6 @@ EndpointAdapter::tickEject(Cycle now, std::uint32_t rung)
     const Cycle head_at = slot.head_at;
     slot = EjectSlot{};
     pkt->eject_time = now;
-    ++delivered_;
     last_delivery_ = now;
     // The Eject record's port slot carries the packet's inter-node hop
     // count, surfaced as the flight record's `hops` column.
@@ -188,15 +164,8 @@ EndpointAdapter::tickEject(Cycle now, std::uint32_t rung)
 void
 EndpointAdapter::deliverSideEffects(PacketPtr pkt, Cycle head_at, Cycle now)
 {
-    if (metrics_ != nullptr) {
-        metrics_->delivered->inc();
-        metrics_->lat_source_queue->add(
-            static_cast<double>(pkt->inject_time - pkt->birth));
-        metrics_->lat_network->add(
-            static_cast<double>(head_at - pkt->inject_time));
-        metrics_->lat_destination->add(static_cast<double>(now - head_at));
-        metrics_->lat_total->add(static_cast<double>(now - pkt->birth));
-    }
+    // Counted with the side effects, as the Machine counts its own.
+    ++delivered_;
 
     // Close the packet's flight in the flow matrix. Under a Machine
     // this runs in the serial delivery flush (canonical order), after
@@ -219,7 +188,7 @@ EndpointAdapter::deliverSideEffects(PacketPtr pkt, Cycle head_at, Cycle now)
     }
 
     if (deliver_fn_)
-        deliver_fn_(pkt, now);
+        deliver_fn_(pkt, head_at, now);
 
     if (pkt->op == OpKind::ReadRequest) {
         if (read_fn_)

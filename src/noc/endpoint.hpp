@@ -16,15 +16,12 @@
 
 #include <deque>
 #include <functional>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "noc/channel.hpp"
 #include "noc/packet.hpp"
 #include "sim/component.hpp"
-#include "sim/metrics.hpp"
-#include "sim/stats.hpp"
 #include "trace/trace.hpp"
 
 namespace anton2 {
@@ -37,31 +34,16 @@ struct EndpointConfig
     int eject_buf_flits = 16;
 };
 
-/**
- * Telemetry bound to one endpoint adapter. The latency-breakdown stats
- * follow the paper's Section 4 decomposition of end-to-end packet
- * latency and are usually shared machine-wide aggregates (every
- * endpoint records into the same registry paths):
- *   source queueing = inject_time - birth,
- *   network         = head-flit arrival - inject_time,
- *   destination     = delivery (tail reassembled) - head-flit arrival.
- */
-struct EndpointMetrics
-{
-    Counter *injected = nullptr;
-    Counter *delivered = nullptr;
-    ScalarStat *lat_source_queue = nullptr;
-    ScalarStat *lat_network = nullptr;
-    ScalarStat *lat_destination = nullptr;
-    Histogram *lat_total = nullptr; ///< birth -> delivery, cycles
-};
-
 class EndpointAdapter final : public Component
 {
   public:
-    /** Called for every fully delivered packet, which is released after
-     * the side effects (the pointer is valid for the call only). */
-    using DeliverFn = std::function<void(const PacketPtr &, Cycle)>;
+    /**
+     * Called for every fully delivered packet with the cycle its head
+     * flit arrived and the delivery cycle; the packet is released after
+     * the side effects (the pointer is valid for the call only).
+     */
+    using DeliverFn =
+        std::function<void(const PacketPtr &, Cycle head_at, Cycle now)>;
     /**
      * Called when a counted-write counter fires (reaches zero), modeling
      * the hardware handler-dispatch mechanism of [15].
@@ -127,9 +109,9 @@ class EndpointAdapter final : public Component
 
     /**
      * Run the deferred side effects of every packet that finished
-     * reassembly at or before cycle @p up_to: the shared latency
-     * aggregates, the delivery callback, read-reply generation, and
-     * counted-write handler dispatch; then release the packet. The
+     * reassembly at or before cycle @p up_to: the flow-matrix record,
+     * the delivery callback, read-reply generation, and counted-write
+     * handler dispatch; then release the packet. The
      * engine's serial replay calls this (via Machine) on each simulated
      * cycle with that cycle, for every endpoint holding staged
      * deliveries, so in a lookahead window the deliveries of several
@@ -140,18 +122,6 @@ class EndpointAdapter final : public Component
     void flushDeliveries(Cycle up_to = kNoCycle);
 
     bool hasPendingDeliveries() const { return !pending_.empty(); }
-
-    /**
-     * Register per-endpoint counters under @p prefix and the latency
-     * breakdown under @p agg_prefix (shared across endpoints so the
-     * registry holds one machine-wide aggregate). @p lat_bin_width is
-     * the total-latency histogram's bin width in cycles; the Machine
-     * scales it with the machine diameter so long-path latencies on
-     * large tori land in real bins instead of the overflow bin.
-     */
-    void bindMetrics(MetricsRegistry &reg, const std::string &prefix,
-                     const std::string &agg_prefix,
-                     double lat_bin_width = 32.0);
 
     /**
      * Start emitting packet events into @p events, stamped with this
@@ -174,6 +144,7 @@ class EndpointAdapter final : public Component
     void setReadFn(ReadFn fn) { read_fn_ = std::move(fn); }
 
     const EndpointAddr &addr() const { return addr_; }
+    /** Delivered packets whose side effects have run. */
     std::uint64_t delivered() const { return delivered_; }
     std::uint64_t injected() const { return injected_; }
     Cycle lastDeliveryTime() const { return last_delivery_; }
@@ -269,7 +240,6 @@ class EndpointAdapter final : public Component
     std::uint64_t flits_injected_ = 0;
     std::uint64_t flits_ejected_ = 0;
     Cycle last_delivery_ = 0;
-    std::unique_ptr<EndpointMetrics> metrics_;
     EventBinding events_;
 };
 

@@ -47,37 +47,10 @@ Router::Router(std::string name, const RouterConfig &cfg,
 }
 
 void
-Router::bindMetrics(MetricsRegistry &reg, const std::string &prefix)
+Router::sampleOccupancy(ScalarStat &total, std::vector<ScalarStat *> per_vc)
 {
-    metrics_ = std::make_unique<RouterMetrics>();
-    // The per-port and per-VC breakdowns are the O(routers x VCs) term
-    // in the registry footprint; below Full they collapse into shared
-    // aggregates (all port slots alias one counter; per_vc_occupancy
-    // stays empty and the record site skips it). At Chip/Machine level
-    // the caller additionally passes one shared prefix per chip, so all
-    // sixteen routers of a chip record into the same metric set.
-    if (reg.level() >= MetricsLevel::Full) {
-        for (int p = 0; p < cfg_.num_ports; ++p) {
-            metrics_->in_flits.push_back(&reg.counter(
-                prefix + ".flits_in.port" + std::to_string(p)));
-        }
-    } else {
-        Counter &agg = reg.counter(prefix + ".flits_in");
-        metrics_->in_flits.assign(
-            static_cast<std::size_t>(cfg_.num_ports), &agg);
-    }
-    metrics_->sa2_grants = &reg.counter(prefix + ".sa2.grants");
-    metrics_->sa2_losses = &reg.counter(prefix + ".sa2.losses");
-    metrics_->va_credit_stalls =
-        &reg.counter(prefix + ".va.credit_stalls");
-    metrics_->vc_occupancy = &reg.scalar(prefix + ".vc_occupancy");
-    if (reg.level() >= MetricsLevel::Full) {
-        for (int v = 0; v < cfg_.num_vcs; ++v) {
-            metrics_->per_vc_occupancy.push_back(
-                &reg.scalar(prefix + ".vc." + std::to_string(v)
-                            + ".occupancy"));
-        }
-    }
+    occupancy_ = &total;
+    vc_occupancy_ = std::move(per_vc);
 }
 
 void
@@ -136,8 +109,7 @@ Router::receive(Cycle now)
         }
         if (energy_ != nullptr)
             energy_->onFlit(p, phit->payload(), now);
-        if (metrics_ != nullptr)
-            metrics_->in_flits[static_cast<std::size_t>(p)]->inc();
+        ++ip.flits;
         ++flits_routed_;
         ip.vcs[v].acceptFlit(*phit, now);
     }
@@ -229,8 +201,8 @@ Router::stageVa(Cycle now)
                                     entry.out_vc);
                 } else {
                     waiting = true;
-                    if (metrics_ != nullptr && i == 0)
-                        metrics_->va_credit_stalls->inc();
+                    if (i == 0)
+                        ++va_credit_stalls_;
                 }
             }
             if (!waiting)
@@ -305,7 +277,6 @@ Router::stageSa2(Cycle now)
         wanted |= 1u << o;
         req[o] |= 1u << p;
         info[p].pattern = head.pkt->pattern;
-        info[p].age = head.pkt->birth;
     }
 
     for (; wanted != 0; wanted &= wanted - 1) {
@@ -314,11 +285,8 @@ Router::stageSa2(Cycle now)
         const int winner =
             arbiterPick(sa2_[static_cast<std::size_t>(o)], req[o], info);
         assert(winner >= 0);
-        if (metrics_ != nullptr) {
-            metrics_->sa2_grants->inc();
-            metrics_->sa2_losses->inc(
-                static_cast<std::uint64_t>(std::popcount(req[o])) - 1);
-        }
+        ++sa2_grants_;
+        sa2_losses_ += static_cast<std::uint64_t>(std::popcount(req[o])) - 1;
         auto &winner_vc = sa1_winner_[static_cast<std::size_t>(winner)];
         auto &head = in_[static_cast<std::size_t>(winner)]
                          .vcs[static_cast<std::size_t>(winner_vc)]
@@ -473,19 +441,18 @@ Router::tick(Cycle now)
             sampleStalls();
         return;
     }
-    if (metrics_ != nullptr) {
-        const bool per_vc = !metrics_->per_vc_occupancy.empty();
+    if (occupancy_ != nullptr) {
+        const bool per_vc = !vc_occupancy_.empty();
         int total = 0;
         for (int v = 0; v < cfg_.num_vcs; ++v) {
             int occ = 0;
             for (const auto &ip : in_)
                 occ += ip.vcs[static_cast<std::size_t>(v)].occupancy();
             if (per_vc)
-                metrics_->per_vc_occupancy[static_cast<std::size_t>(v)]
-                    ->add(occ);
+                vc_occupancy_[static_cast<std::size_t>(v)]->add(occ);
             total += occ;
         }
-        metrics_->vc_occupancy->add(total);
+        occupancy_->add(total);
     }
     stageRc(now);
     stageVa(now);

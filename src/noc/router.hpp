@@ -6,8 +6,8 @@
  * cut-through flow control with credits, and a four-stage pipeline matching
  * Figure 12: route computation (RC), virtual-channel allocation (VA), input
  * switch arbitration (SA1), and output switch arbitration (SA2), followed
- * by switch traversal. Output arbitration is pluggable: round-robin,
- * age-based, or the inverse-weighted arbiter of Section 3.
+ * by switch traversal. Output arbitration is round-robin or the
+ * inverse-weighted arbiter of Section 3.
  */
 #pragma once
 
@@ -20,24 +20,10 @@
 #include "noc/route_table.hpp"
 #include "power/energy.hpp"
 #include "sim/component.hpp"
-#include "sim/metrics.hpp"
+#include "sim/stats.hpp"
 #include "trace/trace.hpp"
 
 namespace anton2 {
-
-/**
- * Telemetry bound to one router (null when telemetry is disabled, so the
- * unbound hot path costs one pointer test per record site).
- */
-struct RouterMetrics
-{
-    std::vector<Counter *> in_flits;         ///< per input port
-    Counter *sa2_grants = nullptr;           ///< output arbitration grants
-    Counter *sa2_losses = nullptr;           ///< requests beaten at SA2
-    Counter *va_credit_stalls = nullptr;     ///< head blocked on credits
-    ScalarStat *vc_occupancy = nullptr;      ///< total buffered flits/cycle
-    std::vector<ScalarStat *> per_vc_occupancy; ///< per VC, across ports
-};
 
 /** Static configuration of one router instance. */
 struct RouterConfig
@@ -101,11 +87,16 @@ class Router final : public Component
     void setEnergyMeter(RouterEnergyMeter *meter) { energy_ = meter; }
 
     /**
-     * Register this router's metrics under @p prefix (for example
-     * `chip.3.router.2.1`) and start recording into them. Occupancy is
-     * sampled on cycles the router holds buffered traffic.
+     * On every tick that finds buffered traffic, add the buffered-flit
+     * total to @p total and, with @p per_vc (one stat per VC), each VC's
+     * buffered flits across the input ports. The stats are not owned;
+     * routers ticked on one engine lane may share them.
      */
-    void bindMetrics(MetricsRegistry &reg, const std::string &prefix);
+    void sampleOccupancy(ScalarStat &total,
+                         std::vector<ScalarStat *> per_vc = {});
+
+    /** The stat sampleOccupancy() feeds, or null. */
+    const ScalarStat *occupancyStat() const { return occupancy_; }
 
     /**
      * Start emitting packet events into @p events, stamped with this
@@ -134,6 +125,18 @@ class Router final : public Component
 
     const RouterConfig &config() const { return cfg_; }
     std::uint64_t flitsRouted() const { return flits_routed_; }
+
+    // --- free-running counts (not checkpointed): the metrics export
+    // reports them relative to the attach or last reset ----------------
+
+    /** Flits received on input @p port. */
+    std::uint64_t flitsIn(int port) const { return in_[port].flits; }
+    /** Output arbitration grants. */
+    std::uint64_t sa2Grants() const { return sa2_grants_; }
+    /** Requests beaten at output arbitration. */
+    std::uint64_t sa2Losses() const { return sa2_losses_; }
+    /** Cycles a VC's head sat routed but short of downstream credits. */
+    std::uint64_t vaCreditStalls() const { return va_credit_stalls_; }
 
     /** Flits held in input buffers right now (read-only telemetry probe). */
     std::uint64_t bufferedFlits() const;
@@ -196,6 +199,7 @@ class Router final : public Component
     {
         Channel *ch = nullptr;
         std::vector<VcBuffer> vcs;
+        std::uint64_t flits = 0;    ///< flits received
         std::uint32_t nonempty = 0; ///< bit v set iff vcs[v] holds packets
         // RC/VA work inside the lookahead window (the first kLookahead
         // entries of each VC), so those stages visit only VCs that have
@@ -249,7 +253,8 @@ class Router final : public Component
     std::vector<int> sa1_winner_;        ///< vc per input, -1
     Doorbell bell_;                 ///< arrivals on the in/credit wires
     RouterEnergyMeter *energy_ = nullptr;
-    std::unique_ptr<RouterMetrics> metrics_;
+    ScalarStat *occupancy_ = nullptr;        ///< see sampleOccupancy
+    std::vector<ScalarStat *> vc_occupancy_; ///< per VC, or empty
     EventBinding events_;
     std::unique_ptr<RouterStallSampler> stalls_;
 
@@ -263,6 +268,9 @@ class Router final : public Component
 
     std::uint32_t st_sent_mask_ = 0; ///< bit o: port o sent a flit this cycle
     std::uint64_t flits_routed_ = 0;
+    std::uint64_t sa2_grants_ = 0;
+    std::uint64_t sa2_losses_ = 0;
+    std::uint64_t va_credit_stalls_ = 0;
     int buffered_packets_ = 0;
     /** First cycle neither ticked nor settled (kNoCycle before the first
      * tick and after a restore: nothing to settle). */

@@ -212,6 +212,8 @@ MetricsRegistry::reset()
         else
             std::get<double>(m) = 0.0;
     }
+    if (reset_hook_)
+        reset_hook_();
 }
 
 namespace {

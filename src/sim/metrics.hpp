@@ -5,11 +5,14 @@
  *
  * The paper's entire evaluation (Section 4, Figures 9-13) is built on
  * free-running cycle counters and per-channel/per-arbiter measurements.
- * This module is the shared substrate for those measurements: components
- * register metrics under dot-separated paths (for example
- * `chip.3.router.2.1.vc_occupancy`) and record into them on the hot path
- * only when a registry has been bound, so a machine built without
- * telemetry pays nothing beyond a null-pointer test.
+ * Components keep those counts as plain members, and the registry is
+ * their export: Machine::metricsJson() writes each count, relative to
+ * the attach or the last reset, under a dot-separated path (for example
+ * `chip.3.router.2.1.sa2.grants`). What the registry records itself is
+ * sampled, not counted - the scalar statistics and histograms of
+ * deliveries and busy router ticks, and the machine's delivery counter
+ * - so a machine built without telemetry pays for plain increments and
+ * a null-pointer test at each sample site.
  *
  * Serialization emits deterministic JSON (sorted paths, fixed number
  * formatting, no wall-clock values), so two runs with the same seed
@@ -19,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <variant>
@@ -28,23 +32,23 @@
 namespace anton2 {
 
 /**
- * Telemetry granularity axis. Components materialize their counters and
- * stats only at or below the selected level, so a coarse run on a large
- * machine allocates O(chips) metric state instead of O(routers x VCs):
+ * Telemetry granularity axis: which paths the registry holds and
+ * exports, so a coarse run on a large machine keeps O(chips) metric
+ * state instead of O(routers x VCs):
  *
- *  - Machine: per-chip shared aggregates are recorded (one counter set
- *    per chip - the finest granularity that never crosses an engine
- *    shard, hence thread-safe), but the export collapses everything to
- *    `machine.*` rollups.
- *  - Chip: per-chip shared aggregates, exported per chip.
- *  - Router: per-router / per-adapter / per-endpoint metrics, without
- *    the per-VC and per-port breakdowns.
+ *  - Machine: only the `machine.*` rollups are exported. The routers
+ *    still sample occupancy into one stat per chip - the finest
+ *    granularity that never crosses an engine shard, hence
+ *    thread-safe - which the export does not show.
+ *  - Chip: per-chip sums and occupancy stats (`chip.<n>.{noc,link,ep}`).
+ *  - Router: per-router / per-adapter / per-endpoint counts and
+ *    occupancy, without the per-VC and per-port breakdowns.
  *  - Full: everything, including per-VC occupancy and per-port flit
- *    counters (the pre-level behavior, and the default).
+ *    counts (the default).
  *
- * Rollups (`machine.noc.*`, `machine.link.*`, `machine.ep.*`) are
- * computed at export time at every level from whatever granularity was
- * recorded, so their values are byte-identical across levels.
+ * Rollups (`machine.noc.*`, `machine.link.*`, `machine.ep.*`) are summed
+ * at export time at every level from the same component counts, so
+ * their values are byte-identical across levels.
  */
 enum class MetricsLevel : std::uint8_t
 {
@@ -101,11 +105,9 @@ class MetricsRegistry
     std::size_t size() const { return metrics_.size(); }
 
     /**
-     * Telemetry granularity consulted by components in bindMetrics.
-     * Defaults to Full so standalone registries (unit tests, the link
-     * layer in isolation) behave exactly as before the level axis
-     * existed. Set before binding; changing it afterwards does not
-     * re-bind anything.
+     * Telemetry granularity (default Full). The Machine sets it when it
+     * creates the registry and registers the occupancy stats for it;
+     * changing it afterwards does not re-register anything.
      */
     MetricsLevel level() const { return level_; }
     void setLevel(MetricsLevel level) { level_ = level; }
@@ -117,8 +119,17 @@ class MetricsRegistry
      */
     std::size_t approxBytes() const;
 
-    /** Reset every metric to its empty state (gauges to 0). */
+    /** Reset every metric to its empty state (gauges to 0), then run
+     * the reset hook. */
     void reset();
+
+    /** Run @p fn at the end of every reset(): the Machine restarts the
+     * component counts it exports there. */
+    void
+    setResetHook(std::function<void()> fn)
+    {
+        reset_hook_ = std::move(fn);
+    }
 
     /**
      * Serialize the full hierarchy as pretty-printed JSON. Counters and
@@ -132,24 +143,13 @@ class MetricsRegistry
      */
     std::string toJson(int indent = 2) const;
 
-    /** Iterate all (path, metric) pairs in sorted-path order. The
-     * visitor receives the path plus exactly one non-null pointer. */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        for (const auto &[path, m] : metrics_) {
-            fn(path, std::get_if<Counter>(&m), std::get_if<ScalarStat>(&m),
-               std::get_if<Histogram>(&m), std::get_if<double>(&m));
-        }
-    }
-
   private:
     using Metric = std::variant<Counter, ScalarStat, Histogram, double>;
 
     /** Sorted by path: serialization order is deterministic. */
     std::map<std::string, Metric> metrics_;
     MetricsLevel level_ = MetricsLevel::Full;
+    std::function<void()> reset_hook_;
 };
 
 /** Format a double for JSON: NaN/Inf -> "null", integral values without

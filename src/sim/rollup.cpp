@@ -1,184 +1,52 @@
 #include "sim/rollup.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-#include <map>
 
 namespace anton2 {
 
-namespace {
-
-/** Merged scalar-stat moments that survive reduction exactly: stddev is
- * deliberately absent (its accumulator is summation-order dependent). */
-struct StatAgg
+void
+CountRollup::addOccupancy(const ScalarStat &s)
 {
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double min = std::numeric_limits<double>::infinity();
-    double max = -std::numeric_limits<double>::infinity();
-
-    void
-    merge(const ScalarStat &s)
-    {
-        if (s.count() == 0)
-            return;
-        count += s.count();
-        sum += s.sum();
-        min = std::min(min, s.min());
-        max = std::max(max, s.max());
-    }
-};
-
-/** One reduction domain (noc / link / ep) at one hierarchy node. */
-struct DomainAggs
-{
-    std::map<std::string, std::uint64_t> counters;
-    std::map<std::string, StatAgg> stats;
-
-    void
-    add(const std::string &leaf, const Counter *c, const ScalarStat *s)
-    {
-        if (c != nullptr)
-            counters[leaf] += c->value();
-        else if (s != nullptr)
-            stats[leaf].merge(*s);
-    }
-};
-
-constexpr int kNumDomains = 3;
-constexpr const char *kDomainNames[kNumDomains] = { "noc", "link", "ep" };
-
-/** Take `path[pos..)` up to the next dot; advance pos past the dot (or
- * to npos at the end). Empty return means the path is exhausted. */
-std::string
-takeSegment(const std::string &path, std::size_t &pos)
-{
-    if (pos == std::string::npos || pos >= path.size())
-        return {};
-    const std::size_t dot = path.find('.', pos);
-    std::string seg = path.substr(pos, dot == std::string::npos
-                                           ? std::string::npos
-                                           : dot - pos);
-    pos = dot == std::string::npos ? std::string::npos : dot + 1;
-    return seg;
-}
-
-bool
-allDigits(const std::string &s)
-{
-    if (s.empty())
-        return false;
-    for (const char c : s) {
-        if (c < '0' || c > '9')
-            return false;
-    }
-    return true;
-}
-
-/** Normalize a noc-domain leaf: fold the per-port flit counters into
- * one, and drop the per-VC occupancy detail (subsumed by the total).
- * Returns false when the leaf should not roll up. */
-bool
-normalizeNocLeaf(std::string &leaf)
-{
-    if (leaf.compare(0, 13, "flits_in.port") == 0) {
-        leaf = "flits_in";
-        return true;
-    }
-    if (leaf.compare(0, 3, "vc.") == 0)
-        return false;
-    return true;
+    // An empty stat's min and max are NaN, which std::min/max ignore
+    // in this argument order.
+    occ_count += s.count();
+    occ_sum += s.sum();
+    occ_min = std::min(occ_min, s.min());
+    occ_max = std::max(occ_max, s.max());
 }
 
 void
-emitDomain(MetricsRegistry &reg, const std::string &prefix,
-           const DomainAggs &aggs)
+CountRollup::add(const CountRollup &o)
 {
-    for (const auto &[leaf, sum] : aggs.counters)
-        reg.setGauge(prefix + "." + leaf, static_cast<double>(sum));
-    for (const auto &[leaf, st] : aggs.stats) {
-        const std::string base = prefix + "." + leaf;
-        reg.setGauge(base + ".count", static_cast<double>(st.count));
-        reg.setGauge(base + ".sum", st.count ? st.sum : 0.0);
-        reg.setGauge(base + ".mean",
-                     st.count ? st.sum / static_cast<double>(st.count)
-                              : 0.0);
-        reg.setGauge(base + ".min",
-                     st.count
-                         ? st.min
-                         : std::numeric_limits<double>::quiet_NaN());
-        reg.setGauge(base + ".max",
-                     st.count
-                         ? st.max
-                         : std::numeric_limits<double>::quiet_NaN());
-    }
+    for (std::size_t i = 0; i < noc.size(); ++i)
+        noc[i] += o.noc[i];
+    for (std::size_t i = 0; i < link.size(); ++i)
+        link[i] += o.link[i];
+    for (std::size_t i = 0; i < ep.size(); ++i)
+        ep[i] += o.ep[i];
+    occ_count += o.occ_count;
+    occ_sum += o.occ_sum;
+    occ_min = std::min(occ_min, o.occ_min);
+    occ_max = std::max(occ_max, o.occ_max);
 }
 
-} // namespace
-
 void
-applyRollups(MetricsRegistry &reg)
+writeRollup(MetricsRegistry &reg, const std::string &prefix,
+            const CountRollup &r, bool occupancy)
 {
-    DomainAggs machine[kNumDomains];
-    // Per-chip reductions, keyed by the chip id's path segment. Only
-    // built when the level records per-component paths; below Router
-    // the registry already holds per-chip aggregates.
-    std::map<std::string, DomainAggs> chips[kNumDomains];
-    const bool per_chip = reg.level() >= MetricsLevel::Router;
-
-    reg.forEach([&](const std::string &path, const Counter *c,
-                    const ScalarStat *s, const Histogram *,
-                    const double *) {
-        // Gauges (including rollups from a prior export) and histograms
-        // are not reduction sources; the scan stays idempotent.
-        if (c == nullptr && s == nullptr)
-            return;
-        if (path.compare(0, 5, "chip.") != 0)
-            return;
-        std::size_t pos = 5;
-        const std::string chip_id = takeSegment(path, pos);
-        const std::string kind = takeSegment(path, pos);
-        int domain;
-        if (kind == "router" || kind == "noc") {
-            if (kind == "router") {
-                takeSegment(path, pos); // mesh u
-                takeSegment(path, pos); // mesh v
-            }
-            domain = 0;
-        } else if (kind == "ca" || kind == "link") {
-            if (kind == "ca")
-                takeSegment(path, pos); // channel short name
-            domain = 1;
-        } else if (kind == "ep") {
-            // Per-endpoint paths have a numeric id segment; the shared
-            // per-chip aggregate goes straight to the leaf.
-            const std::size_t mark = pos;
-            const std::string next = takeSegment(path, pos);
-            if (!allDigits(next))
-                pos = mark;
-            domain = 2;
-        } else {
-            return;
-        }
-        if (pos == std::string::npos || pos >= path.size())
-            return;
-        std::string leaf = path.substr(pos);
-        if (domain == 0 && !normalizeNocLeaf(leaf))
-            return;
-        machine[domain].add(leaf, c, s);
-        if (per_chip)
-            chips[domain][chip_id].add(leaf, c, s);
-    });
-
-    for (int d = 0; d < kNumDomains; ++d) {
-        emitDomain(reg, std::string("machine.") + kDomainNames[d],
-                   machine[d]);
-        for (const auto &[chip_id, aggs] : chips[d]) {
-            emitDomain(reg,
-                       "chip." + chip_id + "." + kDomainNames[d], aggs);
-        }
-    }
+    writeCounts(reg, prefix + ".noc", kNocCounts, r.noc);
+    writeCounts(reg, prefix + ".link", kLinkCounts, r.link);
+    writeCounts(reg, prefix + ".ep", kEpCounts, r.ep);
+    if (!occupancy)
+        return;
+    const std::string base = prefix + ".noc.vc_occupancy";
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const auto n = static_cast<double>(r.occ_count);
+    reg.setGauge(base + ".count", n);
+    reg.setGauge(base + ".sum", r.occ_count ? r.occ_sum : 0.0);
+    reg.setGauge(base + ".mean", r.occ_count ? r.occ_sum / n : 0.0);
+    reg.setGauge(base + ".min", r.occ_count ? r.occ_min : nan);
+    reg.setGauge(base + ".max", r.occ_count ? r.occ_max : nan);
 }
 
 void

@@ -3,25 +3,26 @@
  * Hierarchical metric rollups and the top-K hot-spot digest - the
  * export-side half of the scale-proof observability layer.
  *
- * The registry records at whatever granularity MetricsLevel selected;
- * applyRollups() reduces the recorded component metrics along the
- * router -> chip -> machine hierarchy at export time and writes the
- * results back as gauges (`machine.noc.*`, `machine.link.*`,
- * `machine.ep.*`, plus per-chip reductions at the fine levels). Every
- * rolled-up sample is an integral cycle or flit count, so the floating
- * sums are exact and the rollup values are byte-identical no matter
- * which granularity they were reduced from - the cross-level/
- * cross-thread determinism contract the rollup test suite pins.
+ * Components keep their event counts as plain members. At export,
+ * Machine::metricsJson() walks the chips and sums each component's
+ * counts into a CountRollup per chip and one for the machine, which
+ * writeRollup() turns into gauges (`machine.noc.*`, `machine.link.*`,
+ * `machine.ep.*`, and the per-chip `chip.<n>.*` domains). Every rolled-up
+ * sample is an integral cycle or flit count, so the sums are exact and
+ * the rollup values are byte-identical at every metrics level and
+ * thread count - the contract the rollup test suite pins.
  *
  * The HotspotDigest is the coarse-level replacement for per-link dumps:
  * the K hottest torus links and routers, the oldest-packet watermarks,
- * and per-axis torus aggregates, built from the components' always-on
- * raw counters (so it works at every metrics level, including
- * `machine`, where no per-link metric exists at all).
+ * and per-axis torus aggregates, built from the same component counts
+ * (so it works at every metrics level, including `machine`, where no
+ * per-link path is exported at all).
  */
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -29,26 +30,57 @@
 
 namespace anton2 {
 
+/** Count leaves of the three rollup domains, in CountRollup order. */
+inline constexpr std::array<const char *, 4> kNocCounts = {
+    "flits_in", "sa2.grants", "sa2.losses", "va.credit_stalls"
+};
+inline constexpr std::array<const char *, 5> kLinkCounts = {
+    "flits_sent", "flits_received", "idle_cycles", "credit_stalls",
+    "retransmissions"
+};
+inline constexpr std::array<const char *, 2> kEpCounts = { "injected",
+                                                           "delivered" };
+
 /**
- * Reduce recorded component counters and scalar stats into rollup
- * gauges inside @p reg:
- *
- *  - `machine.noc.*` from every router (per-router paths at
- *    Router/Full, per-chip `chip.<n>.noc` aggregates below), with the
- *    per-port `flits_in.port<p>` counters folded into one `flits_in`
- *    and per-VC occupancy detail excluded (subsumed by `vc_occupancy`);
- *  - `machine.link.*` from every channel adapter;
- *  - `machine.ep.*` from every endpoint's injected/delivered counters;
- *  - the same three reductions per chip (`chip.<n>.noc` etc.) when the
- *    level records per-component paths (Router/Full).
- *
- * Counters reduce to a plain sum gauge. Scalar stats reduce to
- * `.count/.sum/.mean/.min/.max` gauge leaves - deliberately no stddev,
- * whose Welford accumulator is summation-order dependent and would
- * break byte-identity across levels and thread counts. Idempotent:
- * rollup gauges are doubles and the scan only reads counters/stats.
+ * What one node of the router -> chip -> machine hierarchy sums: the
+ * routers' (`noc`), channel adapters' (`link`) and endpoints' (`ep`)
+ * counts, and the routers' buffered-flit occupancy samples. The merged
+ * occupancy keeps count/sum/min/max only - no stddev, whose Welford
+ * accumulator depends on the summation order.
  */
-void applyRollups(MetricsRegistry &reg);
+struct CountRollup
+{
+    std::array<std::uint64_t, kNocCounts.size()> noc{};
+    std::array<std::uint64_t, kLinkCounts.size()> link{};
+    std::array<std::uint64_t, kEpCounts.size()> ep{};
+    std::uint64_t occ_count = 0;
+    double occ_sum = 0.0;
+    double occ_min = std::numeric_limits<double>::infinity();
+    double occ_max = -std::numeric_limits<double>::infinity();
+
+    void addOccupancy(const ScalarStat &s);
+    void add(const CountRollup &o);
+};
+
+/** Set `<prefix>.<names[i]>` to @p values[i] for every i. */
+template <std::size_t N>
+void
+writeCounts(MetricsRegistry &reg, const std::string &prefix,
+            const std::array<const char *, N> &names,
+            const std::array<std::uint64_t, N> &values)
+{
+    for (std::size_t i = 0; i < N; ++i)
+        reg.setGauge(prefix + "." + names[i],
+                     static_cast<double>(values[i]));
+}
+
+/**
+ * Write @p r's sums under `<prefix>.noc`, `<prefix>.link` and
+ * `<prefix>.ep`; with @p occupancy also the merged
+ * `<prefix>.noc.vc_occupancy.{count,sum,mean,min,max}`.
+ */
+void writeRollup(MetricsRegistry &reg, const std::string &prefix,
+                 const CountRollup &r, bool occupancy);
 
 /** One torus link in the digest, hottest first. */
 struct HotLink

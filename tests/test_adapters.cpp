@@ -262,7 +262,7 @@ TEST(EndpointUnit, EjectionDeliversAndReturnsCreditImmediately)
     engine.add(ep);
 
     int delivered = 0;
-    ep.setDeliverFn([&](const PacketPtr &, Cycle) { ++delivered; });
+    ep.setDeliverFn([&](const PacketPtr &, Cycle, Cycle) { ++delivered; });
 
     auto pkt = makePkt(slab, 2);
     for (int f = 0; f < 2; ++f) {

@@ -92,17 +92,6 @@ TEST(RoundRobin, BitScanMatchesModuloReferenceExhaustively)
     }
 }
 
-TEST(AgeBased, GrantsOldest)
-{
-    AgeBasedArbiter arb(3);
-    ReqInfo info[3];
-    info[0].age = 30;
-    info[1].age = 10;
-    info[2].age = 20;
-    EXPECT_EQ(arb.pick(0b111, info), 1);
-    EXPECT_EQ(arb.pick(0b101, info), 2);
-}
-
 // ---------------------------------------------------------------------
 // Figure 8 gate-level arbiter vs. reference model
 // ---------------------------------------------------------------------

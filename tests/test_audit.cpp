@@ -89,6 +89,27 @@ TEST(Audit, CleanOnSeededUniformTraffic)
     EXPECT_FALSE(a.tripped());
 }
 
+TEST(Audit, CleanWhenAuditingEveryCycleOfALookaheadWindow)
+{
+    // An audit every cycle needs no barrier alignment, so inside a
+    // lookahead window it runs while the shards have ticked ahead. The
+    // endpoints count a delivery when its side effects run, as the
+    // machine does, so the delivery tally agrees on every cycle.
+    MachineConfig cfg = auditConfig();
+    cfg.lookahead = 0; // auto: the minimum torus link latency, 12
+    Machine m(cfg);
+    AuditConfig acfg = fastAudit();
+    acfg.audit_interval = 1;
+    Auditor &a = attachAudit(m, acfg);
+    ASSERT_GT(m.engine().window(), 1u);
+    const auto sent = driveSeededTraffic(m, 74, 200);
+    ASSERT_EQ(m.run(RunSpec::untilDelivered(sent, 500000)).reason,
+              StopReason::Delivered);
+    EXPECT_GT(a.auditsRun(), 100u);
+    EXPECT_EQ(a.violationCount(), 0u)
+        << (a.violations().empty() ? "" : a.violations().front().detail);
+}
+
 TEST(Audit, CleanOnBaseline2nPolicy)
 {
     Machine m(auditConfig(VcPolicy::Baseline2n));

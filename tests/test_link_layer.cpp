@@ -9,7 +9,6 @@
 #include "link/link_layer.hpp"
 #include "sim/engine.hpp"
 #include "sim/flow.hpp"
-#include "sim/metrics.hpp"
 #include "tiny_json.hpp"
 #include "trace/chrome_trace.hpp"
 #include "trace/trace.hpp"
@@ -147,12 +146,9 @@ TEST(LinkLayer, ThroughputDegradesGracefullyWithErrors)
 
 TEST(LinkLayer, ZeroBerMetricsBalanceExactly)
 {
-    // Regression: on a clean link the telemetry must balance to the flit -
+    // Regression: on a clean link the counts must balance to the flit -
     // no retransmissions, no drops, every transmitted frame delivered.
-    MetricsRegistry reg;
     LinkFixture link(0.0);
-    link.sender.bindMetrics(reg, "link.tx");
-    link.receiver.bindMetrics(reg, "link.rx");
 
     constexpr std::uint64_t kFlits = 96;
     for (std::uint64_t i = 0; i < kFlits; ++i)
@@ -162,35 +158,22 @@ TEST(LinkLayer, ZeroBerMetricsBalanceExactly)
         20000);
 
     ASSERT_EQ(link.received.size(), kFlits);
+    EXPECT_EQ(link.sender.framesTransmitted(), kFlits);
     EXPECT_EQ(link.sender.retransmissions(), 0u);
-
-    const auto count = [&](const char *path) {
-        const Counter *c = reg.findCounter(path);
-        EXPECT_NE(c, nullptr) << path;
-        return c != nullptr ? c->value() : 0u;
-    };
-    EXPECT_EQ(count("link.tx.frames_tx"), kFlits);
-    EXPECT_EQ(count("link.tx.retransmissions"), 0u);
-    EXPECT_EQ(count("link.rx.delivered"), kFlits);
-    EXPECT_EQ(count("link.rx.crc_drops"), 0u);
-    EXPECT_EQ(count("link.rx.order_drops"), 0u);
-    // Registry counters must mirror the components' own accessors.
-    EXPECT_EQ(count("link.tx.frames_tx"), link.sender.framesTransmitted());
-    EXPECT_EQ(count("link.rx.delivered"), link.receiver.delivered());
+    EXPECT_EQ(link.receiver.delivered(), kFlits);
+    EXPECT_EQ(link.receiver.crcDrops(), 0u);
+    EXPECT_EQ(link.receiver.orderDrops(), 0u);
     // Every cumulative ack the receiver sent either arrived or is still
     // in flight; at quiescence the sender has seen at least one.
-    EXPECT_GE(count("link.rx.acks_tx"), count("link.tx.acks_rx"));
-    EXPECT_GT(count("link.tx.acks_rx"), 0u);
+    EXPECT_GE(link.receiver.acksSent(), link.sender.acksReceived());
+    EXPECT_GT(link.sender.acksReceived(), 0u);
 }
 
 TEST(LinkLayer, NonzeroBerDeliversInOrderAndCountsRetransmissions)
 {
     // Regression: with bit errors injected, delivery must remain complete
-    // and in-order while the registry records the recovery work.
-    MetricsRegistry reg;
+    // and in-order while the components count the recovery work.
     LinkFixture link(1e-3, 41);
-    link.sender.bindMetrics(reg, "link.tx");
-    link.receiver.bindMetrics(reg, "link.rx");
 
     constexpr std::uint64_t kFlits = 120;
     for (std::uint64_t i = 0; i < kFlits; ++i)
@@ -202,17 +185,12 @@ TEST(LinkLayer, NonzeroBerDeliversInOrderAndCountsRetransmissions)
     for (std::uint64_t i = 0; i < kFlits; ++i)
         EXPECT_EQ(link.received[i][0], i) << "out of order at " << i;
 
-    const Counter *retx = reg.findCounter("link.tx.retransmissions");
-    ASSERT_NE(retx, nullptr);
-    EXPECT_GT(retx->value(), 0u);
-    EXPECT_EQ(retx->value(), link.sender.retransmissions());
+    EXPECT_GT(link.sender.retransmissions(), 0u);
     // frames_tx counts resends too, so it exceeds unique deliveries.
-    EXPECT_GT(reg.findCounter("link.tx.frames_tx")->value(), kFlits);
-    EXPECT_EQ(reg.findCounter("link.rx.delivered")->value(), kFlits);
+    EXPECT_GT(link.sender.framesTransmitted(), kFlits);
+    EXPECT_EQ(link.receiver.delivered(), kFlits);
     // Dropped frames (CRC or out-of-order) are what forced the resends.
-    EXPECT_GT(reg.findCounter("link.rx.crc_drops")->value()
-                  + reg.findCounter("link.rx.order_drops")->value(),
-              0u);
+    EXPECT_GT(link.receiver.crcDrops() + link.receiver.orderDrops(), 0u);
 }
 
 TEST(LinkLayer, RecoversFromBurstLoss)

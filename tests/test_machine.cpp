@@ -272,6 +272,59 @@ TEST(Machine, MulticastWithoutAnEntryAtTheSourceIsRejected)
     EXPECT_EQ(m.totalDelivered(), dests.size());
 }
 
+TEST(Machine, MalformedPacketsAreRejectedInEveryBuild)
+{
+    // Inverse-weighted arbiters hold weights for kNumPatterns patterns
+    // only: a packet of any other pattern, such as 200, would read past
+    // them at its first grant.
+    MachineConfig cfg = smallConfig();
+    cfg.radix = { 2, 2, 2 };
+    cfg.chip.arb = ArbPolicy::InverseWeighted;
+    Machine m(cfg);
+    const EndpointAddr a{ 0, 0 };
+    const EndpointAddr b{ 7, 1 };
+    for (int i = 0; i < 64; ++i)
+        EXPECT_THROW(m.makeWrite(a, b, 200), std::invalid_argument);
+    const auto bad_pattern = static_cast<std::uint8_t>(kNumPatterns);
+    EXPECT_THROW(m.makeWrite(a, b, bad_pattern), std::invalid_argument);
+    EXPECT_THROW(m.makeRead(a, b, bad_pattern), std::invalid_argument);
+
+    // Sizes outside [1, kMaxPacketFlits] would overrun the inline
+    // payload.
+    for (int size : { 0, -1, kMaxPacketFlits + 1 })
+        EXPECT_THROW(m.makeWrite(a, b, 0, size), std::invalid_argument);
+
+    // Endpoints outside the machine.
+    const EndpointAddr outside[] = { { 8, 0 }, { 0, 4 }, { 0, -1 } };
+    for (const EndpointAddr &x : outside) {
+        EXPECT_THROW(m.makeWrite(x, b), std::invalid_argument);
+        EXPECT_THROW(m.makeWrite(a, x), std::invalid_argument);
+        EXPECT_THROW(m.makeRead(x, b), std::invalid_argument);
+        EXPECT_THROW(m.makeRead(a, x), std::invalid_argument);
+    }
+
+    // sendMulticast checks the same before it reads the group.
+    Rng tie(5);
+    const McastTree tree = buildMcastTree(
+        m.geom(), 0, { { 1, 1 }, { 2, 2 } }, DimOrder{ 0, 1, 2 }, 0, tie);
+    const std::int32_t group = m.installTree(tree);
+    EXPECT_THROW(m.sendMulticast(a, group, bad_pattern),
+                 std::invalid_argument);
+    EXPECT_THROW(m.sendMulticast(a, group, 0, kMaxPacketFlits + 1),
+                 std::invalid_argument);
+    EXPECT_THROW(m.sendMulticast({ 8, 0 }, group), std::invalid_argument);
+    EXPECT_THROW(m.sendMulticast({ 0, 4 }, group), std::invalid_argument);
+
+    // Nothing was allocated or sent; well-formed traffic still runs.
+    for (int i = 0; i < 64; ++i)
+        m.send(m.makeWrite(a, b, static_cast<std::uint8_t>(i % kNumPatterns),
+                           kMaxPacketFlits));
+    m.sendMulticast(a, group);
+    ASSERT_EQ(m.run(RunSpec::untilDelivered(66, 50000)).reason,
+              StopReason::Delivered);
+    EXPECT_EQ(m.totalDelivered(), 66u);
+}
+
 TEST(Machine, MalformedTreeIsRejected)
 {
     Machine m(smallConfig());

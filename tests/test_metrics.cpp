@@ -8,6 +8,8 @@
 
 #include <cmath>
 #include <algorithm>
+#include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -225,6 +227,40 @@ drive(Machine &m, int count, std::uint64_t route_seed)
     }
 }
 
+/**
+ * The per-component counts a route fixes, keyed by path, from a
+ * full-level export: router flits per input port, adapter flits sent
+ * and received, endpoint injections and deliveries.
+ */
+std::map<std::string, double>
+componentCounts(Machine &m)
+{
+    std::map<std::string, double> out;
+    const auto root = TinyJsonParser(m.metricsJson()).parse();
+    for (const auto &[id, c] : root->at("chip").object) {
+        const std::string chip = "chip." + id;
+        for (const auto &[u, col] : c->at("router").object) {
+            for (const auto &[v, r] : col->object) {
+                for (const auto &[port, n] : r->at("flits_in").object)
+                    out[chip + ".router." + u + "." + v + ".flits_in."
+                        + port] = n->number;
+            }
+        }
+        for (const auto &[name, ca] : c->at("ca").object) {
+            for (const char *leaf : { "flits_sent", "flits_received" })
+                out[chip + ".ca." + name + "." + leaf] =
+                    ca->at(leaf).number;
+        }
+        for (const auto &[e, ep] : c->at("ep").object) {
+            if (ep->kind != JsonValue::Kind::Object)
+                continue; // the chip's rollup leaves
+            for (const char *leaf : { "injected", "delivered" })
+                out[chip + ".ep." + e + "." + leaf] = ep->at(leaf).number;
+        }
+    }
+    return out;
+}
+
 /** The measurement-relevant registry slices (relative quantities only;
  * gauges like machine.cycles depend on absolute time by design). */
 struct Snapshot
@@ -235,6 +271,7 @@ struct Snapshot
     std::uint64_t lat_count;
     double lat_mean, lat_min, lat_max;
     std::vector<std::uint64_t> lat_histogram;
+    std::map<std::string, double> components;
 
     static Snapshot
     take(Machine &m)
@@ -252,6 +289,7 @@ struct Snapshot
         s.lat_max = lat->max();
         s.lat_histogram =
             m.metrics()->findHistogram("machine.latency.total")->counts();
+        s.components = componentCounts(m);
         return s;
     }
 };
@@ -289,6 +327,63 @@ TEST(MetricsRegistry, WarmupResetMeasureMatchesFreshMeasure)
     EXPECT_DOUBLE_EQ(after_reset.lat_min, baseline.lat_min);
     EXPECT_DOUBLE_EQ(after_reset.lat_max, baseline.lat_max);
     EXPECT_EQ(after_reset.lat_histogram, baseline.lat_histogram);
+    // The reset restarts the per-component counts too.
+    EXPECT_EQ(after_reset.components, baseline.components);
+    double sent = 0.0;
+    for (const auto &[path, n] : baseline.components)
+        sent += path.find(".ca.") != std::string::npos ? n : 0.0;
+    EXPECT_GT(sent, 0.0);
+}
+
+TEST(Metrics, AttachedBeforeRestoreCountFromRestore)
+{
+    using namespace warmup_reset;
+    // Two machines measure the same cycles. One runs from cycle 0 with
+    // packets in flight, saves a checkpoint and resets its registry; the
+    // other attaches metrics, then restores that checkpoint. Every count
+    // - per component and machine-wide - must cover only the cycles
+    // after the restore, so the two exports are byte-identical.
+    const std::string image =
+        std::string(::testing::TempDir()) + "metrics_restore.ckpt";
+    constexpr Cycle kSave = 40;
+    constexpr Cycle kRest = 3000;
+    Machine ran(machineConfig());
+    attachMetrics(ran);
+    for (int i = 0; i < 96; ++i) {
+        const auto a = static_cast<NodeId>(i % 8);
+        const auto b = static_cast<NodeId>((i * 3 + 1) % 8);
+        ran.send(ran.makeWrite({ a, i % 2 }, { b, (i / 2) % 2 }, 0,
+                               1 + i % 2));
+    }
+    RunSpec save = RunSpec::forCycles(kSave);
+    save.checkpoint_out = image;
+    ran.run(save);
+    const std::uint64_t before = ran.totalDelivered();
+    ran.metrics()->reset();
+    ran.run(RunSpec::forCycles(kRest));
+
+    Machine restored(machineConfig());
+    attachMetrics(restored);
+    RunSpec resume = RunSpec::forCycles(kRest);
+    resume.checkpoint_in = image;
+    restored.run(resume);
+    std::remove(image.c_str());
+
+    ASSERT_EQ(restored.now(), ran.now());
+    ASSERT_EQ(restored.totalDelivered(), 96u);
+    ASSERT_GT(before, 0u);
+    ASSERT_LT(before, 96u);
+    const std::string json = restored.metricsJson();
+    EXPECT_EQ(json, ran.metricsJson());
+    const auto root = TinyJsonParser(json).parse();
+    const auto after = static_cast<double>(96 - before);
+    EXPECT_EQ(root->path("machine.delivered").number, after);
+    EXPECT_EQ(root->path("machine.ep.delivered").number, after);
+    EXPECT_EQ(root->path("machine.latency.network.count").number, after);
+    double delivered = 0.0;
+    for (const auto &[path, n] : componentCounts(restored))
+        delivered += path.ends_with(".delivered") ? n : 0.0;
+    EXPECT_EQ(delivered, after);
 }
 
 TEST(MetricsRegistry, ToJsonRoundTrip)

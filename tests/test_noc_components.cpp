@@ -332,9 +332,7 @@ TEST(RouterUnit, VaCreditStallsCountEveryWithheldCycle)
     // back. Counts and cycles are pinned from a router that rescans
     // every buffered entry each cycle.
     RouterBench b(2, 8, /*downstream_buf=*/1);
-    MetricsRegistry reg;
-    b.router->bindMetrics(reg, "r");
-    const Counter &stalls = reg.counter("r.va.credit_stalls");
+    const Router &r = *b.router;
     int got = 0;
     Cycle second_out = 0;
     auto step = [&](bool return_credits) {
@@ -362,13 +360,13 @@ TEST(RouterUnit, VaCreditStallsCountEveryWithheldCycle)
         step(false);
     EXPECT_EQ(got, 1);
     EXPECT_EQ(b.engine.now(), 26u);
-    EXPECT_EQ(stalls.value(), 15u);
+    EXPECT_EQ(r.vaCreditStalls(), 15u);
 
-    const std::uint64_t before = stalls.value();
+    const std::uint64_t before = r.vaCreditStalls();
     constexpr int kWithheld = 7;
     for (int i = 0; i < kWithheld; ++i)
         step(false);
-    EXPECT_EQ(stalls.value(), before + kWithheld);
+    EXPECT_EQ(r.vaCreditStalls(), before + kWithheld);
     EXPECT_EQ(got, 1);
 
     // The credit returns: one last stall while it is on the wire, then
@@ -378,7 +376,7 @@ TEST(RouterUnit, VaCreditStallsCountEveryWithheldCycle)
         step(true);
     EXPECT_EQ(got, 2);
     EXPECT_EQ(second_out, 37u);
-    EXPECT_EQ(stalls.value(), before + kWithheld + 1);
+    EXPECT_EQ(r.vaCreditStalls(), before + kWithheld + 1);
     EXPECT_FALSE(b.router->busy());
 }
 
