@@ -1,5 +1,6 @@
 #include "analysis/deadlock.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <functional>
 #include <unordered_map>
@@ -58,48 +59,20 @@ class DepGraph
         }
     }
 
-    /** DFS cycle detection; fills @p cycle with resource names if found. */
+    /** Cycle detection; fills @p cycle with resource names if found,
+     * starting at the node the DFS entered the cycle by and then walking
+     * the cycle backwards. */
     bool
     findCycle(std::vector<std::string> &cycle) const
     {
-        enum : std::uint8_t { White, Grey, Black };
-        std::vector<std::uint8_t> color(adj_.size(), White);
-        std::vector<int> parent(adj_.size(), -1);
-
-        for (std::size_t root = 0; root < adj_.size(); ++root) {
-            if (color[root] != White)
-                continue;
-            // Iterative DFS: stack of (node, next edge index).
-            std::vector<std::pair<int, std::size_t>> stack;
-            stack.push_back({ static_cast<int>(root), 0 });
-            color[root] = Grey;
-            while (!stack.empty()) {
-                auto &[u, idx] = stack.back();
-                const auto &edges = adj_[static_cast<std::size_t>(u)];
-                if (idx >= edges.size()) {
-                    color[static_cast<std::size_t>(u)] = Black;
-                    stack.pop_back();
-                    continue;
-                }
-                const int v = edges[idx++];
-                if (color[static_cast<std::size_t>(v)] == White) {
-                    color[static_cast<std::size_t>(v)] = Grey;
-                    parent[static_cast<std::size_t>(v)] = u;
-                    stack.push_back({ v, 0 });
-                } else if (color[static_cast<std::size_t>(v)] == Grey) {
-                    // Found a back edge u -> v: extract the cycle.
-                    cycle.clear();
-                    cycle.push_back(names_[static_cast<std::size_t>(v)]);
-                    for (int w = u; w != v;
-                         w = parent[static_cast<std::size_t>(w)]) {
-                        cycle.push_back(
-                            names_[static_cast<std::size_t>(w)]);
-                    }
-                    return true;
-                }
-            }
-        }
-        return false;
+        std::vector<int> nodes = anton2::findCycle(adj_);
+        if (nodes.empty())
+            return false;
+        std::reverse(nodes.begin() + 1, nodes.end());
+        cycle.clear();
+        for (int n : nodes)
+            cycle.push_back(names_[static_cast<std::size_t>(n)]);
+        return true;
     }
 
   private:

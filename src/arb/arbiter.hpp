@@ -35,8 +35,12 @@ arbPolicyName(ArbPolicy p)
     return "?";
 }
 
-/** One arbitration point's arbiter, of any ArbPolicy. */
+/** One arbitration point's arbiter, of any ArbPolicy. Every router
+ * output and adapter side holds one inline, so the largest policy sets
+ * the size of all of them. */
 using PortArbiter = std::variant<RoundRobinArbiter, InverseWeightedArbiter>;
+static_assert(sizeof(PortArbiter) <= 64,
+              "keep the inverse-weighted arbiter's inline state small");
 
 /** Construct a @p num_inputs-input arbiter of @p policy. */
 inline PortArbiter

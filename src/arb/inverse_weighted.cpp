@@ -11,18 +11,18 @@ InvWeightAccumulators::InvWeightAccumulators(int k, int weight_bits,
     : k_(k),
       weight_bits_(weight_bits),
       num_patterns_(num_patterns),
-      accum_(static_cast<std::size_t>(k), 0),
-      weights_(static_cast<std::size_t>(k * num_patterns), 1),
-      high_(inputMask(k))
+      high_(inputMask(k)),
+      state_(static_cast<std::size_t>(k * (1 + num_patterns)), 1)
 {
     assert(k >= 1 && weight_bits >= 1 && num_patterns >= 1);
+    std::fill_n(state_.begin(), k, 0u);
 }
 
 void
 InvWeightAccumulators::setWeight(int input, int pattern, std::uint32_t weight)
 {
     assert(weight >= 1 && weight < (1u << weight_bits_));
-    weights_[static_cast<std::size_t>(input * num_patterns_ + pattern)] =
+    state_[static_cast<std::size_t>(k_ + input * num_patterns_ + pattern)] =
         weight;
 }
 

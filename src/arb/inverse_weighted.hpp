@@ -54,8 +54,8 @@ class InvWeightAccumulators
     std::uint32_t
     weight(int input, int pattern) const
     {
-        return weights_[static_cast<std::size_t>(input * num_patterns_
-                                                 + pattern)];
+        return state_[static_cast<std::size_t>(k_ + input * num_patterns_
+                                               + pattern)];
     }
 
     /** Priority bit per input: true = high priority (lower window half). */
@@ -76,14 +76,14 @@ class InvWeightAccumulators
             // every accumulator, clamping the high-priority ones (already
             // below 2^M) to zero. All of them end below 2^M.
             for (int i = 0; i < k_; ++i) {
-                std::uint32_t &acc = accum_[static_cast<std::size_t>(i)];
+                std::uint32_t &acc = state_[static_cast<std::size_t>(i)];
                 acc = ((high_ >> i) & 1u) != 0 ? 0 : acc & low_half;
             }
             high_ = inputMask(k_);
         }
         // Granted input: shift out of the window (clear MSB) and add the
         // inverse weight; always < 2^(M+1).
-        std::uint32_t &acc = accum_[static_cast<std::size_t>(granted)];
+        std::uint32_t &acc = state_[static_cast<std::size_t>(granted)];
         acc = (acc & low_half) + weight(granted, pattern);
         assert(acc <= 2 * low_half + 1);
         if (acc > low_half)
@@ -93,7 +93,7 @@ class InvWeightAccumulators
     std::uint32_t
     accumulator(int input) const
     {
-        return accum_[static_cast<std::size_t>(input)];
+        return state_[static_cast<std::size_t>(input)];
     }
 
     int weightBits() const { return weight_bits_; }
@@ -108,9 +108,10 @@ class InvWeightAccumulators
     int k_;
     int weight_bits_;
     int num_patterns_;
-    std::vector<std::uint32_t> accum_;   ///< (M+1)-bit values
-    std::vector<std::uint32_t> weights_; ///< [input][pattern], M-bit values
-    std::uint32_t high_;                 ///< see highMask()
+    std::uint32_t high_; ///< see highMask()
+    /** The k (M+1)-bit accumulators, then the M-bit weights by
+     * [input][pattern]: one allocation keeps the arbiter small. */
+    std::vector<std::uint32_t> state_;
 };
 
 /**

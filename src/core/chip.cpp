@@ -27,11 +27,6 @@ Chip::Chip(NodeId node, const ChipConfig &cfg, const ChipLayout &layout,
     for (RouterId r = 0; r < layout_.numRouters(); ++r) {
         routers_.push_back(std::make_unique<Router>(
             prefix + layout_.mesh().routerName(r), rcfg, routes, r));
-        if (cfg_.enable_energy) {
-            energy_.push_back(
-                std::make_unique<RouterEnergyMeter>(rcfg.num_ports));
-            routers_.back()->setEnergyMeter(energy_.back().get());
-        }
     }
 
     ChannelAdapterConfig ccfg;
@@ -181,12 +176,6 @@ Chip::bindEvents(PacketEventStream &events)
             flows->registerUnit(node, TraceUnitKind::Endpoint, e,
                                 "ep" + std::to_string(e));
     }
-}
-
-RouterEnergyMeter *
-Chip::energyMeter(RouterId r)
-{
-    return cfg_.enable_energy ? energy_[r].get() : nullptr;
 }
 
 void

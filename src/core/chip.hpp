@@ -35,7 +35,6 @@ struct ChipConfig
     Cycle mesh_latency = 1;
     Cycle skip_latency = 2;      ///< skip channels span the chip
     Cycle attach_latency = 1;    ///< router <-> adapter links
-    bool enable_energy = false;  ///< attach RouterEnergyMeters
 
     /** VCs per traffic class implied by the deadlock-avoidance policy. */
     int
@@ -112,8 +111,6 @@ class Chip
         static_cast<std::size_t>(e)]; }
     int numEndpoints() const { return layout_.numEndpoints(); }
 
-    RouterEnergyMeter *energyMeter(RouterId r);
-
     /** Install a multicast-table entry for @p group at this node. */
     void addMcastEntry(std::int32_t group, McastNodeEntry entry);
     const McastNodeEntry *mcastEntry(std::int32_t group) const;
@@ -146,18 +143,20 @@ class Chip
         return *endpoints_[static_cast<std::size_t>(e)];
     }
 
-    /** Injection cycle of the oldest packet resident on this chip
-     * (buffers and eject slots; kNoCycle when empty). */
-    Cycle oldestPacketBirth() const;
-
-    /** Flits resident on this chip, for the machine-wide conservation
-     * sum. `multicast` flags any resident multicast packet: expansion
-     * clones flits, so the global equality is skipped while one is in
+    /** What this chip holds right now, read in one walk over its
+     * buffers and credit loops plus its on-chip wires. `multicast` flags
+     * any resident multicast packet: expansion clones flits, so the
+     * machine-wide flit conservation sum is skipped while one is in
      * flight. */
     struct FlitCensus
     {
         std::uint64_t buffered = 0; ///< router + adapter buffer occupancy
         std::uint64_t on_wires = 0; ///< data phits in flight on-chip
+        /** Free credits of the router outputs and torus links. */
+        std::uint64_t free_credits = 0;
+        /** Injection cycle of the oldest resident packet, in a buffer or
+         * an endpoint slot (kNoCycle when empty). */
+        Cycle oldest_birth = kNoCycle;
         bool multicast = false;
     };
     FlitCensus flitCensus() const;
@@ -197,6 +196,44 @@ class Chip
   private:
     void ingressAt(int ca, PacketPtr pkt, std::vector<IngressCopy> &copies);
 
+    /** The sender of a credit loop (see forEachResource). */
+    enum class LoopKind : std::uint8_t
+    {
+        RouterOut,        ///< router output -> router, adapter, endpoint
+        TorusLink,        ///< adapter egress -> the peer chip's ingress
+        AdapterToRouter,  ///< adapter ingress -> router input
+        EndpointToRouter, ///< endpoint injection -> router input
+    };
+
+    /** One VC of one credit loop: the sender's counter and the places on
+     * this chip a spent credit can be before it returns. */
+    struct CreditLoop
+    {
+        LoopKind kind;
+        const CreditCounter &credits;
+        int vc;
+        int reserved;           ///< unsent flits of the granted packet
+        const Channel &channel; ///< the loop's data and credit wires
+        /** Flits in the on-chip buffer the credits meter (0 for an
+         * endpoint, which drains at once, and for a torus link, whose
+         * buffer is on the peer chip). */
+        int downstream_occ;
+    };
+
+    /**
+     * The chip's resource inventory, in one place (chip_audit.cpp).
+     * Calls @p on_buffer(const VcBuffer &, int full_vc, name) for every
+     * connected per-VC buffer (router inputs, then each adapter's
+     * egress and ingress) and @p on_loop(const CreditLoop &, name) for
+     * every credit loop (router outputs, then each adapter's torus link
+     * and adapter->router link, then endpoint->router), in the order the
+     * per-chip audit reports. `name()` returns the resource's name in
+     * the static deadlock checker's scheme and is built only when
+     * called.
+     */
+    template <class OnBuffer, class OnLoop>
+    void forEachResource(OnBuffer &&on_buffer, OnLoop &&on_loop) const;
+
     NodeId node_;
     ChipConfig cfg_;
     const ChipLayout &layout_;
@@ -207,7 +244,6 @@ class Chip
     std::vector<std::unique_ptr<ChannelAdapter>> channel_adapters_;
     std::vector<std::unique_ptr<EndpointAdapter>> endpoints_;
     std::vector<std::unique_ptr<Channel>> channels_;
-    std::vector<std::unique_ptr<RouterEnergyMeter>> energy_;
     std::unordered_map<std::int32_t, McastNodeEntry> mcast_;
 };
 

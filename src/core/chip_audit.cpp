@@ -1,26 +1,19 @@
 /**
  * @file
- * Chip-side implementation of the runtime auditor: invariant checks over
- * one chip's routers, adapters, and endpoints, and forensic-snapshot
- * collection. Resource names follow the static deadlock checker's scheme
- * (analysis/deadlock) so runtime snapshots diff cleanly against static
- * dependency graphs.
+ * One chip's resource inventory and its readers. Chip::forEachResource
+ * is the single walk over the chip's per-VC buffers and credit loops;
+ * the runtime auditor's per-chip checks, the forensic snapshot's
+ * buffer, packet and credit rows, and the census behind flit
+ * conservation, the packet-age watermark and the time series' chip
+ * levels are visitors of it. Resource names follow the static deadlock
+ * checker's scheme (analysis/deadlock) so runtime snapshots diff cleanly
+ * against static dependency graphs.
  */
 #include "core/chip.hpp"
 
-#include <sstream>
+#include <algorithm>
 
 namespace anton2 {
-
-namespace {
-
-constexpr int
-kindInt(ChipChannel::Kind k)
-{
-    return static_cast<int>(k);
-}
-
-} // namespace
 
 std::string
 Chip::egressLinkName(int ca, int full_vc) const
@@ -50,60 +43,49 @@ Chip::ingressLinkName(int ca, int full_vc) const
 
 namespace {
 
-/** Name of the buffer fed by input port @p p of router @p r. */
+/** Name of on-chip channel (@p kind, @p from -> @p to, @p adapter) at
+ * full VC index @p v (@p per VCs per traffic class). */
 std::string
-inputBufferName(NodeId node, const ChipLayout &layout, RouterId r, int p,
-                int promo, bool reply)
+channelName(NodeId node, ChipChannel::Kind kind, RouterId from, RouterId to,
+            int adapter, int v, int per)
 {
-    const auto &port = layout.routerPorts(r)[static_cast<std::size_t>(p)];
-    switch (port.kind) {
-      case RouterPort::Kind::Mesh:
-        return chipResName(node, kindInt(ChipChannel::Kind::Mesh),
-                           layout.mesh().move(r, port.mesh_dir), r, -1,
-                           promo, reply);
-      case RouterPort::Kind::Skip:
-        return chipResName(node, kindInt(ChipChannel::Kind::Skip),
-                           port.skip_peer, r, -1, promo, reply);
-      case RouterPort::Kind::Channel:
-        return chipResName(node,
-                           kindInt(ChipChannel::Kind::AdapterToRouter), r,
-                           r, port.adapter, promo, reply);
-      case RouterPort::Kind::Endpoint:
-        return chipResName(node,
-                           kindInt(ChipChannel::Kind::EndpointToRouter), r,
-                           r, port.adapter, promo, reply);
-      case RouterPort::Kind::Unused:
-        break;
-    }
-    return "?";
+    return chipResName(node, static_cast<int>(kind), from, to, adapter,
+                       v % per, v >= per);
 }
 
-/** Name of the downstream buffer of output port @p p of router @p r. */
+/** Name of the buffer behind port @p p of router @p r at full VC index
+ * @p v: the port's input buffer if @p input, else the downstream buffer
+ * its output's credits meter. */
 std::string
-outputDownstreamName(NodeId node, const ChipLayout &layout, RouterId r,
-                     int p, int promo, bool reply)
+portName(NodeId node, const ChipLayout &layout, RouterId r, int p,
+         bool input, int v, int per)
 {
+    using Kind = ChipChannel::Kind;
     const auto &port = layout.routerPorts(r)[static_cast<std::size_t>(p)];
+    Kind kind = Kind::Mesh;
+    RouterId peer = r;
+    int adapter = -1;
     switch (port.kind) {
       case RouterPort::Kind::Mesh:
-        return chipResName(node, kindInt(ChipChannel::Kind::Mesh), r,
-                           layout.mesh().move(r, port.mesh_dir), -1, promo,
-                           reply);
-      case RouterPort::Kind::Skip:
-        return chipResName(node, kindInt(ChipChannel::Kind::Skip), r,
-                           port.skip_peer, -1, promo, reply);
-      case RouterPort::Kind::Channel:
-        return chipResName(node,
-                           kindInt(ChipChannel::Kind::RouterToAdapter), r,
-                           r, port.adapter, promo, reply);
-      case RouterPort::Kind::Endpoint:
-        return chipResName(node,
-                           kindInt(ChipChannel::Kind::RouterToEndpoint), r,
-                           r, port.adapter, promo, reply);
-      case RouterPort::Kind::Unused:
+        peer = layout.mesh().move(r, port.mesh_dir);
         break;
+      case RouterPort::Kind::Skip:
+        kind = Kind::Skip;
+        peer = port.skip_peer;
+        break;
+      case RouterPort::Kind::Channel:
+        kind = input ? Kind::AdapterToRouter : Kind::RouterToAdapter;
+        adapter = port.adapter;
+        break;
+      case RouterPort::Kind::Endpoint:
+        kind = input ? Kind::EndpointToRouter : Kind::RouterToEndpoint;
+        adapter = port.adapter;
+        break;
+      case RouterPort::Kind::Unused:
+        return "?";
     }
-    return "?";
+    return input ? channelName(node, kind, peer, r, adapter, v, per)
+                 : channelName(node, kind, r, peer, adapter, v, per);
 }
 
 std::string
@@ -114,48 +96,134 @@ endpointAddrName(const EndpointAddr &a)
 
 } // namespace
 
-Cycle
-Chip::oldestPacketBirth() const
+template <class OnBuffer, class OnLoop>
+void
+Chip::forEachResource(OnBuffer &&on_buffer, OnLoop &&on_loop) const
 {
-    Cycle oldest = kNoCycle;
-    auto fold = [&oldest](Cycle b) {
-        if (b < oldest)
-            oldest = b;
-    };
-    for (const auto &r : routers_)
-        fold(r->oldestBirth());
-    for (const auto &ca : channel_adapters_)
-        fold(ca->oldestBirth());
-    for (const auto &ep : endpoints_)
-        fold(ep->oldestBirth());
-    return oldest;
+    using Kind = ChipChannel::Kind;
+    const int per = cfg_.vcsPerClass();
+    const int vcs = cfg_.numVcs();
+
+    for (RouterId r = 0; r < layout_.numRouters(); ++r) {
+        const Router &rt = router(r);
+        for (int p = 0; p < kRouterPorts; ++p) {
+            if (rt.inConnected(p)) {
+                for (int v = 0; v < vcs; ++v) {
+                    on_buffer(rt.inputBuffer(p, v), v, [&] {
+                        return portName(node_, layout_, r, p, true, v, per);
+                    });
+                }
+            }
+            if (!rt.outConnected(p))
+                continue;
+            // The input port the output's credits meter, if on a router
+            // or adapter (an endpoint drains and credits at once).
+            const auto &port =
+                layout_.routerPorts(r)[static_cast<std::size_t>(p)];
+            const Router *down = nullptr;
+            int down_port = 0;
+            if (port.kind == RouterPort::Kind::Mesh) {
+                const RouterId peer = layout_.mesh().move(r, port.mesh_dir);
+                down = &router(peer);
+                down_port =
+                    layout_.meshPort(peer, meshOpposite(port.mesh_dir));
+            } else if (port.kind == RouterPort::Kind::Skip) {
+                down = &router(port.skip_peer);
+                down_port = layout_.skipPort(port.skip_peer);
+            }
+            for (int v = 0; v < vcs; ++v) {
+                int occ = 0;
+                if (down != nullptr)
+                    occ = down->inputBuffer(down_port, v).occupancy();
+                else if (port.kind == RouterPort::Kind::Channel)
+                    occ = channelAdapter(port.adapter)
+                              .egressBuffer(v)
+                              .occupancy();
+                on_loop(CreditLoop{ LoopKind::RouterOut, rt.outCredits(p),
+                                    v, rt.outReservedFlits(p, v),
+                                    *rt.outChannel(p), occ },
+                        [&] {
+                            return portName(node_, layout_, r, p, false, v,
+                                            per);
+                        });
+            }
+        }
+    }
+
+    for (int ca = 0; ca < layout_.numChannelAdapters(); ++ca) {
+        const ChannelAdapter &ad = channelAdapter(ca);
+        const RouterId r = layout_.channelRouter(ca);
+        const int rp = layout_.channelPort(r, ca);
+        for (int v = 0; v < vcs; ++v) {
+            on_buffer(ad.egressBuffer(v), v, [&] {
+                return channelName(node_, Kind::RouterToAdapter, r, r, ca, v,
+                                   per);
+            });
+            on_buffer(ad.ingressBuffer(v), v,
+                      [&] { return ingressLinkName(ca, v); });
+            if (ad.torusOut() != nullptr) {
+                on_loop(CreditLoop{ LoopKind::TorusLink, ad.torusCredits(),
+                                    v, ad.egressReservedFlits(v),
+                                    *ad.torusOut(), 0 },
+                        [&] { return egressLinkName(ca, v); });
+            }
+            if (ad.routerOut() != nullptr) {
+                on_loop(CreditLoop{ LoopKind::AdapterToRouter,
+                                    ad.routerCredits(), v,
+                                    ad.ingressReservedFlits(v),
+                                    *ad.routerOut(),
+                                    router(r).inputBuffer(rp, v).occupancy() },
+                        [&] {
+                            return channelName(node_, Kind::AdapterToRouter,
+                                               r, r, ca, v, per);
+                        });
+            }
+        }
+    }
+
+    for (EndpointId e = 0; e < layout_.numEndpoints(); ++e) {
+        const EndpointAdapter &ep = endpoint(e);
+        if (ep.toRouter() == nullptr)
+            continue;
+        const RouterId r = layout_.endpointRouter(e);
+        const int rp = layout_.endpointPort(r, e);
+        for (int v = 0; v < vcs; ++v) {
+            on_loop(CreditLoop{ LoopKind::EndpointToRouter,
+                                ep.routerCredits(), v,
+                                ep.injectReservedFlits(v), *ep.toRouter(),
+                                router(r).inputBuffer(rp, v).occupancy() },
+                    [&] {
+                        return channelName(node_, Kind::EndpointToRouter, r,
+                                           r, e, v, per);
+                    });
+        }
+    }
 }
 
 Chip::FlitCensus
 Chip::flitCensus() const
 {
     FlitCensus census;
-    auto scanBuffer = [&census](const VcBuffer &buf) {
-        census.buffered += static_cast<std::uint64_t>(buf.occupancy());
-        for (std::size_t i = 0; i < buf.packetCount(); ++i) {
-            if (buf.entry(i).pkt->mcast_group >= 0)
-                census.multicast = true;
-        }
-    };
-    for (RouterId r = 0; r < layout_.numRouters(); ++r) {
-        for (int p = 0; p < kRouterPorts; ++p) {
-            if (!router(r).inConnected(p))
-                continue;
-            for (int v = 0; v < cfg_.numVcs(); ++v)
-                scanBuffer(router(r).inputBuffer(p, v));
-        }
-    }
-    for (int ca = 0; ca < layout_.numChannelAdapters(); ++ca) {
-        for (int v = 0; v < cfg_.numVcs(); ++v) {
-            scanBuffer(channelAdapter(ca).egressBuffer(v));
-            scanBuffer(channelAdapter(ca).ingressBuffer(v));
-        }
-    }
+    forEachResource(
+        [&census](const VcBuffer &buf, int, auto &&) {
+            census.buffered += static_cast<std::uint64_t>(buf.occupancy());
+            for (std::size_t i = 0; i < buf.packetCount(); ++i) {
+                const Packet &pkt = *buf.entry(i).pkt;
+                census.oldest_birth = std::min(census.oldest_birth,
+                                               pkt.birth);
+                if (pkt.mcast_group >= 0)
+                    census.multicast = true;
+            }
+        },
+        [&census](const CreditLoop &loop, auto &&) {
+            if (loop.kind == LoopKind::RouterOut
+                || loop.kind == LoopKind::TorusLink) {
+                census.free_credits += static_cast<std::uint64_t>(
+                    loop.credits.available(loop.vc));
+            }
+        });
+    for (const auto &ep : endpoints_)
+        census.oldest_birth = std::min(census.oldest_birth, ep->oldestBirth());
     for (const auto &ch : channels_) {
         ch->data.forEachInFlight([&census](const Phit &phit) {
             ++census.on_wires;
@@ -174,20 +242,17 @@ Chip::auditInvariants(
     const int per = cfg_.vcsPerClass();
     const int ndims = layout_.ndims();
 
-    // Resource names are built only for a report (@p name is a callable
-    // returning it): a clean pass builds no strings.
-    auto checkBuffer = [&](const VcBuffer &buf, int full_vc, auto &&name,
-                           bool check_vc) {
+    // Resource names are built only for a report: a clean pass builds no
+    // strings.
+    auto checkBuffer = [&](const VcBuffer &buf, int full_vc, auto &&name) {
+        const int cls = full_vc / per;
+        const int promo = full_vc % per;
         int resident = 0;
         for (std::size_t i = 0; i < buf.packetCount(); ++i) {
             const auto &e = buf.entry(i);
             resident += static_cast<int>(e.arrived)
                         - static_cast<int>(e.sent);
             const auto &pkt = *e.pkt;
-            if (!check_vc)
-                continue;
-            const int cls = full_vc / per;
-            const int promo = full_vc % per;
             if (cls != static_cast<int>(pkt.tc)) {
                 report("vc_legality",
                        name() + ": packet " + std::to_string(pkt.id)
@@ -219,140 +284,27 @@ Chip::auditInvariants(
         }
     };
 
-    auto checkCredits = [&](const CreditCounter &credits, int vc,
-                            int reserved, const Wire<Phit> &data,
-                            const Wire<Credit> &credit_wire,
-                            int downstream_occ, auto &&name) {
-        const int lhs = credits.available(vc) + reserved
-                        + inFlightPhits(data, vc) + downstream_occ
-                        + inFlightCredits(credit_wire, vc);
-        if (lhs != credits.initialPerVc()) {
+    auto checkCredits = [&](const CreditLoop &loop, auto &&name) {
+        // A torus link's buffer is on the peer chip: the machine checks
+        // that loop with both adapters in hand.
+        if (loop.kind == LoopKind::TorusLink)
+            return;
+        const int avail = loop.credits.available(loop.vc);
+        const int lhs = avail + loop.reserved
+                        + inFlightPhits(loop.channel.data, loop.vc)
+                        + loop.downstream_occ
+                        + inFlightCredits(loop.channel.credit, loop.vc);
+        if (lhs != loop.credits.initialPerVc()) {
             report("credit_conservation",
-                   name() + ": credits " + std::to_string(credits.available(vc))
-                       + " + reserved " + std::to_string(reserved)
+                   name() + ": credits " + std::to_string(avail)
+                       + " + reserved " + std::to_string(loop.reserved)
                        + " + in-flight + occupancy = " + std::to_string(lhs)
                        + ", expected depth "
-                       + std::to_string(credits.initialPerVc()));
+                       + std::to_string(loop.credits.initialPerVc()));
         }
     };
 
-    for (RouterId r = 0; r < layout_.numRouters(); ++r) {
-        const Router &rt = router(r);
-        const auto &ports = layout_.routerPorts(r);
-        for (int p = 0; p < kRouterPorts; ++p) {
-            if (rt.inConnected(p)) {
-                for (int v = 0; v < cfg_.numVcs(); ++v) {
-                    checkBuffer(rt.inputBuffer(p, v), v,
-                                [&] {
-                                    return inputBufferName(node_, layout_, r,
-                                                           p, v % per,
-                                                           v >= per);
-                                },
-                                /*check_vc=*/true);
-                }
-            }
-            if (!rt.outConnected(p))
-                continue;
-            const auto &port = ports[static_cast<std::size_t>(p)];
-            for (int v = 0; v < cfg_.numVcs(); ++v) {
-                int occ = 0;
-                switch (port.kind) {
-                  case RouterPort::Kind::Mesh: {
-                      const RouterId peer =
-                          layout_.mesh().move(r, port.mesh_dir);
-                      occ = router(peer)
-                                .inputBuffer(
-                                    layout_.meshPort(
-                                        peer, meshOpposite(port.mesh_dir)),
-                                    v)
-                                .occupancy();
-                      break;
-                  }
-                  case RouterPort::Kind::Skip:
-                      occ = router(port.skip_peer)
-                                .inputBuffer(
-                                    layout_.skipPort(port.skip_peer), v)
-                                .occupancy();
-                      break;
-                  case RouterPort::Kind::Channel:
-                      occ = channelAdapter(port.adapter)
-                                .egressBuffer(v)
-                                .occupancy();
-                      break;
-                  case RouterPort::Kind::Endpoint:
-                      occ = 0; // endpoints drain and credit immediately
-                      break;
-                  case RouterPort::Kind::Unused:
-                      break;
-                }
-                checkCredits(rt.outCredits(p), v,
-                             rt.outReservedFlits(p, v),
-                             rt.outChannel(p)->data,
-                             rt.outChannel(p)->credit, occ, [&] {
-                                 return outputDownstreamName(
-                                     node_, layout_, r, p, v % per,
-                                     v >= per);
-                             });
-            }
-        }
-    }
-
-    for (int ca = 0; ca < layout_.numChannelAdapters(); ++ca) {
-        const ChannelAdapter &ad = channelAdapter(ca);
-        int dim, slice;
-        Dir dir;
-        layout_.channelAdapterParams(ca, dim, dir, slice);
-        const RouterId r = layout_.channelRouter(ca);
-        for (int v = 0; v < cfg_.numVcs(); ++v) {
-            checkBuffer(ad.egressBuffer(v), v,
-                        [&] {
-                            return chipResName(
-                                node_,
-                                kindInt(ChipChannel::Kind::RouterToAdapter),
-                                r, r, ca, v % per, v >= per);
-                        },
-                        /*check_vc=*/true);
-            checkBuffer(ad.ingressBuffer(v), v,
-                        [&] { return ingressLinkName(ca, v); },
-                        /*check_vc=*/true);
-            // Adapter -> router channel conservation (the torus-link side
-            // spans two chips and is checked by the machine).
-            if (ad.routerOut() != nullptr) {
-                checkCredits(
-                    ad.routerCredits(), v, ad.ingressReservedFlits(v),
-                    ad.routerOut()->data, ad.routerOut()->credit,
-                    router(r)
-                        .inputBuffer(layout_.channelPort(r, ca), v)
-                        .occupancy(),
-                    [&] {
-                        return chipResName(
-                            node_,
-                            kindInt(ChipChannel::Kind::AdapterToRouter), r,
-                            r, ca, v % per, v >= per);
-                    });
-            }
-        }
-    }
-
-    for (EndpointId e = 0; e < layout_.numEndpoints(); ++e) {
-        const EndpointAdapter &ep = endpoint(e);
-        if (ep.toRouter() == nullptr)
-            continue;
-        const RouterId r = layout_.endpointRouter(e);
-        for (int v = 0; v < cfg_.numVcs(); ++v) {
-            checkCredits(
-                ep.routerCredits(), v, ep.injectReservedFlits(v),
-                ep.toRouter()->data, ep.toRouter()->credit,
-                router(r)
-                    .inputBuffer(layout_.endpointPort(r, e), v)
-                    .occupancy(),
-                [&] {
-                    return chipResName(
-                        node_, kindInt(ChipChannel::Kind::EndpointToRouter),
-                        r, r, e, v % per, v >= per);
-                });
-        }
-    }
+    forEachResource(checkBuffer, checkCredits);
 }
 
 void
@@ -360,130 +312,79 @@ Chip::collectSnapshot(Cycle now, MachineSnapshot &snap) const
 {
     const int per = cfg_.vcsPerClass();
 
-    auto recordBuffer = [&](const VcBuffer &buf, const std::string &name) {
-        if (buf.empty())
-            return;
-        SnapshotBuffer b;
-        b.resource = name;
-        b.occupancy = buf.occupancy();
-        b.capacity = buf.capacity();
-        b.packets = static_cast<int>(buf.packetCount());
-        snap.buffers.push_back(std::move(b));
-        for (std::size_t i = 0; i < buf.packetCount(); ++i) {
-            const auto &e = buf.entry(i);
-            SnapshotPacket p;
-            p.id = e.pkt->id;
-            p.age = now - e.pkt->birth;
-            p.position = name;
-            p.src = endpointAddrName(e.pkt->src);
-            p.dst = endpointAddrName(e.pkt->dst);
-            p.size_flits = e.pkt->size_flits;
-            p.flits_here =
-                static_cast<int>(e.arrived) - static_cast<int>(e.sent);
-            p.hops = e.pkt->hops;
-            p.dims_completed = e.pkt->vc.dimsCompleted();
-            p.crossed_dateline = e.pkt->vc.crossedInCurrentDim();
-            p.traffic_class = static_cast<int>(e.pkt->tc);
-            snap.packets.push_back(std::move(p));
-        }
-    };
+    forEachResource(
+        [&](const VcBuffer &buf, int, auto &&name) {
+            if (buf.empty())
+                return;
+            SnapshotBuffer b;
+            b.resource = name();
+            b.occupancy = buf.occupancy();
+            b.capacity = buf.capacity();
+            b.packets = static_cast<int>(buf.packetCount());
+            for (std::size_t i = 0; i < buf.packetCount(); ++i) {
+                const auto &e = buf.entry(i);
+                SnapshotPacket p;
+                p.id = e.pkt->id;
+                p.age = now - e.pkt->birth;
+                p.position = b.resource;
+                p.src = endpointAddrName(e.pkt->src);
+                p.dst = endpointAddrName(e.pkt->dst);
+                p.size_flits = e.pkt->size_flits;
+                p.flits_here =
+                    static_cast<int>(e.arrived) - static_cast<int>(e.sent);
+                p.hops = e.pkt->hops;
+                p.dims_completed = e.pkt->vc.dimsCompleted();
+                p.crossed_dateline = e.pkt->vc.crossedInCurrentDim();
+                p.traffic_class = static_cast<int>(e.pkt->tc);
+                snap.packets.push_back(std::move(p));
+            }
+            snap.buffers.push_back(std::move(b));
+        },
+        [&](const CreditLoop &loop, auto &&name) {
+            const int avail = loop.credits.available(loop.vc);
+            if (avail >= loop.credits.initialPerVc())
+                return;
+            SnapshotCredit c;
+            c.resource = name();
+            c.available = avail;
+            c.depth = loop.credits.initialPerVc();
+            snap.credits.push_back(std::move(c));
+        });
 
-    auto recordCredits = [&](const CreditCounter &credits, int vc,
-                             const std::string &name) {
-        if (credits.available(vc) >= credits.initialPerVc())
-            return;
-        SnapshotCredit c;
-        c.resource = name;
-        c.available = credits.available(vc);
-        c.depth = credits.initialPerVc();
-        snap.credits.push_back(std::move(c));
+    // Blocked heads are the waits-for edges: each holds its buffer and
+    // wants the credits of the next.
+    auto edge = [&](std::string holds, std::string wants, PacketPtr pkt) {
+        snap.waits_for.push_back(
+            { std::move(holds), std::move(wants), pkt->id, now - pkt->birth });
     };
-
+    std::vector<Router::BlockedHead> router_heads;
     for (RouterId r = 0; r < layout_.numRouters(); ++r) {
-        const Router &rt = router(r);
-        for (int p = 0; p < kRouterPorts; ++p) {
-            if (rt.inConnected(p)) {
-                for (int v = 0; v < cfg_.numVcs(); ++v)
-                    recordBuffer(rt.inputBuffer(p, v),
-                                 inputBufferName(node_, layout_, r, p,
-                                                 v % per, v >= per));
-            }
-            if (rt.outConnected(p)) {
-                for (int v = 0; v < cfg_.numVcs(); ++v)
-                    recordCredits(rt.outCredits(p), v,
-                                  outputDownstreamName(node_, layout_, r,
-                                                       p, v % per,
-                                                       v >= per));
-            }
-        }
-
-        std::vector<Router::BlockedHead> blocked;
-        rt.collectBlockedHeads(blocked);
-        for (const auto &b : blocked) {
-            WaitsForEdge e;
-            e.holds = inputBufferName(node_, layout_, r, b.in_port,
-                                      b.in_vc % per, b.in_vc >= per);
-            e.wants = outputDownstreamName(node_, layout_, r, b.out_port,
-                                           b.out_vc % per,
-                                           b.out_vc >= per);
-            e.packet_id = b.pkt->id;
-            e.age = now - b.pkt->birth;
-            snap.waits_for.push_back(std::move(e));
+        router_heads.clear();
+        router(r).collectBlockedHeads(router_heads);
+        for (const auto &b : router_heads) {
+            edge(portName(node_, layout_, r, b.in_port, true, b.in_vc, per),
+                 portName(node_, layout_, r, b.out_port, false, b.out_vc,
+                          per),
+                 b.pkt);
         }
     }
-
+    std::vector<ChannelAdapter::BlockedHead> adapter_heads;
     for (int ca = 0; ca < layout_.numChannelAdapters(); ++ca) {
-        const ChannelAdapter &ad = channelAdapter(ca);
         const RouterId r = layout_.channelRouter(ca);
-        for (int v = 0; v < cfg_.numVcs(); ++v) {
-            recordBuffer(ad.egressBuffer(v),
-                         chipResName(node_,
-                                     kindInt(
-                                         ChipChannel::Kind::RouterToAdapter),
-                                     r, r, ca, v % per, v >= per));
-            recordBuffer(ad.ingressBuffer(v), ingressLinkName(ca, v));
-            if (ad.torusOut() != nullptr)
-                recordCredits(ad.torusCredits(), v, egressLinkName(ca, v));
-            if (ad.routerOut() != nullptr)
-                recordCredits(
-                    ad.routerCredits(), v,
-                    chipResName(node_,
-                                kindInt(ChipChannel::Kind::AdapterToRouter),
-                                r, r, ca, v % per, v >= per));
-        }
-
-        std::vector<ChannelAdapter::BlockedHead> blocked;
-        ad.collectBlockedHeads(blocked);
-        for (const auto &b : blocked) {
-            WaitsForEdge e;
+        adapter_heads.clear();
+        channelAdapter(ca).collectBlockedHeads(adapter_heads);
+        for (const auto &b : adapter_heads) {
             if (b.egress) {
-                e.holds = chipResName(
-                    node_, kindInt(ChipChannel::Kind::RouterToAdapter), r,
-                    r, ca, b.vc % per, b.vc >= per);
-                e.wants = egressLinkName(ca, b.want_vc);
+                edge(channelName(node_, ChipChannel::Kind::RouterToAdapter,
+                                 r, r, ca, b.vc, per),
+                     egressLinkName(ca, b.want_vc), b.pkt);
             } else {
-                e.holds = ingressLinkName(ca, b.vc);
-                e.wants = chipResName(
-                    node_, kindInt(ChipChannel::Kind::AdapterToRouter), r,
-                    r, ca, b.want_vc % per, b.want_vc >= per);
+                edge(ingressLinkName(ca, b.vc),
+                     channelName(node_, ChipChannel::Kind::AdapterToRouter,
+                                 r, r, ca, b.want_vc, per),
+                     b.pkt);
             }
-            e.packet_id = b.pkt->id;
-            e.age = now - b.pkt->birth;
-            snap.waits_for.push_back(std::move(e));
         }
-    }
-
-    for (EndpointId e = 0; e < layout_.numEndpoints(); ++e) {
-        const EndpointAdapter &ep = endpoint(e);
-        if (ep.toRouter() == nullptr)
-            continue;
-        const RouterId r = layout_.endpointRouter(e);
-        for (int v = 0; v < cfg_.numVcs(); ++v)
-            recordCredits(
-                ep.routerCredits(), v,
-                chipResName(node_,
-                            kindInt(ChipChannel::Kind::EndpointToRouter),
-                            r, r, e, v % per, v >= per));
     }
 }
 

@@ -507,7 +507,7 @@ Machine::metricsJson()
         }
         // Packet-age watermarks: the oldest in-flight packet per chip and
         // machine-wide (the watchdog reads the same probes).
-        const Cycle b = chips_[n]->oldestPacketBirth();
+        const Cycle b = chips_[n]->flitCensus().oldest_birth;
         if (b < oldest)
             oldest = b;
         if (!per_chip)
@@ -587,7 +587,7 @@ Machine::hotspotDigest(std::size_t k)
                                   mesh.u(r), mesh.v(r),
                                   c.router(r).flitsRouted() });
         }
-        const Cycle b = c.oldestPacketBirth();
+        const Cycle b = c.flitCensus().oldest_birth;
         if (b != kNoCycle) {
             d.oldest.push_back(
                 { static_cast<std::int64_t>(n),
@@ -777,11 +777,8 @@ Machine::doEnableTimeseries(const TimeseriesConfig &cfg)
         info.kind = SeriesKind::Instant;
         s.addSeries(info, [this](Cycle now) {
             Cycle oldest = kNoCycle;
-            for (const auto &cp : chips_) {
-                const Cycle b = cp->oldestPacketBirth();
-                if (b < oldest)
-                    oldest = b;
-            }
+            for (const auto &cp : chips_)
+                oldest = std::min(oldest, cp->flitCensus().oldest_birth);
             return oldest == kNoCycle
                        ? 0.0
                        : static_cast<double>(now - oldest);
@@ -792,45 +789,28 @@ Machine::doEnableTimeseries(const TimeseriesConfig &cfg)
     for (NodeId n = 0; n < geom_.numNodes(); ++n) {
         const std::string chip_prefix = "chip." + std::to_string(n) + ".";
 
-        // Per-chip aggregate occupancy and credit headroom (instantaneous
-        // levels at each window boundary: where is traffic queued *now*).
-        SeriesInfo occ;
-        occ.name = chip_prefix + "occupancy_flits";
-        occ.scope = SeriesScope::Chip;
-        occ.kind = SeriesKind::Instant;
-        occ.chip = static_cast<std::int32_t>(n);
-        s.addSeries(occ, [this, n](Cycle) {
-            std::uint64_t total = 0;
-            Chip &c = chip(n);
-            for (RouterId r = 0; r < layout_.numRouters(); ++r)
-                total += c.router(r).bufferedFlits();
-            for (int ca = 0; ca < layout_.numChannelAdapters(); ++ca)
-                total += c.channelAdapter(ca).bufferedFlits();
-            return static_cast<double>(total);
+        // Per-chip levels at each window boundary (where is traffic
+        // queued *now*), read from the chip's census.
+        auto chipLevel = [&](const char *what, auto level) {
+            SeriesInfo info;
+            info.name = chip_prefix + what;
+            info.scope = SeriesScope::Chip;
+            info.kind = SeriesKind::Instant;
+            info.chip = static_cast<std::int32_t>(n);
+            s.addSeries(info, [this, n, level](Cycle now) {
+                return level(chips_[n]->flitCensus(), now);
+            });
+        };
+        chipLevel("occupancy_flits", [](const Chip::FlitCensus &c, Cycle) {
+            return static_cast<double>(c.buffered);
         });
-        SeriesInfo cred;
-        cred.name = chip_prefix + "credits";
-        cred.scope = SeriesScope::Chip;
-        cred.kind = SeriesKind::Instant;
-        cred.chip = static_cast<std::int32_t>(n);
-        s.addSeries(cred, [this, n](Cycle) {
-            std::uint64_t total = 0;
-            Chip &c = chip(n);
-            for (RouterId r = 0; r < layout_.numRouters(); ++r)
-                total += c.router(r).creditsAvailable();
-            for (int ca = 0; ca < layout_.numChannelAdapters(); ++ca)
-                total += static_cast<std::uint64_t>(
-                    c.channelAdapter(ca).torusCreditsAvailable());
-            return static_cast<double>(total);
+        chipLevel("credits", [](const Chip::FlitCensus &c, Cycle) {
+            return static_cast<double>(c.free_credits);
         });
-        SeriesInfo age;
-        age.name = chip_prefix + "pkt.oldest_age";
-        age.scope = SeriesScope::Chip;
-        age.kind = SeriesKind::Instant;
-        age.chip = static_cast<std::int32_t>(n);
-        s.addSeries(age, [this, n](Cycle now) {
-            const Cycle b = chips_[n]->oldestPacketBirth();
-            return b == kNoCycle ? 0.0 : static_cast<double>(now - b);
+        chipLevel("pkt.oldest_age", [](const Chip::FlitCensus &c, Cycle now) {
+            return c.oldest_birth == kNoCycle
+                       ? 0.0
+                       : static_cast<double>(now - c.oldest_birth);
         });
 
         // Per-link egress flit counts - the heatmap source. Utilization
@@ -888,11 +868,11 @@ Machine::doEnableTimeseries(const TimeseriesConfig &cfg)
     s.watchSteadyState(delivered_idx, latency_idx, metrics_.get());
     engine_.add(s);
     // The sampler observes at attach + n*window; those cycles must be
-    // window-final so instantaneous probes see exactly the state a
-    // serial per-cycle run would (lookahead windows truncate to land
-    // the barrier there).
-    if (cfg.window > 1)
-        engine_.addBarrierAlignment(cfg.window, engine_.now() % cfg.window);
+    // window-final so instantaneous probes and the warmup reset see
+    // exactly the state a serial per-cycle run would (lookahead windows
+    // truncate to land the barrier there). A 1-cycle window thus runs
+    // a barrier every cycle.
+    engine_.addBarrierAlignment(cfg.window, engine_.now());
     return s;
 }
 

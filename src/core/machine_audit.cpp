@@ -6,12 +6,16 @@
  * progress probe, the forensic-snapshot builder, and the seeded
  * negative-control faults.
  *
- * The per-chip half (on-chip credit conservation, buffer sanity, VC-class
- * legality, snapshot rows) lives in core/chip_audit.cpp; this file owns
- * everything that spans two chips: the torus links.
+ * Everything inside one chip - on-chip credit conservation, buffer
+ * sanity, VC-class legality, snapshot rows, and the census the flit sum
+ * and the age watermark read - is a visitor of the chip's one walk over
+ * its buffers and credit loops (core/chip_audit.cpp). This file owns what
+ * spans two chips: the torus links, whose conservation sums need the
+ * peer adapter's ingress buffer and queued credits.
  */
 #include "core/machine.hpp"
 
+#include <algorithm>
 #include <string>
 
 namespace anton2 {
@@ -40,9 +44,8 @@ Machine::progressProbe() const
             p.injected += ep.injected();
             pending += ep.pendingInjections();
         }
-        const Cycle b = cp->oldestPacketBirth();
-        if (b < p.oldest_birth)
-            p.oldest_birth = b;
+        p.oldest_birth =
+            std::min(p.oldest_birth, cp->flitCensus().oldest_birth);
     }
     // Packets the network has accepted (or is wedged accepting) that the
     // ejection side has not retired - the watchdog's "work in flight".

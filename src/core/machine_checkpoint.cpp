@@ -46,7 +46,9 @@ Machine::configFingerprint() const
     h = ckptHashCombine(h, c.mesh_latency);
     h = ckptHashCombine(h, c.skip_latency);
     h = ckptHashCombine(h, c.attach_latency);
-    h = ckptHashCombine(h, c.enable_energy ? 1 : 0);
+    // The slot of the retired per-chip energy-meter flag, always off:
+    // hashing its constant keeps format-v4 fingerprints and images.
+    h = ckptHashCombine(h, 0);
     h = ckptHashCombine(h, cfg_.seed);
     // Per-link latencies (same traversal order as the wiring loop)
     // subsume use_packaging / fixed_torus_latency / the packaging
@@ -109,9 +111,12 @@ Machine::packetFields(CkptArchive &ar, Packet &p) const
     ar.io(p.mcast_group, -1, INT32_MAX, "multicast group out of range");
     PacketRoute &r = p.route;
     unsigned seen = 0;
-    for (std::uint8_t &d : r.order) {
-        ar.io(d, 0, 2, "route order is not a permutation of the dimensions");
-        seen |= 1u << d;
+    // Indexed: GCC 12 at -O3 reports a false -Wstringop-overflow past
+    // the end of the order array for the range-for form.
+    for (std::size_t i = 0; i < r.order.size(); ++i) {
+        ar.io(r.order[i], 0, 2,
+              "route order is not a permutation of the dimensions");
+        seen |= 1u << r.order[i];
     }
     ar.check(seen == 7u, "route order is not a permutation of the dimensions");
     for (Dir &d : r.dirs) {

@@ -4,7 +4,6 @@
  */
 #include "debug/snapshot.hpp"
 
-#include <algorithm>
 #include <map>
 #include <set>
 #include <sstream>
@@ -15,69 +14,6 @@ namespace anton2 {
 
 namespace {
 
-/** Find a cycle in the name-keyed waits-for graph. Nodes are visited in
- * first-appearance order over the edge list, so the result is a pure
- * function of the snapshot contents. Returns the cycle in traversal
- * order (first node repeated implicitly), or an empty vector. */
-std::vector<std::string>
-findCycle(const std::vector<WaitsForEdge> &edges)
-{
-    std::vector<std::string> names;
-    std::map<std::string, int> index;
-    auto intern = [&](const std::string &n) {
-        auto [it, fresh] = index.try_emplace(n, static_cast<int>(names.size()));
-        if (fresh)
-            names.push_back(n);
-        return it->second;
-    };
-    std::vector<std::vector<int>> adj;
-    for (const auto &e : edges) {
-        const int a = intern(e.holds);
-        const int b = intern(e.wants);
-        adj.resize(names.size());
-        adj[static_cast<std::size_t>(a)].push_back(b);
-    }
-    adj.resize(names.size());
-
-    // Iterative coloring DFS with an explicit path stack.
-    enum : char { White, Grey, Black };
-    std::vector<char> color(names.size(), White);
-    std::vector<int> parent(names.size(), -1);
-    for (std::size_t root = 0; root < names.size(); ++root) {
-        if (color[root] != White)
-            continue;
-        std::vector<std::pair<int, std::size_t>> stack;
-        stack.emplace_back(static_cast<int>(root), 0);
-        color[root] = Grey;
-        while (!stack.empty()) {
-            auto &[u, next] = stack.back();
-            const auto &out = adj[static_cast<std::size_t>(u)];
-            if (next < out.size()) {
-                const int v = out[next++];
-                if (color[static_cast<std::size_t>(v)] == Grey) {
-                    // Back edge u -> v closes a cycle v ... u.
-                    std::vector<std::string> cyc;
-                    for (int w = u; w != v;
-                         w = parent[static_cast<std::size_t>(w)])
-                        cyc.push_back(names[static_cast<std::size_t>(w)]);
-                    cyc.push_back(names[static_cast<std::size_t>(v)]);
-                    std::reverse(cyc.begin(), cyc.end());
-                    return cyc;
-                }
-                if (color[static_cast<std::size_t>(v)] == White) {
-                    color[static_cast<std::size_t>(v)] = Grey;
-                    parent[static_cast<std::size_t>(v)] = u;
-                    stack.emplace_back(v, 0);
-                }
-            } else {
-                color[static_cast<std::size_t>(u)] = Black;
-                stack.pop_back();
-            }
-        }
-    }
-    return {};
-}
-
 std::string
 jsonInt(std::uint64_t v)
 {
@@ -86,10 +22,71 @@ jsonInt(std::uint64_t v)
 
 } // namespace
 
+std::vector<int>
+findCycle(const std::vector<std::vector<int>> &adj)
+{
+    enum : char { White, Grey, Black };
+    std::vector<char> color(adj.size(), White);
+    // The DFS path: each node with the index of its next edge to try.
+    // Exactly the grey nodes are on it.
+    std::vector<std::pair<int, std::size_t>> path;
+    for (std::size_t root = 0; root < adj.size(); ++root) {
+        if (color[root] != White)
+            continue;
+        path.emplace_back(static_cast<int>(root), 0);
+        color[root] = Grey;
+        while (!path.empty()) {
+            auto &[u, next] = path.back();
+            const auto &out = adj[static_cast<std::size_t>(u)];
+            if (next == out.size()) {
+                color[static_cast<std::size_t>(u)] = Black;
+                path.pop_back();
+                continue;
+            }
+            const int v = out[next++];
+            if (color[static_cast<std::size_t>(v)] == Grey) {
+                // Back edge u -> v: the path from v to u is the cycle.
+                std::vector<int> cycle;
+                auto it = path.begin();
+                while (it->first != v)
+                    ++it;
+                for (; it != path.end(); ++it)
+                    cycle.push_back(it->first);
+                return cycle;
+            }
+            if (color[static_cast<std::size_t>(v)] == White) {
+                color[static_cast<std::size_t>(v)] = Grey;
+                path.emplace_back(v, 0);
+            }
+        }
+    }
+    return {};
+}
+
 void
 analyzeWaitsFor(MachineSnapshot &snap)
 {
-    snap.cycle = findCycle(snap.waits_for);
+    // Resources are nodes in first-appearance order over the edge list,
+    // so the cycle is a pure function of the snapshot contents.
+    std::vector<std::string> names;
+    std::map<std::string, int> index;
+    auto intern = [&](const std::string &n) {
+        auto [it, fresh] =
+            index.try_emplace(n, static_cast<int>(names.size()));
+        if (fresh)
+            names.push_back(n);
+        return it->second;
+    };
+    std::vector<std::vector<int>> adj;
+    for (const auto &e : snap.waits_for) {
+        const int a = intern(e.holds);
+        const int b = intern(e.wants);
+        adj.resize(names.size());
+        adj[static_cast<std::size_t>(a)].push_back(b);
+    }
+    snap.cycle.clear();
+    for (int n : findCycle(adj))
+        snap.cycle.push_back(names[static_cast<std::size_t>(n)]);
     snap.culprits.clear();
     if (!snap.cycle.empty()) {
         snap.verdict = "deadlock";

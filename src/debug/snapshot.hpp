@@ -123,6 +123,16 @@ struct DotGraph
  * export and the static checker's deadlockDot, so both diff cleanly). */
 std::string renderDot(const DotGraph &g);
 
+/**
+ * A cycle of the directed graph @p adj (successors of each node), found
+ * by an iterative three-colour DFS with roots in index order and edges
+ * in list order, so the result is a pure function of @p adj. Returns
+ * the cycle in traversal order, from the node the closing back edge
+ * points at; empty if the graph is acyclic. Shared by the waits-for
+ * analysis and the static deadlock checker.
+ */
+std::vector<int> findCycle(const std::vector<std::vector<int>> &adj);
+
 // --- resource naming (mirrors analysis/deadlock) -----------------------
 
 /** On-chip buffer resource: `chip(n<node>,k<kind>,r<from>-><to>,a<ad>,

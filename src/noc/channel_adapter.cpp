@@ -382,24 +382,6 @@ ChannelAdapter::pendingTorusCredits(int vc) const
     return n;
 }
 
-Cycle
-ChannelAdapter::oldestBirth() const
-{
-    Cycle oldest = kNoCycle;
-    auto scan = [&oldest](const std::vector<VcBuffer> &side) {
-        for (const auto &vc : side) {
-            for (std::size_t i = 0; i < vc.packetCount(); ++i) {
-                const Cycle b = vc.entry(i).pkt->birth;
-                if (b < oldest)
-                    oldest = b;
-            }
-        }
-    };
-    scan(egress_vcs_);
-    scan(ingress_vcs_);
-    return oldest;
-}
-
 void
 ChannelAdapter::collectBlockedHeads(std::vector<BlockedHead> &out) const
 {

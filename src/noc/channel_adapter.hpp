@@ -143,34 +143,14 @@ class ChannelAdapter final : public Component
      * credits (not checkpointed). */
     std::uint64_t creditStalls() const { return credit_stalls_; }
 
-    /** Flits buffered on both sides right now (telemetry probe). */
-    std::uint64_t
-    bufferedFlits() const
-    {
-        std::uint64_t total = 0;
-        for (const auto &vc : egress_vcs_)
-            total += static_cast<std::uint64_t>(vc.occupancy());
-        for (const auto &vc : ingress_vcs_)
-            total += static_cast<std::uint64_t>(vc.occupancy());
-        return total;
-    }
-
-    /** Torus-link credits available across VCs (telemetry probe). */
-    int torusCreditsAvailable() const
-    {
-        return torus_credits_.totalAvailable();
-    }
-
     // --- runtime-auditor probes (all read-only) -----------------------
 
     const VcBuffer &egressBuffer(int vc) const { return egress_vcs_[vc]; }
     const VcBuffer &ingressBuffer(int vc) const { return ingress_vcs_[vc]; }
     const CreditCounter &torusCredits() const { return torus_credits_; }
     const CreditCounter &routerCredits() const { return router_credits_; }
-    const Channel *routerIn() const { return router_in_; }
     const Channel *routerOut() const { return router_out_; }
     const Channel *torusOut() const { return torus_out_; }
-    const Channel *torusIn() const { return torus_in_; }
 
     /** Unsent flits of the packet currently granted the torus link on
      * link VC @p link_vc (VCT reservation; credits already consumed). */
@@ -182,9 +162,6 @@ class ChannelAdapter final : public Component
 
     /** Credits for torus VC @p vc queued but not yet on the wire. */
     int pendingTorusCredits(int vc) const;
-
-    /** Injection cycle of the oldest buffered packet (kNoCycle if none). */
-    Cycle oldestBirth() const;
 
     /** A head flit persistently blocked on credits at this adapter. */
     struct BlockedHead

@@ -158,7 +158,6 @@ class EndpointAdapter final : public Component
 
     const CreditCounter &routerCredits() const { return router_credits_; }
     const Channel *toRouter() const { return to_router_; }
-    const Channel *fromRouter() const { return from_router_; }
 
     /** Unsent flits of the packet being streamed into the router on VC
      * @p vc (reservation against router_credits_). */

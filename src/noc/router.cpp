@@ -513,22 +513,6 @@ Router::outReservedFlits(int port, int vc) const
     return entry.pkt->size_flits - static_cast<int>(entry.sent);
 }
 
-Cycle
-Router::oldestBirth() const
-{
-    Cycle oldest = kNoCycle;
-    for (const auto &ip : in_) {
-        for (const auto &vc : ip.vcs) {
-            for (std::size_t i = 0; i < vc.packetCount(); ++i) {
-                const Cycle b = vc.entry(i).pkt->birth;
-                if (b < oldest)
-                    oldest = b;
-            }
-        }
-    }
-    return oldest;
-}
-
 void
 Router::collectBlockedHeads(std::vector<BlockedHead> &out) const
 {

@@ -148,7 +148,6 @@ class Router final : public Component
 
     bool inConnected(int port) const { return in_[port].ch != nullptr; }
     bool outConnected(int port) const { return out_[port].ch != nullptr; }
-    const Channel *inChannel(int port) const { return in_[port].ch; }
     const Channel *outChannel(int port) const { return out_[port].ch; }
     const VcBuffer &inputBuffer(int port, int vc) const
     {
@@ -163,9 +162,6 @@ class Router final : public Component
      * input buffer (credits already consumed for them - the VCT
      * reservation term of the credit-conservation sum). */
     int outReservedFlits(int port, int vc) const;
-
-    /** Injection cycle of the oldest buffered packet (kNoCycle if none). */
-    Cycle oldestBirth() const;
 
     /** A head flit persistently blocked on downstream credits. */
     struct BlockedHead

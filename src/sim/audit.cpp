@@ -14,7 +14,7 @@ void
 Auditor::report(const std::string &check, const std::string &detail)
 {
     ++violation_count_;
-    if (violations_.size() < cfg_.max_recorded_violations)
+    if (violations_.size() < kMaxRecordedViolations)
         violations_.push_back({ current_cycle_, check, detail });
 }
 
@@ -72,8 +72,6 @@ Auditor::watchdogProbe(Cycle now)
     if (snap.verdict != "deadlock")
         snap.verdict = "livelock";
     trip_ = std::move(snap);
-    if (on_trip_)
-        on_trip_(*trip_);
 }
 
 void

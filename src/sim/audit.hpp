@@ -12,9 +12,12 @@
  *
  * The auditor itself is machine-agnostic. The Machine registers named
  * check callbacks (flit conservation, credit conservation, VC legality -
- * see core/machine_audit.cpp), a progress probe for the watchdog, and a
- * snapshot builder; this class owns only the scheduling, the violation
- * log, the stall bookkeeping, and the trip decision.
+ * see core/machine_audit.cpp; each chip's share is a visitor of its one
+ * walk over buffers and credit loops in core/chip_audit.cpp), a progress
+ * probe for the watchdog, and a snapshot builder; this class owns only
+ * the scheduling, the violation log (the first kMaxRecordedViolations
+ * details, every violation counted), the stall bookkeeping, and the trip
+ * decision.
  */
 #pragma once
 
@@ -43,8 +46,6 @@ struct AuditConfig
     /** Ejection-stall length (cycles with work in flight but nothing
      * delivered) at which the watchdog trips. */
     Cycle stall_threshold = 20000;
-    /** Cap on recorded violation details (counters keep counting). */
-    std::size_t max_recorded_violations = 64;
 };
 
 /** What the watchdog sees each probe: cumulative progress counters plus
@@ -81,13 +82,6 @@ class Auditor : public Component
     void setProgressProbe(ProbeFn fn) { probe_ = std::move(fn); }
     void setSnapshotFn(SnapshotFn fn) { snapshot_ = std::move(fn); }
 
-    /** Called when the watchdog trips (after the trip snapshot is taken);
-     * benches use it to log, tests to assert. */
-    void setOnTrip(std::function<void(const MachineSnapshot &)> fn)
-    {
-        on_trip_ = std::move(fn);
-    }
-
     /** Record one invariant violation found by check @p check. */
     void report(const std::string &check, const std::string &detail);
 
@@ -104,6 +98,9 @@ class Auditor : public Component
         std::string detail;
     };
 
+    /** Violation details recorded; later ones are only counted. */
+    static constexpr std::size_t kMaxRecordedViolations = 64;
+
     std::uint64_t auditsRun() const { return audits_run_; }
     std::uint64_t violationCount() const { return violation_count_; }
     const std::vector<Violation> &violations() const { return violations_; }
@@ -113,8 +110,6 @@ class Auditor : public Component
     {
         return trip_ ? &*trip_ : nullptr;
     }
-    Cycle ejectionStall() const { return ejection_stall_; }
-    Cycle oldestAge() const { return oldest_age_; }
 
     /** Publish machine.audit.* gauges into @p reg (called by the machine's
      * metrics refresh, never from the tick path). */
@@ -130,7 +125,6 @@ class Auditor : public Component
     std::vector<std::pair<std::string, CheckFn>> checks_;
     ProbeFn probe_;
     SnapshotFn snapshot_;
-    std::function<void(const MachineSnapshot &)> on_trip_;
 
     Cycle next_audit_ = 0;
     Cycle next_watchdog_ = 0;

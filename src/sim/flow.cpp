@@ -69,14 +69,6 @@ FlowProbe::registerUnit(std::int32_t node, TraceUnitKind kind, int unit,
     b.name = std::move(name);
 }
 
-bool
-FlowProbe::keepPaths(std::uint64_t packet) const
-{
-    if (!cfg_.digest_only)
-        return true;
-    return cfg_.sample > 0 && packet % cfg_.sample == 0;
-}
-
 void
 FlowProbe::addHop(const PacketEvent &r)
 {
@@ -91,8 +83,7 @@ FlowProbe::addHop(const PacketEvent &r)
     b.flits += static_cast<std::uint64_t>(r.size_flits);
     b.queue_wait += r.grant >= r.arrival ? r.grant - r.arrival : 0;
     b.xfer_cycles += r.cycle >= r.grant ? r.cycle - r.grant : 0;
-    if (keepPaths(r.packet))
-        inflight_[r.packet].push_back(r);
+    inflight_[r.packet].push_back(r);
 }
 
 void
@@ -130,11 +121,8 @@ FlowProbe::recordDelivery(const FlowDeliveryRecord &d)
     if (c.packets == 1 || lat > c.worst_latency) {
         c.worst_packet = d.packet;
         c.worst_latency = lat;
-        if (!cfg_.digest_only) {
-            c.worst_path = path != inflight_.end()
-                               ? path->second
-                               : std::vector<PacketEvent>{};
-        }
+        c.worst_path = path != inflight_.end() ? path->second
+                                               : std::vector<PacketEvent>{};
     }
     if (cfg_.sample > 0 && d.packet % cfg_.sample == 0) {
         if (spans_.size() < cfg_.max_spans) {

@@ -34,11 +34,10 @@
  *    exemplar carrying its full hop path.
  *
  * Memory is bounded: flow cells are allocated on first packet (sparse
- * in the number of active (src, dst, class) pairs), per-packet path
- * logs live only while the packet is in flight, and digest_only mode
- * drops the per-cell exemplar paths so a cell is a flat ~200 bytes.
- * Multicast packets are excluded (replicas share one packet id, so a
- * per-packet flight log would be ambiguous).
+ * in the number of active (src, dst, class) pairs), and per-packet path
+ * logs live only while the packet is in flight. Multicast packets are
+ * excluded (replicas share one packet id, so a per-packet flight log
+ * would be ambiguous).
  */
 #pragma once
 
@@ -66,9 +65,6 @@ struct FlowProbeConfig
     std::uint64_t sample = 0;
     /** Digest list lengths (worst flows / most-blamed units). */
     std::size_t topk = 8;
-    /** Drop per-cell exemplar paths and per-packet path logs (unless
-     * sampling needs them) so memory stays flat per cell. */
-    bool digest_only = false;
     /** Cap on retained sampled spans; further samples are counted as
      * dropped, never silently lost. */
     std::size_t max_spans = 4096;
@@ -128,7 +124,7 @@ struct FlowCell
     std::array<std::uint32_t, kFlowLatencyBuckets> lat_log2{};
     std::uint64_t worst_packet = 0;
     Cycle worst_latency = 0;
-    /** Worst packet's hop path (empty in digest_only mode). */
+    /** Worst packet's hop path. */
     std::vector<PacketEvent> worst_path;
 
     /** Upper edge of the bucket holding the 99th percentile. */
@@ -227,8 +223,6 @@ class FlowProbe
     std::uint64_t deliveries() const { return deliveries_; }
 
   private:
-    bool keepPaths(std::uint64_t packet) const;
-
     FlowProbeConfig cfg_;
 
     std::map<FlowKey, FlowCell> cells_;

@@ -25,8 +25,10 @@ SteadyStateDetector::observe(double x)
     }
     if (run_count_ > 0) {
         const double mean = run_sum_ / static_cast<double>(run_count_);
-        const double band = std::max(cfg_.rel_tolerance * std::fabs(mean),
-                                     cfg_.abs_floor);
+        // The floor keeps a near-zero mean from narrowing the band to
+        // nothing.
+        const double band =
+            std::max(cfg_.rel_tolerance * std::fabs(mean), 1e-9);
         if (std::fabs(x - mean) > band) {
             start_ = n_;
             run_sum_ = 0.0;

@@ -60,8 +60,6 @@ struct SteadyStateConfig
     std::size_t min_windows = 8;
     /** Band half-width as a fraction of the running steady-region mean. */
     double rel_tolerance = 0.10;
-    /** Absolute band floor, for series whose mean is near zero. */
-    double abs_floor = 1e-9;
 };
 
 /**
@@ -153,7 +151,10 @@ struct SeriesInfo
 
 struct TimeseriesConfig
 {
-    Cycle window = 1024;          ///< sampling interval, cycles
+    /** Sampling interval, cycles. Each sample lands on a window-final
+     * cycle, so a 1-cycle window runs per-cycle barriers while the
+     * sampler is attached, whatever the lookahead window. */
+    Cycle window = 1024;
     std::size_t max_windows = 4096; ///< preallocated window capacity
     /** Record per-router occupancy/credit series (memory-heavy on large
      * machines; per-chip aggregates are always recorded). */

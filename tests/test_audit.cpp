@@ -17,6 +17,7 @@
 #include "routing/multicast.hpp"
 #include "routing/route.hpp"
 #include "sim/rng.hpp"
+#include "sim/timeseries.hpp"
 
 namespace anton2 {
 namespace {
@@ -346,6 +347,62 @@ TEST(Audit, SnapshotBufferOccupancyIsConsistent)
     }
     EXPECT_FALSE(snap.packets.empty());
     EXPECT_EQ(buffer_flits, packet_flits);
+}
+
+TEST(Audit, EveryReaderSeesTheSameBuffers)
+{
+    // The snapshot, the flit census and the time series' chip occupancy
+    // read one walk over each chip's buffers: at a cycle that ends a
+    // sampling window, with unicast and multicast packets in flight,
+    // all three must agree chip by chip.
+    MachineConfig cfg = auditConfig();
+    cfg.radix = { 4, 4, 4 };
+    Machine m(cfg);
+    Instrumentation inst;
+    TimeseriesConfig scfg;
+    scfg.window = 16;
+    inst.timeseries = scfg;
+    m.attachInstrumentation(inst);
+
+    driveSeededTraffic(m, 76, 400);
+    Rng tie(11);
+    for (int x = 0; x < 4; ++x) {
+        const NodeId src = m.geom().id({ x, x % 2, 1 });
+        std::vector<McastDest> dests;
+        for (int d = 1; d < 4; ++d)
+            dests.push_back({ m.geom().id({ (x + d) % 4, 2, d }), 3 });
+        const auto group = m.installTree(
+            buildMcastTree(m.geom(), src, dests, DimOrder{ 0, 1, 2 }, 0, tie));
+        m.sendMulticast({ src, 1 }, group);
+    }
+    m.run(RunSpec::forCycles(3 * scfg.window + 1));
+
+    const IntervalSampler &s = *m.timeseries();
+    ASSERT_GT(s.numWindows(), 0u);
+    const std::size_t w = s.numWindows() - 1;
+    ASSERT_EQ(s.windowEnd(w), m.now() - 1); // sampled after the last tick
+
+    std::uint64_t total = 0;
+    bool multicast = false;
+    for (NodeId n = 0; n < m.geom().numNodes(); ++n) {
+        const Chip &chip = m.chip(n);
+        MachineSnapshot snap;
+        chip.collectSnapshot(m.now(), snap);
+        std::uint64_t snapshot_flits = 0;
+        for (const auto &b : snap.buffers)
+            snapshot_flits += static_cast<std::uint64_t>(b.occupancy);
+        const Chip::FlitCensus census = chip.flitCensus();
+        const double sampled = s.value(
+            s.findSeries("chip." + std::to_string(n) + ".occupancy_flits"),
+            w);
+        EXPECT_EQ(census.buffered, snapshot_flits) << "chip " << n;
+        EXPECT_EQ(static_cast<double>(census.buffered), sampled)
+            << "chip " << n;
+        total += census.buffered;
+        multicast = multicast || census.multicast;
+    }
+    EXPECT_GT(total, 0u);
+    EXPECT_TRUE(multicast) << "no multicast packet in flight";
 }
 
 TEST(DeadlockDot, NoDatelineCycleRenderedAndHighlighted)

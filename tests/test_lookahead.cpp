@@ -451,8 +451,8 @@ TEST(LookaheadDeterminism, Fig9ExportsByteIdenticalAcrossThreads)
  * unobservable: window-k runs are byte-identical to window-1 runs at
  * every thread count, the strongest form of the lookahead contract.
  */
-RunExports
-runPreInjected(int threads, Cycle lookahead, std::uint64_t seed = 9)
+MachineConfig
+preInjectedConfig(int threads, Cycle lookahead, std::uint64_t seed)
 {
     MachineConfig cfg;
     cfg.radix = { 2, 2, 2 };
@@ -462,9 +462,13 @@ runPreInjected(int threads, Cycle lookahead, std::uint64_t seed = 9)
     cfg.seed = seed;
     cfg.threads = threads;
     cfg.lookahead = lookahead;
-    Machine m(cfg);
-    m.attachInstrumentation(fullInstrumentation());
+    return cfg;
+}
 
+/** Send up to 200 seeded writes between the nodes of @p m. */
+void
+preInject(Machine &m, std::uint64_t seed)
+{
     Rng traffic(seed * 1315423911ULL + 1);
     const auto nodes = static_cast<std::uint64_t>(m.geom().numNodes());
     for (int i = 0; i < 200; ++i) {
@@ -477,6 +481,14 @@ runPreInjected(int threads, Cycle lookahead, std::uint64_t seed = 9)
         const int size = 1 + static_cast<int>(traffic.below(2));
         m.send(m.makeWrite(src, dst, 0, size));
     }
+}
+
+RunExports
+runPreInjected(int threads, Cycle lookahead, std::uint64_t seed = 9)
+{
+    Machine m(preInjectedConfig(threads, lookahead, seed));
+    m.attachInstrumentation(fullInstrumentation());
+    preInject(m, seed);
     m.run(RunSpec::forCycles(2048));
     return captureExports(m);
 }
@@ -495,6 +507,29 @@ TEST(LookaheadDeterminism, FeedbackFreeRunsByteIdenticalAcrossWindows)
                                 + std::to_string(lookahead));
         }
     }
+}
+
+TEST(LookaheadDeterminism, OneCycleSamplerReadsWindowFinalState)
+{
+    // A 1-cycle sampling window observes every cycle, so every cycle
+    // must end a lookahead window; otherwise its instant probes (chip
+    // credits and occupancy, packet ages) read shards that have ticked
+    // ahead of the sample.
+    auto series = [](Cycle lookahead) {
+        Machine m(preInjectedConfig(1, lookahead, 9));
+        Instrumentation inst;
+        TimeseriesConfig scfg;
+        scfg.window = 1;
+        inst.timeseries = scfg;
+        m.attachInstrumentation(inst);
+        preInject(m, 9);
+        m.run(RunSpec::forCycles(600));
+        return m.timeseriesJson();
+    };
+    const std::string per_cycle = series(1);
+    EXPECT_NE(per_cycle.find("\"chip.0.credits\""), std::string::npos);
+    EXPECT_EQ(per_cycle, series(0))
+        << "a window-1 time series differs under lookahead windows";
 }
 
 // ---------------------------------------------------------------------
