@@ -20,8 +20,9 @@
  * speedups if no serial row was measured.
  *
  * `--json` (default BENCH_speed.json) writes the machine-readable
- * report consumed by the CI perf-smoke job. Wall-clock speedup depends
- * on the host's core count; the deterministic columns do not.
+ * report consumed by the CI perf-smoke job, with the host it ran on
+ * (CPU count and model, build type, compiler). Wall-clock speedup
+ * depends on the host's core count; the deterministic columns do not.
  */
 #include <algorithm>
 #include <cstdio>
@@ -363,6 +364,7 @@ main(int argc, char **argv)
     bench::writeFile(json_path,
                      bench::JsonObj()
                          .add("bench", bench::str("host_speed"))
+                         .add("host", bench::hostProvenanceJson())
                          .add("config", config)
                          .add("rows", bench::arr(rows))
                          .add("deterministic",

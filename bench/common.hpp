@@ -15,8 +15,10 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/machine.hpp"
@@ -117,6 +119,59 @@ writeFile(const std::string &path, const std::string &content)
         throw std::runtime_error("cannot open " + path + " for writing");
     std::fwrite(content.data(), 1, content.size(), f);
     std::fclose(f);
+}
+
+#ifndef ANTON2_BUILD_TYPE
+#define ANTON2_BUILD_TYPE "unknown"
+#endif
+
+/** The host's CPU model: the first "model name" of /proc/cpuinfo, or
+ * "unknown" where there is none. */
+inline std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        const auto colon = line.find(':');
+        if (line.rfind("model name", 0) != 0 || colon == std::string::npos)
+            continue;
+        const auto start = line.find_first_not_of(' ', colon + 1);
+        if (start != std::string::npos)
+            return line.substr(start);
+    }
+    return "unknown";
+}
+
+/**
+ * Where and how these host timings were measured: the fields of
+ * perfbench's `host` line but its git revision, which a binary cannot
+ * know without a configure-time stamp that goes stale. `build_type` is
+ * the CMake build type (bench/CMakeLists.txt).
+ */
+inline std::string
+hostProvenanceJson()
+{
+#if defined(__clang__)
+    const std::string compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+    const std::string compiler = std::string("gcc ") + __VERSION__;
+#else
+    const std::string compiler = "unknown";
+#endif
+#ifdef __OPTIMIZE__
+    const bool optimized = true;
+#else
+    const bool optimized = false;
+#endif
+    return JsonObj()
+        .add("nproc",
+             num(static_cast<double>(std::thread::hardware_concurrency())))
+        .add("cpu_model", str(cpuModel()))
+        .add("build_type", str(ANTON2_BUILD_TYPE))
+        .add("optimized", optimized ? "true" : "false")
+        .add("compiler", str(compiler))
+        .dump(0);
 }
 
 /** Groups of shared flags; a bench registers the groups it honors. */

@@ -1,6 +1,7 @@
 #include "analysis/loads.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -88,7 +89,7 @@ LoadModel::LoadModel(const TorusGeom &geom, const ChipLayout &layout,
     ca_ingress_.assign(static_cast<std::size_t>(num_patterns),
                        std::vector<double>(nodes * nca_ * nvc_, 0.0));
     torus_.assign(static_cast<std::size_t>(num_patterns),
-                  std::vector<double>(nodes * 3 * 2 * kNumSlices, 0.0));
+                  std::vector<double>(nodes * nca_, 0.0));
     mesh_.assign(static_cast<std::size_t>(num_patterns),
                  std::vector<double>(nodes * nr_ * kNumMeshDirs, 0.0));
 
@@ -155,61 +156,21 @@ LoadModel::checkSlot(int slot) const
         reject("pattern slot " + std::to_string(slot) + " out of range");
 }
 
+template <class Ingress, class Cross, class Egress>
 void
-LoadModel::addPattern(int slot, const TrafficPattern &pattern,
-                      const std::vector<EndpointId> &cores,
-                      int samples_per_core, Rng &rng)
+LoadModel::walk(EndpointAddr src, EndpointAddr dst, const RouteSpec &spec,
+                Ingress &&ingress, Cross &&cross, Egress &&egress) const
 {
-    checkSlot(slot);
-    for (EndpointId e : cores) {
-        if (e < 0 || e >= num_eps_)
-            reject("core " + std::to_string(e) + " is not an endpoint");
-    }
-    const double w = 1.0 / static_cast<double>(samples_per_core);
-    RouteSpec spec;
-    for (NodeId n = 0; n < geom_.numNodes(); ++n) {
-        for (EndpointId e : cores) {
-            for (int s = 0; s < samples_per_core; ++s) {
-                const NodeId dst_node = pattern.dest(n, rng);
-                if (dst_node >= geom_.numNodes())
-                    reject("pattern destination outside the machine");
-                const EndpointId dst_ep = cores[rng.below(cores.size())];
-                randomRoute(geom_, n, dst_node, rng, spec);
-                trace({ n, e }, { dst_node, dst_ep }, spec, w, slot);
-            }
-        }
-    }
-}
-
-void
-LoadModel::tracePacket(EndpointAddr src, EndpointAddr dst,
-                       const RouteSpec &spec, double weight, int slot)
-{
-    checkSlot(slot);
-    const NodeId nodes = geom_.numNodes();
-    if (src.node >= nodes || dst.node >= nodes || src.ep < 0
-        || src.ep >= num_eps_ || dst.ep < 0 || dst.ep >= num_eps_)
-        reject("packet address outside the machine");
-    if (const char *why = malformedRoute(spec))
-        reject(why);
-    trace(src, dst, spec, weight, slot);
-}
-
-void
-LoadModel::trace(EndpointAddr src, EndpointAddr dst, const RouteSpec &spec,
-                 double weight, int slot)
-{
-    auto &router = router_[static_cast<std::size_t>(slot)];
-    auto &ca_eg = ca_egress_[static_cast<std::size_t>(slot)];
-    auto &ca_in = ca_ingress_[static_cast<std::size_t>(slot)];
-    auto &torus = torus_[static_cast<std::size_t>(slot)];
-    auto &mesh = mesh_[static_cast<std::size_t>(slot)];
-
     const int vcs_per_class = chip_.vcsPerClass();
     auto fullVc = [&](int promo) {
         return fullVcIndex(TrafficClass::Request, promo, vcs_per_class);
     };
     const int num_cas = static_cast<int>(nca_);
+    const std::span<const int> from = coordsOf(src.node);
+    const std::span<const int> to = coordsOf(dst.node);
+    auto key = [&](int entry, int exit_slot) {
+        return static_cast<std::size_t>(entry * num_slots_ + exit_slot);
+    };
 
     // Dimension by dimension, one chip crossing per torus hop. A chip is
     // entered from an endpoint (entry_dim -1) or from the channel adapter
@@ -224,9 +185,8 @@ LoadModel::trace(EndpointAddr src, EndpointAddr dst, const RouteSpec &spec,
         const Dir dir = spec.dirs[dd];
         const int k = geom_.radix(d);
         // Earlier dimensions have not moved this coordinate.
-        int c = coords_[3 * static_cast<std::size_t>(src.node) + dd];
-        const int to = coords_[3 * static_cast<std::size_t>(dst.node) + dd];
-        int hops = dir == Dir::Pos ? to - c : c - to;
+        int c = from[dd];
+        int hops = dir == Dir::Pos ? to[dd] - c : c - to[dd];
         if (hops < 0)
             hops += k;
         const int out_ca = ChipLayout::channelAdapterIndex(d, dir, spec.slice);
@@ -234,20 +194,17 @@ LoadModel::trace(EndpointAddr src, EndpointAddr dst, const RouteSpec &spec,
             ChipLayout::channelAdapterIndex(d, opposite(dir), spec.slice);
         for (; hops > 0; --hops) {
             if (entry_dim >= 0) {
-                ca_in[caIdx(here, entry - num_eps_, fullVc(vc.torusVc()))] +=
-                    weight;
+                ingress(here, entry - num_eps_, fullVc(vc.torusVc()));
                 if (entry_dim != d)
                     vc.onDimComplete();
             }
             // Continuing along X crosses the chip on the skip channel.
             const bool x_through = entry_dim == d && d == 0;
-            chargeChip(here, entry,
-                       num_eps_ + (x_through ? num_cas : 0) + out_ca, weight,
-                       router, mesh);
+            cross(here,
+                  key(entry, num_eps_ + (x_through ? num_cas : 0) + out_ca));
 
             // Torus hop: egress arbitration, channel load, VC promotion.
-            ca_eg[caIdx(here, out_ca, fullVc(vc.torusVc()))] += weight;
-            torus[torusIdx(here, d, dir, spec.slice)] += weight;
+            egress(here, out_ca, fullVc(vc.torusVc()));
             // TorusGeom::neighborCoord without the division.
             int next = c + dirSign(dir);
             if (next == k)
@@ -263,24 +220,165 @@ LoadModel::trace(EndpointAddr src, EndpointAddr dst, const RouteSpec &spec,
         }
     }
     if (entry_dim >= 0)
-        ca_in[caIdx(here, entry - num_eps_, fullVc(vc.torusVc()))] += weight;
-    chargeChip(here, entry, dst.ep, weight, router, mesh);
+        ingress(here, entry - num_eps_, fullVc(vc.torusVc()));
+    cross(here, key(entry, dst.ep));
+}
+
+template <class T>
+void
+LoadModel::chargeChip(std::size_t key, T amount, T *router, T *mesh) const
+{
+    for (std::uint32_t c = first_[key]; c < first_[key + 1]; ++c) {
+        const Charge &ch = charges_[c];
+        router[ch.router] += amount;
+        if (ch.mesh >= 0)
+            mesh[ch.mesh] += amount;
+    }
 }
 
 void
-LoadModel::chargeChip(NodeId n, int entry, int exit_slot, double w,
-                      std::vector<double> &router,
-                      std::vector<double> &mesh) const
+LoadModel::addPattern(int slot, const TrafficPattern &pattern,
+                      const std::vector<EndpointId> &cores,
+                      int samples_per_core, Rng &rng)
 {
-    const std::size_t router_base = routerIdx(n, 0, 0, 0);
-    const std::size_t mesh_base = meshIdx(n, 0, MeshDir::UPos);
-    const auto i = static_cast<std::size_t>(entry * num_slots_ + exit_slot);
-    for (std::uint32_t c = first_[i]; c < first_[i + 1]; ++c) {
-        const Charge &ch = charges_[c];
-        router[router_base + ch.router] += w;
-        if (ch.mesh >= 0)
-            mesh[mesh_base + static_cast<std::size_t>(ch.mesh)] += w;
+    checkSlot(slot);
+    for (EndpointId e : cores) {
+        if (e < 0 || e >= num_eps_)
+            reject("core " + std::to_string(e) + " is not an endpoint");
     }
+    // The counts below are 32-bit. A sampled route is minimal, so it
+    // enters each node at most once: it reports each crossing, adapter
+    // and torus key at most once, and since an on-chip route visits each
+    // router once, its crossing of a chip charges any router arbiter or
+    // mesh channel at most once. No count can exceed the number of routes
+    // sampled, nodes x cores x samples_per_core.
+    if (samples_per_core < 1)
+        reject("samples_per_core must be at least 1");
+    const auto sources =
+        static_cast<std::uint64_t>(geom_.numNodes()) * cores.size();
+    if (sources > 0
+        && static_cast<std::uint64_t>(samples_per_core)
+               > std::numeric_limits<std::uint32_t>::max() / sources)
+        reject("nodes x cores x samples_per_core exceeds 2^32 - 1 routes");
+
+    // Count, then charge: every sample adds the same w, so a load's bits
+    // depend only on its starting value and how many additions it gets.
+    // Sampling counts chip crossings by (node, entry, exit slot) and
+    // adapter arbitrations by (node, adapter, VC); the settling below
+    // expands the crossings through the charge table once.
+    const auto nodes = static_cast<std::size_t>(geom_.numNodes());
+    const std::size_t keys_per_node = first_.size() - 1;
+    std::vector<std::uint32_t> crossings(nodes * keys_per_node, 0);
+    std::vector<std::uint32_t> ingress(nodes * nca_ * nvc_, 0);
+    std::vector<std::uint32_t> egress(nodes * nca_ * nvc_, 0);
+    RouteSpec spec;
+    for (NodeId n = 0; n < geom_.numNodes(); ++n) {
+        for (EndpointId e : cores) {
+            for (int s = 0; s < samples_per_core; ++s) {
+                const NodeId dst_node = pattern.dest(n, rng);
+                if (dst_node >= geom_.numNodes())
+                    reject("pattern destination outside the machine");
+                const EndpointId dst_ep = cores[rng.below(cores.size())];
+                randomRoute(geom_, coordsOf(n), coordsOf(dst_node), rng,
+                            spec);
+                walk({ n, e }, { dst_node, dst_ep }, spec,
+                     [&](NodeId at, int ca, int vc) {
+                         ++ingress[caIdx(at, ca, vc)];
+                     },
+                     [&](NodeId at, std::size_t key) {
+                         ++crossings[static_cast<std::size_t>(at)
+                                         * keys_per_node
+                                     + key];
+                     },
+                     [&](NodeId at, int ca, int vc) {
+                         ++egress[caIdx(at, ca, vc)];
+                     });
+            }
+        }
+    }
+
+    // Charge once. A load still at zero takes entry c of the running sums
+    // (0, w, w+w, ...), which is what c additions of w from zero give; a
+    // load already charged (an earlier addPattern or tracePacket on this
+    // slot) gets its c additions one by one.
+    const double w = 1.0 / static_cast<double>(samples_per_core);
+    std::vector<double> sums{ 0.0 };
+    auto settle = [&](double &load, std::uint32_t c) {
+        if (c == 0)
+            return;
+        if (load != 0.0) {
+            for (; c > 0; --c)
+                load += w;
+            return;
+        }
+        while (sums.size() <= c)
+            sums.push_back(sums.back() + w);
+        load = sums[c];
+    };
+    auto &router = router_[static_cast<std::size_t>(slot)];
+    auto &mesh = mesh_[static_cast<std::size_t>(slot)];
+    auto &torus = torus_[static_cast<std::size_t>(slot)];
+    std::vector<std::uint32_t> node_router(nr_ * np_ * np_);
+    std::vector<std::uint32_t> node_mesh(nr_ * kNumMeshDirs);
+    for (NodeId n = 0; n < geom_.numNodes(); ++n) {
+        std::fill(node_router.begin(), node_router.end(), 0);
+        std::fill(node_mesh.begin(), node_mesh.end(), 0);
+        const std::uint32_t *counts =
+            &crossings[static_cast<std::size_t>(n) * keys_per_node];
+        for (std::size_t key = 0; key < keys_per_node; ++key) {
+            if (counts[key] != 0)
+                chargeChip(key, counts[key], node_router.data(),
+                           node_mesh.data());
+        }
+        const std::size_t router_base = routerIdx(n, 0, 0, 0);
+        for (std::size_t i = 0; i < node_router.size(); ++i)
+            settle(router[router_base + i], node_router[i]);
+        const std::size_t mesh_base = meshIdx(n, 0, MeshDir::UPos);
+        for (std::size_t i = 0; i < node_mesh.size(); ++i)
+            settle(mesh[mesh_base + i], node_mesh[i]);
+        // A torus channel is charged with its adapter's egress, per VC.
+        for (int ca = 0; ca < static_cast<int>(nca_); ++ca) {
+            std::uint32_t hops = 0;
+            for (int vc = 0; vc < static_cast<int>(nvc_); ++vc)
+                hops += egress[caIdx(n, ca, vc)];
+            settle(torus[torusIdx(n, ca)], hops);
+        }
+    }
+    auto &in_loads = ca_ingress_[static_cast<std::size_t>(slot)];
+    auto &eg_loads = ca_egress_[static_cast<std::size_t>(slot)];
+    for (std::size_t i = 0; i < ingress.size(); ++i) {
+        settle(in_loads[i], ingress[i]);
+        settle(eg_loads[i], egress[i]);
+    }
+}
+
+void
+LoadModel::tracePacket(EndpointAddr src, EndpointAddr dst,
+                       const RouteSpec &spec, double weight, int slot)
+{
+    checkSlot(slot);
+    const NodeId nodes = geom_.numNodes();
+    if (src.node >= nodes || dst.node >= nodes || src.ep < 0
+        || src.ep >= num_eps_ || dst.ep < 0 || dst.ep >= num_eps_)
+        reject("packet address outside the machine");
+    if (const char *why = malformedRoute(spec))
+        reject(why);
+
+    auto &router = router_[static_cast<std::size_t>(slot)];
+    auto &mesh = mesh_[static_cast<std::size_t>(slot)];
+    auto &ca_in = ca_ingress_[static_cast<std::size_t>(slot)];
+    auto &ca_eg = ca_egress_[static_cast<std::size_t>(slot)];
+    auto &torus = torus_[static_cast<std::size_t>(slot)];
+    walk(src, dst, spec,
+         [&](NodeId n, int ca, int vc) { ca_in[caIdx(n, ca, vc)] += weight; },
+         [&](NodeId n, std::size_t key) {
+             chargeChip(key, weight, &router[routerIdx(n, 0, 0, 0)],
+                        &mesh[meshIdx(n, 0, MeshDir::UPos)]);
+         },
+         [&](NodeId n, int ca, int vc) {
+             ca_eg[caIdx(n, ca, vc)] += weight;
+             torus[torusIdx(n, ca)] += weight;
+         });
 }
 
 double
@@ -306,8 +404,8 @@ LoadModel::caIngressLoad(NodeId n, int ca, int vc, int slot) const
 double
 LoadModel::torusLoad(NodeId n, int dim, Dir dir, int slice, int slot) const
 {
-    return torus_[static_cast<std::size_t>(slot)][torusIdx(n, dim, dir,
-                                                           slice)];
+    return torus_[static_cast<std::size_t>(slot)][torusIdx(
+        n, ChipLayout::channelAdapterIndex(dim, dir, slice))];
 }
 
 double

@@ -18,6 +18,16 @@
  * traced packet walks the torus dimension by dimension and charges each
  * chip it crosses from one list.
  *
+ * addPattern() counts, then charges. Its samples all weigh the same
+ * w = 1/samples_per_core, so it tallies each chip crossing by (node,
+ * entry, exit slot) and each adapter arbitration by (node, adapter, VC)
+ * in integers, expands the crossings through the charge table once, and
+ * turns a count c into the double that c additions of w give: entry c
+ * of the running sums (0, w, w+w, ...) for a load at zero, c additions
+ * in turn for one an earlier call already charged. The loads are bit for
+ * bit those of adding w per sample. tracePacket() takes any weight and
+ * adds it directly; both walk a route through one hop loop.
+ *
  * applyWeights() then programs every inverse-weighted arbiter in a Machine
  * from these loads (Section 3.3).
  */
@@ -25,6 +35,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "arb/inverse_weighted.hpp"
@@ -50,8 +61,10 @@ class LoadModel
      * Accumulate pattern @p slot's loads: every core (node x endpoint in
      * @p cores) injects at rate 1 packet/cycle, destinations drawn from
      * @p pattern, destination endpoint uniform over @p cores.
-     * @throws std::invalid_argument if @p slot is not a pattern slot or a
-     * core is not an endpoint of the layout.
+     * @throws std::invalid_argument, before the first draw from @p rng,
+     * if @p slot is not a pattern slot, a core is not an endpoint of the
+     * layout, @p samples_per_core is below 1, or nodes x cores x
+     * samples_per_core exceeds 2^32 - 1 (the counts are 32-bit).
      */
     void addPattern(int slot, const TrafficPattern &pattern,
                     const std::vector<EndpointId> &cores,
@@ -109,14 +122,25 @@ class LoadModel
         std::int32_t mesh;
     };
 
-    /** tracePacket() on checked arguments. */
-    void trace(EndpointAddr src, EndpointAddr dst, const RouteSpec &spec,
-               double weight, int slot);
+    /**
+     * Walk one unicast route chip by chip, in the packet's order, and
+     * report every load it charges: `ingress(n, ca, vc)` when a torus
+     * hop arrives at node `n` on adapter `ca`, `cross(n, key)` for each
+     * chip crossing, keyed `entry * num_slots_ + exit_slot` like the
+     * charge table, and `egress(n, ca, vc)` for each torus hop leaving
+     * `n`, whose torus channel is adapter `ca`'s link.
+     */
+    template <class Ingress, class Cross, class Egress>
+    void walk(EndpointAddr src, EndpointAddr dst, const RouteSpec &spec,
+              Ingress &&ingress, Cross &&cross, Egress &&egress) const;
 
-    /** Charge @p w for crossing chip @p n from @p entry to @p exit_slot. */
-    void chargeChip(NodeId n, int entry, int exit_slot, double w,
-                    std::vector<double> &router,
-                    std::vector<double> &mesh) const;
+    /**
+     * Add @p amount to each router-arbiter and mesh load of the chip
+     * crossing @p key. @p router and @p mesh point at the chip's blocks
+     * of the router and mesh arrays (of loads, or of counts).
+     */
+    template <class T>
+    void chargeChip(std::size_t key, T amount, T *router, T *mesh) const;
 
     void checkSlot(int slot) const;
 
@@ -138,15 +162,13 @@ class LoadModel
                + static_cast<std::size_t>(vc);
     }
 
+    /** A node's torus channels are indexed like the adapters driving
+     * them (ChipLayout::channelAdapterIndex). */
     std::size_t
-    torusIdx(NodeId n, int dim, Dir dir, int slice) const
+    torusIdx(NodeId n, int ca) const
     {
-        return ((static_cast<std::size_t>(n) * 3
-                 + static_cast<std::size_t>(dim))
-                    * 2
-                + static_cast<std::size_t>(dirIndex(dir)))
-                   * kNumSlices
-               + static_cast<std::size_t>(slice);
+        return static_cast<std::size_t>(n) * nca_
+               + static_cast<std::size_t>(ca);
     }
 
     std::size_t
@@ -154,6 +176,13 @@ class LoadModel
     {
         return (static_cast<std::size_t>(n) * nr_ + from) * kNumMeshDirs
                + static_cast<std::size_t>(meshDirIdx(d));
+    }
+
+    /** Node @p n's row of coords_. */
+    std::span<const int>
+    coordsOf(NodeId n) const
+    {
+        return { coords_.data() + 3 * static_cast<std::size_t>(n), 3 };
     }
 
     const TorusGeom &geom_;

@@ -1,20 +1,42 @@
 #include "routing/route.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace anton2 {
 
 namespace {
 
-/** The travel direction of every dimension, ties drawn from @p rng. */
+/** A node's coordinates, each read on demand from its id (a division and
+ * a modulo), so a NodeId draw makes the divisions it always made and
+ * allocates nothing. */
+struct NodeCoords
+{
+    const TorusGeom &geom;
+    NodeId node;
+
+    int
+    operator[](std::size_t d) const
+    {
+        return geom.coord(node, static_cast<int>(d));
+    }
+};
+
+/**
+ * The travel direction of every dimension, ties drawn from @p rng.
+ * @p src and @p dst give the two nodes' coordinate `d` as `src[d]`:
+ * NodeCoords, or a span of coordinates already known.
+ */
+template <class CoordSource>
 void
-drawDirs(const TorusGeom &geom, NodeId src, NodeId dst, Rng &rng,
-         std::vector<Dir> &dirs)
+drawDirs(const TorusGeom &geom, const CoordSource &src,
+         const CoordSource &dst, Rng &rng, std::vector<Dir> &dirs)
 {
     dirs.assign(static_cast<std::size_t>(geom.ndims()), Dir::Pos);
     for (int d = 0; d < geom.ndims(); ++d) {
+        const auto dd = static_cast<std::size_t>(d);
         const int k = geom.radix(d);
-        int fwd = geom.coord(dst, d) - geom.coord(src, d);
+        int fwd = dst[dd] - src[dd];
         if (fwd < 0)
             fwd += k;
         if (fwd == 0)
@@ -23,8 +45,27 @@ drawDirs(const TorusGeom &geom, NodeId src, NodeId dst, Rng &rng,
         // pick between TorusGeom::minimalDirs' {Pos, Neg}.
         const int bwd = k - fwd;
         const bool neg = fwd == bwd ? rng.bit() : bwd < fwd;
-        dirs[static_cast<std::size_t>(d)] = neg ? Dir::Neg : Dir::Pos;
+        dirs[dd] = neg ? Dir::Neg : Dir::Pos;
     }
+}
+
+/** The in-place randomRoute() over either coordinate source. */
+template <class CoordSource>
+void
+drawRandomRoute(const TorusGeom &geom, const CoordSource &src,
+                const CoordSource &dst, Rng &rng, RouteSpec &out)
+{
+    // Draw a uniformly random permutation of the dimensions (Fisher-Yates).
+    DimOrder &order = out.order;
+    order.resize(static_cast<std::size_t>(geom.ndims()));
+    for (std::size_t i = 0; i < order.size(); ++i)
+        order[i] = static_cast<int>(i);
+    for (std::size_t i = order.size(); i > 1; --i) {
+        const auto j = static_cast<std::size_t>(rng.below(i));
+        std::swap(order[i - 1], order[j]);
+    }
+    out.slice = static_cast<std::uint8_t>(rng.below(kNumSlices));
+    drawDirs(geom, src, dst, rng, out.dirs);
 }
 
 } // namespace
@@ -36,7 +77,8 @@ makeRoute(const TorusGeom &geom, NodeId src, NodeId dst, DimOrder order,
     RouteSpec spec;
     spec.order = std::move(order);
     spec.slice = slice;
-    drawDirs(geom, src, dst, rng, spec.dirs);
+    drawDirs(geom, NodeCoords{ geom, src }, NodeCoords{ geom, dst }, rng,
+             spec.dirs);
     return spec;
 }
 
@@ -47,7 +89,8 @@ makeRoute(const TorusGeom &geom, NodeId src, NodeId dst,
 {
     out.order = order; // vector self-assignment is a no-op
     out.slice = slice;
-    drawDirs(geom, src, dst, rng, out.dirs);
+    drawDirs(geom, NodeCoords{ geom, src }, NodeCoords{ geom, dst }, rng,
+             out.dirs);
 }
 
 RouteSpec
@@ -62,17 +105,19 @@ void
 randomRoute(const TorusGeom &geom, NodeId src, NodeId dst, Rng &rng,
             RouteSpec &out)
 {
-    // Draw a uniformly random permutation of the dimensions (Fisher-Yates).
-    DimOrder &order = out.order;
-    order.resize(static_cast<std::size_t>(geom.ndims()));
-    for (std::size_t i = 0; i < order.size(); ++i)
-        order[i] = static_cast<int>(i);
-    for (std::size_t i = order.size(); i > 1; --i) {
-        const auto j = static_cast<std::size_t>(rng.below(i));
-        std::swap(order[i - 1], order[j]);
-    }
-    out.slice = static_cast<std::uint8_t>(rng.below(kNumSlices));
-    drawDirs(geom, src, dst, rng, out.dirs);
+    drawRandomRoute(geom, NodeCoords{ geom, src }, NodeCoords{ geom, dst },
+                    rng, out);
+}
+
+void
+randomRoute(const TorusGeom &geom, std::span<const int> src,
+            std::span<const int> dst, Rng &rng, RouteSpec &out)
+{
+    const auto dims = static_cast<std::size_t>(geom.ndims());
+    if (src.size() != dims || dst.size() != dims)
+        throw std::invalid_argument(
+            "randomRoute: coordinates need one entry per dimension");
+    drawRandomRoute(geom, src, dst, rng, out);
 }
 
 std::vector<TorusHop>

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -64,6 +65,16 @@ RouteSpec randomRoute(const TorusGeom &geom, NodeId src, NodeId dst, Rng &rng);
  */
 void randomRoute(const TorusGeom &geom, NodeId src, NodeId dst, Rng &rng,
                  RouteSpec &out);
+
+/**
+ * The in-place randomRoute() from the two nodes' coordinates, as
+ * TorusGeom::coords() gives them: the same spec from the same RNG draws,
+ * with no division. For a caller that keeps a coordinate table.
+ * @throws std::invalid_argument unless @p src and @p dst hold one
+ * coordinate per dimension.
+ */
+void randomRoute(const TorusGeom &geom, std::span<const int> src,
+                 std::span<const int> dst, Rng &rng, RouteSpec &out);
 
 /**
  * Expand a RouteSpec into the exact sequence of inter-node hops from @p src

@@ -720,6 +720,15 @@ TEST_P(LoadModelReference, LoadsAndWeightsMatchTheChipLayoutTracer)
         lm.tracePacket(s, t, spec, 0.125, 1);
         ref.tracePacket(s, t, spec, 0.125, 1);
     }
+
+    // Sample again on top: slot 1 holds sampled and traced loads, slot 0
+    // sampled ones. Loads already charged take their additions one by
+    // one from their current value, the others from zero.
+    for (int slot : { 1, 0 }) {
+        lm.addPattern(slot, *patterns[slot], cores, lc.samples, a);
+        ref.addPattern(slot, *patterns[slot], cores, lc.samples, b);
+    }
+    EXPECT_EQ(a.next(), b.next()) << "same RNG draws";
     ref.expectEqual(lm);
 
     lm.applyWeights(m);
@@ -840,6 +849,16 @@ TEST_F(LoadModelTest, RejectsMalformedDirsSliceAndAddresses)
                  std::invalid_argument);
     EXPECT_THROW(lm.addPattern(1, uniform, { 0 }, 1, rng),
                  std::invalid_argument);
+    // No samples, and more routes than 32-bit counts hold: 64 nodes x 8
+    // cores x 10^7 samples. Each is rejected before the first draw.
+    const auto drawn = rng.state();
+    for (int samples : { 0, -1 })
+        EXPECT_THROW(lm.addPattern(0, uniform, { 0 }, samples, rng),
+                     std::invalid_argument);
+    EXPECT_THROW(lm.addPattern(0, uniform, { 0, 1, 2, 3, 4, 5, 6, 7 },
+                               10'000'000, rng),
+                 std::invalid_argument);
+    EXPECT_EQ(rng.state(), drawn) << "rejected before any draw";
     EXPECT_EQ(lm.maxTorusLoad(0), 0.0) << "a rejected call charges nothing";
 }
 

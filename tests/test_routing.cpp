@@ -7,6 +7,7 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
 
 #include "routing/mesh_route.hpp"
 #include "routing/route.hpp"
@@ -200,13 +201,13 @@ TEST(Route, InPlaceDrawsMatchByValue)
         const TorusGeom g(radix);
         const std::vector<DimOrder> orders = allDimOrders(g.ndims());
         Rng ref_rng(29), by_value(29), fresh_rng(29), reused_rng(29),
-            pick(31);
+            coords_rng(29), pick(31);
         const int *order_storage = nullptr;
         const Dir *dirs_storage = nullptr;
         for (int i = 0; i < 12000; ++i) {
             const auto src = static_cast<NodeId>(pick.below(g.numNodes()));
             const auto dst = static_cast<NodeId>(pick.below(g.numNodes()));
-            RouteSpec want, fresh;
+            RouteSpec want, fresh, by_coords;
             if (i % 2 == 0) {
                 const RouteSpec ref = referenceRandomRoute(g, src, dst,
                                                            ref_rng);
@@ -217,6 +218,8 @@ TEST(Route, InPlaceDrawsMatchByValue)
                 ASSERT_EQ(by_value.state(), ref_rng.state());
                 randomRoute(g, src, dst, fresh_rng, fresh);
                 randomRoute(g, src, dst, reused_rng, reused);
+                randomRoute(g, g.coords(src), g.coords(dst), coords_rng,
+                            by_coords);
             } else {
                 const DimOrder &order = orders[pick.below(orders.size())];
                 const auto slice =
@@ -225,14 +228,16 @@ TEST(Route, InPlaceDrawsMatchByValue)
                 ref_rng = by_value; // the reference covers randomRoute
                 makeRoute(g, src, dst, order, slice, fresh_rng, fresh);
                 makeRoute(g, src, dst, order, slice, reused_rng, reused);
+                makeRoute(g, src, dst, order, slice, coords_rng, by_coords);
             }
-            for (const RouteSpec *got : { &fresh, &reused }) {
+            for (const RouteSpec *got : { &fresh, &reused, &by_coords }) {
                 ASSERT_EQ(got->order, want.order) << "draw " << i;
                 ASSERT_EQ(got->slice, want.slice) << "draw " << i;
                 ASSERT_EQ(got->dirs, want.dirs) << "draw " << i;
             }
             ASSERT_EQ(fresh_rng.state(), by_value.state()) << "draw " << i;
             ASSERT_EQ(reused_rng.state(), by_value.state()) << "draw " << i;
+            ASSERT_EQ(coords_rng.state(), by_value.state()) << "draw " << i;
             // The reused spec keeps its storage: no allocation per draw.
             if (i > 0) {
                 ASSERT_EQ(reused.order.data(), order_storage);
@@ -251,6 +256,11 @@ TEST(Route, InPlaceDrawsMatchByValue)
         EXPECT_EQ(reused.order, want.order);
         EXPECT_EQ(reused.dirs, want.dirs);
         EXPECT_EQ(a.state(), b.state());
+        // The coordinate form wants one coordinate per dimension.
+        EXPECT_THROW(randomRoute(g, std::vector<int>{ 0, 0 }, g.coords(0),
+                                 a, reused),
+                     std::invalid_argument);
+        EXPECT_EQ(a.state(), b.state()) << "rejected before any draw";
     }
 }
 
