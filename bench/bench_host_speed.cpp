@@ -21,7 +21,8 @@
  *
  * `--json` (default BENCH_speed.json) writes the machine-readable
  * report consumed by the CI perf-smoke job, with the host it ran on
- * (CPU count and model, build type, compiler). Wall-clock speedup
+ * (CPU count and model, build type, compiler) and the process's peak
+ * resident set size over all runs (`peak_rss_mib`). Wall-clock speedup
  * depends on the host's core count; the deterministic columns do not.
  */
 #include <algorithm>
@@ -33,6 +34,7 @@
 #include "analysis/loads.hpp"
 #include "common.hpp"
 #include "core/machine.hpp"
+#include "sim/timeseries.hpp"
 #include "traffic/driver.hpp"
 #include "traffic/patterns.hpp"
 
@@ -320,6 +322,9 @@ main(int argc, char **argv)
                 identical ? "yes" : "NO - BUG",
                 static_cast<unsigned long long>(serial->delivered),
                 static_cast<unsigned long long>(serial->flit_hops));
+    const double peak_rss_mib =
+        static_cast<double>(hostPeakRssBytes()) / (1024.0 * 1024.0);
+    std::printf("peak RSS: %.1f MiB\n", peak_rss_mib);
 
     std::vector<std::string> rows;
     for (const SpeedResult &r : results) {
@@ -369,6 +374,7 @@ main(int argc, char **argv)
                          .add("rows", bench::arr(rows))
                          .add("deterministic",
                               identical ? "true" : "false")
+                         .add("peak_rss_mib", bench::num(peak_rss_mib))
                          .dump()
                          + "\n");
     std::printf("JSON report written to %s\n", json_path);

@@ -5,9 +5,14 @@
  */
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstdint>
-#include <vector>
+#include <cstdlib>
+#include <cstring>
+#include <stdexcept>
+#include <type_traits>
 
 #include "noc/packet.hpp"
 #include "sim/wire.hpp"
@@ -67,16 +72,29 @@ inFlightCredits(const Wire<Credit> &w, int vc)
 
 /**
  * Upstream-side credit counters for one output channel: tracks free flit
- * slots per VC in the downstream input buffer.
+ * slots per VC in the downstream input buffer. The counts live inline
+ * (no heap block per channel), sized for the 32 VCs routers and adapters
+ * accept, as 16-bit values.
  */
 class CreditCounter
 {
   public:
+    /** Most VCs one counter tracks (the router and adapter limit). */
+    static constexpr int kMaxVcs = 32;
+
+    /** @throws std::invalid_argument for more than kMaxVcs VCs or a
+     * depth outside [0, 65535]. */
     void
     init(int num_vcs, int slots_per_vc)
     {
-        credits_.assign(static_cast<std::size_t>(num_vcs), slots_per_vc);
-        initial_ = slots_per_vc;
+        if (num_vcs < 0 || num_vcs > kMaxVcs || slots_per_vc < 0
+            || slots_per_vc > 0xffff)
+            throw std::invalid_argument("credit counter holds 0-32 VCs "
+                                        "of at most 65535 slots");
+        num_vcs_ = static_cast<std::uint8_t>(num_vcs);
+        initial_ = static_cast<std::uint16_t>(slots_per_vc);
+        credits_.fill(0);
+        std::fill_n(credits_.begin(), num_vcs, initial_);
     }
 
     /** Per-VC depth this counter was initialized with (audit probe). */
@@ -94,7 +112,7 @@ class CreditCounter
     {
         auto &c = credits_[static_cast<std::size_t>(vc)];
         assert(c >= flits);
-        c -= flits;
+        c = static_cast<std::uint16_t>(c - flits);
     }
 
     /** One slot freed downstream. */
@@ -104,86 +122,113 @@ class CreditCounter
         ++credits_[static_cast<std::size_t>(vc)];
     }
 
-    int numVcs() const { return static_cast<int>(credits_.size()); }
+    int numVcs() const { return num_vcs_; }
 
     /** Free downstream slots summed over all VCs (telemetry probe). */
     int
     totalAvailable() const
     {
         int total = 0;
-        for (int c : credits_)
-            total += c;
+        for (int v = 0; v < num_vcs_; ++v)
+            total += credits_[static_cast<std::size_t>(v)];
         return total;
     }
 
-    /** Checkpoint field list: the per-VC counter values. */
+    /** Checkpoint field list: the per-VC counter values (each stored as
+     * an int, range-checked against the depth before narrowing). */
     void fields(CkptArchive &ar);
 
   private:
-    std::vector<int> credits_;
-    int initial_ = 0;
+    std::array<std::uint16_t, kMaxVcs> credits_{};
+    std::uint16_t initial_ = 0;
+    std::uint8_t num_vcs_ = 0;
 };
 
 /**
  * A per-VC input buffer holding virtual-cut-through packets at flit
  * granularity. Packets are queued whole; `arrived` tracks cut-through
  * progress so a packet can begin leaving before its tail arrives.
+ *
+ * The entries are trivially copyable records in one malloc'd array that
+ * grows by realloc and pops its head by memmove; nothing is allocated
+ * until the first packet arrives.
  */
 class VcBuffer
 {
   public:
+    /** One buffered packet. The router's switch-allocation grant cycle
+     * is not here: a granted head owns its output until its tail leaves,
+     * so the output keeps it (Router::OutPort). */
     struct Entry
     {
         PacketPtr pkt = nullptr;
-        std::uint16_t arrived = 0; ///< flits received so far
-        std::uint16_t sent = 0;    ///< flits forwarded so far
-        Cycle head_at = 0;         ///< cycle the packet became buffer head
-
+        Cycle head_at = 0;   ///< cycle the head flit arrived
         // --- router pipeline state (unused by adapters) ----------------
+        Cycle routed_at = 0; ///< RC cycle
+        Cycle va_at = 0;     ///< VC-allocation cycle
+        std::uint16_t arrived = 0;    ///< flits received so far
+        std::uint16_t sent = 0;       ///< flits forwarded so far
+        std::uint16_t size_flits = 0; ///< the packet's, copied at arrival
+        std::uint8_t pattern = 0;     ///< the packet's, copied at arrival
+        std::int8_t out_port = -1;
+        std::uint8_t out_vc = 0;
         bool routed = false;
         bool va_done = false;
-        int out_port = -1;
-        std::uint8_t out_vc = 0;
-        Cycle routed_at = 0;
-        Cycle va_at = 0;
         bool granted = false;
-        Cycle granted_at = 0;
     };
 
+    /** Largest depth in flits: occupancy and entry counts are 16-bit,
+     * and a buffer holds at most one entry more than its depth. */
+    static constexpr int kMaxCapacity = 0xfffe;
+
+    VcBuffer() = default;
+    VcBuffer(const VcBuffer &) = delete;
+    VcBuffer &operator=(const VcBuffer &) = delete;
+    ~VcBuffer() { std::free(entries_); }
+
+    /** @throws std::invalid_argument outside [0, kMaxCapacity]. */
     void
     init(int capacity_flits)
     {
-        capacity_ = capacity_flits;
+        if (capacity_flits < 0 || capacity_flits > kMaxCapacity)
+            throw std::invalid_argument("buffer depth outside "
+                                        "[0, 65534] flits");
+        capacity_ = static_cast<std::uint16_t>(capacity_flits);
     }
 
     int capacity() const { return capacity_; }
     int occupancy() const { return occupancy_; }
-    bool empty() const { return entries_.empty(); }
+    bool empty() const { return count_ == 0; }
 
     /** Accept one incoming flit (a head flit enqueues its packet). */
     void
     acceptFlit(const Phit &phit, Cycle now)
     {
         if (phit.head) {
-            Entry &e = entries_.emplace_back();
+            if (count_ == room_)
+                grow(count_ + 1u);
+            Entry &e = entries_[count_++];
+            e = Entry{};
             e.pkt = phit.pkt;
             e.head_at = now;
+            e.size_flits = phit.pkt->size_flits;
+            e.pattern = phit.pkt->pattern;
         }
-        assert(!entries_.empty());
-        ++entries_.back().arrived;
+        assert(count_ > 0);
+        ++entries_[count_ - 1].arrived;
         ++occupancy_;
         assert(occupancy_ <= capacity_);
     }
 
-    Entry &head() { return entries_.front(); }
-    const Entry &head() const { return entries_.front(); }
+    Entry &head() { return entries_[0]; }
+    const Entry &head() const { return entries_[0]; }
 
     /** Record one flit leaving the head packet; frees one slot. */
     void
     sendFlit()
     {
-        assert(!entries_.empty());
-        auto &e = entries_.front();
+        assert(count_ > 0);
+        auto &e = entries_[0];
         assert(e.sent < e.arrived);
         ++e.sent;
         --occupancy_;
@@ -195,28 +240,45 @@ class VcBuffer
      * back-to-back packets do not restart the pipeline.
      */
     void
-    popHead(Cycle now)
+    popHead()
     {
-        assert(!entries_.empty());
-        assert(entries_.front().sent == entries_.front().pkt->size_flits);
-        entries_.erase(entries_.begin());
-        (void)now;
+        assert(count_ > 0);
+        assert(entries_[0].sent == entries_[0].size_flits);
+        --count_;
+        std::memmove(static_cast<void *>(entries_), entries_ + 1,
+                     count_ * sizeof(Entry));
     }
 
-    std::size_t packetCount() const { return entries_.size(); }
+    std::size_t packetCount() const { return count_; }
 
     /** Entry @p i from the head (for pipeline lookahead). */
     Entry &entry(std::size_t i) { return entries_[i]; }
     const Entry &entry(std::size_t i) const { return entries_[i]; }
 
-    /** Checkpoint field list: all entries including pipeline progress
-     * (output ports below @p ports, VCs below @p vcs). */
-    void fields(CkptArchive &ar, int ports, int vcs);
+    /**
+     * Checkpoint field list: all entries including pipeline progress
+     * (output ports below @p ports, VCs below @p vcs). The v4 image
+     * keeps a grant cycle in every entry: @p head_grant is written for a
+     * granted head and 0 for every other entry, and a restore sets it
+     * from the granted head's slot (0 when the head is not granted).
+     * Occupancy and the entry count are range-checked against the depth
+     * before they are narrowed.
+     */
+    void fields(CkptArchive &ar, int ports, int vcs, Cycle &head_grant);
 
   private:
-    std::vector<Entry> entries_;
-    int capacity_ = 0;
-    int occupancy_ = 0;
+    /** Make room for at least @p n entries. */
+    void grow(std::size_t n);
+
+    Entry *entries_ = nullptr; ///< malloc'd, room_ slots
+    std::uint16_t count_ = 0;  ///< live entries, the head first
+    std::uint16_t room_ = 0;
+    std::uint16_t capacity_ = 0; ///< depth in flits
+    std::uint16_t occupancy_ = 0;
 };
+
+static_assert(std::is_trivially_copyable_v<VcBuffer::Entry>);
+static_assert(sizeof(VcBuffer::Entry) <= 48);
+static_assert(sizeof(VcBuffer) <= 16);
 
 } // namespace anton2

@@ -111,12 +111,12 @@ ChannelAdapter::tickEgress(Cycle now, std::uint32_t rung)
             if (now <= head.head_at)
                 continue;
             if (torus_credits_.available(linkVc(*head.pkt))
-                < head.pkt->size_flits) {
+                < head.size_flits) {
                 credit_blocked = true;
                 continue;
             }
             req |= 1u << v;
-            info[v].pattern = head.pkt->pattern;
+            info[v].pattern = head.pattern;
         }
         if (req == 0 && credit_blocked)
             ++credit_stalls_;
@@ -126,7 +126,7 @@ ChannelAdapter::tickEgress(Cycle now, std::uint32_t rung)
             egress_link_vc_ = linkVc(*head.pkt);
             head.pkt->vc.onTorusHop(crosses_dateline_);
             ++head.pkt->hops;
-            torus_credits_.consume(egress_link_vc_, head.pkt->size_flits);
+            torus_credits_.consume(egress_link_vc_, head.size_flits);
             egress_busy_ = true;
             egress_vc_ = v;
             egress_grant_at_ = now;
@@ -139,7 +139,7 @@ ChannelAdapter::tickEgress(Cycle now, std::uint32_t rung)
         auto &head = buf.head();
         if (ser_tokens_ >= cfg_.ser_tokens_per_flit
             && head.sent < head.arrived) {
-            const bool tail = head.sent + 1 == head.pkt->size_flits;
+            const bool tail = head.sent + 1 == head.size_flits;
             Phit phit;
             phit.pkt = head.pkt;
             phit.vc = egress_link_vc_;
@@ -161,7 +161,7 @@ ChannelAdapter::tickEgress(Cycle now, std::uint32_t rung)
                 emitPacketEvent(events_, TraceEventType::Depart, now,
                                 head.pkt, -1, egress_link_vc_, head.head_at,
                                 egress_grant_at_);
-                buf.popHead(now);
+                buf.popHead();
                 if (buf.empty())
                     egress_nonempty_ &= ~(1u << egress_vc_);
                 --egress_packets_;
@@ -221,7 +221,7 @@ ChannelAdapter::tickIngress(Cycle now, std::uint32_t rung)
                 pendingTorusCredit(v);
             }
         }
-        buf.popHead(now);
+        buf.popHead();
         if (buf.empty())
             ingress_nonempty_ &= ~(1u << v);
         --ingress_packets_;
@@ -356,7 +356,7 @@ ChannelAdapter::egressReservedFlits(int link_vc) const
         return 0;
     const auto &head =
         egress_vcs_[static_cast<std::size_t>(egress_vc_)].head();
-    return head.pkt->size_flits - static_cast<int>(head.sent);
+    return head.size_flits - static_cast<int>(head.sent);
 }
 
 int
@@ -393,7 +393,7 @@ ChannelAdapter::collectBlockedHeads(std::vector<BlockedHead> &out) const
                 continue;
             const auto &head = buf.head();
             const std::uint8_t link_vc = linkVc(*head.pkt);
-            if (torus_credits_.available(link_vc) >= head.pkt->size_flits)
+            if (torus_credits_.available(link_vc) >= head.size_flits)
                 continue;
             BlockedHead b;
             b.egress = true;
@@ -432,9 +432,11 @@ ChannelAdapter::fields(CkptArchive &ar, const Router &to_router,
     const int vcs = cfg_.num_vcs;
     const auto top_vc = static_cast<std::uint8_t>(vcs - 1);
     ar.tag("channel_adapter");
+    // Adapter entries are never granted: their grant slots hold 0.
+    Cycle no_grant = 0;
     // Egress side.
     for (VcBuffer &vc : egress_vcs_)
-        vc.fields(ar, 0, vcs);
+        vc.fields(ar, 0, vcs, no_grant);
     torus_credits_.fields(ar);
     arbiterFields(egress_arb_, ar);
     ar.io(ser_tokens_, 0, cfg_.ser_tokens_per_flit + cfg_.ser_tokens_per_cycle,
@@ -445,7 +447,7 @@ ChannelAdapter::fields(CkptArchive &ar, const Router &to_router,
     ar.io(egress_grant_at_);
     // Ingress side.
     for (VcBuffer &vc : ingress_vcs_)
-        vc.fields(ar, 0, vcs);
+        vc.fields(ar, 0, vcs, no_grant);
     ar.same(static_cast<std::uint32_t>(ingress_heads_.size()),
             "adapter VC count mismatch");
     for (IngressEntry &e : ingress_heads_) {
@@ -486,7 +488,7 @@ ChannelAdapter::fields(CkptArchive &ar, const Router &to_router,
         ar.check(egress_vc_ >= 0 && !egress_vcs_[egress_vc_].empty(),
                  "egress grant without a buffered packet");
         const VcBuffer::Entry &head = egress_vcs_[egress_vc_].head();
-        ar.check(head.sent < head.pkt->size_flits,
+        ar.check(head.sent < head.size_flits,
                  "egress grant on a sent packet");
     }
     ar.check(egress_busy_ != (egress_vc_ < 0), "egress grant mismatch");

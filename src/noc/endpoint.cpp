@@ -10,6 +10,18 @@
 
 namespace anton2 {
 
+void
+PacketFifo::grow()
+{
+    const std::uint32_t cap = cap_ == 0 ? 8 : 2 * cap_;
+    auto ring = std::make_unique<PacketPtr[]>(cap);
+    for (std::uint32_t i = 0; i < size_; ++i)
+        ring[i] = (*this)[i];
+    ring_ = std::move(ring);
+    cap_ = cap;
+    head_ = 0;
+}
+
 EndpointAdapter::EndpointAdapter(std::string name, const EndpointConfig &cfg,
                                  EndpointAddr addr)
     : Component(std::move(name)),
@@ -73,7 +85,7 @@ EndpointAdapter::tickInject(Cycle now, std::uint32_t rung)
             const int c = (next_class_ + attempt) % kNumTrafficClasses;
             if (inject_q_[c].empty())
                 continue;
-            const PacketPtr &pkt = inject_q_[c].front();
+            const PacketPtr pkt = inject_q_[c].front();
             // The endpoint->router channel is M-group; a fresh packet's
             // mesh VC within its traffic class is 0.
             const int vc = fullVcIndex(pkt->tc, pkt->vc.meshVc(),
@@ -275,8 +287,8 @@ EndpointAdapter::fields(CkptArchive &ar, const Router &to_router)
         router_credits_.fields(ar);
     for (auto &q : inject_q_) {
         ar.size(q, ~std::size_t{ 0 }, 4, "injection queue");
-        for (PacketPtr &p : q)
-            ar.packet(p);
+        for (std::size_t i = 0; i < q.size(); ++i)
+            ar.packet(q[i]);
     }
     ar.io(next_class_, 0, kNumTrafficClasses - 1, "next traffic class");
     ar.packet(inj_active_, /*nullable=*/true);
@@ -316,8 +328,8 @@ EndpointAdapter::fields(CkptArchive &ar, const Router &to_router)
                                     : inj_sent_ == 0,
              "injection progress out of range");
     for (const auto &q : inject_q_) {
-        for (const PacketPtr &p : q)
-            ar.holds(p, 0, p->size_flits);
+        for (std::size_t i = 0; i < q.size(); ++i)
+            ar.holds(q[i], 0, q[i]->size_flits);
     }
     if (inj_active_ != nullptr)
         ar.holds(inj_active_, inj_sent_, inj_active_->size_flits);
@@ -328,8 +340,8 @@ EndpointAdapter::fields(CkptArchive &ar, const Router &to_router)
     // The endpoint's router routes every packet still to be injected.
     bool routable = inj_active_ == nullptr || to_router.routable(*inj_active_);
     for (const auto &q : inject_q_) {
-        for (const PacketPtr &p : q)
-            routable = routable && to_router.routable(*p);
+        for (std::size_t i = 0; i < q.size(); ++i)
+            routable = routable && to_router.routable(*q[i]);
     }
     ar.check(routable, "queued packet has no route at the endpoint's "
                        "router");

@@ -14,8 +14,8 @@
  */
 #pragma once
 
-#include <deque>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -27,6 +27,64 @@
 namespace anton2 {
 
 class Router;
+
+/**
+ * A FIFO of packets on a power-of-two ring that allocates nothing until
+ * its first push (an empty std::deque allocates its map and a 512-byte
+ * node at construction) and doubles when full.
+ */
+class PacketFifo
+{
+  public:
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+    PacketPtr front() const { return ring_[head_]; }
+
+    /** Element @p i from the front. */
+    PacketPtr &operator[](std::size_t i)
+    {
+        return ring_[(head_ + i) & (cap_ - 1)];
+    }
+    const PacketPtr &operator[](std::size_t i) const
+    {
+        return ring_[(head_ + i) & (cap_ - 1)];
+    }
+
+    void
+    push_back(PacketPtr p)
+    {
+        if (size_ == cap_)
+            grow();
+        ring_[(head_ + size_) & (cap_ - 1)] = p;
+        ++size_;
+    }
+
+    void
+    pop_front()
+    {
+        head_ = (head_ + 1) & (cap_ - 1);
+        --size_;
+    }
+
+    /** Drop elements from the back or append null ones (a restore
+     * resizes, then assigns each element). */
+    void
+    resize(std::size_t n)
+    {
+        while (size_ > n)
+            --size_;
+        while (size_ < n)
+            push_back(nullptr);
+    }
+
+  private:
+    void grow();
+
+    std::unique_ptr<PacketPtr[]> ring_;
+    std::uint32_t cap_ = 0; ///< 0 or a power of two
+    std::uint32_t head_ = 0;
+    std::uint32_t size_ = 0;
+};
 
 struct EndpointConfig
 {
@@ -201,7 +259,7 @@ class EndpointAdapter final : public Component
     Doorbell bell_;
 
     /** Per-traffic-class software injection queues. */
-    std::deque<PacketPtr> inject_q_[kNumTrafficClasses];
+    PacketFifo inject_q_[kNumTrafficClasses];
     int next_class_ = 0; ///< round-robin between the classes
     /** In-flight injection (flit streaming). */
     PacketPtr inj_active_ = nullptr;

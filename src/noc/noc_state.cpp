@@ -5,6 +5,8 @@
  * A phit's payload bits live in its packet, which the packet table
  * already carries.
  */
+#include <new>
+
 #include "debug/checkpoint.hpp"
 #include "noc/channel.hpp"
 
@@ -34,26 +36,55 @@ void
 CreditCounter::fields(CkptArchive &ar)
 {
     ar.marker("credits");
-    ar.same(initial_, "credit depth mismatch");
-    ar.same(static_cast<std::uint32_t>(credits_.size()),
+    ar.same(initialPerVc(), "credit depth mismatch");
+    ar.same(static_cast<std::uint32_t>(num_vcs_),
             "credit VC count mismatch");
-    for (int &c : credits_)
-        ar.io(c, 0, initial_, "credits outside [0, depth]");
+    for (int v = 0; v < num_vcs_; ++v) {
+        auto &slot = credits_[static_cast<std::size_t>(v)];
+        int c = slot;
+        ar.io(c, 0, initialPerVc(), "credits outside [0, depth]");
+        slot = static_cast<std::uint16_t>(c);
+    }
 }
 
 void
-VcBuffer::fields(CkptArchive &ar, int ports, int vcs)
+VcBuffer::grow(std::size_t n)
+{
+    // Doubling from one entry, like the std::vector it replaces, but at
+    // two thirds of its entry size.
+    const std::size_t room = std::min<std::size_t>(
+        std::max<std::size_t>(n, 2u * room_), 0xffff);
+    void *p = std::realloc(static_cast<void *>(entries_),
+                           room * sizeof(Entry));
+    if (p == nullptr)
+        throw std::bad_alloc();
+    entries_ = static_cast<Entry *>(p);
+    room_ = static_cast<std::uint16_t>(room);
+}
+
+void
+VcBuffer::fields(CkptArchive &ar, int ports, int vcs, Cycle &head_grant)
 {
     ar.marker("vcbuf");
-    ar.same(capacity_, "buffer capacity mismatch");
-    // Checked against the entries and capacity by the auditor's
-    // buffer_sanity, which restore runs last.
-    ar.io(occupancy_);
+    ar.same(capacity(), "buffer capacity mismatch");
+    // Checked against the resident flits by the auditor's buffer_sanity,
+    // which restore runs last.
+    int occupancy = occupancy_;
+    ar.io(occupancy, 0, capacity(), "buffer occupancy above capacity");
+    occupancy_ = static_cast<std::uint16_t>(occupancy);
     // Every entry but a head that has sent all its arrived flits holds
     // at least one flit.
-    ar.size(entries_, static_cast<std::size_t>(capacity_) + 1, 40,
-            "buffer entries");
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
+    const std::size_t n =
+        ar.count(count_, static_cast<std::size_t>(capacity_) + 1, 40,
+                 "buffer entries");
+    if (ar.loading()) {
+        if (n > room_)
+            grow(n);
+        count_ = static_cast<std::uint16_t>(n);
+        std::fill_n(entries_, n, Entry{});
+        head_grant = 0;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
         Entry &e = entries_[i];
         ar.packet(e.pkt);
         ar.io(e.arrived);
@@ -61,20 +92,31 @@ VcBuffer::fields(CkptArchive &ar, int ports, int vcs)
         ar.io(e.head_at);
         ar.io(e.routed);
         ar.io(e.va_done);
-        ar.io(e.out_port, -1, ports - 1, "entry output port");
+        int out_port = e.out_port;
+        ar.io(out_port, -1, ports - 1, "entry output port");
+        e.out_port = static_cast<std::int8_t>(out_port);
         ar.io(e.out_vc, 0, static_cast<std::uint8_t>(vcs - 1),
               "entry output VC");
         ar.io(e.routed_at);
         ar.io(e.va_at);
         ar.io(e.granted);
-        ar.io(e.granted_at);
+        Cycle granted_at = e.granted ? head_grant : 0;
+        ar.io(granted_at);
+        ar.check(e.granted || granted_at == 0,
+                 "grant cycle on an ungranted entry");
+        if (e.granted)
+            head_grant = granted_at;
+        if (ar.loading()) {
+            e.size_flits = e.pkt->size_flits;
+            e.pattern = e.pkt->pattern;
+        }
         // Flits arrive and leave in order: only the head sends, only the
         // tail entry may still be arriving, and pipeline flags are set in
         // stage order.
-        const bool last = i + 1 == entries_.size();
-        ar.check(e.sent <= e.arrived && e.arrived <= e.pkt->size_flits
+        const bool last = i + 1 == n;
+        ar.check(e.sent <= e.arrived && e.arrived <= e.size_flits
                      && e.arrived > 0 && (i == 0 || e.sent == 0)
-                     && (last || e.arrived == e.pkt->size_flits),
+                     && (last || e.arrived == e.size_flits),
                  "entry flit counts out of order");
         ar.check(e.routed == (e.out_port >= 0)
                      && (!e.va_done || e.routed)

@@ -33,11 +33,12 @@ Router::Router(std::string name, const RouterConfig &cfg,
             throw std::invalid_argument("route table names a port the "
                                         "router does not have");
     }
-    for (auto &ip : in_) {
-        ip.vcs.resize(static_cast<std::size_t>(cfg.num_vcs));
-        for (auto &vc : ip.vcs)
-            vc.init(cfg.buf_flits_per_vc);
-    }
+    const int num_bufs = cfg.num_ports * cfg.num_vcs;
+    bufs_ = std::make_unique<VcBuffer[]>(static_cast<std::size_t>(num_bufs));
+    for (int i = 0; i < num_bufs; ++i)
+        bufs_[i].init(cfg.buf_flits_per_vc);
+    for (int p = 0; p < cfg.num_ports; ++p)
+        in_[p].vcs = &bufs_[p * cfg.num_vcs];
     // SA1 arbitrates among each input's VCs; SA2 among input ports.
     // SA1 fairness is secondary (round-robin suffices); SA2 is where the
     // inverse-weighted policy applies (Section 3).
@@ -193,7 +194,7 @@ Router::stageVa(Cycle now)
                 if (now <= entry.routed_at) {
                     waiting = true;
                 } else if (op.credits.available(entry.out_vc)
-                           >= entry.pkt->size_flits) {
+                           >= entry.size_flits) {
                     entry.va_done = true;
                     entry.va_at = now;
                     emitPacketEvent(events_, TraceEventType::VcAllocated,
@@ -272,11 +273,11 @@ Router::stageSa2(Cycle now)
             continue;
         // Re-validate credits at grant time: VA eligibility may be
         // stale if an earlier grant consumed the slots.
-        if (op.credits.available(head.out_vc) < head.pkt->size_flits)
+        if (op.credits.available(head.out_vc) < head.size_flits)
             continue;
         wanted |= 1u << o;
         req[o] |= 1u << p;
-        info[p].pattern = head.pkt->pattern;
+        info[p].pattern = head.pattern;
     }
 
     for (; wanted != 0; wanted &= wanted - 1) {
@@ -292,14 +293,14 @@ Router::stageSa2(Cycle now)
                          .vcs[static_cast<std::size_t>(winner_vc)]
                          .head();
         head.granted = true;
-        head.granted_at = now;
         emitPacketEvent(events_, TraceEventType::SwitchGrant, now, head.pkt,
                         o, head.out_vc);
         busy_out_ |= 1u << o;
+        op.granted_at = now;
         op.src_port = winner;
         op.src_vc = winner_vc;
         op.out_vc = head.out_vc;
-        op.credits.consume(head.out_vc, head.pkt->size_flits);
+        op.credits.consume(head.out_vc, head.size_flits);
         draining_ |= 1u << winner;
         winner_vc = -1;
         sa1_mask_ &= ~(1u << winner);
@@ -319,7 +320,7 @@ Router::stageSt(Cycle now)
             continue; // cut-through: tail not yet arrived
         st_sent_mask_ |= 1u << o;
 
-        const bool tail = head.sent + 1 == head.pkt->size_flits;
+        const bool tail = head.sent + 1 == head.size_flits;
         Phit phit;
         phit.pkt = head.pkt;
         phit.vc = op.out_vc;
@@ -337,8 +338,8 @@ Router::stageSt(Cycle now)
             // are still live (every cycle below is existing state - no
             // clock is read for the probe).
             emitPacketEvent(events_, TraceEventType::Depart, now, head.pkt,
-                            o, op.out_vc, head.head_at, head.granted_at);
-            vcbuf.popHead(now);
+                            o, op.out_vc, head.head_at, op.granted_at);
+            vcbuf.popHead();
             if (vcbuf.empty()) {
                 ip.nonempty &= ~(1u << op.src_vc);
                 if (ip.nonempty == 0)
@@ -390,7 +391,7 @@ Router::sampleStalls()
                         continue;
                     any = true;
                     if (op.credits.available(head.out_vc)
-                        >= head.pkt->size_flits)
+                        >= head.size_flits)
                         ready = true;
                 }
             }
@@ -483,10 +484,8 @@ std::uint64_t
 Router::bufferedFlits() const
 {
     std::uint64_t total = 0;
-    for (const auto &ip : in_) {
-        for (const auto &vc : ip.vcs)
-            total += static_cast<std::uint64_t>(vc.occupancy());
-    }
+    for (int i = 0; i < cfg_.num_ports * cfg_.num_vcs; ++i)
+        total += static_cast<std::uint64_t>(bufs_[i].occupancy());
     return total;
 }
 
@@ -508,9 +507,8 @@ Router::outReservedFlits(int port, int vc) const
     if (((busy_out_ >> port) & 1u) == 0
         || static_cast<int>(op.out_vc) != vc)
         return 0;
-    const auto &entry =
-        in_[op.src_port].vcs[static_cast<std::size_t>(op.src_vc)].head();
-    return entry.pkt->size_flits - static_cast<int>(entry.sent);
+    const auto &entry = in_[op.src_port].vcs[op.src_vc].head();
+    return entry.size_flits - static_cast<int>(entry.sent);
 }
 
 void
@@ -518,7 +516,7 @@ Router::collectBlockedHeads(std::vector<BlockedHead> &out) const
 {
     for (std::size_t p = 0; p < in_.size(); ++p) {
         const auto &ip = in_[p];
-        for (std::size_t v = 0; v < ip.vcs.size(); ++v) {
+        for (int v = 0; v < cfg_.num_vcs; ++v) {
             const auto &buf = ip.vcs[v];
             if (buf.empty())
                 continue;
@@ -530,11 +528,11 @@ Router::collectBlockedHeads(std::vector<BlockedHead> &out) const
                 continue;
             const auto &op = out_[e.out_port];
             if (op.ch == nullptr
-                || op.credits.available(e.out_vc) >= e.pkt->size_flits)
+                || op.credits.available(e.out_vc) >= e.size_flits)
                 continue;
             BlockedHead b;
             b.in_port = static_cast<int>(p);
-            b.in_vc = static_cast<int>(v);
+            b.in_vc = v;
             b.out_port = e.out_port;
             b.out_vc = e.out_vc;
             b.pkt = e.pkt;
@@ -554,8 +552,16 @@ Router::fields(CkptArchive &ar)
         ar.same(ip.ch != nullptr, "router input wiring mismatch");
         if (ip.ch == nullptr)
             continue;
-        for (VcBuffer &vc : ip.vcs)
-            vc.fields(ar, ports, vcs);
+        for (int v = 0; v < vcs; ++v) {
+            // The image keeps the grant cycle in the granted head's
+            // entry; the router keeps it on the head's output.
+            VcBuffer &buf = ip.vcs[v];
+            const bool granted = !buf.empty() && buf.head().granted;
+            Cycle grant = granted ? out_[buf.head().out_port].granted_at : 0;
+            buf.fields(ar, ports, vcs, grant);
+            if (ar.loading() && !buf.empty() && buf.head().granted)
+                out_[buf.head().out_port].granted_at = grant;
+        }
         ar.io(ip.nonempty);
         ar.bit(draining_, p);
     }

@@ -151,7 +151,7 @@ class Router final : public Component
     const Channel *outChannel(int port) const { return out_[port].ch; }
     const VcBuffer &inputBuffer(int port, int vc) const
     {
-        return in_[port].vcs[static_cast<std::size_t>(vc)];
+        return in_[port].vcs[vc];
     }
     const CreditCounter &outCredits(int port) const
     {
@@ -194,7 +194,7 @@ class Router final : public Component
     struct InPort
     {
         Channel *ch = nullptr;
-        std::vector<VcBuffer> vcs;
+        VcBuffer *vcs = nullptr;    ///< num_vcs buffers in bufs_
         std::uint64_t flits = 0;    ///< flits received
         std::uint32_t nonempty = 0; ///< bit v set iff vcs[v] holds packets
         // RC/VA work inside the lookahead window (the first kLookahead
@@ -207,6 +207,10 @@ class Router final : public Component
     struct OutPort
     {
         Channel *ch = nullptr;
+        /** SA2 grant cycle of the packet draining through this output:
+         * a granted head owns its output until its tail leaves, so one
+         * grant cycle per output serves the hop span. */
+        Cycle granted_at = 0;
         CreditCounter credits;
         int src_port = -1;
         int src_vc = -1;
@@ -242,6 +246,8 @@ class Router final : public Component
     const RouteTable &routes_;
     int id_;              ///< this router's row in routes_
     int vcs_per_class_;   ///< VCs per traffic class (full VC index)
+    /** Every input's VC buffers in one block, port-major. */
+    std::unique_ptr<VcBuffer[]> bufs_;
     std::vector<InPort> in_;
     std::vector<OutPort> out_;
     std::vector<RoundRobinArbiter> sa1_; ///< per input port

@@ -67,23 +67,56 @@ FlowProbe::registerUnit(std::int32_t node, TraceUnitKind kind, int unit,
 {
     FlowUnitBlame &b = blame_[FlowUnitKey{ node, kind, unit }];
     b.name = std::move(name);
+    const auto k = static_cast<int>(kind);
+    if (node < 0 || unit < 0 || k >= kUnitKinds)
+        return;
+    const auto row = static_cast<std::size_t>(node) * kUnitKinds
+                     + static_cast<std::size_t>(k);
+    if (row >= units_.size())
+        units_.resize(row + 1);
+    auto &col = units_[row];
+    if (static_cast<std::size_t>(unit) >= col.size())
+        col.resize(static_cast<std::size_t>(unit) + 1, nullptr);
+    col[static_cast<std::size_t>(unit)] = &b;
+}
+
+FlowUnitBlame &
+FlowProbe::blameFor(const PacketEvent &r)
+{
+    const auto row = static_cast<std::size_t>(r.node) * kUnitKinds
+                     + static_cast<std::size_t>(r.kind);
+    if (r.node >= 0 && r.unit >= 0 && row < units_.size()
+        && static_cast<std::size_t>(r.unit) < units_[row].size()) {
+        if (FlowUnitBlame *b = units_[row][static_cast<std::size_t>(r.unit)])
+            return *b;
+    }
+    return blame_
+        .try_emplace(FlowUnitKey{ r.node, r.kind, r.unit },
+                     FlowUnitBlame{ "?", 0, 0, 0, 0 })
+        .first->second;
 }
 
 void
 FlowProbe::addHop(const PacketEvent &r)
 {
-    auto it = blame_.find(FlowUnitKey{ r.node, r.kind, r.unit });
-    if (it == blame_.end()) {
-        it = blame_.emplace(FlowUnitKey{ r.node, r.kind, r.unit },
-                            FlowUnitBlame{ "?", 0, 0, 0, 0 })
-                 .first;
-    }
-    FlowUnitBlame &b = it->second;
+    FlowUnitBlame &b = blameFor(r);
     ++b.packets;
     b.flits += static_cast<std::uint64_t>(r.size_flits);
     b.queue_wait += r.grant >= r.arrival ? r.grant - r.arrival : 0;
     b.xfer_cycles += r.cycle >= r.grant ? r.cycle - r.grant : 0;
-    inflight_[r.packet].push_back(r);
+    auto it = inflight_.find(r.packet);
+    if (it == inflight_.end()) {
+        if (spare_paths_.empty()) {
+            it = inflight_.try_emplace(r.packet).first;
+        } else {
+            PathMap::node_type node = std::move(spare_paths_.back());
+            spare_paths_.pop_back();
+            node.key() = r.packet;
+            node.mapped().clear();
+            it = inflight_.insert(std::move(node)).position;
+        }
+    }
+    it->second.push_back(r);
 }
 
 void
@@ -136,7 +169,7 @@ FlowProbe::recordDelivery(const FlowDeliveryRecord &d)
         }
     }
     if (path != inflight_.end())
-        inflight_.erase(path);
+        spare_paths_.push_back(inflight_.extract(path));
 }
 
 const std::string &

@@ -173,7 +173,8 @@ class FlowProbe
     const FlowProbeConfig &config() const { return cfg_; }
 
     /** Name a hop unit (bind time, serial). Blame counters and path
-     * rendering resolve units through this table. */
+     * rendering resolve units through this table; addHop finds a
+     * registered unit's counters by index, with no search. */
     void registerUnit(std::int32_t node, TraceUnitKind kind, int unit,
                       std::string name);
 
@@ -225,10 +226,24 @@ class FlowProbe
   private:
     FlowProbeConfig cfg_;
 
+    /** The counters of a hop's unit: the registered ones through
+     * units_, any other through blame_ under the name "?". */
+    FlowUnitBlame &blameFor(const PacketEvent &hop);
+
+    using PathMap =
+        std::unordered_map<std::uint64_t, std::vector<PacketEvent>>;
+
     std::map<FlowKey, FlowCell> cells_;
     std::map<FlowUnitKey, FlowUnitBlame> blame_;
-    /** In-flight hop paths, erased at delivery. */
-    std::unordered_map<std::uint64_t, std::vector<PacketEvent>> inflight_;
+    /** Registered units' counters (map nodes are stable), indexed by
+     * node * kUnitKinds + kind, then by unit. */
+    std::vector<std::vector<FlowUnitBlame *>> units_;
+    static constexpr int kUnitKinds = 4;
+    /** In-flight hop paths, extracted at delivery. */
+    PathMap inflight_;
+    /** Extracted map nodes, each keeping its path's capacity, reused
+     * for the next packets' first hops. */
+    std::vector<PathMap::node_type> spare_paths_;
     std::vector<Span> spans_;
     std::uint64_t dropped_spans_ = 0;
     std::uint64_t deliveries_ = 0;

@@ -20,6 +20,21 @@ makeCoreList(const Machine &m, const std::vector<EndpointId> &eps)
     return cores;
 }
 
+namespace {
+
+/** The endpoint adapter of every core, in core order. */
+std::vector<EndpointAdapter *>
+coreEndpoints(Machine &m, const std::vector<EndpointAddr> &cores)
+{
+    std::vector<EndpointAdapter *> eps;
+    eps.reserve(cores.size());
+    for (const EndpointAddr &a : cores)
+        eps.push_back(&m.endpoint(a));
+    return eps;
+}
+
+} // namespace
+
 std::vector<EndpointId>
 firstEndpoints(int n)
 {
@@ -36,6 +51,7 @@ BatchDriver::BatchDriver(Machine &machine, Config cfg)
 {
     assert(cfg_.pattern != nullptr);
     core_addrs_ = makeCoreList(machine_, cfg_.cores);
+    core_eps_ = coreEndpoints(machine_, core_addrs_);
     sent_.assign(core_addrs_.size(), 0);
     expected_ = cfg_.batch_size * core_addrs_.size();
     base_delivered_ = machine_.totalDelivered();
@@ -83,8 +99,7 @@ BatchDriver::tick(Cycle now)
         if (sent_[i] >= cfg_.batch_size)
             continue;
         const EndpointAddr &src = core_addrs_[i];
-        auto &ep = machine_.endpoint(src);
-        if (ep.injectQueueDepth(TrafficClass::Request)
+        if (core_eps_[i]->injectQueueDepth(TrafficClass::Request)
             >= static_cast<std::size_t>(cfg_.max_queue)) {
             continue;
         }
@@ -125,6 +140,7 @@ OpenLoopDriver::OpenLoopDriver(Machine &machine, Config cfg)
 {
     assert(cfg_.pattern != nullptr);
     core_addrs_ = makeCoreList(machine_, cfg_.cores);
+    core_eps_ = coreEndpoints(machine_, core_addrs_);
 }
 
 void
@@ -133,12 +149,13 @@ OpenLoopDriver::tick(Cycle)
     if (!enabled_)
         return;
     Rng &rng = machine_.rng();
-    for (const EndpointAddr &src : core_addrs_) {
+    for (std::size_t i = 0; i < core_addrs_.size(); ++i) {
         if (!rng.chance(cfg_.rate))
             continue;
-        auto &ep = machine_.endpoint(src);
-        if (ep.injectQueueDepth(TrafficClass::Request) >= cfg_.max_queue)
+        if (core_eps_[i]->injectQueueDepth(TrafficClass::Request)
+            >= cfg_.max_queue)
             continue;
+        const EndpointAddr &src = core_addrs_[i];
         const NodeId dst_node = cfg_.pattern->dest(src.node, rng);
         const auto dst_ep = cfg_.cores[rng.below(cfg_.cores.size())];
         machine_.send(machine_.makeWrite(src, { dst_node, dst_ep },

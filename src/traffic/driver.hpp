@@ -78,6 +78,7 @@ class BatchDriver : public Component
     Machine &machine_;
     Config cfg_;
     std::vector<EndpointAddr> core_addrs_;
+    std::vector<EndpointAdapter *> core_eps_; ///< per core, resolved once
     std::vector<std::uint64_t> sent_; ///< per core
     std::uint64_t sent_total_ = 0;
     std::uint64_t expected_ = 0;
@@ -117,6 +118,7 @@ class OpenLoopDriver : public Component
     Machine &machine_;
     Config cfg_;
     std::vector<EndpointAddr> core_addrs_;
+    std::vector<EndpointAdapter *> core_eps_; ///< per core, resolved once
     bool enabled_ = true;
     std::uint64_t offered_ = 0;
 };

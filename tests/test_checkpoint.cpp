@@ -29,6 +29,7 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -431,6 +432,112 @@ TEST(Checkpoint, MidMulticastImageIsThreadInvariantAndRestores)
                         "restored at threads=" + std::to_string(threads));
         EXPECT_EQ(test::livePackets(m), 0u);
     }
+    std::remove(path.c_str());
+}
+
+/** A router input's head that holds an output grant with one of its
+ * two flits sent: where it sits, its packet, and its grant cycle. */
+struct PartlySent
+{
+    NodeId node = 0;
+    RouterId router = 0;
+    std::uint64_t packet = 0;
+    Cycle grant = 0;
+};
+
+/** The first granted 2-flit head with one flit sent in @p m. A head is
+ * granted and sends its first flit in one tick, so when this is asked
+ * after every cycle, what it finds was granted in the cycle just run. */
+std::optional<PartlySent>
+findPartlySent(Machine &m)
+{
+    for (NodeId n = 0; n < m.geom().numNodes(); ++n) {
+        for (RouterId r = 0; r < m.layout().numRouters(); ++r) {
+            const Router &rt = m.chip(n).router(r);
+            for (int p = 0; p < rt.config().num_ports; ++p) {
+                for (int v = 0; v < rt.config().num_vcs; ++v) {
+                    const VcBuffer &buf = rt.inputBuffer(p, v);
+                    if (buf.empty() || !buf.head().granted
+                        || buf.head().size_flits != 2
+                        || buf.head().sent != 1)
+                        continue;
+                    return PartlySent{ n, r, buf.head().pkt->id,
+                                       m.now() - 1 };
+                }
+            }
+        }
+    }
+    return std::nullopt;
+}
+
+/** The grant cycle on @p at's packet's hop span at its router, from the
+ * flow probe's retained spans (kNoCycle if absent). */
+Cycle
+spanGrant(Machine &m, const PartlySent &at)
+{
+    for (const FlowProbe::Span &s : m.flows()->sampledSpans()) {
+        if (s.meta.packet != at.packet)
+            continue;
+        for (const PacketEvent &hop : s.path) {
+            if (hop.kind == TraceUnitKind::Router
+                && hop.node == static_cast<std::int32_t>(at.node)
+                && hop.unit == at.router)
+                return hop.grant;
+        }
+    }
+    return kNoCycle;
+}
+
+/** @p m's run report without its checkpoint-provenance line, which
+ * names the image a restored run came from. */
+std::string
+reportBody(Machine &m)
+{
+    std::string r = m.runReportJson();
+    const std::size_t at = r.find("\n  \"checkpoint\": ");
+    if (at != std::string::npos)
+        r.erase(at, r.find('\n', at + 1) - at);
+    return r;
+}
+
+TEST(Checkpoint, OutputGrantCycleSurvivesASaveMidPacket)
+{
+    // A granted head owns its router output until its tail leaves, and
+    // the output keeps the grant cycle its hop span reports; the image
+    // keeps it in the head's entry. Save right after a 2-flit packet's
+    // grant, with one flit sent: the continuation must export what the
+    // uninterrupted run does, grant cycle included.
+    Instrumentation inst = forkInstrumentation();
+    inst.flows->sample = 1; // retain every delivered packet's hop path
+    const std::string path = ckptPath("mid_grant");
+    Machine base(smallConfig());
+    preInject(base, smallConfig().seed);
+    std::optional<PartlySent> at;
+    while (!at && base.now() < kTailCycles) {
+        base.run(RunSpec::forCycles(1));
+        at = findPartlySent(base);
+    }
+    ASSERT_TRUE(at.has_value()) << "no 2-flit packet was granted";
+    const Cycle fork = base.now();
+    base.saveCheckpoint(path);
+    const std::vector<char> image = readAll(path);
+    base.attachInstrumentation(inst);
+    base.run(RunSpec::forCycles(kTailCycles));
+    const Exports expected = capture(base);
+    const std::string report = reportBody(base);
+    EXPECT_EQ(spanGrant(base, *at), at->grant);
+
+    Machine m(smallConfig());
+    m.restoreCheckpoint(path);
+    EXPECT_EQ(m.now(), fork);
+    // A re-save writes the output's grant cycle back into the entry.
+    m.saveCheckpoint(path);
+    EXPECT_EQ(readAll(path), image) << "re-saved image differs";
+    m.attachInstrumentation(inst);
+    m.run(RunSpec::forCycles(kTailCycles));
+    expectIdentical(expected, capture(m), "restored mid-packet");
+    EXPECT_EQ(reportBody(m), report) << "run report differs";
+    EXPECT_EQ(spanGrant(m, *at), at->grant);
     std::remove(path.c_str());
 }
 
@@ -872,7 +979,84 @@ struct FuzzCase
     std::vector<char> file; ///< whole-file cases
     bool whole_file = false;
     bool directory = false;
+    bool must_reject = false; ///< a restore that succeeds fails the case
 };
+
+/** Payload offset of the first @p marker section of @p img whose next
+ * three 32-bit fields satisfy @p fits (0 if none). */
+template <typename Fits>
+std::size_t
+findSection(const std::vector<char> &img, const char *marker, Fits &&fits)
+{
+    const auto tag =
+        static_cast<std::uint32_t>(ckptHash(marker, std::strlen(marker)));
+    for (std::size_t off = kHeaderBytes; off + 16 <= img.size() - 8; ++off) {
+        std::uint32_t f[4];
+        std::memcpy(f, img.data() + off, sizeof(f));
+        if (f[0] == tag && fits(f[1], f[2], f[3]))
+            return off;
+    }
+    return 0;
+}
+
+/** Image @p img with the 32-bit field at @p off set to @p value,
+ * resealed: a case restore must reject. */
+FuzzCase
+fieldCase(const std::vector<char> &img, std::string label, std::size_t off,
+          std::uint32_t value)
+{
+    FuzzCase c;
+    c.label = std::move(label);
+    c.whole_file = true;
+    c.must_reject = true;
+    c.file = img;
+    std::memcpy(c.file.data() + off, &value, sizeof(value));
+    reseal(c.file);
+    return c;
+}
+
+/**
+ * Range cases on image A's narrowed state: a VC buffer holding packets
+ * (marker, depth, occupancy, entry count) gets an occupancy above its
+ * depth, one that is right only in its low 16 bits, and an entry count
+ * above depth + 1; a credit counter (marker, depth, VC count, first
+ * count) gets a count above its depth and one that is right only in its
+ * low 16 bits. Restore reads each as an int and must reject it before
+ * narrowing.
+ */
+std::vector<FuzzCase>
+narrowedStateCases(const std::vector<char> &img)
+{
+    const std::size_t buf = findSection(
+        img, "vcbuf", [](std::uint32_t depth, std::uint32_t occ,
+                         std::uint32_t n) {
+            return depth == 8 && occ >= 1 && occ <= depth && n >= 1
+                   && n <= depth + 1;
+        });
+    const std::size_t credits = findSection(
+        img, "credits", [](std::uint32_t depth, std::uint32_t vcs,
+                           std::uint32_t c) {
+            return depth == 8 && vcs == 8 && c <= depth;
+        });
+    if (buf == 0 || credits == 0)
+        return {};
+    std::uint32_t depth, occ, credit;
+    std::memcpy(&depth, img.data() + buf + 4, 4);
+    std::memcpy(&occ, img.data() + buf + 8, 4);
+    std::memcpy(&credit, img.data() + credits + 12, 4);
+    std::vector<FuzzCase> out;
+    out.push_back(fieldCase(img, "A occupancy above capacity", buf + 8,
+                            depth + 1));
+    out.push_back(fieldCase(img, "A occupancy past 16 bits", buf + 8,
+                            occ + 0x10000));
+    out.push_back(fieldCase(img, "A entry count above capacity + 1",
+                            buf + 12, depth + 2));
+    out.push_back(fieldCase(img, "A credit count above depth",
+                            credits + 12, depth + 1));
+    out.push_back(fieldCase(img, "A credit count past 16 bits",
+                            credits + 12, credit + 0x10000));
+    return out;
+}
 
 /**
  * The fixed corpus: per image, 500 seeds each of a bit flip, a random
@@ -935,6 +1119,8 @@ fuzzCorpus(const std::vector<char> (&images)[2])
         c.file[off] = static_cast<char>(c.file[off] ^ 0x01);
         out.push_back(std::move(c));
     }
+    for (FuzzCase &c : narrowedStateCases(images[0]))
+        out.push_back(std::move(c));
     FuzzCase empty;
     empty.label = "empty file";
     empty.whole_file = true;
@@ -950,7 +1136,7 @@ TEST(CheckpointFuzz, MutatedImagesAreRejectedOrRunOn)
 {
     const std::vector<char> images[2] = { fuzzImage(false), fuzzImage(true) };
     const std::vector<FuzzCase> corpus = fuzzCorpus(images);
-    ASSERT_EQ(corpus.size(), 2u * (3 * 500 + 8) + 5 + 2);
+    ASSERT_EQ(corpus.size(), 2u * (3 * 500 + 8) + 5 + 5 + 2);
 
     // Cases are independent machines, so worker threads share the list.
     // A byte case patches the mutated byte and resealed checksum into
@@ -998,6 +1184,8 @@ TEST(CheckpointFuzz, MutatedImagesAreRejectedOrRunOn)
                 try {
                     rig.m.restoreCheckpoint(path);
                     rig.m.run(RunSpec::forCycles(kTailCycles));
+                    if (c.must_reject)
+                        failure = c.label + ": restored";
                 } catch (const CheckpointError &) {
                     ++rejected;
                 } catch (const std::exception &e) {
@@ -1029,9 +1217,9 @@ TEST(CheckpointFuzz, MutatedImagesAreRejectedOrRunOn)
 
     for (const std::string &f : failures)
         ADD_FAILURE() << f;
-    // The header corruptions, empty file, directory, and truncations
-    // are rejected at least.
-    EXPECT_GE(rejected.load(), 5u + 2u + 16u);
+    // The header corruptions, range cases, empty file, directory, and
+    // truncations are rejected at least.
+    EXPECT_GE(rejected.load(), 5u + 5u + 2u + 16u);
 }
 
 } // namespace

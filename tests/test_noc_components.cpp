@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <deque>
 #include <map>
 #include <memory>
+#include <vector>
 
+#include "noc/endpoint.hpp"
 #include "noc/packet_slab.hpp"
 #include "noc/router.hpp"
 #include "sim/engine.hpp"
@@ -392,6 +395,98 @@ TEST(RouterUnit, StallSamplerIdleRouterChargesNoInput)
                   StallClass::NoInput)],
               15u);
     EXPECT_EQ(s->ports[1].total(), 15u);
+}
+
+TEST(NocState, PacketFifoKeepsOrderAcrossWrapAndGrowth)
+{
+    // Pops between pushes make the ring wrap before each doubling, so
+    // growth must unroll the wrapped order.
+    std::vector<Packet> pkts(40);
+    PacketFifo q;
+    std::deque<PacketPtr> ref;
+    EXPECT_TRUE(q.empty());
+    for (std::size_t i = 0; i < pkts.size(); ++i) {
+        q.push_back(&pkts[i]);
+        ref.push_back(&pkts[i]);
+        if (i % 3 == 2) {
+            ASSERT_EQ(q.front(), ref.front());
+            q.pop_front();
+            ref.pop_front();
+        }
+        ASSERT_EQ(q.size(), ref.size());
+        for (std::size_t j = 0; j < ref.size(); ++j)
+            ASSERT_EQ(q[j], ref[j]) << "push " << i << ", element " << j;
+    }
+    while (!ref.empty()) {
+        ASSERT_EQ(q.front(), ref.front());
+        q.pop_front();
+        ref.pop_front();
+    }
+    EXPECT_TRUE(q.empty());
+    // A restore resizes, then assigns each element.
+    q.resize(3);
+    EXPECT_EQ(q.size(), 3u);
+    EXPECT_EQ(q[2], nullptr);
+}
+
+TEST(NocState, VcBufferGrowsAndPopsKeepingEntryState)
+{
+    std::vector<Packet> pkts(6);
+    VcBuffer buf;
+    buf.init(16);
+    for (std::size_t i = 0; i < pkts.size(); ++i) {
+        pkts[i].size_flits = 2;
+        pkts[i].pattern = static_cast<std::uint8_t>(i % 2);
+        Phit phit;
+        phit.pkt = &pkts[i];
+        phit.head = true;
+        buf.acceptFlit(phit, 10 + i);
+        phit.index = 1;
+        phit.head = false;
+        phit.tail = true;
+        buf.acceptFlit(phit, 11 + i);
+    }
+    ASSERT_EQ(buf.packetCount(), 6u);
+    EXPECT_EQ(buf.occupancy(), 12);
+    for (std::size_t i = 0; i < pkts.size(); ++i) {
+        const VcBuffer::Entry &e = buf.entry(i);
+        EXPECT_EQ(e.pkt, &pkts[i]);
+        EXPECT_EQ(e.head_at, 10 + i);
+        EXPECT_EQ(e.arrived, 2);
+        EXPECT_EQ(e.size_flits, 2);
+        EXPECT_EQ(static_cast<std::size_t>(e.pattern), i % 2);
+    }
+    // Pipeline progress made behind the head slides up with its entry.
+    buf.entry(1).routed = true;
+    buf.entry(1).out_port = 3;
+    buf.entry(1).routed_at = 77;
+    buf.sendFlit();
+    buf.sendFlit();
+    buf.popHead();
+    ASSERT_EQ(buf.packetCount(), 5u);
+    EXPECT_EQ(buf.occupancy(), 10);
+    EXPECT_EQ(buf.head().pkt, &pkts[1]);
+    EXPECT_TRUE(buf.head().routed);
+    EXPECT_EQ(buf.head().out_port, 3);
+    EXPECT_EQ(buf.head().routed_at, 77u);
+    EXPECT_EQ(buf.entry(4).pkt, &pkts[5]);
+}
+
+TEST(NocState, CreditCounterRejectsWhatItCannotHold)
+{
+    CreditCounter c;
+    c.init(CreditCounter::kMaxVcs, 0xffff);
+    EXPECT_EQ(c.numVcs(), 32);
+    EXPECT_EQ(c.available(31), 0xffff);
+    c.consume(31, 0xffff);
+    c.release(31);
+    EXPECT_EQ(c.available(31), 1);
+    EXPECT_THROW(c.init(CreditCounter::kMaxVcs + 1, 8),
+                 std::invalid_argument);
+    EXPECT_THROW(c.init(8, 0x10000), std::invalid_argument);
+    VcBuffer buf;
+    EXPECT_THROW(buf.init(VcBuffer::kMaxCapacity + 1),
+                 std::invalid_argument);
 }
 
 } // namespace
