@@ -83,8 +83,7 @@ main(int argc, char **argv)
     // Model constants (cycles) for the decomposition.
     const Cycle software_src = 44; // send descriptor + doorbell (modeled)
     const Cycle software_dst = 44; // handler dispatch + sync [15]
-    const Cycle link = m.config().packaging.linkLatency(m.geom(), a, 1,
-                                                        Dir::Pos);
+    const Cycle link = PackagingModel::linkLatency(m.geom(), a, 1, Dir::Pos);
 
     bench::printHeader(
         "Figure 12: minimum inter-node latency decomposition");

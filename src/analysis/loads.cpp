@@ -26,7 +26,7 @@ reject(const std::string &what)
 void
 programArbiter(InverseWeightedArbiter *arb,
                const std::vector<std::vector<double>> &loads,
-               std::size_t base, int weight_bits)
+               std::size_t base)
 {
     if (arb == nullptr)
         return;
@@ -45,7 +45,8 @@ programArbiter(InverseWeightedArbiter *arb,
         for (int p = 0; p < acc.numPatterns(); ++p) {
             const double g = loads[static_cast<std::size_t>(std::min(
                 p, last))][base + static_cast<std::size_t>(i)];
-            acc.setWeight(i, p, inverseWeight(g, min_load, weight_bits));
+            acc.setWeight(i, p,
+                          inverseWeight(g, min_load, acc.weightBits()));
         }
     }
 }
@@ -453,19 +454,18 @@ LoadModel::applyWeights(Machine &machine) const
         || machine.layout().numChannelAdapters()
                != layout_.numChannelAdapters())
         reject("applyWeights on a machine of another shape");
-    const int wb = chip_.weight_bits;
     for (NodeId n = 0; n < geom_.numNodes(); ++n) {
         Chip &chip = machine.chip(n);
         for (RouterId r = 0; r < layout_.numRouters(); ++r) {
             for (int port = 0; port < kRouterPorts; ++port)
                 programArbiter(chip.router(r).outputArbiter(port), router_,
-                               routerIdx(n, r, port, 0), wb);
+                               routerIdx(n, r, port, 0));
         }
         for (int ca = 0; ca < layout_.numChannelAdapters(); ++ca) {
             programArbiter(chip.channelAdapter(ca).egressArbiter(),
-                           ca_egress_, caIdx(n, ca, 0), wb);
+                           ca_egress_, caIdx(n, ca, 0));
             programArbiter(chip.channelAdapter(ca).ingressArbiter(),
-                           ca_ingress_, caIdx(n, ca, 0), wb);
+                           ca_ingress_, caIdx(n, ca, 0));
         }
     }
 }

@@ -44,10 +44,10 @@ static_assert(sizeof(PortArbiter) <= 64,
 
 /** Construct a @p num_inputs-input arbiter of @p policy. */
 inline PortArbiter
-makeArbiter(ArbPolicy policy, int num_inputs, int weight_bits)
+makeArbiter(ArbPolicy policy, int num_inputs)
 {
     if (policy == ArbPolicy::InverseWeighted)
-        return InverseWeightedArbiter(num_inputs, weight_bits);
+        return InverseWeightedArbiter(num_inputs);
     return RoundRobinArbiter(num_inputs);
 }
 

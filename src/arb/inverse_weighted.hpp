@@ -30,7 +30,9 @@ namespace anton2 {
 /** Number of traffic patterns supported by the Anton 2 implementation. */
 inline constexpr int kNumPatterns = 2;
 
-/** Default inverse-weight width M; weights are in [1, 2^M). */
+/** Inverse-weight width M of Anton 2's arbiters (Section 3.3); weights
+ * are in [1, 2^M). Every machine arbiter has it; unit tests of the
+ * accumulators also run narrower ones. */
 inline constexpr int kDefaultWeightBits = 5;
 
 /**

@@ -20,9 +20,8 @@ Chip::Chip(NodeId node, const ChipConfig &cfg, const ChipLayout &layout,
     RouterConfig rcfg;
     rcfg.num_ports = kRouterPorts;
     rcfg.num_vcs = cfg_.numVcs();
-    rcfg.buf_flits_per_vc = cfg_.buf_flits;
+    rcfg.buf_flits_per_vc = kBufFlitsPerVc;
     rcfg.out_arb = cfg_.arb;
-    rcfg.weight_bits = cfg_.weight_bits;
 
     for (RouterId r = 0; r < layout_.numRouters(); ++r) {
         routers_.push_back(std::make_unique<Router>(
@@ -31,9 +30,8 @@ Chip::Chip(NodeId node, const ChipConfig &cfg, const ChipLayout &layout,
 
     ChannelAdapterConfig ccfg;
     ccfg.num_vcs = cfg_.numVcs();
-    ccfg.buf_flits_per_vc = cfg_.buf_flits;
+    ccfg.buf_flits_per_vc = kBufFlitsPerVc;
     ccfg.arb = cfg_.arb;
-    ccfg.weight_bits = cfg_.weight_bits;
 
     for (int ca = 0; ca < layout_.numChannelAdapters(); ++ca) {
         int dim, slice;
@@ -53,7 +51,6 @@ Chip::Chip(NodeId node, const ChipConfig &cfg, const ChipLayout &layout,
 
     EndpointConfig ecfg;
     ecfg.num_vcs = cfg_.numVcs();
-    ecfg.eject_buf_flits = cfg_.buf_flits * 2;
     for (EndpointId e = 0; e < layout_.numEndpoints(); ++e) {
         endpoints_.push_back(std::make_unique<EndpointAdapter>(
             prefix + "E" + std::to_string(e), ecfg,
@@ -80,8 +77,8 @@ Chip::Chip(NodeId node, const ChipConfig &cfg, const ChipLayout &layout,
                   // neighbor's input side is wired when we visit r, so
                   // only create outgoing channels here.
                   const RouterId peer = mesh.move(r, port.mesh_dir);
-                  Channel &ch = newChannel(cfg_.mesh_latency);
-                  router(r).connectOut(p, ch, cfg_.buf_flits);
+                  Channel &ch = newChannel(kMeshLatency);
+                  router(r).connectOut(p, ch, kBufFlitsPerVc);
                   router(peer).connectIn(
                       layout_.meshPort(peer, meshOpposite(port.mesh_dir)),
                       ch);
@@ -89,28 +86,28 @@ Chip::Chip(NodeId node, const ChipConfig &cfg, const ChipLayout &layout,
               }
               case RouterPort::Kind::Skip: {
                   const RouterId peer = port.skip_peer;
-                  Channel &ch = newChannel(cfg_.skip_latency);
-                  router(r).connectOut(p, ch, cfg_.buf_flits);
+                  Channel &ch = newChannel(kSkipLatency);
+                  router(r).connectOut(p, ch, kBufFlitsPerVc);
                   router(peer).connectIn(layout_.skipPort(peer), ch);
                   break;
               }
               case RouterPort::Kind::Channel: {
                   ChannelAdapter &ca = channelAdapter(port.adapter);
-                  Channel &to_ca = newChannel(cfg_.attach_latency);
-                  router(r).connectOut(p, to_ca, cfg_.buf_flits);
+                  Channel &to_ca = newChannel(kAttachLatency);
+                  router(r).connectOut(p, to_ca, kBufFlitsPerVc);
                   ca.connectRouterIn(to_ca);
-                  Channel &from_ca = newChannel(cfg_.attach_latency);
-                  ca.connectRouterOut(from_ca, cfg_.buf_flits);
+                  Channel &from_ca = newChannel(kAttachLatency);
+                  ca.connectRouterOut(from_ca, kBufFlitsPerVc);
                   router(r).connectIn(p, from_ca);
                   break;
               }
               case RouterPort::Kind::Endpoint: {
                   EndpointAdapter &ep = endpoint(port.adapter);
-                  Channel &to_ep = newChannel(cfg_.attach_latency);
-                  router(r).connectOut(p, to_ep, ecfg.eject_buf_flits);
+                  Channel &to_ep = newChannel(kAttachLatency);
+                  router(r).connectOut(p, to_ep, kBufFlitsPerVc * 2);
                   ep.connectRouterIn(to_ep);
-                  Channel &from_ep = newChannel(cfg_.attach_latency);
-                  ep.connectRouterOut(from_ep, cfg_.buf_flits);
+                  Channel &from_ep = newChannel(kAttachLatency);
+                  ep.connectRouterOut(from_ep, kBufFlitsPerVc);
                   router(r).connectIn(p, from_ep);
                   break;
               }

@@ -19,9 +19,27 @@
 #include "routing/multicast.hpp"
 #include "routing/vc_promotion.hpp"
 #include "sim/engine.hpp"
+#include "sim/wire.hpp"
 #include "topo/torus.hpp"
 
 namespace anton2 {
+
+/** On-chip wire latencies of the Anton 2 ASIC (Section 2.2, Figure 1):
+ * one cycle between mesh neighbours, two on the skip channels that span
+ * the chip, one on every router <-> adapter or endpoint link. */
+inline constexpr Cycle kMeshLatency = 1;
+inline constexpr Cycle kSkipLatency = 2;
+inline constexpr Cycle kAttachLatency = 1;
+/** Per-VC input buffer depth of routers and channel adapters. An
+ * endpoint drains at once; its router link meters twice this. */
+inline constexpr int kBufFlitsPerVc = 8;
+
+// On-chip wires ring their receivers' doorbells, which cover latencies
+// up to kMaxDoorbellLatency; a zero-latency wire would make the
+// evaluation order within a cycle observable.
+static_assert(kMeshLatency >= 1 && kMeshLatency <= kMaxDoorbellLatency);
+static_assert(kSkipLatency >= 1 && kSkipLatency <= kMaxDoorbellLatency);
+static_assert(kAttachLatency >= 1 && kAttachLatency <= kMaxDoorbellLatency);
 
 /** Per-chip static configuration (shared by every chip in a machine). */
 struct ChipConfig
@@ -29,12 +47,7 @@ struct ChipConfig
     int endpoints_per_node = 23;
     VcPolicy vc_policy = VcPolicy::Anton2;
     ArbPolicy arb = ArbPolicy::RoundRobin;
-    int weight_bits = 5;
-    int buf_flits = 8;           ///< per-VC input buffer depth
     MeshDirOrder dir_order = anton2DirOrder();
-    Cycle mesh_latency = 1;
-    Cycle skip_latency = 2;      ///< skip channels span the chip
-    Cycle attach_latency = 1;    ///< router <-> adapter links
 
     /** VCs per traffic class implied by the deadlock-avoidance policy. */
     int

@@ -13,40 +13,13 @@
 
 namespace anton2 {
 
-namespace {
-
-/**
- * Reject wire latencies the engine cannot honour, in every build. A
- * zero-latency wire would make the evaluation order within a cycle
- * observable. On-chip wires also ring their receivers' doorbells, whose
- * ring covers latencies up to kMaxDoorbellLatency.
- */
-void
-checkLatencies(const MachineConfig &cfg)
+Cycle
+Machine::torusLatency(NodeId n, int dim, Dir dir) const
 {
-    const std::pair<const char *, Cycle> on_chip[] = {
-        { "mesh_latency", cfg.chip.mesh_latency },
-        { "skip_latency", cfg.chip.skip_latency },
-        { "attach_latency", cfg.chip.attach_latency },
-    };
-    for (const auto &[name, latency] : on_chip) {
-        if (latency < 1 || latency > kMaxDoorbellLatency)
-            throw std::invalid_argument(
-                std::string("MachineConfig: chip.") + name + " = "
-                + std::to_string(latency) + " is outside [1, "
-                + std::to_string(kMaxDoorbellLatency)
-                + "] (on-chip wires need latency >= 1 and ring a "
-                  "doorbell of "
-                + std::to_string(kDoorbellSlots) + " cycles)");
-    }
-    if (!cfg.use_packaging && cfg.fixed_torus_latency < 1)
-        throw std::invalid_argument(
-            "MachineConfig: fixed_torus_latency must be >= 1 (a "
-            "zero-latency torus link would make evaluation order "
-            "observable)");
+    return cfg_.use_packaging
+               ? PackagingModel::linkLatency(geom_, n, dim, dir)
+               : cfg_.fixed_torus_latency;
 }
-
-} // namespace
 
 Machine::Machine(const MachineConfig &cfg)
     : cfg_(cfg),
@@ -58,7 +31,12 @@ Machine::Machine(const MachineConfig &cfg)
 {
     if (geom_.ndims() != 3)
         throw std::invalid_argument("Machine models a 3-D torus");
-    checkLatencies(cfg_);
+    // On-chip latencies are checked by static_asserts in core/chip.hpp.
+    if (!cfg_.use_packaging && cfg_.fixed_torus_latency < 1)
+        throw std::invalid_argument(
+            "MachineConfig: fixed_torus_latency must be >= 1 (a "
+            "zero-latency torus link would make evaluation order "
+            "observable)");
 
     // Each chip keeps its packets in its own slab; its lane stages the
     // releases of packets homed on other chips.
@@ -78,10 +56,7 @@ Machine::Machine(const MachineConfig &cfg)
     for (NodeId n = 0; n < geom_.numNodes(); ++n) {
         for (int dim = 0; dim < 3; ++dim) {
             for (Dir dir : kDirs) {
-                const Cycle latency =
-                    cfg_.use_packaging
-                        ? cfg_.packaging.linkLatency(geom_, n, dim, dir)
-                        : cfg_.fixed_torus_latency;
+                const Cycle latency = torusLatency(n, dim, dir);
                 if (latency < lookahead_cap_)
                     lookahead_cap_ = latency;
                 if (latency != kNoCycle && latency > max_link_latency)
@@ -117,16 +92,13 @@ Machine::Machine(const MachineConfig &cfg)
         for (int dim = 0; dim < 3; ++dim) {
             for (Dir dir : kDirs) {
                 const NodeId peer = geom_.neighbor(n, dim, dir);
-                const Cycle latency =
-                    cfg_.use_packaging
-                        ? cfg_.packaging.linkLatency(geom_, n, dim, dir)
-                        : cfg_.fixed_torus_latency;
+                const Cycle latency = torusLatency(n, dim, dir);
                 for (int slice = 0; slice < kNumSlices; ++slice) {
                     torus_channels_.push_back(std::make_unique<Channel>(
                         latency, latency, lookahead_cap_));
                     Channel &ch = *torus_channels_.back();
                     chip(n).channelAdapter(dim, dir, slice)
-                        .connectTorusOut(ch, cfg_.chip.buf_flits);
+                        .connectTorusOut(ch, kBufFlitsPerVc);
                     chip(peer)
                         .channelAdapter(dim, opposite(dir), slice)
                         .connectTorusIn(ch);
@@ -464,8 +436,8 @@ Machine::metricsJson()
             sumInto(sum.link, v);
             const double capacity =
                 cycles
-                * static_cast<double>(a.config().ser_tokens_per_cycle)
-                / static_cast<double>(a.config().ser_tokens_per_flit);
+                * static_cast<double>(kSerdesTokensPerCycle)
+                / static_cast<double>(kSerdesTokensPerFlit);
             const auto flits = static_cast<double>(a.flitsSent());
             c_flits += flits;
             c_capacity += capacity;
@@ -564,8 +536,8 @@ Machine::hotspotDigest(std::size_t k)
             ChannelAdapter &a = c.channelAdapter(ca);
             const double capacity =
                 cycles
-                * static_cast<double>(a.config().ser_tokens_per_cycle)
-                / static_cast<double>(a.config().ser_tokens_per_flit);
+                * static_cast<double>(kSerdesTokensPerCycle)
+                / static_cast<double>(kSerdesTokensPerFlit);
             const double util =
                 capacity > 0.0
                     ? static_cast<double>(a.flitsSent()) / capacity
@@ -828,40 +800,11 @@ Machine::doEnableTimeseries(const TimeseriesConfig &cfg)
             link.v = static_cast<std::int16_t>(mesh.v(r));
             link.port = layout_.channelShortName(ca);
             link.capacity_per_cycle =
-                static_cast<double>(a.config().ser_tokens_per_cycle)
-                / static_cast<double>(a.config().ser_tokens_per_flit);
+                static_cast<double>(kSerdesTokensPerCycle)
+                / static_cast<double>(kSerdesTokensPerFlit);
             s.addSeries(link, [&a](Cycle) {
                 return static_cast<double>(a.flitsSent());
             });
-        }
-
-        if (cfg.per_router) {
-            for (RouterId r = 0; r < layout_.numRouters(); ++r) {
-                Router &rt = chip(n).router(r);
-                const std::string rp = chip_prefix + "router."
-                                       + std::to_string(mesh.u(r)) + "."
-                                       + std::to_string(mesh.v(r)) + ".";
-                SeriesInfo ro;
-                ro.name = rp + "occupancy_flits";
-                ro.scope = SeriesScope::Router;
-                ro.kind = SeriesKind::Instant;
-                ro.chip = static_cast<std::int32_t>(n);
-                ro.u = static_cast<std::int16_t>(mesh.u(r));
-                ro.v = static_cast<std::int16_t>(mesh.v(r));
-                s.addSeries(ro, [&rt](Cycle) {
-                    return static_cast<double>(rt.bufferedFlits());
-                });
-                SeriesInfo rc;
-                rc.name = rp + "credits";
-                rc.scope = SeriesScope::Router;
-                rc.kind = SeriesKind::Instant;
-                rc.chip = static_cast<std::int32_t>(n);
-                rc.u = static_cast<std::int16_t>(mesh.u(r));
-                rc.v = static_cast<std::int16_t>(mesh.v(r));
-                s.addSeries(rc, [&rt](Cycle) {
-                    return static_cast<double>(rt.creditsAvailable());
-                });
-            }
         }
     }
 
@@ -1054,8 +997,6 @@ Machine::traceChromeJson()
         const IntervalSampler &s = *sampler_;
         for (std::size_t i = 0; i < s.numSeries(); ++i) {
             const SeriesInfo &info = s.seriesInfo(i);
-            if (info.scope == SeriesScope::Router)
-                continue; // fine grain: API / heatmap only
             CounterTrack track;
             track.node = info.scope == SeriesScope::Machine ? -1
                                                             : info.chip;
@@ -1401,8 +1342,7 @@ Machine::run(const RunSpec &spec)
             fired = StopReason::Delivered;
             return true;
         }
-        if (spec.stop_on_audit_trip && audit_ != nullptr
-            && audit_->tripped()) {
+        if (audit_ != nullptr && audit_->tripped()) {
             fired = StopReason::AuditTrip;
             return true;
         }

@@ -67,7 +67,6 @@ struct MachineConfig
     ChipConfig chip;
     bool use_packaging = true;      ///< per-link latency from PackagingModel
     Cycle fixed_torus_latency = 33; ///< used when use_packaging is false
-    PackagingModel packaging;
     std::uint64_t seed = 1;
     /** Worker threads for the engine's parallel phase (1 = serial).
      * Results are bit-identical at any count; see Machine::setThreads. */
@@ -137,8 +136,9 @@ const char *stopReasonName(StopReason r);
  * One run, declaratively: how long, what stops it, and the checkpoint
  * plumbing. This is the single entry point behind every experiment
  * harness and test. Engaged stop conditions compose: the run ends at
- * the first one to fire (the delivery target is checked first, then
- * audit trips, quiescence, and the custom predicate).
+ * the first one to fire (the delivery target is checked first, then a
+ * trip of the attached auditor's watchdog, which always ends the run,
+ * then quiescence and the custom predicate).
  */
 struct RunSpec
 {
@@ -161,10 +161,6 @@ struct RunSpec
 
     /** Stop once no component reports buffered work. */
     bool until_quiescent = false;
-
-    /** Abort when the attached auditor's watchdog trips (the network is
-     * wedged; whatever the run waits for will never happen). */
-    bool stop_on_audit_trip = true;
 
     /** Restore this checkpoint before running (empty = cold start). */
     std::string checkpoint_in;
@@ -623,6 +619,9 @@ class Machine
     void rebaseCounts(const std::vector<std::uint64_t> &before);
     /** `chip.<n>.router.<u>.<v>`, the metrics path of router @p r. */
     std::string routerPath(NodeId n, RouterId r) const;
+    /** Latency of the torus link leaving @p n along (dim, dir): the
+     * packaging model's, or the fixed one. */
+    Cycle torusLatency(NodeId n, int dim, Dir dir) const;
     void validateTree(const McastTree &tree) const;
     /** Throw std::invalid_argument, naming @p who, for a packet
      * makeWrite rejects. */

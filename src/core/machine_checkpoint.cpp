@@ -41,28 +41,24 @@ Machine::configFingerprint() const
     h = ckptHashCombine(h, static_cast<std::uint64_t>(c.endpoints_per_node));
     h = ckptHashCombine(h, static_cast<std::uint64_t>(c.vc_policy));
     h = ckptHashCombine(h, static_cast<std::uint64_t>(c.arb));
-    h = ckptHashCombine(h, static_cast<std::uint64_t>(c.weight_bits));
-    h = ckptHashCombine(h, static_cast<std::uint64_t>(c.buf_flits));
-    h = ckptHashCombine(h, c.mesh_latency);
-    h = ckptHashCombine(h, c.skip_latency);
-    h = ckptHashCombine(h, c.attach_latency);
-    // The slot of the retired per-chip energy-meter flag, always off:
-    // hashing its constant keeps format-v4 fingerprints and images.
+    // The chip constants and the retired per-chip energy-meter flag
+    // (always off) sit in the slots their config fields had: hashing
+    // them keeps format-v4 fingerprints and images.
+    h = ckptHashCombine(h, static_cast<std::uint64_t>(kDefaultWeightBits));
+    h = ckptHashCombine(h, static_cast<std::uint64_t>(kBufFlitsPerVc));
+    h = ckptHashCombine(h, kMeshLatency);
+    h = ckptHashCombine(h, kSkipLatency);
+    h = ckptHashCombine(h, kAttachLatency);
     h = ckptHashCombine(h, 0);
     h = ckptHashCombine(h, cfg_.seed);
     // Per-link latencies (same traversal order as the wiring loop)
     // subsume use_packaging / fixed_torus_latency / the packaging
-    // model's parameters, and pin the torus wires' ring sizes.
+    // model's constants, and pin the torus wires' ring sizes.
     h = ckptHashCombine(h, lookahead_cap_);
     for (NodeId n = 0; n < geom_.numNodes(); ++n) {
         for (int dim = 0; dim < 3; ++dim) {
-            for (Dir dir : kDirs) {
-                const Cycle latency =
-                    cfg_.use_packaging
-                        ? cfg_.packaging.linkLatency(geom_, n, dim, dir)
-                        : cfg_.fixed_torus_latency;
-                h = ckptHashCombine(h, latency);
-            }
+            for (Dir dir : kDirs)
+                h = ckptHashCombine(h, torusLatency(n, dim, dir));
         }
     }
     return h;

@@ -7,9 +7,9 @@
  * backplane are PCB traces; channels between backplanes (within or between
  * racks) are cables. The paper gives nodecard trace lengths of 7.1-11.7 cm;
  * the backplane/cable lengths are read off Figure 2's legend only
- * qualitatively, so this model parameterizes them and derives per-link
- * wire latency from length and propagation speed, plus a fixed SerDes
- * serialization/framing latency per hop.
+ * qualitatively, so this model fixes representative lengths and derives
+ * per-link wire latency from length and propagation speed, plus a fixed
+ * SerDes serialization/framing latency per hop.
  */
 #pragma once
 
@@ -23,19 +23,21 @@ namespace anton2 {
 struct PackagingModel
 {
     /** Signal propagation, ~0.7 c in PCB/cable dielectric. */
-    double velocity_cm_per_ns = 21.0;
+    static constexpr double velocity_cm_per_ns = 21.0;
 
-    double nodecard_trace_cm = 9.4;   ///< per card (paper: 7.1-11.7 cm)
-    double backplane_trace_cm = 25.0; ///< within one 4x4x1 backplane
-    double intra_rack_cable_cm = 75.0;
-    double inter_rack_cable_cm = 180.0;
+    /** Per card (paper: 7.1-11.7 cm). */
+    static constexpr double nodecard_trace_cm = 9.4;
+    /** Within one 4x4x1 backplane. */
+    static constexpr double backplane_trace_cm = 25.0;
+    static constexpr double intra_rack_cable_cm = 75.0;
+    static constexpr double inter_rack_cable_cm = 180.0;
 
     /**
      * Fixed per-hop latency of the SerDes pair and link layer (serializer,
      * framing/CRC, clock recovery, deserializer). Chosen so that the total
      * per-hop latency lands near the paper's 39.1 ns/hop fit (Figure 11).
      */
-    double serdes_fixed_ns = 22.0;
+    static constexpr double serdes_fixed_ns = 22.0;
 
     /** Backplane holding a node: 4x4x1 groups in (X, Y) at each Z. */
     static int
@@ -58,8 +60,8 @@ struct PackagingModel
     }
 
     /** One-way wire length of the torus link leaving @p n along (dim,dir). */
-    double
-    linkLengthCm(const TorusGeom &geom, NodeId n, int dim, Dir dir) const
+    static double
+    linkLengthCm(const TorusGeom &geom, NodeId n, int dim, Dir dir)
     {
         const NodeId peer = geom.neighbor(n, dim, dir);
         const int bp_a = backplaneOf(geom, n);
@@ -73,8 +75,8 @@ struct PackagingModel
     }
 
     /** Total link latency in core cycles (SerDes + propagation). */
-    Cycle
-    linkLatency(const TorusGeom &geom, NodeId n, int dim, Dir dir) const
+    static Cycle
+    linkLatency(const TorusGeom &geom, NodeId n, int dim, Dir dir)
     {
         const double ns = serdes_fixed_ns
                           + linkLengthCm(geom, n, dim, dir)

@@ -71,13 +71,12 @@ LinkSender::tick(Cycle now)
     }
 
     // Transmit at the SerDes rate, up to the window limit.
-    tokens_ += cfg_.tokens_per_cycle;
-    const int cap = cfg_.tokens_per_frame + cfg_.tokens_per_cycle;
-    if (tokens_ > cap)
-        tokens_ = cap;
+    tokens_ += kSerdesTokensPerCycle;
+    if (tokens_ > kSerdesTokenCap)
+        tokens_ = kSerdesTokenCap;
 
     const std::uint32_t unsent_index = next_ - base_;
-    if (tokens_ >= cfg_.tokens_per_frame
+    if (tokens_ >= kSerdesTokensPerFlit
         && unsent_index < queue_.size()
         && next_ - base_ < static_cast<std::uint32_t>(cfg_.window)) {
         LinkFrame frame;
@@ -85,7 +84,7 @@ LinkSender::tick(Cycle now)
         frame.data = queue_[unsent_index];
         frame.crc = frameCrc(frame.seq, frame.data);
         tx_.send(now, frame);
-        tokens_ -= cfg_.tokens_per_frame;
+        tokens_ -= kSerdesTokensPerFlit;
         ++next_;
         ++transmitted_;
         if (next_ == base_ + 1)

@@ -99,8 +99,6 @@ struct LinkConfig
 {
     int window = 8;          ///< go-back-N window size (outstanding frames)
     Cycle retry_timeout = 64; ///< resend window after this silence
-    int tokens_per_cycle = kSerdesTokensPerCycle;
-    int tokens_per_frame = kSerdesTokensPerFlit;
 };
 
 /**

@@ -124,16 +124,6 @@ class CreditCounter
 
     int numVcs() const { return num_vcs_; }
 
-    /** Free downstream slots summed over all VCs (telemetry probe). */
-    int
-    totalAvailable() const
-    {
-        int total = 0;
-        for (int v = 0; v < num_vcs_; ++v)
-            total += credits_[static_cast<std::size_t>(v)];
-        return total;
-    }
-
     /** Checkpoint field list: the per-VC counter values (each stored as
      * an int, range-checked against the depth before narrowing). */
     void fields(CkptArchive &ar);

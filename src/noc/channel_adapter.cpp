@@ -21,10 +21,10 @@ ChannelAdapter::ChannelAdapter(std::string name,
       ingress_fn_(std::move(ingress_fn)),
       release_(release),
       egress_vcs_(static_cast<std::size_t>(cfg.num_vcs)),
-      egress_arb_(makeArbiter(cfg.arb, cfg.num_vcs, cfg.weight_bits)),
+      egress_arb_(makeArbiter(cfg.arb, cfg.num_vcs)),
       ingress_vcs_(static_cast<std::size_t>(cfg.num_vcs)),
       ingress_heads_(static_cast<std::size_t>(cfg.num_vcs)),
-      ingress_arb_(makeArbiter(cfg.arb, cfg.num_vcs, cfg.weight_bits))
+      ingress_arb_(makeArbiter(cfg.arb, cfg.num_vcs))
 {
     if (cfg.num_vcs < 1 || cfg.num_vcs > 32)
         throw std::invalid_argument("channel adapter supports 1-32 VCs");
@@ -92,10 +92,9 @@ ChannelAdapter::tickEgress(Cycle now, std::uint32_t rung)
     // Serialization tokens: 14 per cycle, 45 per flit (89.6/288 Gb/s).
     // When idle, tokens cap at one flit's worth so a newly arriving packet
     // starts immediately but cannot burst beyond the SerDes rate.
-    ser_tokens_ += cfg_.ser_tokens_per_cycle;
-    const int cap = cfg_.ser_tokens_per_flit + cfg_.ser_tokens_per_cycle;
-    if (ser_tokens_ > cap)
-        ser_tokens_ = cap;
+    ser_tokens_ += kSerdesTokensPerCycle;
+    if (ser_tokens_ > kSerdesTokenCap)
+        ser_tokens_ = kSerdesTokenCap;
 
     if (egress_packets_ == 0)
         return;
@@ -137,7 +136,7 @@ ChannelAdapter::tickEgress(Cycle now, std::uint32_t rung)
     if (egress_busy_) {
         auto &buf = egress_vcs_[static_cast<std::size_t>(egress_vc_)];
         auto &head = buf.head();
-        if (ser_tokens_ >= cfg_.ser_tokens_per_flit
+        if (ser_tokens_ >= kSerdesTokensPerFlit
             && head.sent < head.arrived) {
             const bool tail = head.sent + 1 == head.size_flits;
             Phit phit;
@@ -150,7 +149,7 @@ ChannelAdapter::tickEgress(Cycle now, std::uint32_t rung)
             if (head.sent == 0)
                 emitPacketEvent(events_, TraceEventType::LinkTraverse, now,
                                 head.pkt, -1, egress_link_vc_);
-            ser_tokens_ -= cfg_.ser_tokens_per_flit;
+            ser_tokens_ -= kSerdesTokensPerFlit;
             router_in_->credit.send(
                 now, Credit{ static_cast<std::uint8_t>(egress_vc_) });
             buf.sendFlit();
@@ -169,7 +168,7 @@ ChannelAdapter::tickEgress(Cycle now, std::uint32_t rung)
                 egress_vc_ = -1;
             }
         }
-    } else if (ser_tokens_ >= cfg_.ser_tokens_per_flit) {
+    } else if (ser_tokens_ >= kSerdesTokensPerFlit) {
         ++idle_cycles_;
     }
 }
@@ -331,22 +330,21 @@ void
 ChannelAdapter::accrueIdle(Cycle slept)
 {
     // Mirror the accrual tickEgress would have run on each slept cycle:
-    // +ser_tokens_per_cycle, capped at one flit plus one cycle's worth
-    // (an idle adapter never passes the egress_packets_ gate, so nothing
-    // else in tick() touches state).
+    // +kSerdesTokensPerCycle, capped at kSerdesTokenCap (an idle adapter
+    // never passes the egress_packets_ gate, so nothing else in tick()
+    // touches state).
     if (router_in_ == nullptr || torus_out_ == nullptr)
         return;
-    const int cap = cfg_.ser_tokens_per_flit + cfg_.ser_tokens_per_cycle;
     const Cycle to_cap =
-        ser_tokens_ >= cap
+        ser_tokens_ >= kSerdesTokenCap
             ? 0
             : static_cast<Cycle>(
-                  (cap - ser_tokens_ + cfg_.ser_tokens_per_cycle - 1)
-                  / cfg_.ser_tokens_per_cycle);
+                  (kSerdesTokenCap - ser_tokens_ + kSerdesTokensPerCycle - 1)
+                  / kSerdesTokensPerCycle);
     const Cycle n = slept < to_cap ? slept : to_cap;
-    ser_tokens_ += static_cast<int>(n) * cfg_.ser_tokens_per_cycle;
-    if (ser_tokens_ > cap)
-        ser_tokens_ = cap;
+    ser_tokens_ += static_cast<int>(n) * kSerdesTokensPerCycle;
+    if (ser_tokens_ > kSerdesTokenCap)
+        ser_tokens_ = kSerdesTokenCap;
 }
 
 int
@@ -439,8 +437,7 @@ ChannelAdapter::fields(CkptArchive &ar, const Router &to_router,
         vc.fields(ar, 0, vcs, no_grant);
     torus_credits_.fields(ar);
     arbiterFields(egress_arb_, ar);
-    ar.io(ser_tokens_, 0, cfg_.ser_tokens_per_flit + cfg_.ser_tokens_per_cycle,
-          "serializer tokens out of range");
+    ar.io(ser_tokens_, 0, kSerdesTokenCap, "serializer tokens out of range");
     ar.io(egress_busy_);
     ar.io(egress_vc_, -1, vcs - 1, "egress active VC");
     ar.io(egress_link_vc_, 0, top_vc, "egress link VC");

@@ -29,16 +29,15 @@ class Router;
 /** Exact SerDes/mesh rate ratio: 89.6 / 288 = 14 / 45 flits per cycle. */
 inline constexpr int kSerdesTokensPerCycle = 14;
 inline constexpr int kSerdesTokensPerFlit = 45;
+/** Idle serializers stop accruing at one flit plus one cycle's worth. */
+inline constexpr int kSerdesTokenCap =
+    kSerdesTokensPerFlit + kSerdesTokensPerCycle;
 
 struct ChannelAdapterConfig
 {
     int num_vcs = 8;
     int buf_flits_per_vc = 8;
     ArbPolicy arb = ArbPolicy::RoundRobin;
-    int weight_bits = 5;
-    /** Serialization tokens gained per cycle / spent per flit. */
-    int ser_tokens_per_cycle = kSerdesTokensPerCycle;
-    int ser_tokens_per_flit = kSerdesTokensPerFlit;
 };
 
 /** One expanded ingress delivery: a packet copy and its on-chip entry VC. */

@@ -88,8 +88,7 @@ class PacketFifo
 
 struct EndpointConfig
 {
-    int num_vcs = 8;        ///< VC indices used on the router link
-    int eject_buf_flits = 16;
+    int num_vcs = 8; ///< VC indices used on the router link
 };
 
 class EndpointAdapter final : public Component

@@ -43,8 +43,7 @@ Router::Router(std::string name, const RouterConfig &cfg,
     // SA1 fairness is secondary (round-robin suffices); SA2 is where the
     // inverse-weighted policy applies (Section 3).
     sa1_.assign(in_.size(), RoundRobinArbiter(cfg.num_vcs));
-    sa2_.assign(out_.size(),
-                makeArbiter(cfg.out_arb, cfg.num_ports, cfg.weight_bits));
+    sa2_.assign(out_.size(), makeArbiter(cfg.out_arb, cfg.num_ports));
 }
 
 void
@@ -478,26 +477,6 @@ Router::busy() const
             return true;
     }
     return false;
-}
-
-std::uint64_t
-Router::bufferedFlits() const
-{
-    std::uint64_t total = 0;
-    for (int i = 0; i < cfg_.num_ports * cfg_.num_vcs; ++i)
-        total += static_cast<std::uint64_t>(bufs_[i].occupancy());
-    return total;
-}
-
-std::uint64_t
-Router::creditsAvailable() const
-{
-    std::uint64_t total = 0;
-    for (const auto &op : out_) {
-        if (op.ch != nullptr)
-            total += static_cast<std::uint64_t>(op.credits.totalAvailable());
-    }
-    return total;
 }
 
 int

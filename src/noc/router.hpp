@@ -32,7 +32,6 @@ struct RouterConfig
     int num_vcs = 8;          ///< 2 classes x numUnifiedVcs(policy, n)
     int buf_flits_per_vc = 8; ///< input buffer depth per VC
     ArbPolicy out_arb = ArbPolicy::RoundRobin;
-    int weight_bits = 5;
 };
 
 class Router final : public Component
@@ -137,12 +136,6 @@ class Router final : public Component
     std::uint64_t sa2Losses() const { return sa2_losses_; }
     /** Cycles a VC's head sat routed but short of downstream credits. */
     std::uint64_t vaCreditStalls() const { return va_credit_stalls_; }
-
-    /** Flits held in input buffers right now (read-only telemetry probe). */
-    std::uint64_t bufferedFlits() const;
-
-    /** Credits available across connected output ports (telemetry probe). */
-    std::uint64_t creditsAvailable() const;
 
     // --- runtime-auditor probes (all read-only) -----------------------
 

@@ -75,9 +75,7 @@ mserTruncation(const std::vector<double> &xs)
 
 IntervalSampler::IntervalSampler(const TimeseriesConfig &cfg)
     : Component("interval_sampler"),
-      cfg_(cfg),
-      det_throughput_(cfg.steady),
-      det_latency_(cfg.steady)
+      cfg_(cfg)
 {
     assert(cfg_.window >= 1);
     window_end_.reserve(cfg_.max_windows);
@@ -293,9 +291,9 @@ IntervalSampler::toJson(int indent, int depth) const
     out += p1 + "\"steady_state\": " + steadyStateJson(indent, depth + 1)
            + ",\n";
 
-    // Machine- and Chip-scope series, sorted by name. Link and Router
-    // series are exported through the heatmap CSV / API instead (a
-    // per-link JSON dump would dwarf the report on large machines).
+    // Machine- and Chip-scope series, sorted by name. Link series are
+    // exported through the heatmap CSV instead (a per-link JSON dump
+    // would dwarf the report on large machines).
     std::map<std::string, std::size_t> emit;
     for (std::size_t i = 0; i < series_.size(); ++i) {
         const SeriesScope sc = series_[i].info.scope;

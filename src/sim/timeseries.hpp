@@ -124,7 +124,6 @@ enum class SeriesScope : std::uint8_t
     Machine, ///< machine-wide (JSON + Chrome counter track)
     Chip,    ///< per-chip aggregate (JSON + Chrome counter track)
     Link,    ///< per torus-channel adapter (heatmap CSV + Chrome track)
-    Router,  ///< per-router fine grain (API access only)
 };
 
 /** How a window's value is derived from the probe. */
@@ -141,7 +140,7 @@ struct SeriesInfo
     std::string name;        ///< dot path, e.g. `chip.3.ca.x0p.flits`
     SeriesScope scope = SeriesScope::Machine;
     SeriesKind kind = SeriesKind::Instant;
-    std::int32_t chip = -1;  ///< node id for Chip/Link/Router scopes
+    std::int32_t chip = -1;  ///< node id for Chip/Link scopes
     std::int16_t u = -1;     ///< attach-router mesh coords (Link scope)
     std::int16_t v = -1;
     std::string port;        ///< channel short name (Link scope)
@@ -156,16 +155,12 @@ struct TimeseriesConfig
      * sampler is attached, whatever the lookahead window. */
     Cycle window = 1024;
     std::size_t max_windows = 4096; ///< preallocated window capacity
-    /** Record per-router occupancy/credit series (memory-heavy on large
-     * machines; per-chip aggregates are always recorded). */
-    bool per_router = false;
     /** Run the steady-state detector on ejection rate + latency mean
      * and reset the bound metrics registry at first convergence. */
     bool auto_steady = false;
     /** Fixed warmup: reset the bound registry at the first window
      * boundary >= this cycle (0 = none; ignored under auto_steady). */
     Cycle warmup_reset = 0;
-    SteadyStateConfig steady;
 };
 
 /** Outcome of warmup handling, reported in the JSON section. */

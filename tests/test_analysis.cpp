@@ -590,8 +590,7 @@ class ReferenceLoads
             for (std::size_t i = 0; i < k; ++i)
                 for (std::size_t p = 0; p < slots; ++p)
                     mat[i][p] = loads[p][base + i];
-            const auto w =
-                inverseWeightsFromLoads(mat, chip_.weight_bits);
+            const auto w = inverseWeightsFromLoads(mat, kDefaultWeightBits);
             const auto &acc = arb->accumulators();
             for (std::size_t i = 0; i < k; ++i)
                 for (int p = 0; p < acc.numPatterns(); ++p) {

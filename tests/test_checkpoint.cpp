@@ -820,6 +820,51 @@ TEST(Checkpoint, ColdStartReportsNoProvenance)
     EXPECT_EQ(m.restoredCycle(), 0u);
 }
 
+/** ckptHash of the whole image a seeded 2x2x2 pre-injected run saves
+ * at kForkCycle with packets in flight (inverse-weighted arbiters get
+ * sampled uniform-traffic weights first). */
+std::uint64_t
+midFlightImageHash(ArbPolicy arb, const char *name)
+{
+    const std::string path = ckptPath(name);
+    {
+        MachineConfig cfg = smallConfig();
+        cfg.chip.arb = arb;
+        Machine m(cfg);
+        if (arb == ArbPolicy::InverseWeighted) {
+            LoadModel lm(m.geom(), m.layout(), cfg.chip, 1);
+            Rng rng(5);
+            lm.addPattern(0, UniformPattern(m.geom()), firstEndpoints(2), 200,
+                          rng);
+            lm.applyWeights(m);
+        }
+        preInject(m, cfg.seed);
+        m.run(RunSpec::forCycles(kForkCycle));
+        EXPECT_GT(test::livePackets(m), 0u) << "image must be mid-flight";
+        m.saveCheckpoint(path);
+    }
+    const std::vector<char> bytes = readAll(path);
+    std::remove(path.c_str());
+    return ckptHash(bytes.data(), bytes.size());
+}
+
+TEST(Checkpoint, FingerprintsAndImageBytesArePinned)
+{
+    // Values of the format-v4 build. A change that moves one changes
+    // what a saved image means, so it must bump kCheckpointVersion.
+    MachineConfig packaged;
+    packaged.radix = { 4, 4, 4 };
+    packaged.chip.endpoints_per_node = 8;
+    packaged.chip.arb = ArbPolicy::InverseWeighted;
+    EXPECT_EQ(Machine(packaged).configFingerprint(), 0xe7fc5a22e3270e80ULL);
+    EXPECT_EQ(Machine(smallConfig()).configFingerprint(),
+              0xcb6671ad4b9b9422ULL);
+    EXPECT_EQ(midFlightImageHash(ArbPolicy::RoundRobin, "pinned_rr"),
+              0xcd5195fd4dafaf2aULL);
+    EXPECT_EQ(midFlightImageHash(ArbPolicy::InverseWeighted, "pinned_iw"),
+              0xe27b3f860ec9bd32ULL);
+}
+
 // ---------------------------------------------------------------------
 // Link layer: the go-back-N state survives a save mid-retransmission
 // ---------------------------------------------------------------------

@@ -117,7 +117,6 @@ runWorkload(int threads, Cycle lookahead, bool profile)
     inst.trace = tcfg;
     TimeseriesConfig scfg;
     scfg.window = 64;
-    scfg.per_router = true;
     inst.timeseries = scfg;
     AuditConfig acfg;
     acfg.audit_interval = 64;

@@ -308,7 +308,7 @@ TEST(LookaheadWindow, PackagingDerivedWindowIsMinOverMixedLatencies)
         for (int dim = 0; dim < 3; ++dim) {
             for (Dir dir : kDirs) {
                 const Cycle l =
-                    cfg.packaging.linkLatency(geom, n, dim, dir);
+                    PackagingModel::linkLatency(geom, n, dim, dir);
                 if (l < expect)
                     expect = l;
             }
@@ -365,7 +365,6 @@ fullInstrumentation(bool with_trace = true)
     }
     TimeseriesConfig scfg;
     scfg.window = 64;
-    scfg.per_router = true;
     inst.timeseries = scfg;
     AuditConfig acfg;
     acfg.audit_interval = 32;

@@ -497,35 +497,5 @@ TEST(MachineShape, RadixBelowOneIsRejected)
     EXPECT_THROW(Machine m(cfg), std::invalid_argument);
 }
 
-TEST(MachineLatency, ZeroOnChipLatencyIsRejected)
-{
-    for (Cycle ChipConfig::*field :
-         { &ChipConfig::mesh_latency, &ChipConfig::skip_latency,
-           &ChipConfig::attach_latency }) {
-        MachineConfig cfg = smallConfig();
-        cfg.radix = { 2, 2, 2 };
-        cfg.chip.*field = 0;
-        EXPECT_THROW(Machine m(cfg), std::invalid_argument);
-    }
-}
-
-TEST(MachineLatency, OnChipLatencyBeyondTheDoorbellRingIsRejected)
-{
-    for (Cycle ChipConfig::*field :
-         { &ChipConfig::mesh_latency, &ChipConfig::skip_latency,
-           &ChipConfig::attach_latency }) {
-        MachineConfig cfg = smallConfig();
-        cfg.radix = { 2, 2, 2 };
-        cfg.chip.*field = kMaxDoorbellLatency + 1;
-        EXPECT_THROW(Machine m(cfg), std::invalid_argument);
-        // The largest latency the ring covers still builds and delivers.
-        cfg.chip.*field = kMaxDoorbellLatency;
-        Machine m(cfg);
-        m.send(m.makeWrite({ 0, 0 }, { 7, 1 }));
-        EXPECT_EQ(m.run(RunSpec::untilDelivered(1, 5000)).reason,
-                  StopReason::Delivered);
-    }
-}
-
 } // namespace
 } // namespace anton2

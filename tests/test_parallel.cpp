@@ -179,7 +179,6 @@ fullInstrumentation()
     inst.trace = tcfg;
     TimeseriesConfig scfg;
     scfg.window = 64;
-    scfg.per_router = true;
     inst.timeseries = scfg;
     AuditConfig acfg;
     acfg.audit_interval = 32;
@@ -497,7 +496,6 @@ TEST(ThreadedDeterminism, IncrementalAttachMatchesBundledAttach)
         Instrumentation inst;
         TimeseriesConfig scfg;
         scfg.window = 64;
-        scfg.per_router = true;
         inst.timeseries = scfg;
         legacy.attachInstrumentation(inst);
     }

@@ -319,28 +319,6 @@ TEST(IntervalSampler, MaxWindowsDropsAreCountedNotSilent)
     EXPECT_NE(s.toJson().find("\"dropped_windows\""), std::string::npos);
 }
 
-TEST(IntervalSampler, PerRouterSeriesAreOptIn)
-{
-    auto cfg = smallConfig(23);
-    {
-        Machine m(cfg);
-        TimeseriesConfig tcfg;
-        attachSampler(m, tcfg);
-        EXPECT_EQ(m.timeseries()->findSeries("chip.0.router.0.0."
-                                             "occupancy_flits"),
-                  IntervalSampler::npos);
-    }
-    {
-        Machine m(cfg);
-        TimeseriesConfig tcfg;
-        tcfg.per_router = true;
-        attachSampler(m, tcfg);
-        EXPECT_NE(m.timeseries()->findSeries("chip.0.router.0.0."
-                                             "occupancy_flits"),
-                  IntervalSampler::npos);
-    }
-}
-
 TEST(IntervalSampler, HeatmapCsvHasOneRowPerLinkPerWindow)
 {
     auto cfg = smallConfig(29);
