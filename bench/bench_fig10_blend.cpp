@@ -203,15 +203,9 @@ main(int argc, char **argv)
         "Paper (8x8x8): Both holds ~0.85 across all blends; Forward/"
         "Reverse fall\ntoward round-robin as the blend moves away from "
         "their pattern.\n");
-    const auto config =
-        bench::JsonObj()
-            .add("kx", bench::num(radix[0]))
-            .add("ky", bench::num(radix[1]))
-            .add("kz", bench::num(radix[2]))
-            .add("cores", bench::num(cores))
-            .add("batch", bench::num(static_cast<double>(batch)))
-            .add("steps", bench::num(steps))
-            .dump(0);
+    const auto config = bench::fieldsJson(
+        { { "kx", radix[0] }, { "ky", radix[1] }, { "kz", radix[2] },
+          { "cores", cores }, { "batch", batch }, { "steps", steps } });
     return flags.writeReport("fig10_blend", config, report_body, "",
                              report_host)
                ? 0

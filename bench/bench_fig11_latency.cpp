@@ -157,15 +157,10 @@ try {
             continue;
         std::printf("%6d %14.1f %14llu\n", h, lat.mean(),
                     static_cast<unsigned long long>(lat.count()));
-        rows.push_back(
-            bench::JsonObj()
-                .add("hops", bench::num(h))
-                .add("latency_ns", bench::num(lat.mean()))
-                .add("min_ns", bench::num(lat.min()))
-                .add("max_ns", bench::num(lat.max()))
-                .add("samples",
-                     bench::num(static_cast<double>(lat.count())))
-                .dump(0));
+        rows.push_back(bench::fieldsJson(
+            { { "hops", h }, { "latency_ns", lat.mean() },
+              { "min_ns", lat.min() }, { "max_ns", lat.max() },
+              { "samples", lat.count() } }));
         xs.push_back(h);
         ys.push_back(lat.mean());
     }
@@ -181,23 +176,14 @@ try {
     if (!ys.empty())
         std::printf("Minimum measured latency: %.1f ns\n", ys.front());
 
-    const auto config = bench::JsonObj()
-                            .add("k", bench::num(k))
-                            .add("pairs", bench::num(pairs))
-                            .add("rounds", bench::num(rounds))
-                            .dump(0);
-    const auto fit_obj = bench::JsonObj()
-                             .add("intercept_ns", bench::num(fit.intercept))
-                             .add("slope_ns_per_hop", bench::num(fit.slope))
-                             .add("r2", bench::num(fit.r2))
-                             .dump(0);
-    const auto results = bench::JsonObj()
-                             .add("rows", bench::arr(rows))
-                             .add("fit", fit_obj)
-                             .dump(2, 1);
+    const auto config = bench::fieldsJson(
+        { { "k", k }, { "pairs", pairs }, { "rounds", rounds } });
+    const auto fit_obj = bench::fieldsJson({ { "intercept_ns", fit.intercept },
+                                             { "slope_ns_per_hop", fit.slope },
+                                             { "r2", fit.r2 } });
     const std::string body = flags.reportBody(m);
-    return flags.writeReport("fig11_latency", config, body, results,
-                             m.hostJson())
+    return flags.writeReport("fig11_latency", config, body,
+                             bench::resultsJson(rows, fit_obj), m.hostJson())
                ? 0
                : 1;
 } catch (const CheckpointError &e) {

@@ -119,8 +119,8 @@ main(int argc, char **argv)
     flags.writeOutputs(m);
     const std::string body = flags.reportBody(m);
     if (!flags.writeReport("fig12_breakdown",
-                           bench::JsonObj().add("k", bench::num(k)).dump(0),
-                           body, "", m.hostJson()))
+                           bench::fieldsJson({ { "k", k } }), body, "",
+                           m.hostJson()))
         return 1;
     if (m.audit() != nullptr && m.audit()->violationCount() > 0) {
         std::fprintf(stderr, "audit: %llu invariant violations\n",

@@ -159,8 +159,8 @@ main(int argc, char **argv)
     flags.writeOutputs(m);
     const std::string body = flags.reportBody(m);
     return flags.writeReport("fig3_multicast",
-                             bench::JsonObj().add("k", bench::num(k)).dump(0),
-                             body, "", m.hostJson())
+                             bench::fieldsJson({ { "k", k } }), body, "",
+                             m.hostJson())
                ? 0
                : 1;
 }

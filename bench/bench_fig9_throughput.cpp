@@ -187,14 +187,14 @@ try {
             std::printf("%-18s %10llu %14.3f %16.3f\n", pattern,
                         static_cast<unsigned long long>(batch),
                         rr.normalized, iw.normalized);
-            rows.push_back(bench::JsonObj()
-                               .add("pattern", bench::str(pattern))
-                               .add("batch", bench::num(
-                                                 static_cast<double>(batch)))
-                               .add("round_robin", bench::num(rr.normalized))
-                               .add("inverse_weighted",
-                                    bench::num(iw.normalized))
-                               .dump(0));
+            rows.push_back(JsonWriter(0)
+                               .beginObject()
+                               .key("pattern").string(pattern)
+                               .key("batch").number(batch)
+                               .key("round_robin").number(rr.normalized)
+                               .key("inverse_weighted").number(iw.normalized)
+                               .end()
+                               .take());
             if (probe) {
                 last_report = std::move(iw.report_json);
                 last_host = std::move(iw.host_json);
@@ -212,19 +212,11 @@ try {
     // the thread count or lookahead window, which are host-execution
     // details (the host section records them) that must not break the
     // report's cross-thread byte-identity.
-    const auto det_config =
-        bench::JsonObj()
-            .add("kx", bench::num(radix[0]))
-            .add("ky", bench::num(radix[1]))
-            .add("kz", bench::num(radix[2]))
-            .add("cores", bench::num(cores))
-            .add("maxbatch", bench::num(static_cast<double>(max_batch)))
-            .add("seed", bench::num(static_cast<double>(seed)))
-            .dump(0);
-    return flags.writeReport(
-               "fig9_throughput", det_config, last_report,
-               bench::JsonObj().add("rows", bench::arr(rows)).dump(2, 1),
-               last_host)
+    const auto det_config = bench::fieldsJson(
+        { { "kx", radix[0] }, { "ky", radix[1] }, { "kz", radix[2] },
+          { "cores", cores }, { "maxbatch", max_batch }, { "seed", seed } });
+    return flags.writeReport("fig9_throughput", det_config, last_report,
+                             bench::resultsJson(rows), last_host)
                ? 0
                : 1;
 } catch (const CheckpointError &e) {

@@ -326,57 +326,44 @@ main(int argc, char **argv)
         static_cast<double>(hostPeakRssBytes()) / (1024.0 * 1024.0);
     std::printf("peak RSS: %.1f MiB\n", peak_rss_mib);
 
-    std::vector<std::string> rows;
+    JsonWriter report;
+    report.beginObject()
+        .key("bench").string("host_speed")
+        .key("host").raw(bench::hostProvenanceJson())
+        .key("config")
+        .raw(bench::fieldsJson({ { "kx", radix[0] }, { "ky", radix[1] },
+                                 { "kz", radix[2] }, { "cores", cores },
+                                 { "rate", rate }, { "cycles", cycles },
+                                 { "lookahead", lookahead },
+                                 { "window", serial->window } }))
+        .key("rows").beginArray(JsonWriter::Inline);
     for (const SpeedResult &r : results) {
-        bench::JsonObj classes;
+        JsonWriter row(0);
+        row.beginObject()
+            .key("threads").number(r.threads)
+            .key("wall_seconds").number(r.wall_seconds)
+            .key("cycles_per_sec").number(r.cycles_per_sec)
+            .key("flit_hops_per_sec").number(r.flit_hops_per_sec)
+            .key("speedup").number(r.wall_seconds > 0.0
+                                       ? serial->wall_seconds / r.wall_seconds
+                                       : 0.0)
+            .key("delivered").number(r.delivered)
+            .key("imbalance").number(r.imbalance)
+            .key("barrier_wait_fraction").number(r.barrier_wait_fraction)
+            .key("serial_fraction").number(r.serial_fraction)
+            .key("straggler_shard").number(r.straggler_shard)
+            .key("straggler_share").number(r.straggler_share)
+            .key("class_seconds").beginObject();
         for (std::size_t c = 0; c < kNumHostCompClasses; ++c)
-            classes.add(hostCompClassName(static_cast<HostCompClass>(c)),
-                        bench::num(r.class_seconds[c]));
-        rows.push_back(
-            bench::JsonObj()
-                .add("threads", bench::num(r.threads))
-                .add("wall_seconds", bench::num(r.wall_seconds))
-                .add("cycles_per_sec", bench::num(r.cycles_per_sec))
-                .add("flit_hops_per_sec", bench::num(r.flit_hops_per_sec))
-                .add("speedup",
-                     bench::num(r.wall_seconds > 0.0
-                                    ? serial->wall_seconds
-                                          / r.wall_seconds
-                                    : 0.0))
-                .add("delivered",
-                     bench::num(static_cast<double>(r.delivered)))
-                .add("imbalance", bench::num(r.imbalance))
-                .add("barrier_wait_fraction",
-                     bench::num(r.barrier_wait_fraction))
-                .add("serial_fraction", bench::num(r.serial_fraction))
-                .add("straggler_shard", bench::num(r.straggler_shard))
-                .add("straggler_share", bench::num(r.straggler_share))
-                .add("class_seconds", classes.dump(0))
-                .dump(0));
+            row.key(hostCompClassName(static_cast<HostCompClass>(c)))
+                .number(r.class_seconds[c]);
+        report.raw(row.end().end().take());
     }
-    const auto config =
-        bench::JsonObj()
-            .add("kx", bench::num(radix[0]))
-            .add("ky", bench::num(radix[1]))
-            .add("kz", bench::num(radix[2]))
-            .add("cores", bench::num(static_cast<double>(cores)))
-            .add("rate", bench::num(rate))
-            .add("cycles", bench::num(static_cast<double>(cycles)))
-            .add("lookahead", bench::num(static_cast<double>(lookahead)))
-            .add("window",
-                 bench::num(static_cast<double>(serial->window)))
-            .dump(0);
-    bench::writeFile(json_path,
-                     bench::JsonObj()
-                         .add("bench", bench::str("host_speed"))
-                         .add("host", bench::hostProvenanceJson())
-                         .add("config", config)
-                         .add("rows", bench::arr(rows))
-                         .add("deterministic",
-                              identical ? "true" : "false")
-                         .add("peak_rss_mib", bench::num(peak_rss_mib))
-                         .dump()
-                         + "\n");
+    report.end()
+        .key("deterministic").boolean(identical)
+        .key("peak_rss_mib").number(peak_rss_mib)
+        .end();
+    bench::writeFile(json_path, report.take() + '\n');
     std::printf("JSON report written to %s\n", json_path);
     return identical ? 0 : 1;
 }

@@ -16,79 +16,47 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/machine.hpp"
 #include "debug/checkpoint.hpp"
 #include "options.hpp"
+#include "sim/json.hpp"
 #include "sim/metrics.hpp"
 
 namespace anton2::bench {
 
-/**
- * Order-preserving JSON object builder for bench output. Values are
- * pre-serialized fragments; use num()/str()/arr() to produce them, or
- * pass a serializer's output (the run-report body, the host section)
- * as is.
- */
-class JsonObj
-{
-  public:
-    JsonObj &
-    add(const std::string &key, std::string raw_value)
-    {
-        entries_.emplace_back(key, std::move(raw_value));
-        return *this;
-    }
-
-    std::string
-    dump(int indent = 2, int depth = 0) const
-    {
-        std::string out = "{\n";
-        const std::string pad(
-            static_cast<std::size_t>(indent * (depth + 1)), ' ');
-        for (std::size_t i = 0; i < entries_.size(); ++i) {
-            out += pad + "\"" + jsonEscape(entries_[i].first)
-                   + "\": " + entries_[i].second;
-            if (i + 1 < entries_.size())
-                out += ",";
-            out += "\n";
-        }
-        out += std::string(static_cast<std::size_t>(indent * depth), ' ')
-               + "}";
-        return out;
-    }
-
-  private:
-    std::vector<std::pair<std::string, std::string>> entries_;
-};
-
+/** Numeric fields as one object in the bench reports' indent-0 layout:
+ * a config, a row or a fit. */
 inline std::string
-num(double x)
+fieldsJson(std::initializer_list<std::pair<const char *, double>> fields)
 {
-    return anton2::jsonNumber(x);
+    JsonWriter w(0);
+    w.beginObject();
+    for (const auto &[name, value] : fields)
+        w.key(name).number(value);
+    return w.end().take();
 }
 
+/** A bench's results section at depth 1 of its report: the rows (each
+ * a serialized object) and, when given, the fit. */
 inline std::string
-str(const std::string &s)
+resultsJson(const std::vector<std::string> &rows,
+            const std::string &fit = "")
 {
-    return "\"" + anton2::jsonEscape(s) + "\"";
-}
-
-/** Join pre-serialized fragments into a JSON array. */
-inline std::string
-arr(const std::vector<std::string> &items)
-{
-    std::string out = "[";
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        if (i != 0)
-            out += ", ";
-        out += items[i];
-    }
-    return out + "]";
+    JsonWriter w(2, 1);
+    w.beginObject().key("rows").beginArray(JsonWriter::Inline);
+    for (const std::string &row : rows)
+        w.raw(row);
+    w.end();
+    if (!fit.empty())
+        w.key("fit").raw(fit);
+    return w.end().take();
 }
 
 /** Check that @p path can be written before spending simulation time,
@@ -164,14 +132,15 @@ hostProvenanceJson()
 #else
     const bool optimized = false;
 #endif
-    return JsonObj()
-        .add("nproc",
-             num(static_cast<double>(std::thread::hardware_concurrency())))
-        .add("cpu_model", str(cpuModel()))
-        .add("build_type", str(ANTON2_BUILD_TYPE))
-        .add("optimized", optimized ? "true" : "false")
-        .add("compiler", str(compiler))
-        .dump(0);
+    return JsonWriter(0)
+        .beginObject()
+        .key("nproc").number(std::thread::hardware_concurrency())
+        .key("cpu_model").string(cpuModel())
+        .key("build_type").string(ANTON2_BUILD_TYPE)
+        .key("optimized").boolean(optimized)
+        .key("compiler").string(compiler)
+        .end()
+        .take();
 }
 
 /** Groups of shared flags; a bench registers the groups it honors. */
@@ -608,17 +577,16 @@ class SharedFlags : public FlagValues
                          report);
             return false;
         }
-        writeFile(report,
-                  JsonObj()
-                      .add("report_version", num(3))
-                      .add("bench", str(bench_name))
-                      .add("config", config_json)
-                      .add("run", body)
-                      .add("results",
-                           results_json.empty() ? "null" : results_json)
-                      .add("host", host_json)
-                      .dump()
-                      + "\n");
+        JsonWriter w;
+        w.beginObject()
+            .key("report_version").number(3)
+            .key("bench").string(bench_name)
+            .key("config").raw(config_json)
+            .key("run").raw(body)
+            .key("results").raw(results_json.empty() ? "null" : results_json)
+            .key("host").raw(host_json)
+            .end();
+        writeFile(report, w.take() + '\n');
         std::printf("Run report written to %s\n", report);
         return true;
     }

@@ -232,6 +232,12 @@ Machine::setLookahead(Cycle w)
 void
 Machine::attachInstrumentation(const Instrumentation &inst)
 {
+    // Refused before anything is armed or attached: a 0-cycle window
+    // would never sample and would shrink every lookahead window to one
+    // cycle.
+    if (inst.timeseries.has_value() && inst.timeseries->window < 1)
+        throw std::invalid_argument(
+            "time-series window must be at least 1 cycle");
     for (const NetworkFault &f : inst.faults)
         applyFault(f);
     if (inst.metrics)
@@ -591,50 +597,45 @@ Machine::runReportJson(std::size_t topk)
     if (sampler_ != nullptr)
         sampler_->finalize(engine_.now());
 
-    std::string out = "{\n";
-    out += "  \"metrics_level\": "
-           + jsonString(metricsLevelName(metrics_->level())) + ",\n";
-    out += "  \"cycles\": "
-           + jsonNumber(static_cast<double>(engine_.now())) + ",\n";
-    out += "  \"delivered\": "
-           + jsonNumber(static_cast<double>(delivered_)) + ",\n";
+    JsonWriter w;
+    w.beginObject()
+        .key("metrics_level").string(metricsLevelName(metrics_->level()))
+        .key("cycles").number(engine_.now())
+        .key("delivered").number(delivered_)
+        .key("checkpoint");
     // Checkpoint provenance: where this run's state came from (null for
     // a cold start), so warm-started sweep points are auditable.
     if (restored_from_.empty()) {
-        out += "  \"checkpoint\": null,\n";
+        w.null();
     } else {
-        out += "  \"checkpoint\": {\"source\": " + jsonString(restored_from_)
-               + ", \"fork_cycle\": "
-               + jsonNumber(static_cast<double>(restored_cycle_)) + "},\n";
+        w.beginObject(JsonWriter::Inline)
+            .key("source").string(restored_from_)
+            .key("fork_cycle").number(restored_cycle_).end();
     }
-    out += "  \"metrics\": " + metricsJson();
-    // metricsJson() ends with a newline; splice the separator in place.
-    out.insert(out.size() - 1, ",");
-    out += "  \"digest\": " + hotspotDigestJson(hotspotDigest(topk), 2, 1)
-           + ",\n";
+    // The metrics tree keeps the depth-0 layout metricsJson() gives it.
+    std::string metrics = metricsJson();
+    metrics.pop_back(); // its trailing newline
+    w.key("metrics").raw(metrics);
+    writeHotspotDigest(w.key("digest"), hotspotDigest(topk));
     if (flow_ != nullptr) {
         // Digest-only at the coarse levels; the dense node^2 matrix
         // joins it at Full. Absent entirely when the probe is detached,
         // so pre-existing reports stay byte-identical.
-        out += "  \"flows\": "
-               + flow_->reportJson(metrics_->level() >= MetricsLevel::Full,
-                                   geom_.numNodes(), 2, 1)
-               + ",\n";
+        flow_->writeReport(w.key("flows"),
+                           metrics_->level() >= MetricsLevel::Full,
+                           geom_.numNodes());
     }
-    out += "  \"steady_state\": "
-           + (sampler_ != nullptr ? sampler_->steadyStateJson(2, 1)
-                                  : std::string("null"))
-           + ",\n";
-    // The windowed series ride along whenever a sampler is attached
-    // (absent otherwise, so sampler-free reports keep their bytes).
-    if (sampler_ != nullptr)
-        out += "  \"timeseries\": " + sampler_->toJson(2, 1) + ",\n";
-    out += "  \"audit\": "
-           + (audit_ != nullptr ? audit_->reportJson()
-                                : std::string("null"))
-           + "\n";
-    out += "}";
-    return out;
+    w.key("steady_state");
+    if (sampler_ == nullptr) {
+        w.null();
+    } else {
+        sampler_->writeSteadyState(w);
+        // The windowed series ride along whenever a sampler is attached
+        // (absent otherwise, so sampler-free reports keep their bytes).
+        sampler_->writeJson(w.key("timeseries"));
+    }
+    w.key("audit").raw(audit_ != nullptr ? audit_->reportJson() : "null");
+    return w.end().take();
 }
 
 std::size_t
@@ -690,13 +691,12 @@ Machine::hostJson()
     gauges.emplace_back("phase.build_seconds", build);
     gauges.emplace_back("phase.run_seconds", run);
 
-    std::string out = "{";
-    for (std::size_t i = 0; i < gauges.size(); ++i) {
-        out += i == 0 ? "\n" : ",\n";
-        out += "    \"machine.host." + jsonEscape(gauges[i].first)
-               + "\": " + jsonNumber(gauges[i].second);
-    }
-    return out + "\n  }";
+    // At depth 1: a bench report holds it under "host".
+    JsonWriter w(2, 1);
+    w.beginObject();
+    for (const auto &[name, value] : gauges)
+        w.key("machine.host." + name).number(value);
+    return w.end().take();
 }
 
 IntervalSampler &

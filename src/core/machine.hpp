@@ -375,6 +375,8 @@ class Machine
      * immediately, so attach before driving traffic for complete
      * counts. All layers are idempotent: attaching a second bundle
      * unions it with the first.
+     * @throws std::invalid_argument, before arming or attaching
+     * anything, for a time-series window below 1 cycle.
      */
     void attachInstrumentation(const Instrumentation &inst);
 

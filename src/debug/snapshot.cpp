@@ -8,19 +8,9 @@
 #include <set>
 #include <sstream>
 
-#include "sim/metrics.hpp" // jsonNumber / jsonString
+#include "sim/json.hpp"
 
 namespace anton2 {
-
-namespace {
-
-std::string
-jsonInt(std::uint64_t v)
-{
-    return jsonNumber(static_cast<double>(v));
-}
-
-} // namespace
 
 std::vector<int>
 findCycle(const std::vector<std::vector<int>> &adj)
@@ -110,72 +100,60 @@ analyzeWaitsFor(MachineSnapshot &snap)
 std::string
 snapshotJson(const MachineSnapshot &snap)
 {
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"cycle\": " << jsonInt(snap.now) << ",\n";
-    os << "  \"reason\": " << jsonString(snap.reason) << ",\n";
-    os << "  \"verdict\": " << jsonString(snap.verdict) << ",\n";
-    os << "  \"injected\": " << jsonInt(snap.injected) << ",\n";
-    os << "  \"delivered\": " << jsonInt(snap.delivered) << ",\n";
-    os << "  \"oldest_age\": " << jsonInt(snap.oldest_age) << ",\n";
-    os << "  \"ejection_stall\": " << jsonInt(snap.ejection_stall) << ",\n";
-
-    os << "  \"buffers\": [";
-    for (std::size_t i = 0; i < snap.buffers.size(); ++i) {
-        const auto &b = snap.buffers[i];
-        os << (i ? ",\n    " : "\n    ") << "{\"resource\": "
-           << jsonString(b.resource) << ", \"occupancy\": " << b.occupancy
-           << ", \"capacity\": " << b.capacity << ", \"packets\": "
-           << b.packets << "}";
+    JsonWriter w;
+    w.beginObject()
+        .key("cycle").number(snap.now)
+        .key("reason").string(snap.reason)
+        .key("verdict").string(snap.verdict)
+        .key("injected").number(snap.injected)
+        .key("delivered").number(snap.delivered)
+        .key("oldest_age").number(snap.oldest_age)
+        .key("ejection_stall").number(snap.ejection_stall)
+        .key("buffers").beginArray();
+    for (const auto &b : snap.buffers) {
+        w.beginObject(JsonWriter::Inline)
+            .key("resource").string(b.resource)
+            .key("occupancy").integer(b.occupancy)
+            .key("capacity").integer(b.capacity)
+            .key("packets").integer(b.packets).end();
     }
-    os << (snap.buffers.empty() ? "" : "\n  ") << "],\n";
-
-    os << "  \"credits\": [";
-    for (std::size_t i = 0; i < snap.credits.size(); ++i) {
-        const auto &c = snap.credits[i];
-        os << (i ? ",\n    " : "\n    ") << "{\"resource\": "
-           << jsonString(c.resource) << ", \"available\": " << c.available
-           << ", \"depth\": " << c.depth << "}";
+    w.end().key("credits").beginArray();
+    for (const auto &c : snap.credits) {
+        w.beginObject(JsonWriter::Inline)
+            .key("resource").string(c.resource)
+            .key("available").integer(c.available)
+            .key("depth").integer(c.depth).end();
     }
-    os << (snap.credits.empty() ? "" : "\n  ") << "],\n";
-
-    os << "  \"packets\": [";
-    for (std::size_t i = 0; i < snap.packets.size(); ++i) {
-        const auto &p = snap.packets[i];
-        os << (i ? ",\n    " : "\n    ") << "{\"id\": " << p.id
-           << ", \"age\": " << jsonInt(p.age) << ", \"position\": "
-           << jsonString(p.position) << ", \"src\": " << jsonString(p.src)
-           << ", \"dst\": " << jsonString(p.dst) << ", \"size_flits\": "
-           << p.size_flits << ", \"flits_here\": " << p.flits_here
-           << ", \"hops\": " << p.hops << ", \"dims_completed\": "
-           << p.dims_completed << ", \"crossed_dateline\": "
-           << (p.crossed_dateline ? "true" : "false") << ", \"tc\": "
-           << p.traffic_class << "}";
+    w.end().key("packets").beginArray();
+    for (const auto &p : snap.packets) {
+        w.beginObject(JsonWriter::Inline)
+            .key("id").integer(p.id).key("age").number(p.age)
+            .key("position").string(p.position)
+            .key("src").string(p.src).key("dst").string(p.dst)
+            .key("size_flits").integer(p.size_flits)
+            .key("flits_here").integer(p.flits_here)
+            .key("hops").integer(p.hops)
+            .key("dims_completed").integer(p.dims_completed)
+            .key("crossed_dateline").boolean(p.crossed_dateline)
+            .key("tc").integer(p.traffic_class).end();
     }
-    os << (snap.packets.empty() ? "" : "\n  ") << "],\n";
-
-    os << "  \"waits_for\": [";
-    for (std::size_t i = 0; i < snap.waits_for.size(); ++i) {
-        const auto &e = snap.waits_for[i];
-        os << (i ? ",\n    " : "\n    ") << "{\"holds\": "
-           << jsonString(e.holds) << ", \"wants\": " << jsonString(e.wants)
-           << ", \"packet\": " << e.packet_id << ", \"age\": "
-           << jsonInt(e.age) << "}";
+    w.end().key("waits_for").beginArray();
+    for (const auto &e : snap.waits_for) {
+        w.beginObject(JsonWriter::Inline)
+            .key("holds").string(e.holds).key("wants").string(e.wants)
+            .key("packet").integer(e.packet_id)
+            .key("age").number(e.age).end();
     }
-    os << (snap.waits_for.empty() ? "" : "\n  ") << "],\n";
-
-    auto nameList = [&os](const char *key,
-                          const std::vector<std::string> &names,
-                          bool last) {
-        os << "  \"" << key << "\": [";
-        for (std::size_t i = 0; i < names.size(); ++i)
-            os << (i ? ", " : "") << jsonString(names[i]);
-        os << "]" << (last ? "\n" : ",\n");
-    };
-    nameList("deadlock_cycle", snap.cycle, false);
-    nameList("culprits", snap.culprits, true);
-    os << "}\n";
-    return os.str();
+    w.end();
+    for (const auto &[key, names] :
+         { std::pair{ "deadlock_cycle", &snap.cycle },
+           std::pair{ "culprits", &snap.culprits } }) {
+        w.key(key).beginArray(JsonWriter::Inline);
+        for (const std::string &name : *names)
+            w.string(name);
+        w.end();
+    }
+    return w.end().take() + '\n';
 }
 
 std::string

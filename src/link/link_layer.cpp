@@ -170,7 +170,7 @@ LinkSender::fields(CkptArchive &ar)
     ar.io(base_);
     ar.io(next_);
     ar.io(last_progress_);
-    ar.io(tokens_);
+    ar.io(tokens_, 0, kSerdesTokenCap, "serializer tokens out of range");
     ar.io(transmitted_);
     ar.io(retransmissions_);
     ar.check(next_ >= base_ && next_ - base_ <= queue_.size(),

@@ -4,8 +4,6 @@
  */
 #include "sim/audit.hpp"
 
-#include <sstream>
-
 #include "sim/metrics.hpp"
 
 namespace anton2 {
@@ -96,32 +94,31 @@ Auditor::publishGauges(MetricsRegistry &reg) const
 std::string
 Auditor::reportJson() const
 {
-    std::ostringstream os;
-    os << "{\"audits\": " << audits_run_
-       << ", \"violations\": " << violation_count_
-       << ", \"violation_samples\": [";
-    for (std::size_t i = 0; i < violations_.size(); ++i) {
-        const auto &v = violations_[i];
-        os << (i ? ", " : "") << "{\"cycle\": "
-           << jsonNumber(static_cast<double>(v.cycle)) << ", \"check\": "
-           << jsonString(v.check) << ", \"detail\": "
-           << jsonString(v.detail) << "}";
+    JsonWriter w;
+    w.beginObject(JsonWriter::Inline)
+        .key("audits").integer(audits_run_)
+        .key("violations").integer(violation_count_)
+        .key("violation_samples").beginArray(JsonWriter::Inline);
+    for (const auto &v : violations_) {
+        w.beginObject(JsonWriter::Inline)
+            .key("cycle").number(v.cycle).key("check").string(v.check)
+            .key("detail").string(v.detail).end();
     }
-    os << "], \"watchdog\": {\"tripped\": " << (trip_ ? "true" : "false")
-       << ", \"trips\": " << trips_ << ", \"verdict\": "
-       << jsonString(trip_ ? trip_->verdict : "none")
-       << ", \"trip_cycle\": "
-       << jsonNumber(trip_ ? static_cast<double>(trip_->now) : -1.0)
-       << ", \"ejection_stall\": "
-       << jsonNumber(static_cast<double>(ejection_stall_))
-       << ", \"oldest_age\": "
-       << jsonNumber(static_cast<double>(oldest_age_)) << ", \"culprits\": [";
+    w.end()
+        .key("watchdog").beginObject(JsonWriter::Inline)
+        .key("tripped").boolean(trip_.has_value())
+        .key("trips").integer(trips_)
+        .key("verdict").string(trip_ ? trip_->verdict : "none")
+        .key("trip_cycle")
+        .number(trip_ ? static_cast<double>(trip_->now) : -1.0)
+        .key("ejection_stall").number(ejection_stall_)
+        .key("oldest_age").number(oldest_age_)
+        .key("culprits").beginArray(JsonWriter::Inline);
     if (trip_) {
-        for (std::size_t i = 0; i < trip_->culprits.size(); ++i)
-            os << (i ? ", " : "") << jsonString(trip_->culprits[i]);
+        for (const std::string &c : trip_->culprits)
+            w.string(c);
     }
-    os << "]}}";
-    return os.str();
+    return w.end().end().end().take();
 }
 
 } // namespace anton2

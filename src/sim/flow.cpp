@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "sim/metrics.hpp" // jsonNumber / jsonEscape
+#include "sim/json.hpp"
 
 namespace anton2 {
 
@@ -198,72 +198,40 @@ worseFlow(const std::pair<FlowKey, const FlowCell *> &a,
     return a.first < b.first;
 }
 
-std::string
-hopPathJson(const FlowProbe &probe, const std::vector<PacketEvent> &path)
-{
-    std::string out = "[";
-    for (std::size_t i = 0; i < path.size(); ++i) {
-        const PacketEvent &h = path[i];
-        if (i != 0)
-            out += ", ";
-        out += "{\"node\": " + jsonNumber(static_cast<double>(h.node))
-               + ", \"kind\": \"" + flowUnitKindName(h.kind)
-               + "\", \"unit\": \""
-               + jsonEscape(probe.unitName(h.node, h.kind, h.unit))
-               + "\", \"at\": "
-               + jsonNumber(static_cast<double>(h.arrival))
-               + ", \"queue\": "
-               + jsonNumber(static_cast<double>(
-                     h.grant >= h.arrival ? h.grant - h.arrival : 0))
-               + ", \"xfer\": "
-               + jsonNumber(static_cast<double>(
-                     h.cycle >= h.grant ? h.cycle - h.grant : 0))
-               + "}";
-    }
-    out += "]";
-    return out;
-}
-
-std::string
-flowEntryJson(const FlowProbe &probe, const FlowKey &key,
-              const FlowCell &c)
+/** One worst-flow entry of the digest, with its worst packet's path. */
+void
+writeFlowEntry(JsonWriter &w, const FlowProbe &probe, const FlowKey &key,
+               const FlowCell &c)
 {
     const auto n = static_cast<double>(c.packets);
-    std::string out =
-        "{\"src\": " + jsonNumber(static_cast<double>(key.src))
-        + ", \"dst\": " + jsonNumber(static_cast<double>(key.dst))
-        + ", \"tc\": \"" + flowTcName(key.tc) + "\", \"packets\": "
-        + jsonNumber(n) + ", \"flits\": "
-        + jsonNumber(static_cast<double>(c.flits)) + ", \"latency\": {"
-        + "\"sum\": " + jsonNumber(static_cast<double>(c.lat_sum))
-        + ", \"min\": " + jsonNumber(static_cast<double>(c.lat_min))
-        + ", \"max\": " + jsonNumber(static_cast<double>(c.lat_max))
-        + ", \"mean\": "
-        + jsonNumber(static_cast<double>(c.lat_sum) / n)
-        + ", \"p99_est\": " + jsonNumber(c.p99Estimate()) + "}"
-        + ", \"hops\": {\"min\": "
-        + jsonNumber(static_cast<double>(c.hop_min)) + ", \"max\": "
-        + jsonNumber(static_cast<double>(c.hop_max)) + ", \"mean\": "
-        + jsonNumber(static_cast<double>(c.hop_sum) / n) + "}"
-        + ", \"worst_packet\": {\"id\": "
-        + jsonNumber(static_cast<double>(c.worst_packet))
-        + ", \"latency\": "
-        + jsonNumber(static_cast<double>(c.worst_latency))
-        + ", \"path\": " + hopPathJson(probe, c.worst_path) + "}}";
-    return out;
-}
-
-std::string
-blameEntryJson(const FlowUnitKey &key, const FlowUnitBlame &b)
-{
-    return "{\"node\": " + jsonNumber(static_cast<double>(key.node))
-           + ", \"unit\": \"" + jsonEscape(b.name) + "\", \"packets\": "
-           + jsonNumber(static_cast<double>(b.packets))
-           + ", \"flits\": " + jsonNumber(static_cast<double>(b.flits))
-           + ", \"queue_wait\": "
-           + jsonNumber(static_cast<double>(b.queue_wait))
-           + ", \"xfer_cycles\": "
-           + jsonNumber(static_cast<double>(b.xfer_cycles)) + "}";
+    w.beginObject(JsonWriter::Inline)
+        .key("src").number(key.src).key("dst").number(key.dst)
+        .key("tc").string(flowTcName(key.tc))
+        .key("packets").number(n).key("flits").number(c.flits)
+        .key("latency").beginObject(JsonWriter::Inline)
+        .key("sum").number(c.lat_sum)
+        .key("min").number(c.lat_min).key("max").number(c.lat_max)
+        .key("mean").number(static_cast<double>(c.lat_sum) / n)
+        .key("p99_est").number(c.p99Estimate()).end()
+        .key("hops").beginObject(JsonWriter::Inline)
+        .key("min").number(c.hop_min).key("max").number(c.hop_max)
+        .key("mean").number(static_cast<double>(c.hop_sum) / n).end()
+        .key("worst_packet").beginObject(JsonWriter::Inline)
+        .key("id").number(c.worst_packet)
+        .key("latency").number(c.worst_latency)
+        .key("path").beginArray(JsonWriter::Inline);
+    for (const PacketEvent &h : c.worst_path) {
+        w.beginObject(JsonWriter::Inline)
+            .key("node").number(h.node)
+            .key("kind").string(flowUnitKindName(h.kind))
+            .key("unit").string(probe.unitName(h.node, h.kind, h.unit))
+            .key("at").number(h.arrival)
+            .key("queue")
+            .number(h.grant >= h.arrival ? h.grant - h.arrival : 0)
+            .key("xfer").number(h.cycle >= h.grant ? h.cycle - h.grant : 0)
+            .end();
+    }
+    w.end().end().end();
 }
 
 /** Top-K blamed units of one kind: queue wait descending, then the
@@ -290,18 +258,10 @@ topBlamed(const std::map<FlowUnitKey, FlowUnitBlame> &blame,
 
 } // namespace
 
-std::string
-FlowProbe::reportJson(bool full_matrix, std::size_t num_nodes,
-                      int indent, int depth) const
+void
+FlowProbe::writeReport(JsonWriter &w, bool full_matrix,
+                       std::size_t num_nodes) const
 {
-    const std::string p0(static_cast<std::size_t>(indent * depth), ' ');
-    const std::string p1(
-        static_cast<std::size_t>(indent * (depth + 1)), ' ');
-    const std::string p2(
-        static_cast<std::size_t>(indent * (depth + 2)), ' ');
-    const std::string p3(
-        static_cast<std::size_t>(indent * (depth + 3)), ' ');
-
     std::vector<std::pair<FlowKey, const FlowCell *>> worst;
     worst.reserve(cells_.size());
     for (const auto &[key, cell] : cells_)
@@ -310,38 +270,30 @@ FlowProbe::reportJson(bool full_matrix, std::size_t num_nodes,
     if (worst.size() > cfg_.topk)
         worst.resize(cfg_.topk);
 
-    std::string out = "{\n";
-    out += p1 + "\"digest\": {\n";
-    out += p2 + "\"k\": "
-           + jsonNumber(static_cast<double>(cfg_.topk)) + ",\n";
-    out += p2 + "\"deliveries\": "
-           + jsonNumber(static_cast<double>(deliveries_)) + ",\n";
-    out += p2 + "\"flows\": "
-           + jsonNumber(static_cast<double>(cells_.size())) + ",\n";
-    out += p2 + "\"worst_flows\": [";
-    for (std::size_t i = 0; i < worst.size(); ++i) {
-        out += i == 0 ? "\n" : ",\n";
-        out += p3 + flowEntryJson(*this, worst[i].first,
-                                  *worst[i].second);
+    w.beginObject()
+        .key("digest").beginObject()
+        .key("k").number(cfg_.topk)
+        .key("deliveries").number(deliveries_)
+        .key("flows").number(cells_.size())
+        .key("worst_flows").beginArray();
+    for (const auto &[key, cell] : worst)
+        writeFlowEntry(w, *this, key, *cell);
+    w.end();
+    for (const auto &[name, kind] :
+         { std::pair{ "blamed_links", TraceUnitKind::ChannelAdapter },
+           std::pair{ "blamed_routers", TraceUnitKind::Router } }) {
+        w.key(name).beginArray();
+        for (const auto &[key, b] : topBlamed(blame_, kind, cfg_.topk)) {
+            w.beginObject(JsonWriter::Inline)
+                .key("node").number(key.node).key("unit").string(b->name)
+                .key("packets").number(b->packets)
+                .key("flits").number(b->flits)
+                .key("queue_wait").number(b->queue_wait)
+                .key("xfer_cycles").number(b->xfer_cycles).end();
+        }
+        w.end();
     }
-    out += worst.empty() ? "],\n" : "\n" + p2 + "],\n";
-    const auto links =
-        topBlamed(blame_, TraceUnitKind::ChannelAdapter, cfg_.topk);
-    out += p2 + "\"blamed_links\": [";
-    for (std::size_t i = 0; i < links.size(); ++i) {
-        out += i == 0 ? "\n" : ",\n";
-        out += p3 + blameEntryJson(links[i].first, *links[i].second);
-    }
-    out += links.empty() ? "],\n" : "\n" + p2 + "],\n";
-    const auto routers =
-        topBlamed(blame_, TraceUnitKind::Router, cfg_.topk);
-    out += p2 + "\"blamed_routers\": [";
-    for (std::size_t i = 0; i < routers.size(); ++i) {
-        out += i == 0 ? "\n" : ",\n";
-        out += p3 + blameEntryJson(routers[i].first, *routers[i].second);
-    }
-    out += routers.empty() ? "]\n" : "\n" + p2 + "]\n";
-    out += p1 + "}";
+    w.end();
 
     if (full_matrix) {
         // Classes merged per (src, dst) pair; rows synthesized for
@@ -371,47 +323,41 @@ FlowProbe::reportJson(bool full_matrix, std::size_t num_nodes,
             a.lat_sum += c.lat_sum;
             a.hop_sum += c.hop_sum;
         }
-        out += ",\n" + p1 + "\"matrix\": [";
-        bool first = true;
+        w.key("matrix").beginArray();
         for (std::size_t s = 0; s < num_nodes; ++s) {
             for (std::size_t d = 0; d < num_nodes; ++d) {
-                out += first ? "\n" : ",\n";
-                first = false;
-                out += p2 + "{\"src\": "
-                       + jsonNumber(static_cast<double>(s))
-                       + ", \"dst\": "
-                       + jsonNumber(static_cast<double>(d));
+                w.beginObject(JsonWriter::Inline)
+                    .key("src").number(s).key("dst").number(d)
+                    .key("packets");
                 const auto it =
                     pairs.find({ static_cast<std::int64_t>(s),
                                  static_cast<std::int64_t>(d) });
                 if (it == pairs.end() || it->second.packets == 0) {
-                    out += ", \"packets\": 0}";
+                    w.number(0).end();
                     continue;
                 }
                 const PairAgg &a = it->second;
                 const auto n = static_cast<double>(a.packets);
-                out += ", \"packets\": " + jsonNumber(n)
-                       + ", \"flits\": "
-                       + jsonNumber(static_cast<double>(a.flits))
-                       + ", \"lat_sum\": "
-                       + jsonNumber(static_cast<double>(a.lat_sum))
-                       + ", \"lat_min\": "
-                       + jsonNumber(static_cast<double>(a.lat_min))
-                       + ", \"lat_max\": "
-                       + jsonNumber(static_cast<double>(a.lat_max))
-                       + ", \"lat_mean\": "
-                       + jsonNumber(static_cast<double>(a.lat_sum) / n)
-                       + ", \"hops_mean\": "
-                       + jsonNumber(static_cast<double>(a.hop_sum) / n)
-                       + "}";
+                w.number(n).key("flits").number(a.flits)
+                    .key("lat_sum").number(a.lat_sum)
+                    .key("lat_min").number(a.lat_min)
+                    .key("lat_max").number(a.lat_max)
+                    .key("lat_mean").number(static_cast<double>(a.lat_sum) / n)
+                    .key("hops_mean")
+                    .number(static_cast<double>(a.hop_sum) / n).end();
             }
         }
-        out += first ? "]\n" : "\n" + p1 + "]\n";
-    } else {
-        out += "\n";
+        w.end();
     }
-    out += p0 + "}";
-    return out;
+    w.end();
+}
+
+std::string
+FlowProbe::reportJson(bool full_matrix, std::size_t num_nodes) const
+{
+    JsonWriter w(2, 1);
+    writeReport(w, full_matrix, num_nodes);
+    return w.take();
 }
 
 std::string

@@ -54,6 +54,8 @@
 
 namespace anton2 {
 
+class JsonWriter;
+
 /** Snake-case kind name used in the flow exports: endpoint, router, or
  * link (a channel adapter's torus-link egress). */
 const char *flowUnitKindName(TraceUnitKind k);
@@ -196,10 +198,14 @@ class FlowProbe
      * worst flows (by mean latency) and most-blamed links/routers,
      * plus - when @p full_matrix - a dense num_nodes^2 matrix with one
      * row per (src, dst) pair (classes merged per pair; zero rows
-     * synthesized so the row count is always num_nodes^2).
+     * synthesized so the row count is always num_nodes^2), written at
+     * @p w's position.
      */
-    std::string reportJson(bool full_matrix, std::size_t num_nodes,
-                           int indent = 2, int depth = 1) const;
+    void writeReport(JsonWriter &w, bool full_matrix,
+                     std::size_t num_nodes) const;
+
+    /** The `flows` section as the run report indents it (depth 1). */
+    std::string reportJson(bool full_matrix, std::size_t num_nodes) const;
 
     /** Sparse flow-matrix CSV: one row per active (src, dst, class). */
     std::string matrixCsv() const;

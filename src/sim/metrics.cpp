@@ -1,9 +1,6 @@
 #include "sim/metrics.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <stdexcept>
-#include <vector>
 
 namespace anton2 {
 
@@ -33,50 +30,6 @@ parseMetricsLevel(const std::string &name, MetricsLevel &out)
     else
         return false;
     return true;
-}
-
-std::string
-jsonNumber(double x)
-{
-    if (!std::isfinite(x))
-        return "null";
-    char buf[40];
-    if (x == std::floor(x) && std::fabs(x) < 9.007199254740992e15) {
-        std::snprintf(buf, sizeof(buf), "%.0f", x);
-    } else {
-        std::snprintf(buf, sizeof(buf), "%.17g", x);
-    }
-    return buf;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-jsonString(const std::string &s)
-{
-    return "\"" + jsonEscape(s) + "\"";
 }
 
 namespace {
@@ -227,76 +180,43 @@ struct Node
 };
 
 void
-emitIndent(std::string &out, int indent, int depth)
+writeNode(JsonWriter &w, const Node &node)
 {
-    out.append(static_cast<std::size_t>(indent * depth), ' ');
-}
-
-void
-emitScalarStat(std::string &out, const ScalarStat &s)
-{
-    out += "{\"count\": " + std::to_string(s.count());
-    out += ", \"sum\": " + jsonNumber(s.sum());
-    out += ", \"mean\": " + jsonNumber(s.mean());
-    out += ", \"min\": " + jsonNumber(s.min());
-    out += ", \"max\": " + jsonNumber(s.max());
-    out += ", \"stddev\": " + jsonNumber(s.stddev());
-    out += "}";
-}
-
-void
-emitHistogram(std::string &out, const Histogram &h)
-{
-    out += "{\"bin_width\": " + jsonNumber(h.binWidth());
-    out += ", \"count\": " + std::to_string(h.stat().count());
-    out += ", \"mean\": " + jsonNumber(h.stat().mean());
-    out += ", \"min\": " + jsonNumber(h.stat().min());
-    out += ", \"max\": " + jsonNumber(h.stat().max());
-    out += ", \"p50\": " + jsonNumber(h.quantile(0.50));
-    out += ", \"p90\": " + jsonNumber(h.quantile(0.90));
-    out += ", \"p99\": " + jsonNumber(h.quantile(0.99));
-    out += ", \"counts\": [";
-    for (std::size_t i = 0; i < h.counts().size(); ++i) {
-        if (i != 0)
-            out += ", ";
-        out += std::to_string(h.counts()[i]);
+    if (node.leaf == nullptr) {
+        w.beginObject();
+        for (const auto &[key, child] : node.children)
+            writeNode(w.key(key), child);
+        w.end();
+    } else if (const auto *c = std::get_if<Counter>(node.leaf)) {
+        w.integer(c->value());
+    } else if (const auto *s = std::get_if<ScalarStat>(node.leaf)) {
+        w.beginObject(JsonWriter::Inline)
+            .key("count").integer(s->count()).key("sum").number(s->sum())
+            .key("mean").number(s->mean())
+            .key("min").number(s->min()).key("max").number(s->max())
+            .key("stddev").number(s->stddev()).end();
+    } else if (const auto *h = std::get_if<Histogram>(node.leaf)) {
+        const ScalarStat &st = h->stat();
+        w.beginObject(JsonWriter::Inline)
+            .key("bin_width").number(h->binWidth())
+            .key("count").integer(st.count()).key("mean").number(st.mean())
+            .key("min").number(st.min()).key("max").number(st.max())
+            .key("p50").number(h->quantile(0.50))
+            .key("p90").number(h->quantile(0.90))
+            .key("p99").number(h->quantile(0.99))
+            .key("counts").beginArray(JsonWriter::Inline);
+        for (const std::uint64_t n : h->counts())
+            w.integer(n);
+        w.end().end();
+    } else {
+        w.number(std::get<double>(*node.leaf));
     }
-    out += "]}";
-}
-
-void
-emitNode(std::string &out, const Node &node, int indent, int depth)
-{
-    if (node.leaf != nullptr) {
-        if (const auto *c = std::get_if<Counter>(node.leaf))
-            out += std::to_string(c->value());
-        else if (const auto *s = std::get_if<ScalarStat>(node.leaf))
-            emitScalarStat(out, *s);
-        else if (const auto *h = std::get_if<Histogram>(node.leaf))
-            emitHistogram(out, *h);
-        else
-            out += jsonNumber(std::get<double>(*node.leaf));
-        return;
-    }
-    out += "{\n";
-    bool first = true;
-    for (const auto &[key, child] : node.children) {
-        if (!first)
-            out += ",\n";
-        first = false;
-        emitIndent(out, indent, depth + 1);
-        out += "\"" + jsonEscape(key) + "\": ";
-        emitNode(out, child, indent, depth + 1);
-    }
-    out += "\n";
-    emitIndent(out, indent, depth);
-    out += "}";
 }
 
 } // namespace
 
 std::string
-MetricsRegistry::toJson(int indent) const
+MetricsRegistry::toJson() const
 {
     Node root;
     for (const auto &[path, metric] : metrics_) {
@@ -320,10 +240,9 @@ MetricsRegistry::toJson(int indent) const
         }
         node->leaf = &metric;
     }
-    std::string out;
-    emitNode(out, root, indent, 0);
-    out += "\n";
-    return out;
+    JsonWriter w;
+    writeNode(w, root);
+    return w.take() + '\n';
 }
 
 } // namespace anton2

@@ -27,6 +27,7 @@
 #include <string>
 #include <variant>
 
+#include "sim/json.hpp"
 #include "sim/stats.hpp"
 
 namespace anton2 {
@@ -141,7 +142,7 @@ class MetricsRegistry
      * elided from the export - their content is preserved in the
      * `machine.*` rollups - so the report stays O(1) in machine size.
      */
-    std::string toJson(int indent = 2) const;
+    std::string toJson() const;
 
   private:
     using Metric = std::variant<Counter, ScalarStat, Histogram, double>;
@@ -151,15 +152,5 @@ class MetricsRegistry
     MetricsLevel level_ = MetricsLevel::Full;
     std::function<void()> reset_hook_;
 };
-
-/** Format a double for JSON: NaN/Inf -> "null", integral values without
- * a fraction, everything else round-trippable via %.17g. */
-std::string jsonNumber(double x);
-
-/** Escape a string for use inside a JSON string literal. */
-std::string jsonEscape(const std::string &s);
-
-/** A complete JSON string literal: escaped and double-quoted. */
-std::string jsonString(const std::string &s);
 
 } // namespace anton2

@@ -84,68 +84,45 @@ finalizeHotspots(HotspotDigest &d)
         d.oldest.resize(d.k);
 }
 
-std::string
-hotspotDigestJson(const HotspotDigest &d, int indent, int depth)
+void
+writeHotspotDigest(JsonWriter &w, const HotspotDigest &d)
 {
-    const std::string p0(static_cast<std::size_t>(indent * depth), ' ');
-    const std::string p1(static_cast<std::size_t>(indent * (depth + 1)),
-                         ' ');
-    const std::string p2(static_cast<std::size_t>(indent * (depth + 2)),
-                         ' ');
-
-    std::string out = "{\n";
-    out += p1 + "\"k\": " + jsonNumber(static_cast<double>(d.k)) + ",\n";
-
-    out += p1 + "\"hot_links\": [";
-    for (std::size_t i = 0; i < d.links.size(); ++i) {
-        const HotLink &l = d.links[i];
-        out += i == 0 ? "\n" : ",\n";
-        out += p2 + "{\"chip\": "
-               + jsonNumber(static_cast<double>(l.chip))
-               + ", \"link\": " + jsonString(l.link)
-               + ", \"flits\": "
-               + jsonNumber(static_cast<double>(l.flits))
-               + ", \"utilization\": " + jsonNumber(l.utilization) + "}";
+    w.beginObject()
+        .key("k").number(d.k)
+        .key("hot_links").beginArray();
+    for (const HotLink &l : d.links) {
+        w.beginObject(JsonWriter::Inline)
+            .key("chip").number(l.chip).key("link").string(l.link)
+            .key("flits").number(l.flits)
+            .key("utilization").number(l.utilization).end();
     }
-    out += d.links.empty() ? "],\n" : "\n" + p1 + "],\n";
-
-    out += p1 + "\"hot_routers\": [";
-    for (std::size_t i = 0; i < d.routers.size(); ++i) {
-        const HotRouter &r = d.routers[i];
-        out += i == 0 ? "\n" : ",\n";
-        out += p2 + "{\"chip\": "
-               + jsonNumber(static_cast<double>(r.chip))
-               + ", \"u\": " + jsonNumber(r.u) + ", \"v\": "
-               + jsonNumber(r.v) + ", \"flits\": "
-               + jsonNumber(static_cast<double>(r.flits)) + "}";
+    w.end().key("hot_routers").beginArray();
+    for (const HotRouter &r : d.routers) {
+        w.beginObject(JsonWriter::Inline)
+            .key("chip").number(r.chip).key("u").number(r.u)
+            .key("v").number(r.v).key("flits").number(r.flits).end();
     }
-    out += d.routers.empty() ? "],\n" : "\n" + p1 + "],\n";
-
-    out += p1 + "\"oldest_packets\": [";
-    for (std::size_t i = 0; i < d.oldest.size(); ++i) {
-        const OldestPacket &o = d.oldest[i];
-        out += i == 0 ? "\n" : ",\n";
-        out += p2 + "{\"chip\": "
-               + jsonNumber(static_cast<double>(o.chip))
-               + ", \"age\": " + jsonNumber(static_cast<double>(o.age))
-               + "}";
+    w.end().key("oldest_packets").beginArray();
+    for (const OldestPacket &o : d.oldest) {
+        w.beginObject(JsonWriter::Inline)
+            .key("chip").number(o.chip).key("age").number(o.age).end();
     }
-    out += d.oldest.empty() ? "],\n" : "\n" + p1 + "],\n";
-
-    out += p1 + "\"axes\": [";
-    for (std::size_t i = 0; i < d.axes.size(); ++i) {
-        const AxisAggregate &a = d.axes[i];
-        out += i == 0 ? "\n" : ",\n";
-        out += p2 + "{\"axis\": " + jsonString(a.axis) + ", \"flits\": "
-               + jsonNumber(static_cast<double>(a.flits))
-               + ", \"links\": "
-               + jsonNumber(static_cast<double>(a.links))
-               + ", \"utilization\": " + jsonNumber(a.utilization) + "}";
+    w.end().key("axes").beginArray();
+    for (const AxisAggregate &a : d.axes) {
+        w.beginObject(JsonWriter::Inline)
+            .key("axis").string(a.axis).key("flits").number(a.flits)
+            .key("links").number(a.links)
+            .key("utilization").number(a.utilization).end();
     }
-    out += d.axes.empty() ? "]\n" : "\n" + p1 + "]\n";
+    w.end().end();
+}
 
-    out += p0 + "}";
-    return out;
+std::string
+hotspotDigestJson(const HotspotDigest &d)
+{
+    JsonWriter w;
+    writeHotspotDigest(w, d);
+    return w.take();
 }
 
 } // namespace anton2

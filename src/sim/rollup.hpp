@@ -132,8 +132,10 @@ struct HotspotDigest
  */
 void finalizeHotspots(HotspotDigest &d);
 
-/** Deterministic pretty-printed JSON object for the digest. */
-std::string hotspotDigestJson(const HotspotDigest &d, int indent = 2,
-                              int depth = 0);
+/** Write the digest as a pretty-printed object at @p w's position. */
+void writeHotspotDigest(JsonWriter &w, const HotspotDigest &d);
+
+/** The digest as a standalone JSON document. */
+std::string hotspotDigestJson(const HotspotDigest &d);
 
 } // namespace anton2

@@ -259,37 +259,21 @@ IntervalSampler::findSeries(const std::string &name) const
     return npos;
 }
 
-std::string
-IntervalSampler::toJson(int indent, int depth) const
+void
+IntervalSampler::writeJson(JsonWriter &w) const
 {
-    const std::string p0(static_cast<std::size_t>(indent * depth), ' ');
-    const std::string p1(static_cast<std::size_t>(indent * (depth + 1)),
-                         ' ');
-    const std::string p2(static_cast<std::size_t>(indent * (depth + 2)),
-                         ' ');
-
-    std::string out = "{\n";
-    out += p1 + "\"window_cycles\": "
-           + jsonNumber(static_cast<double>(cfg_.window)) + ",\n";
-    out += p1 + "\"start_cycle\": "
-           + jsonNumber(static_cast<double>(start_)) + ",\n";
-    out += p1 + "\"windows\": "
-           + jsonNumber(static_cast<double>(window_end_.size())) + ",\n";
-    out += p1 + "\"dropped_windows\": "
-           + jsonNumber(static_cast<double>(dropped_)) + ",\n";
-
-    out += p1 + "\"window_end_cycles\": [";
-    for (std::size_t w = 0; w < window_end_.size(); ++w) {
-        if (w != 0)
-            out += ", ";
-        out += jsonNumber(static_cast<double>(window_end_[w]));
-    }
-    out += "],\n";
-
+    w.beginObject()
+        .key("window_cycles").number(cfg_.window)
+        .key("start_cycle").number(start_)
+        .key("windows").number(window_end_.size())
+        .key("dropped_windows").number(dropped_)
+        .key("window_end_cycles").beginArray(JsonWriter::Inline);
+    for (const Cycle end : window_end_)
+        w.number(end);
     // Steady-state outcome plus the offline MSER cross-check on the
     // windowed ejection series.
-    out += p1 + "\"steady_state\": " + steadyStateJson(indent, depth + 1)
-           + ",\n";
+    w.end().key("steady_state");
+    writeSteadyState(w);
 
     // Machine- and Chip-scope series, sorted by name. Link series are
     // exported through the heatmap CSV instead (a per-link JSON dump
@@ -300,69 +284,55 @@ IntervalSampler::toJson(int indent, int depth) const
         if (sc == SeriesScope::Machine || sc == SeriesScope::Chip)
             emit[series_[i].info.name] = i;
     }
-    out += p1 + "\"series\": {";
-    bool first = true;
+    w.key("series").beginObject();
     for (const auto &[name, idx] : emit) {
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += p2 + "\"" + jsonEscape(name) + "\": [";
-        for (std::size_t w = 0; w < window_end_.size(); ++w) {
-            if (w != 0)
-                out += ", ";
-            out += jsonNumber(value(idx, w));
-        }
-        out += "]";
+        w.key(name).beginArray(JsonWriter::Inline);
+        for (std::size_t win = 0; win < window_end_.size(); ++win)
+            w.number(value(idx, win));
+        w.end();
     }
-    out += first ? "}\n" : "\n" + p1 + "}\n";
-    out += p0 + "}";
-    return out;
+    w.end().end();
 }
 
 std::string
-IntervalSampler::steadyStateJson(int indent, int depth) const
+IntervalSampler::toJson() const
+{
+    JsonWriter w;
+    writeJson(w);
+    return w.take();
+}
+
+void
+IntervalSampler::writeSteadyState(JsonWriter &w) const
 {
     if (!cfg_.auto_steady && cfg_.warmup_reset == 0
-        && steady_result_.metrics_reset_cycle == kNoCycle)
-        return "null";
-
-    const std::string p0(static_cast<std::size_t>(indent * depth), ' ');
-    const std::string p1(static_cast<std::size_t>(indent * (depth + 1)),
-                         ' ');
-    const SteadyStateResult &r = steady_result_;
-    std::string out = "{\n";
-    out += p1 + "\"auto\": " + (r.auto_steady ? "true" : "false") + ",\n";
-    out += p1 + "\"converged\": " + (r.converged ? "true" : "false")
-           + ",\n";
-    out += p1 + "\"warmup_cycles\": "
-           + (r.converged
-                  ? jsonNumber(static_cast<double>(r.warmup_cycles))
-                  : std::string("null"))
-           + ",\n";
-    out += p1 + "\"detected_cycle\": "
-           + (r.converged
-                  ? jsonNumber(static_cast<double>(r.detected_cycle))
-                  : std::string("null"))
-           + ",\n";
-    out += p1 + "\"metrics_reset_cycle\": "
-           + (r.metrics_reset_cycle != kNoCycle
-                  ? jsonNumber(
-                        static_cast<double>(r.metrics_reset_cycle))
-                  : std::string("null"))
-           + ",\n";
-    std::string mser = "null";
-    if (ss_throughput_ != npos && window_end_.size() >= 2) {
-        std::vector<double> rates;
-        rates.reserve(window_end_.size());
-        for (std::size_t w = 0; w < window_end_.size(); ++w) {
-            const auto len = static_cast<double>(window_end_[w]
-                                                 - windowStart(w));
-            rates.push_back(value(ss_throughput_, w) / len);
-        }
-        mser = jsonNumber(static_cast<double>(mserTruncation(rates)));
+        && steady_result_.metrics_reset_cycle == kNoCycle) {
+        w.null();
+        return;
     }
-    out += p1 + "\"mser_window\": " + mser + "\n";
-    out += p0 + "}";
-    return out;
+    std::vector<double> rates;
+    if (ss_throughput_ != npos && window_end_.size() >= 2) {
+        rates.reserve(window_end_.size());
+        for (std::size_t win = 0; win < window_end_.size(); ++win) {
+            const auto len = static_cast<double>(window_end_[win]
+                                                 - windowStart(win));
+            rates.push_back(value(ss_throughput_, win) / len);
+        }
+    }
+    // An unknown cycle or window is NaN, which writes null.
+    const double none = std::numeric_limits<double>::quiet_NaN();
+    const SteadyStateResult &r = steady_result_;
+    const bool reset = r.metrics_reset_cycle != kNoCycle;
+    w.beginObject()
+        .key("auto").boolean(r.auto_steady)
+        .key("converged").boolean(r.converged)
+        .key("warmup_cycles").number(r.converged ? r.warmup_cycles : none)
+        .key("detected_cycle").number(r.converged ? r.detected_cycle : none)
+        .key("metrics_reset_cycle")
+        .number(reset ? r.metrics_reset_cycle : none)
+        .key("mser_window")
+        .number(rates.empty() ? none : mserTruncation(rates))
+        .end();
 }
 
 std::string

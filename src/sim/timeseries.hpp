@@ -245,19 +245,22 @@ class IntervalSampler : public Component
     /**
      * JSON object: window geometry, steady-state outcome (including the
      * offline MSER cross-check), and the Machine- and Chip-scope series
-     * keyed by name in sorted order. NaN serializes as null. @p depth
-     * is the nesting level the object is embedded at.
+     * keyed by name in sorted order, written at @p w's position. NaN
+     * serializes as null.
      */
-    std::string toJson(int indent = 2, int depth = 0) const;
+    void writeJson(JsonWriter &w) const;
+
+    /** The writeJson() object as a standalone document. */
+    std::string toJson() const;
 
     /**
      * The steady-state outcome alone as a JSON value: `null` when no
-     * warmup handling was configured, else the same object toJson()
+     * warmup handling was configured, else the same object writeJson()
      * embeds (convergence verdict, warmup/detected/reset cycles, and
      * the offline MSER cross-check). The run report embeds this
      * directly.
      */
-    std::string steadyStateJson(int indent = 2, int depth = 0) const;
+    void writeSteadyState(JsonWriter &w) const;
 
     /**
      * Per-link congestion heatmap CSV:

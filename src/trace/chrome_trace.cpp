@@ -3,7 +3,7 @@
 #include <map>
 #include <utility>
 
-#include "sim/metrics.hpp"
+#include "sim/json.hpp"
 
 namespace anton2 {
 
@@ -52,10 +52,35 @@ defaultTrackName(TraceUnitKind kind, std::int16_t unit, std::int16_t port)
 }
 
 /** Simulated microseconds for a Chrome trace "ts" field. */
-std::string
-traceTs(Cycle c)
+double
+traceUs(Cycle c)
 {
-    return jsonNumber(cyclesToNs(c) / 1000.0);
+    return cyclesToNs(c) / 1000.0;
+}
+
+/** A process_name (@p tid < 0) or thread_name metadata event. */
+void
+writeNameEvent(JsonWriter &w, std::int32_t pid, int tid,
+               std::string_view name)
+{
+    w.beginObject(JsonWriter::Inline)
+        .key("name").string(tid < 0 ? "process_name" : "thread_name")
+        .key("ph").string("M").key("pid").integer(pid);
+    if (tid >= 0)
+        w.key("tid").integer(tid);
+    w.key("args").beginObject(JsonWriter::Inline)
+        .key("name").string(name).end().end();
+}
+
+/** Cycles per stall class, as one inline object. */
+void
+writeStallTotals(JsonWriter &w, const PortStallTotals &t)
+{
+    w.beginObject(JsonWriter::Inline);
+    for (int c = 0; c < kNumStallClasses; ++c)
+        w.key(stallClassName(static_cast<StallClass>(c)))
+            .integer(t.cycles[static_cast<std::size_t>(c)]);
+    w.end();
 }
 
 } // namespace
@@ -94,8 +119,6 @@ chromeTraceJson(const ChromeTraceInput &in)
     for (const auto &ct : in.counters)
         pids[ct.node] = true;
 
-    std::string out = "{\n  \"displayTimeUnit\": \"ns\",\n";
-
     // otherData: provenance plus the machine-wide stall aggregate used
     // by the metrics cross-check.
     PortStallTotals agg;
@@ -104,95 +127,64 @@ chromeTraceJson(const ChromeTraceInput &in)
             agg.cycles[static_cast<std::size_t>(c)] +=
                 st.totals.cycles[static_cast<std::size_t>(c)];
     }
-    out += "  \"otherData\": {\n";
-    out += "    \"generator\": \"anton2net\",\n";
-    out += "    \"clock_ns_per_cycle\": " + jsonNumber(kNsPerCycle) + ",\n";
-    out += "    \"end_cycle\": "
-           + jsonNumber(static_cast<double>(in.end_cycle)) + ",\n";
-    out += "    \"events_recorded\": "
-           + jsonNumber(static_cast<double>(in.recorded)) + ",\n";
-    out += "    \"events_dropped\": "
-           + jsonNumber(static_cast<double>(in.dropped)) + ",\n";
-    out += "    \"sample_stride\": "
-           + jsonNumber(static_cast<double>(in.sample_stride)) + ",\n";
-    out += "    \"stall_totals\": {";
-    for (int c = 0; c < kNumStallClasses; ++c) {
-        if (c != 0)
-            out += ", ";
-        out += "\"";
-        out += stallClassName(static_cast<StallClass>(c));
-        out += "\": "
-               + std::to_string(agg.cycles[static_cast<std::size_t>(c)]);
-    }
-    out += "}\n  },\n";
-
-    out += "  \"traceEvents\": [";
-    bool first = true;
-    auto emit = [&](const std::string &ev) {
-        out += first ? "\n    " : ",\n    ";
-        first = false;
-        out += ev;
-    };
+    JsonWriter w;
+    w.beginObject()
+        .key("displayTimeUnit").string("ns")
+        .key("otherData").beginObject()
+        .key("generator").string("anton2net")
+        .key("clock_ns_per_cycle").number(kNsPerCycle)
+        .key("end_cycle").number(in.end_cycle)
+        .key("events_recorded").number(in.recorded)
+        .key("events_dropped").number(in.dropped)
+        .key("sample_stride").number(in.sample_stride)
+        .key("stall_totals");
+    writeStallTotals(w, agg);
+    w.end().key("traceEvents");
+    // An empty event list prints "[\n  ]", not "[]". Every event below
+    // but a flow span belongs to a pid, so the list is empty exactly
+    // when there are neither pids nor flow spans.
+    if (pids.empty() && in.flow_spans.empty())
+        return w.raw("[\n  ]").end().take() + '\n';
+    w.beginArray();
 
     // Track metadata: one process_name per pid (chips, plus the machine
     // pseudo-process when counter tracks use it), one thread_name per
     // track, sorted by (pid, tid) for byte-stable output.
     for (const auto &[pid, unused] : pids) {
         (void)unused;
-        emit("{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": "
-             + std::to_string(pid) + ", \"args\": {\"name\": \""
-             + (pid == kFlowsPid ? std::string("flows")
-                : pid < 0        ? std::string("machine")
-                                 : "chip " + std::to_string(pid))
-             + "\"}}");
+        writeNameEvent(w, pid, -1,
+                       pid == kFlowsPid ? std::string("flows")
+                       : pid < 0        ? std::string("machine")
+                                        : "chip " + std::to_string(pid));
         for (auto it = tracks.lower_bound({ pid, 0 });
-             it != tracks.end() && it->first.first == pid; ++it) {
-            emit("{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": "
-                 + std::to_string(pid) + ", \"tid\": "
-                 + std::to_string(it->first.second)
-                 + ", \"args\": {\"name\": \"" + jsonEscape(it->second)
-                 + "\"}}");
-        }
+             it != tracks.end() && it->first.first == pid; ++it)
+            writeNameEvent(w, pid, it->first.second, it->second);
     }
 
     // Lifecycle records as thread-scoped instant events.
     for (const auto &ev : in.events) {
-        std::string e = "{\"name\": \"";
-        e += traceEventName(ev.type);
-        e += "\", \"ph\": \"i\", \"s\": \"t\", \"ts\": ";
-        e += traceTs(ev.cycle);
-        e += ", \"pid\": " + std::to_string(ev.node);
-        e += ", \"tid\": "
-             + std::to_string(trackTid(ev.unit_kind, ev.unit, ev.port));
-        e += ", \"args\": {\"packet\": " + std::to_string(ev.packet);
-        e += ", \"cycle\": " + std::to_string(ev.cycle);
-        e += ", \"vc\": " + std::to_string(ev.vc);
-        e += ", \"port\": " + std::to_string(ev.port);
-        e += "}}";
-        emit(e);
+        w.beginObject(JsonWriter::Inline)
+            .key("name").string(traceEventName(ev.type))
+            .key("ph").string("i").key("s").string("t")
+            .key("ts").number(traceUs(ev.cycle)).key("pid").integer(ev.node)
+            .key("tid").integer(trackTid(ev.unit_kind, ev.unit, ev.port))
+            .key("args").beginObject(JsonWriter::Inline)
+            .key("packet").integer(ev.packet).key("cycle").integer(ev.cycle)
+            .key("vc").integer(ev.vc).key("port").integer(ev.port)
+            .end().end();
     }
 
     // Stall attribution: one stacked counter sample per router output
     // port at the final timestamp (totals over the sampled window).
     for (const auto &st : in.stalls) {
         const int tid = trackTid(TraceUnitKind::Router, st.unit, st.port);
-        std::string e = "{\"name\": \"stalls "
-                        + jsonEscape(tracks[{ st.node, tid }]);
-        e += "\", \"ph\": \"C\", \"ts\": " + traceTs(in.end_cycle);
-        e += ", \"pid\": " + std::to_string(st.node);
-        e += ", \"tid\": " + std::to_string(tid);
-        e += ", \"args\": {";
-        for (int c = 0; c < kNumStallClasses; ++c) {
-            if (c != 0)
-                e += ", ";
-            e += "\"";
-            e += stallClassName(static_cast<StallClass>(c));
-            e += "\": "
-                 + std::to_string(
-                     st.totals.cycles[static_cast<std::size_t>(c)]);
-        }
-        e += "}}";
-        emit(e);
+        w.beginObject(JsonWriter::Inline)
+            .key("name").string("stalls " + tracks[{ st.node, tid }])
+            .key("ph").string("C").key("ts").number(traceUs(in.end_cycle))
+            .key("pid").integer(st.node).key("tid").integer(tid)
+            .key("args");
+        writeStallTotals(w, st.totals);
+        w.end();
     }
 
     // Windowed time-series curves as counter events, one sample per
@@ -203,85 +195,59 @@ chromeTraceJson(const ChromeTraceInput &in)
         for (const auto &pt : ct.points) {
             if (pt.value != pt.value)
                 continue;
-            std::string e = "{\"name\": \"" + jsonEscape(ct.name);
-            e += "\", \"ph\": \"C\", \"ts\": " + traceTs(pt.cycle);
-            e += ", \"pid\": " + std::to_string(ct.node);
-            e += ", \"tid\": 0, \"args\": {\"value\": "
-                 + jsonNumber(pt.value) + "}}";
-            emit(e);
+            w.beginObject(JsonWriter::Inline)
+                .key("name").string(ct.name)
+                .key("ph").string("C").key("ts").number(traceUs(pt.cycle))
+                .key("pid").integer(ct.node).key("tid").integer(0)
+                .key("args").beginObject(JsonWriter::Inline)
+                .key("value").number(pt.value).end().end();
         }
     }
 
     // Sampled flow packets: one complete ('X') slice per hop, on the
     // packet's own track, spanning head arrival to tail departure.
     for (const auto &fs : in.flow_spans) {
-        std::string e = "{\"name\": \"" + jsonEscape(fs.name);
-        e += "\", \"ph\": \"X\", \"ts\": " + traceTs(fs.begin);
-        e += ", \"dur\": "
-             + jsonNumber(cyclesToNs(fs.end - fs.begin) / 1000.0);
-        e += ", \"pid\": " + std::to_string(kFlowsPid);
-        e += ", \"tid\": " + std::to_string(fs.tid);
-        e += ", \"args\": {\"packet\": " + std::to_string(fs.packet);
-        e += ", \"cycle\": " + std::to_string(fs.begin);
-        e += ", \"queue_cycles\": " + std::to_string(fs.queue);
-        e += ", \"xfer_cycles\": " + std::to_string(fs.xfer);
-        e += "}}";
-        emit(e);
+        w.beginObject(JsonWriter::Inline)
+            .key("name").string(fs.name).key("ph").string("X")
+            .key("ts").number(traceUs(fs.begin))
+            .key("dur").number(traceUs(fs.end - fs.begin))
+            .key("pid").integer(kFlowsPid).key("tid").integer(fs.tid)
+            .key("args").beginObject(JsonWriter::Inline)
+            .key("packet").integer(fs.packet).key("cycle").integer(fs.begin)
+            .key("queue_cycles").integer(fs.queue)
+            .key("xfer_cycles").integer(fs.xfer).end().end();
     }
-
-    out += "\n  ]\n}\n";
-    return out;
+    return w.end().end().take() + '\n';
 }
 
 std::string
 hostTimelineJson(const HostTimelineInput &in)
 {
-    std::string out = "{\n  \"displayTimeUnit\": \"ns\",\n";
-    out += "  \"otherData\": {\n";
-    out += "    \"generator\": \"anton2net host profile\",\n";
-    out += "    \"time_base\": \"host wall clock, us since first "
-           "window\",\n";
-    out += "    \"windows\": "
-           + jsonNumber(static_cast<double>(in.windows)) + ",\n";
-    out += "    \"detail_windows\": "
-           + jsonNumber(static_cast<double>(in.detail_windows)) + ",\n";
-    out += "    \"detail_dropped\": "
-           + jsonNumber(static_cast<double>(in.detail_dropped)) + ",\n";
-    out += "    \"profiled_seconds\": " + jsonNumber(in.profiled_seconds)
-           + "\n  },\n";
-
-    out += "  \"traceEvents\": [";
-    bool first = true;
-    auto emit = [&](const std::string &ev) {
-        out += first ? "\n    " : ",\n    ";
-        first = false;
-        out += ev;
-    };
-
-    emit("{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0, "
-         "\"args\": {\"name\": \"engine host\"}}");
-    for (const auto &[tid, name] : in.threads) {
-        emit("{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, "
-             "\"tid\": "
-             + std::to_string(tid) + ", \"args\": {\"name\": \""
-             + jsonEscape(name) + "\"}}");
-    }
-
+    JsonWriter w;
+    w.beginObject()
+        .key("displayTimeUnit").string("ns")
+        .key("otherData").beginObject()
+        .key("generator").string("anton2net host profile")
+        .key("time_base").string("host wall clock, us since first window")
+        .key("windows").number(in.windows)
+        .key("detail_windows").number(in.detail_windows)
+        .key("detail_dropped").number(in.detail_dropped)
+        .key("profiled_seconds").number(in.profiled_seconds)
+        .end()
+        .key("traceEvents").beginArray();
+    writeNameEvent(w, 0, -1, "engine host");
+    for (const auto &[tid, name] : in.threads)
+        writeNameEvent(w, 0, tid, name);
     for (const auto &sl : in.slices) {
-        std::string e = "{\"name\": \"";
-        e += sl.name;
-        e += "\", \"ph\": \"X\", \"ts\": " + jsonNumber(sl.ts_us);
-        e += ", \"dur\": " + jsonNumber(sl.dur_us);
-        e += ", \"pid\": 0, \"tid\": " + std::to_string(sl.tid);
-        e += ", \"args\": {\"cycle\": "
-             + std::to_string(sl.start_cycle);
-        e += ", \"window_cycles\": " + std::to_string(sl.window);
-        e += "}}";
-        emit(e);
+        w.beginObject(JsonWriter::Inline)
+            .key("name").string(sl.name).key("ph").string("X")
+            .key("ts").number(sl.ts_us).key("dur").number(sl.dur_us)
+            .key("pid").integer(0).key("tid").integer(sl.tid)
+            .key("args").beginObject(JsonWriter::Inline)
+            .key("cycle").integer(sl.start_cycle)
+            .key("window_cycles").integer(sl.window).end().end();
     }
-
-    out += "\n  ]\n}\n";
-    return out;
+    return w.end().end().take() + '\n';
 }
 
 } // namespace anton2

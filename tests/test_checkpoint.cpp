@@ -894,6 +894,17 @@ struct LinkRig
         receiver.fields(ar);
     }
 
+    /** Restore the image at @p path, saved at cycle @p at. */
+    void
+    restore(const std::string &path, Cycle at)
+    {
+        engine.restoreNow(at);
+        CkptArchive in(path, 0);
+        in.readPackets({}, {});
+        fields(in);
+        in.finish();
+    }
+
     Engine engine;
     LossyFrameChannel fwd;
     LossyFrameChannel ack;
@@ -1265,6 +1276,57 @@ TEST(CheckpointFuzz, MutatedImagesAreRejectedOrRunOn)
     // The header corruptions, range cases, empty file, directory, and
     // truncations are rejected at least.
     EXPECT_GE(rejected.load(), 5u + 5u + 2u + 16u);
+}
+
+TEST(Checkpoint, LinkSenderTokensOutOfRangeAreRejected)
+{
+    constexpr Cycle kSave = 300;
+    const std::string path = ckptPath("link_tokens");
+    {
+        LinkRig rig;
+        for (std::uint64_t i = 0; i < 200; ++i)
+            rig.sender.offer(FlitPayload{ i, i * 7, ~i });
+        rig.engine.run(kSave);
+        CkptArchive out;
+        rig.fields(out);
+        out.writeFile(path, 0, {});
+    }
+    const std::vector<char> img = readAll(path);
+    // link.sender: its tag, the queued-frame count and frames, base,
+    // next and the last-progress cycle, then the serializer tokens.
+    const std::size_t tag = findSection(
+        img, "link.sender",
+        [](std::uint32_t, std::uint32_t, std::uint32_t) { return true; });
+    ASSERT_NE(tag, 0u);
+    std::uint32_t queued = 0;
+    std::memcpy(&queued, img.data() + tag + 4, 4);
+    const std::size_t at = tag + 8 + queued * sizeof(FlitPayload) + 16;
+    std::int32_t saved = -1;
+    std::memcpy(&saved, img.data() + at, sizeof(saved));
+    EXPECT_GE(saved, 0);
+    EXPECT_LE(saved, kSerdesTokenCap);
+
+    auto restoreWith = [&](std::int32_t tokens) {
+        std::vector<char> f = img;
+        std::memcpy(f.data() + at, &tokens, sizeof(tokens));
+        reseal(f);
+        writeAll(path, f);
+        LinkRig rig;
+        rig.restore(path, kSave);
+    };
+    for (const std::int32_t tokens : { 0, kSerdesTokenCap })
+        EXPECT_NO_THROW(restoreWith(tokens)) << "tokens " << tokens;
+    for (const std::int32_t tokens : { kSerdesTokenCap + 1, -1 }) {
+        try {
+            restoreWith(tokens);
+            ADD_FAILURE() << "tokens " << tokens << " restored";
+        } catch (const CheckpointError &e) {
+            EXPECT_NE(std::string(e.what()).find("link.sender"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    std::remove(path.c_str());
 }
 
 } // namespace

@@ -8,10 +8,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/machine.hpp"
+#include "debug/checkpoint.hpp"
 #include "debug/snapshot.hpp"
+#include "routing/multicast.hpp"
 #include "routing/route.hpp"
 #include "sim/rng.hpp"
 
@@ -243,6 +247,97 @@ TEST(Determinism, RepeatedSerializationOfOneRunIsStable)
     // metricsJson refreshes gauges then serializes; with no intervening
     // engine progress the output must not change.
     EXPECT_EQ(m.metricsJson(), m.metricsJson());
+}
+
+/**
+ * The FNV-1a hash (ckptHash) of every deterministic export of one seeded
+ * 2x2x2 run: pre-injected writes and reads plus one multicast tree, run
+ * to quiescence with metrics at @p level, the trace at stride 1, flows
+ * sampled every 3rd packet, the auto-steady time series (window 64) and
+ * the auditor every 64 cycles. At `full` every export is hashed; at any
+ * other level only metricsJson().
+ */
+std::vector<std::uint64_t>
+exportHashes(MetricsLevel level)
+{
+    MachineConfig cfg;
+    cfg.radix = { 2, 2, 2 };
+    cfg.chip.endpoints_per_node = 2;
+    cfg.use_packaging = false;
+    cfg.fixed_torus_latency = 12;
+    cfg.seed = 41;
+    Machine m(cfg);
+    Instrumentation inst;
+    inst.metrics = true;
+    inst.metrics_level = level;
+    inst.trace = TraceConfig{};
+    inst.flows = FlowProbeConfig{ .sample = 3 };
+    inst.timeseries = TimeseriesConfig{ .window = 64, .auto_steady = true };
+    inst.audit = AuditConfig{ .audit_interval = 64,
+                              .watchdog_interval = 64 };
+    m.attachInstrumentation(inst);
+
+    Rng traffic(4099);
+    const auto nodes = static_cast<std::uint64_t>(m.geom().numNodes());
+    for (int i = 0; i < 120; ++i) {
+        const EndpointAddr src{ static_cast<NodeId>(traffic.below(nodes)),
+                                static_cast<int>(traffic.below(2)) };
+        const EndpointAddr dst{ static_cast<NodeId>(traffic.below(nodes)),
+                                static_cast<int>(traffic.below(2)) };
+        if (src.node == dst.node)
+            continue;
+        if (i % 4 == 3)
+            m.send(m.makeRead(src, dst));
+        else
+            m.send(m.makeWrite(src, dst, 0,
+                               1 + static_cast<int>(traffic.below(2))));
+    }
+    std::vector<McastDest> dests;
+    for (NodeId n = 1; n < m.geom().numNodes(); ++n)
+        dests.push_back({ n, 1 });
+    Rng tie(9);
+    m.sendMulticast({ 0, 0 },
+                    m.installTree(buildMcastTree(m.geom(), 0, dests,
+                                                 DimOrder{ 0, 1, 2 }, 0,
+                                                 tie)));
+    EXPECT_EQ(m.run(RunSpec::untilQuiescent(200000)).reason,
+              StopReason::Quiescent);
+
+    auto hash = [](const std::string &s) {
+        return ckptHash(s.data(), s.size());
+    };
+    if (level != MetricsLevel::Full)
+        return { hash(m.metricsJson()) };
+    const MachineSnapshot snap = m.dumpSnapshot();
+    return { hash(m.metricsJson()),     hash(m.runReportJson(4)),
+             hash(m.traceChromeJson()), hash(m.traceFlightCsv()),
+             hash(m.flowMatrixCsv()),   hash(m.timeseriesJson()),
+             hash(m.heatmapCsv()),      hash(snapshotJson(snap)),
+             hash(waitsForDot(snap)) };
+}
+
+TEST(Determinism, ExportBytesArePinnedAcrossBuilds)
+{
+    // Hashes taken from the build before the exporters shared one JSON
+    // writer. A change that moves one changed that export's bytes.
+    const std::vector<std::uint64_t> full = exportHashes(MetricsLevel::Full);
+    const std::vector<std::uint64_t> pinned{
+        0xeb072313be8c9da0ULL, 0xe180917aabfc67dfULL, 0x049dcc5cdbf404c3ULL,
+        0x887babbc8fbf7331ULL, 0x41d72b35a8ef43cfULL, 0x4ff371d65f5bd9f6ULL,
+        0x262dd0d36462eea1ULL, 0x56b053600303d9d1ULL, 0x0b48615d0f37d4f7ULL,
+    };
+    const char *names[] = { "metricsJson",   "runReportJson",
+                            "traceChromeJson", "traceFlightCsv",
+                            "flowMatrixCsv", "timeseriesJson",
+                            "heatmapCsv",    "snapshotJson",
+                            "waitsForDot" };
+    ASSERT_EQ(full.size(), pinned.size());
+    for (std::size_t i = 0; i < full.size(); ++i)
+        EXPECT_EQ(full[i], pinned[i]) << names[i] << std::hex << " 0x"
+                                      << full[i];
+    EXPECT_EQ(exportHashes(MetricsLevel::Machine).at(0),
+              0xf353a08eebf1aa22ULL)
+        << "metricsJson at machine level";
 }
 
 } // namespace

@@ -221,6 +221,20 @@ TEST(IntervalSampler, WindowGeometryIncludesPartialFinalWindow)
     EXPECT_EQ(s.numWindows(), n);
 }
 
+TEST(IntervalSampler, ZeroWindowIsRejectedInEveryBuild)
+{
+    // A 0-cycle window would never sample and would shrink every
+    // lookahead window to one cycle; the bundle is refused before any
+    // layer of it attaches.
+    Machine m(smallConfig(11));
+    Instrumentation inst;
+    inst.metrics = true;
+    inst.timeseries = TimeseriesConfig{ .window = 0 };
+    EXPECT_THROW(m.attachInstrumentation(inst), std::invalid_argument);
+    EXPECT_EQ(m.metrics(), nullptr);
+    EXPECT_EQ(m.timeseries(), nullptr);
+}
+
 TEST(IntervalSampler, WindowedSumsMatchAggregatesByteExactly)
 {
     auto cfg = smallConfig(13);
