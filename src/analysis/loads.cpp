@@ -77,10 +77,10 @@ LoadModel::LoadModel(const TorusGeom &geom, const ChipLayout &layout,
         stride *= geom.radix(d);
     }
     const auto nodes = static_cast<std::size_t>(geom.numNodes());
-    coords_.resize(3 * nodes);
+    coords_.resize(nodes);
     for (std::size_t n = 0; n < nodes; ++n)
         for (int d = 0; d < 3; ++d)
-            coords_[3 * n + static_cast<std::size_t>(d)] =
+            coords_[n][static_cast<std::size_t>(d)] =
                 geom.coord(static_cast<NodeId>(n), d);
 
     router_.assign(static_cast<std::size_t>(num_patterns),
@@ -157,72 +157,79 @@ LoadModel::checkSlot(int slot) const
         reject("pattern slot " + std::to_string(slot) + " out of range");
 }
 
-template <class Ingress, class Cross, class Egress>
+template <class Cross, class Run>
 void
-LoadModel::walk(EndpointAddr src, EndpointAddr dst, const RouteSpec &spec,
-                Ingress &&ingress, Cross &&cross, Egress &&egress) const
+LoadModel::walkRuns(EndpointAddr src, EndpointAddr dst,
+                    const PacketRoute &route, Cross &&cross, Run &&run) const
 {
+    // A chip is entered from an endpoint or from the channel adapter the
+    // last run arrived on, and left toward the next run's adapter or the
+    // destination endpoint. Earlier runs have not moved a run's own
+    // coordinate, and the run ends on the destination's.
+    const std::array<int, 3> &from = coords_[src.node];
+    const std::array<int, 3> &to = coords_[dst.node];
+    NodeId here = src.node;
+    int entry = src.ep;
+    int dims_done = 0;
+    for (const std::uint8_t d : route.order) {
+        const int hops = route.left[d];
+        if (hops == 0)
+            continue;
+        const Dir dir = route.dirs[d];
+        const int out_ca = ChipLayout::channelAdapterIndex(d, dir, route.slice);
+        cross(here, key(entry, num_eps_ + out_ca));
+        run(here, out_ca, hops, dims_done++);
+        here = static_cast<NodeId>(static_cast<std::int64_t>(here)
+                                   + (to[d] - from[d]) * strides_[d]);
+        entry = num_eps_
+                + ChipLayout::channelAdapterIndex(d, opposite(dir),
+                                                  route.slice);
+    }
+    cross(here, key(entry, dst.ep));
+}
+
+template <class Egress, class Ingress, class Cross>
+void
+LoadModel::expandRun(NodeId start, int out_ca, int hops, int dims_done,
+                     Egress &&egress, Ingress &&ingress, Cross &&cross) const
+{
+    int d = 0, slice = 0;
+    Dir dir = Dir::Pos;
+    layout_.channelAdapterParams(out_ca, d, dir, slice);
+    const auto dd = static_cast<std::size_t>(d);
+    const int k = geom_.radix(d);
+    const int in_ca = ChipLayout::channelAdapterIndex(d, opposite(dir), slice);
+    // Continuing along X crosses the chip on the skip channel.
+    const std::size_t through =
+        key(num_eps_ + in_ca,
+            num_eps_ + (d == 0 ? static_cast<int>(nca_) : 0) + out_ca);
     const int vcs_per_class = chip_.vcsPerClass();
     auto fullVc = [&](int promo) {
         return fullVcIndex(TrafficClass::Request, promo, vcs_per_class);
     };
-    const int num_cas = static_cast<int>(nca_);
-    const std::span<const int> from = coordsOf(src.node);
-    const std::span<const int> to = coordsOf(dst.node);
-    auto key = [&](int entry, int exit_slot) {
-        return static_cast<std::size_t>(entry * num_slots_ + exit_slot);
-    };
-
-    // Dimension by dimension, one chip crossing per torus hop. A chip is
-    // entered from an endpoint (entry_dim -1) or from the channel adapter
-    // a torus hop arrived on, and left toward the next hop's adapter or
-    // the destination endpoint.
+    // The run starts with its VC unpromoted in this dimension, after
+    // dims_done completed ones.
     VcState vc(chip_.vc_policy);
-    NodeId here = src.node;
-    int entry = src.ep;
-    int entry_dim = -1;
-    for (int d : spec.order) {
-        const auto dd = static_cast<std::size_t>(d);
-        const Dir dir = spec.dirs[dd];
-        const int k = geom_.radix(d);
-        // Earlier dimensions have not moved this coordinate.
-        int c = from[dd];
-        int hops = dir == Dir::Pos ? to[dd] - c : c - to[dd];
-        if (hops < 0)
-            hops += k;
-        const int out_ca = ChipLayout::channelAdapterIndex(d, dir, spec.slice);
-        const int in_ca =
-            ChipLayout::channelAdapterIndex(d, opposite(dir), spec.slice);
-        for (; hops > 0; --hops) {
-            if (entry_dim >= 0) {
-                ingress(here, entry - num_eps_, fullVc(vc.torusVc()));
-                if (entry_dim != d)
-                    vc.onDimComplete();
-            }
-            // Continuing along X crosses the chip on the skip channel.
-            const bool x_through = entry_dim == d && d == 0;
-            cross(here,
-                  key(entry, num_eps_ + (x_through ? num_cas : 0) + out_ca));
-
-            // Torus hop: egress arbitration, channel load, VC promotion.
-            egress(here, out_ca, fullVc(vc.torusVc()));
-            // TorusGeom::neighborCoord without the division.
-            int next = c + dirSign(dir);
-            if (next == k)
-                next = 0;
-            else if (next < 0)
-                next = k - 1;
-            vc.onTorusHop(geom_.crossesDateline(c, next, d));
-            here = static_cast<NodeId>(static_cast<std::int64_t>(here)
-                                       + (next - c) * strides_[dd]);
-            c = next;
-            entry = num_eps_ + in_ca;
-            entry_dim = d;
-        }
+    vc.restoreState(static_cast<std::uint8_t>(dims_done), false);
+    NodeId here = start;
+    int c = coords_[start][dd];
+    for (int h = 0; h < hops; ++h) {
+        if (h > 0)
+            cross(here, through);
+        // Torus hop: egress arbitration, channel load, VC promotion.
+        egress(here, out_ca, fullVc(vc.torusVc()));
+        // TorusGeom::neighborCoord without the division.
+        int next = c + dirSign(dir);
+        if (next == k)
+            next = 0;
+        else if (next < 0)
+            next = k - 1;
+        vc.onTorusHop(geom_.crossesDateline(c, next, d));
+        here = static_cast<NodeId>(static_cast<std::int64_t>(here)
+                                   + (next - c) * strides_[dd]);
+        c = next;
+        ingress(here, in_ca, fullVc(vc.torusVc()));
     }
-    if (entry_dim >= 0)
-        ingress(here, entry - num_eps_, fullVc(vc.torusVc()));
-    cross(here, key(entry, dst.ep));
 }
 
 template <class T>
@@ -248,11 +255,11 @@ LoadModel::addPattern(int slot, const TrafficPattern &pattern,
             reject("core " + std::to_string(e) + " is not an endpoint");
     }
     // The counts below are 32-bit. A sampled route is minimal, so it
-    // enters each node at most once: it reports each crossing, adapter
-    // and torus key at most once, and since an on-chip route visits each
-    // router once, its crossing of a chip charges any router arbiter or
-    // mesh channel at most once. No count can exceed the number of routes
-    // sampled, nodes x cores x samples_per_core.
+    // enters each node at most once: it reports each crossing, run,
+    // adapter and torus key at most once, and since an on-chip route
+    // visits each router once, its crossing of a chip charges any router
+    // arbiter or mesh channel at most once. No count can exceed the
+    // number of routes sampled, nodes x cores x samples_per_core.
     if (samples_per_core < 1)
         reject("samples_per_core must be at least 1");
     const auto sources =
@@ -264,15 +271,34 @@ LoadModel::addPattern(int slot, const TrafficPattern &pattern,
 
     // Count, then charge: every sample adds the same w, so a load's bits
     // depend only on its starting value and how many additions it gets.
-    // Sampling counts chip crossings by (node, entry, exit slot) and
-    // adapter arbitrations by (node, adapter, VC); the settling below
-    // expands the crossings through the charge table once.
+    // Sampling counts the chip crossings that start or end a run by
+    // (node, entry, exit slot), and each run by (start node, adapter,
+    // hops, dimensions done). Expanding each run once adds its adapter
+    // arbitrations by (node, adapter, VC) and the crossings it passes
+    // straight through; the settling below expands the crossings
+    // through the charge table once. A sampled route is minimal, so a
+    // run takes at most k/2 hops.
     const auto nodes = static_cast<std::size_t>(geom_.numNodes());
     const std::size_t keys_per_node = first_.size() - 1;
+    std::size_t max_hops = 0;
+    for (int d = 0; d < 3; ++d)
+        max_hops = std::max(max_hops,
+                            static_cast<std::size_t>(geom_.radix(d) / 2));
+    constexpr std::size_t kDimsDone = 3;
+    auto runIdx = [&](NodeId at, int ca, int hops, int dims_done) {
+        return ((static_cast<std::size_t>(at) * nca_
+                 + static_cast<std::size_t>(ca))
+                    * max_hops
+                + static_cast<std::size_t>(hops - 1))
+                   * kDimsDone
+               + static_cast<std::size_t>(dims_done);
+    };
     std::vector<std::uint32_t> crossings(nodes * keys_per_node, 0);
-    std::vector<std::uint32_t> ingress(nodes * nca_ * nvc_, 0);
-    std::vector<std::uint32_t> egress(nodes * nca_ * nvc_, 0);
-    RouteSpec spec;
+    std::vector<std::uint32_t> runs(nodes * nca_ * max_hops * kDimsDone, 0);
+    auto crossing = [&](NodeId at, std::size_t key) -> std::uint32_t & {
+        return crossings[static_cast<std::size_t>(at) * keys_per_node + key];
+    };
+    PacketRoute route;
     for (NodeId n = 0; n < geom_.numNodes(); ++n) {
         for (EndpointId e : cores) {
             for (int s = 0; s < samples_per_core; ++s) {
@@ -280,20 +306,38 @@ LoadModel::addPattern(int slot, const TrafficPattern &pattern,
                 if (dst_node >= geom_.numNodes())
                     reject("pattern destination outside the machine");
                 const EndpointId dst_ep = cores[rng.below(cores.size())];
-                randomRoute(geom_, coordsOf(n), coordsOf(dst_node), rng,
-                            spec);
-                walk({ n, e }, { dst_node, dst_ep }, spec,
-                     [&](NodeId at, int ca, int vc) {
-                         ++ingress[caIdx(at, ca, vc)];
-                     },
-                     [&](NodeId at, std::size_t key) {
-                         ++crossings[static_cast<std::size_t>(at)
-                                         * keys_per_node
-                                     + key];
-                     },
-                     [&](NodeId at, int ca, int vc) {
-                         ++egress[caIdx(at, ca, vc)];
-                     });
+                randomRoute(geom_, coords_[n], coords_[dst_node], rng,
+                            route);
+                walkRuns(
+                    { n, e }, { dst_node, dst_ep }, route,
+                    [&](NodeId at, std::size_t key) { ++crossing(at, key); },
+                    [&](NodeId at, int ca, int hops, int dims_done) {
+                        ++runs[runIdx(at, ca, hops, dims_done)];
+                    });
+            }
+        }
+    }
+    std::vector<std::uint32_t> ingress(nodes * nca_ * nvc_, 0);
+    std::vector<std::uint32_t> egress(nodes * nca_ * nvc_, 0);
+    for (NodeId n = 0; n < geom_.numNodes(); ++n) {
+        for (int ca = 0; ca < static_cast<int>(nca_); ++ca) {
+            for (int h = 1; h <= static_cast<int>(max_hops); ++h) {
+                for (int dd = 0; dd < static_cast<int>(kDimsDone); ++dd) {
+                    const std::uint32_t c = runs[runIdx(n, ca, h, dd)];
+                    if (c == 0)
+                        continue;
+                    expandRun(
+                        n, ca, h, dd,
+                        [&](NodeId at, int a, int vc) {
+                            egress[caIdx(at, a, vc)] += c;
+                        },
+                        [&](NodeId at, int a, int vc) {
+                            ingress[caIdx(at, a, vc)] += c;
+                        },
+                        [&](NodeId at, std::size_t key) {
+                            crossing(at, key) += c;
+                        });
+                }
             }
         }
     }
@@ -362,30 +406,40 @@ LoadModel::tracePacket(EndpointAddr src, EndpointAddr dst,
     if (src.node >= nodes || dst.node >= nodes || src.ep < 0
         || src.ep >= num_eps_ || dst.ep < 0 || dst.ep >= num_eps_)
         reject("packet address outside the machine");
-    if (const char *why = malformedRoute(spec))
-        reject(why);
-
+    // Throws for a malformed spec. Each run is expanded as it is walked.
+    // A traced route, minimal or not, enters each node once, so it adds
+    // to any load at most once and the order of its additions cannot
+    // change a bit.
+    const PacketRoute route = packetRoute(geom_, src.node, dst.node, spec);
     auto &router = router_[static_cast<std::size_t>(slot)];
     auto &mesh = mesh_[static_cast<std::size_t>(slot)];
     auto &ca_in = ca_ingress_[static_cast<std::size_t>(slot)];
     auto &ca_eg = ca_egress_[static_cast<std::size_t>(slot)];
     auto &torus = torus_[static_cast<std::size_t>(slot)];
-    walk(src, dst, spec,
-         [&](NodeId n, int ca, int vc) { ca_in[caIdx(n, ca, vc)] += weight; },
-         [&](NodeId n, std::size_t key) {
-             chargeChip(key, weight, &router[routerIdx(n, 0, 0, 0)],
-                        &mesh[meshIdx(n, 0, MeshDir::UPos)]);
-         },
-         [&](NodeId n, int ca, int vc) {
-             ca_eg[caIdx(n, ca, vc)] += weight;
-             torus[torusIdx(n, ca)] += weight;
-         });
+    auto cross = [&](NodeId n, std::size_t key) {
+        chargeChip(key, weight, &router[routerIdx(n, 0, 0, 0)],
+                   &mesh[meshIdx(n, 0, MeshDir::UPos)]);
+    };
+    walkRuns(src, dst, route, cross,
+             [&](NodeId start, int out_ca, int hops, int dims_done) {
+                 expandRun(
+                     start, out_ca, hops, dims_done,
+                     [&](NodeId n, int ca, int vc) {
+                         ca_eg[caIdx(n, ca, vc)] += weight;
+                         torus[torusIdx(n, ca)] += weight;
+                     },
+                     [&](NodeId n, int ca, int vc) {
+                         ca_in[caIdx(n, ca, vc)] += weight;
+                     },
+                     cross);
+             });
 }
 
 double
 LoadModel::routerLoad(NodeId n, RouterId r, int out_port, int in_port,
                       int slot) const
 {
+    checkSlot(slot);
     return router_[static_cast<std::size_t>(slot)][routerIdx(n, r, out_port,
                                                              in_port)];
 }
@@ -393,18 +447,21 @@ LoadModel::routerLoad(NodeId n, RouterId r, int out_port, int in_port,
 double
 LoadModel::caEgressLoad(NodeId n, int ca, int vc, int slot) const
 {
+    checkSlot(slot);
     return ca_egress_[static_cast<std::size_t>(slot)][caIdx(n, ca, vc)];
 }
 
 double
 LoadModel::caIngressLoad(NodeId n, int ca, int vc, int slot) const
 {
+    checkSlot(slot);
     return ca_ingress_[static_cast<std::size_t>(slot)][caIdx(n, ca, vc)];
 }
 
 double
 LoadModel::torusLoad(NodeId n, int dim, Dir dir, int slice, int slot) const
 {
+    checkSlot(slot);
     return torus_[static_cast<std::size_t>(slot)][torusIdx(
         n, ChipLayout::channelAdapterIndex(dim, dir, slice))];
 }
@@ -412,12 +469,14 @@ LoadModel::torusLoad(NodeId n, int dim, Dir dir, int slice, int slot) const
 double
 LoadModel::meshLoad(NodeId n, RouterId from, MeshDir d, int slot) const
 {
+    checkSlot(slot);
     return mesh_[static_cast<std::size_t>(slot)][meshIdx(n, from, d)];
 }
 
 double
 LoadModel::maxTorusLoad(int slot) const
 {
+    checkSlot(slot);
     double mx = 0.0;
     for (double v : torus_[static_cast<std::size_t>(slot)])
         mx = std::max(mx, v);
@@ -427,6 +486,7 @@ LoadModel::maxTorusLoad(int slot) const
 double
 LoadModel::maxMeshLoad(int slot) const
 {
+    checkSlot(slot);
     double mx = 0.0;
     for (double v : mesh_[static_cast<std::size_t>(slot)])
         mx = std::max(mx, v);
@@ -436,6 +496,10 @@ LoadModel::maxMeshLoad(int slot) const
 double
 LoadModel::idealCoreThroughput(int slot, int size_flits) const
 {
+    checkSlot(slot);
+    if (size_flits < 1)
+        reject("packet size " + std::to_string(size_flits)
+               + " is below 1 flit");
     const double torus_cap =
         static_cast<double>(kSerdesTokensPerCycle)
         / static_cast<double>(kSerdesTokensPerFlit)

@@ -15,18 +15,29 @@
  * On-chip paths come from the RouteTable the routers' RC stage reads:
  * the constructor walks it once into a charge table, one list of router
  * arbiters and mesh channels per (entry attach point, exit slot), so a
- * traced packet walks the torus dimension by dimension and charges each
- * chip it crosses from one list.
+ * traced packet charges each chip it crosses from one list.
+ *
+ * A route is at most three runs: straight torus hops along one
+ * dimension, in the route's dimension order. Its draw fills one
+ * fixed-size PacketRoute (order, slice, dirs, hops per dimension). The
+ * chip crossings where a run starts or ends - at the source, at a turn,
+ * at the destination - depend on the whole route; everything else a run
+ * charges depends only on its start node, its adapter, its hops and the
+ * dimensions completed before it (which fix its VC).
  *
  * addPattern() counts, then charges. Its samples all weigh the same
- * w = 1/samples_per_core, so it tallies each chip crossing by (node,
- * entry, exit slot) and each adapter arbitration by (node, adapter, VC)
- * in integers, expands the crossings through the charge table once, and
- * turns a count c into the double that c additions of w give: entry c
- * of the running sums (0, w, w+w, ...) for a load at zero, c additions
- * in turn for one an earlier call already charged. The loads are bit for
- * bit those of adding w per sample. tracePacket() takes any weight and
- * adds it directly; both walk a route through one hop loop.
+ * w = 1/samples_per_core, so it tallies in integers each run-end
+ * crossing by (node, entry, exit slot) and each run by (start node,
+ * adapter, hops, dimensions done). It then expands each run once, per
+ * hop, into adapter arbitrations by (node, adapter, VC) and the
+ * crossings the run passes straight through, expands the crossings
+ * through the charge table once, and turns a count c into the double
+ * that c additions of w give: entry c of the running sums (0, w, w+w,
+ * ...) for a load at zero, c additions in turn for one an earlier call
+ * already charged. The loads are bit for bit those of adding w per
+ * sample. tracePacket() takes any weight and adds it directly, expanding
+ * each run as it walks it; both callers walk a route through one run
+ * loop.
  *
  * applyWeights() then programs every inverse-weighted arbiter in a Machine
  * from these loads (Section 3.3).
@@ -35,7 +46,6 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "arb/inverse_weighted.hpp"
@@ -81,7 +91,9 @@ class LoadModel
     void tracePacket(EndpointAddr src, EndpointAddr dst,
                      const RouteSpec &spec, double weight, int slot);
 
-    // --- queries (loads are packets/cycle at unit per-core injection) ---
+    // --- queries (loads are packets/cycle at unit per-core injection).
+    // Each throws std::invalid_argument for a slot that is not a pattern
+    // slot.
     double routerLoad(NodeId n, RouterId r, int out_port, int in_port,
                       int slot) const;
     double caEgressLoad(NodeId n, int ca, int vc, int slot) const;
@@ -96,6 +108,8 @@ class LoadModel
      * Saturation per-core throughput (packets/cycle/core) implied by the
      * torus-channel bottleneck: the normalization of Figure 9/10 where
      * "throughput of 1 indicates full utilization of torus channels".
+     * @throws std::invalid_argument if @p slot is not a pattern slot or
+     * @p size_flits is below 1.
      */
     double idealCoreThroughput(int slot, int size_flits = 1) const;
 
@@ -123,16 +137,27 @@ class LoadModel
     };
 
     /**
-     * Walk one unicast route chip by chip, in the packet's order, and
-     * report every load it charges: `ingress(n, ca, vc)` when a torus
-     * hop arrives at node `n` on adapter `ca`, `cross(n, key)` for each
-     * chip crossing, keyed `entry * num_slots_ + exit_slot` like the
-     * charge table, and `egress(n, ca, vc)` for each torus hop leaving
-     * `n`, whose torus channel is adapter `ca`'s link.
+     * Walk one unicast route as straight torus runs, at most one per
+     * dimension, and report the chip crossings that start or end a run:
+     * `cross(n, key)` at the source, at each turn and at the
+     * destination, keyed like the charge table. `run(n, ca, hops,
+     * dims_done)` reports each run: `hops` torus hops leaving node `n`
+     * on adapter `ca`'s link, after `dims_done` earlier runs.
      */
-    template <class Ingress, class Cross, class Egress>
-    void walk(EndpointAddr src, EndpointAddr dst, const RouteSpec &spec,
-              Ingress &&ingress, Cross &&cross, Egress &&egress) const;
+    template <class Cross, class Run>
+    void walkRuns(EndpointAddr src, EndpointAddr dst,
+                  const PacketRoute &route, Cross &&cross, Run &&run) const;
+
+    /**
+     * Expand one run hop by hop: `egress(n, ca, vc)` for each torus hop
+     * leaving node `n`, whose torus channel is adapter `ca`'s link,
+     * `ingress(n, ca, vc)` as the hop arrives at node `n` on adapter
+     * `ca`, and `cross(n, key)` for each chip the run passes straight
+     * through.
+     */
+    template <class Egress, class Ingress, class Cross>
+    void expandRun(NodeId start, int out_ca, int hops, int dims_done,
+                   Egress &&egress, Ingress &&ingress, Cross &&cross) const;
 
     /**
      * Add @p amount to each router-arbiter and mesh load of the chip
@@ -178,11 +203,11 @@ class LoadModel
                + static_cast<std::size_t>(meshDirIdx(d));
     }
 
-    /** Node @p n's row of coords_. */
-    std::span<const int>
-    coordsOf(NodeId n) const
+    /** A chip crossing's charge-table key. */
+    std::size_t
+    key(int entry, int exit_slot) const
     {
-        return { coords_.data() + 3 * static_cast<std::size_t>(n), 3 };
+        return static_cast<std::size_t>(entry * num_slots_ + exit_slot);
     }
 
     const TorusGeom &geom_;
@@ -193,7 +218,7 @@ class LoadModel
     int num_eps_;   ///< endpoints per chip (charge-table entries 0..E-1)
     int num_slots_; ///< RouteTable exit slots per entry
     std::array<std::int64_t, 3> strides_; ///< node-id step per dimension
-    std::vector<int> coords_; ///< coordinate d of node n at [3n + d]
+    std::vector<std::array<int, 3>> coords_; ///< node id -> coordinates
 
     /**
      * The charge table: the charges of entry `a` (endpoint `e` is entry

@@ -159,8 +159,9 @@ Machine::Machine(const MachineConfig &cfg)
                 reply->tc = TrafficClass::Reply;
                 reply->op = OpKind::ReadReply;
                 randomRoute(geom_, reply->src.node, reply->dst.node, rng_,
-                            route_scratch_);
-                setRoute(*reply, route_scratch_);
+                            reply->route);
+                chip(reply->src.node)
+                    .setExit(*reply, reply->route.nextDim());
                 send(reply);
             });
         }
@@ -1088,23 +1089,9 @@ Machine::traceFlightCsv()
 void
 Machine::setRoute(Packet &pkt, const RouteSpec &spec)
 {
-    if (const char *why = malformedRoute(spec))
-        throw std::invalid_argument(std::string("setRoute: ") + why);
-    PacketRoute &r = pkt.route;
-    r.slice = spec.slice;
-    for (std::size_t d = 0; d < 3; ++d) {
-        r.order[d] = static_cast<std::uint8_t>(spec.order[d]);
-        r.dirs[d] = spec.dirs[d];
-        // Hops to the destination's coordinate along the chosen
-        // direction; ingress counts them down.
-        const int k = geom_.radix(static_cast<int>(d));
-        const int fwd = geom_.coord(pkt.dst.node, static_cast<int>(d))
-                        - geom_.coord(pkt.src.node, static_cast<int>(d));
-        r.left[d] = static_cast<std::uint16_t>(
-            (spec.dirs[d] == Dir::Pos ? fwd + k : k - fwd) % k);
-    }
+    pkt.route = packetRoute(geom_, pkt.src.node, pkt.dst.node, spec);
     pkt.vc = VcState(cfg_.chip.vc_policy);
-    chip(pkt.src.node).setExit(pkt, r.nextDim());
+    chip(pkt.src.node).setExit(pkt, pkt.route.nextDim());
 }
 
 void
@@ -1151,8 +1138,8 @@ Machine::makeWrite(EndpointAddr src, EndpointAddr dst, std::uint8_t pattern,
     checkPacket("makeWrite", src, dst, pattern, size_flits);
     Packet *pkt = newPacket(src, pattern, size_flits, counter);
     pkt->dst = dst;
-    randomRoute(geom_, src.node, dst.node, rng_, route_scratch_);
-    setRoute(*pkt, route_scratch_);
+    randomRoute(geom_, src.node, dst.node, rng_, pkt->route);
+    chip(src.node).setExit(*pkt, pkt->route.nextDim());
     return pkt;
 }
 

@@ -664,8 +664,6 @@ class Machine
     /** Releases staged on engine lanes of packets homed on other chips'
      * slabs, applied at the start of each window's serial replay. */
     LaneBuffer<Packet *> releases_;
-    /** Storage for each unicast injection's drawn route. */
-    RouteSpec route_scratch_;
 
     std::vector<std::unique_ptr<Chip>> chips_;
     std::vector<std::unique_ptr<Channel>> torus_channels_;

@@ -63,44 +63,6 @@ struct EndpointAddr
 class PacketSlab;
 
 /**
- * A packet's inter-node route, fixed at the source (Section 2.3) and
- * stored inline: the dimension order, the torus slice, the direction of
- * travel per dimension, and the torus hops still to take per dimension.
- * `Machine` models a 3-D torus, so every array has one entry per
- * dimension.
- */
-struct PacketRoute
-{
-    std::array<std::uint8_t, 3> order{ 0, 1, 2 }; ///< dimension order
-    std::array<Dir, 3> dirs{ Dir::Pos, Dir::Pos, Dir::Pos };
-    std::uint8_t slice = 0; ///< torus slice, in [0, kNumSlices)
-    /** Torus hops left per dimension: set at injection, decremented at
-     * each unicast ingress (multicast packets route by their tree and
-     * keep zeros). */
-    std::array<std::uint16_t, 3> left{};
-
-    /** The first dimension in route order with hops left, or -1 when
-     * the packet is at its destination node. */
-    int
-    nextDim() const
-    {
-        for (const std::uint8_t d : order) {
-            if (left[d] != 0)
-                return d;
-        }
-        return -1;
-    }
-
-    /** The route as a RouteSpec (for torusHops and nextRouteDim). */
-    RouteSpec
-    spec() const
-    {
-        return { DimOrder(order.begin(), order.end()), slice,
-                 std::vector<Dir>(dirs.begin(), dirs.end()) };
-    }
-};
-
-/**
  * A network packet: a fixed-size, trivially copyable record that lives in
  * a PacketSlab (noc/packet_slab.hpp), which also states its lifetime.
  * Fields the router stages read come first; the payload comes last.

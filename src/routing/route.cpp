@@ -1,7 +1,10 @@
 #include "routing/route.hpp"
 
 #include <cassert>
+#include <numeric>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 
 namespace anton2 {
 
@@ -23,20 +26,27 @@ struct NodeCoords
 };
 
 /**
- * The travel direction of every dimension, ties drawn from @p rng.
- * @p src and @p dst give the two nodes' coordinate `d` as `src[d]`:
- * NodeCoords, or a span of coordinates already known.
+ * The travel direction of every dimension, ties drawn from @p rng, into
+ * @p out's dirs; a PacketRoute also records each dimension's hops in
+ * that direction. @p src and @p dst give the two nodes' coordinate `d`
+ * as `src[d]`: NodeCoords, or coordinates already known.
  */
-template <class CoordSource>
+template <class CoordSource, class Route>
 void
 drawDirs(const TorusGeom &geom, const CoordSource &src,
-         const CoordSource &dst, Rng &rng, std::vector<Dir> &dirs)
+         const CoordSource &dst, Rng &rng, Route &out)
 {
-    dirs.assign(static_cast<std::size_t>(geom.ndims()), Dir::Pos);
-    for (int d = 0; d < geom.ndims(); ++d) {
-        const auto dd = static_cast<std::size_t>(d);
-        const int k = geom.radix(d);
-        int fwd = dst[dd] - src[dd];
+    constexpr bool fixed = std::is_same_v<Route, PacketRoute>;
+    const auto dims = static_cast<std::size_t>(geom.ndims());
+    if constexpr (fixed) {
+        out.dirs.fill(Dir::Pos);
+        out.left.fill(0);
+    } else {
+        out.dirs.assign(dims, Dir::Pos);
+    }
+    for (std::size_t d = 0; d < dims; ++d) {
+        const int k = geom.radix(static_cast<int>(d));
+        int fwd = dst[d] - src[d];
         if (fwd < 0)
             fwd += k;
         if (fwd == 0)
@@ -45,27 +55,41 @@ drawDirs(const TorusGeom &geom, const CoordSource &src,
         // pick between TorusGeom::minimalDirs' {Pos, Neg}.
         const int bwd = k - fwd;
         const bool neg = fwd == bwd ? rng.bit() : bwd < fwd;
-        dirs[dd] = neg ? Dir::Neg : Dir::Pos;
+        out.dirs[d] = neg ? Dir::Neg : Dir::Pos;
+        if constexpr (fixed)
+            out.left[d] = static_cast<std::uint16_t>(neg ? bwd : fwd);
     }
 }
 
-/** The in-place randomRoute() over either coordinate source. */
-template <class CoordSource>
+/** The in-place randomRoute() over either coordinate source, into
+ * either route form. */
+template <class CoordSource, class Route>
 void
 drawRandomRoute(const TorusGeom &geom, const CoordSource &src,
-                const CoordSource &dst, Rng &rng, RouteSpec &out)
+                const CoordSource &dst, Rng &rng, Route &out)
 {
     // Draw a uniformly random permutation of the dimensions (Fisher-Yates).
-    DimOrder &order = out.order;
-    order.resize(static_cast<std::size_t>(geom.ndims()));
-    for (std::size_t i = 0; i < order.size(); ++i)
-        order[i] = static_cast<int>(i);
+    auto &order = out.order;
+    using Dim = typename std::remove_reference_t<decltype(order)>::value_type;
+    if constexpr (!std::is_same_v<Route, PacketRoute>)
+        order.resize(static_cast<std::size_t>(geom.ndims()));
+    std::iota(order.begin(), order.end(), Dim{ 0 });
     for (std::size_t i = order.size(); i > 1; --i) {
         const auto j = static_cast<std::size_t>(rng.below(i));
         std::swap(order[i - 1], order[j]);
     }
     out.slice = static_cast<std::uint8_t>(rng.below(kNumSlices));
-    drawDirs(geom, src, dst, rng, out.dirs);
+    drawDirs(geom, src, dst, rng, out);
+}
+
+/** PacketRoute holds three dimensions. */
+void
+requireThreeDims(const TorusGeom &geom, const char *who)
+{
+    if (geom.ndims() != 3)
+        throw std::invalid_argument(std::string(who)
+                                    + ": a PacketRoute is a route of a 3-D "
+                                      "torus");
 }
 
 } // namespace
@@ -78,7 +102,7 @@ makeRoute(const TorusGeom &geom, NodeId src, NodeId dst, DimOrder order,
     spec.order = std::move(order);
     spec.slice = slice;
     drawDirs(geom, NodeCoords{ geom, src }, NodeCoords{ geom, dst }, rng,
-             spec.dirs);
+             spec);
     return spec;
 }
 
@@ -90,7 +114,7 @@ makeRoute(const TorusGeom &geom, NodeId src, NodeId dst,
     out.order = order; // vector self-assignment is a no-op
     out.slice = slice;
     drawDirs(geom, NodeCoords{ geom, src }, NodeCoords{ geom, dst }, rng,
-             out.dirs);
+             out);
 }
 
 RouteSpec
@@ -110,14 +134,43 @@ randomRoute(const TorusGeom &geom, NodeId src, NodeId dst, Rng &rng,
 }
 
 void
-randomRoute(const TorusGeom &geom, std::span<const int> src,
-            std::span<const int> dst, Rng &rng, RouteSpec &out)
+randomRoute(const TorusGeom &geom, NodeId src, NodeId dst, Rng &rng,
+            PacketRoute &out)
 {
-    const auto dims = static_cast<std::size_t>(geom.ndims());
-    if (src.size() != dims || dst.size() != dims)
-        throw std::invalid_argument(
-            "randomRoute: coordinates need one entry per dimension");
+    requireThreeDims(geom, "randomRoute");
+    drawRandomRoute(geom, NodeCoords{ geom, src }, NodeCoords{ geom, dst },
+                    rng, out);
+}
+
+void
+randomRoute(const TorusGeom &geom, const std::array<int, 3> &src,
+            const std::array<int, 3> &dst, Rng &rng, PacketRoute &out)
+{
+    requireThreeDims(geom, "randomRoute");
     drawRandomRoute(geom, src, dst, rng, out);
+}
+
+PacketRoute
+packetRoute(const TorusGeom &geom, NodeId src, NodeId dst,
+            const RouteSpec &spec)
+{
+    requireThreeDims(geom, "packetRoute");
+    if (const char *why = malformedRoute(spec))
+        throw std::invalid_argument(std::string("packetRoute: ") + why);
+    PacketRoute r;
+    r.slice = spec.slice;
+    for (std::size_t d = 0; d < 3; ++d) {
+        r.order[d] = static_cast<std::uint8_t>(spec.order[d]);
+        r.dirs[d] = spec.dirs[d];
+        // Hops to the destination's coordinate along the chosen
+        // direction.
+        const int k = geom.radix(static_cast<int>(d));
+        const int fwd = geom.coord(dst, static_cast<int>(d))
+                        - geom.coord(src, static_cast<int>(d));
+        r.left[d] = static_cast<std::uint16_t>(
+            (spec.dirs[d] == Dir::Pos ? fwd + k : k - fwd) % k);
+    }
+    return r;
 }
 
 std::vector<TorusHop>

@@ -10,8 +10,8 @@
  */
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -37,6 +37,42 @@ struct RouteSpec
     DimOrder order;        ///< permutation of dimension indices
     std::uint8_t slice;    ///< torus slice, in [0, kNumSlices)
     std::vector<Dir> dirs; ///< chosen direction per dimension (indexed by dim)
+};
+
+/**
+ * A route of a 3-D torus as the fixed-size record a packet carries
+ * (Section 2.3): the RouteSpec fields in arrays, plus the torus hops
+ * still to take per dimension along the chosen directions.
+ */
+struct PacketRoute
+{
+    std::array<std::uint8_t, 3> order{ 0, 1, 2 }; ///< dimension order
+    std::array<Dir, 3> dirs{ Dir::Pos, Dir::Pos, Dir::Pos };
+    std::uint8_t slice = 0; ///< torus slice, in [0, kNumSlices)
+    /** Torus hops left per dimension: set when the route is drawn or
+     * set, decremented at each unicast ingress (multicast packets route
+     * by their tree and keep zeros). */
+    std::array<std::uint16_t, 3> left{};
+
+    /** The first dimension in route order with hops left, or -1 when
+     * the packet is at its destination node. */
+    int
+    nextDim() const
+    {
+        for (const std::uint8_t d : order) {
+            if (left[d] != 0)
+                return d;
+        }
+        return -1;
+    }
+
+    /** The route as a RouteSpec (for torusHops and nextRouteDim). */
+    RouteSpec
+    spec() const
+    {
+        return { DimOrder(order.begin(), order.end()), slice,
+                 std::vector<Dir>(dirs.begin(), dirs.end()) };
+    }
 };
 
 /**
@@ -67,14 +103,33 @@ void randomRoute(const TorusGeom &geom, NodeId src, NodeId dst, Rng &rng,
                  RouteSpec &out);
 
 /**
- * The in-place randomRoute() from the two nodes' coordinates, as
- * TorusGeom::coords() gives them: the same spec from the same RNG draws,
- * with no division. For a caller that keeps a coordinate table.
- * @throws std::invalid_argument unless @p src and @p dst hold one
- * coordinate per dimension.
+ * randomRoute() into the fixed-size record of a 3-D torus: the same
+ * order, slice and dirs from the same RNG draws, and `out.left` the hops
+ * each dimension takes in its drawn direction.
+ * @throws std::invalid_argument, before any draw, unless @p geom has
+ * three dimensions.
  */
-void randomRoute(const TorusGeom &geom, std::span<const int> src,
-                 std::span<const int> dst, Rng &rng, RouteSpec &out);
+void randomRoute(const TorusGeom &geom, NodeId src, NodeId dst, Rng &rng,
+                 PacketRoute &out);
+
+/**
+ * The same from the two nodes' coordinates, as TorusGeom::coords()
+ * gives them, for a caller that keeps a coordinate table: no division.
+ * @throws std::invalid_argument, before any draw, unless @p geom has
+ * three dimensions.
+ */
+void randomRoute(const TorusGeom &geom, const std::array<int, 3> &src,
+                 const std::array<int, 3> &dst, Rng &rng, PacketRoute &out);
+
+/**
+ * @p spec as the fixed-size record from @p src to @p dst: its order,
+ * slice and dirs, and per dimension the hops to the destination's
+ * coordinate along the spec's direction, minimal or the long way round.
+ * @throws std::invalid_argument if @p spec is malformed (see
+ * malformedRoute()) or @p geom does not have three dimensions.
+ */
+PacketRoute packetRoute(const TorusGeom &geom, NodeId src, NodeId dst,
+                        const RouteSpec &spec);
 
 /**
  * Expand a RouteSpec into the exact sequence of inter-node hops from @p src

@@ -1,6 +1,8 @@
 #include "sim/metrics.hpp"
 
 #include <stdexcept>
+#include <string_view>
+#include <vector>
 
 namespace anton2 {
 
@@ -35,16 +37,27 @@ parseMetricsLevel(const std::string &name, MetricsLevel &out)
 namespace {
 
 /**
- * A leaf path must not also name an interior node: "a.b" conflicts with
- * both "a" and "a.b.c". Checked against the sorted map's neighborhood of
- * the insertion point, so registration stays O(log n).
+ * A new path must be non-empty, hold no character below '.', and not
+ * nest with a leaf: "a.b" conflicts with both "a" and "a.b.c". Nesting
+ * is checked against the sorted map's neighborhood of the insertion
+ * point, so registration stays O(log n).
  */
 template <typename MetricMap>
 void
-checkPathNesting(const MetricMap &map, const std::string &path)
+checkNewPath(const MetricMap &map, const std::string &path)
 {
     if (path.empty())
         throw std::invalid_argument("empty metric path");
+    // toJson writes the map in path order as the tree's depth-first
+    // order. The two agree only while no character sorts below the '.'
+    // that separates segments ("a-b" would sort before "a.b", yet the
+    // segment "a" before "a-b").
+    for (const char c : path) {
+        if (static_cast<unsigned char>(c) < '.')
+            throw std::invalid_argument("metric path '" + path
+                                        + "' holds a character that sorts "
+                                          "below '.'");
+    }
     // An existing key extending path + '.' sorts directly after path.
     const auto after = map.lower_bound(path);
     if (after != map.end() && after->first.size() > path.size()
@@ -73,7 +86,7 @@ getOrCreate(std::map<std::string, std::variant<Counter, ScalarStat,
 {
     auto it = map.find(path);
     if (it == map.end()) {
-        checkPathNesting(map, path);
+        checkNewPath(map, path);
         it = map.emplace(path, T(std::forward<Args>(args)...)).first;
     } else if (!std::holds_alternative<T>(it->second)) {
         throw std::invalid_argument("metric path '" + path
@@ -171,31 +184,20 @@ MetricsRegistry::reset()
 
 namespace {
 
-/** Intermediate tree node for hierarchical serialization. */
-struct Node
-{
-    const std::variant<Counter, ScalarStat, Histogram, double> *leaf =
-        nullptr;
-    std::map<std::string, Node> children;
-};
-
+/** One metric's value: a number, or an inline object of its summary. */
 void
-writeNode(JsonWriter &w, const Node &node)
+writeLeaf(JsonWriter &w,
+          const std::variant<Counter, ScalarStat, Histogram, double> &leaf)
 {
-    if (node.leaf == nullptr) {
-        w.beginObject();
-        for (const auto &[key, child] : node.children)
-            writeNode(w.key(key), child);
-        w.end();
-    } else if (const auto *c = std::get_if<Counter>(node.leaf)) {
+    if (const auto *c = std::get_if<Counter>(&leaf)) {
         w.integer(c->value());
-    } else if (const auto *s = std::get_if<ScalarStat>(node.leaf)) {
+    } else if (const auto *s = std::get_if<ScalarStat>(&leaf)) {
         w.beginObject(JsonWriter::Inline)
             .key("count").integer(s->count()).key("sum").number(s->sum())
             .key("mean").number(s->mean())
             .key("min").number(s->min()).key("max").number(s->max())
             .key("stddev").number(s->stddev()).end();
-    } else if (const auto *h = std::get_if<Histogram>(node.leaf)) {
+    } else if (const auto *h = std::get_if<Histogram>(&leaf)) {
         const ScalarStat &st = h->stat();
         w.beginObject(JsonWriter::Inline)
             .key("bin_width").number(h->binWidth())
@@ -209,7 +211,7 @@ writeNode(JsonWriter &w, const Node &node)
             w.integer(n);
         w.end().end();
     } else {
-        w.number(std::get<double>(*node.leaf));
+        w.number(std::get<double>(leaf));
     }
 }
 
@@ -218,30 +220,46 @@ writeNode(JsonWriter &w, const Node &node)
 std::string
 MetricsRegistry::toJson() const
 {
-    Node root;
+    // One pass over the sorted map. Registration admits no character
+    // below '.', so path order is the hierarchy's depth-first order with
+    // each object's keys sorted. A path shares the objects still open
+    // with the one before it; where the two diverge, close the old
+    // objects, then open the new path's.
+    JsonWriter w;
+    w.beginObject();
+    std::vector<std::string_view> open; // keys of the open objects
+    std::vector<std::string_view> segs;
     for (const auto &[path, metric] : metrics_) {
         // Machine level records per-chip aggregates (for shard safety)
         // but exports only the machine-wide view.
         if (level_ == MetricsLevel::Machine
             && path.compare(0, 5, "chip.") == 0)
             continue;
-        Node *node = &root;
-        std::size_t start = 0;
-        while (true) {
+        segs.clear();
+        for (std::size_t start = 0;;) {
             const auto dot = path.find('.', start);
-            const std::string seg =
-                path.substr(start, dot == std::string::npos
-                                       ? std::string::npos
-                                       : dot - start);
-            node = &node->children[seg];
+            const std::size_t stop = dot == std::string::npos ? path.size()
+                                                              : dot;
+            segs.emplace_back(path.data() + start, stop - start);
             if (dot == std::string::npos)
                 break;
             start = dot + 1;
         }
-        node->leaf = &metric;
+        std::size_t same = 0;
+        while (same < open.size() && same + 1 < segs.size()
+               && open[same] == segs[same])
+            ++same;
+        for (; open.size() > same; open.pop_back())
+            w.end();
+        while (open.size() + 1 < segs.size()) {
+            w.key(segs[open.size()]).beginObject();
+            open.push_back(segs[open.size()]);
+        }
+        writeLeaf(w.key(segs.back()), metric);
     }
-    JsonWriter w;
-    writeNode(w, root);
+    for (; !open.empty(); open.pop_back())
+        w.end();
+    w.end();
     return w.take() + '\n';
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Machine-wide telemetry: a hierarchical registry of counters, scalar
- * statistics, and histograms with hand-rolled JSON serialization.
+ * statistics, and histograms with deterministic JSON serialization.
  *
  * The paper's entire evaluation (Section 4, Figures 9-13) is built on
  * free-running cycle counters and per-channel/per-arbiter measurements.
@@ -80,10 +80,11 @@ class Counter
 
 /**
  * Hierarchical metric registry. Paths are dot-separated; the registry
- * stores a flat sorted map and reconstructs the hierarchy at
+ * stores a flat sorted map and writes the hierarchy straight from it at
  * serialization time. Registering the same path twice with the same kind
  * returns the existing metric (so several components may share one
- * aggregate); registering it with a different kind throws.
+ * aggregate); registering it with a different kind, or a path holding a
+ * character that sorts below '.', throws std::invalid_argument.
  *
  * A `gauge` is a plain double set at snapshot time for derived values
  * (utilization ratios, elapsed cycles) that are computed from other

@@ -682,27 +682,32 @@ TEST_P(LoadModelReference, LoadsAndWeightsMatchTheChipLayoutTracer)
     Machine m(cfg);
     const TorusGeom &geom = m.geom();
 
-    // Slots: uniform, tornado, 2-hop neighbour; cores spread over the
-    // chip so entries at many routers are charged.
+    // Slots: uniform, tornado, 2-hop neighbour and the halo workload's
+    // 1-hop neighbour; cores spread over the chip so entries at many
+    // routers are charged.
     const UniformPattern uniform(geom);
     const TornadoPattern tornado(geom);
     const NHopNeighborPattern two_hop(geom, 2);
-    const TrafficPattern *patterns[] = { &uniform, &tornado, &two_hop };
+    const NHopNeighborPattern one_hop(geom, 1);
+    const TrafficPattern *patterns[] = { &uniform, &tornado, &two_hop,
+                                         &one_hop };
+    constexpr int kSlots = 4;
     std::vector<EndpointId> cores;
     for (EndpointId e = 0; e < lc.endpoints; e += 3)
         cores.push_back(e);
 
-    LoadModel lm(geom, m.layout(), cfg.chip, 3);
-    ReferenceLoads ref(geom, m.layout(), cfg.chip, 3);
+    LoadModel lm(geom, m.layout(), cfg.chip, kSlots);
+    ReferenceLoads ref(geom, m.layout(), cfg.chip, kSlots);
     Rng a(17), b(17);
-    for (int slot = 0; slot < 3; ++slot) {
+    for (int slot = 0; slot < kSlots; ++slot) {
         lm.addPattern(slot, *patterns[slot], cores, lc.samples, a);
         ref.addPattern(slot, *patterns[slot], cores, lc.samples, b);
     }
-    EXPECT_EQ(a.next(), b.next()) << "same RNG draws";
+    EXPECT_EQ(a.state(), b.state()) << "same RNG draws";
 
     // Hand-built specs too: any order, any direction per dimension
-    // (minimal or the long way round), either slice, any endpoints.
+    // (minimal or the long way round, up to k - 1 hops in one run),
+    // either slice, any endpoints.
     Rng h(23);
     for (int i = 0; i < 500; ++i) {
         const auto src = static_cast<NodeId>(h.below(geom.numNodes()));
@@ -727,7 +732,7 @@ TEST_P(LoadModelReference, LoadsAndWeightsMatchTheChipLayoutTracer)
         lm.addPattern(slot, *patterns[slot], cores, lc.samples, a);
         ref.addPattern(slot, *patterns[slot], cores, lc.samples, b);
     }
-    EXPECT_EQ(a.next(), b.next()) << "same RNG draws";
+    EXPECT_EQ(a.state(), b.state()) << "same RNG draws";
     ref.expectEqual(lm);
 
     lm.applyWeights(m);
@@ -763,7 +768,13 @@ INSTANTIATE_TEST_SUITE_P(
                   1 },
         LoadCase{ { 3, 5, 8 }, 23, VcPolicy::Anton2, otherDirOrder(), 8 },
         LoadCase{ { 3, 5, 8 }, 8, VcPolicy::Baseline2n, anton2DirOrder(),
-                  8 }),
+                  8 },
+        // Every non-zero offset is a tie, and tornado sends each node to
+        // itself.
+        LoadCase{ { 2, 2, 2 }, 23, VcPolicy::Anton2, anton2DirOrder(), 24 },
+        // Minimal runs of up to 8 hops along X, traced ones of up to 15,
+        // and a Y dimension no route travels.
+        LoadCase{ { 16, 1, 3 }, 8, VcPolicy::Anton2, otherDirOrder(), 16 }),
     loadCaseName);
 
 // ---------------------------------------------------------------------
@@ -791,6 +802,34 @@ TEST_F(LoadModelTest, ApplyWeightsRejectsAMachineOfAnotherShape)
     mcfg.radix = { 4, 4, 4 };
     Machine same(mcfg);
     EXPECT_NO_THROW(lm.applyWeights(same));
+}
+
+TEST_F(LoadModelTest, QueriesRejectSlotsAndSizesOutOfRange)
+{
+    // A one-slot model: slot 1 would read past its arrays, and a packet
+    // of no flits would make the torus bound infinite.
+    LoadModel lm(geom_, layout_, chip_, 1);
+    Rng rng(1);
+    const NodeId dst = geom_.id({ 1, 0, 0 });
+    lm.tracePacket({ 0, 0 }, { dst, 1 },
+                   makeRoute(geom_, 0, dst, DimOrder{ 0, 1, 2 }, 0, rng), 1.0,
+                   0);
+    for (int slot : { -1, 1 }) {
+        EXPECT_THROW(lm.routerLoad(0, 0, 0, 0, slot), std::invalid_argument);
+        EXPECT_THROW(lm.caEgressLoad(0, 0, 0, slot), std::invalid_argument);
+        EXPECT_THROW(lm.caIngressLoad(0, 0, 0, slot), std::invalid_argument);
+        EXPECT_THROW(lm.torusLoad(0, 0, Dir::Pos, 0, slot),
+                     std::invalid_argument);
+        EXPECT_THROW(lm.meshLoad(0, 0, MeshDir::UPos, slot),
+                     std::invalid_argument);
+        EXPECT_THROW(lm.maxTorusLoad(slot), std::invalid_argument);
+        EXPECT_THROW(lm.maxMeshLoad(slot), std::invalid_argument);
+        EXPECT_THROW(lm.idealCoreThroughput(slot), std::invalid_argument);
+    }
+    for (int size : { 0, -1 })
+        EXPECT_THROW(lm.idealCoreThroughput(0, size), std::invalid_argument);
+    EXPECT_EQ(lm.maxTorusLoad(0), 1.0);
+    EXPECT_EQ(lm.idealCoreThroughput(0, 2), lm.idealCoreThroughput(0) / 2);
 }
 
 TEST_F(LoadModelTest, RejectsOrdersThatAreNotPermutations)

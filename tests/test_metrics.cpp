@@ -159,6 +159,52 @@ TEST(MetricsRegistry, NestingConflictThrows)
     EXPECT_NO_THROW(reg.counter("a.c"));
 }
 
+TEST(MetricsRegistry, PathCharacterBelowDotThrows)
+{
+    // The export writes the sorted map as the hierarchy's depth-first
+    // order, which holds only while no character sorts below '.': "a-b"
+    // sorts before "a.b", yet its segment "a-b" sorts after "a".
+    MetricsRegistry reg;
+    reg.counter("a.b");
+    for (const std::string path :
+         { "a-b", "a b", "a,c.d", "x.y!", "a.b\t", "q+1", "p#" }) {
+        EXPECT_THROW(reg.counter(path), std::invalid_argument) << path;
+        EXPECT_THROW(reg.setGauge(path, 1.0), std::invalid_argument) << path;
+        EXPECT_THROW(reg.histogram(path, 4, 1.0), std::invalid_argument)
+            << path;
+    }
+    EXPECT_EQ(reg.size(), 1u);
+    EXPECT_NO_THROW(reg.counter("a_b.c0"));
+    EXPECT_NO_THROW(reg.setGauge("z.x0p.utilization", 0.5));
+}
+
+TEST(MetricsRegistry, ToJsonNestsDivergingPaths)
+{
+    // Consecutive paths share objects up to where they diverge, at any
+    // depth; a key that extends a sibling's ("bc" after "b") opens a new
+    // object, not the sibling's.
+    MetricsRegistry reg;
+    reg.counter("b").inc(5);
+    reg.counter("a0").inc(4);
+    reg.counter("a.bc.x").inc(3);
+    reg.counter("a.b.d").inc(2);
+    reg.counter("a.b.c").inc(1);
+    EXPECT_EQ(reg.toJson(), "{\n"
+                            "  \"a\": {\n"
+                            "    \"b\": {\n"
+                            "      \"c\": 1,\n"
+                            "      \"d\": 2\n"
+                            "    },\n"
+                            "    \"bc\": {\n"
+                            "      \"x\": 3\n"
+                            "    }\n"
+                            "  },\n"
+                            "  \"a0\": 4,\n"
+                            "  \"b\": 5\n"
+                            "}\n");
+    EXPECT_EQ(MetricsRegistry().toJson(), "{}\n");
+}
+
 TEST(MetricsRegistry, ResetClearsEverything)
 {
     MetricsRegistry reg;

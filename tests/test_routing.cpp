@@ -5,10 +5,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <set>
 #include <stdexcept>
 
+#include "core/machine.hpp"
 #include "routing/mesh_route.hpp"
 #include "routing/route.hpp"
 #include "routing/vc_promotion.hpp"
@@ -190,24 +192,38 @@ referenceRandomRoute(const TorusGeom &geom, NodeId src, NodeId dst, Rng &rng)
 
 TEST(Route, InPlaceDrawsMatchByValue)
 {
-    // Into a fresh spec and into one spec reused across (src, dst) pairs
-    // and tori, the in-place draws must return the by-value spec (which
+    // Into a fresh spec, into one spec reused across (src, dst) pairs and
+    // tori, and into the fixed-size record from node ids and from
+    // coordinates, the in-place draws must return the by-value spec (which
     // randomRoute checks against the reference) and leave the Rng in the
-    // same state. 8x8x8 has k/2 ties in every dimension, so the
-    // tie-break draws must line up too.
+    // same state. The record's hops per dimension must be the hops left
+    // that Machine::setRoute gives a packet routed along that spec. Every
+    // offset on 2x2x2 is a tie and 8x8x8 has k/2 ties in every dimension,
+    // so the tie-break draws must line up too.
     RouteSpec reused;
     for (const std::vector<int> &radix :
-         { std::vector<int>{ 4, 4, 4 }, { 8, 8, 8 }, { 3, 5, 8 } }) {
+         { std::vector<int>{ 2, 2, 2 }, { 4, 4, 4 }, { 8, 8, 8 },
+           { 3, 5, 8 } }) {
         const TorusGeom g(radix);
+        MachineConfig cfg;
+        cfg.radix = radix;
+        cfg.chip.endpoints_per_node = 1;
+        cfg.use_packaging = false;
+        Machine m(cfg);
+        Packet &routed = *m.makeWrite({ 0, 0 }, { 0, 0 });
+        auto coords = [&](NodeId n) {
+            return std::array<int, 3>{ g.coord(n, 0), g.coord(n, 1),
+                                       g.coord(n, 2) };
+        };
         const std::vector<DimOrder> orders = allDimOrders(g.ndims());
         Rng ref_rng(29), by_value(29), fresh_rng(29), reused_rng(29),
-            coords_rng(29), pick(31);
+            fixed_rng(29), coords_rng(29), pick(31);
         const int *order_storage = nullptr;
         const Dir *dirs_storage = nullptr;
         for (int i = 0; i < 12000; ++i) {
             const auto src = static_cast<NodeId>(pick.below(g.numNodes()));
             const auto dst = static_cast<NodeId>(pick.below(g.numNodes()));
-            RouteSpec want, fresh, by_coords;
+            RouteSpec want, fresh;
             if (i % 2 == 0) {
                 const RouteSpec ref = referenceRandomRoute(g, src, dst,
                                                            ref_rng);
@@ -218,26 +234,41 @@ TEST(Route, InPlaceDrawsMatchByValue)
                 ASSERT_EQ(by_value.state(), ref_rng.state());
                 randomRoute(g, src, dst, fresh_rng, fresh);
                 randomRoute(g, src, dst, reused_rng, reused);
-                randomRoute(g, g.coords(src), g.coords(dst), coords_rng,
+                PacketRoute fixed, by_coords;
+                randomRoute(g, src, dst, fixed_rng, fixed);
+                randomRoute(g, coords(src), coords(dst), coords_rng,
                             by_coords);
+                routed.src.node = src;
+                routed.dst.node = dst;
+                m.setRoute(routed, want);
+                for (const PacketRoute *got : { &fixed, &by_coords }) {
+                    const RouteSpec spec = got->spec();
+                    ASSERT_EQ(spec.order, want.order) << "draw " << i;
+                    ASSERT_EQ(spec.slice, want.slice) << "draw " << i;
+                    ASSERT_EQ(spec.dirs, want.dirs) << "draw " << i;
+                    ASSERT_EQ(got->left, routed.route.left) << "draw " << i;
+                }
+                ASSERT_EQ(fixed_rng.state(), by_value.state()) << "draw "
+                                                               << i;
+                ASSERT_EQ(coords_rng.state(), by_value.state()) << "draw "
+                                                                << i;
             } else {
                 const DimOrder &order = orders[pick.below(orders.size())];
                 const auto slice =
                     static_cast<std::uint8_t>(pick.below(kNumSlices));
                 want = makeRoute(g, src, dst, order, slice, by_value);
-                ref_rng = by_value; // the reference covers randomRoute
+                // The reference and the record cover randomRoute.
+                ref_rng = fixed_rng = coords_rng = by_value;
                 makeRoute(g, src, dst, order, slice, fresh_rng, fresh);
                 makeRoute(g, src, dst, order, slice, reused_rng, reused);
-                makeRoute(g, src, dst, order, slice, coords_rng, by_coords);
             }
-            for (const RouteSpec *got : { &fresh, &reused, &by_coords }) {
+            for (const RouteSpec *got : { &fresh, &reused }) {
                 ASSERT_EQ(got->order, want.order) << "draw " << i;
                 ASSERT_EQ(got->slice, want.slice) << "draw " << i;
                 ASSERT_EQ(got->dirs, want.dirs) << "draw " << i;
             }
             ASSERT_EQ(fresh_rng.state(), by_value.state()) << "draw " << i;
             ASSERT_EQ(reused_rng.state(), by_value.state()) << "draw " << i;
-            ASSERT_EQ(coords_rng.state(), by_value.state()) << "draw " << i;
             // The reused spec keeps its storage: no allocation per draw.
             if (i > 0) {
                 ASSERT_EQ(reused.order.data(), order_storage);
@@ -256,12 +287,21 @@ TEST(Route, InPlaceDrawsMatchByValue)
         EXPECT_EQ(reused.order, want.order);
         EXPECT_EQ(reused.dirs, want.dirs);
         EXPECT_EQ(a.state(), b.state());
-        // The coordinate form wants one coordinate per dimension.
-        EXPECT_THROW(randomRoute(g, std::vector<int>{ 0, 0 }, g.coords(0),
-                                 a, reused),
-                     std::invalid_argument);
-        EXPECT_EQ(a.state(), b.state()) << "rejected before any draw";
     }
+    // The fixed-size record holds three dimensions; another torus is
+    // rejected before any draw.
+    PacketRoute fixed;
+    Rng a(7);
+    const auto drawn = a.state();
+    for (const std::vector<int> &radix :
+         { std::vector<int>{ 4, 4 }, { 2, 2, 2, 2 } }) {
+        const TorusGeom g(radix);
+        EXPECT_THROW(randomRoute(g, 0, 1, a, fixed), std::invalid_argument);
+        EXPECT_THROW(randomRoute(g, std::array<int, 3>{},
+                                 std::array<int, 3>{ 1, 0, 0 }, a, fixed),
+                     std::invalid_argument);
+    }
+    EXPECT_EQ(a.state(), drawn) << "rejected before any draw";
 }
 
 TEST(MeshRoute, Anton2OrderProducesExpectedHops)
