@@ -63,16 +63,19 @@ BM_InverseWeightedPick(benchmark::State &state)
 {
     const int k = static_cast<int>(state.range(0));
     InverseWeightedArbiter arb(k);
+    // Spread over [1, 31] in opposite orders, for up to 16 inputs.
     for (int i = 0; i < k; ++i) {
-        arb.accumulators().setWeight(i, 0, 1 + i * 3);
-        arb.accumulators().setWeight(i, 1, 31 - i * 3);
+        arb.accumulators().setWeight(i, 0, 1 + i * 2);
+        arb.accumulators().setWeight(i, 1, 31 - i * 2);
     }
     ReqInfo info[32];
     const std::uint32_t req = (1u << k) - 1;
     for (auto _ : state)
         benchmark::DoNotOptimize(arb.pick(req, info));
 }
-BENCHMARK(BM_InverseWeightedPick)->Arg(6);
+// 6: a router output's ports; 8 and 12: an adapter side's VCs under the
+// Anton 2 and Baseline2n policies.
+BENCHMARK(BM_InverseWeightedPick)->Arg(6)->Arg(8)->Arg(12);
 
 void
 BM_RoundRobinPick(benchmark::State &state)

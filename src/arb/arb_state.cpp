@@ -4,8 +4,6 @@
  * headers so the arbiter interfaces need only a forward declaration of
  * the archive.
  */
-#include <span>
-
 #include "arb/basic_arbiters.hpp"
 #include "arb/inverse_weighted.hpp"
 #include "debug/checkpoint.hpp"
@@ -24,23 +22,25 @@ InvWeightAccumulators::fields(CkptArchive &ar)
 {
     ar.marker("arb.iw.accum");
     const std::uint32_t msb = 1u << weight_bits_;
-    const std::span<std::uint32_t> accum =
-        std::span(state_).first(static_cast<std::size_t>(k_));
-    const std::span<std::uint32_t> weights =
-        std::span(state_).subspan(static_cast<std::size_t>(k_));
-    ar.same(static_cast<std::uint32_t>(accum.size()),
-            "accumulator count mismatch");
-    for (std::uint32_t &a : accum)
-        ar.io(a, 0, (msb << 1) - 1, "accumulator outside its window");
-    ar.same(static_cast<std::uint32_t>(weights.size()),
+    ar.same(static_cast<std::uint32_t>(k_), "accumulator count mismatch");
+    for (int i = 0; i < k_; ++i)
+        ar.ioAs<std::uint32_t>(accum_[static_cast<std::size_t>(i)], 0,
+                               (msb << 1) - 1,
+                               "accumulator outside its window");
+    ar.same(static_cast<std::uint32_t>(k_ * num_patterns_),
             "weight table size mismatch");
-    for (std::uint32_t &w : weights)
-        ar.io(w, 1, msb - 1, "inverse weight outside [1, 2^M)");
+    for (int i = 0; i < k_; ++i) {
+        for (int p = 0; p < num_patterns_; ++p)
+            ar.ioAs<std::uint32_t>(weights_[static_cast<std::size_t>(i)]
+                                           [static_cast<std::size_t>(p)],
+                                   1, msb - 1,
+                                   "inverse weight outside [1, 2^M)");
+    }
     if (!ar.loading())
         return;
     high_ = 0;
     for (int i = 0; i < k_; ++i)
-        high_ |= accum[static_cast<std::size_t>(i)] < msb ? 1u << i : 0u;
+        high_ |= accum_[static_cast<std::size_t>(i)] < msb ? 1u << i : 0u;
 }
 
 void

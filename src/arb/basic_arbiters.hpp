@@ -73,6 +73,10 @@ struct FixedPriorityArbiter
 class RoundRobinArbiter
 {
   public:
+    /** A one-input arbiter: the placeholder a fixed array of arbiters
+     * holds until its slots are assigned. */
+    RoundRobinArbiter() = default;
+
     explicit RoundRobinArbiter(int num_inputs)
         : num_inputs_(num_inputs), valid_(inputMask(num_inputs))
     {
@@ -97,8 +101,8 @@ class RoundRobinArbiter
     void fields(CkptArchive &ar);
 
   private:
-    int num_inputs_;
-    std::uint32_t valid_; ///< bit i set iff input i exists
+    int num_inputs_ = 1;
+    std::uint32_t valid_ = 1; ///< bit i set iff input i exists
     int ptr_ = 0;
 };
 

@@ -1,29 +1,39 @@
 #include "arb/inverse_weighted.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 namespace anton2 {
 
 InvWeightAccumulators::InvWeightAccumulators(int k, int weight_bits,
                                              int num_patterns)
-    : k_(k),
-      weight_bits_(weight_bits),
-      num_patterns_(num_patterns),
-      high_(inputMask(k)),
-      state_(static_cast<std::size_t>(k * (1 + num_patterns)), 1)
 {
-    assert(k >= 1 && weight_bits >= 1 && num_patterns >= 1);
-    std::fill_n(state_.begin(), k, 0u);
+    if (k < 1 || k > kMaxInputs || weight_bits < 1
+        || weight_bits > kMaxWeightBits || num_patterns < 1
+        || num_patterns > kNumPatterns)
+        throw std::invalid_argument("inverse-weighted arbiter holds 1-16 "
+                                    "inputs, 1-7 weight bits and 1-2 "
+                                    "patterns");
+    high_ = inputMask(k);
+    k_ = static_cast<std::uint8_t>(k);
+    weight_bits_ = static_cast<std::uint8_t>(weight_bits);
+    num_patterns_ = static_cast<std::uint8_t>(num_patterns);
+    for (auto &row : weights_)
+        row.fill(1);
 }
 
 void
 InvWeightAccumulators::setWeight(int input, int pattern, std::uint32_t weight)
 {
-    assert(weight >= 1 && weight < (1u << weight_bits_));
-    state_[static_cast<std::size_t>(k_ + input * num_patterns_ + pattern)] =
-        weight;
+    if (input < 0 || input >= k_ || pattern < 0 || pattern >= num_patterns_
+        || weight < 1 || weight >= (1u << weight_bits_))
+        throw std::invalid_argument("inverse weight outside [1, 2^M) or "
+                                    "for an input or pattern the arbiter "
+                                    "does not have");
+    weights_[static_cast<std::size_t>(input)]
+            [static_cast<std::size_t>(pattern)] =
+        static_cast<std::uint8_t>(weight);
 }
 
 std::vector<std::vector<std::uint32_t>>

@@ -18,6 +18,7 @@
  */
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -43,21 +44,36 @@ inline constexpr int kDefaultWeightBits = 5;
  * If the granted input had low priority the window shifts: every other
  * input's accumulator has 2^M subtracted (by clearing the MSB), clamping to
  * zero on underflow.
+ *
+ * The state is held inline as bytes, sized for the widest arbiter a
+ * machine builds (an adapter side's 12 Baseline2n VCs), so an arbiter
+ * owns no heap block.
  */
 class InvWeightAccumulators
 {
   public:
+    /** Most inputs: a router output's ports or an adapter side's VCs
+     * (at most CreditCounter::kMaxVcs). */
+    static constexpr int kMaxInputs = 16;
+    /** Widest inverse weight M: an (M+1)-bit accumulator fits a byte. */
+    static constexpr int kMaxWeightBits = 7;
+
+    /** @throws std::invalid_argument for @p k outside [1, kMaxInputs],
+     * @p weight_bits outside [1, kMaxWeightBits] or @p num_patterns
+     * outside [1, kNumPatterns]. */
     InvWeightAccumulators(int k, int weight_bits = kDefaultWeightBits,
                           int num_patterns = kNumPatterns);
 
-    /** Program the inverse weight for (input, pattern); in [1, 2^M). */
+    /** Program the inverse weight for (input, pattern).
+     * @throws std::invalid_argument for an input or pattern the
+     * arbiter does not have, or a weight outside [1, 2^M). */
     void setWeight(int input, int pattern, std::uint32_t weight);
 
     std::uint32_t
     weight(int input, int pattern) const
     {
-        return state_[static_cast<std::size_t>(k_ + input * num_patterns_
-                                               + pattern)];
+        return weights_[static_cast<std::size_t>(input)]
+                       [static_cast<std::size_t>(pattern)];
     }
 
     /** Priority bit per input: true = high priority (lower window half). */
@@ -78,43 +94,49 @@ class InvWeightAccumulators
             // every accumulator, clamping the high-priority ones (already
             // below 2^M) to zero. All of them end below 2^M.
             for (int i = 0; i < k_; ++i) {
-                std::uint32_t &acc = state_[static_cast<std::size_t>(i)];
-                acc = ((high_ >> i) & 1u) != 0 ? 0 : acc & low_half;
+                std::uint8_t &acc = accum_[static_cast<std::size_t>(i)];
+                acc = ((high_ >> i) & 1u) != 0
+                          ? 0
+                          : static_cast<std::uint8_t>(acc & low_half);
             }
             high_ = inputMask(k_);
         }
         // Granted input: shift out of the window (clear MSB) and add the
         // inverse weight; always < 2^(M+1).
-        std::uint32_t &acc = state_[static_cast<std::size_t>(granted)];
-        acc = (acc & low_half) + weight(granted, pattern);
-        assert(acc <= 2 * low_half + 1);
-        if (acc > low_half)
+        std::uint8_t &acc = accum_[static_cast<std::size_t>(granted)];
+        const std::uint32_t next = (acc & low_half) + weight(granted, pattern);
+        assert(next <= 2 * low_half + 1);
+        acc = static_cast<std::uint8_t>(next);
+        if (next > low_half)
             high_ &= ~bit;
     }
 
     std::uint32_t
     accumulator(int input) const
     {
-        return state_[static_cast<std::size_t>(input)];
+        return accum_[static_cast<std::size_t>(input)];
     }
 
     int weightBits() const { return weight_bits_; }
     int numInputs() const { return k_; }
     int numPatterns() const { return num_patterns_; }
 
-    /** Checkpoint field list: the accumulators and programmed weights
-     * (restore rebuilds the priority mask from the accumulators). */
+    /** Checkpoint field list: the accumulators and programmed weights,
+     * each as a range-checked 32-bit value (restore rebuilds the
+     * priority mask from the accumulators). */
     void fields(CkptArchive &ar);
 
   private:
-    int k_;
-    int weight_bits_;
-    int num_patterns_;
-    std::uint32_t high_; ///< see highMask()
-    /** The k (M+1)-bit accumulators, then the M-bit weights by
-     * [input][pattern]: one allocation keeps the arbiter small. */
-    std::vector<std::uint32_t> state_;
+    std::array<std::uint8_t, kMaxInputs> accum_{}; ///< (M+1)-bit values
+    /** The M-bit weights by [input][pattern]; unprogrammed ones are 1. */
+    std::array<std::array<std::uint8_t, kNumPatterns>, kMaxInputs> weights_{};
+    std::uint32_t high_ = 0; ///< see highMask()
+    std::uint8_t k_ = 0;
+    std::uint8_t weight_bits_ = 0;
+    std::uint8_t num_patterns_ = 0;
 };
+
+static_assert(sizeof(InvWeightAccumulators) <= 56);
 
 /**
  * Full inverse-weighted arbiter: Figure 6 accumulators driving the
@@ -125,6 +147,8 @@ class InvWeightAccumulators
 class InverseWeightedArbiter
 {
   public:
+    /** @throws std::invalid_argument for a shape the accumulators cannot
+     * hold (see InvWeightAccumulators). */
     explicit InverseWeightedArbiter(int num_inputs,
                                     int weight_bits = kDefaultWeightBits,
                                     int num_patterns = kNumPatterns)

@@ -7,6 +7,25 @@
 #include "sim/flow.hpp"
 
 namespace anton2 {
+namespace {
+
+/** Channels the chip builds for one router port: a mesh or skip port
+ * drives one (its peer's input end is wired from this side), an adapter
+ * or endpoint port one each way. */
+std::size_t
+portChannels(RouterPort::Kind kind)
+{
+    switch (kind) {
+      case RouterPort::Kind::Mesh:
+      case RouterPort::Kind::Skip: return 1;
+      case RouterPort::Kind::Channel:
+      case RouterPort::Kind::Endpoint: return 2;
+      case RouterPort::Kind::Unused: return 0;
+    }
+    return 0;
+}
+
+} // namespace
 
 Chip::Chip(NodeId node, const ChipConfig &cfg, const ChipLayout &layout,
            const TorusGeom &geom, const RouteTable &routes,
@@ -59,11 +78,19 @@ Chip::Chip(NodeId node, const ChipConfig &cfg, const ChipLayout &layout,
 
     // ------------------------------------------------------------------
     // Wiring. Every channel is a unidirectional data+credit bundle owned
-    // by the chip; the Machine wires the torus-side channels.
+    // by the chip; the Machine wires the torus-side channels. Components
+    // keep pointers to the channels, so the array is reserved to its
+    // exact count before the first one is built and never grows.
     // ------------------------------------------------------------------
+    std::size_t num_channels = 0;
+    for (RouterId r = 0; r < layout_.numRouters(); ++r) {
+        for (const RouterPort &port : layout_.routerPorts(r))
+            num_channels += portChannels(port.kind);
+    }
+    channels_.reserve(num_channels);
     auto newChannel = [&](Cycle latency) -> Channel & {
-        channels_.push_back(std::make_unique<Channel>(latency, 1));
-        return *channels_.back();
+        assert(channels_.size() < channels_.capacity());
+        return channels_.emplace_back(latency, 1);
     };
 
     const MeshGeom &mesh = layout_.mesh();
@@ -277,8 +304,8 @@ Chip::fields(CkptArchive &ar)
     ar.tag("chip.channels");
     ar.same(static_cast<std::uint32_t>(channels_.size()),
             "chip channel count mismatch");
-    for (const auto &ch : channels_)
-        ch->fields(ar, cfg_.numVcs());
+    for (Channel &ch : channels_)
+        ch.fields(ar, cfg_.numVcs());
     // The multicast table is installed by calls, not construction, so it
     // is part of the state; sorted by group id for deterministic bytes.
     // Machine::fields validates the restored trees.

@@ -256,7 +256,7 @@ class Chip
     std::vector<std::unique_ptr<Router>> routers_;
     std::vector<std::unique_ptr<ChannelAdapter>> channel_adapters_;
     std::vector<std::unique_ptr<EndpointAdapter>> endpoints_;
-    std::vector<std::unique_ptr<Channel>> channels_;
+    std::vector<Channel> channels_; ///< on-chip, in wiring order
     std::unordered_map<std::int32_t, McastNodeEntry> mcast_;
 };
 

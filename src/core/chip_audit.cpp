@@ -224,8 +224,8 @@ Chip::flitCensus() const
         });
     for (const auto &ep : endpoints_)
         census.oldest_birth = std::min(census.oldest_birth, ep->oldestBirth());
-    for (const auto &ch : channels_) {
-        ch->data.forEachInFlight([&census](const Phit &phit) {
+    for (const Channel &ch : channels_) {
+        ch.data.forEachInFlight([&census](const Phit &phit) {
             ++census.on_wires;
             if (phit.pkt->mcast_group >= 0)
                 census.multicast = true;

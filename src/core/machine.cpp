@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -87,16 +88,21 @@ Machine::Machine(const MachineConfig &cfg)
     // Wire the torus: for every (node, dim, dir, slice), one channel from
     // that adapter's egress to the peer node's opposite adapter's ingress.
     // Ring slack sized for the largest window the engine may run (a
-    // sender may be up to window-1 cycles ahead of the receiver).
+    // sender may be up to window-1 cycles ahead of the receiver). The
+    // adapters keep pointers to the channels, so the array is reserved
+    // to its exact count first and never grows.
+    torus_channels_.reserve(static_cast<std::size_t>(geom_.numNodes()) * 3
+                            * std::size(kDirs) * kNumSlices);
     for (NodeId n = 0; n < geom_.numNodes(); ++n) {
         for (int dim = 0; dim < 3; ++dim) {
             for (Dir dir : kDirs) {
                 const NodeId peer = geom_.neighbor(n, dim, dir);
                 const Cycle latency = torusLatency(n, dim, dir);
                 for (int slice = 0; slice < kNumSlices; ++slice) {
-                    torus_channels_.push_back(std::make_unique<Channel>(
-                        latency, latency, lookahead_cap_));
-                    Channel &ch = *torus_channels_.back();
+                    assert(torus_channels_.size()
+                           < torus_channels_.capacity());
+                    Channel &ch = torus_channels_.emplace_back(
+                        latency, latency, lookahead_cap_);
                     chip(n).channelAdapter(dim, dir, slice)
                         .connectTorusOut(ch, kBufFlitsPerVc);
                     chip(peer)

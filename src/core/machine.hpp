@@ -666,7 +666,7 @@ class Machine
     LaneBuffer<Packet *> releases_;
 
     std::vector<std::unique_ptr<Chip>> chips_;
-    std::vector<std::unique_ptr<Channel>> torus_channels_;
+    std::vector<Channel> torus_channels_; ///< in wiring order
     /** Per node, bit e set while endpoint e holds staged deliveries
      * (the serial phase flushes only those, in registration order). */
     std::vector<std::uint64_t> staged_deliveries_;

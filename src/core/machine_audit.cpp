@@ -125,9 +125,8 @@ Machine::auditInvariants(const AuditReport &report) const
         const Chip::FlitCensus c = cp->flitCensus();
         resident += c.buffered + c.on_wires;
     }
-    for (const auto &ch : torus_channels_) {
-        ch->data.forEachInFlight([&](const Phit &) { ++resident; });
-    }
+    for (const Channel &ch : torus_channels_)
+        ch.data.forEachInFlight([&](const Phit &) { ++resident; });
     if (mcast_sends_ == 0 && injected != ejected + resident) {
         report("flit_conservation",
                "flits injected " + std::to_string(injected) + " != ejected "
@@ -146,7 +145,7 @@ Machine::auditInvariants(const AuditReport &report) const
                     for (int slice = 0; slice < kNumSlices; ++slice) {
                         const int ca =
                             layout_.channelAdapterIndex(dim, dir, slice);
-                        fn(*torus_channels_[idx++], *chips_[n], ca,
+                        fn(torus_channels_[idx++], *chips_[n], ca,
                            chips_[n]->channelAdapter(ca),
                            chips_[peer]->channelAdapter(
                                layout_.channelAdapterIndex(

@@ -141,9 +141,11 @@ Machine::packetFields(CkptArchive &ar, Packet &p) const
         p.vc = VcState(policy);
         p.vc.restoreState(dims, crossed);
     }
+    // A packet past its last dimension takes no further torus hop, so
+    // only its mesh VC must exist (Baseline2n's torus VC would be 2n).
     const int per_class = cfg_.chip.vcsPerClass();
-    ar.check(policy == cfg_.chip.vc_policy && p.vc.torusVc() < per_class
-                 && p.vc.meshVc() < per_class,
+    ar.check(policy == cfg_.chip.vc_policy && p.vc.meshVc() < per_class
+                 && (dims == 3 ? !crossed : p.vc.torusVc() < per_class),
              "promotion state outside the machine's VCs");
     AttachPoint &x = p.chip_exit;
     ar.io(x.kind, AttachPoint::Kind::Endpoint, AttachPoint::Kind::Channel,
@@ -200,8 +202,8 @@ Machine::fields(CkptArchive &ar)
     ar.tag("machine.torus");
     ar.same(static_cast<std::uint32_t>(torus_channels_.size()),
             "torus channel count mismatch");
-    for (const auto &ch : torus_channels_)
-        ch->fields(ar, cfg_.chip.numVcs());
+    for (Channel &ch : torus_channels_)
+        ch.fields(ar, cfg_.chip.numVcs());
 
     for (const auto &c : chips_)
         c->fields(ar);

@@ -153,6 +153,18 @@ class CkptArchive
         check(!(v < lo) && !(hi < v), what);
     }
 
+    /** A value held narrower than its image field: stored as a
+     * @p Wide, and on restore range-checked in [lo, hi] before it is
+     * narrowed, so a value that fits only after truncation fails. */
+    template <typename Wide, typename T>
+    void
+    ioAs(T &v, Wide lo, Wide hi, const char *what)
+    {
+        Wide w = static_cast<Wide>(v);
+        io(w, lo, hi, what);
+        v = static_cast<T>(w);
+    }
+
     /** Bit @p b of @p mask, stored as one bool. */
     void bit(std::uint32_t &mask, unsigned b);
 

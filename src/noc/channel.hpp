@@ -73,14 +73,15 @@ inFlightCredits(const Wire<Credit> &w, int vc)
 /**
  * Upstream-side credit counters for one output channel: tracks free flit
  * slots per VC in the downstream input buffer. The counts live inline
- * (no heap block per channel), sized for the 32 VCs routers and adapters
- * accept, as 16-bit values.
+ * (no heap block per channel) as 16-bit values, sized for the 16 VCs
+ * routers and adapters accept; Baseline2n's 12 are the most a machine
+ * uses.
  */
 class CreditCounter
 {
   public:
     /** Most VCs one counter tracks (the router and adapter limit). */
-    static constexpr int kMaxVcs = 32;
+    static constexpr int kMaxVcs = 16;
 
     /** @throws std::invalid_argument for more than kMaxVcs VCs or a
      * depth outside [0, 65535]. */
@@ -89,7 +90,7 @@ class CreditCounter
     {
         if (num_vcs < 0 || num_vcs > kMaxVcs || slots_per_vc < 0
             || slots_per_vc > 0xffff)
-            throw std::invalid_argument("credit counter holds 0-32 VCs "
+            throw std::invalid_argument("credit counter holds 0-16 VCs "
                                         "of at most 65535 slots");
         num_vcs_ = static_cast<std::uint8_t>(num_vcs);
         initial_ = static_cast<std::uint16_t>(slots_per_vc);
@@ -133,6 +134,8 @@ class CreditCounter
     std::uint16_t initial_ = 0;
     std::uint8_t num_vcs_ = 0;
 };
+
+static_assert(sizeof(CreditCounter) <= 36);
 
 /**
  * A per-VC input buffer holding virtual-cut-through packets at flit

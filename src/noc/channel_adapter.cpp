@@ -9,13 +9,26 @@
 #include "noc/router.hpp"
 
 namespace anton2 {
+namespace {
+
+/** @p cfg, once its VCs fit the adapter's credit counters and
+ * arbiters (checked before the arbiters are built from it). */
+const ChannelAdapterConfig &
+checkedConfig(const ChannelAdapterConfig &cfg)
+{
+    if (cfg.num_vcs < 1 || cfg.num_vcs > CreditCounter::kMaxVcs)
+        throw std::invalid_argument("channel adapter supports 1-16 VCs");
+    return cfg;
+}
+
+} // namespace
 
 ChannelAdapter::ChannelAdapter(std::string name,
                                const ChannelAdapterConfig &cfg,
                                bool crosses_dateline, IngressFn ingress_fn,
                                LaneRelease release)
     : Component(std::move(name)),
-      cfg_(cfg),
+      cfg_(checkedConfig(cfg)),
       vcs_per_class_(std::max(1, cfg.num_vcs / kNumTrafficClasses)),
       crosses_dateline_(crosses_dateline),
       ingress_fn_(std::move(ingress_fn)),
@@ -26,8 +39,6 @@ ChannelAdapter::ChannelAdapter(std::string name,
       ingress_heads_(static_cast<std::size_t>(cfg.num_vcs)),
       ingress_arb_(makeArbiter(cfg.arb, cfg.num_vcs))
 {
-    if (cfg.num_vcs < 1 || cfg.num_vcs > 32)
-        throw std::invalid_argument("channel adapter supports 1-32 VCs");
     for (auto &vc : egress_vcs_)
         vc.init(cfg.buf_flits_per_vc);
     for (auto &vc : ingress_vcs_)

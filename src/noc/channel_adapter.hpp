@@ -68,6 +68,8 @@ class ChannelAdapter final : public Component
      * dateline VC promotion.
      * @param release How retired multicast originals are released (the
      * default: straight to their slab).
+     * @throws std::invalid_argument for more than CreditCounter::kMaxVcs
+     * VCs.
      */
     ChannelAdapter(std::string name, const ChannelAdapterConfig &cfg,
                    bool crosses_dateline, IngressFn ingress_fn,

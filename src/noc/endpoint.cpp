@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "debug/checkpoint.hpp"
 #include "noc/packet_slab.hpp"
@@ -26,9 +27,11 @@ EndpointAdapter::EndpointAdapter(std::string name, const EndpointConfig &cfg,
                                  EndpointAddr addr)
     : Component(std::move(name)),
       cfg_(cfg),
-      addr_(addr),
-      eject_(static_cast<std::size_t>(cfg.num_vcs))
+      addr_(addr)
 {
+    if (cfg.num_vcs < 1 || cfg.num_vcs > CreditCounter::kMaxVcs)
+        throw std::invalid_argument("endpoint adapter supports 1-16 VCs");
+    eject_.resize(static_cast<std::size_t>(cfg.num_vcs));
 }
 
 void

@@ -109,6 +109,8 @@ class EndpointAdapter final : public Component
     /** Called for an arriving read request; must produce the reply. */
     using ReadFn = std::function<void(const PacketPtr &, Cycle)>;
 
+    /** @throws std::invalid_argument for more than
+     * CreditCounter::kMaxVcs VCs. */
     EndpointAdapter(std::string name, const EndpointConfig &cfg,
                     EndpointAddr addr);
 

@@ -39,12 +39,9 @@ CreditCounter::fields(CkptArchive &ar)
     ar.same(initialPerVc(), "credit depth mismatch");
     ar.same(static_cast<std::uint32_t>(num_vcs_),
             "credit VC count mismatch");
-    for (int v = 0; v < num_vcs_; ++v) {
-        auto &slot = credits_[static_cast<std::size_t>(v)];
-        int c = slot;
-        ar.io(c, 0, initialPerVc(), "credits outside [0, depth]");
-        slot = static_cast<std::uint16_t>(c);
-    }
+    for (int v = 0; v < num_vcs_; ++v)
+        ar.ioAs<int>(credits_[static_cast<std::size_t>(v)], 0,
+                     initialPerVc(), "credits outside [0, depth]");
 }
 
 void
@@ -69,9 +66,8 @@ VcBuffer::fields(CkptArchive &ar, int ports, int vcs, Cycle &head_grant)
     ar.same(capacity(), "buffer capacity mismatch");
     // Checked against the resident flits by the auditor's buffer_sanity,
     // which restore runs last.
-    int occupancy = occupancy_;
-    ar.io(occupancy, 0, capacity(), "buffer occupancy above capacity");
-    occupancy_ = static_cast<std::uint16_t>(occupancy);
+    ar.ioAs<int>(occupancy_, 0, capacity(),
+                 "buffer occupancy above capacity");
     // Every entry but a head that has sent all its arrived flits holds
     // at least one flit.
     const std::size_t n =
@@ -92,9 +88,7 @@ VcBuffer::fields(CkptArchive &ar, int ports, int vcs, Cycle &head_grant)
         ar.io(e.head_at);
         ar.io(e.routed);
         ar.io(e.va_done);
-        int out_port = e.out_port;
-        ar.io(out_port, -1, ports - 1, "entry output port");
-        e.out_port = static_cast<std::int8_t>(out_port);
+        ar.ioAs<int>(e.out_port, -1, ports - 1, "entry output port");
         ar.io(e.out_vc, 0, static_cast<std::uint8_t>(vcs - 1),
               "entry output VC");
         ar.io(e.routed_at);

@@ -15,17 +15,14 @@ Router::Router(std::string name, const RouterConfig &cfg,
       cfg_(cfg),
       routes_(routes),
       id_(id),
-      vcs_per_class_(std::max(1, cfg.num_vcs / kNumTrafficClasses)),
-      in_(static_cast<std::size_t>(cfg.num_ports)),
-      out_(static_cast<std::size_t>(cfg.num_ports)),
-      sa1_winner_(static_cast<std::size_t>(cfg.num_ports), -1)
+      vcs_per_class_(std::max(1, cfg.num_vcs / kNumTrafficClasses))
 {
-    // Port masks and doorbell bits are 32-bit words: inputs ring bits
-    // [0, 16), returning credits bits [16, 32).
-    if (cfg.num_ports < 1 || cfg.num_ports > static_cast<int>(kCreditBell)
-        || cfg.num_vcs < 1 || cfg.num_vcs > 32)
-        throw std::invalid_argument("router supports 1-16 ports and "
-                                    "1-32 VCs");
+    // Per-port state is in kMaxPorts-sized arrays, and each output's
+    // credit counter holds CreditCounter::kMaxVcs VCs.
+    if (cfg.num_ports < 1 || cfg.num_ports > kMaxPorts || cfg.num_vcs < 1
+        || cfg.num_vcs > CreditCounter::kMaxVcs)
+        throw std::invalid_argument("router supports 1-6 ports and "
+                                    "1-16 VCs");
     if (id < 0 || id >= routes.numRouters())
         throw std::invalid_argument("router id has no route-table row");
     for (int slot = 0; slot < routes.numSlots(); ++slot) {
@@ -37,13 +34,15 @@ Router::Router(std::string name, const RouterConfig &cfg,
     bufs_ = std::make_unique<VcBuffer[]>(static_cast<std::size_t>(num_bufs));
     for (int i = 0; i < num_bufs; ++i)
         bufs_[i].init(cfg.buf_flits_per_vc);
-    for (int p = 0; p < cfg.num_ports; ++p)
-        in_[p].vcs = &bufs_[p * cfg.num_vcs];
     // SA1 arbitrates among each input's VCs; SA2 among input ports.
     // SA1 fairness is secondary (round-robin suffices); SA2 is where the
     // inverse-weighted policy applies (Section 3).
-    sa1_.assign(in_.size(), RoundRobinArbiter(cfg.num_vcs));
-    sa2_.assign(out_.size(), makeArbiter(cfg.out_arb, cfg.num_ports));
+    sa1_winner_.fill(-1);
+    for (std::size_t p = 0; p < numPorts(); ++p) {
+        in_[p].vcs = &bufs_[p * static_cast<std::size_t>(cfg.num_vcs)];
+        sa1_[p] = RoundRobinArbiter(cfg.num_vcs);
+        sa2_[p] = makeArbiter(cfg.out_arb, cfg.num_ports);
+    }
 }
 
 void
@@ -249,9 +248,9 @@ Router::stageSa2(Cycle now)
     // one output cannot change another output's requests.
     if (sa1_mask_ == 0)
         return;
-    std::uint32_t wanted = 0;            // outputs with a request
-    std::uint32_t req[kCreditBell] = {}; // requesting inputs per output
-    ReqInfo *info = reqInfoScratch();    // per input, for requesters
+    std::uint32_t wanted = 0;          // outputs with a request
+    std::uint32_t req[kMaxPorts] = {}; // requesting inputs per output
+    ReqInfo *info = reqInfoScratch();  // per input, for requesters
     for (std::uint32_t ports = sa1_mask_ & ~draining_; ports != 0;
          ports &= ports - 1) {
         const int p = std::countr_zero(ports);
@@ -365,7 +364,7 @@ void
 Router::sampleStalls()
 {
     ++stalls_->sampled_cycles;
-    for (std::size_t o = 0; o < out_.size(); ++o) {
+    for (std::size_t o = 0; o < numPorts(); ++o) {
         const auto &op = out_[o];
         if (op.ch == nullptr)
             continue;
@@ -378,7 +377,7 @@ Router::sampleStalls()
         } else {
             bool any = false;
             bool ready = false;
-            for (const auto &ip : in_) {
+            for (const auto &ip : inPorts()) {
                 for (std::uint32_t mask = ip.nonempty; mask != 0;
                      mask &= mask - 1) {
                     const auto &head =
@@ -411,7 +410,7 @@ Router::bookIdle(Cycle slept)
     if (stalls_ == nullptr)
         return;
     stalls_->sampled_cycles += slept;
-    for (std::size_t o = 0; o < out_.size(); ++o) {
+    for (std::size_t o = 0; o < numPorts(); ++o) {
         if (out_[o].ch != nullptr)
             stalls_->ports[o].cycles[static_cast<std::size_t>(
                 StallClass::NoInput)] += slept;
@@ -446,7 +445,7 @@ Router::tick(Cycle now)
         int total = 0;
         for (int v = 0; v < cfg_.num_vcs; ++v) {
             int occ = 0;
-            for (const auto &ip : in_)
+            for (const auto &ip : inPorts())
                 occ += ip.vcs[static_cast<std::size_t>(v)].occupancy();
             if (per_vc)
                 vc_occupancy_[static_cast<std::size_t>(v)]->add(occ);
@@ -472,7 +471,7 @@ Router::busy() const
 {
     if (live_in_ != 0 || busy_out_ != 0)
         return true;
-    for (const auto &ip : in_) {
+    for (const auto &ip : inPorts()) {
         if (ip.ch != nullptr && ip.ch->busy())
             return true;
     }
@@ -493,7 +492,7 @@ Router::outReservedFlits(int port, int vc) const
 void
 Router::collectBlockedHeads(std::vector<BlockedHead> &out) const
 {
-    for (std::size_t p = 0; p < in_.size(); ++p) {
+    for (std::size_t p = 0; p < numPorts(); ++p) {
         const auto &ip = in_[p];
         for (int v = 0; v < cfg_.num_vcs; ++v) {
             const auto &buf = ip.vcs[v];
@@ -526,7 +525,7 @@ Router::fields(CkptArchive &ar)
     const int ports = cfg_.num_ports;
     const int vcs = cfg_.num_vcs;
     ar.tag("router");
-    for (unsigned p = 0; p < in_.size(); ++p) {
+    for (unsigned p = 0; p < numPorts(); ++p) {
         InPort &ip = in_[p];
         ar.same(ip.ch != nullptr, "router input wiring mismatch");
         if (ip.ch == nullptr)
@@ -544,7 +543,7 @@ Router::fields(CkptArchive &ar)
         ar.io(ip.nonempty);
         ar.bit(draining_, p);
     }
-    for (unsigned o = 0; o < out_.size(); ++o) {
+    for (unsigned o = 0; o < numPorts(); ++o) {
         OutPort &op = out_[o];
         ar.same(op.ch != nullptr, "router output wiring mismatch");
         if (op.ch == nullptr)
@@ -556,12 +555,12 @@ Router::fields(CkptArchive &ar)
         ar.io(op.out_vc, 0, static_cast<std::uint8_t>(vcs - 1),
               "granted output VC");
     }
-    for (auto &a : sa1_)
-        a.fields(ar);
-    for (auto &a : sa2_)
-        arbiterFields(a, ar);
-    for (int &v : sa1_winner_)
-        ar.io(v, -1, vcs - 1, "SA1 winner");
+    for (std::size_t p = 0; p < numPorts(); ++p)
+        sa1_[p].fields(ar);
+    for (std::size_t o = 0; o < numPorts(); ++o)
+        arbiterFields(sa2_[o], ar);
+    for (std::size_t p = 0; p < numPorts(); ++p)
+        ar.io(sa1_winner_[p], -1, vcs - 1, "SA1 winner");
     ar.io(st_sent_mask_);
     ar.io(flits_routed_);
     ar.io(buffered_packets_);
@@ -571,7 +570,7 @@ Router::fields(CkptArchive &ar)
     // Grants, masks and counts must match the buffers: each granted
     // output drains a granted head of a connected input, once.
     std::uint32_t draining = 0;
-    for (unsigned o = 0; o < out_.size(); ++o) {
+    for (unsigned o = 0; o < numPorts(); ++o) {
         const OutPort &op = out_[o];
         if (((busy_out_ >> o) & 1u) == 0)
             continue;
@@ -587,7 +586,7 @@ Router::fields(CkptArchive &ar)
         draining |= 1u << op.src_port;
     }
     int packets = 0;
-    for (unsigned p = 0; p < in_.size(); ++p) {
+    for (unsigned p = 0; p < numPorts(); ++p) {
         const InPort &ip = in_[p];
         std::uint32_t nonempty = 0;
         for (int v = 0; v < vcs; ++v) {
@@ -651,7 +650,7 @@ Router::rebuildLiveState()
     sa1_mask_ = 0;
     rc_ports_ = 0;
     va_ports_ = 0;
-    for (std::size_t p = 0; p < in_.size(); ++p) {
+    for (std::size_t p = 0; p < numPorts(); ++p) {
         InPort &ip = in_[p];
         if (ip.nonempty != 0)
             live_in_ |= 1u << p;

@@ -11,7 +11,9 @@
  */
 #pragma once
 
+#include <array>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "arb/arbiter.hpp"
@@ -37,11 +39,16 @@ struct RouterConfig
 class Router final : public Component
 {
   public:
+    /** Most ports: the Anton 2 router's six (§2.2). Per-port state is
+     * held in arrays of this size. */
+    static constexpr int kMaxPorts = 6;
+
     /**
      * @param routes The route table RC reads (not owned; must outlive
      * the router), and @p id this router's row in it.
-     * @throws std::invalid_argument if @p routes has no row @p id or a
-     * route in it names a port at or above cfg.num_ports.
+     * @throws std::invalid_argument for more than kMaxPorts ports or
+     * CreditCounter::kMaxVcs VCs, if @p routes has no row @p id, or if
+     * a route in it names a port at or above cfg.num_ports.
      */
     Router(std::string name, const RouterConfig &cfg,
            const RouteTable &routes, int id);
@@ -209,10 +216,12 @@ class Router final : public Component
         int src_vc = -1;
         std::uint8_t out_vc = 0;
     };
+    static_assert(sizeof(InPort) <= 40 && sizeof(OutPort) <= 64);
 
     /** Input p's data wire rings doorbell bit p; output o's returning
      * credit wire rings bit kCreditBell + o. */
     static constexpr unsigned kCreditBell = 16;
+    static_assert(kMaxPorts <= static_cast<int>(kCreditBell));
 
     /** Entries per VC that RC and VA look at: the packets behind the
      * head proceed through RC and VA while the head drains, so
@@ -235,17 +244,27 @@ class Router final : public Component
      * (after a checkpoint restore). */
     void rebuildLiveState();
 
+    /** The router's ports: the first num_ports slots of the arrays. */
+    std::size_t numPorts() const
+    {
+        return static_cast<std::size_t>(cfg_.num_ports);
+    }
+    std::span<const InPort> inPorts() const
+    {
+        return std::span(in_).first(numPorts());
+    }
+
     RouterConfig cfg_;
     const RouteTable &routes_;
     int id_;              ///< this router's row in routes_
     int vcs_per_class_;   ///< VCs per traffic class (full VC index)
     /** Every input's VC buffers in one block, port-major. */
     std::unique_ptr<VcBuffer[]> bufs_;
-    std::vector<InPort> in_;
-    std::vector<OutPort> out_;
-    std::vector<RoundRobinArbiter> sa1_; ///< per input port
-    std::vector<PortArbiter> sa2_;       ///< per output port
-    std::vector<int> sa1_winner_;        ///< vc per input, -1
+    std::array<InPort, kMaxPorts> in_{};
+    std::array<OutPort, kMaxPorts> out_{};
+    std::array<RoundRobinArbiter, kMaxPorts> sa1_; ///< per input port
+    std::array<PortArbiter, kMaxPorts> sa2_;       ///< per output port
+    std::array<int, kMaxPorts> sa1_winner_;        ///< vc per input, -1
     Doorbell bell_;                 ///< arrivals on the in/credit wires
     RouterEnergyMeter *energy_ = nullptr;
     ScalarStat *occupancy_ = nullptr;        ///< see sampleOccupancy

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <stdexcept>
 #include <vector>
 
 #include "arb/basic_arbiters.hpp"
@@ -382,6 +383,49 @@ TEST(InverseWeighted, GrantStreamMatchesGateLevelPick)
         // The stream exercises the window shift, not just the fast path.
         EXPECT_GT(low_grants, 0u) << "k=" << k;
     }
+}
+
+TEST(InverseWeighted, RejectsShapesItsStateCannotHold)
+{
+    // The accumulators and weights are bytes in arrays of kMaxInputs
+    // inputs: a shape they cannot hold is refused in every build, not by
+    // an assert a Release build drops.
+    constexpr int kInputs = InvWeightAccumulators::kMaxInputs;
+    constexpr int kBits = InvWeightAccumulators::kMaxWeightBits;
+    for (int k : { 0, kInputs + 1 }) {
+        EXPECT_THROW(InvWeightAccumulators{ k }, std::invalid_argument) << k;
+        EXPECT_THROW(InverseWeightedArbiter{ k }, std::invalid_argument) << k;
+    }
+    for (int bits : { 0, kBits + 1 }) {
+        EXPECT_THROW(InvWeightAccumulators(6, bits), std::invalid_argument)
+            << bits;
+        EXPECT_THROW(InverseWeightedArbiter(6, bits), std::invalid_argument)
+            << bits;
+    }
+    for (int patterns : { 0, kNumPatterns + 1 }) {
+        EXPECT_THROW(InvWeightAccumulators(6, kDefaultWeightBits, patterns),
+                     std::invalid_argument)
+            << patterns;
+        EXPECT_THROW(InverseWeightedArbiter(6, kDefaultWeightBits, patterns),
+                     std::invalid_argument)
+            << patterns;
+    }
+
+    // The widest shape holds an (M+1)-bit accumulator up to 2^(M+1) - 2.
+    InvWeightAccumulators acc(kInputs, kBits, kNumPatterns);
+    const int last = kInputs - 1;
+    const std::uint32_t max_w = (1u << kBits) - 1;
+    acc.setWeight(last, kNumPatterns - 1, max_w);
+    acc.onGrant(last, kNumPatterns - 1);
+    acc.onGrant(last, kNumPatterns - 1);
+    EXPECT_EQ(acc.accumulator(last), 2 * max_w);
+    EXPECT_FALSE(acc.highPriority(last));
+    EXPECT_EQ(acc.highMask(), inputMask(kInputs) & ~(1u << last));
+    // Weights outside [1, 2^M), and inputs or patterns it lacks.
+    EXPECT_THROW(acc.setWeight(0, 0, 0), std::invalid_argument);
+    EXPECT_THROW(acc.setWeight(0, 0, max_w + 1), std::invalid_argument);
+    EXPECT_THROW(acc.setWeight(kInputs, 0, 1), std::invalid_argument);
+    EXPECT_THROW(acc.setWeight(0, kNumPatterns, 1), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------

@@ -7,13 +7,19 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <optional>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 
+#include "analysis/loads.hpp"
 #include "core/machine.hpp"
+#include "sim/rng.hpp"
+#include "traffic/driver.hpp"
+#include "traffic/patterns.hpp"
 
 namespace anton2 {
 namespace {
@@ -439,6 +445,63 @@ TEST(Machine, Baseline2nPolicyAlsoDelivers)
         ++sent;
     }
     ASSERT_TRUE(m.run(RunSpec::untilDelivered(sent, 100000)).reason == StopReason::Delivered);
+}
+
+TEST(Machine, Baseline2nInverseWeightedRoundTrips)
+{
+    // The widest chip state any machine builds: Baseline2n's 12 VCs give
+    // every adapter side a 12-input inverse-weighted arbiter and 12-VC
+    // credit counters. Weighted, saved mid-run and restored into a fresh
+    // machine (weights unprogrammed: the image carries them), the run
+    // ends as the uninterrupted one does.
+    MachineConfig cfg = smallConfig();
+    cfg.chip.vc_policy = VcPolicy::Baseline2n;
+    cfg.chip.arb = ArbPolicy::InverseWeighted;
+    Machine base(cfg);
+    ChannelAdapter &ca = base.chip(0).channelAdapter(0);
+    ASSERT_NE(ca.egressArbiter(), nullptr);
+    EXPECT_EQ(ca.egressArbiter()->numInputs(), 12);
+    EXPECT_EQ(ca.torusCredits().numVcs(), 12);
+    EXPECT_EQ(base.chip(0).router(0).outCredits(0).numVcs(), 12);
+
+    const UniformPattern uniform(base.geom());
+    BatchDriver::Config dcfg;
+    dcfg.cores = { 0, 1, 2, 3 };
+    dcfg.batch_size = 8;
+    dcfg.pattern = &uniform;
+    LoadModel lm(base.geom(), base.layout(), cfg.chip, 1);
+    Rng rng(3);
+    lm.addPattern(0, uniform, dcfg.cores, 50, rng);
+    lm.applyWeights(base);
+
+    auto finish = [](Machine &m, BatchDriver &driver) {
+        Instrumentation inst;
+        inst.metrics = true;
+        m.attachInstrumentation(inst);
+        const RunResult res = m.run(
+            RunSpec::untilDelivered(driver.deliveredTarget(), 200000));
+        EXPECT_EQ(res.reason, StopReason::Delivered);
+        return std::make_pair(m.totalDelivered(), m.metricsJson());
+    };
+    const std::string path =
+        std::string(::testing::TempDir()) + "baseline2n_iw.ckpt";
+    BatchDriver bdriver(base, dcfg);
+    base.engine().add(bdriver);
+    base.run(RunSpec::forCycles(150));
+    ASSERT_GT(base.totalDelivered(), 0u);
+    ASSERT_LT(base.totalDelivered(), bdriver.deliveredTarget());
+    base.saveCheckpoint(path);
+    const auto expected = finish(base, bdriver);
+
+    Machine restored(cfg);
+    BatchDriver rdriver(restored, dcfg);
+    restored.engine().add(rdriver);
+    restored.restoreCheckpoint(path);
+    std::remove(path.c_str());
+    const auto got = finish(restored, rdriver);
+    EXPECT_EQ(got.first, expected.first);
+    EXPECT_EQ(got.first, rdriver.deliveredTarget());
+    EXPECT_EQ(got.second, expected.second);
 }
 
 TEST(Machine, PacketsCarryDistinctIds)

@@ -10,8 +10,11 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "noc/channel_adapter.hpp"
 #include "noc/endpoint.hpp"
 #include "noc/packet_slab.hpp"
 #include "noc/router.hpp"
@@ -474,19 +477,79 @@ TEST(NocState, VcBufferGrowsAndPopsKeepingEntryState)
 
 TEST(NocState, CreditCounterRejectsWhatItCannotHold)
 {
+    constexpr int last = CreditCounter::kMaxVcs - 1;
     CreditCounter c;
     c.init(CreditCounter::kMaxVcs, 0xffff);
-    EXPECT_EQ(c.numVcs(), 32);
-    EXPECT_EQ(c.available(31), 0xffff);
-    c.consume(31, 0xffff);
-    c.release(31);
-    EXPECT_EQ(c.available(31), 1);
+    EXPECT_EQ(c.numVcs(), CreditCounter::kMaxVcs);
+    EXPECT_EQ(c.available(last), 0xffff);
+    c.consume(last, 0xffff);
+    c.release(last);
+    EXPECT_EQ(c.available(last), 1);
     EXPECT_THROW(c.init(CreditCounter::kMaxVcs + 1, 8),
                  std::invalid_argument);
     EXPECT_THROW(c.init(8, 0x10000), std::invalid_argument);
     VcBuffer buf;
     EXPECT_THROW(buf.init(VcBuffer::kMaxCapacity + 1),
                  std::invalid_argument);
+}
+
+/** The message of the std::invalid_argument @p build throws, or "". */
+template <typename F>
+std::string
+rejection(F &&build)
+{
+    try {
+        build();
+    } catch (const std::invalid_argument &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(NocState, ComponentsRejectShapesTheirStateCannotHold)
+{
+    // A router's per-port state is sized for its six ports and every
+    // credit counter for CreditCounter::kMaxVcs VCs, so each component
+    // refuses more at construction, in every build, naming itself (the
+    // adapter before its arbiters would fail on the VC count).
+    const RouteTable routes(1, 1, 0);
+    RouterConfig rcfg;
+    rcfg.num_ports = Router::kMaxPorts;
+    rcfg.num_vcs = CreditCounter::kMaxVcs;
+    rcfg.out_arb = ArbPolicy::InverseWeighted;
+    EXPECT_EQ(rejection([&] { Router("r", rcfg, routes, 0); }), "");
+    rcfg.num_ports = Router::kMaxPorts + 1;
+    EXPECT_NE(rejection([&] { Router("r", rcfg, routes, 0); }).find("router"),
+              std::string::npos);
+    rcfg.num_ports = Router::kMaxPorts;
+    rcfg.num_vcs = CreditCounter::kMaxVcs + 1;
+    EXPECT_NE(rejection([&] { Router("r", rcfg, routes, 0); }).find("router"),
+              std::string::npos);
+
+    const auto ingress = [](PacketPtr, std::vector<IngressCopy> &) {};
+    for (ArbPolicy arb :
+         { ArbPolicy::RoundRobin, ArbPolicy::InverseWeighted }) {
+        ChannelAdapterConfig ccfg;
+        ccfg.arb = arb;
+        ccfg.num_vcs = CreditCounter::kMaxVcs;
+        EXPECT_EQ(rejection([&] { ChannelAdapter("c", ccfg, false, ingress); }),
+                  "");
+        ccfg.num_vcs = CreditCounter::kMaxVcs + 1;
+        EXPECT_NE(rejection([&] {
+                      ChannelAdapter("c", ccfg, false, ingress);
+                  }).find("channel adapter"),
+                  std::string::npos)
+            << arbPolicyName(arb);
+    }
+
+    EndpointConfig ecfg;
+    ecfg.num_vcs = CreditCounter::kMaxVcs;
+    EXPECT_EQ(rejection([&] { EndpointAdapter("e", ecfg, { 0, 0 }); }), "");
+    ecfg.num_vcs = CreditCounter::kMaxVcs + 1;
+    EXPECT_NE(rejection([&] {
+                  EndpointAdapter("e", ecfg, { 0, 0 });
+              }).find("endpoint adapter"),
+              std::string::npos);
 }
 
 } // namespace
