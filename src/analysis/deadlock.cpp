@@ -1,7 +1,6 @@
 #include "analysis/deadlock.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <functional>
 #include <unordered_map>
 #include <unordered_set>
@@ -149,11 +148,6 @@ checkTorusLevel(const TorusGeom &geom, VcPolicy policy, bool capture_graph)
                 continue;
             for (const auto &combo : dirCombos(geom, src, dst)) {
                 for (const auto &order : orders) {
-                    RouteSpec spec;
-                    spec.order = order;
-                    spec.slice = 0;
-                    spec.dirs = combo;
-
                     // Injection holds no network resource, and ejection
                     // is a sink (endpoint adapters always drain), so M
                     // resources are created only for intermediate turns.
@@ -246,15 +240,16 @@ checkChipLevel(const TorusGeom &geom, const ChipLayout &layout,
         });
     };
 
-    auto traceRoute = [&](NodeId src_node, int src_ep, NodeId dst_node,
-                          int dst_ep, const RouteSpec &spec) {
+    // A route advances as Chip::ingressAt advances a packet's: each
+    // arrival takes one hop off its dimension's count, and the packet
+    // leaves by nextDim().
+    auto traceRoute = [&](NodeId src_node, int src_ep, int dst_ep,
+                          PacketRoute route) {
         VcState vc(policy);
         NodeId here = src_node;
         AttachPoint entry = AttachPoint::forEndpoint(src_ep);
         int prev = -1;
-
-        for (int guard = 0; guard < 4096; ++guard) {
-            const int next = nextRouteDim(geom, here, dst_node, spec);
+        for (int next = route.nextDim();; next = route.nextDim()) {
             const auto arrival_tvc = vc.torusVc();
             if (entry.kind == AttachPoint::Kind::Channel
                 && next != entry.dim) {
@@ -266,8 +261,8 @@ checkChipLevel(const TorusGeom &geom, const ChipLayout &layout,
                 exit = AttachPoint::forEndpoint(dst_ep);
             } else {
                 exit = AttachPoint::forChannel(
-                    next, spec.dirs[static_cast<std::size_t>(next)],
-                    spec.slice);
+                    next, route.dirs[static_cast<std::size_t>(next)],
+                    route.slice);
             }
 
             for (const auto &c : layout.route(entry, exit, order)) {
@@ -293,9 +288,9 @@ checkChipLevel(const TorusGeom &geom, const ChipLayout &layout,
             if (next < 0)
                 return;
 
-            const Dir dir = spec.dirs[static_cast<std::size_t>(next)];
-            const Coords c = geom.coords(here);
-            const int from = c[static_cast<std::size_t>(next)];
+            const auto dim = static_cast<std::size_t>(next);
+            const Dir dir = route.dirs[dim];
+            const int from = geom.coord(here, next);
             const int to = geom.neighborCoord(from, next, dir);
             const int hop_vc =
                 vc.onTorusHop(geom.crossesDateline(from, to, next));
@@ -305,24 +300,22 @@ checkChipLevel(const TorusGeom &geom, const ChipLayout &layout,
 
             here = geom.neighbor(here, next, dir);
             entry = AttachPoint::forChannel(next, opposite(dir),
-                                            spec.slice);
+                                            route.slice);
+            --route.left[dim];
         }
-        assert(false && "route failed to terminate");
     };
 
-    const auto orders = allDimOrders(geom.ndims());
+    const auto orders = allDimOrders(3);
     for (NodeId src = 0; src < geom.numNodes(); ++src) {
         for (NodeId dst = 0; dst < geom.numNodes(); ++dst) {
             for (const auto &combo : dirCombos(geom, src, dst)) {
                 for (const auto &dim_order : orders) {
-                    RouteSpec spec;
-                    spec.order = dim_order;
-                    spec.slice = 0;
-                    spec.dirs = combo;
+                    const PacketRoute route(
+                        geom, src, dst, dim_order,
+                        { combo[0], combo[1], combo[2] }, 0);
                     for (int se : sample_endpoints) {
-                        for (int de : sample_endpoints) {
-                            traceRoute(src, se, dst, de, spec);
-                        }
+                        for (int de : sample_endpoints)
+                            traceRoute(src, se, de, route);
                     }
                 }
             }

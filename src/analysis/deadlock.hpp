@@ -18,7 +18,10 @@
  *  - checkChipLevel(): exact for the 3-D machine. Resources are
  *    (node, on-chip channel, VC) using the real ChipLayout channels (mesh,
  *    skip, adapter links) plus torus-link VCs, with routes traced through
- *    ChipLayout::route() exactly as the cycle simulator routes them.
+ *    ChipLayout::route() exactly as the cycle simulator routes them. Each
+ *    route is the PacketRoute a packet carries, advanced hop by hop as
+ *    Chip::ingressAt advances it, so the proof covers the rule the
+ *    simulator runs.
  *
  * Both return the cycle (as resource names) when one exists, so the
  * NoDateline negative control produces a readable counterexample.
@@ -57,6 +60,7 @@ DeadlockReport checkTorusLevel(const TorusGeom &geom, VcPolicy policy,
  * Chip-level check for a 3-D machine: exact on-chip channels with
  * endpoint adapters sampled from @p sample_endpoints (all routes between
  * each pair of sampled endpoints on every node pair are traced).
+ * @throws std::invalid_argument unless @p geom has three dimensions.
  */
 DeadlockReport checkChipLevel(const TorusGeom &geom,
                               const ChipLayout &layout, VcPolicy policy,

@@ -399,18 +399,18 @@ LoadModel::addPattern(int slot, const TrafficPattern &pattern,
 
 void
 LoadModel::tracePacket(EndpointAddr src, EndpointAddr dst,
-                       const RouteSpec &spec, double weight, int slot)
+                       const PacketRoute &route, double weight, int slot)
 {
     checkSlot(slot);
     const NodeId nodes = geom_.numNodes();
     if (src.node >= nodes || dst.node >= nodes || src.ep < 0
         || src.ep >= num_eps_ || dst.ep < 0 || dst.ep >= num_eps_)
         reject("packet address outside the machine");
-    // Throws for a malformed spec. Each run is expanded as it is walked.
-    // A traced route, minimal or not, enters each node once, so it adds
-    // to any load at most once and the order of its additions cannot
-    // change a bit.
-    const PacketRoute route = packetRoute(geom_, src.node, dst.node, spec);
+    if (const char *why = malformedRoute(geom_, src.node, dst.node, route))
+        reject(why);
+    // Each run is expanded as it is walked. A traced route, minimal or
+    // not, enters each node once, so it adds to any load at most once
+    // and the order of its additions cannot change a bit.
     auto &router = router_[static_cast<std::size_t>(slot)];
     auto &mesh = mesh_[static_cast<std::size_t>(slot)];
     auto &ca_in = ca_ingress_[static_cast<std::size_t>(slot)];

@@ -83,13 +83,11 @@ class LoadModel
     /**
      * Trace one concrete unicast route, adding @p weight to slot's loads.
      * @throws std::invalid_argument if @p slot is not a pattern slot, an
-     * address is outside the machine, or @p spec is not a route of this
-     * torus: its order must be a permutation of the dimensions, its
-     * dirs hold one Pos or Neg per dimension, and its slice be a torus
-     * slice.
+     * address is outside the machine, or @p route is not a whole route
+     * from @p src's node to @p dst's (see malformedRoute).
      */
     void tracePacket(EndpointAddr src, EndpointAddr dst,
-                     const RouteSpec &spec, double weight, int slot);
+                     const PacketRoute &route, double weight, int slot);
 
     // --- queries (loads are packets/cycle at unit per-core injection).
     // Each throws std::invalid_argument for a slot that is not a pattern

@@ -1093,9 +1093,12 @@ Machine::traceFlightCsv()
 }
 
 void
-Machine::setRoute(Packet &pkt, const RouteSpec &spec)
+Machine::setRoute(Packet &pkt, const PacketRoute &route)
 {
-    pkt.route = packetRoute(geom_, pkt.src.node, pkt.dst.node, spec);
+    if (const char *why =
+            malformedRoute(geom_, pkt.src.node, pkt.dst.node, route))
+        throw std::invalid_argument(std::string("setRoute: ") + why);
+    pkt.route = route;
     pkt.vc = VcState(cfg_.chip.vc_policy);
     chip(pkt.src.node).setExit(pkt, pkt.route.nextDim());
 }

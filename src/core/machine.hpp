@@ -277,13 +277,14 @@ class Machine
     void send(const PacketPtr &pkt);
 
     /**
-     * Route an unsent unicast packet along @p spec instead of its drawn
-     * route: the order, slice and directions, the hops left per
-     * dimension, fresh promotion state, and the exit on the source chip.
-     * @throws std::invalid_argument if @p spec is not a route of a 3-D
-     * torus (see malformedRoute).
+     * Route an unsent unicast packet along @p route instead of its
+     * drawn route, with fresh promotion state and the exit on the
+     * source chip.
+     * @throws std::invalid_argument if @p route is not a whole route
+     * from the packet's source node to its destination node (see
+     * malformedRoute).
      */
-    void setRoute(Packet &pkt, const RouteSpec &spec);
+    void setRoute(Packet &pkt, const PacketRoute &route);
 
     /**
      * Install a multicast tree on every involved node's tables.

@@ -106,31 +106,21 @@ Machine::packetFields(CkptArchive &ar, Packet &p) const
     // Bounded above once the machine section names the installed groups.
     ar.io(p.mcast_group, -1, INT32_MAX, "multicast group out of range");
     PacketRoute &r = p.route;
-    unsigned seen = 0;
-    // Indexed: GCC 12 at -O3 reports a false -Wstringop-overflow past
-    // the end of the order array for the range-for form.
-    for (std::size_t i = 0; i < r.order.size(); ++i) {
-        ar.io(r.order[i], 0, 2,
-              "route order is not a permutation of the dimensions");
-        seen |= 1u << r.order[i];
-    }
-    ar.check(seen == 7u, "route order is not a permutation of the dimensions");
-    for (Dir &d : r.dirs) {
+    for (std::uint8_t &d : r.order)
         ar.io(d);
-        ar.check(d == Dir::Pos || d == Dir::Neg,
-                 "route direction is neither Pos nor Neg");
-    }
-    ar.io(r.slice, 0, kNumSlices - 1, "route slice out of range");
-    // At most the source-to-destination distance along each dimension's
-    // direction.
-    for (std::size_t d = 0; d < 3; ++d) {
-        const int k = geom_.radix(static_cast<int>(d));
-        const int fwd = geom_.coord(p.dst.node, static_cast<int>(d))
-                        - geom_.coord(p.src.node, static_cast<int>(d));
-        const int dist = (r.dirs[d] == Dir::Pos ? fwd + k : k - fwd) % k;
-        ar.io(r.left[d], 0, static_cast<std::uint16_t>(dist),
-              "hops left exceed the route's distance");
-    }
+    for (Dir &d : r.dirs)
+        ar.io(d);
+    ar.io(r.slice);
+    for (std::uint16_t &n : r.left)
+        ar.io(n);
+    // A packet part-way along its route has at most the hops its
+    // directions take from source to destination left.
+    const char *malformed = malformedRoute(r);
+    ar.check(malformed == nullptr, malformed);
+    const auto hops = r.hops(geom_, p.src.node, p.dst.node);
+    for (std::size_t d = 0; d < 3; ++d)
+        ar.check(r.left[d] <= hops[d],
+                 "hops left exceed the route's distance");
     VcPolicy policy = p.vc.policy();
     auto dims = static_cast<std::uint8_t>(p.vc.dimsCompleted());
     bool crossed = p.vc.crossedInCurrentDim();

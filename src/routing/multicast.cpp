@@ -1,7 +1,7 @@
 #include "routing/multicast.hpp"
 
 #include <algorithm>
-#include <set>
+#include <array>
 
 namespace anton2 {
 
@@ -10,6 +10,10 @@ buildMcastTree(const TorusGeom &geom, NodeId src,
                const std::vector<McastDest> &dests, const DimOrder &order,
                std::uint8_t slice, Rng &rng)
 {
+    // Checks the order and slice before the tie draws: each
+    // destination's route is built along them.
+    PacketRoute route(geom, src, src, order,
+                      { Dir::Pos, Dir::Pos, Dir::Pos }, slice);
     McastTree tree;
     tree.root = src;
     tree.slice = slice;
@@ -20,34 +24,33 @@ buildMcastTree(const TorusGeom &geom, NodeId src,
     // unique, so merged branches form a proper tree: no node is crossed by
     // two different branches, which would make its forwarding-table entry
     // duplicate deliveries.
-    std::vector<Dir> tie_dirs(static_cast<std::size_t>(geom.ndims()));
+    std::array<Dir, 3> tie_dirs;
     for (auto &d : tie_dirs)
         d = rng.bit() ? Dir::Pos : Dir::Neg;
 
     for (const auto &[dst_node, dst_ep] : dests) {
-        RouteSpec spec;
-        spec.order = order;
-        spec.slice = slice;
-        spec.dirs.assign(static_cast<std::size_t>(geom.ndims()), Dir::Pos);
-        const Coords cs = geom.coords(src);
-        const Coords cd = geom.coords(dst_node);
-        for (int d = 0; d < geom.ndims(); ++d) {
+        std::array<Dir, 3> dirs{ Dir::Pos, Dir::Pos, Dir::Pos };
+        for (int d = 0; d < 3; ++d) {
             const auto dd = static_cast<std::size_t>(d);
-            const auto minimal = geom.minimalDirs(cs[dd], cd[dd], d);
+            const auto minimal = geom.minimalDirs(geom.coord(src, d),
+                                                  geom.coord(dst_node, d), d);
             if (minimal.size() == 1)
-                spec.dirs[dd] = minimal[0];
+                dirs[dd] = minimal[0];
             else if (minimal.size() == 2)
-                spec.dirs[dd] = tie_dirs[dd];
+                dirs[dd] = tie_dirs[dd];
         }
+        route = PacketRoute(geom, src, dst_node, order, dirs, slice);
         NodeId here = src;
-        for (const auto &hop : torusHops(geom, src, dst_node, spec)) {
-            auto &entry = tree.nodes[here];
-            const McastHop mh{ hop.dim, hop.dir };
-            if (std::find(entry.forward.begin(), entry.forward.end(), mh)
-                == entry.forward.end()) {
-                entry.forward.push_back(mh);
+        for (const std::uint8_t d : route.order) {
+            const McastHop mh{ d, route.dirs[d] };
+            for (int h = 0; h < route.left[d]; ++h) {
+                auto &entry = tree.nodes[here];
+                if (std::find(entry.forward.begin(), entry.forward.end(), mh)
+                    == entry.forward.end()) {
+                    entry.forward.push_back(mh);
+                }
+                here = geom.neighbor(here, d, mh.dir);
             }
-            here = geom.neighbor(here, hop.dim, hop.dir);
         }
         auto &leaf = tree.nodes[here];
         if (std::find(leaf.local.begin(), leaf.local.end(), dst_ep)

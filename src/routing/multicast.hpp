@@ -70,7 +70,10 @@ using McastDest = std::pair<NodeId, int>;
  * Build a multicast tree from @p src to @p dests, merging the unicast
  * dimension-order routes that use @p order (the same order for every
  * destination, so shared prefixes merge). Direction ties (offset exactly
- * k/2) are broken with @p rng once per (destination, dimension).
+ * k/2) are broken with @p rng once per dimension for the whole tree.
+ * @throws std::invalid_argument, before any draw, as PacketRoute's
+ * constructor does: for a torus that is not 3-D, an @p order that is
+ * not a permutation of the three dimensions, or a @p slice out of range.
  */
 McastTree buildMcastTree(const TorusGeom &geom, NodeId src,
                          const std::vector<McastDest> &dests,

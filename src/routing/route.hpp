@@ -12,37 +12,19 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "sim/rng.hpp"
 #include "topo/torus.hpp"
 
 namespace anton2 {
 
-/** One inter-node hop: travel along @p dim in direction @p dir. */
-struct TorusHop
-{
-    std::uint8_t dim;
-    Dir dir;
-};
-
 /**
- * The routing decision made at the source for one packet: dimension order,
+ * The routing decision made at the source for one packet of a 3-D
+ * torus, as the fixed-size record the packet carries: dimension order,
  * torus slice, and the direction of travel chosen for each dimension
  * (relevant when the minimal direction is ambiguous, i.e. the offset is
- * exactly k/2 on an even ring).
- */
-struct RouteSpec
-{
-    DimOrder order;        ///< permutation of dimension indices
-    std::uint8_t slice;    ///< torus slice, in [0, kNumSlices)
-    std::vector<Dir> dirs; ///< chosen direction per dimension (indexed by dim)
-};
-
-/**
- * A route of a 3-D torus as the fixed-size record a packet carries
- * (Section 2.3): the RouteSpec fields in arrays, plus the torus hops
- * still to take per dimension along the chosen directions.
+ * exactly k/2 on an even ring), plus the torus hops still to take per
+ * dimension along the chosen directions.
  */
 struct PacketRoute
 {
@@ -50,9 +32,24 @@ struct PacketRoute
     std::array<Dir, 3> dirs{ Dir::Pos, Dir::Pos, Dir::Pos };
     std::uint8_t slice = 0; ///< torus slice, in [0, kNumSlices)
     /** Torus hops left per dimension: set when the route is drawn or
-     * set, decremented at each unicast ingress (multicast packets route
-     * by their tree and keep zeros). */
+     * built, decremented at each unicast ingress (multicast packets
+     * route by their tree and keep zeros). */
     std::array<std::uint16_t, 3> left{};
+
+    PacketRoute() = default;
+
+    /**
+     * The route from @p src to @p dst along explicit choices, with
+     * `left` the hops each dimension takes in its direction: minimal,
+     * or the long way round.
+     * @throws std::invalid_argument if @p geom does not have three
+     * dimensions or a choice is malformed (see malformedRoute()), such
+     * as an @p route_order that is not a permutation of the three.
+     */
+    PacketRoute(const TorusGeom &geom, NodeId src, NodeId dst,
+                const DimOrder &route_order,
+                const std::array<Dir, 3> &route_dirs,
+                std::uint8_t route_slice);
 
     /** The first dimension in route order with hops left, or -1 when
      * the packet is at its destination node. */
@@ -66,46 +63,25 @@ struct PacketRoute
         return -1;
     }
 
-    /** The route as a RouteSpec (for torusHops and nextRouteDim). */
-    RouteSpec
-    spec() const
-    {
-        return { DimOrder(order.begin(), order.end()), slice,
-                 std::vector<Dir>(dirs.begin(), dirs.end()) };
-    }
+    /** Per dimension, the hops from @p src to @p dst along that
+     * dimension's direction. */
+    std::array<std::uint16_t, 3> hops(const TorusGeom &geom, NodeId src,
+                                      NodeId dst) const;
 };
 
 /**
- * Build a RouteSpec with the given order and slice, resolving direction ties
- * with @p rng. Directions for dimensions needing no travel are set to Pos
- * and never used.
+ * The route from @p src to @p dst with the given order and slice, each
+ * dimension's direction minimal and ties drawn from @p rng.
+ * @throws std::invalid_argument, before any draw, as the record's
+ * constructor does.
  */
-RouteSpec makeRoute(const TorusGeom &geom, NodeId src, NodeId dst,
-                    DimOrder order, std::uint8_t slice, Rng &rng);
+PacketRoute makeRoute(const TorusGeom &geom, NodeId src, NodeId dst,
+                      const DimOrder &order, std::uint8_t slice, Rng &rng);
 
 /**
- * makeRoute() into @p out, reusing the storage of its vectors: the same
- * spec from the same RNG draws. @p order may be `out.order` itself.
- */
-void makeRoute(const TorusGeom &geom, NodeId src, NodeId dst,
-               const DimOrder &order, std::uint8_t slice, Rng &rng,
-               RouteSpec &out);
-
-/** Fully randomized route: random dimension order, slice, and tie-breaks. */
-RouteSpec randomRoute(const TorusGeom &geom, NodeId src, NodeId dst, Rng &rng);
-
-/**
- * randomRoute() into @p out, reusing the storage of its vectors: the same
- * spec from the same RNG draws, with no allocation once @p out has held a
- * route of this torus.
- */
-void randomRoute(const TorusGeom &geom, NodeId src, NodeId dst, Rng &rng,
-                 RouteSpec &out);
-
-/**
- * randomRoute() into the fixed-size record of a 3-D torus: the same
- * order, slice and dirs from the same RNG draws, and `out.left` the hops
- * each dimension takes in its drawn direction.
+ * Fully randomized route into @p out: random dimension order, slice and
+ * tie-breaks, and `out.left` the hops each dimension takes in its drawn
+ * direction.
  * @throws std::invalid_argument, before any draw, unless @p geom has
  * three dimensions.
  */
@@ -122,35 +98,19 @@ void randomRoute(const TorusGeom &geom, const std::array<int, 3> &src,
                  const std::array<int, 3> &dst, Rng &rng, PacketRoute &out);
 
 /**
- * @p spec as the fixed-size record from @p src to @p dst: its order,
- * slice and dirs, and per dimension the hops to the destination's
- * coordinate along the spec's direction, minimal or the long way round.
- * @throws std::invalid_argument if @p spec is malformed (see
- * malformedRoute()) or @p geom does not have three dimensions.
- */
-PacketRoute packetRoute(const TorusGeom &geom, NodeId src, NodeId dst,
-                        const RouteSpec &spec);
-
-/**
- * Expand a RouteSpec into the exact sequence of inter-node hops from @p src
- * to @p dst. Hops for one dimension are contiguous (dimension-order).
- */
-std::vector<TorusHop> torusHops(const TorusGeom &geom, NodeId src, NodeId dst,
-                                const RouteSpec &spec);
-
-/**
- * The next dimension (index into spec.order traversal) a packet at @p here
- * must route in, or -1 if @p here == @p dst. Used for per-chip incremental
- * route decisions.
- */
-int nextRouteDim(const TorusGeom &geom, NodeId here, NodeId dst,
-                 const RouteSpec &spec);
-
-/**
- * Why @p spec is not a route of a 3-D torus - its order must be a
+ * Why @p route is not a route of a 3-D torus - its order must be a
  * permutation of the dimensions, with one Pos or Neg direction per
  * dimension and a slice below kNumSlices - or null when it is one.
  */
-const char *malformedRoute(const RouteSpec &spec);
+const char *malformedRoute(const PacketRoute &route);
+
+/**
+ * malformedRoute(route), or why `route.left` differs from the hops its
+ * directions take from @p src to @p dst (a record drawn or built for
+ * another pair, or part-way along its route); null when @p route is a
+ * whole route from @p src to @p dst.
+ */
+const char *malformedRoute(const TorusGeom &geom, NodeId src, NodeId dst,
+                           const PacketRoute &route);
 
 } // namespace anton2

@@ -183,16 +183,16 @@ TEST(Audit, GaugesPublishedWhenBound)
     EXPECT_NE(json.find("\"watchdog_trips\""), std::string::npos);
 }
 
-/** Route @p count forced X+ slice-0 packets from @p src to @p dst. */
+/** Route @p count forced X+ slice-0 packets from @p src to @p dst,
+ * which differ only in X. */
 std::uint64_t
-sendForcedXPlus(Machine &m, NodeId src, NodeId dst, int count, Rng &tie)
+sendForcedXPlus(Machine &m, NodeId src, NodeId dst, int count)
 {
+    const PacketRoute route(m.geom(), src, dst, DimOrder{ 0, 1, 2 },
+                            { Dir::Pos, Dir::Pos, Dir::Pos }, 0);
     std::uint64_t sent = 0;
     for (int i = 0; i < count; ++i) {
         auto pkt = m.makeWrite({ src, i % 4 }, { dst, 1 }, 0, 2);
-        RouteSpec route = makeRoute(m.geom(), src, dst,
-                                    DimOrder{ 0, 1, 2 }, 0, tie);
-        route.dirs[0] = Dir::Pos; // force the +X ring direction
         m.setRoute(*pkt, route);
         m.send(pkt);
         ++sent;
@@ -215,9 +215,8 @@ TEST(Audit, WithholdCreditTripsWatchdogAndNamesLink)
     m.attachInstrumentation(inst);
     Auditor &a = attachAudit(m, fastAudit(/*stall_threshold=*/300));
 
-    Rng tie(3);
     const NodeId dst = m.geom().id({ 2, 0, 0 });
-    const auto sent = sendForcedXPlus(m, 0, dst, 40, tie);
+    const auto sent = sendForcedXPlus(m, 0, dst, 40);
     EXPECT_FALSE(m.run(RunSpec::untilDelivered(sent, 100000)).reason == StopReason::Delivered);
 
     ASSERT_TRUE(a.tripped());
@@ -265,12 +264,11 @@ TEST(Audit, NoPromotionDeadlocksRingWithDeadlockVerdict)
     m.attachInstrumentation(inst);
     Auditor &a = attachAudit(m, fastAudit(/*stall_threshold=*/500));
 
-    Rng tie(5);
     std::uint64_t sent = 0;
     for (int x = 0; x < 8; ++x) {
         const NodeId src = m.geom().id({ x, 0, 0 });
         const NodeId dst = m.geom().id({ (x + 4) % 8, 0, 0 });
-        sent += sendForcedXPlus(m, src, dst, 16, tie);
+        sent += sendForcedXPlus(m, src, dst, 16);
     }
     EXPECT_FALSE(m.run(RunSpec::untilDelivered(sent, 200000)).reason == StopReason::Delivered);
 
@@ -290,12 +288,11 @@ TEST(Audit, NoPromotionDeadlocksRingWithDeadlockVerdict)
     // Control: the identical load on an unfaulted machine delivers - the
     // dateline promotion, not luck, is what breaks the cycle.
     Machine healthy(cfg);
-    Rng tie2(5);
     std::uint64_t sent2 = 0;
     for (int x = 0; x < 8; ++x) {
         const NodeId src = healthy.geom().id({ x, 0, 0 });
         const NodeId dst = healthy.geom().id({ (x + 4) % 8, 0, 0 });
-        sent2 += sendForcedXPlus(healthy, src, dst, 16, tie2);
+        sent2 += sendForcedXPlus(healthy, src, dst, 16);
     }
     EXPECT_TRUE(healthy.run(RunSpec::untilDelivered(sent2, 200000)).reason == StopReason::Delivered);
 }

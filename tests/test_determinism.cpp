@@ -192,14 +192,12 @@ runFaultedSnapshot(std::uint64_t seed)
     }
     // A forced stream over the starved link guarantees the wedge for any
     // seed; the random load above shapes the rest of the trip state.
-    Rng tie(9);
     const NodeId choke_dst = m.geom().id({ 2, 0, 0 });
+    const PacketRoute choke(m.geom(), 0, choke_dst, DimOrder{ 0, 1, 2 },
+                            { Dir::Pos, Dir::Pos, Dir::Pos }, 0);
     for (int i = 0; i < 30; ++i) {
         auto pkt = m.makeWrite({ 0, i % 4 }, { choke_dst, 1 }, 0, 2);
-        RouteSpec route = makeRoute(m.geom(), 0, choke_dst,
-                                    DimOrder{ 0, 1, 2 }, 0, tie);
-        route.dirs[0] = Dir::Pos;
-        m.setRoute(*pkt, route);
+        m.setRoute(*pkt, choke);
         m.send(pkt);
         ++sent;
     }

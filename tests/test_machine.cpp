@@ -117,15 +117,50 @@ TEST(Machine, EveryDimOrderAndSliceDelivers)
     for (const auto &order : allDimOrders(3)) {
         for (int slice = 0; slice < kNumSlices; ++slice) {
             auto pkt = m.makeWrite({ 0, 0 }, { dst, 0 });
-            RouteSpec route = makeRoute(m.geom(), 0, dst, order,
-                                        static_cast<std::uint8_t>(slice),
-                                        tie);
+            const PacketRoute route =
+                makeRoute(m.geom(), 0, dst, order,
+                          static_cast<std::uint8_t>(slice), tie);
             m.setRoute(*pkt, route);
             m.send(pkt);
             ++sent;
         }
     }
     ASSERT_TRUE(m.run(RunSpec::untilDelivered(sent, 50000)).reason == StopReason::Delivered);
+}
+
+TEST(Machine, SetRouteTakesOnlyAWholeRoute)
+{
+    // A record is the whole route from the packet's source node to its
+    // destination node or it is rejected: a malformed shape, hops left
+    // part-way along the route or past it, another destination's
+    // record. The packet keeps its drawn route.
+    Machine m(smallConfig());
+    const TorusGeom &g = m.geom();
+    const NodeId dst = g.id({ 1, 2, 3 });
+    Rng tie(3);
+    const PacketRoute good = makeRoute(g, 0, dst, DimOrder{ 2, 0, 1 }, 1,
+                                       tie);
+    std::vector<PacketRoute> bad(5, good);
+    bad[0].order = { 0, 1, 1 };
+    bad[1].dirs[2] = static_cast<Dir>(0);
+    bad[2].slice = kNumSlices;
+    --bad[3].left[0];
+    ++bad[4].left[1];
+    bad.push_back(makeRoute(g, 0, g.id({ 1, 2, 2 }), DimOrder{ 2, 0, 1 }, 1,
+                            tie));
+    auto pkt = m.makeWrite({ 0, 0 }, { dst, 0 });
+    const PacketRoute drawn = pkt->route;
+    for (const PacketRoute &route : bad) {
+        EXPECT_THROW(m.setRoute(*pkt, route), std::invalid_argument);
+        EXPECT_EQ(pkt->route.order, drawn.order);
+        EXPECT_EQ(pkt->route.left, drawn.left);
+    }
+    m.setRoute(*pkt, good);
+    EXPECT_EQ(pkt->route.order, good.order);
+    EXPECT_EQ(pkt->route.left, good.left);
+    m.send(pkt);
+    ASSERT_EQ(m.run(RunSpec::untilDelivered(1, 20000)).reason,
+              StopReason::Delivered);
 }
 
 TEST(Machine, XThroughRoutesWork)
@@ -404,9 +439,9 @@ TEST(Machine, DeliveredPacketRecordsAreReused)
     ASSERT_EQ(second, raw) << "the slab hands the same record back";
     EXPECT_EQ(second->hops, 0);
     EXPECT_EQ(second->dst.node, dst);
-    EXPECT_EQ(static_cast<int>(
-                  torusHops(g, 0, dst, second->route.spec()).size()),
-              g.hopDistance(0, dst));
+    const auto &left = second->route.left;
+    EXPECT_EQ(left[0] + left[1] + left[2], g.hopDistance(0, dst));
+    EXPECT_EQ(malformedRoute(g, 0, dst, second->route), nullptr);
 }
 
 TEST(Machine, MulticastSavesTorusHops)

@@ -264,7 +264,7 @@ drive(Machine &m, int count, std::uint64_t route_seed)
         if (a == b)
             continue;
         auto pkt = m.makeWrite({ a, 0 }, { b, 1 });
-        RouteSpec route =
+        const PacketRoute route =
             makeRoute(m.geom(), a, b, DimOrder{ 0, 1, 2 }, 0, tie);
         m.setRoute(*pkt, route);
         m.send(pkt);

@@ -9,7 +9,7 @@
  *  - a machine whose network has drained holds no live record, for
  *    every traffic kind and at 1, 2 and 4 threads;
  *  - the torus hops a packet keeps per dimension pick, at every unicast
- *    ingress, the dimension nextRouteDim computes from coordinates.
+ *    ingress, the dimension its route order gives from coordinates.
  */
 #include <gtest/gtest.h>
 
@@ -298,9 +298,10 @@ TEST(PacketRoute, EveryIngressPicksNextRouteDim)
     // The flow probe keeps every delivered packet's hop spans. A link
     // span is the packet leaving a node over one adapter: its dimension
     // is the one the source (first hop) or the unicast ingress (every
-    // later hop) chose from the hops left, and must be the one
-    // nextRouteDim computes from that node's coordinates. Even radices
-    // give direction ties; 2-flit packets take part too.
+    // later hop) chose from the hops left, and must be the first in
+    // route order whose coordinate at that node differs from the
+    // destination's. Even radices give direction ties; 2-flit packets
+    // take part too.
     for (const std::vector<int> &radix :
          { std::vector<int>{ 4, 4, 4 }, { 5, 3, 4 } }) {
         MachineConfig cfg;
@@ -318,13 +319,21 @@ TEST(PacketRoute, EveryIngressPicksNextRouteDim)
         m.attachInstrumentation(inst);
         const TorusGeom &g = m.geom();
         const ChipLayout &layout = m.layout();
+        auto nextDim = [&](NodeId here, NodeId dst,
+                           const PacketRoute &route) {
+            for (int d : route.order) {
+                if (g.coord(here, d) != g.coord(dst, d))
+                    return d;
+            }
+            return -1;
+        };
 
         std::uint64_t checked = 0;
         m.setDeliverHook([&](const PacketPtr &p, Cycle) {
             const auto &spans = m.flows()->sampledSpans();
             ASSERT_FALSE(spans.empty());
             ASSERT_EQ(spans.back().meta.packet, p->id);
-            const RouteSpec spec = p->route.spec();
+            const PacketRoute &route = p->route;
             NodeId here = p->src.node;
             int hops = 0;
             for (const PacketEvent &hop : spans.back().path) {
@@ -334,16 +343,16 @@ TEST(PacketRoute, EveryIngressPicksNextRouteDim)
                 Dir dir;
                 layout.channelAdapterParams(hop.unit, dim, dir, slice);
                 ASSERT_EQ(static_cast<NodeId>(hop.node), here);
-                ASSERT_EQ(dim, nextRouteDim(g, here, p->dst.node, spec))
+                ASSERT_EQ(dim, nextDim(here, p->dst.node, route))
                     << "packet " << p->id << " at node " << here;
-                ASSERT_EQ(dir, spec.dirs[static_cast<std::size_t>(dim)]);
-                ASSERT_EQ(slice, spec.slice);
+                ASSERT_EQ(dir, route.dirs[static_cast<std::size_t>(dim)]);
+                ASSERT_EQ(slice, route.slice);
                 here = g.neighbor(here, dim, dir);
                 ++hops;
                 ++checked;
             }
             EXPECT_EQ(here, p->dst.node);
-            EXPECT_EQ(nextRouteDim(g, here, p->dst.node, spec), -1);
+            EXPECT_EQ(nextDim(here, p->dst.node, route), -1);
             EXPECT_EQ(hops, p->hops);
         });
 

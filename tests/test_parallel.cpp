@@ -344,16 +344,16 @@ TEST(ThreadedDeterminism, HaloMulticastExportsAreByteIdentical)
 // Seeded-fault watchdog equality
 // ---------------------------------------------------------------------
 
-/** Route @p count forced X+ slice-0 packets from @p src to @p dst. */
+/** Route @p count forced X+ slice-0 packets from @p src to @p dst,
+ * which differ only in X. */
 std::uint64_t
-sendForcedXPlus(Machine &m, NodeId src, NodeId dst, int count, Rng &tie)
+sendForcedXPlus(Machine &m, NodeId src, NodeId dst, int count)
 {
+    const PacketRoute route(m.geom(), src, dst, DimOrder{ 0, 1, 2 },
+                            { Dir::Pos, Dir::Pos, Dir::Pos }, 0);
     std::uint64_t sent = 0;
     for (int i = 0; i < count; ++i) {
         auto pkt = m.makeWrite({ src, i % 4 }, { dst, 1 }, 0, 2);
-        RouteSpec route = makeRoute(m.geom(), src, dst,
-                                    DimOrder{ 0, 1, 2 }, 0, tie);
-        route.dirs[0] = Dir::Pos;
         m.setRoute(*pkt, route);
         m.send(pkt);
         ++sent;
@@ -390,9 +390,8 @@ TEST(ThreadedDeterminism, FaultedWatchdogTripsAtSameCycle)
         inst.audit = acfg;
         m.attachInstrumentation(inst);
 
-        Rng tie(3);
         const NodeId dst = m.geom().id({ 2, 0, 0 });
-        const auto sent = sendForcedXPlus(m, 0, dst, 40, tie);
+        const auto sent = sendForcedXPlus(m, 0, dst, 40);
         EXPECT_FALSE(m.run(RunSpec::untilDelivered(sent, 100000)).reason == StopReason::Delivered)
             << "threads=" << threads;
 

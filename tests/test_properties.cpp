@@ -18,31 +18,37 @@ TEST(Property, VcNeverDecreasesAlongARoute)
 {
     // The promotion VC is monotonically non-decreasing over a packet's
     // lifetime - the essence of the acyclic ordering of Section 2.5.
+    // The route advances as Chip::ingressAt advances a packet's: it
+    // leaves by nextDim() and takes the hop off that dimension's count.
     const TorusGeom geom(5, 4, 6);
     Rng rng(13);
+    PacketRoute route;
     for (VcPolicy policy : { VcPolicy::Anton2, VcPolicy::Baseline2n }) {
         for (int trial = 0; trial < 500; ++trial) {
             const auto src = static_cast<NodeId>(
                 rng.below(geom.numNodes()));
             const auto dst = static_cast<NodeId>(
                 rng.below(geom.numNodes()));
-            const auto spec = randomRoute(geom, src, dst, rng);
-            const auto hops = torusHops(geom, src, dst, spec);
+            randomRoute(geom, src, dst, rng, route);
 
             VcState vc(policy);
             int last = 0;
             Coords c = geom.coords(src);
-            for (std::size_t i = 0; i < hops.size(); ++i) {
-                const auto &h = hops[i];
-                const int to = geom.neighborCoord(c[h.dim], h.dim, h.dir);
-                const int t = vc.onTorusHop(
-                    geom.crossesDateline(c[h.dim], to, h.dim));
+            for (int d = route.nextDim(); d >= 0;) {
+                const auto dd = static_cast<std::size_t>(d);
+                const int to = geom.neighborCoord(c[dd], d, route.dirs[dd]);
+                const int t =
+                    vc.onTorusHop(geom.crossesDateline(c[dd], to, d));
                 EXPECT_GE(t, last);
                 last = t;
-                c[h.dim] = to;
-                if (i + 1 == hops.size() || hops[i + 1].dim != h.dim)
+                c[dd] = to;
+                --route.left[dd];
+                const int next = route.nextDim();
+                if (next != d)
                     vc.onDimComplete();
+                d = next;
             }
+            EXPECT_EQ(geom.id(c), dst);
         }
     }
 }
@@ -142,8 +148,9 @@ TEST(Property, LoadTracerConservesPackets)
     for (int i = 0; i < packets; ++i) {
         const auto src = static_cast<NodeId>(rng.below(geom.numNodes()));
         const auto dst = static_cast<NodeId>(rng.below(geom.numNodes()));
-        const auto spec = randomRoute(geom, src, dst, rng);
-        lm.tracePacket({ src, 0 }, { dst, 1 }, spec, 1.0, 0);
+        PacketRoute route;
+        randomRoute(geom, src, dst, rng, route);
+        lm.tracePacket({ src, 0 }, { dst, 1 }, route, 1.0, 0);
         expected_hops += geom.hopDistance(src, dst);
     }
     double total = 0;

@@ -20,20 +20,40 @@
 namespace anton2 {
 namespace {
 
+/**
+ * A route's torus hops, one (dimension, direction) per hop, in the
+ * order Chip::ingressAt takes them: leave by nextDim(), then take the
+ * hop off its dimension's count on arrival.
+ */
+std::vector<std::pair<int, Dir>>
+walkHops(PacketRoute route)
+{
+    std::vector<std::pair<int, Dir>> hops;
+    for (int d = route.nextDim(); d >= 0; d = route.nextDim()) {
+        const auto dd = static_cast<std::size_t>(d);
+        hops.push_back({ d, route.dirs[dd] });
+        --route.left[dd];
+    }
+    return hops;
+}
+
 TEST(Route, HopsReachDestinationMinimally)
 {
     const TorusGeom g(8, 8, 8);
     Rng rng(1);
+    PacketRoute route;
     for (int trial = 0; trial < 500; ++trial) {
         const auto src = static_cast<NodeId>(rng.below(g.numNodes()));
         const auto dst = static_cast<NodeId>(rng.below(g.numNodes()));
-        const auto spec = randomRoute(g, src, dst, rng);
-        const auto hops = torusHops(g, src, dst, spec);
+        randomRoute(g, src, dst, rng, route);
+        const auto hops = walkHops(route);
         EXPECT_EQ(static_cast<int>(hops.size()), g.hopDistance(src, dst));
 
         Coords c = g.coords(src);
-        for (const auto &h : hops)
-            c[h.dim] = g.neighborCoord(c[h.dim], h.dim, h.dir);
+        for (const auto &[d, dir] : hops) {
+            const auto dd = static_cast<std::size_t>(d);
+            c[dd] = g.neighborCoord(c[dd], d, dir);
+        }
         EXPECT_EQ(g.id(c), dst);
     }
 }
@@ -42,19 +62,20 @@ TEST(Route, HopsAreDimensionOrdered)
 {
     const TorusGeom g(6, 6, 6);
     Rng rng(2);
+    PacketRoute route;
     for (int trial = 0; trial < 200; ++trial) {
         const auto src = static_cast<NodeId>(rng.below(g.numNodes()));
         const auto dst = static_cast<NodeId>(rng.below(g.numNodes()));
-        const auto spec = randomRoute(g, src, dst, rng);
-        const auto hops = torusHops(g, src, dst, spec);
-        // Dimensions must appear as contiguous runs following spec.order.
+        randomRoute(g, src, dst, rng, route);
+        const auto hops = walkHops(route);
+        // Dimensions must appear as contiguous runs following the order.
         std::size_t order_pos = 0;
         for (std::size_t i = 0; i < hops.size(); ++i) {
-            while (order_pos < spec.order.size()
-                   && hops[i].dim != spec.order[order_pos]) {
+            while (order_pos < route.order.size()
+                   && hops[i].first != route.order[order_pos]) {
                 ++order_pos;
             }
-            ASSERT_LT(order_pos, spec.order.size());
+            ASSERT_LT(order_pos, route.order.size());
         }
     }
 }
@@ -63,14 +84,15 @@ TEST(Route, RandomRouteUsesAllOrdersAndSlices)
 {
     const TorusGeom g(4, 4, 4);
     Rng rng(3);
-    std::set<DimOrder> orders;
+    std::set<std::array<std::uint8_t, 3>> orders;
     std::set<int> slices;
     const NodeId src = 0;
     const NodeId dst = g.id({ 2, 2, 2 });
+    PacketRoute route;
     for (int i = 0; i < 400; ++i) {
-        const auto spec = randomRoute(g, src, dst, rng);
-        orders.insert(spec.order);
-        slices.insert(spec.slice);
+        randomRoute(g, src, dst, rng, route);
+        orders.insert(route.order);
+        slices.insert(route.slice);
     }
     EXPECT_EQ(orders.size(), 6u);
     EXPECT_EQ(slices.size(), 2u);
@@ -84,9 +106,10 @@ TEST(Route, TieBreakUsesBothDirections)
     const NodeId src = 0;
     const NodeId dst = g.id({ 4, 0, 0 });
     std::set<Dir> seen;
+    PacketRoute route;
     for (int i = 0; i < 100; ++i) {
-        const auto spec = randomRoute(g, src, dst, rng);
-        seen.insert(spec.dirs[0]);
+        randomRoute(g, src, dst, rng, route);
+        seen.insert(route.dirs[0]);
     }
     EXPECT_EQ(seen.size(), 2u);
 }
@@ -97,22 +120,34 @@ TEST(Route, NextRouteDimFollowsOrder)
     Rng rng(5);
     const NodeId src = g.id({ 1, 1, 1 });
     const NodeId dst = g.id({ 3, 1, 2 });
-    auto spec = makeRoute(g, src, dst, DimOrder{ 2, 0, 1 }, 0, rng);
-    EXPECT_EQ(nextRouteDim(g, src, dst, spec), 2);          // Z first
-    EXPECT_EQ(nextRouteDim(g, g.id({ 1, 1, 2 }), dst, spec), 0); // then X
-    EXPECT_EQ(nextRouteDim(g, dst, dst, spec), -1);
+    PacketRoute route = makeRoute(g, src, dst, DimOrder{ 2, 0, 1 }, 0, rng);
+    EXPECT_EQ(route.left, (std::array<std::uint16_t, 3>{ 2, 0, 1 }));
+    EXPECT_EQ(route.nextDim(), 2); // Z first
+    --route.left[2];               // arrived at (1, 1, 2)
+    EXPECT_EQ(route.nextDim(), 0); // then X
+    route.left[0] = 0;             // two X hops on, at the destination
+    EXPECT_EQ(route.nextDim(), -1);
 }
+
+/** A route's choices in the n-dimensional form the reference functions
+ * below use: dimension order, slice, one direction per dimension. */
+struct ReferenceRoute
+{
+    DimOrder order;
+    std::uint8_t slice = 0;
+    std::vector<Dir> dirs;
+};
 
 /** Reference makeRoute: the formulation over Coords and
  * TorusGeom::minimalDirs that the coordinate-free one must match. */
-RouteSpec
+ReferenceRoute
 referenceMakeRoute(const TorusGeom &geom, NodeId src, NodeId dst,
                    DimOrder order, std::uint8_t slice, Rng &rng)
 {
-    RouteSpec spec;
-    spec.order = std::move(order);
-    spec.slice = slice;
-    spec.dirs.assign(static_cast<std::size_t>(geom.ndims()), Dir::Pos);
+    ReferenceRoute route;
+    route.order = std::move(order);
+    route.slice = slice;
+    route.dirs.assign(static_cast<std::size_t>(geom.ndims()), Dir::Pos);
     const Coords cs = geom.coords(src);
     const Coords cd = geom.coords(dst);
     for (int d = 0; d < geom.ndims(); ++d) {
@@ -122,61 +157,14 @@ referenceMakeRoute(const TorusGeom &geom, NodeId src, NodeId dst,
             continue;
         const std::size_t pick =
             dims.size() > 1 ? static_cast<std::size_t>(rng.bit()) : 0;
-        spec.dirs[static_cast<std::size_t>(d)] = dims[pick];
+        route.dirs[static_cast<std::size_t>(d)] = dims[pick];
     }
-    return spec;
+    return route;
 }
 
-/** Reference nextRouteDim over Coords. */
-int
-referenceNextRouteDim(const TorusGeom &geom, NodeId here, NodeId dst,
-                      const RouteSpec &spec)
-{
-    const Coords ch = geom.coords(here);
-    const Coords cd = geom.coords(dst);
-    for (int d : spec.order) {
-        const auto dd = static_cast<std::size_t>(d);
-        if (ch[dd] != cd[dd])
-            return d;
-    }
-    return -1;
-}
-
-TEST(Route, CoordFreeRoutingMatchesCoordsReference)
-{
-    // Every (src, dst) pair, rotating through every dimension order and
-    // both slices; 8x8x8 has k/2 ties in every dimension, so the
-    // tie-break draws must line up exactly.
-    for (const std::vector<int> &radix :
-         { std::vector<int>{ 4, 4, 4 }, { 8, 8, 8 }, { 5, 3, 3 }, { 5 },
-           { 4, 4, 3, 3 } }) {
-        const TorusGeom g(radix);
-        const std::vector<DimOrder> orders = allDimOrders(g.ndims());
-        Rng ref_rng(17);
-        Rng rng(17);
-        std::size_t i = 0;
-        for (NodeId src = 0; src < g.numNodes(); ++src) {
-            for (NodeId dst = 0; dst < g.numNodes(); ++dst, ++i) {
-                const DimOrder &order = orders[i % orders.size()];
-                const auto slice = static_cast<std::uint8_t>(i % kNumSlices);
-                const RouteSpec want =
-                    referenceMakeRoute(g, src, dst, order, slice, ref_rng);
-                const RouteSpec got = makeRoute(g, src, dst, order, slice, rng);
-                ASSERT_EQ(got.order, want.order);
-                ASSERT_EQ(got.slice, want.slice);
-                ASSERT_EQ(got.dirs, want.dirs)
-                    << "src " << src << " dst " << dst;
-                ASSERT_EQ(rng.state(), ref_rng.state());
-                ASSERT_EQ(nextRouteDim(g, src, dst, got),
-                          referenceNextRouteDim(g, src, dst, want));
-            }
-        }
-    }
-}
-
-/** Reference randomRoute: the by-value formulation that builds a new
- * order vector and hands it to makeRoute. */
-RouteSpec
+/** Reference randomRoute: draws a new order vector and slice and hands
+ * them to referenceMakeRoute. */
+ReferenceRoute
 referenceRandomRoute(const TorusGeom &geom, NodeId src, NodeId dst, Rng &rng)
 {
     DimOrder order(static_cast<std::size_t>(geom.ndims()));
@@ -187,20 +175,126 @@ referenceRandomRoute(const TorusGeom &geom, NodeId src, NodeId dst, Rng &rng)
         std::swap(order[i - 1], order[j]);
     }
     const auto slice = static_cast<std::uint8_t>(rng.below(kNumSlices));
-    return makeRoute(geom, src, dst, std::move(order), slice, rng);
+    return referenceMakeRoute(geom, src, dst, std::move(order), slice, rng);
+}
+
+/** Reference next dimension over Coords: the first in route order whose
+ * coordinate at @p here differs from @p dst's. */
+int
+referenceNextRouteDim(const TorusGeom &geom, NodeId here, NodeId dst,
+                      const ReferenceRoute &route)
+{
+    const Coords ch = geom.coords(here);
+    const Coords cd = geom.coords(dst);
+    for (int d : route.order) {
+        const auto dd = static_cast<std::size_t>(d);
+        if (ch[dd] != cd[dd])
+            return d;
+    }
+    return -1;
+}
+
+/** Reference hop expansion over Coords: each dimension in route order,
+ * stepped along its direction until its coordinate is @p dst's. */
+std::vector<std::pair<int, Dir>>
+referenceHops(const TorusGeom &geom, NodeId src, NodeId dst,
+              const ReferenceRoute &route)
+{
+    std::vector<std::pair<int, Dir>> hops;
+    const Coords cd = geom.coords(dst);
+    Coords c = geom.coords(src);
+    for (int d : route.order) {
+        const auto dd = static_cast<std::size_t>(d);
+        while (c[dd] != cd[dd]) {
+            hops.push_back({ d, route.dirs[dd] });
+            c[dd] = geom.neighborCoord(c[dd], d, route.dirs[dd]);
+        }
+    }
+    return hops;
+}
+
+/** @p got holds @p want's choices, and per dimension the hops of
+ * @p want's route from @p src to @p dst. */
+::testing::AssertionResult
+sameRoute(const TorusGeom &g, NodeId src, NodeId dst, const PacketRoute &got,
+          const ReferenceRoute &want)
+{
+    std::array<std::uint16_t, 3> left{};
+    for (const auto &hop : referenceHops(g, src, dst, want))
+        ++left[static_cast<std::size_t>(hop.first)];
+    if (DimOrder(got.order.begin(), got.order.end()) != want.order
+        || got.slice != want.slice
+        || std::vector<Dir>(got.dirs.begin(), got.dirs.end()) != want.dirs
+        || got.left != left)
+        return ::testing::AssertionFailure()
+               << "src " << src << " dst " << dst;
+    return ::testing::AssertionSuccess();
+}
+
+TEST(Route, CoordFreeRoutingMatchesCoordsReference)
+{
+    // Every (src, dst) pair, rotating through every dimension order and
+    // both slices; 8x8x8 has k/2 ties in every dimension, so the
+    // tie-break draws must line up exactly.
+    for (const std::vector<int> &radix :
+         { std::vector<int>{ 4, 4, 4 }, { 8, 8, 8 }, { 5, 3, 3 } }) {
+        const TorusGeom g(radix);
+        const std::vector<DimOrder> orders = allDimOrders(g.ndims());
+        Rng ref_rng(17);
+        Rng rng(17);
+        std::size_t i = 0;
+        for (NodeId src = 0; src < g.numNodes(); ++src) {
+            for (NodeId dst = 0; dst < g.numNodes(); ++dst, ++i) {
+                const DimOrder &order = orders[i % orders.size()];
+                const auto slice = static_cast<std::uint8_t>(i % kNumSlices);
+                const ReferenceRoute want =
+                    referenceMakeRoute(g, src, dst, order, slice, ref_rng);
+                const PacketRoute got =
+                    makeRoute(g, src, dst, order, slice, rng);
+                ASSERT_TRUE(sameRoute(g, src, dst, got, want));
+                ASSERT_EQ(rng.state(), ref_rng.state());
+                ASSERT_EQ(got.nextDim(),
+                          referenceNextRouteDim(g, src, dst, want));
+            }
+        }
+    }
+    // A route record holds three dimensions in some order: another
+    // torus, and an order that is not a permutation of the three (too
+    // short, repeated, past the dimensions, too long, negative), are
+    // rejected before any draw.
+    Rng rng(7);
+    const auto drawn = rng.state();
+    for (const std::vector<int> &radix :
+         { std::vector<int>{ 5 }, { 4, 4 }, { 4, 4, 3, 3 } }) {
+        const TorusGeom g(radix);
+        const DimOrder order = allDimOrders(g.ndims()).front();
+        EXPECT_THROW(makeRoute(g, 0, 1, order, 0, rng),
+                     std::invalid_argument);
+    }
+    const TorusGeom g(4, 4, 4);
+    const NodeId dst = g.id({ 1, 2, 3 });
+    for (const DimOrder &order :
+         { DimOrder{ 0, 1 }, DimOrder{ 0, 0, 1 }, DimOrder{ 0, 1, 3 },
+           DimOrder{ 0, 1, 2, 0 }, DimOrder{ -1, 1, 2 },
+           DimOrder{ 256, 1, 2 }, DimOrder{} }) {
+        EXPECT_THROW(makeRoute(g, 0, dst, order, 0, rng),
+                     std::invalid_argument);
+    }
+    EXPECT_THROW(makeRoute(g, 0, dst, DimOrder{ 0, 1, 2 }, kNumSlices, rng),
+                 std::invalid_argument);
+    EXPECT_EQ(rng.state(), drawn) << "rejected before any draw";
 }
 
 TEST(Route, InPlaceDrawsMatchByValue)
 {
-    // Into a fresh spec, into one spec reused across (src, dst) pairs and
-    // tori, and into the fixed-size record from node ids and from
-    // coordinates, the in-place draws must return the by-value spec (which
-    // randomRoute checks against the reference) and leave the Rng in the
-    // same state. The record's hops per dimension must be the hops left
-    // that Machine::setRoute gives a packet routed along that spec. Every
-    // offset on 2x2x2 is a tie and 8x8x8 has k/2 ties in every dimension,
-    // so the tie-break draws must line up too.
-    RouteSpec reused;
+    // Into records reused across (src, dst) pairs and tori, from node
+    // ids and from coordinates, randomRoute and makeRoute must give the
+    // by-value reference's choices with `left` the reference route's
+    // hops per dimension, and leave the Rng in the same state;
+    // Machine::setRoute takes each as a route between the pair. Every
+    // offset on 2x2x2 is a tie and 8x8x8 has k/2 ties in every
+    // dimension, so the tie-break draws must line up too.
+    PacketRoute by_ids, by_coords;
     for (const std::vector<int> &radix :
          { std::vector<int>{ 2, 2, 2 }, { 4, 4, 4 }, { 8, 8, 8 },
            { 3, 5, 8 } }) {
@@ -216,80 +310,40 @@ TEST(Route, InPlaceDrawsMatchByValue)
                                        g.coord(n, 2) };
         };
         const std::vector<DimOrder> orders = allDimOrders(g.ndims());
-        Rng ref_rng(29), by_value(29), fresh_rng(29), reused_rng(29),
-            fixed_rng(29), coords_rng(29), pick(31);
-        const int *order_storage = nullptr;
-        const Dir *dirs_storage = nullptr;
+        Rng ref_rng(29), ids_rng(29), coords_rng(29), pick(31);
         for (int i = 0; i < 12000; ++i) {
             const auto src = static_cast<NodeId>(pick.below(g.numNodes()));
             const auto dst = static_cast<NodeId>(pick.below(g.numNodes()));
-            RouteSpec want, fresh;
+            ReferenceRoute want;
             if (i % 2 == 0) {
-                const RouteSpec ref = referenceRandomRoute(g, src, dst,
-                                                           ref_rng);
-                want = randomRoute(g, src, dst, by_value);
-                ASSERT_EQ(want.order, ref.order) << "draw " << i;
-                ASSERT_EQ(want.slice, ref.slice) << "draw " << i;
-                ASSERT_EQ(want.dirs, ref.dirs) << "draw " << i;
-                ASSERT_EQ(by_value.state(), ref_rng.state());
-                randomRoute(g, src, dst, fresh_rng, fresh);
-                randomRoute(g, src, dst, reused_rng, reused);
-                PacketRoute fixed, by_coords;
-                randomRoute(g, src, dst, fixed_rng, fixed);
+                want = referenceRandomRoute(g, src, dst, ref_rng);
+                randomRoute(g, src, dst, ids_rng, by_ids);
                 randomRoute(g, coords(src), coords(dst), coords_rng,
                             by_coords);
-                routed.src.node = src;
-                routed.dst.node = dst;
-                m.setRoute(routed, want);
-                for (const PacketRoute *got : { &fixed, &by_coords }) {
-                    const RouteSpec spec = got->spec();
-                    ASSERT_EQ(spec.order, want.order) << "draw " << i;
-                    ASSERT_EQ(spec.slice, want.slice) << "draw " << i;
-                    ASSERT_EQ(spec.dirs, want.dirs) << "draw " << i;
-                    ASSERT_EQ(got->left, routed.route.left) << "draw " << i;
-                }
-                ASSERT_EQ(fixed_rng.state(), by_value.state()) << "draw "
-                                                               << i;
-                ASSERT_EQ(coords_rng.state(), by_value.state()) << "draw "
-                                                                << i;
+                ASSERT_TRUE(sameRoute(g, src, dst, by_coords, want))
+                    << "draw " << i;
+                ASSERT_EQ(coords_rng.state(), ref_rng.state())
+                    << "draw " << i;
             } else {
                 const DimOrder &order = orders[pick.below(orders.size())];
                 const auto slice =
                     static_cast<std::uint8_t>(pick.below(kNumSlices));
-                want = makeRoute(g, src, dst, order, slice, by_value);
-                // The reference and the record cover randomRoute.
-                ref_rng = fixed_rng = coords_rng = by_value;
-                makeRoute(g, src, dst, order, slice, fresh_rng, fresh);
-                makeRoute(g, src, dst, order, slice, reused_rng, reused);
+                want = referenceMakeRoute(g, src, dst, order, slice,
+                                          ref_rng);
+                by_ids = makeRoute(g, src, dst, order, slice, ids_rng);
+                // The reference covers the coordinate draw.
+                coords_rng = ids_rng;
             }
-            for (const RouteSpec *got : { &fresh, &reused }) {
-                ASSERT_EQ(got->order, want.order) << "draw " << i;
-                ASSERT_EQ(got->slice, want.slice) << "draw " << i;
-                ASSERT_EQ(got->dirs, want.dirs) << "draw " << i;
-            }
-            ASSERT_EQ(fresh_rng.state(), by_value.state()) << "draw " << i;
-            ASSERT_EQ(reused_rng.state(), by_value.state()) << "draw " << i;
-            // The reused spec keeps its storage: no allocation per draw.
-            if (i > 0) {
-                ASSERT_EQ(reused.order.data(), order_storage);
-                ASSERT_EQ(reused.dirs.data(), dirs_storage);
-            }
-            order_storage = reused.order.data();
-            dirs_storage = reused.dirs.data();
+            ASSERT_TRUE(sameRoute(g, src, dst, by_ids, want)) << "draw " << i;
+            ASSERT_EQ(ids_rng.state(), ref_rng.state()) << "draw " << i;
+            routed.src.node = src;
+            routed.dst.node = dst;
+            m.setRoute(routed, by_ids);
+            ASSERT_EQ(routed.route.left, by_ids.left) << "draw " << i;
         }
-        // The order argument may alias the output spec's own order.
-        const RouteSpec before = reused;
-        Rng a(7), b(7);
-        makeRoute(g, 0, g.numNodes() - 1, reused.order, reused.slice, a,
-                  reused);
-        const RouteSpec want = makeRoute(g, 0, g.numNodes() - 1,
-                                         before.order, before.slice, b);
-        EXPECT_EQ(reused.order, want.order);
-        EXPECT_EQ(reused.dirs, want.dirs);
-        EXPECT_EQ(a.state(), b.state());
     }
-    // The fixed-size record holds three dimensions; another torus is
-    // rejected before any draw.
+    // The record holds three dimensions; another torus is rejected
+    // before any draw.
     PacketRoute fixed;
     Rng a(7);
     const auto drawn = a.state();
@@ -299,6 +353,9 @@ TEST(Route, InPlaceDrawsMatchByValue)
         EXPECT_THROW(randomRoute(g, 0, 1, a, fixed), std::invalid_argument);
         EXPECT_THROW(randomRoute(g, std::array<int, 3>{},
                                  std::array<int, 3>{ 1, 0, 0 }, a, fixed),
+                     std::invalid_argument);
+        EXPECT_THROW(PacketRoute(g, 0, 1, DimOrder{ 0, 1, 2 },
+                                 { Dir::Pos, Dir::Pos, Dir::Pos }, 0),
                      std::invalid_argument);
     }
     EXPECT_EQ(a.state(), drawn) << "rejected before any draw";
@@ -473,21 +530,23 @@ TEST_P(VcPromotionSweep, VcStaysWithinPolicyBound)
         for (int trial = 0; trial < 300; ++trial) {
             const auto src = static_cast<NodeId>(rng.below(g.numNodes()));
             const auto dst = static_cast<NodeId>(rng.below(g.numNodes()));
-            const auto spec = randomRoute(g, src, dst, rng);
-            const auto hops = torusHops(g, src, dst, spec);
+            // The reference draw: a route record holds three dimensions.
+            const auto hops = referenceHops(
+                g, src, dst, referenceRandomRoute(g, src, dst, rng));
 
             VcState s(policy);
             Coords c = g.coords(src);
             for (std::size_t i = 0; i < hops.size(); ++i) {
-                const auto &h = hops[i];
-                const int from = c[h.dim];
-                const int to = g.neighborCoord(from, h.dim, h.dir);
-                const int vc = s.onTorusHop(
-                    g.crossesDateline(from, to, h.dim));
+                const auto [dim, dir] = hops[i];
+                const auto dd = static_cast<std::size_t>(dim);
+                const int from = c[dd];
+                const int to = g.neighborCoord(from, dim, dir);
+                const int vc =
+                    s.onTorusHop(g.crossesDateline(from, to, dim));
                 EXPECT_LT(vc, t_bound);
-                c[h.dim] = to;
+                c[dd] = to;
                 const bool dim_done =
-                    (i + 1 == hops.size()) || (hops[i + 1].dim != h.dim);
+                    (i + 1 == hops.size()) || (hops[i + 1].first != dim);
                 if (dim_done) {
                     s.onDimComplete();
                     EXPECT_LT(static_cast<int>(s.meshVc()), m_bound);
