@@ -42,8 +42,7 @@ class PacedSource : public Component
   public:
     PacedSource(PacketSlab &slab, Channel &out, int rate_num, int rate_den,
                 Payload payload, std::uint64_t seed)
-        : Component("source"),
-          slab_(slab),
+        : slab_(slab),
           out_(out),
           num_(rate_num),
           den_(rate_den),
@@ -147,7 +146,7 @@ class PacedSource : public Component
 class Sink : public Component
 {
   public:
-    explicit Sink(Channel &in) : Component("sink"), in_(in) {}
+    explicit Sink(Channel &in) : in_(in) {}
 
     void
     tick(Cycle now) override
@@ -181,8 +180,7 @@ struct Chain
         channels.push_back(std::make_unique<Channel>(1, 1));
         for (int i = 0; i < hops; ++i) {
             routes.set(i, 0, { 1, VcGroup::Mesh });
-            routers.push_back(std::make_unique<Router>(
-                "r" + std::to_string(i), rcfg, routes, i));
+            routers.push_back(std::make_unique<Router>(rcfg, routes, i));
             meters.push_back(std::make_unique<RouterEnergyMeter>(2));
             routers.back()->setEnergyMeter(meters.back().get());
             channels.push_back(std::make_unique<Channel>(1, 1));

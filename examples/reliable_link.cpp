@@ -27,8 +27,8 @@ main()
         LossyFrameChannel fwd(40, p, 11);
         LossyFrameChannel ack(40, 0.0, 12);
         std::uint64_t delivered = 0;
-        LinkSender tx("tx", cfg, fwd, ack);
-        LinkReceiver rx("rx", cfg, fwd, ack,
+        LinkSender tx(cfg, fwd, ack);
+        LinkReceiver rx(cfg, fwd, ack,
                         [&](const FlitPayload &, Cycle) { ++delivered; });
         engine.add(tx);
         engine.add(rx);

@@ -49,18 +49,6 @@ reqInfoScratch()
     return scratch;
 }
 
-/** Grants the lowest-indexed requesting input. Stateless. */
-struct FixedPriorityArbiter
-{
-    explicit FixedPriorityArbiter(int) {}
-
-    int
-    pick(std::uint32_t req_mask, const ReqInfo *) const
-    {
-        return req_mask == 0 ? -1 : std::countr_zero(req_mask);
-    }
-};
-
 /**
  * Classic round-robin arbiter: grants the first requesting input at or
  * after the rotating pointer, then advances the pointer past the grant.

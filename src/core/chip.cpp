@@ -32,10 +32,6 @@ Chip::Chip(NodeId node, const ChipConfig &cfg, const ChipLayout &layout,
            LaneBuffer<Packet *> &releases)
     : node_(node), cfg_(cfg), layout_(layout), geom_(geom)
 {
-    std::string prefix = "n";
-    prefix += std::to_string(node);
-    prefix += '.';
-
     RouterConfig rcfg;
     rcfg.num_ports = kRouterPorts;
     rcfg.num_vcs = cfg_.numVcs();
@@ -43,8 +39,7 @@ Chip::Chip(NodeId node, const ChipConfig &cfg, const ChipLayout &layout,
     rcfg.out_arb = cfg_.arb;
 
     for (RouterId r = 0; r < layout_.numRouters(); ++r) {
-        routers_.push_back(std::make_unique<Router>(
-            prefix + layout_.mesh().routerName(r), rcfg, routes, r));
+        routers_.push_back(std::make_unique<Router>(rcfg, routes, r));
     }
 
     ChannelAdapterConfig ccfg;
@@ -56,12 +51,10 @@ Chip::Chip(NodeId node, const ChipConfig &cfg, const ChipLayout &layout,
         int dim, slice;
         Dir dir;
         layout_.channelAdapterParams(ca, dim, dir, slice);
-        const std::string name = prefix + "C" + std::string(1, kDimNames[dim])
-                                 + std::to_string(slice) + dirName(dir);
         const int from = geom_.coord(node_, dim);
         const int to = geom_.neighborCoord(from, dim, dir);
         channel_adapters_.push_back(std::make_unique<ChannelAdapter>(
-            name, ccfg, geom_.crossesDateline(from, to, dim),
+            ccfg, geom_.crossesDateline(from, to, dim),
             [this, ca](PacketPtr pkt, std::vector<IngressCopy> &copies) {
                 ingressAt(ca, pkt, copies);
             },
@@ -71,9 +64,8 @@ Chip::Chip(NodeId node, const ChipConfig &cfg, const ChipLayout &layout,
     EndpointConfig ecfg;
     ecfg.num_vcs = cfg_.numVcs();
     for (EndpointId e = 0; e < layout_.numEndpoints(); ++e) {
-        endpoints_.push_back(std::make_unique<EndpointAdapter>(
-            prefix + "E" + std::to_string(e), ecfg,
-            EndpointAddr{ node_, e }));
+        endpoints_.push_back(
+            std::make_unique<EndpointAdapter>(ecfg, EndpointAddr{ node_, e }));
     }
 
     // ------------------------------------------------------------------

@@ -711,114 +711,91 @@ Machine::doEnableTimeseries(const TimeseriesConfig &cfg)
 {
     if (sampler_ != nullptr)
         return *sampler_;
-    sampler_ = std::make_unique<IntervalSampler>(cfg);
-    IntervalSampler &s = *sampler_;
 
-    // Machine-level rates: injected/delivered counts per window plus the
-    // windowed latency mean. The ejection + latency pair also feeds the
-    // steady-state detector.
-    {
-        SeriesInfo info;
-        info.name = "machine.injected";
-        info.scope = SeriesScope::Machine;
-        info.kind = SeriesKind::Cumulative;
-        s.addSeries(info, [this](Cycle) {
-            std::uint64_t total = 0;
-            for (NodeId n = 0; n < geom_.numNodes(); ++n) {
-                for (EndpointId e = 0; e < layout_.numEndpoints(); ++e)
-                    total += chip(n).endpoint(e).injected();
-            }
-            return static_cast<double>(total);
-        });
-    }
-    std::size_t delivered_idx;
-    {
-        SeriesInfo info;
-        info.name = "machine.delivered";
-        info.scope = SeriesScope::Machine;
-        info.kind = SeriesKind::Cumulative;
-        delivered_idx = s.addSeries(info, [this](Cycle) {
-            return static_cast<double>(delivered_);
-        });
-    }
-    SeriesInfo lat_info;
-    lat_info.name = "machine.latency_mean";
-    lat_info.scope = SeriesScope::Machine;
-    const std::size_t latency_idx = s.addStatSeries(lat_info, &latency_);
-
-    // Oldest in-flight packet age at each window boundary: a rising ramp
+    // The series, in the order the row below writes them. Machine level:
+    // injected and delivered counts per window and the windowed latency
+    // mean (the ejection + latency pair feeds the steady-state
+    // detector), and the oldest in-flight packet's age: a rising ramp
     // with a silent ejection side is the livelock/deadlock signature the
-    // watchdog trips on (and a cheap thing to eyeball in a time series).
-    {
-        SeriesInfo info;
-        info.name = "machine.pkt.max_age";
-        info.scope = SeriesScope::Machine;
-        info.kind = SeriesKind::Instant;
-        s.addSeries(info, [this](Cycle now) {
-            Cycle oldest = kNoCycle;
-            for (const auto &cp : chips_)
-                oldest = std::min(oldest, cp->flitCensus().oldest_birth);
-            return oldest == kNoCycle
-                       ? 0.0
-                       : static_cast<double>(now - oldest);
-        });
-    }
-
+    // watchdog trips on.
+    std::vector<SeriesInfo> series;
+    auto add = [&series](std::string name, SeriesKind kind,
+                         SeriesScope scope = SeriesScope::Machine,
+                         std::int32_t chip = -1) -> SeriesInfo & {
+        SeriesInfo &info = series.emplace_back();
+        info.name = std::move(name);
+        info.scope = scope;
+        info.kind = kind;
+        info.chip = chip;
+        return info;
+    };
+    add("machine.injected", SeriesKind::Cumulative);
+    add("machine.delivered", SeriesKind::Cumulative);
+    add("machine.latency_mean", SeriesKind::WindowMean);
+    add("machine.pkt.max_age", SeriesKind::Instant);
     const MeshGeom &mesh = layout_.mesh();
     for (NodeId n = 0; n < geom_.numNodes(); ++n) {
         const std::string chip_prefix = "chip." + std::to_string(n) + ".";
-
+        const auto node = static_cast<std::int32_t>(n);
         // Per-chip levels at each window boundary (where is traffic
         // queued *now*), read from the chip's census.
-        auto chipLevel = [&](const char *what, auto level) {
-            SeriesInfo info;
-            info.name = chip_prefix + what;
-            info.scope = SeriesScope::Chip;
-            info.kind = SeriesKind::Instant;
-            info.chip = static_cast<std::int32_t>(n);
-            s.addSeries(info, [this, n, level](Cycle now) {
-                return level(chips_[n]->flitCensus(), now);
-            });
-        };
-        chipLevel("occupancy_flits", [](const Chip::FlitCensus &c, Cycle) {
-            return static_cast<double>(c.buffered);
-        });
-        chipLevel("credits", [](const Chip::FlitCensus &c, Cycle) {
-            return static_cast<double>(c.free_credits);
-        });
-        chipLevel("pkt.oldest_age", [](const Chip::FlitCensus &c, Cycle now) {
-            return c.oldest_birth == kNoCycle
-                       ? 0.0
-                       : static_cast<double>(now - c.oldest_birth);
-        });
-
+        for (const char *level :
+             { "occupancy_flits", "credits", "pkt.oldest_age" })
+            add(chip_prefix + level, SeriesKind::Instant, SeriesScope::Chip,
+                node);
         // Per-link egress flit counts - the heatmap source. Utilization
         // normalizes against the SerDes rate (14/45 flits per cycle).
         for (int ca = 0; ca < layout_.numChannelAdapters(); ++ca) {
-            ChannelAdapter &a = chip(n).channelAdapter(ca);
             const RouterId r = layout_.channelRouter(ca);
-            SeriesInfo link;
-            link.name = chip_prefix + "ca." + layout_.channelShortName(ca)
-                        + ".flits";
-            link.scope = SeriesScope::Link;
-            link.kind = SeriesKind::Cumulative;
-            link.chip = static_cast<std::int32_t>(n);
+            SeriesInfo &link =
+                add(chip_prefix + "ca." + layout_.channelShortName(ca)
+                        + ".flits",
+                    SeriesKind::Cumulative, SeriesScope::Link, node);
             link.u = static_cast<std::int16_t>(mesh.u(r));
             link.v = static_cast<std::int16_t>(mesh.v(r));
             link.port = layout_.channelShortName(ca);
             link.capacity_per_cycle =
                 static_cast<double>(kSerdesTokensPerCycle)
                 / static_cast<double>(kSerdesTokensPerFlit);
-            s.addSeries(link, [&a](Cycle) {
-                return static_cast<double>(a.flitsSent());
-            });
         }
     }
 
-    s.watchSteadyState(delivered_idx, latency_idx, metrics_.get());
+    // One pass per sample: each chip's one census gives its three levels
+    // and its share of the machine's oldest packet, read together with
+    // its adapters' flit counts and its endpoints' injections.
+    auto row = [this](Cycle now, double *out) {
+        auto age = [now](Cycle birth) {
+            return birth == kNoCycle ? 0.0
+                                     : static_cast<double>(now - birth);
+        };
+        std::uint64_t injected = 0;
+        Cycle oldest = kNoCycle;
+        double *chip_out = out + 3; // past the three machine values
+        for (const auto &cp : chips_) {
+            const Chip::FlitCensus c = cp->flitCensus();
+            oldest = std::min(oldest, c.oldest_birth);
+            *chip_out++ = static_cast<double>(c.buffered);
+            *chip_out++ = static_cast<double>(c.free_credits);
+            *chip_out++ = age(c.oldest_birth);
+            for (int ca = 0; ca < layout_.numChannelAdapters(); ++ca)
+                *chip_out++ =
+                  static_cast<double>(cp->channelAdapter(ca).flitsSent());
+            for (EndpointId e = 0; e < layout_.numEndpoints(); ++e)
+                injected += cp->endpoint(e).injected();
+        }
+        out[0] = static_cast<double>(injected);
+        out[1] = static_cast<double>(delivered_);
+        out[2] = age(oldest);
+    };
+
+    sampler_ = std::make_unique<IntervalSampler>(
+        cfg, std::move(series), std::move(row), &latency_, engine_.now());
+    IntervalSampler &s = *sampler_;
+    s.watchSteadyState(s.findSeries("machine.delivered"),
+                       s.findSeries("machine.latency_mean"), metrics_.get());
     engine_.add(s);
     // The sampler observes at attach + n*window; those cycles must be
-    // window-final so instantaneous probes and the warmup reset see
+    // window-final so the instant values and the warmup reset see
     // exactly the state a serial per-cycle run would (lookahead windows
     // truncate to land the barrier there). A 1-cycle window thus runs
     // a barrier every cycle.
@@ -1278,24 +1255,6 @@ void
 Machine::setDeliverHook(std::function<void(const PacketPtr &, Cycle)> fn)
 {
     deliver_hook_ = std::move(fn);
-}
-
-const char *
-stopReasonName(StopReason r)
-{
-    switch (r) {
-      case StopReason::MaxCycles:
-        return "max_cycles";
-      case StopReason::Predicate:
-        return "predicate";
-      case StopReason::Delivered:
-        return "delivered";
-      case StopReason::Quiescent:
-        return "quiescent";
-      case StopReason::AuditTrip:
-        return "audit_trip";
-    }
-    return "unknown";
 }
 
 RunResult

@@ -129,9 +129,6 @@ enum class StopReason
     AuditTrip,  ///< the runtime auditor's watchdog tripped
 };
 
-/** Stable lower-case name for reports ("max_cycles", "delivered", ...). */
-const char *stopReasonName(StopReason r);
-
 /**
  * One run, declaratively: how long, what stops it, and the checkpoint
  * plumbing. This is the single entry point behind every experiment

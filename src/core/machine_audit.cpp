@@ -206,20 +206,19 @@ Machine::doEnableAudit(const AuditConfig &cfg)
 {
     if (audit_ != nullptr)
         return *audit_;
-    audit_ = std::make_unique<Auditor>(cfg);
-    Auditor &a = *audit_;
-
-    a.addCheck("invariants", [this](Cycle) {
-        auditInvariants([this](const std::string &check,
-                               const std::string &detail) {
-            audit_->report(check, detail);
+    audit_ = std::make_unique<Auditor>(
+        cfg,
+        [this] {
+            auditInvariants([this](const std::string &check,
+                                   const std::string &detail) {
+                audit_->report(check, detail);
+            });
+        },
+        [this] { return progressProbe(); },
+        [this](Cycle now, const std::string &reason) {
+            return buildSnapshot(now, reason);
         });
-    });
-
-    a.setProgressProbe([this](Cycle) { return progressProbe(); });
-    a.setSnapshotFn([this](Cycle now, const std::string &reason) {
-        return buildSnapshot(now, reason);
-    });
+    Auditor &a = *audit_;
 
     // Appended after every chip component (they registered at
     // construction), so each audit pass sees a settled post-tick state.

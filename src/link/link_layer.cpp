@@ -28,9 +28,9 @@ frameCrc(std::uint32_t seq, const FlitPayload &data)
     return crc32(buf, sizeof(buf));
 }
 
-LinkSender::LinkSender(std::string name, const LinkConfig &cfg,
-                       LossyFrameChannel &tx, LossyFrameChannel &ack_rx)
-    : Component(std::move(name)), cfg_(cfg), tx_(tx), ack_rx_(ack_rx)
+LinkSender::LinkSender(const LinkConfig &cfg, LossyFrameChannel &tx,
+                       LossyFrameChannel &ack_rx)
+    : cfg_(cfg), tx_(tx), ack_rx_(ack_rx)
 {
 }
 
@@ -98,11 +98,9 @@ LinkSender::busy() const
     return !queue_.empty();
 }
 
-LinkReceiver::LinkReceiver(std::string name, const LinkConfig &cfg,
-                           LossyFrameChannel &rx, LossyFrameChannel &ack_tx,
-                           DeliverFn deliver)
-    : Component(std::move(name)),
-      cfg_(cfg),
+LinkReceiver::LinkReceiver(const LinkConfig &cfg, LossyFrameChannel &rx,
+                           LossyFrameChannel &ack_tx, DeliverFn deliver)
+    : cfg_(cfg),
       rx_(rx),
       ack_tx_(ack_tx),
       deliver_(std::move(deliver))

@@ -109,8 +109,8 @@ struct LinkConfig
 class LinkSender : public Component
 {
   public:
-    LinkSender(std::string name, const LinkConfig &cfg,
-               LossyFrameChannel &tx, LossyFrameChannel &ack_rx);
+    LinkSender(const LinkConfig &cfg, LossyFrameChannel &tx,
+               LossyFrameChannel &ack_rx);
 
     /** Queue one flit for reliable delivery. */
     void offer(const FlitPayload &flit);
@@ -166,9 +166,8 @@ class LinkReceiver : public Component
   public:
     using DeliverFn = std::function<void(const FlitPayload &, Cycle)>;
 
-    LinkReceiver(std::string name, const LinkConfig &cfg,
-                 LossyFrameChannel &rx, LossyFrameChannel &ack_tx,
-                 DeliverFn deliver);
+    LinkReceiver(const LinkConfig &cfg, LossyFrameChannel &rx,
+                 LossyFrameChannel &ack_tx, DeliverFn deliver);
 
     void tick(Cycle now) override;
     bool busy() const override { return false; }

@@ -23,12 +23,10 @@ checkedConfig(const ChannelAdapterConfig &cfg)
 
 } // namespace
 
-ChannelAdapter::ChannelAdapter(std::string name,
-                               const ChannelAdapterConfig &cfg,
+ChannelAdapter::ChannelAdapter(const ChannelAdapterConfig &cfg,
                                bool crosses_dateline, IngressFn ingress_fn,
                                LaneRelease release)
-    : Component(std::move(name)),
-      cfg_(checkedConfig(cfg)),
+    : cfg_(checkedConfig(cfg)),
       vcs_per_class_(std::max(1, cfg.num_vcs / kNumTrafficClasses)),
       crosses_dateline_(crosses_dateline),
       ingress_fn_(std::move(ingress_fn)),

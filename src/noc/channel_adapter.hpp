@@ -71,9 +71,8 @@ class ChannelAdapter final : public Component
      * @throws std::invalid_argument for more than CreditCounter::kMaxVcs
      * VCs.
      */
-    ChannelAdapter(std::string name, const ChannelAdapterConfig &cfg,
-                   bool crosses_dateline, IngressFn ingress_fn,
-                   LaneRelease release = {});
+    ChannelAdapter(const ChannelAdapterConfig &cfg, bool crosses_dateline,
+                   IngressFn ingress_fn, LaneRelease release = {});
 
     /** Channel from the attached router (egress data in, credits out). */
     void connectRouterIn(Channel &ch);

@@ -23,11 +23,8 @@ PacketFifo::grow()
     head_ = 0;
 }
 
-EndpointAdapter::EndpointAdapter(std::string name, const EndpointConfig &cfg,
-                                 EndpointAddr addr)
-    : Component(std::move(name)),
-      cfg_(cfg),
-      addr_(addr)
+EndpointAdapter::EndpointAdapter(const EndpointConfig &cfg, EndpointAddr addr)
+    : cfg_(cfg), addr_(addr)
 {
     if (cfg.num_vcs < 1 || cfg.num_vcs > CreditCounter::kMaxVcs)
         throw std::invalid_argument("endpoint adapter supports 1-16 VCs");

@@ -111,8 +111,7 @@ class EndpointAdapter final : public Component
 
     /** @throws std::invalid_argument for more than
      * CreditCounter::kMaxVcs VCs. */
-    EndpointAdapter(std::string name, const EndpointConfig &cfg,
-                    EndpointAddr addr);
+    EndpointAdapter(const EndpointConfig &cfg, EndpointAddr addr);
 
     void connectRouterOut(Channel &ch, int router_buf_flits);
     void connectRouterIn(Channel &ch);

@@ -76,7 +76,7 @@ struct Packet
     std::uint8_t pattern = 0; ///< traffic-pattern id for inverse weighting
     std::uint16_t size_flits = 1;
     VcState vc{ VcPolicy::Anton2 };   ///< promotion state, updated en route
-    Cycle birth = 0;       ///< creation time (age-based arbitration)
+    Cycle birth = 0;       ///< creation time; packet ages count from it
     std::uint64_t id = 0;
     /** Multicast group id at each hop's node table, or -1 for unicast. */
     std::int32_t mcast_group = -1;

@@ -9,10 +9,8 @@
 
 namespace anton2 {
 
-Router::Router(std::string name, const RouterConfig &cfg,
-               const RouteTable &routes, int id)
-    : Component(std::move(name)),
-      cfg_(cfg),
+Router::Router(const RouterConfig &cfg, const RouteTable &routes, int id)
+    : cfg_(cfg),
       routes_(routes),
       id_(id),
       vcs_per_class_(std::max(1, cfg.num_vcs / kNumTrafficClasses))

@@ -50,8 +50,7 @@ class Router final : public Component
      * CreditCounter::kMaxVcs VCs, if @p routes has no row @p id, or if
      * a route in it names a port at or above cfg.num_ports.
      */
-    Router(std::string name, const RouterConfig &cfg,
-           const RouteTable &routes, int id);
+    Router(const RouterConfig &cfg, const RouteTable &routes, int id);
 
     /** Attach the channel arriving at input @p port (data in, credits out). */
     void connectIn(int port, Channel &ch);

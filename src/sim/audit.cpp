@@ -20,8 +20,7 @@ void
 Auditor::runChecksNow(Cycle now)
 {
     current_cycle_ = now;
-    for (auto &[name, fn] : checks_)
-        fn(now);
+    invariants_();
     ++audits_run_;
 }
 
@@ -41,9 +40,7 @@ Auditor::tick(Cycle now)
 void
 Auditor::watchdogProbe(Cycle now)
 {
-    if (!probe_)
-        return;
-    const ProgressProbe p = probe_(now);
+    const ProgressProbe p = probe_();
     oldest_age_ =
         p.oldest_birth == kNoCycle ? 0 : now - p.oldest_birth;
     // Progress = a delivery since the last probe, or an empty network
@@ -61,9 +58,7 @@ Auditor::watchdogProbe(Cycle now)
     // Wedged: no ejection for stall_threshold cycles with packets in
     // flight. Take the forensic snapshot and classify it.
     ++trips_;
-    MachineSnapshot snap;
-    if (snapshot_)
-        snap = snapshot_(now, "watchdog");
+    MachineSnapshot snap = snapshot_(now, "watchdog");
     snap.oldest_age = oldest_age_;
     snap.ejection_stall = ejection_stall_;
     analyzeWaitsFor(snap);

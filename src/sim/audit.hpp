@@ -10,14 +10,14 @@
  * zero-overhead-when-unbound discipline: an unaudited machine never
  * constructs one, and nothing on the hot path consults it.
  *
- * The auditor itself is machine-agnostic. The Machine registers named
- * check callbacks (flit conservation, credit conservation, VC legality -
- * see core/machine_audit.cpp; each chip's share is a visitor of its one
- * walk over buffers and credit loops in core/chip_audit.cpp), a progress
- * probe for the watchdog, and a snapshot builder; this class owns only
- * the scheduling, the violation log (the first kMaxRecordedViolations
- * details, every violation counted), the stall bookkeeping, and the trip
- * decision.
+ * The auditor itself is machine-agnostic. The Machine constructs it
+ * with three hooks: the invariant checks (flit conservation, credit
+ * conservation, VC legality - see core/machine_audit.cpp; each chip's
+ * share is a visitor of its one walk over buffers and credit loops in
+ * core/chip_audit.cpp), a progress probe for the watchdog, and a
+ * snapshot builder; this class owns only the scheduling, the violation
+ * log (the first kMaxRecordedViolations details, every violation
+ * counted), the stall bookkeeping, and the trip decision.
  */
 #pragma once
 
@@ -61,26 +61,22 @@ struct ProgressProbe
 class Auditor : public Component
 {
   public:
-    using CheckFn = std::function<void(Cycle)>;
-    using ProbeFn = std::function<ProgressProbe(Cycle)>;
+    using ProbeFn = std::function<ProgressProbe()>;
     using SnapshotFn =
         std::function<MachineSnapshot(Cycle, const std::string &reason)>;
 
-    explicit Auditor(const AuditConfig &cfg)
-        : Component("auditor"), cfg_(cfg)
+    /**
+     * @param invariants Inspects machine state and calls report() for
+     * every violation it finds.
+     * @param probe The watchdog's progress counters.
+     * @param snapshot The forensic snapshot taken when the watchdog trips.
+     */
+    Auditor(const AuditConfig &cfg, std::function<void()> invariants,
+            ProbeFn probe, SnapshotFn snapshot)
+        : cfg_(cfg), invariants_(std::move(invariants)),
+          probe_(std::move(probe)), snapshot_(std::move(snapshot))
     {
     }
-
-    /** Register a named invariant check. The callback inspects machine
-     * state and calls report() for every violation it finds. */
-    void
-    addCheck(std::string name, CheckFn fn)
-    {
-        checks_.push_back({ std::move(name), std::move(fn) });
-    }
-
-    void setProgressProbe(ProbeFn fn) { probe_ = std::move(fn); }
-    void setSnapshotFn(SnapshotFn fn) { snapshot_ = std::move(fn); }
 
     /** Record one invariant violation found by check @p check. */
     void report(const std::string &check, const std::string &detail);
@@ -122,7 +118,7 @@ class Auditor : public Component
     void watchdogProbe(Cycle now);
 
     AuditConfig cfg_;
-    std::vector<std::pair<std::string, CheckFn>> checks_;
+    std::function<void()> invariants_;
     ProbeFn probe_;
     SnapshotFn snapshot_;
 

@@ -4,9 +4,6 @@
  */
 #pragma once
 
-#include <string>
-#include <utility>
-
 #include "sim/types.hpp"
 
 namespace anton2 {
@@ -20,7 +17,7 @@ namespace anton2 {
 class Component
 {
   public:
-    explicit Component(std::string name) : name_(std::move(name)) {}
+    Component() = default;
     virtual ~Component() = default;
 
     Component(const Component &) = delete;
@@ -36,11 +33,6 @@ class Component
      * component is decided separately, by its wakes (sim/wake.hpp).
      */
     virtual bool busy() const { return false; }
-
-    const std::string &name() const { return name_; }
-
-  private:
-    std::string name_;
 };
 
 } // namespace anton2

@@ -7,20 +7,14 @@ namespace anton2 {
 
 namespace prof_detail {
 
-#if ANTON2_PROF_CLOCK_AUDIT
 std::atomic<std::uint64_t> clock_reads{ 0 };
-#endif
 
 } // namespace prof_detail
 
 std::uint64_t
 hostProfileClockReads()
 {
-#if ANTON2_PROF_CLOCK_AUDIT
     return prof_detail::clock_reads.load(std::memory_order_relaxed);
-#else
-    return 0;
-#endif
 }
 
 const char *

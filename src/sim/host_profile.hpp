@@ -70,31 +70,18 @@ inline constexpr std::size_t kNumHostCompClasses = 5;
 /** Stable lower-case name used in gauge keys and JSON. */
 const char *hostCompClassName(HostCompClass c);
 
-/**
- * Compile-time switch for the profiling clock-read audit counter
- * (default on). Every profiling timestamp goes through
- * prof_detail::nowNs(), which bumps one relaxed atomic; tests assert
- * the count stays zero across an unprofiled run - the "zero timer
- * calls when off" contract. Define to 0 to remove even that relaxed
- * increment from profiled runs.
- */
-#ifndef ANTON2_PROF_CLOCK_AUDIT
-#define ANTON2_PROF_CLOCK_AUDIT 1
-#endif
-
 namespace prof_detail {
 
-#if ANTON2_PROF_CLOCK_AUDIT
+/** Profiling clock reads so far: every profiling timestamp goes through
+ * nowNs(), which bumps this relaxed atomic, and tests assert the count
+ * stays zero across an unprofiled run (no timer calls when off). */
 extern std::atomic<std::uint64_t> clock_reads;
-#endif
 
 /** Monotonic nanoseconds; the only clock the engine profiler reads. */
 inline std::int64_t
 nowNs()
 {
-#if ANTON2_PROF_CLOCK_AUDIT
     clock_reads.fetch_add(1, std::memory_order_relaxed);
-#endif
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
@@ -103,8 +90,7 @@ nowNs()
 } // namespace prof_detail
 
 /** Total profiling clock reads ever performed by this process (always 0
- * while no profiler is attached; constant 0 when the audit counter is
- * compiled out). */
+ * while no profiler is attached). */
 std::uint64_t hostProfileClockReads();
 
 struct EngineProfileConfig

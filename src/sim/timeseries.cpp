@@ -73,42 +73,24 @@ mserTruncation(const std::vector<double> &xs)
 // IntervalSampler
 // ---------------------------------------------------------------------
 
-IntervalSampler::IntervalSampler(const TimeseriesConfig &cfg)
-    : Component("interval_sampler"),
-      cfg_(cfg)
+IntervalSampler::IntervalSampler(const TimeseriesConfig &cfg,
+                                 std::vector<SeriesInfo> series, RowFn row,
+                                 const ScalarStat *mean, Cycle now)
+    : cfg_(cfg), series_(std::move(series)), row_(std::move(row)),
+      mean_(mean)
 {
     assert(cfg_.window >= 1);
-    window_end_.reserve(cfg_.max_windows);
-}
-
-std::size_t
-IntervalSampler::addSeries(SeriesInfo info, ProbeFn probe)
-{
-    assert(!started_ && "register series before the engine runs");
-    assert(info.kind != SeriesKind::WindowMean && "use addStatSeries");
-    Series s;
-    s.info = std::move(info);
-    s.probe = std::move(probe);
-    // Baseline cumulative counters at registration: components earlier in
-    // the engine's tick order act before the sampler's first tick, so a
-    // first-tick baseline would miss their cycle-0 activity.
-    if (s.info.kind == SeriesKind::Cumulative)
-        s.prev = s.probe(0);
-    series_.push_back(std::move(s));
-    return series_.size() - 1;
-}
-
-std::size_t
-IntervalSampler::addStatSeries(SeriesInfo info, const ScalarStat *stat)
-{
-    assert(!started_ && "register series before the engine runs");
-    Series s;
-    s.info = std::move(info);
-    s.info.kind = SeriesKind::WindowMean;
-    s.stat = stat;
-    s.prev_snap = stat->snapshot();
-    series_.push_back(std::move(s));
-    return series_.size() - 1;
+    const auto raw = static_cast<std::size_t>(
+        std::count_if(series_.begin(), series_.end(), [](const SeriesInfo &s) {
+            return s.kind != SeriesKind::WindowMean;
+        }));
+    assert(series_.size() - raw <= 1
+           && (raw == series_.size() || mean_ != nullptr));
+    row_now_.resize(raw);
+    row_prev_.resize(raw);
+    row_(now, row_prev_.data());
+    if (mean_ != nullptr)
+        mean_prev_ = mean_->snapshot();
 }
 
 void
@@ -130,7 +112,6 @@ IntervalSampler::tick(Cycle now)
         start_ = now;
         last_ = now;
         next_ = now + cfg_.window;
-        values_.reserve(cfg_.max_windows * series_.size());
         return;
     }
     if (now != next_)
@@ -163,34 +144,28 @@ IntervalSampler::sampleWindow(Cycle end, bool full)
         return;
     }
 
-    double ejected = std::numeric_limits<double>::quiet_NaN();
-    double latency = std::numeric_limits<double>::quiet_NaN();
-    for (std::size_t i = 0; i < series_.size(); ++i) {
-        Series &s = series_[i];
+    row_(end, row_now_.data());
+    std::size_t raw = 0; // next slot of the raw row
+    for (const SeriesInfo &s : series_) {
         double v = 0.0;
-        switch (s.info.kind) {
+        switch (s.kind) {
           case SeriesKind::Instant:
-            v = s.probe(end);
+            v = row_now_[raw++];
             break;
-          case SeriesKind::Cumulative: {
-              const double cur = s.probe(end);
-              v = cur - s.prev;
-              s.prev = cur;
-              break;
-          }
+          case SeriesKind::Cumulative:
+            v = row_now_[raw] - row_prev_[raw];
+            ++raw;
+            break;
           case SeriesKind::WindowMean: {
-              const auto snap = s.stat->snapshot();
-              v = ScalarStat::windowMean(snap, s.prev_snap);
-              s.prev_snap = snap;
+              const auto snap = mean_->snapshot();
+              v = ScalarStat::windowMean(snap, mean_prev_);
+              mean_prev_ = snap;
               break;
           }
         }
         values_.push_back(v);
-        if (i == ss_throughput_)
-            ejected = v / static_cast<double>(len); // rate, length-invariant
-        if (i == ss_latency_)
-            latency = v;
     }
+    row_now_.swap(row_prev_);
     window_end_.push_back(end);
     last_ = end;
     if (!full)
@@ -208,8 +183,11 @@ IntervalSampler::sampleWindow(Cycle end, bool full)
 
     // Auto steady state: both series stable -> declare, reset once.
     if (cfg_.auto_steady && ss_throughput_ != npos) {
-        det_throughput_.observe(ejected);
-        det_latency_.observe(latency);
+        const std::size_t last = window_end_.size() - 1;
+        // The ejection rate, so a window's length does not weigh in.
+        det_throughput_.observe(value(ss_throughput_, last)
+                                / static_cast<double>(len));
+        det_latency_.observe(value(ss_latency_, last));
         if (!steady_detected_ && det_throughput_.converged()
             && det_latency_.converged()) {
             steady_detected_ = true;
@@ -253,7 +231,7 @@ std::size_t
 IntervalSampler::findSeries(const std::string &name) const
 {
     for (std::size_t i = 0; i < series_.size(); ++i) {
-        if (series_[i].info.name == name)
+        if (series_[i].name == name)
             return i;
     }
     return npos;
@@ -280,9 +258,9 @@ IntervalSampler::writeJson(JsonWriter &w) const
     // would dwarf the report on large machines).
     std::map<std::string, std::size_t> emit;
     for (std::size_t i = 0; i < series_.size(); ++i) {
-        const SeriesScope sc = series_[i].info.scope;
+        const SeriesScope sc = series_[i].scope;
         if (sc == SeriesScope::Machine || sc == SeriesScope::Chip)
-            emit[series_[i].info.name] = i;
+            emit[series_[i].name] = i;
     }
     w.key("series").beginObject();
     for (const auto &[name, idx] : emit) {
@@ -345,7 +323,7 @@ IntervalSampler::heatmapCsv() const
         const Cycle end = window_end_[w];
         const auto len = static_cast<double>(end - begin);
         for (std::size_t i = 0; i < series_.size(); ++i) {
-            const SeriesInfo &info = series_[i].info;
+            const SeriesInfo &info = series_[i];
             if (info.scope != SeriesScope::Link)
                 continue;
             const double flits = value(i, w);
@@ -399,7 +377,7 @@ hostPeakRssBytes()
 // ---------------------------------------------------------------------
 
 ProgressMeter::ProgressMeter(const Config &cfg)
-    : Component("progress_meter"), cfg_(cfg)
+    : cfg_(cfg)
 {
     if (cfg_.out == nullptr)
         cfg_.out = stderr;

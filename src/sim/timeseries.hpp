@@ -4,15 +4,16 @@
  * aggregates of sim/metrics.hpp and the per-packet events of
  * trace/trace.hpp, answering *when* things happen.
  *
- * An IntervalSampler snapshots a registered set of series every `W`
- * cycles into preallocated buffers: per-link flit counts (the congestion
- * heatmap source), per-router / per-chip buffer occupancy and credit
- * levels, and machine-level windowed injection/ejection counts and
- * latency means. The same zero-overhead-when-unbound discipline as
- * MetricsRegistry and the packet-event stream applies: a machine
- * without a sampler pays nothing at all (the sampler is simply never
- * constructed or registered), and a bound sampler touches the
- * simulation only at window boundaries through read-only probes.
+ * An IntervalSampler records one value per series every `W` cycles:
+ * per-link flit counts (the congestion heatmap source), per-chip buffer
+ * occupancy, credit and age levels, and machine-level windowed
+ * injection/ejection counts, latency means and the oldest packet's age.
+ * The same zero-overhead-when-unbound discipline as MetricsRegistry and
+ * the packet-event stream applies: a machine without a sampler pays
+ * nothing at all (the sampler is simply never constructed or
+ * registered), and a bound sampler touches the simulation only at
+ * window boundaries, through one read-only row callback that reads the
+ * whole row in one pass over the machine.
  *
  * On top of the sampled series sit:
  *  - a steady-state detector (sliding-window convergence on windowed
@@ -126,15 +127,15 @@ enum class SeriesScope : std::uint8_t
     Link,    ///< per torus-channel adapter (heatmap CSV + Chrome track)
 };
 
-/** How a window's value is derived from the probe. */
+/** How a window's value is derived from the row's raw value. */
 enum class SeriesKind : std::uint8_t
 {
-    Instant,    ///< probe value at the boundary, stored as-is
+    Instant,    ///< raw value at the boundary, stored as-is
     Cumulative, ///< delta of a monotone counter across the window
     WindowMean, ///< windowed mean of a ScalarStat (snapshot delta)
 };
 
-/** Static description of one registered series. */
+/** Static description of one series. */
 struct SeriesInfo
 {
     std::string name;        ///< dot path, e.g. `chip.3.ca.x0p.flits`
@@ -154,7 +155,7 @@ struct TimeseriesConfig
      * cycle, so a 1-cycle window runs per-cycle barriers while the
      * sampler is attached, whatever the lookahead window. */
     Cycle window = 1024;
-    std::size_t max_windows = 4096; ///< preallocated window capacity
+    std::size_t max_windows = 4096; ///< windows kept; later ones are dropped
     /** Run the steady-state detector on ejection rate + latency mean
      * and reset the bound metrics registry at first convergence. */
     bool auto_steady = false;
@@ -177,27 +178,32 @@ struct SteadyStateResult
 };
 
 /**
- * The windowed sampler. Register series (probes are read-only accessors
- * into simulation components), add the sampler to the engine, run, then
- * export. Every `window` cycles one value per series is appended to a
- * preallocated buffer; a final partial window is recorded by
- * finalize(), so cumulative series sum exactly to their end-of-run
- * aggregate counters. Past `max_windows`, further windows are counted
- * as dropped rather than silently growing the hot-path buffers.
+ * The windowed sampler. Construct it with the series and the row
+ * callback that reads them, add it to the engine, run, then export.
+ * Every `window` cycles one value per series is appended to storage
+ * that grows with the windows recorded; a final partial window is
+ * recorded by finalize(), so cumulative series sum exactly to their
+ * end-of-run aggregate counters. Past `max_windows`, further windows
+ * are counted as dropped rather than silently growing the buffers.
  */
 class IntervalSampler : public Component
 {
   public:
-    /** Probe returning the sampled value at a window boundary. */
-    using ProbeFn = std::function<double(Cycle now)>;
+    /** Writes the raw value of every Instant and Cumulative series, in
+     * series order, to @p out at cycle @p now. */
+    using RowFn = std::function<void(Cycle now, double *out)>;
 
-    explicit IntervalSampler(const TimeseriesConfig &cfg);
-
-    /** Register a series (Instant or Cumulative). Call before running. */
-    std::size_t addSeries(SeriesInfo info, ProbeFn probe);
-
-    /** Register a WindowMean series over @p stat (not owned). */
-    std::size_t addStatSeries(SeriesInfo info, const ScalarStat *stat);
+    /**
+     * Sample @p series through @p row. The row is read once here, at
+     * the attach cycle @p now, for the cumulative baselines (components
+     * earlier in the engine's tick order act before the sampler's first
+     * tick, so a first-tick baseline would miss their activity in that
+     * cycle), and once per recorded window. The WindowMean series, at
+     * most one, is the windowed mean of @p mean (not owned).
+     */
+    IntervalSampler(const TimeseriesConfig &cfg,
+                    std::vector<SeriesInfo> series, RowFn row,
+                    const ScalarStat *mean, Cycle now);
 
     /**
      * Watch windowed ejection rate (Cumulative series @p throughput_series,
@@ -224,9 +230,8 @@ class IntervalSampler : public Component
     std::size_t numSeries() const { return series_.size(); }
     std::size_t numWindows() const { return window_end_.size(); }
     std::uint64_t droppedWindows() const { return dropped_; }
-    Cycle windowCycles() const { return cfg_.window; }
     Cycle startCycle() const { return start_; }
-    const SeriesInfo &seriesInfo(std::size_t s) const { return series_[s].info; }
+    const SeriesInfo &seriesInfo(std::size_t s) const { return series_[s]; }
     /** Value of series @p s in window @p w. */
     double value(std::size_t s, std::size_t w) const;
     Cycle windowEnd(std::size_t w) const { return window_end_[w]; }
@@ -271,21 +276,17 @@ class IntervalSampler : public Component
     std::string heatmapCsv() const;
 
   private:
-    struct Series
-    {
-        SeriesInfo info;
-        ProbeFn probe;                  ///< null for WindowMean
-        const ScalarStat *stat = nullptr;
-        double prev = 0.0;              ///< last cumulative probe value
-        ScalarStat::Snapshot prev_snap; ///< last stat snapshot
-    };
-
     /** Record the window ending at @p end; only a @p full window (one
      * reached by tick()) may fire the warmup or steady-state reset. */
     void sampleWindow(Cycle end, bool full);
 
     TimeseriesConfig cfg_;
-    std::vector<Series> series_;
+    std::vector<SeriesInfo> series_;
+    RowFn row_;
+    std::vector<double> row_now_;    ///< raw row read at this boundary
+    std::vector<double> row_prev_;   ///< raw row of the last boundary
+    const ScalarStat *mean_;
+    ScalarStat::Snapshot mean_prev_; ///< mean_'s last snapshot
     std::vector<double> values_;     ///< window-major, numSeries() stride
     std::vector<Cycle> window_end_;  ///< end cycle per recorded window
     bool started_ = false;

@@ -10,7 +10,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace anton2 {
@@ -122,12 +121,6 @@ class MeshGeom
     move(RouterId r, MeshDir d) const
     {
         return id(u(r) + meshDirDu(d), v(r) + meshDirDv(d));
-    }
-
-    std::string
-    routerName(RouterId r) const
-    {
-        return "R(" + std::to_string(u(r)) + "," + std::to_string(v(r)) + ")";
     }
 
   private:

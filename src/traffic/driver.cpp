@@ -47,7 +47,7 @@ firstEndpoints(int n)
 }
 
 BatchDriver::BatchDriver(Machine &machine, Config cfg)
-    : Component("batch-driver"), machine_(machine), cfg_(std::move(cfg))
+    : machine_(machine), cfg_(std::move(cfg))
 {
     assert(cfg_.pattern != nullptr);
     core_addrs_ = makeCoreList(machine_, cfg_.cores);
@@ -136,7 +136,7 @@ BatchDriver::throughputPerCore() const
 }
 
 OpenLoopDriver::OpenLoopDriver(Machine &machine, Config cfg)
-    : Component("open-loop-driver"), machine_(machine), cfg_(std::move(cfg))
+    : machine_(machine), cfg_(std::move(cfg))
 {
     assert(cfg_.pattern != nullptr);
     core_addrs_ = makeCoreList(machine_, cfg_.cores);

@@ -71,7 +71,6 @@ class BatchDriver : public Component
      */
     double throughputPerCore() const;
 
-    Cycle startTime() const { return start_; }
     Cycle completionTime() const;
 
   private:

@@ -38,7 +38,7 @@ struct EgressBench
         cfg.num_vcs = 4; // 2 traffic classes x 2 promotion VCs
         cfg.buf_flits_per_vc = 8;
         adapter = std::make_unique<ChannelAdapter>(
-            "ca", cfg, /*crosses_dateline=*/true,
+            cfg, /*crosses_dateline=*/true,
             [](const PacketPtr &pkt, std::vector<IngressCopy> &copies) {
                 copies.push_back({ pkt, 0 });
             });
@@ -182,7 +182,7 @@ TEST(EndpointUnit, InjectsOneFlitPerCycle)
     Channel to_router(1, 1), from_router(1, 1);
     EndpointConfig cfg;
     cfg.num_vcs = 8;
-    EndpointAdapter ep("e", cfg, EndpointAddr{ 0, 0 });
+    EndpointAdapter ep(cfg, EndpointAddr{ 0, 0 });
     ep.connectRouterOut(to_router, 16);
     ep.connectRouterIn(from_router);
     engine.add(ep);
@@ -216,7 +216,7 @@ TEST(EndpointUnit, ClassesShareInjectionRoundRobin)
     Channel to_router(1, 1), from_router(1, 1);
     EndpointConfig cfg;
     cfg.num_vcs = 8;
-    EndpointAdapter ep("e", cfg, EndpointAddr{ 0, 0 });
+    EndpointAdapter ep(cfg, EndpointAddr{ 0, 0 });
     ep.connectRouterOut(to_router, 16);
     ep.connectRouterIn(from_router);
     engine.add(ep);
@@ -256,7 +256,7 @@ TEST(EndpointUnit, EjectionDeliversAndReturnsCreditImmediately)
     Channel to_router(1, 1), from_router(1, 1);
     EndpointConfig cfg;
     cfg.num_vcs = 8;
-    EndpointAdapter ep("e", cfg, EndpointAddr{ 3, 1 });
+    EndpointAdapter ep(cfg, EndpointAddr{ 3, 1 });
     ep.connectRouterOut(to_router, 16);
     ep.connectRouterIn(from_router);
     engine.add(ep);

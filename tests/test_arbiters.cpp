@@ -19,14 +19,6 @@
 namespace anton2 {
 namespace {
 
-TEST(FixedPriority, GrantsLowestIndex)
-{
-    FixedPriorityArbiter arb(6);
-    EXPECT_EQ(arb.pick(0b101000, nullptr), 3);
-    EXPECT_EQ(arb.pick(0b000001, nullptr), 0);
-    EXPECT_EQ(arb.pick(0, nullptr), -1);
-}
-
 TEST(RoundRobin, RotatesThroughAllRequesters)
 {
     RoundRobinArbiter arb(4);

@@ -873,8 +873,8 @@ TEST(Checkpoint, FingerprintsAndImageBytesArePinned)
 struct LinkRig
 {
     LinkRig()
-        : fwd(4, 0.001, 5), ack(4, 0.0, 6), sender("tx", {}, fwd, ack),
-          receiver("rx", {}, fwd, ack,
+        : fwd(4, 0.001, 5), ack(4, 0.0, 6), sender({}, fwd, ack),
+          receiver({}, fwd, ack,
                    [this](const FlitPayload &f, Cycle at) {
                        delivered.emplace_back(at, f);
                    })

@@ -7,7 +7,7 @@
  *
  * What is pinned here:
  *  - off by default means *zero* profiling clock reads on the engine
- *    hot path (the ANTON2_PROF_CLOCK_AUDIT counter proves it);
+ *    hot path (the clock-read counter proves it);
  *  - the per-lane identity tick + wait + serial == profiledSeconds()
  *    (wait is derived as the lane's parallel-span remainder, so the
  *    books balance by construction);

@@ -48,8 +48,8 @@ struct LinkFixture
                          LinkConfig cfg = {})
         : fwd(4, error_prob, seed),
           ack(4, 0.0, seed + 1),
-          sender("tx", cfg, fwd, ack),
-          receiver("rx", cfg, fwd, ack,
+          sender(cfg, fwd, ack),
+          receiver(cfg, fwd, ack,
                    [this](const FlitPayload &f, Cycle) {
                        received.push_back(f);
                    })

@@ -51,10 +51,7 @@ namespace {
 class TickCounter final : public Component
 {
   public:
-    explicit TickCounter(int quota = 0)
-        : Component("tick_counter"), quota_(quota)
-    {
-    }
+    explicit TickCounter(int quota = 0) : quota_(quota) {}
     void tick(Cycle) override { ++ticks_; }
     bool busy() const override { return ticks_ < quota_; }
     /** Never sleeps: ticks every cycle its shard runs. */
@@ -511,7 +508,7 @@ TEST(LookaheadDeterminism, FeedbackFreeRunsByteIdenticalAcrossWindows)
 TEST(LookaheadDeterminism, OneCycleSamplerReadsWindowFinalState)
 {
     // A 1-cycle sampling window observes every cycle, so every cycle
-    // must end a lookahead window; otherwise its instant probes (chip
+    // must end a lookahead window; otherwise its instant values (chip
     // credits and occupancy, packet ages) read shards that have ticked
     // ahead of the sample.
     auto series = [](Cycle lookahead) {

@@ -48,7 +48,7 @@ struct RouterBench
         cfg.num_vcs = num_vcs;
         cfg.buf_flits_per_vc = buf;
         routes.set(0, 0, { 1, VcGroup::Mesh });
-        router = std::make_unique<Router>("r", cfg, routes, 0);
+        router = std::make_unique<Router>(cfg, routes, 0);
         router->connectIn(0, in);
         router->connectOut(1, out, downstream_buf);
         engine.add(*router);
@@ -517,13 +517,13 @@ TEST(NocState, ComponentsRejectShapesTheirStateCannotHold)
     rcfg.num_ports = Router::kMaxPorts;
     rcfg.num_vcs = CreditCounter::kMaxVcs;
     rcfg.out_arb = ArbPolicy::InverseWeighted;
-    EXPECT_EQ(rejection([&] { Router("r", rcfg, routes, 0); }), "");
+    EXPECT_EQ(rejection([&] { Router(rcfg, routes, 0); }), "");
     rcfg.num_ports = Router::kMaxPorts + 1;
-    EXPECT_NE(rejection([&] { Router("r", rcfg, routes, 0); }).find("router"),
+    EXPECT_NE(rejection([&] { Router(rcfg, routes, 0); }).find("router"),
               std::string::npos);
     rcfg.num_ports = Router::kMaxPorts;
     rcfg.num_vcs = CreditCounter::kMaxVcs + 1;
-    EXPECT_NE(rejection([&] { Router("r", rcfg, routes, 0); }).find("router"),
+    EXPECT_NE(rejection([&] { Router(rcfg, routes, 0); }).find("router"),
               std::string::npos);
 
     const auto ingress = [](PacketPtr, std::vector<IngressCopy> &) {};
@@ -532,11 +532,11 @@ TEST(NocState, ComponentsRejectShapesTheirStateCannotHold)
         ChannelAdapterConfig ccfg;
         ccfg.arb = arb;
         ccfg.num_vcs = CreditCounter::kMaxVcs;
-        EXPECT_EQ(rejection([&] { ChannelAdapter("c", ccfg, false, ingress); }),
+        EXPECT_EQ(rejection([&] { ChannelAdapter(ccfg, false, ingress); }),
                   "");
         ccfg.num_vcs = CreditCounter::kMaxVcs + 1;
         EXPECT_NE(rejection([&] {
-                      ChannelAdapter("c", ccfg, false, ingress);
+                      ChannelAdapter(ccfg, false, ingress);
                   }).find("channel adapter"),
                   std::string::npos)
             << arbPolicyName(arb);
@@ -544,10 +544,10 @@ TEST(NocState, ComponentsRejectShapesTheirStateCannotHold)
 
     EndpointConfig ecfg;
     ecfg.num_vcs = CreditCounter::kMaxVcs;
-    EXPECT_EQ(rejection([&] { EndpointAdapter("e", ecfg, { 0, 0 }); }), "");
+    EXPECT_EQ(rejection([&] { EndpointAdapter(ecfg, { 0, 0 }); }), "");
     ecfg.num_vcs = CreditCounter::kMaxVcs + 1;
     EXPECT_NE(rejection([&] {
-                  EndpointAdapter("e", ecfg, { 0, 0 });
+                  EndpointAdapter(ecfg, { 0, 0 });
               }).find("endpoint adapter"),
               std::string::npos);
 }

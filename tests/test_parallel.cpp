@@ -38,10 +38,7 @@ namespace {
 class TickCounter final : public Component
 {
   public:
-    explicit TickCounter(int quota = 0)
-        : Component("tick_counter"), quota_(quota)
-    {
-    }
+    explicit TickCounter(int quota = 0) : quota_(quota) {}
     void tick(Cycle) override { ++ticks_; }
     bool busy() const override { return ticks_ < quota_; }
     /** Never sleeps: ticks every cycle its shard runs. */

@@ -177,10 +177,10 @@ TEST(RouteTable, RouterRejectsPortsItDoesNotHave)
     routes.set(0, 0, { 2, VcGroup::Mesh });
     RouterConfig cfg;
     cfg.num_ports = 2;
-    EXPECT_THROW(Router("r", cfg, routes, 0), std::invalid_argument);
-    EXPECT_THROW(Router("r", cfg, routes, 1), std::invalid_argument);
+    EXPECT_THROW(Router(cfg, routes, 0), std::invalid_argument);
+    EXPECT_THROW(Router(cfg, routes, 1), std::invalid_argument);
     routes.set(0, 0, { 1, VcGroup::Mesh });
-    EXPECT_NO_THROW(Router("r", cfg, routes, 0));
+    EXPECT_NO_THROW(Router(cfg, routes, 0));
 }
 
 TEST(ChannelAdapterDateline, FlagsMatchTorusGeom)

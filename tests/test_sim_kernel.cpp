@@ -172,10 +172,7 @@ TEST(Doorbell, ClearAllClearsOnlyItsOwnBit)
 class Relay : public Component
 {
   public:
-    Relay(Wire<int> &in, Wire<int> &out)
-        : Component("relay"), in_(in), out_(out)
-    {
-    }
+    Relay(Wire<int> &in, Wire<int> &out) : in_(in), out_(out) {}
 
     void
     tick(Cycle now) override

@@ -163,9 +163,10 @@ TEST(MserTruncation, FindsTheTransientPrefix)
 // IntervalSampler windowing and cross-checks
 // ---------------------------------------------------------------------
 
-/** Drive seeded random traffic through a 2x2x2 machine with sampling. */
-Machine &
-runSampledMachine(Machine &m, std::uint64_t packets, std::uint64_t seed)
+/** Send up to @p packets seeded random writes; returns how many were
+ * sent (a draw whose source and destination share a node is skipped). */
+std::uint64_t
+sendRandomWrites(Machine &m, std::uint64_t packets, std::uint64_t seed)
 {
     Rng traffic(seed * 2654435761ULL + 3);
     const auto nodes = static_cast<std::uint64_t>(m.geom().numNodes());
@@ -181,8 +182,28 @@ runSampledMachine(Machine &m, std::uint64_t packets, std::uint64_t seed)
                            1 + static_cast<int>(traffic.below(2))));
         ++sent;
     }
+    return sent;
+}
+
+/** Drive seeded random traffic through a 2x2x2 machine with sampling. */
+Machine &
+runSampledMachine(Machine &m, std::uint64_t packets, std::uint64_t seed)
+{
+    const std::uint64_t sent = sendRandomWrites(m, packets, seed);
     EXPECT_TRUE(m.run(RunSpec::untilDelivered(sent, 500000)).reason == StopReason::Delivered);
     return m;
+}
+
+/** Packets the endpoints of @p m have injected so far. */
+std::uint64_t
+totalInjected(Machine &m)
+{
+    std::uint64_t total = 0;
+    for (NodeId n = 0; n < m.geom().numNodes(); ++n) {
+        for (EndpointId e = 0; e < m.layout().numEndpoints(); ++e)
+            total += m.chip(n).endpoint(e).injected();
+    }
+    return total;
 }
 
 MachineConfig
@@ -251,14 +272,9 @@ TEST(IntervalSampler, WindowedSumsMatchAggregatesByteExactly)
     EXPECT_EQ(s.seriesSum(delivered),
               static_cast<double>(m.totalDelivered()));
 
-    std::uint64_t injected = 0;
-    for (NodeId n = 0; n < m.geom().numNodes(); ++n) {
-        for (EndpointId e = 0; e < m.layout().numEndpoints(); ++e)
-            injected += m.chip(n).endpoint(e).injected();
-    }
     const std::size_t inj = s.findSeries("machine.injected");
     ASSERT_NE(inj, IntervalSampler::npos);
-    EXPECT_EQ(s.seriesSum(inj), static_cast<double>(injected));
+    EXPECT_EQ(s.seriesSum(inj), static_cast<double>(totalInjected(m)));
 
     // Every per-link windowed flit count sums exactly to that adapter's
     // flitsSent() counter - the heatmap's integrity guarantee.
@@ -287,6 +303,65 @@ TEST(IntervalSampler, WindowedSumsMatchAggregatesByteExactly)
     const auto root = TinyJsonParser(m.metricsJson()).parse();
     EXPECT_EQ(root->path("chip.0.ca.x0p.flits_sent").number,
               static_cast<double>(m.chip(0).channelAdapter(0).flitsSent()));
+}
+
+TEST(IntervalSampler, MidRunAttachCountsFromTheAttach)
+{
+    // A sampler attached mid-run takes its cumulative baselines at the
+    // attach: its windows start there and its counters sum to what
+    // happened since.
+    Machine m(smallConfig(23));
+    const std::uint64_t sent = sendRandomWrites(m, 1200, 23);
+    m.run(RunSpec::forCycles(100));
+
+    const int links = m.layout().numChannelAdapters();
+    auto linkFlits = [&m, links] {
+        std::vector<std::uint64_t> flits;
+        for (NodeId n = 0; n < m.geom().numNodes(); ++n) {
+            for (int ca = 0; ca < links; ++ca)
+                flits.push_back(m.chip(n).channelAdapter(ca).flitsSent());
+        }
+        return flits;
+    };
+    const Cycle attach = m.now();
+    const std::uint64_t delivered0 = m.totalDelivered();
+    const std::uint64_t injected0 = totalInjected(m);
+    const std::vector<std::uint64_t> flits0 = linkFlits();
+    // Part-way: some packets delivered, some still to inject.
+    ASSERT_GT(delivered0, 0u);
+    ASSERT_LT(injected0, sent);
+
+    TimeseriesConfig tcfg;
+    tcfg.window = 64;
+    IntervalSampler &s = attachSampler(m, tcfg);
+    ASSERT_EQ(m.run(RunSpec::untilDelivered(sent, 500000)).reason,
+              StopReason::Delivered);
+    s.finalize(m.now());
+
+    ASSERT_GE(s.numWindows(), 2u);
+    EXPECT_EQ(s.windowStart(0), attach);
+    EXPECT_EQ(s.seriesSum(s.findSeries("machine.delivered")),
+              static_cast<double>(m.totalDelivered() - delivered0));
+    EXPECT_EQ(s.seriesSum(s.findSeries("machine.injected")),
+              static_cast<double>(totalInjected(m) - injected0));
+    const std::vector<std::uint64_t> flits = linkFlits();
+    std::uint64_t grown = 0;
+    for (NodeId n = 0; n < m.geom().numNodes(); ++n) {
+        for (int ca = 0; ca < links; ++ca) {
+            const std::string name =
+                "chip." + std::to_string(n) + ".ca."
+                + m.layout().channelShortName(ca) + ".flits";
+            const std::size_t idx = s.findSeries(name);
+            ASSERT_NE(idx, IntervalSampler::npos) << name;
+            const std::size_t i = n * static_cast<std::size_t>(links)
+                                  + static_cast<std::size_t>(ca);
+            EXPECT_EQ(s.seriesSum(idx),
+                      static_cast<double>(flits[i] - flits0[i]))
+                << name;
+            grown += flits[i] - flits0[i];
+        }
+    }
+    EXPECT_GT(grown, 0u);
 }
 
 TEST(IntervalSampler, LatencyWindowMeanReconstructsAggregateMean)

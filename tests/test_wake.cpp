@@ -33,7 +33,7 @@ struct Egress
         cfg.num_vcs = 4;
         cfg.buf_flits_per_vc = 8;
         adapter = std::make_unique<ChannelAdapter>(
-            "ca", cfg, /*crosses_dateline=*/false,
+            cfg, /*crosses_dateline=*/false,
             [](const PacketPtr &pkt, std::vector<IngressCopy> &copies) {
                 copies.push_back({ pkt, 0 });
             });
