@@ -119,13 +119,13 @@ try {
     cfg.seed = 31;
     flags.configure(cfg);
     Machine m(cfg);
-    m.attachInstrumentation(flags.instrumentation(m.geom()));
     // The network is quiescent between ping-pongs, so a checkpoint
     // brackets the whole sweep: --checkpoint-in resumes a prior
     // machine's clock/RNG state, --checkpoint-out (below) preserves
-    // this one's.
+    // this one's. Instrumentation attaches after the restore.
     if (flags.checkpoint_in != nullptr)
         m.restoreCheckpoint(flags.checkpoint_in);
+    m.attachInstrumentation(flags.instrumentation(m.geom()));
 
     bench::printHeader(
         "Figure 11: one-way 16 B message latency vs. inter-node hops");

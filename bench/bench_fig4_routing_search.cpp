@@ -26,7 +26,7 @@ main(int argc, char **argv)
         "(no tunables)");
     if (!reg.parse(argc, argv))
         return 1;
-    const ChipLayout layout(23, 3);
+    const ChipLayout layout(23);
 
     bench::printHeader("Figure 4 / Eq. (1): direction-order routing search");
     std::printf("%-14s %22s\n", "order",

@@ -60,14 +60,6 @@ runBatch(const std::vector<int> &radix, int cores, ArbPolicy policy,
     cfg.seed = seed;
     flags.configure(cfg);
     Machine m(cfg);
-    // Probe runs carry the full requested instrumentation; the other
-    // sweep points keep only the progress line so the sweep stays fast.
-    Instrumentation inst;
-    if (probe)
-        inst = flags.instrumentation(m.geom());
-    else if (flags.progress)
-        inst.progress = ProgressMeter::Config{};
-    m.attachInstrumentation(inst);
 
     const auto core_eps = firstEndpoints(cores);
 
@@ -91,16 +83,15 @@ runBatch(const std::vector<int> &radix, int cores, ArbPolicy policy,
     norm.addPattern(0, *pat, core_eps, 200, nrng);
     const double ideal = norm.idealCoreThroughput(0);
 
+    // The driver exists before any restore: its checkpoint client
+    // carries the batch's progress in the image.
     BatchDriver::Config dcfg;
     dcfg.cores = core_eps;
     dcfg.batch_size = batch;
     dcfg.pattern = pat;
     dcfg.pattern_id = 0;
     BatchDriver driver(m, dcfg);
-    m.engine().add(driver);
 
-    const Cycle max_cycles =
-        static_cast<Cycle>(batch) * 2000 + 200000;
     // The last probe run (uniform, largest batch) is the one whose
     // report and exports ship, so it alone gets the warm-start
     // checkpoint I/O and writes the outputs: --checkpoint-out writes its
@@ -109,6 +100,22 @@ runBatch(const std::vector<int> &radix, int cores, ArbPolicy policy,
     // pattern's traffic, and a restore that fails finds no output
     // written yet.
     const bool ships = probe && std::string(pattern_name) == "uniform";
+    if (ships && flags.checkpoint_in != nullptr)
+        m.restoreCheckpoint(flags.checkpoint_in);
+    // Instrumentation attaches after the restore, so every layer counts
+    // from the fork. Probe runs carry the full requested instrumentation;
+    // the other sweep points keep only the progress line so the sweep
+    // stays fast. The driver ticks after the attached layers.
+    Instrumentation inst;
+    if (probe)
+        inst = flags.instrumentation(m.geom());
+    else if (flags.progress)
+        inst.progress = ProgressMeter::Config{};
+    m.attachInstrumentation(inst);
+    m.engine().add(driver);
+
+    const Cycle max_cycles =
+        static_cast<Cycle>(batch) * 2000 + 200000;
     RunSpec spec = RunSpec::untilDelivered(driver.deliveredTarget(),
                                            max_cycles);
     if (ships)

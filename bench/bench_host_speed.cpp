@@ -257,7 +257,7 @@ main(int argc, char **argv)
         ChipConfig chip;
         chip.endpoints_per_node = kEndpointsPerNode;
         const TorusGeom geom(radix);
-        const ChipLayout layout(kEndpointsPerNode, 3);
+        const ChipLayout layout(kEndpointsPerNode);
         LoadModel lm(geom, layout, chip, 1);
         Rng lrng(2);
         UniformPattern uniform(geom);

@@ -43,7 +43,7 @@ main(int argc, char **argv)
     bench::printRule(62);
 
     const TorusGeom geom(k, k, k);
-    const ChipLayout layout(23, 3);
+    const ChipLayout layout(23);
     for (VcPolicy policy : { VcPolicy::Anton2, VcPolicy::Baseline2n,
                              VcPolicy::NoDateline }) {
         const auto report = checkTorusLevel(geom, policy);

@@ -463,12 +463,11 @@ class SharedFlags : public FlagValues
         cfg.lookahead = static_cast<Cycle>(lookahead);
     }
 
-    /** Thread the requested checkpoint I/O into a run. */
+    /** Thread the requested checkpoint save into a run (a bench
+     * restores --checkpoint-in itself, before it attaches). */
     void
     configure(RunSpec &spec) const
     {
-        if (checkpoint_in != nullptr)
-            spec.checkpoint_in = checkpoint_in;
         if (checkpoint_out != nullptr)
             spec.checkpoint_out = checkpoint_out;
     }

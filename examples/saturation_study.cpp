@@ -46,7 +46,7 @@ main(int argc, char **argv)
     ChipConfig chip_for_model;
     chip_for_model.endpoints_per_node = 8;
     const TorusGeom geom(radix);
-    const ChipLayout layout(8, 3);
+    const ChipLayout layout(8);
     LoadModel lm(geom, layout, chip_for_model, 1);
     Rng lrng(2);
     UniformPattern uniform(geom);
@@ -67,6 +67,13 @@ main(int argc, char **argv)
         Machine m(cfg);
         UniformPattern pat(m.geom());
 
+        // The highest-load point is the interesting one: it gets the
+        // checkpoint I/O (--checkpoint-out lands at the sampler's
+        // steady-state convergence; --checkpoint-in warm-starts there,
+        // restored before anything attaches).
+        if (frac == 1.0 && flags.checkpoint_in != nullptr)
+            m.restoreCheckpoint(flags.checkpoint_in);
+
         // Windowed sampling with online steady-state detection: the
         // reported warmup column is the detected end of the transient.
         // One bundle carries the sampler plus any requested auditing.
@@ -85,9 +92,6 @@ main(int argc, char **argv)
         OpenLoopDriver driver(m, dcfg);
         m.engine().add(driver);
 
-        // The highest-load point is the interesting one: it gets the
-        // checkpoint I/O (--checkpoint-out lands at the sampler's
-        // steady-state convergence; --checkpoint-in warm-starts there).
         RunSpec spec = RunSpec::forCycles(8000);
         if (frac == 1.0)
             flags.configure(spec);

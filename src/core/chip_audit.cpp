@@ -240,7 +240,6 @@ Chip::auditInvariants(
         &report) const
 {
     const int per = cfg_.vcsPerClass();
-    const int ndims = layout_.ndims();
 
     // Resource names are built only for a report: a clean pass builds no
     // strings.
@@ -263,7 +262,7 @@ Chip::auditInvariants(
             } else if (!vcLegalForState(cfg_.vc_policy,
                                         pkt.vc.dimsCompleted(),
                                         pkt.vc.crossedInCurrentDim(), promo,
-                                        ndims)) {
+                                        3)) {
                 report("vc_legality",
                        name() + ": packet " + std::to_string(pkt.id)
                            + " (dims=" + std::to_string(

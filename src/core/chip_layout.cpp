@@ -8,13 +8,8 @@
 
 namespace anton2 {
 
-ChipLayout::ChipLayout(int num_endpoints, int ndims)
-    : mesh_(4, 4), ndims_(ndims)
+ChipLayout::ChipLayout(int num_endpoints) : mesh_(4, 4)
 {
-    if (ndims != 3) {
-        throw std::invalid_argument(
-            "ChipLayout models the 3-D-torus Anton 2 ASIC placement");
-    }
     placeAdapters(num_endpoints);
     assignPorts();
 }

@@ -123,16 +123,15 @@ class ChipLayout
 {
   public:
     /**
+     * The Anton 2 ASIC placement, for a 3-D torus.
      * @param num_endpoints Endpoint adapters per chip; the Anton 2 ASIC
      * has 23 (Table 1). Must fit in the free router ports.
-     * @param ndims Torus dimensionality; the placement model supports 3.
      */
-    explicit ChipLayout(int num_endpoints = 23, int ndims = 3);
+    explicit ChipLayout(int num_endpoints = 23);
 
     const MeshGeom &mesh() const { return mesh_; }
-    int ndims() const { return ndims_; }
     int numEndpoints() const { return static_cast<int>(endpoint_router_.size()); }
-    int numChannelAdapters() const { return 2 * ndims_ * kNumSlices; }
+    int numChannelAdapters() const { return 2 * 3 * kNumSlices; }
     int numRouters() const { return mesh_.numRouters(); }
 
     /** Dense index for a channel adapter. */
@@ -220,7 +219,6 @@ class ChipLayout
     int findPort(RouterId r, RouterPort::Kind kind, int adapter) const;
 
     MeshGeom mesh_;
-    int ndims_;
     std::vector<RouterId> channel_router_;  ///< by ChannelAdapterId
     std::vector<RouterId> endpoint_router_; ///< by EndpointId
     std::vector<std::pair<RouterId, RouterId>> skip_pairs_;

@@ -25,8 +25,7 @@ Machine::torusLatency(NodeId n, int dim, Dir dir) const
 Machine::Machine(const MachineConfig &cfg)
     : cfg_(cfg),
       geom_(cfg.radix),
-      layout_(cfg.chip.endpoints_per_node, static_cast<int>(
-                                               cfg.radix.size())),
+      layout_(cfg.chip.endpoints_per_node),
       routes_(RouteTable::build(layout_, cfg.chip.dir_order)),
       rng_(cfg.seed)
 {
@@ -174,8 +173,16 @@ Machine::Machine(const MachineConfig &cfg)
     }
 
     engine_.addSerialPhase([this](Cycle now) { serialPhase(now); });
-    setThreads(cfg_.threads);
-    setLookahead(cfg_.lookahead);
+    // Thread count and window are fixed from here on: the release and
+    // packet-event staging are sized for the lanes and the largest
+    // window once.
+    engine_.setThreads(cfg_.threads);
+    engine_.setWindow(cfg_.lookahead == 0 || cfg_.lookahead > lookahead_cap_
+                          ? lookahead_cap_
+                          : cfg_.lookahead);
+    releases_.configure(engine_.laneCount());
+    events_.configure(engine_.laneCount(),
+                      static_cast<std::size_t>(lookahead_cap_));
 }
 
 void
@@ -212,62 +219,54 @@ Machine::settleIdle()
 }
 
 void
-Machine::configureStaging()
-{
-    const std::size_t lanes = engine_.laneCount();
-    releaseStaged(releases_);
-    releases_.configure(lanes);
-    events_.configure(lanes, static_cast<std::size_t>(lookahead_cap_));
-}
-
-void
-Machine::setThreads(int n)
-{
-    engine_.setThreads(n);
-    configureStaging();
-}
-
-void
-Machine::setLookahead(Cycle w)
-{
-    if (w == 0 || w > lookahead_cap_)
-        w = lookahead_cap_;
-    engine_.setWindow(w);
-    configureStaging();
-}
-
-void
 Machine::attachInstrumentation(const Instrumentation &inst)
 {
-    // Refused before anything is armed or attached: a 0-cycle window
+    // Both refused before anything is armed or attached. Every layer
+    // takes its baselines and barrier phase at the attach, so a second
+    // bundle could not join the first on equal terms; a 0-cycle window
     // would never sample and would shrink every lookahead window to one
     // cycle.
+    if (attached_)
+        throw std::logic_error(
+            "attachInstrumentation: the machine already has its "
+            "instrumentation (attach one bundle, after any restore)");
     if (inst.timeseries.has_value() && inst.timeseries->window < 1)
         throw std::invalid_argument(
             "time-series window must be at least 1 cycle");
+    attached_ = true;
     for (const NetworkFault &f : inst.faults)
         applyFault(f);
     if (inst.metrics)
         doEnableMetrics(inst.metrics_level);
-    if (inst.trace.has_value())
-        doEnableTracing(*inst.trace);
-    if (inst.flows.has_value())
-        doEnableFlows(*inst.flows);
+    if (inst.trace.has_value() || inst.flows.has_value())
+        doEnableEvents(inst.trace, inst.flows);
     if (inst.timeseries.has_value())
         doEnableTimeseries(*inst.timeseries);
-    if (inst.progress.has_value())
-        doEnableProgress(*inst.progress);
-    if (inst.host_profile.has_value())
-        doEnableHostProfile(*inst.host_profile);
+    if (inst.progress.has_value()) {
+        progress_ = std::make_unique<ProgressMeter>(*inst.progress);
+        progress_->setStatusFn([this] {
+            return "delivered " + std::to_string(delivered_);
+        });
+        engine_.add(*progress_);
+    }
+    if (inst.host_profile.has_value()) {
+        host_profile_ = std::make_unique<EngineProfiler>(*inst.host_profile);
+        engine_.setProfiler(host_profile_.get());
+        // Window-aware rate: the profiler's running cycles/s covers
+        // exactly the engine loop (not setup or export time), so the
+        // meter's rate and ETA stop wobbling with whatever the driver
+        // does between windows.
+        if (progress_ != nullptr)
+            progress_->setRateFn(
+                [p = host_profile_.get()] { return p->cyclesPerSec(); });
+    }
     if (inst.audit.has_value())
         doEnableAudit(*inst.audit);
 }
 
-MetricsRegistry &
+void
 Machine::doEnableMetrics(MetricsLevel level)
 {
-    if (metrics_ != nullptr)
-        return *metrics_;
     metrics_ = std::make_unique<MetricsRegistry>();
     MetricsRegistry &reg = *metrics_;
     reg.setLevel(level);
@@ -305,7 +304,6 @@ Machine::doEnableMetrics(MetricsLevel level)
     // The exported counts start here, and again at every reset.
     readCounts(count_base_);
     reg.setResetHook([this] { readCounts(count_base_); });
-    return reg;
 }
 
 void
@@ -330,15 +328,6 @@ Machine::readCounts(std::vector<std::uint64_t> &out) const
             out.insert(out.end(), { ep.injected(), ep.delivered() });
         }
     }
-}
-
-void
-Machine::rebaseCounts(const std::vector<std::uint64_t> &before)
-{
-    std::vector<std::uint64_t> after;
-    readCounts(after);
-    for (std::size_t i = 0; i < after.size(); ++i)
-        count_base_[i] += after[i] - before[i];
 }
 
 std::string
@@ -706,12 +695,9 @@ Machine::hostJson()
     return w.end().take();
 }
 
-IntervalSampler &
+void
 Machine::doEnableTimeseries(const TimeseriesConfig &cfg)
 {
-    if (sampler_ != nullptr)
-        return *sampler_;
-
     // The series, in the order the row below writes them. Machine level:
     // injected and delivered counts per window and the windowed latency
     // mean (the ejection + latency pair feeds the steady-state
@@ -800,7 +786,6 @@ Machine::doEnableTimeseries(const TimeseriesConfig &cfg)
     // truncate to land the barrier there). A 1-cycle window thus runs
     // a barrier every cycle.
     engine_.addBarrierAlignment(cfg.window, engine_.now());
-    return s;
 }
 
 std::string
@@ -817,44 +802,6 @@ Machine::heatmapCsv()
     assert(sampler_ != nullptr && "attach a timeseries sampler first");
     sampler_->finalize(engine_.now());
     return sampler_->heatmapCsv();
-}
-
-ProgressMeter &
-Machine::doEnableProgress(const ProgressMeter::Config &cfg)
-{
-    if (progress_ != nullptr)
-        return *progress_;
-    progress_ = std::make_unique<ProgressMeter>(cfg);
-    progress_->setStatusFn([this] {
-        return "delivered " + std::to_string(delivered_);
-    });
-    engine_.add(*progress_);
-    wireProgressRate();
-    return *progress_;
-}
-
-EngineProfiler &
-Machine::doEnableHostProfile(const EngineProfileConfig &cfg)
-{
-    if (host_profile_ != nullptr)
-        return *host_profile_;
-    host_profile_ = std::make_unique<EngineProfiler>(cfg);
-    engine_.setProfiler(host_profile_.get());
-    wireProgressRate();
-    return *host_profile_;
-}
-
-void
-Machine::wireProgressRate()
-{
-    if (progress_ == nullptr || host_profile_ == nullptr)
-        return;
-    // Window-aware rate: the profiler's running cycles/s covers exactly
-    // the engine loop (not setup or export time), so the meter's rate
-    // and ETA stop wobbling with whatever the driver does between
-    // windows.
-    progress_->setRateFn(
-        [p = host_profile_.get()] { return p->cyclesPerSec(); });
 }
 
 std::string
@@ -906,16 +853,26 @@ Machine::hostTimelineChromeJson()
     return hostTimelineJson(in);
 }
 
-FlowProbe &
-Machine::doEnableFlows(const FlowProbeConfig &cfg)
+void
+Machine::doEnableEvents(const std::optional<TraceConfig> &trace,
+                        const std::optional<FlowProbeConfig> &flows)
 {
-    if (flow_ != nullptr)
-        return *flow_;
-    flow_ = std::make_unique<FlowProbe>(cfg);
-    events_.setFlows(flow_.get());
+    if (trace.has_value()) {
+        trace_ = std::make_unique<RingTraceSink>(trace->capacity);
+        trace_->setSampleStride(trace->sample);
+        events_.setTrace(trace_.get());
+        // Stall attribution classifies every router output port from
+        // this cycle on (a sleeping router books its slept cycles as
+        // no_input when it settles), so whatever a router slept through
+        // before the attach is settled first and never sampled.
+        settleIdle();
+    }
+    if (flows.has_value()) {
+        flow_ = std::make_unique<FlowProbe>(*flows);
+        events_.setFlows(flow_.get());
+    }
     for (auto &c : chips_)
         c->bindEvents(events_);
-    return *flow_;
 }
 
 std::string
@@ -923,24 +880,6 @@ Machine::flowMatrixCsv()
 {
     assert(flow_ != nullptr && "attach a flow probe first");
     return flow_->matrixCsv();
-}
-
-RingTraceSink &
-Machine::doEnableTracing(const TraceConfig &cfg)
-{
-    if (trace_ != nullptr)
-        return *trace_;
-    trace_ = std::make_unique<RingTraceSink>(cfg.capacity);
-    trace_->setSampleStride(cfg.sample);
-    events_.setTrace(trace_.get());
-    // Stall attribution classifies every router output port from this
-    // cycle on (a sleeping router books its slept cycles as no_input
-    // when it settles), so whatever a router slept through before the
-    // attach is settled first and never sampled.
-    settleIdle();
-    for (auto &c : chips_)
-        c->bindEvents(events_);
-    return *trace_;
 }
 
 std::string
@@ -1265,8 +1204,6 @@ Machine::run(const RunSpec &spec)
         host_.first_run = t0;
         host_.ran = true;
     }
-    if (!spec.checkpoint_in.empty())
-        restoreCheckpoint(spec.checkpoint_in);
 
     RunResult res;
     const Cycle start = engine_.now();

@@ -69,15 +69,23 @@ struct MachineConfig
     Cycle fixed_torus_latency = 33; ///< used when use_packaging is false
     std::uint64_t seed = 1;
     /** Worker threads for the engine's parallel phase (1 = serial).
-     * Results are bit-identical at any count; see Machine::setThreads. */
+     * Chips are sharded one per lane group and every cross-thread path
+     * is a latency >= 1 torus wire, so results - delivery stats,
+     * metrics JSON, trace and time-series exports - are bit-identical
+     * at any thread count. */
     int threads = 1;
     /** Lookahead window in cycles: how many consecutive cycles each
      * shard ticks between engine barriers. 1 (default) is the legacy
      * barrier-per-cycle schedule; 0 picks the maximum conservative
      * window (the minimum torus link latency); any other value is
-     * clamped to that maximum. Results are bit-identical across thread
-     * counts at any fixed window; see Machine::setLookahead for the
-     * cross-window contract. */
+     * clamped to that maximum. At any fixed window the simulation is
+     * bit-identical across thread counts. Runs at *different* windows
+     * may differ from one another when serial-phase feedback exists (a
+     * driver's injections become visible to the chips at the next
+     * window boundary rather than the next cycle); workloads without
+     * such feedback (pre-injected traffic) are bit-identical across
+     * windows too. Sampler and auditor observation cycles stay exact at
+     * any window via Engine::addBarrierAlignment. */
     Cycle lookahead = 1;
 };
 
@@ -85,8 +93,7 @@ struct MachineConfig
  * The one-call instrumentation bundle (Machine::attachInstrumentation):
  * every observability layer and the seeded negative-control faults in a
  * single declarative struct. Disengaged members cost nothing (the
- * layer is simply not constructed). All layers are idempotent, so
- * attaching a second bundle unions it with the first.
+ * layer is simply not constructed). A machine takes one bundle.
  */
 struct Instrumentation
 {
@@ -96,8 +103,7 @@ struct Instrumentation
     bool metrics = false;
     /** Telemetry granularity for the registry (see MetricsLevel): how
      * much per-component state is registered and exported. Only
-     * consulted when `metrics` is engaged, and only by the *first*
-     * attach, which creates the registry. */
+     * consulted when `metrics` is engaged. */
     MetricsLevel metrics_level = MetricsLevel::Full;
     /** Create the trace ring and bind every component. */
     std::optional<TraceConfig> trace;
@@ -158,9 +164,6 @@ struct RunSpec
 
     /** Stop once no component reports buffered work. */
     bool until_quiescent = false;
-
-    /** Restore this checkpoint before running (empty = cold start). */
-    std::string checkpoint_in;
 
     /**
      * Save a checkpoint to this path during the run (empty = never).
@@ -314,41 +317,17 @@ class Machine
      * it. */
     void setDeliverHook(std::function<void(const PacketPtr &, Cycle)> fn);
 
-    /**
-     * Tick chips on @p n threads (1 = serial, the default). Chips are
-     * sharded one-per-lane-group and every cross-thread path is a
-     * latency >= 1 torus wire, so results - delivery stats, metrics
-     * JSON, trace and time-series exports - are bit-identical at any
-     * thread count. Safe to call between runs.
-     */
-    void setThreads(int n);
-    int threads() const { return engine_.threads(); }
-
-    /**
-     * Set the engine's lookahead window (0 = the maximum conservative
-     * window, values above it clamped; see MachineConfig::lookahead).
-     * At any fixed window the simulation is deterministic and
-     * bit-identical across thread counts. Runs at *different* windows
-     * are each exact conservative schedules but may differ from one
-     * another when serial-phase feedback exists (a driver's injections
-     * become visible to the chips at the next window boundary rather
-     * than the next cycle); workloads without such feedback
-     * (pre-injected traffic) are bit-identical across windows too.
-     * Sampler/auditor observation cycles stay exact at any window via
-     * Engine::addBarrierAlignment. Safe to call between runs.
-     */
-    void setLookahead(Cycle w);
-    /** The active lookahead window in cycles. */
+    /** The lookahead window in cycles: MachineConfig::lookahead with 0
+     * and values above lookaheadCap() clamped to it. */
     Cycle lookaheadWindow() const { return engine_.window(); }
     /** The maximum conservative window: min torus link latency. */
     Cycle lookaheadCap() const { return lookahead_cap_; }
 
     /**
-     * The single run entry point: restore checkpoint_in (if set),
-     * advance until the first engaged stop condition fires or
-     * max_cycles elapse, and save checkpoint_out (if set) at
-     * steady-state convergence or run end. Deterministic: for a fixed
-     * spec the result and every export are byte-identical at any
+     * The single run entry point: advance until the first engaged stop
+     * condition fires or max_cycles elapse, and save checkpoint_out (if
+     * set) at steady-state convergence or run end. Deterministic: for a
+     * fixed spec the result and every export are byte-identical at any
      * thread count.
      */
     RunResult run(const RunSpec &spec);
@@ -365,14 +344,16 @@ class Machine
     // ------------------------------------------------------------------
 
     /**
-     * Attach every engaged layer of @p inst in one call: faults are
-     * armed first, then metrics, tracing, time series, the progress
-     * meter, and the auditor (the auditor last, so its serial-tail tick
-     * audits a fully settled cycle). This is the only attach path (the
-     * legacy per-layer enable*() forwarders are gone). Recording starts
-     * immediately, so attach before driving traffic for complete
-     * counts. All layers are idempotent: attaching a second bundle
-     * unions it with the first.
+     * Attach every engaged layer of @p inst: faults are armed first,
+     * then metrics, tracing and flows, time series, the progress meter,
+     * the host profiler and the auditor (the auditor last, so its
+     * serial-tail tick audits a fully settled cycle). A machine takes
+     * exactly one bundle, after any restoreCheckpoint(): every layer
+     * takes its baselines and its barrier phase at the current cycle.
+     * Recording starts immediately, so attach before driving traffic
+     * for complete counts.
+     * @throws std::logic_error, before arming or attaching anything, on
+     * a machine that already has a bundle attached.
      * @throws std::invalid_argument, before arming or attaching
      * anything, for a time-series window below 1 cycle.
      */
@@ -527,8 +508,8 @@ class Machine
      * A machine restored from the file continues byte-identically to
      * the uninterrupted run at any thread count and lookahead window.
      * Instrumentation layers are NOT checkpointed: attach them after
-     * restoring, exactly as the baseline run attached them at the save
-     * cycle. Throws CheckpointError on I/O failure.
+     * restoring, as the baseline run attached them at the save cycle.
+     * Throws CheckpointError on I/O failure.
      */
     void saveCheckpoint(const std::string &path);
 
@@ -543,8 +524,11 @@ class Machine
      * value outside its bound - including a restored state that breaks
      * the runtime auditor's invariants, so an image of a run with a
      * seeded network fault does not restore. A restore that throws
-     * leaves the machine partly overwritten and unusable: the caller
-     * must discard it.
+     * CheckpointError leaves the machine partly overwritten and
+     * unusable: the caller must discard it.
+     * @throws std::logic_error, before opening @p path (the machine
+     * stays usable), once attachInstrumentation() has been called:
+     * instrumentation attaches after the restore, never before.
      */
     void restoreCheckpoint(const std::string &path);
 
@@ -574,17 +558,14 @@ class Machine
     Cycle restoredCycle() const { return restored_cycle_; }
 
   private:
-    MetricsRegistry &doEnableMetrics(MetricsLevel level);
-    RingTraceSink &doEnableTracing(const TraceConfig &cfg);
-    FlowProbe &doEnableFlows(const FlowProbeConfig &cfg);
-    IntervalSampler &doEnableTimeseries(const TimeseriesConfig &cfg);
-    ProgressMeter &doEnableProgress(const ProgressMeter::Config &cfg);
-    EngineProfiler &doEnableHostProfile(const EngineProfileConfig &cfg);
-    /** Feed the profiler's running rate into the progress meter (when
-     * both layers are attached, in either order). */
-    void wireProgressRate();
-    Auditor &doEnableAudit(const AuditConfig &cfg); // machine_audit.cpp
-    void applyFault(const NetworkFault &f);         // machine_audit.cpp
+    void doEnableMetrics(MetricsLevel level);
+    /** Put the requested trace ring and flow probe on the packet-event
+     * stream, then bind every component to it in one pass. */
+    void doEnableEvents(const std::optional<TraceConfig> &trace,
+                        const std::optional<FlowProbeConfig> &flows);
+    void doEnableTimeseries(const TimeseriesConfig &cfg);
+    void doEnableAudit(const AuditConfig &cfg); // machine_audit.cpp
+    void applyFault(const NetworkFault &f);     // machine_audit.cpp
     using AuditReport = std::function<void(const std::string &check,
                                            const std::string &detail)>;
     /** Run every invariant check, reporting each violation (the
@@ -594,9 +575,6 @@ class Machine
      * of its table (machine_checkpoint.cpp). */
     void fields(CkptArchive &ar);
     void packetFields(CkptArchive &ar, Packet &p) const;
-    /** Size the release and packet-event staging for the current lane
-     * count and the maximum lookahead window. */
-    void configureStaging();
     /** Per-cycle post-barrier work: apply staged releases, merge the
      * cycle's staged packet events, then run deferred delivery side
      * effects in endpoint registration order (so a cycle's hop records
@@ -613,10 +591,6 @@ class Machine
      * deliveries.
      */
     void readCounts(std::vector<std::uint64_t> &out) const;
-    /** After a restore overwrote the counts that readCounts() gave as
-     * @p before, shift the base by as much: the export keeps what it
-     * counted and goes on from the image's values. */
-    void rebaseCounts(const std::vector<std::uint64_t> &before);
     /** `chip.<n>.router.<u>.<v>`, the metrics path of router @p r. */
     std::string routerPath(NodeId n, RouterId r) const;
     /** Latency of the torus link leaving @p n along (dim, dir): the
@@ -689,6 +663,7 @@ class Machine
     std::vector<CheckpointClient> ckpt_clients_;
     std::string restored_from_; ///< checkpoint provenance (run report)
     Cycle restored_cycle_ = 0;
+    bool attached_ = false; ///< attachInstrumentation() has run
 
     std::unique_ptr<MetricsRegistry> metrics_;
     Counter *m_delivered_ = nullptr; ///< machine.delivered
@@ -697,8 +672,8 @@ class Machine
      * breakdown of each delivery's latency. */
     std::array<ScalarStat *, 3> m_latency_{};
     Histogram *m_latency_total_ = nullptr; ///< machine.latency.total
-    /** readCounts() at the attach or the last reset, shifted by what a
-     * restore overwrote: metricsJson() exports the counts less these. */
+    /** readCounts() at the attach or the last reset: metricsJson()
+     * exports the counts less these. */
     std::vector<std::uint64_t> count_base_;
     /** What every component emits packet events into; the trace ring
      * and the flow probe attach to it. */

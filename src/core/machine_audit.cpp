@@ -201,11 +201,9 @@ Machine::auditInvariants(const AuditReport &report) const
         cp->auditInvariants(report);
 }
 
-Auditor &
+void
 Machine::doEnableAudit(const AuditConfig &cfg)
 {
-    if (audit_ != nullptr)
-        return *audit_;
     audit_ = std::make_unique<Auditor>(
         cfg,
         [this] {
@@ -233,7 +231,6 @@ Machine::doEnableAudit(const AuditConfig &cfg)
     if (cfg.watchdog_interval > 1)
         engine_.addBarrierAlignment(cfg.watchdog_interval,
                                     engine_.now() % cfg.watchdog_interval);
-    return a;
 }
 
 } // namespace anton2

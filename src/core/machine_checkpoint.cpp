@@ -16,10 +16,13 @@
  * contract is attach-at-fork (a restored machine with instrumentation
  * attached at cycle C exports byte-identically to an uninterrupted run
  * that attached at C), which keeps the image format independent of
- * which observability layers happen to be bound.
+ * which observability layers happen to be bound. The order is fixed:
+ * restore, then attach; restoreCheckpoint refuses a machine that is
+ * already instrumented.
  */
 #include <algorithm>
 #include <climits>
+#include <stdexcept>
 
 #include "arb/inverse_weighted.hpp"
 #include "core/machine.hpp"
@@ -264,9 +267,13 @@ Machine::saveCheckpoint(const std::string &path)
 void
 Machine::restoreCheckpoint(const std::string &path)
 {
-    std::vector<std::uint64_t> before;
-    if (metrics_ != nullptr)
-        readCounts(before);
+    // Every layer takes its baselines (counts, cumulative series) and
+    // barrier phase at its attach; a restore under them would move the
+    // state they measure from.
+    if (attached_)
+        throw std::logic_error(
+            "restoreCheckpoint: instrumentation is already attached "
+            "(restore first, then attach)");
     CkptArchive ar(path, configFingerprint());
     // Every live packet belongs to the state the image replaces; the
     // image's packets go to their source nodes' slabs.
@@ -280,8 +287,6 @@ Machine::restoreCheckpoint(const std::string &path)
     ar.finish();
     restored_from_ = path;
     restored_cycle_ = engine_.now();
-    if (metrics_ != nullptr)
-        rebaseCounts(before);
 }
 
 } // namespace anton2

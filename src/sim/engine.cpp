@@ -154,14 +154,7 @@ Engine::addBarrierAlignment(Cycle period, Cycle phase)
 {
     if (period < 1)
         period = 1;
-    Alignment a;
-    a.period = period;
-    a.phase = phase % period;
-    for (const Alignment &have : alignments_) {
-        if (have.period == a.period && have.phase == a.phase)
-            return; // idempotent (instrumentation attach is idempotent)
-    }
-    alignments_.push_back(a);
+    alignments_.push_back({ period, phase % period });
 }
 
 template <typename Before>
@@ -290,23 +283,26 @@ Engine::advance(Cycle budget)
     // cycles tick: their latency is at least the window.
     mergeWakes();
 
+    // One lane's share of the window: shards [begin, end), bracketed by
+    // the profiler's lane timestamps when one is attached (without one,
+    // no clock is read: `sampled` is false too).
+    auto tickLane = [this, now, w, prof, sampled](int lane, std::size_t begin,
+                                                  std::size_t end) {
+        if (prof) [[unlikely]]
+            profiler_->laneBegin(lane);
+        const std::uint64_t ticks =
+            sampled ? tickShardRangeProfiled(begin, end, now, w)
+                    : tickShardRange(begin, end, now, w);
+        if (prof) [[unlikely]]
+            profiler_->laneEnd(lane);
+        return ticks;
+    };
     if (pool_ != nullptr) {
-        if (prof) [[unlikely]] {
-            pool_->run([this, now, w, sampled](int lane) {
-                const Lane &l = lanes_[static_cast<std::size_t>(lane)];
-                profiler_->laneBegin(lane);
-                lane_ticks_[static_cast<std::size_t>(lane)].n =
-                    sampled ? tickShardRangeProfiled(l.begin, l.end, now, w)
-                            : tickShardRange(l.begin, l.end, now, w);
-                profiler_->laneEnd(lane);
-            });
-        } else {
-            pool_->run([this, now, w](int lane) {
-                const Lane &l = lanes_[static_cast<std::size_t>(lane)];
-                lane_ticks_[static_cast<std::size_t>(lane)].n =
-                    tickShardRange(l.begin, l.end, now, w);
-            });
-        }
+        pool_->run([this, &tickLane](int lane) {
+            const Lane &l = lanes_[static_cast<std::size_t>(lane)];
+            lane_ticks_[static_cast<std::size_t>(lane)].n =
+                tickLane(lane, l.begin, l.end);
+        });
         for (const LaneTicks &lt : lane_ticks_)
             ticks_run_ += lt.n;
     } else {
@@ -317,15 +313,7 @@ Engine::advance(Cycle budget)
         std::optional<par::LaneScope> lane0;
         if (w > 1)
             lane0.emplace(0);
-        if (prof) [[unlikely]] {
-            profiler_->laneBegin(0);
-            ticks_run_ +=
-                sampled ? tickShardRangeProfiled(0, shards_.size(), now, w)
-                        : tickShardRange(0, shards_.size(), now, w);
-            profiler_->laneEnd(0);
-        } else {
-            ticks_run_ += tickShardRange(0, shards_.size(), now, w);
-        }
+        ticks_run_ += tickLane(0, 0, shards_.size());
     }
     if (prof) [[unlikely]]
         profiler_->barrierDone();

@@ -177,8 +177,9 @@ class Engine
      * Constrain windows so every cycle c with c % period == phase is the
      * *final* cycle of its window. Serial-tail components that read live
      * shard state on a fixed schedule (interval samplers, auditors)
-     * register their period here; their observation cycles then see
-     * exactly the state a window-1 run would show them.
+     * register their period here once, at their attach; their
+     * observation cycles then see exactly the state a window-1 run would
+     * show them.
      */
     void addBarrierAlignment(Cycle period, Cycle phase);
 

@@ -22,6 +22,14 @@ makeCoreList(const Machine &m, const std::vector<EndpointId> &eps)
 
 namespace {
 
+/** A batch core sends only while its request injection queue holds
+ * fewer packets than this (self-throttling). */
+constexpr std::size_t kBatchMaxQueue = 2;
+
+/** An open-loop core drops its offers while its request injection queue
+ * holds this many packets. */
+constexpr std::size_t kOpenLoopMaxQueue = 16;
+
 /** The endpoint adapter of every core, in core order. */
 std::vector<EndpointAdapter *>
 coreEndpoints(Machine &m, const std::vector<EndpointAddr> &cores)
@@ -100,7 +108,7 @@ BatchDriver::tick(Cycle now)
             continue;
         const EndpointAddr &src = core_addrs_[i];
         if (core_eps_[i]->injectQueueDepth(TrafficClass::Request)
-            >= static_cast<std::size_t>(cfg_.max_queue)) {
+            >= kBatchMaxQueue) {
             continue;
         }
 
@@ -153,7 +161,7 @@ OpenLoopDriver::tick(Cycle)
         if (!rng.chance(cfg_.rate))
             continue;
         if (core_eps_[i]->injectQueueDepth(TrafficClass::Request)
-            >= cfg_.max_queue)
+            >= kOpenLoopMaxQueue)
             continue;
         const EndpointAddr &src = core_addrs_[i];
         const NodeId dst_node = cfg_.pattern->dest(src.node, rng);

@@ -19,7 +19,8 @@ namespace anton2 {
 /**
  * Closed-batch driver. One logical "core" per (node, endpoint) pair; all
  * cores source packets from a single TrafficPattern, or from a blend of
- * two patterns (Figure 10) selected per packet by blend_fraction.
+ * two patterns (Figure 10) selected per packet by blend_fraction. A core
+ * sends while its injection queue holds fewer than 2 packets.
  */
 class BatchDriver : public Component
 {
@@ -29,7 +30,6 @@ class BatchDriver : public Component
         std::vector<EndpointId> cores; ///< participating endpoints per node
         std::uint64_t batch_size = 256;
         int size_flits = 1;
-        int max_queue = 2; ///< injection-queue self-throttle per core
 
         /** Primary pattern and its arbiter-pattern label. */
         const TrafficPattern *pattern = nullptr;
@@ -89,8 +89,9 @@ class BatchDriver : public Component
 
 /**
  * Open-loop Bernoulli injector: each core offers a packet with probability
- * @p rate per cycle (dropped into the unbounded injection queue). Used for
- * latency-vs-load studies and the energy experiment's controlled rates.
+ * @p rate per cycle into its injection queue, and drops the offer while
+ * the queue holds 16 packets. Used for latency-vs-load studies and the
+ * energy experiment's controlled rates.
  */
 class OpenLoopDriver : public Component
 {
@@ -102,7 +103,6 @@ class OpenLoopDriver : public Component
         int size_flits = 1;
         const TrafficPattern *pattern = nullptr;
         std::uint8_t pattern_id = 0;
-        std::size_t max_queue = 16; ///< drop offers beyond this backlog
     };
 
     OpenLoopDriver(Machine &machine, Config cfg);

@@ -42,7 +42,7 @@ TEST(WorstCase, Equation1PermutationIsValid)
 
 TEST(WorstCase, Anton2OrderAchievesLoadTwoOnEquation1)
 {
-    const ChipLayout layout(23, 3);
+    const ChipLayout layout(23);
     const int load = maxMeshLoadForPermutation(
         layout, equation1Permutation(), anton2DirOrder(), 0);
     // Figure 4: the most heavily loaded mesh channels carry two torus
@@ -52,7 +52,7 @@ TEST(WorstCase, Anton2OrderAchievesLoadTwoOnEquation1)
 
 TEST(WorstCase, SearchFindsAnton2OrderOptimal)
 {
-    const ChipLayout layout(23, 3);
+    const ChipLayout layout(23);
     const auto results = searchDirectionOrders(layout, 0);
     ASSERT_EQ(results.size(), 24u);
 
@@ -72,7 +72,7 @@ TEST(WorstCase, SearchFindsAnton2OrderOptimal)
 
 TEST(WorstCase, BothSlicesAreEquivalent)
 {
-    const ChipLayout layout(23, 3);
+    const ChipLayout layout(23);
     for (const auto &order :
          { anton2DirOrder(),
            MeshDirOrder{ MeshDir::UPos, MeshDir::UNeg, MeshDir::VPos,
@@ -163,7 +163,7 @@ TEST(Deadlock, SmallRingsHaveNoCycleEvenWithoutDateline)
 TEST(Deadlock, ChipLevelAnton2IsAcyclic)
 {
     const TorusGeom geom(3, 3, 3);
-    const ChipLayout layout(23, 3);
+    const ChipLayout layout(23);
     const auto report = checkChipLevel(geom, layout, VcPolicy::Anton2,
                                        anton2DirOrder(), { 0, 11, 22 });
     EXPECT_TRUE(report.acyclic)
@@ -175,7 +175,7 @@ TEST(Deadlock, ChipLevelWithTiesIsAcyclic)
 {
     // Even radix exercises direction ties and the k/2 minimal boundary.
     const TorusGeom geom(4, 4, 4);
-    const ChipLayout layout(23, 3);
+    const ChipLayout layout(23);
     const auto report = checkChipLevel(geom, layout, VcPolicy::Anton2,
                                        anton2DirOrder(), { 0, 22 });
     EXPECT_TRUE(report.acyclic)
@@ -185,7 +185,7 @@ TEST(Deadlock, ChipLevelWithTiesIsAcyclic)
 TEST(Deadlock, ChipLevelBaselineIsAcyclic)
 {
     const TorusGeom geom(3, 3, 3);
-    const ChipLayout layout(23, 3);
+    const ChipLayout layout(23);
     EXPECT_TRUE(checkChipLevel(geom, layout, VcPolicy::Baseline2n,
                                anton2DirOrder(), { 0, 22 })
                     .acyclic);
@@ -194,7 +194,7 @@ TEST(Deadlock, ChipLevelBaselineIsAcyclic)
 TEST(Deadlock, ChipLevelNoDatelineHasCycle)
 {
     const TorusGeom geom(5, 3, 3);
-    const ChipLayout layout(23, 3);
+    const ChipLayout layout(23);
     const auto report = checkChipLevel(geom, layout, VcPolicy::NoDateline,
                                        anton2DirOrder(), { 0 });
     EXPECT_FALSE(report.acyclic);
@@ -227,7 +227,7 @@ TEST(Deadlock, ChipLevelGraphsArePinned)
         { { 5, 3, 3 }, VcPolicy::NoDateline, { 0 }, 2340, 3375,
           0x51c839059c8ae476ULL, 26 },
     };
-    const ChipLayout layout(23, 3);
+    const ChipLayout layout(23);
     for (const Case &c : cases) {
         const TorusGeom geom(c.radix);
         const auto report = checkChipLevel(geom, layout, c.policy,
@@ -259,7 +259,7 @@ class LoadModelTest : public ::testing::Test
 {
   protected:
     TorusGeom geom_{ 4, 4, 4 };
-    ChipLayout layout_{ 23, 3 };
+    ChipLayout layout_{ 23 };
     ChipConfig chip_;
 };
 

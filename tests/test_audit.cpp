@@ -172,8 +172,8 @@ TEST(Audit, GaugesPublishedWhenBound)
     Machine m(auditConfig());
     Instrumentation inst;
     inst.metrics = true;
+    inst.audit = fastAudit();
     m.attachInstrumentation(inst);
-    attachAudit(m, fastAudit());
     const auto sent = driveSeededTraffic(m, 73, 40);
     ASSERT_TRUE(m.run(RunSpec::untilDelivered(sent, 100000)).reason == StopReason::Delivered);
     const std::string json = m.metricsJson();
@@ -212,8 +212,9 @@ TEST(Audit, WithholdCreditTripsWatchdogAndNamesLink)
     fault.node = 0;
     Instrumentation inst;
     inst.faults.push_back(fault);
+    inst.audit = fastAudit(/*stall_threshold=*/300);
     m.attachInstrumentation(inst);
-    Auditor &a = attachAudit(m, fastAudit(/*stall_threshold=*/300));
+    Auditor &a = *m.audit();
 
     const NodeId dst = m.geom().id({ 2, 0, 0 });
     const auto sent = sendForcedXPlus(m, 0, dst, 40);
@@ -261,8 +262,9 @@ TEST(Audit, NoPromotionDeadlocksRingWithDeadlockVerdict)
     fault.node = m.geom().id({ 7, 0, 0 }); // dateline between x=7 and x=0
     Instrumentation inst;
     inst.faults.push_back(fault);
+    inst.audit = fastAudit(/*stall_threshold=*/500);
     m.attachInstrumentation(inst);
-    Auditor &a = attachAudit(m, fastAudit(/*stall_threshold=*/500));
+    Auditor &a = *m.audit();
 
     std::uint64_t sent = 0;
     for (int x = 0; x < 8; ++x) {
@@ -433,7 +435,7 @@ TEST(DeadlockDot, StaticChipGraphSharesRuntimeLinkNames)
     // two DOT files diff cleanly for one configuration.
     const MachineConfig cfg = auditConfig();
     const TorusGeom geom(cfg.radix);
-    const ChipLayout layout(cfg.chip.endpoints_per_node, geom.ndims());
+    const ChipLayout layout(cfg.chip.endpoints_per_node);
     const auto report = checkChipLevel(geom, layout,
                                        cfg.chip.vc_policy,
                                        anton2DirOrder(), { 0 },

@@ -8,11 +8,12 @@
  * uninterrupted run - same metrics, trace, flow, time-series, and audit
  * exports after C+N cycles - at any thread count and lookahead window.
  * Instrumentation is not checkpointed; both the baseline and the
- * restored run attach the same bundle at cycle C.
+ * restored run attach the same bundle at cycle C, the restored run after
+ * its restore (a restore refuses an instrumented machine).
  *
  * Also pinned here: traffic-driver state rides along through the
  * checkpoint-client registry (a batch saved mid-flight completes after
- * restore), the RunSpec checkpoint_in/checkpoint_out plumbing, the link
+ * restore), the RunSpec checkpoint_out plumbing, the link
  * layer's field lists, the reader's rejection of corrupted, truncated,
  * version-mismatched, config-mismatched, and client-mismatched files,
  * and a fuzz corpus of checksum-resealed mutations that restore must
@@ -30,6 +31,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -199,6 +201,48 @@ TEST(Checkpoint, RestoredRunMatchesUninterruptedAcrossThreadsAndWindows)
     std::remove(path.c_str());
 }
 
+TEST(Checkpoint, RestoreRefusesAttachedInstrumentation)
+{
+    // Instrumentation attaches after any restore: every layer takes its
+    // baselines and barrier phase at its attach. restoreCheckpoint() on
+    // a machine that has had a bundle attached throws std::logic_error
+    // before it opens the image, and the machine runs on as if it had
+    // never been asked: its exports equal a twin's.
+    const std::string path = ckptPath("refused");
+    {
+        Machine saver(smallConfig());
+        preInject(saver, smallConfig().seed);
+        saver.run(RunSpec::forCycles(kForkCycle));
+        saver.saveCheckpoint(path);
+    }
+    auto instrumented = [](Machine &m) {
+        preInject(m, smallConfig().seed);
+        m.run(RunSpec::forCycles(kForkCycle / 2));
+        m.attachInstrumentation(forkInstrumentation());
+        m.run(RunSpec::forCycles(kForkCycle / 2));
+    };
+    Machine twin(smallConfig());
+    instrumented(twin);
+    Machine m(smallConfig());
+    instrumented(m);
+    EXPECT_THROW(m.restoreCheckpoint(path), std::logic_error);
+    // Refused before the file is opened: a missing one reads the same.
+    EXPECT_THROW(m.restoreCheckpoint(ckptPath("refused_missing")),
+                 std::logic_error);
+    EXPECT_TRUE(m.restoredFrom().empty());
+    EXPECT_EQ(m.restoredCycle(), 0u);
+    EXPECT_EQ(m.now(), kForkCycle);
+    for (Machine *x : { &m, &twin })
+        x->run(RunSpec::forCycles(kTailCycles));
+    expectIdentical(capture(twin), capture(m), "after a refused restore");
+
+    // An empty bundle is an attach too.
+    Machine bare(smallConfig());
+    bare.attachInstrumentation(Instrumentation{});
+    EXPECT_THROW(bare.restoreCheckpoint(path), std::logic_error);
+    std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------
 // Driver state rides along (checkpoint clients)
 // ---------------------------------------------------------------------
@@ -290,6 +334,111 @@ TEST(Checkpoint, BatchDriverSavedMidFlightCompletesAfterRestore)
     }
 }
 
+TEST(Checkpoint, WarmStartSamplerAndAuditorCountFromTheRestore)
+{
+    // A warm start attaches its sampler and auditor after the restore,
+    // so both count from the fork: the first window starts at the
+    // restored cycle and holds only what happened after it (not every
+    // injection since cycle 0), and both barrier schedules are phased
+    // to the fork. The exports equal an uninterrupted run's that
+    // attached at the save cycle, at any thread count, compared at a
+    // matched lookahead window (the driver's injections make runs at
+    // different windows differ).
+    auto attachSamplerAndAuditor = [](Machine &m) {
+        Instrumentation inst;
+        TimeseriesConfig scfg;
+        scfg.window = 32;
+        inst.timeseries = scfg;
+        AuditConfig acfg;
+        acfg.audit_interval = 32;
+        acfg.watchdog_interval = 64;
+        inst.audit = acfg;
+        m.attachInstrumentation(inst);
+    };
+    auto injected = [](Machine &m) {
+        std::uint64_t n = 0;
+        for (NodeId node = 0; node < m.geom().numNodes(); ++node) {
+            for (EndpointId e = 0; e < m.layout().numEndpoints(); ++e)
+                n += m.chip(node).endpoint(e).injected();
+        }
+        return n;
+    };
+    struct Observed
+    {
+        std::string timeseries;
+        std::string heatmap;
+        std::string audit;
+    };
+    auto finish = [](Machine &m, const BatchDriver &driver) {
+        EXPECT_EQ(m.run(RunSpec::untilDelivered(driver.deliveredTarget(),
+                                                500000))
+                      .reason,
+                  StopReason::Delivered);
+        return Observed{ m.timeseriesJson(), m.heatmapCsv(),
+                         m.audit()->reportJson() };
+    };
+
+    for (Cycle window : { Cycle{ 1 }, Cycle{ 0 } /* = auto */ }) {
+        MachineConfig cfg = smallConfig(23);
+        cfg.lookahead = window;
+        BatchDriver::Config dcfg;
+        dcfg.cores = { 0, 1 };
+        dcfg.batch_size = 24;
+
+        // Uninterrupted baseline, attached at the save cycle.
+        Machine base(cfg);
+        UniformPattern bpat(base.geom());
+        dcfg.pattern = &bpat;
+        BatchDriver bdriver(base, dcfg);
+        base.engine().add(bdriver);
+        base.run(RunSpec::forCycles(kForkCycle));
+        ASSERT_GT(bdriver.sentTotal(), 0u);
+        ASSERT_LT(base.totalDelivered(), bdriver.deliveredTarget());
+        attachSamplerAndAuditor(base);
+        const Observed expected = finish(base, bdriver);
+
+        const std::string path = ckptPath("warm_sampler");
+        {
+            Machine saver(cfg);
+            UniformPattern spat(saver.geom());
+            dcfg.pattern = &spat;
+            BatchDriver sdriver(saver, dcfg);
+            saver.engine().add(sdriver);
+            saver.run(RunSpec::forCycles(kForkCycle));
+            saver.saveCheckpoint(path);
+        }
+
+        for (int threads : { 1, 2 }) {
+            const std::string what = "threads=" + std::to_string(threads)
+                                     + " window=" + std::to_string(window);
+            MachineConfig rcfg = cfg;
+            rcfg.threads = threads;
+            Machine m(rcfg);
+            UniformPattern rpat(m.geom());
+            dcfg.pattern = &rpat;
+            BatchDriver rdriver(m, dcfg);
+            // Serial-tail order as in the baseline: driver, then layers.
+            m.engine().add(rdriver);
+            m.restoreCheckpoint(path);
+            attachSamplerAndAuditor(m);
+            const std::uint64_t injected_at_fork = injected(m);
+            ASSERT_GT(injected_at_fork, 0u) << what;
+            const Observed got = finish(m, rdriver);
+
+            const IntervalSampler &s = *m.timeseries();
+            EXPECT_EQ(s.startCycle(), m.restoredCycle()) << what;
+            EXPECT_EQ(s.windowStart(0), kForkCycle) << what;
+            EXPECT_EQ(s.seriesSum(s.findSeries("machine.injected")),
+                      static_cast<double>(injected(m) - injected_at_fork))
+                << what;
+            EXPECT_EQ(got.timeseries, expected.timeseries) << what;
+            EXPECT_EQ(got.heatmap, expected.heatmap) << what;
+            EXPECT_EQ(got.audit, expected.audit) << what;
+        }
+        std::remove(path.c_str());
+    }
+}
+
 // ---------------------------------------------------------------------
 // RunSpec checkpoint plumbing
 // ---------------------------------------------------------------------
@@ -309,10 +458,10 @@ TEST(Checkpoint, RunSpecSavesAtRunEndAndRestoresBeforeRunning)
     EXPECT_EQ(res.end_cycle, kForkCycle);
     a.run(RunSpec::forCycles(kTailCycles));
 
+    // The image restores before the run that continues from it.
     Machine b(smallConfig(31));
-    RunSpec in_spec = RunSpec::forCycles(kTailCycles);
-    in_spec.checkpoint_in = path;
-    b.run(in_spec);
+    b.restoreCheckpoint(path);
+    b.run(RunSpec::forCycles(kTailCycles));
     EXPECT_EQ(b.now(), kForkCycle + kTailCycles);
     EXPECT_EQ(b.restoredCycle(), kForkCycle);
     EXPECT_EQ(b.totalDelivered(), a.totalDelivered());

@@ -15,7 +15,7 @@ namespace {
 class ChipLayoutTest : public ::testing::Test
 {
   protected:
-    ChipLayout layout_{ 23, 3 };
+    ChipLayout layout_{ 23 };
     MeshDirOrder order_ = anton2DirOrder();
 };
 
@@ -191,17 +191,12 @@ TEST_F(ChipLayoutTest, MeshRouteChannelsAreContiguous)
 
 TEST(ChipLayoutConfig, RejectsTooManyEndpoints)
 {
-    EXPECT_THROW(ChipLayout(100, 3), std::invalid_argument);
-}
-
-TEST(ChipLayoutConfig, RejectsNon3DTorus)
-{
-    EXPECT_THROW(ChipLayout(23, 2), std::invalid_argument);
+    EXPECT_THROW(ChipLayout(100), std::invalid_argument);
 }
 
 TEST(ChipLayoutConfig, SmallerEndpointCountsWork)
 {
-    const ChipLayout small(4, 3);
+    const ChipLayout small(4);
     EXPECT_EQ(small.numEndpoints(), 4);
     EXPECT_EQ(small.numChannelAdapters(), 12);
 }

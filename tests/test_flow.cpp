@@ -51,9 +51,9 @@ runFlows(std::uint64_t seed, int threads, Cycle lookahead,
     cfg.use_packaging = false;
     cfg.fixed_torus_latency = 12;
     cfg.seed = seed;
+    cfg.threads = threads;
+    cfg.lookahead = lookahead;
     Machine m(cfg);
-    m.setThreads(threads);
-    m.setLookahead(lookahead);
     FlowProbeConfig fc;
     fc.sample = sample;
     Instrumentation finst;

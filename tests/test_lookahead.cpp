@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/loads.hpp"
@@ -271,15 +272,11 @@ TEST(LookaheadWindow, AutoWindowIsMinTorusLatencyAndClamps)
         EXPECT_EQ(m.lookaheadWindow(), 20u);
     }
     // Explicit windows pass through below the cap and clamp above it.
-    {
-        Machine m(smallConfig(20, 5));
-        EXPECT_EQ(m.lookaheadWindow(), 5u);
-        m.setLookahead(100);
-        EXPECT_EQ(m.lookaheadWindow(), 20u);
-        m.setLookahead(3);
-        EXPECT_EQ(m.lookaheadWindow(), 3u);
-        m.setLookahead(0);
-        EXPECT_EQ(m.lookaheadWindow(), 20u);
+    for (const auto &[asked, window] :
+         { std::pair<Cycle, Cycle>{ 5, 5 }, { 100, 20 }, { 3, 3 },
+           { 0, 20 } }) {
+        Machine m(smallConfig(20, asked));
+        EXPECT_EQ(m.lookaheadWindow(), window) << "lookahead=" << asked;
     }
     // k = 1 torus links degenerate to per-cycle barriers even on auto.
     {
@@ -690,7 +687,7 @@ runBenchLoad8x8x8(int threads)
     ChipConfig chip;
     chip.endpoints_per_node = 8;
     const TorusGeom geom(radix);
-    const ChipLayout layout(8, 3);
+    const ChipLayout layout(8);
     LoadModel lm(geom, layout, chip, 1);
     Rng lrng(2);
     UniformPattern uniform(geom);

@@ -595,5 +595,15 @@ TEST(MachineShape, RadixBelowOneIsRejected)
     EXPECT_THROW(Machine m(cfg), std::invalid_argument);
 }
 
+TEST(MachineShape, TorusOtherThanThreeDIsRejected)
+{
+    MachineConfig cfg = smallConfig();
+    for (const std::vector<int> &radix :
+         { std::vector<int>{ 4, 4 }, std::vector<int>{ 2, 2, 2, 2 } }) {
+        cfg.radix = radix;
+        EXPECT_THROW(Machine m(cfg), std::invalid_argument);
+    }
+}
+
 } // namespace
 } // namespace anton2

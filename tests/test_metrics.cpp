@@ -8,7 +8,6 @@
 
 #include <cmath>
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
@@ -379,57 +378,6 @@ TEST(MetricsRegistry, WarmupResetMeasureMatchesFreshMeasure)
     for (const auto &[path, n] : baseline.components)
         sent += path.find(".ca.") != std::string::npos ? n : 0.0;
     EXPECT_GT(sent, 0.0);
-}
-
-TEST(Metrics, AttachedBeforeRestoreCountFromRestore)
-{
-    using namespace warmup_reset;
-    // Two machines measure the same cycles. One runs from cycle 0 with
-    // packets in flight, saves a checkpoint and resets its registry; the
-    // other attaches metrics, then restores that checkpoint. Every count
-    // - per component and machine-wide - must cover only the cycles
-    // after the restore, so the two exports are byte-identical.
-    const std::string image =
-        std::string(::testing::TempDir()) + "metrics_restore.ckpt";
-    constexpr Cycle kSave = 40;
-    constexpr Cycle kRest = 3000;
-    Machine ran(machineConfig());
-    attachMetrics(ran);
-    for (int i = 0; i < 96; ++i) {
-        const auto a = static_cast<NodeId>(i % 8);
-        const auto b = static_cast<NodeId>((i * 3 + 1) % 8);
-        ran.send(ran.makeWrite({ a, i % 2 }, { b, (i / 2) % 2 }, 0,
-                               1 + i % 2));
-    }
-    RunSpec save = RunSpec::forCycles(kSave);
-    save.checkpoint_out = image;
-    ran.run(save);
-    const std::uint64_t before = ran.totalDelivered();
-    ran.metrics()->reset();
-    ran.run(RunSpec::forCycles(kRest));
-
-    Machine restored(machineConfig());
-    attachMetrics(restored);
-    RunSpec resume = RunSpec::forCycles(kRest);
-    resume.checkpoint_in = image;
-    restored.run(resume);
-    std::remove(image.c_str());
-
-    ASSERT_EQ(restored.now(), ran.now());
-    ASSERT_EQ(restored.totalDelivered(), 96u);
-    ASSERT_GT(before, 0u);
-    ASSERT_LT(before, 96u);
-    const std::string json = restored.metricsJson();
-    EXPECT_EQ(json, ran.metricsJson());
-    const auto root = TinyJsonParser(json).parse();
-    const auto after = static_cast<double>(96 - before);
-    EXPECT_EQ(root->path("machine.delivered").number, after);
-    EXPECT_EQ(root->path("machine.ep.delivered").number, after);
-    EXPECT_EQ(root->path("machine.latency.network.count").number, after);
-    double delivered = 0.0;
-    for (const auto &[path, n] : componentCounts(restored))
-        delivered += path.ends_with(".delivered") ? n : 0.0;
-    EXPECT_EQ(delivered, after);
 }
 
 TEST(MetricsRegistry, ToJsonRoundTrip)

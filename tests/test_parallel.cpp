@@ -12,10 +12,11 @@
  * (counted writes + handler chains), and check that a seeded credit
  * fault trips the watchdog at the same cycle regardless of thread
  * count. Engine-level tests cover the shard/serial-phase schedule and
- * the runUntil check stride.
+ * the runUntil check stride, and one test the one-bundle attach.
  */
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -412,119 +413,55 @@ TEST(ThreadedDeterminism, FaultedWatchdogTripsAtSameCycle)
 // API surface
 // ---------------------------------------------------------------------
 
-/** Run the fig9-style workload on a fixed cycle schedule; when
- * @p reconfigure is set, flip the worker count between segments. */
-RunExports
-runSegmented(bool reconfigure)
+TEST(Instrumentation, SecondAttachThrows)
 {
+    // A machine takes one bundle. A second attachInstrumentation() throws
+    // before it arms a fault or attaches a layer, whatever it carries,
+    // and the first bundle goes on recording.
     MachineConfig cfg;
-    cfg.radix = { 2, 2, 2 };
-    cfg.chip.endpoints_per_node = 2;
+    cfg.radix = { 4, 2, 2 };
+    cfg.chip.endpoints_per_node = 4;
     cfg.use_packaging = false;
-    cfg.fixed_torus_latency = 8;
-    cfg.seed = 11;
+    cfg.fixed_torus_latency = 12;
+    cfg.seed = 7;
     Machine m(cfg);
-    m.attachInstrumentation(fullInstrumentation());
-    EXPECT_EQ(m.threads(), 1);
+    Instrumentation first;
+    first.metrics = true;
+    m.attachInstrumentation(first);
+    const MetricsRegistry *reg = m.metrics();
+    ASSERT_NE(reg, nullptr);
 
-    UniformPattern pat(m.geom());
-    BatchDriver::Config dcfg;
-    dcfg.cores = { 0, 1 };
-    dcfg.batch_size = 12;
-    dcfg.pattern = &pat;
-    BatchDriver driver(m, dcfg);
-    m.engine().add(driver);
+    Instrumentation second = fullInstrumentation();
+    second.flows = FlowProbeConfig{};
+    // Withheld credits on node 0's X+ slice-0 link wedge the traffic
+    // below (FaultedWatchdogTripsAtSameCycle).
+    NetworkFault fault;
+    fault.kind = NetworkFault::Kind::WithholdTorusCredits;
+    fault.node = 0;
+    second.faults.push_back(fault);
+    EXPECT_THROW(m.attachInstrumentation(second), std::logic_error);
+    EXPECT_THROW(m.attachInstrumentation(first), std::logic_error);
+    EXPECT_THROW(m.attachInstrumentation(Instrumentation{}),
+                 std::logic_error);
+    EXPECT_EQ(m.metrics(), reg);
+    EXPECT_EQ(m.trace(), nullptr);
+    EXPECT_EQ(m.flows(), nullptr);
+    EXPECT_EQ(m.timeseries(), nullptr);
+    EXPECT_EQ(m.audit(), nullptr);
+    EXPECT_EQ(m.chip(0).router(0).stallSampler(), nullptr);
 
-    // Reconfigure between cycles: serial -> 4 workers -> 2 -> serial.
-    m.run(RunSpec::forCycles(40));
-    if (reconfigure)
-        m.setThreads(4);
-    m.run(RunSpec::forCycles(40));
-    if (reconfigure)
-        m.setThreads(2);
-    m.run(RunSpec::forCycles(40));
-    if (reconfigure)
-        m.setThreads(1);
-    EXPECT_EQ(m.run(RunSpec::untilDelivered(driver.deliveredTarget(),
-                                            1000000))
-                  .reason,
-              StopReason::Delivered);
-    EXPECT_EQ(m.run(RunSpec::untilQuiescent(100000)).reason,
-              StopReason::Quiescent);
-    return captureExports(m);
-}
-
-TEST(ThreadedDeterminism, SetThreadsMidRunIsSafeAndUnobservable)
-{
-    expectIdentical(runSegmented(false), runSegmented(true),
-                    "mid-run reconfiguration");
-}
-
-TEST(ThreadedDeterminism, IncrementalAttachMatchesBundledAttach)
-{
-    // attachInstrumentation() is the only attach path (the per-layer
-    // enable*() forwarders are gone); attaching the same layers one
-    // bundle at a time must behave as a single bundled call.
-    MachineConfig cfg;
-    cfg.radix = { 2, 2, 2 };
-    cfg.chip.endpoints_per_node = 2;
-    cfg.use_packaging = false;
-    cfg.fixed_torus_latency = 8;
-    cfg.seed = 11;
-
-    Machine bundled(cfg);
-    bundled.attachInstrumentation(fullInstrumentation());
-
-    Machine legacy(cfg);
-    {
-        Instrumentation inst;
-        inst.metrics = true;
-        legacy.attachInstrumentation(inst);
-    }
-    {
-        Instrumentation inst;
-        TraceConfig tcfg;
-        tcfg.capacity = std::size_t{ 1 } << 16;
-        inst.trace = tcfg;
-        legacy.attachInstrumentation(inst);
-    }
-    {
-        Instrumentation inst;
-        TimeseriesConfig scfg;
-        scfg.window = 64;
-        inst.timeseries = scfg;
-        legacy.attachInstrumentation(inst);
-    }
-    {
-        Instrumentation inst;
-        AuditConfig acfg;
-        acfg.audit_interval = 32;
-        acfg.watchdog_interval = 16;
-        inst.audit = acfg;
-        legacy.attachInstrumentation(inst);
-    }
-
-    auto drive = [](Machine &m) {
-        UniformPattern pat(m.geom());
-        BatchDriver::Config dcfg;
-        dcfg.cores = { 0, 1 };
-        dcfg.batch_size = 12;
-        dcfg.pattern = &pat;
-        BatchDriver driver(m, dcfg);
-        m.engine().add(driver);
-        EXPECT_EQ(m.run(RunSpec::untilDelivered(driver.deliveredTarget(),
-                                                1000000))
-                      .reason,
+    // The refused fault was never armed: the traffic it would wedge
+    // delivers, exactly as on a machine that took the first bundle only.
+    Machine twin(cfg);
+    twin.attachInstrumentation(first);
+    for (Machine *x : { &m, &twin }) {
+        const auto sent =
+            sendForcedXPlus(*x, 0, x->geom().id({ 2, 0, 0 }), 40);
+        EXPECT_EQ(x->run(RunSpec::untilDelivered(sent, 100000)).reason,
                   StopReason::Delivered);
-        EXPECT_EQ(m.run(RunSpec::untilQuiescent(100000)).reason,
-                  StopReason::Quiescent);
-    };
-    drive(bundled);
-    drive(legacy);
-
-    EXPECT_EQ(bundled.metricsJson(), legacy.metricsJson());
-    EXPECT_EQ(bundled.traceChromeJson(), legacy.traceChromeJson());
-    EXPECT_EQ(bundled.timeseriesJson(), legacy.timeseriesJson());
+    }
+    EXPECT_EQ(m.now(), twin.now());
+    EXPECT_EQ(m.metricsJson(), twin.metricsJson());
 }
 
 } // namespace

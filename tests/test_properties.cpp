@@ -139,7 +139,7 @@ TEST(Property, LoadTracerConservesPackets)
     // Every traced packet contributes exactly hopDistance to the torus
     // loads and exactly one ejection event.
     const TorusGeom geom(4, 4, 4);
-    const ChipLayout layout(23, 3);
+    const ChipLayout layout(23);
     ChipConfig chip;
     Rng rng(31);
     LoadModel lm(geom, layout, chip, 1);

@@ -421,7 +421,7 @@ TEST(RollupRegression, Pinned8x8x8DeliveredAtMachineLevel)
     ChipConfig chip;
     chip.endpoints_per_node = 8;
     const TorusGeom geom(radix);
-    const ChipLayout layout(8, 3);
+    const ChipLayout layout(8);
     LoadModel lm(geom, layout, chip, 1);
     Rng lrng(2);
     UniformPattern uniform(geom);

@@ -422,24 +422,6 @@ TEST(Tracing, DisabledTracingLeavesNoSinkOrSampler)
     EXPECT_TRUE(m.run(RunSpec::untilDelivered(1, 100000)).reason == StopReason::Delivered);
 }
 
-TEST(Tracing, RepeatedTraceAttachIsIdempotent)
-{
-    MachineConfig cfg;
-    cfg.radix = { 2, 2, 2 };
-    cfg.chip.endpoints_per_node = 2;
-    cfg.use_packaging = false;
-    cfg.seed = 3;
-    Machine m(cfg);
-    Instrumentation inst;
-    inst.trace = TraceConfig{};
-    m.attachInstrumentation(inst);
-    RingTraceSink *a = m.trace();
-    m.attachInstrumentation(inst);
-    RingTraceSink *b = m.trace();
-    ASSERT_NE(a, nullptr);
-    EXPECT_EQ(a, b);
-}
-
 TEST(Tracing, EventAndStallNamesAreStable)
 {
     EXPECT_STREQ(traceEventName(TraceEventType::Inject), "inject");
